@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import eigh_tridiagonal
 
 from .diagonalization import (
     DiagParams,
@@ -51,6 +52,7 @@ TRUNCATION_GATE = 1e-8       # top-two-level amplitude above this refuses certif
 LEVEL_CROSSING_OVERLAP = 0.99
 AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-10
+_B = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)  # detector b on the 4 levels the evolver keeps
 
 
 class OracleError(RuntimeError):
@@ -75,17 +77,14 @@ class LoopSpec:
 class EvolutionSpec:
     """Fixed-step integration controls for the time-dependent problem.
 
-    ``step`` (seconds) must stay below 0.01 of a cycle; when None it defaults
-    to steps_per_cycle fixed steps per cycle.
+    ``step`` (seconds, < 0.01 cycle) or else steps_per_cycle is a floor: the
+    evolver raises it until the predicted RK4 norm drift is <= NORM_DRIFT_LIMIT / 10.
     """
 
     step: float | None = None
     steps_per_cycle: int = 400
-    picture: str = "mixed"
 
     def __post_init__(self):
-        if self.picture != "mixed":
-            raise ValueError(f"unsupported picture {self.picture!r}")
         if self.steps_per_cycle < 100:
             raise ValueError("need at least 100 steps per cycle")
 
@@ -341,62 +340,90 @@ def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDi
 # Time-dependent Schrodinger evolution (adiabaticity check)
 # --------------------------------------------------------------------------
 
-def _evolve_window(
-    pp: PhysicalParams,
-    n0: int,
-    cycles: int,
-    steps_per_cycle: int,
-    n_det: int = 4,
-    window: int | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """RK4 evolution of |n0_f, 0_d> under the co-rotating interaction.
+def _window(g: float, n0: int, cycles: int) -> int:
+    """Field-window half-width for occupation n0, empirical: edge amplitude < 1e-9 measured
+    for g <= 0.0075 (both fig6 presets), n0 <= 5000, 1-16 cycles; stronger coupling may retry."""
+    return 12 + int(math.ceil(30.0 * g * math.sqrt(n0 + 1.0) * (cycles + 1)))
 
-    In the frame rotating with H0 and with varphi(t) = -Omega_a t, the
-    generator is lam (a + a')(b e^{-i Omega_b t} + b' e^{i Omega_b t}); the
-    field-mode phases cancel exactly, so only a window of field levels
-    around n0 is populated.  Returns (P_excited at each cycle boundary,
-    norm drift, edge amplitude).
+
+def _steps_per_cycle(g: float, n_top: int, cycles: int, floor: int) -> int:
+    """Smallest count >= ``floor`` whose predicted norm drift is <= NORM_DRIFT_LIMIT / 10:
+    an RK4 step keeps |R(iy)|^2 = 1 - y^6/72 + y^8/576 of an eigencomponent,
+    y = h |eigenvalue| <= h g ||x_f|| ||b + b'|| with ||x_f|| <= 2 sqrt(n_top),
+    so n steps per cycle drift the norm by at most cycles n y^6 / 144."""
+    a = 2.0 * math.pi * g * 2.0 * math.sqrt(n_top) * float(np.linalg.eigvalsh(_B + _B.T)[-1])
+    return max(floor, int(math.ceil(a ** 1.2 * (cycles / (14.4 * NORM_DRIFT_LIMIT)) ** 0.2)))
+
+
+def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: int,
+            window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step RK4 evolution of |n0_f, 0_d> for every n0 of ``n0s`` as one batch.
+
+    Frame rotating with H0, varphi(t) = -Omega_a t: the generator is
+    lam x_f x_d(t), x_f = a + a', x_d(t) = b e^{-i Omega_b t} + b' e^{i Omega_b t};
+    each row keeps the field levels max(0, n0 - window) .. n0 + window.  In the
+    eigenbasis of the constant x_f each eigenvalue xi drives one detector with
+    strength g xi.  x_d(t) = U x_d(0) U' with U = exp(i t Omega_b b'b), so n RK4
+    steps compose exactly to U(n h) (U(-h) R)^n, R the step at t = 0: one matrix
+    power per eigenvalue and cycle.  U drops out of every population.  Returns
+    per row: sum_{d >= 1} |psi_{n,d}|^2 per cycle, norm drift, edge amplitude.
     """
-    g = pp.lam / pp.Omega_a
-    if window is None:
-        window = 14 + int(math.ceil(40.0 * g * math.sqrt(n0 + 1.0)))
-    lo = max(0, n0 - window)
-    hi = n0 + window
-    nf = hi - lo + 1
-    x_f = np.zeros((nf, nf))
-    for k_ in range(1, nf):
-        x_f[k_ - 1, k_] = math.sqrt(lo + k_)
-    x_f = x_f + x_f.T
-    bm = np.zeros((n_det, n_det))
-    for k_ in range(1, n_det):
-        bm[k_ - 1, k_] = math.sqrt(k_)
-    m1 = np.kron(x_f, bm).astype(complex)          # rides e^{-i Omega_b t}
-    m2 = np.kron(x_f, bm.T).astype(complex)        # rides e^{+i Omega_b t}
-    psi = np.zeros(nf * n_det, dtype=complex)
-    psi[(n0 - lo) * n_det] = 1.0
-
+    lo = np.maximum(n0s - window, 0)
+    xi, start, edge_rows = [], [], []
+    for n0, low in zip(n0s, lo):
+        vals, vecs = eigh_tridiagonal(np.zeros(n0 + window - low + 1),
+                                      np.sqrt(np.arange(low + 1.0, n0 + window + 1.0)))
+        xi.append(vals)
+        start.append(vecs[n0 - low])                     # <n0 | xi_j>
+        edge_rows.append(vecs[[0, 1, -2, -1] if low > 0 else [-2, -1]])
+    bounds = np.cumsum([0] + [len(v) for v in xi])
+    kappa = (pp.lam / pp.Omega_a) * np.concatenate(xi)[:, None, None]
     ratio = pp.Omega_b / pp.Omega_a  # detector phase advance per unit scaled time
+    h = 2.0 * math.pi / steps_per_cycle
+
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         ph = np.exp(-1j * ratio * tau)
-        return -1j * g * (ph * (m1 @ y) + np.conj(ph) * (m2 @ y))
+        return -1j * kappa * ((ph * _B + np.conj(ph) * _B.T) @ y)
 
-    h = 2.0 * math.pi / steps_per_cycle
-    ground = np.arange(nf) * n_det
-    out = np.empty(cycles)
-    tau = 0.0
+    y = np.eye(len(_B))  # one RK4 step of every basis state, all eigenvalues at once
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(h, y + h * k3)
+    step = np.exp(-1j * ratio * h * np.arange(len(_B)))[:, None] * (
+        y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    cycle = np.linalg.matrix_power(step, steps_per_cycle)
+    psi = np.concatenate(start)[:, None] * y[0]           # |n0_f, 0_d>, shape (xi, d)
+    out = np.empty((len(n0s), cycles))
     for c in range(cycles):
-        for _ in range(steps_per_cycle):
-            k1 = rhs(tau, psi)
-            k2 = rhs(tau + 0.5 * h, psi + 0.5 * h * k1)
-            k3 = rhs(tau + 0.5 * h, psi + 0.5 * h * k2)
-            k4 = rhs(tau + h, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tau += h
-        out[c] = 1.0 - float(np.sum(np.abs(psi[ground]) ** 2))
-    drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    block = np.abs(psi.reshape(nf, n_det)) ** 2
-    edge = math.sqrt(block[-2:, :].sum() + (block[:2, :].sum() if lo > 0 else 0.0))
-    return out, drift, edge
+        psi = np.einsum("kij,kj->ki", cycle, psi)
+        out[:, c] = np.add.reduceat(np.sum(np.abs(psi[:, 1:]) ** 2, axis=1), bounds[:-1])
+    norm = np.add.reduceat(np.sum(np.abs(psi) ** 2, axis=1), bounds[:-1])
+    edge = [math.sqrt(np.sum(np.abs(rows @ psi[i:j]) ** 2))
+            for rows, i, j in zip(edge_rows, bounds[:-1], bounds[1:])]
+    return out, np.abs(np.sqrt(norm) - 1.0), np.array(edge)
+
+
+def _excitation(pp: PhysicalParams, cycles: int, spec: EvolutionSpec, n0s) -> np.ndarray:
+    """P(detector excited) per cycle for each n0 of ``n0s``, rows sharing the window
+    and step count sized for the largest n0.  Norm drift beyond 1e-10 in a row
+    refuses; an edge amplitude of 1e-6 in a row doubles the window, twice at most."""
+    n0s = np.asarray(n0s, dtype=int)
+    if pp.lam == 0.0:
+        return np.zeros((len(n0s), cycles))
+    g, n_max = pp.lam / pp.Omega_a, int(n0s.max())
+    window = _window(g, n_max, cycles)
+    for _ in range(3):
+        steps = _steps_per_cycle(g, n_max + window, cycles,
+                                 spec.resolved_steps_per_cycle(pp.Omega_a))
+        out, drift, edge = _evolve(pp, n0s, cycles, steps, window)
+        if drift.max() > NORM_DRIFT_LIMIT:
+            raise OracleError(f"norm drift {drift.max():.3e} exceeds {NORM_DRIFT_LIMIT:g}; "
+                              "reduce the step")
+        if edge.max() < 1e-6:
+            return out
+        window *= 2
+    raise OracleError("field window kept saturating; coupling too strong for this driver")
 
 
 def excitation_probability_per_cycle(
@@ -405,27 +432,9 @@ def excitation_probability_per_cycle(
     spec: EvolutionSpec,
     n_field_initial: int = 0,
 ) -> np.ndarray:
-    """P(detector excited) at each cycle boundary, initial state |n0_f, 0_d>.
-
-    Norm drift beyond 1e-10 raises OracleError (step-size failure); the
-    field window is enlarged and the run repeated if population reaches its
-    edges.
-    """
-    if pp.lam == 0.0:
-        return np.zeros(cycles)
-    steps = spec.resolved_steps_per_cycle(pp.Omega_a)
-    window = None
-    for attempt in range(3):
-        out, drift, edge = _evolve_window(pp, n_field_initial, cycles, steps, window=window)
-        if drift > NORM_DRIFT_LIMIT:
-            raise OracleError(
-                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; reduce the step"
-            )
-        if edge < 1e-6:
-            return out
-        window = (14 + int(math.ceil(40.0 * (pp.lam / pp.Omega_a)
-                                     * math.sqrt(n_field_initial + 1.0)))) * (2 ** (attempt + 1))
-    raise OracleError("field window kept saturating; coupling too strong for this driver")
+    """P(detector excited) at each cycle boundary, initial state |n0_f, 0_d>:
+    a batch of one through the thermal-mixture evolver (see ``_excitation``)."""
+    return _excitation(pp, cycles, spec, [n_field_initial])[0]
 
 
 def schrodinger_excitation_probability(
@@ -468,19 +477,10 @@ def thermal_excitation_per_cycle(
         np.round(np.linspace(0, n_hi, n_grid_points)).astype(int),
     ]))
     base = base[base <= n_hi]
-    curves = {}
-    for n0 in base:
-        curves[int(n0)] = excitation_probability_per_cycle(pp, cycles, spec, int(n0))
+    samples = _excitation(pp, cycles, spec, base)  # (n_grid, cycles)
     w_all, tail_w = thermal_weights(r_thermal, n_hi)
-    per_cycle = np.zeros(cycles)
-    samples = np.array([curves[int(n0)] for n0 in base])  # (n_grid, cycles)
-    all_n = np.arange(n_hi + 1)
-    for c in range(cycles):
-        y = samples[:, c]
-        if np.allclose(y, 0.0):
-            continue
-        interp = PchipInterpolator(base.astype(float), y)
-        per_cycle[c] = float(np.sum(w_all * np.clip(interp(all_n), 0.0, 1.0)))
+    interp = PchipInterpolator(base.astype(float), samples)
+    per_cycle = w_all @ np.clip(interp(np.arange(n_hi + 1)), 0.0, 1.0)
     tail_bound = 3.0 * tail_w * float(samples[-1].max(initial=0.0))
     return ThermalExcitation(per_cycle=per_cycle, tail_bound=tail_bound, grid=base)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from berrytherm import oracle
 from berrytherm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -158,6 +159,24 @@ def test_adiabaticity_zero_coupling_all_zero(tmp_path):
     assert code == EXIT_OK
     ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
     assert ps == [0.0, 0.0, 0.0]
+
+
+def test_adiabaticity_mhz_preset_default_cycles(tmp_path, monkeypatch):
+    # 8 cycles by default: the hottest grid point must not refuse on norm drift
+    mixtures = []
+    thermal = oracle.thermal_excitation_per_cycle
+
+    def recording(*args):
+        mixtures.append(thermal(*args))
+        return mixtures[-1]
+
+    monkeypatch.setattr(oracle, "thermal_excitation_per_cycle", recording)
+    code, text = run(["adiabaticity", "--preset", "fig6-mhz"], tmp_path)
+    assert code == EXIT_OK
+    ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
+    assert len(ps) == 8
+    tail = mixtures[0].tail_bound
+    assert all(0.0 < p and p + tail < 1e-3 for p in ps)
 
 
 def test_diagonalize_json_report(tmp_path):

@@ -19,6 +19,7 @@ from berrytherm.geomphase import (
     mixed_thermal_phase,
     phase_distance,
 )
+from berrytherm import oracle
 from berrytherm.oracle import (
     EvolutionSpec,
     LoopSpec,
@@ -32,8 +33,9 @@ from berrytherm.oracle import (
     partial_sum_from_G,
     rotation_covariance_residual,
     schrodinger_excitation_probability,
+    thermal_excitation_per_cycle,
 )
-from berrytherm.thermo import required_levels
+from berrytherm.thermo import required_levels, squeeze_from_temperature
 
 E2 = math.e ** 2
 CANONICAL = DiagParams(2e9 / E2 * E2, 2e9 / E2, 0.3)  # == (2e9, 2e9/e^2, 0.3)
@@ -232,3 +234,175 @@ def test_evolution_perturbative_scale_off_boundary():
     for k, p in enumerate(out, start=1):
         expect = amp ** 2 * math.sin(math.pi * k * pp.Omega_b / pp.Omega_a) ** 2
         assert p == pytest.approx(expect, rel=2e-3, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Batched RK4 evolver
+# --------------------------------------------------------------------------
+
+FIG6_MHZ = PhysicalParams(1e6, 1e6, TAU * 1200.0)
+R_1MK = squeeze_from_temperature(1e6, 1e-3).r
+
+
+def _rk4_reference(pp, n0, cycles, steps, window, n_det=4):
+    """Step-by-step RK4 on the dense windowed |n_f, d> problem, the plain
+    form of the evolver: (P per cycle, norm drift, edge amplitude)."""
+    g = pp.lam / pp.Omega_a
+    lo = max(0, n0 - window)
+    nf = n0 + window - lo + 1
+    s = np.sqrt(np.arange(lo + 1.0, lo + nf))
+    x_f = np.diag(s, 1) + np.diag(s, -1)
+    b = np.diag(np.sqrt(np.arange(1.0, n_det)), 1)
+    m1, m2 = np.kron(x_f, b), np.kron(x_f, b.T)
+    psi = np.zeros(nf * n_det, dtype=complex)
+    psi[(n0 - lo) * n_det] = 1.0
+    ratio = pp.Omega_b / pp.Omega_a
+
+    def rhs(tau, y):
+        ph = np.exp(-1j * ratio * tau)
+        return -1j * g * (ph * (m1 @ y) + np.conj(ph) * (m2 @ y))
+
+    h = TAU / steps
+    tau = 0.0
+    out = []
+    for _ in range(cycles):
+        for _ in range(steps):
+            k1 = rhs(tau, psi)
+            k2 = rhs(tau + 0.5 * h, psi + 0.5 * h * k1)
+            k3 = rhs(tau + 0.5 * h, psi + 0.5 * h * k2)
+            k4 = rhs(tau + h, psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tau += h
+        out.append(np.sum(np.abs(psi.reshape(nf, n_det)[:, 1:]) ** 2))
+    level = np.sum(np.abs(psi.reshape(nf, n_det)) ** 2, axis=1)
+    edge = math.sqrt(level[-2:].sum() + (level[:2].sum() if lo > 0 else 0.0))
+    return np.array(out), abs(np.linalg.norm(psi) - 1.0), edge
+
+
+def test_evolver_matches_stepwise_rk4():
+    # detuned and strongly coupled, so the frame phases and both window edges matter
+    pp = PhysicalParams(1e6, 1.5e6, TAU * 2e4)
+    out, drift, edge = oracle._evolve(pp, np.array([20, 3]), 2, 200, 12)
+    for row, n0 in enumerate((20, 3)):
+        ref, ref_drift, ref_edge = _rk4_reference(pp, n0, 2, 200, 12)
+        assert ref.min() > 1e-4
+        np.testing.assert_allclose(out[row], ref, rtol=0, atol=1e-13)
+        assert drift[row] == pytest.approx(ref_drift, abs=1e-13)
+        assert edge[row] == pytest.approx(ref_edge, rel=1e-12)
+
+
+def test_evolver_batch_rows_equal_batch_of_one():
+    n0s = np.array([0, 157, 865, 1808])
+    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, 1808, 3)
+    batch, drift, edge = oracle._evolve(FIG6_MHZ, n0s, 3, 600, window)
+    for row, n0 in enumerate(n0s):
+        one, one_drift, one_edge = oracle._evolve(FIG6_MHZ, n0s[row:row + 1], 3, 600, window)
+        np.testing.assert_allclose(batch[row], one[0], rtol=0, atol=1e-14)
+        assert drift[row] == pytest.approx(one_drift[0], abs=1e-14)
+        assert edge[row] == pytest.approx(one_edge[0], abs=1e-14)
+
+
+# Values of the step-by-step dense evolver this one replaced, fig6-mhz at
+# 600 steps per cycle.  That evolver reported 1 - sum |psi_{n,0}|^2, which
+# also counts the RK4 norm loss; the evolver reports the excited population.
+SEED_ROWS_600 = {
+    0: [-8.881784197001252e-16, 7.771561172376096e-16, 0.0],
+    157: [1.1877172376717482e-06, 4.195598339529205e-06, 7.698491907071059e-06],
+    865: [0.0025018705116642836, 0.007802815638190075, 0.014385187091215057],
+    1808: [0.04396038495112964, 0.07809333503940119, 0.0728250615649505],
+}
+SEED_MIXTURE_1MK_600 = [2.7700379737287204e-05, 7.93297116557639e-05, 0.00014490710730438624]
+
+
+def test_evolver_pinned_to_stepwise_values(monkeypatch):
+    n0s = np.array(sorted(SEED_ROWS_600))
+    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, int(n0s.max()), 3)
+    out, drift, _ = oracle._evolve(FIG6_MHZ, n0s, 3, 600, window)
+    norm_loss = 1.0 - (1.0 - drift) ** 2
+    for row, n0 in enumerate(n0s):
+        assert np.all(out[row] >= 0.0)
+        np.testing.assert_allclose(out[row], SEED_ROWS_600[n0], rtol=0,
+                                   atol=1e-12 + norm_loss[row])
+
+    # the mixture, with the step count held at the 600-step floor
+    losses = []
+    evolve = oracle._evolve
+
+    def recording(*args):
+        result = evolve(*args)
+        losses.append(float(np.max(1.0 - (1.0 - result[1]) ** 2)))
+        return result
+
+    monkeypatch.setattr(oracle, "_steps_per_cycle", lambda g, n_top, cycles, floor: floor)
+    monkeypatch.setattr(oracle, "_evolve", recording)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, EvolutionSpec(steps_per_cycle=600), R_1MK)
+    np.testing.assert_allclose(mix.per_cycle, SEED_MIXTURE_1MK_600, rtol=0,
+                               atol=1e-12 + losses[-1])
+
+
+def test_thermal_grid_one_evolver_call_no_retry(monkeypatch):
+    calls = []
+    evolve = oracle._evolve
+
+    def recording(*args):
+        result = evolve(*args)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(oracle, "_evolve", recording)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(steps_per_cycle=600), R_1MK)
+    assert len(calls) == 1
+    out, drift, edge = calls[0]
+    assert out.shape == (len(mix.grid), 8)
+    assert edge.max() < 1e-9
+    assert drift.max() <= oracle.NORM_DRIFT_LIMIT / 10
+
+
+def test_raised_step_count_moves_toward_finer_reference():
+    # hottest fig6-mhz grid point at the CLI default of 8 cycles: 600 steps
+    # per cycle drift past the 1e-10 gate; the sized count must return and
+    # land closer to a 2400-step run than 600 steps do
+    spec = EvolutionSpec(steps_per_cycle=600)
+    p = excitation_probability_per_cycle(FIG6_MHZ, 8, spec, 1808)
+    g = FIG6_MHZ.lam / FIG6_MHZ.Omega_a
+    window = oracle._window(g, 1808, 8)
+    assert oracle._steps_per_cycle(g, 1808 + window, 8, 600) > 600
+    coarse, coarse_drift, _ = oracle._evolve(FIG6_MHZ, np.array([1808]), 8, 600, window)
+    fine, _, _ = oracle._evolve(FIG6_MHZ, np.array([1808]), 8, 2400, window)
+    assert coarse_drift[0] > oracle.NORM_DRIFT_LIMIT
+    assert np.abs(p - fine[0]).max() < np.abs(coarse[0] - fine[0]).max()
+
+
+def test_evolution_saturated_window_retries_doubled(monkeypatch):
+    spec = EvolutionSpec(steps_per_cycle=600)
+    expect = excitation_probability_per_cycle(FIG6_MHZ, 3, spec, 157)
+    windows = []
+    evolve = oracle._evolve
+
+    def recording(pp, n0s, cycles, steps, window):
+        windows.append(window)
+        return evolve(pp, n0s, cycles, steps, window)
+
+    monkeypatch.setattr(oracle, "_window", lambda g, n0, cycles: 5)
+    monkeypatch.setattr(oracle, "_evolve", recording)
+    got = excitation_probability_per_cycle(FIG6_MHZ, 3, spec, 157)
+    assert windows == [5, 10, 20]
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def test_evolution_strong_coupling_refuses_on_window():
+    pp = PhysicalParams(1e6, 1e6, TAU * 1e5)
+    with pytest.raises(OracleError, match="field window kept saturating"):
+        excitation_probability_per_cycle(pp, 2, EvolutionSpec(), 0)
+
+
+def test_thermal_mixture_tiny_values_kept_and_nonnegative():
+    # fig6-ghz at 0.2 K: every grid row sits near 1e-35; none may read
+    # negative and the mixture must not be rounded to zero
+    pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
+    spec = EvolutionSpec(steps_per_cycle=600)
+    mix = thermal_excitation_per_cycle(pp, 2, spec, squeeze_from_temperature(1e9, 0.2).r)
+    rows = oracle._excitation(pp, 2, spec, mix.grid)
+    assert np.all(rows >= 0.0)
+    assert np.all(mix.per_cycle > 0.0)
+    assert mix.per_cycle.max() < 1e-9
