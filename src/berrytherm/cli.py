@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,29 +67,6 @@ PRESETS = {
 
 class ConfigError(ValueError):
     pass
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("BERRYTHERM_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"BERRYTHERM_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ConfigError("BERRYTHERM_THREADS must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over immutable inputs, bounded by BERRYTHERM_THREADS."""
-    workers = _worker_count()
-    items = list(items)
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -259,12 +234,12 @@ def cmd_diagonalize(config: dict) -> dict:
         abs(back.Omega_b / pp.Omega_b - 1.0),
         abs(back.lam / pp.lam - 1.0) if pp.lam else 0.0,
     )
-    h = build_hamiltonian(pp, 0.0, dims)
+    h = build_hamiltonian(pp, 0.0, dims).toarray()
     residuals = {}
     for occ in ((0, 0), (1, 0), (0, 1)):
         psi = eigenstate(dp, occ[0], occ[1], 0.0, dims)
-        e_val = float(np.real(np.vdot(psi.amp, h.mat @ psi.amp)))
-        res = float(np.linalg.norm(h.mat @ psi.amp - e_val * psi.amp)) / pp.Omega_a
+        e_val = float(np.real(np.vdot(psi.amp, h @ psi.amp)))
+        res = float(np.linalg.norm(h @ psi.amp - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
     report["eigenstate_residuals_over_Omega_a"] = residuals
     u_mat = build_unitary(dp, 0.0, dims)
@@ -297,15 +272,14 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     def delta_at(tc: float) -> float:
         return thermometer_delta_from_G(g, gap, tc, t_hot)
 
-    deltas = parallel_map(delta_at, t_cold)
     rows = []
-    for i, tc in enumerate(t_cold):
+    for tc in t_cold:
         # sensitivity stand-in: |d delta / d T_cold| by central differences
         h = 1e-6 * tc
         dddt = abs(delta_at(tc + h) - delta_at(tc - h)) / (2.0 * h)
         rows.append({
             "T_cold_K": float(tc),
-            "delta_rad": float(deltas[i]),
+            "delta_rad": float(delta_at(tc)),
             "dDelta_dTcold_rad_per_K": float(dddt),
         })
     return rows, ["T_cold_K", "delta_rad", "dDelta_dTcold_rad_per_K"]
@@ -372,7 +346,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
             "time_to_pi_s": float("inf") if n_pi is None else n_pi * cycle_time,
         }
 
-    rows = parallel_map(row, accels)
+    rows = [row(a) for a in accels]
     return rows, ["accel_m_s2", "T_unruh_K", "q", "delta_per_cycle_rad",
                   "cycles_to_pi", "time_to_pi_s"]
 
@@ -470,7 +444,7 @@ def certification_report(negative_control: bool = False,
 
     # ladder algebra: commutator rows away from the truncation boundary
     from .fockspace import ladder
-    a = ladder(dims_small, "field", "lower").mat
+    a = ladder(dims_small, "field", "lower").toarray()
     comm = a @ a.conj().T - a.conj().T @ a
     rows_ok = np.abs(np.diag(comm).reshape(12, 12)[:10, :] - 1.0).max()
     add("ladder_commutator_rows", rows_ok < 1e-12, rows_ok, 1e-12)
@@ -520,7 +494,7 @@ def certification_report(negative_control: bool = False,
     add("connection_v_component", av < 1e-8, av, 1e-8)
 
     # loop oracle vs closed form over the full grid
-    spec = LoopSpec(n_points=loop_points, refinement="richardson")
+    spec = LoopSpec(n_points=loop_points)
     cells = []
     loop_pass = True
     worst_diff = 0.0

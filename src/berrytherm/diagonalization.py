@@ -31,7 +31,6 @@ from .fockspace import (
     StateVector,
     displace_two_mode,
     ladder,
-    ladder_sparse,
     number_diagonal,
     rotate_field,
     squeeze_single,
@@ -51,7 +50,6 @@ __all__ = [
     "invert_physical",
     "build_unitary",
     "build_hamiltonian",
-    "hamiltonian_sparse",
     "eigenstate",
     "constant_shift",
     "eigenvalue",
@@ -470,23 +468,10 @@ def build_unitary(dp: DiagParams, varphi: float, dims: FockDims) -> OperatorMatr
     return s_a @ s_b @ disp @ s_hat @ rot
 
 
-def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> OperatorMatrix:
-    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi})."""
-    a = ladder(dims, "field", "lower").mat
-    b = ladder(dims, "detector", "lower").mat
-    ad, bd = a.conj().T, b.conj().T
-    h = (
-        pp.Omega_a * (ad @ a)
-        + pp.Omega_b * (bd @ b)
-        + pp.lam * (b + bd) @ (ad * np.exp(1j * varphi) + a * np.exp(-1j * varphi))
-    )
-    return OperatorMatrix(dims, h)
-
-
-def hamiltonian_sparse(pp: PhysicalParams, varphi: float, dims: FockDims) -> sp.csr_matrix:
-    """CSR version of build_hamiltonian for large cutoffs."""
-    a = ladder_sparse(dims, "field", "lower")
-    b = ladder_sparse(dims, "detector", "lower")
+def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> sp.csr_matrix:
+    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi}) as CSR."""
+    a = ladder(dims, "field", "lower")
+    b = ladder(dims, "detector", "lower")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
     h = (
         pp.Omega_a * (ad @ a)
@@ -499,8 +484,8 @@ def hamiltonian_sparse(pp: PhysicalParams, varphi: float, dims: FockDims) -> sp.
 def _eigenstate_amp(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> np.ndarray:
     """U' |n_f n_d> computed as a chain of sparse exponential actions."""
     d = derive_params(dp)
-    a = ladder_sparse(dims, "field", "lower")
-    b = ladder_sparse(dims, "detector", "lower")
+    a = ladder(dims, "field", "lower")
+    b = ladder(dims, "detector", "lower")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
     x = np.zeros(dims.total, dtype=complex)
     x[dims.index(n_f, n_d)] = 1.0
@@ -518,32 +503,26 @@ def _eigenstate_amp(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: Foc
     return x
 
 
-def eigenstate(
-    dp: DiagParams,
-    n_f: int,
-    n_d: int,
-    varphi: float,
-    dims: FockDims,
-    pad_factor: float = 1.8,
-) -> StateVector:
+# The intermediate squeeze stages populate higher levels than the final state
+# does, so eigenstate() evaluates the chain on a space padded by this factor
+# (at least +10 levels per mode) and projects back.
+EIGENSTATE_PAD = 1.8
+
+
+def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
     """Closed-form eigenstate U' |n_f n_d> as a unit vector on ``dims``.
 
-    The intermediate squeeze stages populate higher levels than the final
-    state does, so the chain is evaluated on a padded space (pad_factor times
-    each cutoff, at least +10 levels) and projected back.  Occupations must
-    stay below cutoff/2 to leave truncation margin.
+    The chain is evaluated on a space padded by EIGENSTATE_PAD and projected
+    back.  Occupations must stay below cutoff/2 to leave truncation margin.
     """
     if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
         raise ValueError(
             f"occupation ({n_f}, {n_d}) too close to the cutoff {dims}; need < cutoff/2"
         )
-    if pad_factor <= 1.0:
-        big = dims
-    else:
-        big = FockDims(
-            max(dims.n_field + 10, int(math.ceil(dims.n_field * pad_factor))),
-            max(dims.n_det + 10, int(math.ceil(dims.n_det * pad_factor))),
-        )
+    big = FockDims(
+        max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
+        max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
+    )
     amp_big = _eigenstate_amp(dp, n_f, n_d, varphi, big)
     amp = amp_big.reshape(big.n_field, big.n_det)[: dims.n_field, : dims.n_det].reshape(-1)
     return StateVector(dims, amp, normalize=True)

@@ -1,9 +1,9 @@
 """Truncated two-mode bosonic Fock space.
 
-Dense ladder operators, tensor embedding, unitary-exact matrix exponentials,
-and the squeeze / two-mode displacement / rotation builders used by the
-detector-field diagonalization.  Basis ordering is field-major throughout:
-``index = n_f * n_det + n_d``.
+Sparse (CSR) ladder operators, tensor embedding, unitary-exact matrix
+exponentials, and the squeeze / two-mode displacement / rotation builders
+used by the detector-field diagonalization.  Basis ordering is field-major
+throughout: ``index = n_f * n_det + n_d``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "DensityMatrix",
     "TruncationWarning",
     "ladder",
-    "ladder_sparse",
     "number_operator",
     "identity",
     "matrix_exponential",
@@ -183,30 +182,13 @@ def _lower_1mode(n: int) -> np.ndarray:
     return m
 
 
-def ladder(dims: FockDims, mode: str, kind: str) -> OperatorMatrix:
-    """Tensor-embedded ladder operator.
+def ladder(dims: FockDims, mode: str, kind: str) -> sp.csr_matrix:
+    """Tensor-embedded ladder operator as a complex CSR matrix.
 
     ``mode`` is ``"field"`` (a) or ``"detector"`` (b); ``kind`` is
     ``"lower"`` or ``"raise"``.  <n-1| lower |n> = sqrt(n) in the designated
     mode, identity on the other.
     """
-    if mode not in ("field", "detector"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if kind not in ("lower", "raise"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if mode == "field":
-        single = _lower_1mode(dims.n_field)
-        full = np.kron(single, np.eye(dims.n_det))
-    else:
-        single = _lower_1mode(dims.n_det)
-        full = np.kron(np.eye(dims.n_field), single)
-    if kind == "raise":
-        full = full.conj().T
-    return OperatorMatrix(dims, full)
-
-
-def ladder_sparse(dims: FockDims, mode: str, kind: str) -> sp.csr_matrix:
-    """CSR version of :func:`ladder` for large-cutoff oracle work."""
     if mode == "field":
         single = sp.diags(np.sqrt(np.arange(1, dims.n_field, dtype=float)), 1)
         full = sp.kron(single, sp.identity(dims.n_det), format="csr")
@@ -224,13 +206,7 @@ def ladder_sparse(dims: FockDims, mode: str, kind: str) -> sp.csr_matrix:
 
 def number_operator(dims: FockDims, mode: str) -> OperatorMatrix:
     """a^dag a (or b^dag b) embedded on the two-mode space; exactly diagonal."""
-    if mode == "field":
-        diag = np.repeat(np.arange(dims.n_field, dtype=float), dims.n_det)
-    elif mode == "detector":
-        diag = np.tile(np.arange(dims.n_det, dtype=float), dims.n_field)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return OperatorMatrix(dims, np.diag(diag.astype(complex)))
+    return OperatorMatrix(dims, np.diag(number_diagonal(dims, mode).astype(complex)))
 
 
 def number_diagonal(dims: FockDims, mode: str) -> np.ndarray:
@@ -334,8 +310,8 @@ def displace_two_mode(dims: FockDims, s: float, phi: float) -> OperatorMatrix:
     states; the generator conserves total occupation, so there is no
     truncation loss for states below the cutoff.
     """
-    a = ladder(dims, "field", "lower").mat
-    b = ladder(dims, "detector", "lower").mat
+    a = ladder(dims, "field", "lower").toarray()
+    b = ladder(dims, "detector", "lower").toarray()
     chi = s * np.exp(1j * phi)
     gen = chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T)
     return OperatorMatrix(dims, _expm_dense(gen))

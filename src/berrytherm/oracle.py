@@ -22,11 +22,11 @@ from scipy.linalg import eigh_tridiagonal
 from .diagonalization import (
     DiagParams,
     PhysicalParams,
+    build_hamiltonian,
     eigenstate,
     forward_map,
-    hamiltonian_sparse,
 )
-from .fockspace import FockDims, OperatorMatrix, StateVector, truncation_tail
+from .fockspace import FockDims, StateVector, number_diagonal, truncation_tail
 from .geomphase import PhaseResult, ThermalSqueeze, wrap_angle
 from .thermo import required_levels, thermal_weights
 
@@ -52,6 +52,8 @@ TRUNCATION_GATE = 1e-8       # top-two-level amplitude above this refuses certif
 LEVEL_CROSSING_OVERLAP = 0.99
 AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-10
+DENSE_EIGH_LIMIT = 1600      # dense eigh for dense matrices up to this dimension
+EIGSH_K = 6                  # eigenpairs requested from shift-invert Lanczos
 _B = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)  # detector b on the 4 levels the evolver keeps
 
 
@@ -61,16 +63,13 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Discretization of the closed varphi loop."""
+    """Discretization of the closed varphi loop (Richardson-refined over N and 2N)."""
 
     n_points: int = 2048
-    refinement: str = "richardson"
 
     def __post_init__(self):
         if self.n_points < 16:
             raise ValueError(f"need at least 16 loop points, got {self.n_points}")
-        if self.refinement not in ("single", "richardson"):
-            raise ValueError(f"unknown refinement {self.refinement!r}")
 
 
 @dataclass(frozen=True)
@@ -115,39 +114,34 @@ class BerryLoopResult:
     n_points: int
 
 
-def _as_array(h) -> np.ndarray | sp.spmatrix:
-    if isinstance(h, OperatorMatrix):
-        return h.mat
-    return h
-
-
-def numeric_eigenpair(h, target: StateVector, dense_limit: int = 1600, k: int = 6) -> EigenPair:
+def numeric_eigenpair(mat, target: StateVector) -> EigenPair:
     """Eigenpair of the truncated Hamiltonian with maximal overlap against ``target``.
 
-    Dense eigh below ``dense_limit`` total dimension, shift-invert Lanczos
-    (sigma at the target's Rayleigh quotient) above it.  The returned vector
-    is gauge fixed: its largest-magnitude component is real positive.
-    Overlap below 0.9 raises OracleError (truncation or wrong parameters).
+    ``mat`` is a dense array or a scipy sparse matrix.  Dense eigh for a
+    dense ``mat`` up to DENSE_EIGH_LIMIT total dimension, shift-invert
+    Lanczos (sigma at the target's Rayleigh quotient) otherwise.  The
+    returned vector is gauge fixed: its largest-magnitude component is real
+    positive.  Overlap below 0.9 raises OracleError (truncation or wrong
+    parameters).
     """
-    mat = _as_array(h)
     dim = mat.shape[0]
     if dim != target.dims.total:
         raise ValueError("Hamiltonian and target dimensions disagree")
     tv = target.amp
+    # largest modulus of H - H^dag (abs before max: complex max is lexicographic)
     if sp.issparse(mat):
-        herm = abs((mat - mat.conj().T.tocsr()).max()) if dim else 0.0
+        herm, scale = abs(mat - mat.conj().T).max(), abs(mat).max()
     else:
-        herm = float(np.abs(mat - mat.conj().T).max())
-    scale = abs(mat).max() if sp.issparse(mat) else float(np.abs(mat).max())
+        herm, scale = np.abs(mat - mat.conj().T).max(), np.abs(mat).max()
     if herm > 1e-10 * max(scale, 1.0):
         raise ValueError(f"Hamiltonian is not Hermitian (defect {herm:.2e})")
 
-    if dim <= dense_limit and not sp.issparse(mat):
+    if dim <= DENSE_EIGH_LIMIT and not sp.issparse(mat):
         evals, vecs = np.linalg.eigh(mat)
     else:
         smat = sp.csc_matrix(mat)
         sigma = float(np.real(np.vdot(tv, smat @ tv)))
-        evals, vecs = spla.eigsh(smat, k=min(k, dim - 2), sigma=sigma, which="LM")
+        evals, vecs = spla.eigsh(smat, k=min(EIGSH_K, dim - 2), sigma=sigma, which="LM")
     overlaps = np.abs(vecs.conj().T @ tv)
     best = int(np.argmax(overlaps))
     if overlaps[best] < AMBIGUITY_OVERLAP:
@@ -211,9 +205,9 @@ def discrete_berry_loop(
     ``eigensolve="initial"`` diagonalizes H(0) once and transports the
     eigenvector around the loop with the exact rotation covariance;
     ``"every_point"`` re-diagonalizes at every grid point (dense; intended
-    for small cutoffs) and applies the raw Pancharatnam product.  With
-    richardson refinement the phase is extrapolated from the N and 2N grids
-    and the reported error estimate is |gamma(2N) - gamma(N)|.
+    for small cutoffs) and applies the raw Pancharatnam product.  The phase
+    is Richardson-extrapolated from the N and 2N grids and the reported
+    error estimate is |gamma(2N) - gamma(N)|.
 
     Refuses (OracleError) when the numeric eigenvector carries more than
     ``truncation_gate`` amplitude in the top two levels of either mode, or
@@ -221,7 +215,7 @@ def discrete_berry_loop(
     """
     pp = forward_map(dp)
     target = eigenstate(dp, n_f, n_d, 0.0, dims)
-    h0 = hamiltonian_sparse(pp, 0.0, dims)
+    h0 = build_hamiltonian(pp, 0.0, dims)
     pair = numeric_eigenpair(h0, target)
     chi = pair.vector
     tail = truncation_tail(chi)
@@ -233,16 +227,10 @@ def discrete_berry_loop(
 
     if eigensolve == "initial":
         w = np.abs(chi.amp) ** 2
-        n_f_diag = np.repeat(np.arange(dims.n_field), dims.n_det)
+        n_f_diag = number_diagonal(dims, "field")
         raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
         if ov1 < LEVEL_CROSSING_OVERLAP:
             raise OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
-        if spec.refinement == "single":
-            return BerryLoopResult(
-                PhaseResult(value=wrap_angle(raw1), raw=raw1, method="oracle"),
-                error_estimate=math.nan, truncation_tail=tail,
-                min_overlap=ov1, n_points=spec.n_points,
-            )
         raw2, ov2 = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
         raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
         raw = (4.0 * raw2 - raw1) / 3.0
@@ -261,7 +249,7 @@ def discrete_berry_loop(
         prev = chi.amp
         min_ov = 1.0
         for phi in phis:
-            hm = hamiltonian_sparse(pp, phi, dims).toarray()
+            hm = build_hamiltonian(pp, phi, dims).toarray()
             evals, vecs = np.linalg.eigh(hm)
             ovl = np.abs(vecs.conj().T @ prev)
             best = int(np.argmax(ovl))
@@ -277,12 +265,6 @@ def discrete_berry_loop(
         return raw, min(min_ov, min_abs)
 
     raw1, ov1 = loop_at(spec.n_points)
-    if spec.refinement == "single":
-        return BerryLoopResult(
-            PhaseResult(value=wrap_angle(raw1), raw=raw1, method="oracle"),
-            error_estimate=math.nan, truncation_tail=tail, min_overlap=ov1,
-            n_points=spec.n_points,
-        )
     raw2, ov2 = loop_at(2 * spec.n_points)
     # per-point gauges wind the raw sums arbitrarily; only the branch-aligned
     # combination is meaningful for re-diagonalized loops
@@ -327,12 +309,11 @@ def mixed_phase_partial_sum(dp: DiagParams, r: ThermalSqueeze, n_max: int) -> Ph
 
 def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:
     """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|; exact identity, ~1e-13."""
-    from .diagonalization import build_hamiltonian
     from .fockspace import rotate_field
 
-    h_phi = build_hamiltonian(pp, varphi, dims).mat
+    h_phi = build_hamiltonian(pp, varphi, dims).toarray()
     r = rotate_field(dims, -varphi).mat
-    h_rot = r @ build_hamiltonian(pp, 0.0, dims).mat @ r.conj().T
+    h_rot = r @ build_hamiltonian(pp, 0.0, dims).toarray() @ r.conj().T
     return float(np.abs(h_phi - h_rot).max())
 
 

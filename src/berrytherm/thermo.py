@@ -123,7 +123,7 @@ class ThermalStateSpec:
 
     @property
     def r_T(self) -> float:
-        return float(np.arctanh(np.exp(-0.5 * boltzmann_exponent(self.omega, self.temperature))))
+        return squeeze_from_temperature(self.omega, self.temperature).r
 
     @property
     def tail(self) -> float:

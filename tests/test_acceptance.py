@@ -63,7 +63,7 @@ def _report(line: str) -> None:
 def test_criterion_1_oracle_equivalence_grid():
     """Closed-form eigenstate phases match the discrete loop to 1e-5 on the
     parameter/occupation grid, within 60 s, cutoff ladder starting at 30."""
-    spec = LoopSpec(n_points=2048, refinement="richardson")
+    spec = LoopSpec(n_points=2048)
     t0 = time.perf_counter()
     worst = 0.0
     evaluated = 0
@@ -135,7 +135,7 @@ def test_criterion_3_eigenstate_certification():
     def residual(lam_ratio: float, occ=(0, 0)) -> float:
         pp = PhysicalParams(1.0, 1.0, lam_ratio)
         dp = invert_physical(pp).params
-        h = build_hamiltonian(pp, 0.0, dims).mat
+        h = build_hamiltonian(pp, 0.0, dims).toarray()
         psi = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
         e_label = dp.omega_a * occ[0] + dp.omega_b * occ[1]
         return float(np.linalg.norm(h @ psi - e_label * psi)) / pp.Omega_a

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -200,15 +199,25 @@ def test_diagonalize_zero_coupling_flagged(tmp_path):
     assert rep["diag_params"]["v"] == 0.0
 
 
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("BERRYTHERM_THREADS", "1")
-    args = ["thermometer", "--preset", "fig3-mhz", "--points", "6"]
-    _, single = run(args, tmp_path, "s.csv")
-    monkeypatch.setenv("BERRYTHERM_THREADS", "3")
-    _, multi = run(args, tmp_path, "m.csv")
-    assert single == multi
-    monkeypatch.setenv("BERRYTHERM_THREADS", "zero")
-    assert main(args) == EXIT_CONFIG
+def test_unruh_deterministic_bytes_and_rows_in_order(tmp_path):
+    from berrytherm.diagonalization import PhysicalParams, invert_physical
+    from berrytherm.geomphase import delta_per_cycle_from_G, mode_fraction_G, unruh_squeeze
+
+    args = ["unruh", "--preset", "fig5-3", "--points", "7"]
+    code, a = run(args, tmp_path, "a.csv")
+    _, b = run(args, tmp_path, "b.csv")
+    assert code == EXIT_OK
+    assert a == b
+    p = PRESETS["fig5-3"]
+    dp = invert_physical(PhysicalParams(p["gap"], p["gap"], p["coupling"])).params
+    g = mode_fraction_G(dp).G
+    rows = [list(map(float, ln.split(","))) for ln in a.strip().split("\n")[1:]]
+    accels = np.logspace(16.0, 18.0, 7)
+    assert [r[0] for r in rows] == list(accels)
+    for r, acc in zip(rows, accels):
+        q = unruh_squeeze(p["gap"], acc).r
+        assert r[2] == q
+        assert r[3] == delta_per_cycle_from_G(g, q)
 
 
 def test_thermometer_200_point_sweep_under_five_seconds(tmp_path):

@@ -15,7 +15,6 @@ from berrytherm.diagonalization import (
     derive_params,
     eigenstate,
     forward_map,
-    hamiltonian_sparse,
     invert_physical,
     inverse_map,
 )
@@ -171,7 +170,7 @@ def test_map_identities_on_grid():
 def test_hamiltonian_diagonal_at_zero_coupling():
     dims = FockDims(5, 4)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.4, dims).mat
+    h = build_hamiltonian(pp, 0.4, dims).toarray()
     expect = np.diag([3.0 * nf + 2.0 * nd for nf in range(5) for nd in range(4)])
     np.testing.assert_allclose(h, expect, atol=1e-14)
 
@@ -180,7 +179,7 @@ def test_hamiltonian_hermitian_any_phase():
     dims = FockDims(8, 8)
     pp = PhysicalParams(1.9, 1.1, 0.4)
     for phi in (0.0, 0.3, 2.8, -1.2):
-        h = build_hamiltonian(pp, phi, dims).mat
+        h = build_hamiltonian(pp, phi, dims).toarray()
         assert np.abs(h - h.conj().T).max() < 1e-14
 
 
@@ -189,18 +188,10 @@ def test_hamiltonian_rotation_covariance():
     dims = FockDims(10, 10)
     pp = PhysicalParams(1.9, 1.1, 0.4)
     for phi in (0.3, 1.0, -2.2):
-        h_phi = build_hamiltonian(pp, phi, dims).mat
+        h_phi = build_hamiltonian(pp, phi, dims).toarray()
         r = rotate_field(dims, -phi).mat
-        conj = r @ build_hamiltonian(pp, 0.0, dims).mat @ r.conj().T
+        conj = r @ build_hamiltonian(pp, 0.0, dims).toarray() @ r.conj().T
         assert np.abs(h_phi - conj).max() < 1e-12 * pp.Omega_a
-
-
-def test_hamiltonian_sparse_matches_dense():
-    dims = FockDims(7, 6)
-    pp = PhysicalParams(1.9, 1.1, 0.4)
-    dense = build_hamiltonian(pp, 0.7, dims).mat
-    sparse = hamiltonian_sparse(pp, 0.7, dims).toarray()
-    np.testing.assert_allclose(dense, sparse, atol=1e-14)
 
 
 def test_unitary_chain_zero_generators_is_identity():
@@ -231,7 +222,7 @@ def test_diagonalization_chain_reproduces_hamiltonian():
     n_d = np.tile(np.arange(30), 30)
     h0 = np.diag(dp.omega_a * n_f + dp.omega_b * n_d).astype(complex)
     lhs = u.conj().T @ h0 @ u - constant_shift(dp, d) * np.eye(900)
-    rhs = build_hamiltonian(pp, 0.6, dims).mat
+    rhs = build_hamiltonian(pp, 0.6, dims).toarray()
     low = [dims.index(a, b) for a in range(6) for b in range(6)]
     assert np.abs((lhs - rhs)[np.ix_(low, low)]).max() < 1e-8 * pp.Omega_a
     corner = [dims.index(a, b) for a in range(3) for b in range(3)]
@@ -269,7 +260,7 @@ def test_eigenstate_rayleigh_residual_small_coupling():
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-6)
     dp = inverse_map(pp)
     dims = FockDims(24, 24)
-    h = build_hamiltonian(pp, 0.0, dims).mat
+    h = build_hamiltonian(pp, 0.0, dims).toarray()
     for occ in ((0, 0), (1, 0), (0, 1)):
         psi = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
         e_val = float(np.real(np.vdot(psi, h @ psi)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from berrytherm.diagonalization import (
     DiagParams,
@@ -45,14 +46,12 @@ TAU = 2 * math.pi
 def test_loopspec_validation():
     with pytest.raises(ValueError):
         LoopSpec(n_points=8)
-    with pytest.raises(ValueError):
-        LoopSpec(refinement="cubic")
 
 
 def test_numeric_eigenpair_decoupled():
     dims = FockDims(6, 6)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.0, dims)
+    h = build_hamiltonian(pp, 0.0, dims).toarray()
     pair = numeric_eigenpair(h, basis_state(dims, 1, 0))
     assert pair.value == pytest.approx(3.0, abs=1e-12)
     assert abs(pair.vector.amp[dims.index(1, 0)]) == pytest.approx(1.0, abs=1e-12)
@@ -64,11 +63,11 @@ def test_numeric_eigenpair_decoupled():
 def test_numeric_eigenpair_residual_contract():
     dims = FockDims(14, 14)
     pp = forward_map(CANONICAL)
-    h = build_hamiltonian(pp, 0.0, dims)
+    h = build_hamiltonian(pp, 0.0, dims).toarray()
     target = eigenstate(CANONICAL, 0, 0, 0.0, dims)
     pair = numeric_eigenpair(h, target)
-    res = np.linalg.norm(h.mat @ pair.vector.amp - pair.value * pair.vector.amp)
-    assert res < 1e-10 * np.abs(h.mat).max()
+    res = np.linalg.norm(h @ pair.vector.amp - pair.value * pair.vector.amp)
+    assert res < 1e-10 * np.abs(h).max()
 
 
 def test_numeric_eigenpair_overlap_certification():
@@ -76,7 +75,7 @@ def test_numeric_eigenpair_overlap_certification():
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-7)
     dp = inverse_map(pp)
     dims = FockDims(14, 14)
-    h = build_hamiltonian(pp, 0.0, dims)
+    h = build_hamiltonian(pp, 0.0, dims).toarray()
     for occ in ((0, 0), (1, 0), (0, 1)):
         target = eigenstate(dp, occ[0], occ[1], 0.0, dims)
         pair = numeric_eigenpair(h, target)
@@ -91,10 +90,23 @@ def test_numeric_eigenpair_rejects_nonhermitian():
         numeric_eigenpair(bad, basis_state(dims, 0, 0))
 
 
+def test_numeric_eigenpair_rejects_nonhermitian_sparse():
+    # a negative-imaginary diagonal defect: the largest |H - H^dag| entry is
+    # 2e-3, while a max over complex entries (lexicographic) would see 0
+    dims = FockDims(6, 6)
+    h = build_hamiltonian(PhysicalParams(3.0, 2.0, 0.1), 0.0, dims)
+    i = dims.index(1, 0)
+    bad = (h + sp.csr_matrix(([-1e-3j], ([i], [i])), shape=h.shape)).tocsr()
+    target = basis_state(dims, 1, 0)
+    for mat in (bad, bad.toarray()):
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect 2\.00e-03\)"):
+            numeric_eigenpair(mat, target)
+
+
 def test_numeric_eigenpair_ambiguity():
     dims = FockDims(5, 5)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.0, dims)
+    h = build_hamiltonian(pp, 0.0, dims).toarray()
     mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 0).amp \
         + basis_state(dims, 0, 1).amp + basis_state(dims, 1, 1).amp
     from berrytherm.fockspace import StateVector
@@ -120,7 +132,7 @@ def test_loop_zero_coupling_gives_zero_phase():
 
 
 def test_loop_matches_closed_form_canonical():
-    spec = LoopSpec(n_points=2048, refinement="richardson")
+    spec = LoopSpec(n_points=2048)
     res = discrete_berry_loop(CANONICAL, 1, 0, spec, FockDims(40, 40))
     closed = eigen_berry_phase(CANONICAL, 1, 0)
     assert phase_distance(res.phase.raw, closed.raw) < 1e-6

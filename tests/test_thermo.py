@@ -110,6 +110,15 @@ def test_planck_mean_occupation():
     assert mean_n == pytest.approx(math.sinh(spec.r_T) ** 2, abs=1e-10)
 
 
+def test_thermal_spec_r_T_is_squeeze_from_temperature():
+    # one route to r_T: bit-identical to squeeze_from_temperature on a grid
+    # reaching the high-temperature end (1e6 rad/s at 1 K and 100 K)
+    for omega in (1e6, 1e8, 1e9, 2e9):
+        for temperature in (1e-3, 0.012, 0.3, 1.0, 100.0):
+            spec = ThermalStateSpec(omega, temperature, n_max=10)
+            assert spec.r_T == squeeze_from_temperature(omega, temperature).r
+
+
 def test_thermal_density_matrix_refusals():
     hot = ThermalStateSpec(omega=1e9, temperature=1.0, n_max=20)  # tail far too fat
     with pytest.raises(ValueError, match="tail"):
