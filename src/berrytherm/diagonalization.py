@@ -12,7 +12,10 @@ are independent; everything else is fixed by the constraints that kill the
 field-squeezing and detector-squeezing terms and equalize the two coupling
 coefficients.  This module derives the constrained parameters, maps between
 (omega_a, omega_b, v) and the laboratory triple (Omega_a, Omega_b, lam) in
-both directions, and builds U, H, and eigenstates on a truncated space.
+both directions, and builds U and H on a truncated space.  Eigenstates
+U' |n_f n_d> skip the matrices: each factor of U' splits exactly into small
+real tridiagonal blocks (squeezes by parity, the beam splitter by total
+occupation) that act on the amplitude directly.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import expm_multiply
 
 from .fockspace import (
     FockDims,
     OperatorMatrix,
     StateVector,
+    beam_splitter_action,
     displace_two_mode,
     ladder,
-    number_diagonal,
     rotate_field,
+    squeeze_action,
     squeeze_single,
 )
 
@@ -482,25 +485,24 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> sp.c
 
 
 def _eigenstate_amp(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> np.ndarray:
-    """U' |n_f n_d> computed as a chain of sparse exponential actions."""
+    """U' |n_f n_d> = R' Shat_b' D' S_b' S_a' |n_f n_d>, each factor applied exactly by blocks.
+
+    The squeezes act on one mode each, so S_b' S_a' |n_f n_d> is the outer
+    product of two squeezed basis states; the beam splitter D' then acts on
+    the (n_field, n_det) amplitude by total-occupation blocks, Shat_b' on the
+    detector axis by parity blocks, and R' is diagonal.  Every factor up to
+    R' is real orthogonal.
+    """
     d = derive_params(dp)
-    a = ladder(dims, "field", "lower")
-    b = ladder(dims, "detector", "lower")
-    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    x = np.zeros(dims.total, dtype=complex)
-    x[dims.index(n_f, n_d)] = 1.0
-    # U' = R' Shat' D' S_b' S_a'; rightmost factor acts first.
-    # Each factor is exp(-K) for the corresponding generator K.
-    k_a = 0.5 * d.u * (ad @ ad - a @ a)                      # theta_a = 0
-    k_b = 0.5 * dp.v * (b @ b - bd @ bd)                     # theta_b = -pi
-    k_d = d.s * (ad @ b - a @ bd)
-    k_p = 0.5 * d.p * (bd @ bd - b @ b)
-    x = expm_multiply(-k_a, x)
-    x = expm_multiply(-k_b, x)
-    x = expm_multiply(-k_d, x)
-    x = expm_multiply(-k_p, x)
-    x = np.exp(1j * varphi * number_diagonal(dims, "field")) * x
-    return x
+    f = np.zeros(dims.n_field)
+    f[n_f] = 1.0
+    g = np.zeros(dims.n_det)
+    g[n_d] = 1.0
+    # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
+    amp = np.outer(squeeze_action(f, -d.u), squeeze_action(g, dp.v))
+    amp = beam_splitter_action(amp, -d.s)
+    amp = squeeze_action(amp.T, -d.p).T
+    return (np.exp(1j * varphi * np.arange(dims.n_field))[:, None] * amp).reshape(-1)
 
 
 # The intermediate squeeze stages populate higher levels than the final state
@@ -512,8 +514,9 @@ EIGENSTATE_PAD = 1.8
 def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
     """Closed-form eigenstate U' |n_f n_d> as a unit vector on ``dims``.
 
-    The chain is evaluated on a space padded by EIGENSTATE_PAD and projected
-    back.  Occupations must stay below cutoff/2 to leave truncation margin.
+    The factors of U' act by exact tridiagonal blocks (see _eigenstate_amp)
+    on a space padded by EIGENSTATE_PAD, and the result is projected back.
+    Occupations must stay below cutoff/2 to leave truncation margin.
     """
     if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
         raise ValueError(

@@ -2,8 +2,10 @@
 
 Sparse (CSR) ladder operators, tensor embedding, unitary-exact matrix
 exponentials, and the squeeze / two-mode displacement / rotation builders
-used by the detector-field diagonalization.  Basis ordering is field-major
-throughout: ``index = n_f * n_det + n_d``.
+used by the detector-field diagonalization.  The squeeze and beam-splitter
+actions on a state split exactly into real tridiagonal blocks and skip the
+matrices altogether.  Basis ordering is field-major throughout:
+``index = n_f * n_det + n_d``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "FockDims",
@@ -29,6 +32,9 @@ __all__ = [
     "squeeze_single",
     "displace_two_mode",
     "rotate_field",
+    "tridiagonal_exp_action",
+    "squeeze_action",
+    "beam_splitter_action",
     "basis_state",
     "truncation_tail",
     "matrix_to_json",
@@ -321,6 +327,69 @@ def rotate_field(dims: FockDims, varphi: float) -> OperatorMatrix:
     """R(varphi) = exp(-i varphi a†a) ⊗ 1.  Diagonal generator: exact at any cutoff."""
     n_f = number_diagonal(dims, "field")
     return OperatorMatrix(dims, np.diag(np.exp(-1j * varphi * n_f)))
+
+
+_CONJ_I_POWERS = np.array([1.0, -1.0, -1.0, 1.0])  # i^-j, real at even j, imaginary at odd j
+
+
+def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
+    """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
+
+    With D = diag(i^j), J = -i D T D^-1 for the symmetric tridiagonal T of
+    off-diagonal beta, so with T = V diag(lam) V^T
+
+        exp(c J) x = x + D V expm1(-i c lam) V^T D^-1 x.
+
+    The expm1 form keeps x exact and the change relatively accurate when
+    c lam is small.  For real x, D^-1 x is real on the even rows and imaginary
+    on the odd ones, so the product runs in real arithmetic on the two row
+    halves of V.  ``x`` is a real vector or a matrix acted on along axis 0.
+    """
+    if len(beta) == 0 or not x.any():
+        return x.copy()
+    lam, vecs = eigh_tridiagonal(np.zeros(len(beta) + 1), beta)
+    sign = _CONJ_I_POWERS[np.arange(len(lam)) % 4]
+    phase = np.expm1(-1j * c * lam)
+    if x.ndim == 2:
+        sign, phase = sign[:, None], phase[:, None]
+    y = sign * x
+    even, odd = vecs[0::2], vecs[1::2]
+    w_re, w_im = even.T @ y[0::2], odd.T @ y[1::2]
+    out = x.copy()
+    out[0::2] += sign[0::2] * (even @ (phase.real * w_re - phase.imag * w_im))
+    out[1::2] += sign[1::2] * (odd @ (phase.real * w_im + phase.imag * w_re))
+    return out
+
+
+def squeeze_action(x: np.ndarray, t: float) -> np.ndarray:
+    """S(t, 0) x = exp((t/2)(X'^2 - X^2)) x along axis 0 of the real array ``x``.
+
+    X'^2 - X^2 couples levels k and k + 2 with strength sqrt((k+1)(k+2)), so
+    the even and the odd levels each form one tridiagonal block.
+    """
+    n = x.shape[0]
+    out = np.empty_like(x)
+    for parity in (0, 1):
+        k = np.arange(parity, n - 2, 2, dtype=float)
+        out[parity::2] = tridiagonal_exp_action(np.sqrt((k + 1.0) * (k + 2.0)), 0.5 * t,
+                                                x[parity::2])
+    return out
+
+
+def beam_splitter_action(amp: np.ndarray, s: float) -> np.ndarray:
+    """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det) amplitude array.
+
+    The generator keeps the total occupation N: on |k, N-k> (k field quanta)
+    it couples k and k + 1 with strength sqrt((k+1)(N-k)), each block cut at
+    both cutoffs exactly as the truncated ladders cut it.
+    """
+    n_field, n_det = amp.shape
+    out = np.empty_like(amp)
+    for total in range(n_field + n_det - 1):
+        k = np.arange(max(0, total - n_det + 1), min(total, n_field - 1) + 1)
+        beta = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
+        out[k, total - k] = tridiagonal_exp_action(beta, s, amp[k, total - k])
+    return out
 
 
 def truncation_tail(state: StateVector) -> float:

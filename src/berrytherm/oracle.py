@@ -119,10 +119,11 @@ def numeric_eigenpair(mat, target: StateVector) -> EigenPair:
 
     ``mat`` is a dense array or a scipy sparse matrix.  Dense eigh for a
     dense ``mat`` up to DENSE_EIGH_LIMIT total dimension, shift-invert
-    Lanczos (sigma at the target's Rayleigh quotient) otherwise.  The
-    returned vector is gauge fixed: its largest-magnitude component is real
-    positive.  Overlap below 0.9 raises OracleError (truncation or wrong
-    parameters).
+    Lanczos (sigma at the target's Rayleigh quotient) otherwise, in real
+    arithmetic when ``mat`` has no imaginary part and from a fixed start
+    vector, so repeated calls return identical bits.  The returned vector is
+    gauge fixed: its largest-magnitude component is real positive.  Overlap
+    below 0.9 raises OracleError (truncation or wrong parameters).
     """
     dim = mat.shape[0]
     if dim != target.dims.total:
@@ -140,8 +141,11 @@ def numeric_eigenpair(mat, target: StateVector) -> EigenPair:
         evals, vecs = np.linalg.eigh(mat)
     else:
         smat = sp.csc_matrix(mat)
+        if smat.imag.count_nonzero() == 0:
+            smat = smat.real
         sigma = float(np.real(np.vdot(tv, smat @ tv)))
-        evals, vecs = spla.eigsh(smat, k=min(EIGSH_K, dim - 2), sigma=sigma, which="LM")
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        evals, vecs = spla.eigsh(smat, k=min(EIGSH_K, dim - 2), sigma=sigma, which="LM", v0=v0)
     overlaps = np.abs(vecs.conj().T @ tv)
     best = int(np.argmax(overlaps))
     if overlaps[best] < AMBIGUITY_OVERLAP:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
+from berrytherm import cli
 from berrytherm.diagonalization import (
+    EIGENSTATE_PAD,
     ConstraintError,
     DiagParams,
     InverseMapError,
@@ -22,6 +25,8 @@ from berrytherm.fockspace import (
     FockDims,
     basis_state,
     displace_two_mode,
+    ladder,
+    number_diagonal,
     rotate_field,
     squeeze_single,
 )
@@ -305,3 +310,79 @@ def test_trajectory_phase_frames():
     assert rind.varphi(1e-9, 0.0) == pytest.approx(-2.0)
     with pytest.raises(ValueError):
         TrajectoryPhase(1.0, 0.0, frame="weird")
+
+
+def reference_eigenstate(dp, n_f, n_d, varphi, dims):
+    """U' |n_f n_d> as a chain of sparse expm_multiply actions of the whole
+    generators on the padded space, projected back and normalized."""
+    big = FockDims(max(dims.n_field + 10, math.ceil(dims.n_field * EIGENSTATE_PAD)),
+                   max(dims.n_det + 10, math.ceil(dims.n_det * EIGENSTATE_PAD)))
+    d = derive_params(dp)
+    a = ladder(big, "field", "lower")
+    b = ladder(big, "detector", "lower")
+    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
+    x = basis_state(big, n_f, n_d).amp
+    # U' = R' Shat' D' S_b' S_a'; each factor is exp(-K) for its generator K
+    x = expm_multiply(-0.5 * d.u * (ad @ ad - a @ a), x)          # theta_a = 0
+    x = expm_multiply(-0.5 * dp.v * (b @ b - bd @ bd), x)         # theta_b = -pi
+    x = expm_multiply(-d.s * (ad @ b - a @ bd), x)
+    x = expm_multiply(-0.5 * d.p * (bd @ bd - b @ b), x)
+    x = np.exp(1j * varphi * number_diagonal(big, "field")) * x
+    amp = x.reshape(big.n_field, big.n_det)[: dims.n_field, : dims.n_det].reshape(-1)
+    return amp / np.linalg.norm(amp)
+
+
+def test_eigenstate_matches_reference_chain_on_certify_grid():
+    dims = FockDims(30, 30)
+    worst = 0.0
+    for v in cli.CERT_GRID_V:
+        for ratio in cli.CERT_GRID_RATIO:
+            if ratio <= math.exp(2 * v):
+                continue
+            dp = DiagParams(ratio, 1.0, v)
+            for occ in cli.CERT_OCCUPATIONS:
+                fast = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
+                ref = reference_eigenstate(dp, occ[0], occ[1], 0.0, dims)
+                worst = max(worst, np.abs(fast - ref).max())
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("varphi", [0.4, -2.3])
+def test_eigenstate_matches_reference_chain_nonzero_phase(varphi):
+    dims = FockDims(24, 24)
+    for occ in cli.CERT_OCCUPATIONS:
+        fast = eigenstate(CANONICAL, occ[0], occ[1], varphi, dims).amp
+        ref = reference_eigenstate(CANONICAL, occ[0], occ[1], varphi, dims)
+        assert np.abs(fast - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dims", [FockDims(20, 12), FockDims(12, 20)])
+def test_eigenstate_matches_reference_chain_rectangular(dims):
+    # total-number blocks of the beam splitter are cut unevenly by the two cutoffs
+    dp = DiagParams(math.e ** 3, 1.0, 0.45)
+    for occ in ((0, 0), (2, 1), (1, 3), (4, 5)):
+        fast = eigenstate(dp, occ[0], occ[1], 0.7, dims).amp
+        ref = reference_eigenstate(dp, occ[0], occ[1], 0.7, dims)
+        assert np.abs(fast - ref).max() <= 1e-13
+
+
+# eigenstate_residuals_over_Omega_a of `diagonalize` on the resonant
+# (gap, gap, coupling) triples, as the expm_multiply chain reported them
+RESONANT_RESIDUALS = {
+    "fig3-ghz": {"0,0": 1.9297800919364738e-19, "1,0": 2.3662368405824812e-15,
+                 "0,1": 2.360223521925098e-15},
+    "fig5-1": {"0,0": 6.529373783586565e-20, "1,0": 1.1306672765141402e-14,
+               "0,1": 1.1468900175864572e-14},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(RESONANT_RESIDUALS))
+def test_diagonalize_resonant_residuals_keep_precision(preset):
+    # the expm1 form keeps the weak squeezes exact to relative precision;
+    # a plain eigen-synthesis put the fig3-ghz (0,0) entry at ~1e-14
+    p = cli.PRESETS[preset]
+    report = cli.cmd_diagonalize({"omega_a": p["gap"], "omega_b": p["gap"],
+                                  "coupling": p["coupling"]})
+    residuals = report["eigenstate_residuals_over_Omega_a"]
+    for occ, before in RESONANT_RESIDUALS[preset].items():
+        assert residuals[occ] <= 2.0 * before, (occ, residuals[occ], before)

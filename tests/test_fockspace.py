@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from berrytherm.fockspace import (
     FockDims,
     OperatorMatrix,
     TruncationWarning,
     basis_state,
+    beam_splitter_action,
     displace_two_mode,
     identity,
     ladder,
@@ -14,9 +16,11 @@ from berrytherm.fockspace import (
     matrix_to_json,
     number_operator,
     rotate_field,
+    squeeze_action,
     squeeze_single,
     state_from_json,
     state_to_json,
+    tridiagonal_exp_action,
     truncation_tail,
 )
 
@@ -231,3 +235,70 @@ def test_json_roundtrip_matrix_and_state():
 def test_identity_builder():
     dims = FockDims(4, 4)
     assert np.abs(identity(dims).mat - np.eye(16)).max() == 0.0
+
+
+def _squeeze_block(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal of a squeeze parity block and its dense generator J."""
+    k = np.arange(n - 1, dtype=float)
+    beta = np.sqrt((k + 1.0) * (k + 2.0))
+    return beta, np.diag(beta, -1) - np.diag(beta, 1)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.4])
+def test_tridiagonal_exp_action_matches_dense_expm(c):
+    rng = np.random.default_rng(7)
+    for n in range(1, 41):
+        beta, gen = _squeeze_block(n)
+        x = rng.normal(size=(n, 3))
+        x /= np.linalg.norm(x, axis=0)
+        expect = scipy.linalg.expm(c * gen) @ x
+        out = tridiagonal_exp_action(beta, c, x)
+        assert np.abs(out - expect).max() < 1e-12
+        assert np.abs(tridiagonal_exp_action(beta, c, x[:, 0]) - expect[:, 0]).max() < 1e-12
+        assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-14
+
+
+def test_tridiagonal_exp_action_small_angle_change_is_relatively_exact():
+    # exp(cJ)x - x = cJ phi1(cJ) x, with phi1 read off the exponential of the
+    # augmented block [[cJ, 1], [0, 0]].  Squeezing a basis state by a tiny
+    # angle must give the levels it populates to relative precision (a plain
+    # V exp(-i c lam) V^T synthesis leaves them ~1e-16 absolute, ~1e-7 relative);
+    # on a general x only the final rounding of x + change is allowed on top
+    c = 1e-9
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(8)
+    for n in range(1, 41):
+        beta, gen = _squeeze_block(n)
+        aug = np.zeros((2 * n, 2 * n))
+        aug[:n, :n] = c * gen
+        aug[:n, n:] = np.eye(n)
+        phi1 = scipy.linalg.expm(aug)[:n, n:]
+        starts = [np.eye(n)[j] for j in {0, n // 2, n - 1}]
+        for x in starts + [rng.normal(size=n)]:
+            x = x / np.linalg.norm(x)
+            change = c * gen @ (phi1 @ x)
+            out = tridiagonal_exp_action(beta, c, x)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-14
+            if n == 1:
+                assert np.array_equal(out, x)
+                continue
+            err = (out - x) - change
+            assert np.linalg.norm(err) <= 1e-12 * np.linalg.norm(change) + eps * np.linalg.norm(x)
+            off = x == 0.0
+            if off.any():
+                assert np.linalg.norm(err[off]) <= 1e-12 * np.linalg.norm(change[off])
+
+
+@pytest.mark.filterwarnings("ignore::berrytherm.fockspace.TruncationWarning")
+def test_block_actions_match_dense_builders():
+    # rectangular dims: the total-occupation blocks are cut by both cutoffs;
+    # the match is exact on the truncated space, so the squeeze tails may be fat
+    dims = FockDims(7, 5)
+    amp = np.random.default_rng(9).normal(size=(7, 5))
+    flat = amp.reshape(-1)
+    disp = displace_two_mode(dims, 0.37, 0.0).mat @ flat
+    assert np.abs(beam_splitter_action(amp, 0.37).reshape(-1) - disp).max() < 1e-13
+    field = squeeze_single(dims, "field", 0.4, 0.0).mat @ flat
+    assert np.abs(squeeze_action(amp, 0.4).reshape(-1) - field).max() < 1e-13
+    det = squeeze_single(dims, "detector", -0.25, 0.0).mat @ flat
+    assert np.abs(squeeze_action(amp.T, -0.25).T.reshape(-1) - det).max() < 1e-13

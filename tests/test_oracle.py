@@ -103,6 +103,21 @@ def test_numeric_eigenpair_rejects_nonhermitian_sparse():
             numeric_eigenpair(mat, target)
 
 
+@pytest.mark.parametrize("varphi", [0.0, 0.4])
+def test_numeric_eigenpair_sparse_repeatable_bits(varphi):
+    # ARPACK's own start vector is random and moved the last digits from call
+    # to call; a real H (varphi = 0) is solved in real arithmetic
+    dims = FockDims(44, 44)
+    h = build_hamiltonian(forward_map(CANONICAL), varphi, dims)
+    target = eigenstate(CANONICAL, 1, 1, varphi, dims)
+    pairs = [numeric_eigenpair(h, target) for _ in range(3)]
+    for pair in pairs[1:]:
+        assert pair.value == pairs[0].value
+        assert np.array_equal(pair.vector.amp, pairs[0].vector.amp)
+    assert pairs[0].overlap > 0.999
+    assert pairs[0].vector.amp.imag.any() == (varphi != 0.0)
+
+
 def test_numeric_eigenpair_ambiguity():
     dims = FockDims(5, 5)
     pp = PhysicalParams(3.0, 2.0, 0.0)
