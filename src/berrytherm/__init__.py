@@ -26,7 +26,6 @@ from .fockspace import (
     OperatorMatrix,
     StateVector,
     ladder,
-    matrix_exponential,
     displace_two_mode,
     rotate_field,
     squeeze_single,

@@ -29,7 +29,7 @@ from .diagonalization import (
     forward_map,
     invert_physical,
 )
-from .fockspace import FockDims, basis_state
+from .fockspace import FockDims
 from .geomphase import (
     ThermalSqueeze,
     accumulate_cycles,
@@ -242,11 +242,12 @@ def cmd_diagonalize(config: dict) -> dict:
         res = float(np.linalg.norm(h @ psi.amp - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
     report["eigenstate_residuals_over_Omega_a"] = residuals
-    u_mat = build_unitary(dp, 0.0, dims)
-    vac = basis_state(dims, 0, 0)
-    report["vacuum_overlap_deviation"] = abs(
-        1.0 - complex(np.vdot(vac.amp, u_mat.mat @ vac.amp))
-    )
+    # |1 - z|, z = <00|U|00>, from the column c = U|00> (flat index 0) free of
+    # cancellation: 1 - Re z = (sum_{j>=1} |c_j|^2 + (Im z)^2) / (1 + Re z)
+    col = build_unitary(dp, 0.0, dims).mat[:, 0]
+    z = col[0]
+    one_minus_re = (np.sum(np.abs(col[1:]) ** 2) + z.imag ** 2) / (1.0 + z.real)
+    report["vacuum_overlap_deviation"] = float(np.hypot(one_minus_re, z.imag))
     return report
 
 

@@ -1,11 +1,11 @@
 """Truncated two-mode bosonic Fock space.
 
-Sparse (CSR) ladder operators, tensor embedding, unitary-exact matrix
-exponentials, and the squeeze / two-mode displacement / rotation builders
-used by the detector-field diagonalization.  The squeeze and beam-splitter
-actions on a state split exactly into real tridiagonal blocks and skip the
-matrices altogether.  Basis ordering is field-major throughout:
-``index = n_f * n_det + n_d``.
+Sparse (CSR) ladder operators, tensor embedding, and the squeeze / two-mode
+displacement / rotation builders used by the detector-field diagonalization.
+The squeeze and beam-splitter actions on a state split exactly into real
+tridiagonal blocks, the one matrix exponential here; the dense builders are
+those actions applied to the identity, conjugated by a diagonal phase.
+Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
@@ -26,9 +25,7 @@ __all__ = [
     "DensityMatrix",
     "TruncationWarning",
     "ladder",
-    "number_operator",
     "identity",
-    "matrix_exponential",
     "squeeze_single",
     "displace_two_mode",
     "rotate_field",
@@ -44,12 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 30
-
-# Unitarity / precision targets used by the builders (documented contract):
-# every builder output U satisfies ||U^dag U - 1||_max < 1e-10 at the default
-# cutoff, and exponentials of anti-Hermitian generators are unitary to
-# roundoff by construction (spectral synthesis).
-UNITARITY_TOL = 1e-10
 
 
 class TruncationWarning(UserWarning):
@@ -182,12 +173,6 @@ class DensityMatrix:
         return float(np.real(np.trace(self.mat)))
 
 
-def _lower_1mode(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    return m
-
-
 def ladder(dims: FockDims, mode: str, kind: str) -> sp.csr_matrix:
     """Tensor-embedded ladder operator as a complex CSR matrix.
 
@@ -210,11 +195,6 @@ def ladder(dims: FockDims, mode: str, kind: str) -> sp.csr_matrix:
     return full.astype(complex)
 
 
-def number_operator(dims: FockDims, mode: str) -> OperatorMatrix:
-    """a^dag a (or b^dag b) embedded on the two-mode space; exactly diagonal."""
-    return OperatorMatrix(dims, np.diag(number_diagonal(dims, mode).astype(complex)))
-
-
 def number_diagonal(dims: FockDims, mode: str) -> np.ndarray:
     """Occupation of each flat basis index in the given mode."""
     if mode == "field":
@@ -233,39 +213,6 @@ def basis_state(dims: FockDims, n_f: int, n_d: int) -> StateVector:
     v = np.zeros(dims.total, dtype=complex)
     v[dims.index(n_f, n_d)] = 1.0
     return StateVector(dims, v, normalize=False)
-
-
-def _expm_dense(m: np.ndarray) -> np.ndarray:
-    """exp(m).  Anti-Hermitian generators go through a spectral synthesis so
-    the result is unitary to roundoff; everything else uses scaling-and-
-    squaring with an overflow check."""
-    skew = np.abs(m + m.conj().T).max()
-    scale = max(np.abs(m).max(), 1.0)
-    if skew <= 1e-13 * scale:
-        herm = 1j * m  # Hermitian
-        evals, vecs = np.linalg.eigh(herm)
-        return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-    nrm = scipy.linalg.norm(m, 1)
-    if nrm > 500.0:
-        raise OverflowError(f"matrix exponential of generator with 1-norm {nrm:.3g} would overflow")
-    out = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed")
-    return out
-
-
-def matrix_exponential(m: OperatorMatrix) -> OperatorMatrix:
-    """exp(m) to relative accuracy ~1e-12 (exactly unitary for anti-Hermitian m)."""
-    return OperatorMatrix(m.dims, _expm_dense(m.mat))
-
-
-def _squeeze_1mode(n: int, t: float, theta: float) -> np.ndarray:
-    """Single-mode squeeze on an n-level factor: exp(alpha* X^dag^2 - alpha X^2)
-    with alpha = (t/2) e^{i theta}, giving S^dag a S = a cosh t + a^dag e^{-i theta} sinh t."""
-    x = _lower_1mode(n)
-    alpha = 0.5 * t * np.exp(1j * theta)
-    gen = np.conj(alpha) * (x.conj().T @ x.conj().T) - alpha * (x @ x)
-    return _expm_dense(gen)
 
 
 def _squeeze_truncation_estimate(n: int, t: float) -> float:
@@ -301,7 +248,9 @@ def squeeze_single(dims: FockDims, mode: str, t: float, theta: float) -> Operato
             TruncationWarning,
             stacklevel=2,
         )
-    s1 = _squeeze_1mode(n, t, theta)
+    # S(t, theta) = R(theta/2) S(t, 0) R(theta/2)^dag, R(x) = exp(-i x n)
+    phase = np.exp(-0.5j * theta * np.arange(n))
+    s1 = phase[:, None] * squeeze_action(np.eye(n), t) * phase.conj()
     if mode == "field":
         full = np.kron(s1, np.eye(dims.n_det))
     else:
@@ -314,13 +263,13 @@ def displace_two_mode(dims: FockDims, s: float, phi: float) -> OperatorMatrix:
 
     D^dag a D ≈ a cos s + b e^{i phi} sin s and companions on low-lying
     states; the generator conserves total occupation, so there is no
-    truncation loss for states below the cutoff.
+    truncation loss for states below the cutoff.  Built as
+    D(s, phi) = R(-phi) D(s, 0) R(-phi)^dag from the total-occupation blocks.
     """
-    a = ladder(dims, "field", "lower").toarray()
-    b = ladder(dims, "detector", "lower").toarray()
-    chi = s * np.exp(1j * phi)
-    gen = chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T)
-    return OperatorMatrix(dims, _expm_dense(gen))
+    n = dims.total
+    d0 = beam_splitter_action(np.eye(n).reshape(dims.n_field, dims.n_det, n), s)
+    phase = np.exp(1j * phi * number_diagonal(dims, "field"))
+    return OperatorMatrix(dims, phase[:, None] * d0.reshape(n, n) * phase.conj())
 
 
 def rotate_field(dims: FockDims, varphi: float) -> OperatorMatrix:
@@ -377,13 +326,13 @@ def squeeze_action(x: np.ndarray, t: float) -> np.ndarray:
 
 
 def beam_splitter_action(amp: np.ndarray, s: float) -> np.ndarray:
-    """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det) amplitude array.
+    """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det, ...) amplitude array.
 
     The generator keeps the total occupation N: on |k, N-k> (k field quanta)
     it couples k and k + 1 with strength sqrt((k+1)(N-k)), each block cut at
     both cutoffs exactly as the truncated ladders cut it.
     """
-    n_field, n_det = amp.shape
+    n_field, n_det = amp.shape[:2]
     out = np.empty_like(amp)
     for total in range(n_field + n_det - 1):
         k = np.arange(max(0, total - n_det + 1), min(total, n_field - 1) + 1)

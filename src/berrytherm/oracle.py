@@ -54,6 +54,8 @@ AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-10
 DENSE_EIGH_LIMIT = 1600      # dense eigh for dense matrices up to this dimension
 EIGSH_K = 6                  # eigenpairs requested from shift-invert Lanczos
+MAX_WINDOW = 2048            # field-window half-width cap: eigenvectors of 4097 levels, ~134 MB
+THERMAL_GRID_POINTS = 24     # evenly spaced occupations in the thermal-mixture grid
 _B = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)  # detector b on the 4 levels the evolver keeps
 
 
@@ -392,13 +394,17 @@ def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: i
 def _excitation(pp: PhysicalParams, cycles: int, spec: EvolutionSpec, n0s) -> np.ndarray:
     """P(detector excited) per cycle for each n0 of ``n0s``, rows sharing the window
     and step count sized for the largest n0.  Norm drift beyond 1e-10 in a row
-    refuses; an edge amplitude of 1e-6 in a row doubles the window, twice at most."""
+    refuses; an edge amplitude of 1e-6 in a row doubles the window, twice at most,
+    and a window above MAX_WINDOW refuses before anything is allocated."""
     n0s = np.asarray(n0s, dtype=int)
     if pp.lam == 0.0:
         return np.zeros((len(n0s), cycles))
     g, n_max = pp.lam / pp.Omega_a, int(n0s.max())
     window = _window(g, n_max, cycles)
     for _ in range(3):
+        if window > MAX_WINDOW:
+            raise OracleError(f"field window {window} exceeds the cap {MAX_WINDOW}; "
+                              "coupling too strong for this driver")
         steps = _steps_per_cycle(g, n_max + window, cycles,
                                  spec.resolved_steps_per_cycle(pp.Omega_a))
         out, drift, edge = _evolve(pp, n0s, cycles, steps, window)
@@ -446,7 +452,6 @@ def thermal_excitation_per_cycle(
     cycles: int,
     spec: EvolutionSpec,
     r_thermal: float,
-    n_grid_points: int = 24,
 ) -> ThermalExcitation:
     """Thermal-field excitation probability as an explicit weighted mixture.
 
@@ -459,7 +464,7 @@ def thermal_excitation_per_cycle(
     n_hi = max(required_levels(r_thermal, 1e-6), 8)
     base = np.unique(np.concatenate([
         np.array([0, 1, 2, 3, 4, 6, 8, 12, 16]),
-        np.round(np.linspace(0, n_hi, n_grid_points)).astype(int),
+        np.round(np.linspace(0, n_hi, THERMAL_GRID_POINTS)).astype(int),
     ]))
     base = base[base <= n_hi]
     samples = _excitation(pp, cycles, spec, base)  # (n_grid, cycles)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from berrytherm import oracle
 from berrytherm.cli import (
@@ -14,7 +15,7 @@ from berrytherm.cli import (
     main,
     read_config_file,
 )
-from berrytherm.fockspace import FockDims, displace_two_mode, matrix_from_json
+from berrytherm.fockspace import FockDims, displace_two_mode, ladder, matrix_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -249,5 +250,11 @@ def test_certify_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_matrix_json_golden_fixture():
     text = (GOLDEN / "displace_4x4_s0p2_phi0p5.json").read_text()
     op = matrix_from_json(text)
-    fresh = displace_two_mode(FockDims(4, 4), 0.2, 0.5)
+    dims = FockDims(4, 4)
+    fresh = displace_two_mode(dims, 0.2, 0.5)
     np.testing.assert_array_equal(op.mat, fresh.mat)
+    a = ladder(dims, "field", "lower").toarray()
+    b = ladder(dims, "detector", "lower").toarray()
+    chi = 0.2 * np.exp(0.5j)
+    gen = chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T)
+    assert np.abs(op.mat - scipy.linalg.expm(gen)).max() <= 1e-15

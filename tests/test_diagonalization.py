@@ -386,3 +386,14 @@ def test_diagonalize_resonant_residuals_keep_precision(preset):
     residuals = report["eigenstate_residuals_over_Omega_a"]
     for occ, before in RESONANT_RESIDUALS[preset].items():
         assert residuals[occ] <= 2.0 * before, (occ, residuals[occ], before)
+
+
+@pytest.mark.parametrize("preset", ["fig3-ghz", "fig5-1", "fig5-2", "fig5-3"])
+def test_diagonalize_vacuum_overlap_deviation_is_second_order(preset):
+    # <00|U|00> = 1 - sigma^2/8 + ..., sigma = lam / Omega: |1 - z| read off
+    # directly loses the whole deviation to the cancellation near 1
+    p = cli.PRESETS[preset]
+    report = cli.cmd_diagonalize({"omega_a": p["gap"], "omega_b": p["gap"],
+                                  "coupling": p["coupling"]})
+    sigma = p["coupling"] / p["gap"]
+    assert abs(8.0 * report["vacuum_overlap_deviation"] / sigma ** 2 - 1.0) <= sigma

@@ -11,10 +11,8 @@ from berrytherm.fockspace import (
     displace_two_mode,
     identity,
     ladder,
-    matrix_exponential,
     matrix_from_json,
     matrix_to_json,
-    number_operator,
     rotate_field,
     squeeze_action,
     squeeze_single,
@@ -73,41 +71,6 @@ def test_commutator_is_one_below_boundary():
             assert np.abs(comm[:-1, :] - 1.0).max() < 1e-14
         else:
             assert np.abs(comm[:, :-1] - 1.0).max() < 1e-14
-
-
-def test_exp_zero_is_identity():
-    dims = FockDims(5, 5)
-    z = OperatorMatrix(dims, np.zeros((25, 25)))
-    np.testing.assert_allclose(matrix_exponential(z).mat, np.eye(25), atol=1e-15)
-
-
-def test_exp_number_operator_phases():
-    dims = FockDims(6, 4)
-    theta = 0.7312
-    n_op = number_operator(dims, "field")
-    u = matrix_exponential(OperatorMatrix(dims, 1j * theta * n_op.mat))
-    for nf in range(6):
-        ket = basis_state(dims, nf, 1)
-        out = u @ ket
-        assert abs(out.amp[dims.index(nf, 1)] - np.exp(1j * theta * nf)) < 1e-13
-
-
-def test_exp_inverse_pair():
-    rng = np.random.default_rng(7)
-    dims = FockDims(4, 4)
-    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    m = 0.1 * m
-    op = OperatorMatrix(dims, m)
-    op_neg = OperatorMatrix(dims, -m)
-    prod = matrix_exponential(op).mat @ matrix_exponential(op_neg).mat
-    assert np.abs(prod - np.eye(16)).max() < 1e-10
-
-
-def test_exp_overflow_rejected():
-    dims = FockDims(4, 4)
-    m = OperatorMatrix(dims, 1e4 * np.eye(16))
-    with pytest.raises(OverflowError):
-        matrix_exponential(m)
 
 
 def test_squeeze_identity_at_zero():
@@ -291,14 +254,30 @@ def test_tridiagonal_exp_action_small_angle_change_is_relatively_exact():
 
 @pytest.mark.filterwarnings("ignore::berrytherm.fockspace.TruncationWarning")
 def test_block_actions_match_dense_builders():
-    # rectangular dims: the total-occupation blocks are cut by both cutoffs;
-    # the match is exact on the truncated space, so the squeeze tails may be fat
+    # the builders are the block actions applied to the identity; both are
+    # checked against a dense expm of the truncated generator.  Rectangular
+    # dims cut the total-occupation blocks by both cutoffs; the match is on
+    # the truncated space, so the squeeze tails may be fat
     dims = FockDims(7, 5)
     amp = np.random.default_rng(9).normal(size=(7, 5))
     flat = amp.reshape(-1)
-    disp = displace_two_mode(dims, 0.37, 0.0).mat @ flat
-    assert np.abs(beam_splitter_action(amp, 0.37).reshape(-1) - disp).max() < 1e-13
-    field = squeeze_single(dims, "field", 0.4, 0.0).mat @ flat
-    assert np.abs(squeeze_action(amp, 0.4).reshape(-1) - field).max() < 1e-13
-    det = squeeze_single(dims, "detector", -0.25, 0.0).mat @ flat
-    assert np.abs(squeeze_action(amp.T, -0.25).T.reshape(-1) - det).max() < 1e-13
+    a = ladder(dims, "field", "lower").toarray()
+    b = ladder(dims, "detector", "lower").toarray()
+    actions = {"field": squeeze_action(amp, 0.4), "detector": squeeze_action(amp.T, -0.25).T}
+    for mode, x, t in (("field", a, 0.4), ("detector", b, -0.25)):
+        for theta in (0.0, -np.pi, 0.9):
+            alpha = 0.5 * t * np.exp(1j * theta)
+            expect = scipy.linalg.expm(np.conj(alpha) * (x.conj().T @ x.conj().T)
+                                       - alpha * (x @ x))
+            got = squeeze_single(dims, mode, t, theta).mat
+            assert np.abs(got - expect).max() <= 1e-13, (mode, theta)
+            if theta == 0.0:
+                assert np.abs(actions[mode].reshape(-1) - expect @ flat).max() <= 1e-13, mode
+    for phi in (0.0, 0.7):
+        chi = 0.37 * np.exp(1j * phi)
+        expect = scipy.linalg.expm(chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T))
+        got = displace_two_mode(dims, 0.37, phi).mat
+        assert np.abs(got - expect).max() <= 1e-13, phi
+        if phi == 0.0:
+            action = beam_splitter_action(amp, 0.37).reshape(-1)
+            assert np.abs(action - expect @ flat).max() <= 1e-13

@@ -423,6 +423,29 @@ def test_evolution_strong_coupling_refuses_on_window():
         excitation_probability_per_cycle(pp, 2, EvolutionSpec(), 0)
 
 
+def test_evolution_window_above_cap_refuses_before_evolving(monkeypatch):
+    def never(*args):
+        raise AssertionError("_evolve called past the window cap")
+
+    monkeypatch.setattr(oracle, "_evolve", never)
+    with pytest.raises(OracleError, match=f"exceeds the cap {oracle.MAX_WINDOW}"):
+        excitation_probability_per_cycle(PhysicalParams(1e6, 1e6, 3e5), 8, EvolutionSpec(), 18000)
+
+
+def test_evolution_window_doubling_stops_at_cap(monkeypatch):
+    windows = []
+
+    def saturated(pp, n0s, cycles, steps, window):
+        windows.append(window)
+        return np.zeros((len(n0s), cycles)), np.zeros(len(n0s)), np.ones(len(n0s))
+
+    monkeypatch.setattr(oracle, "_window", lambda g, n0, cycles: 1500)
+    monkeypatch.setattr(oracle, "_evolve", saturated)
+    with pytest.raises(OracleError, match="field window 3000 exceeds the cap"):
+        excitation_probability_per_cycle(FIG6_MHZ, 3, EvolutionSpec(), 0)
+    assert windows == [1500]
+
+
 def test_thermal_mixture_tiny_values_kept_and_nonnegative():
     # fig6-ghz at 0.2 K: every grid row sits near 1e-35; none may read
     # negative and the mixture must not be rounded to zero
