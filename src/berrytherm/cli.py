@@ -29,7 +29,7 @@ from .diagonalization import (
     forward_map,
     invert_physical,
 )
-from .fockspace import FockDims
+from .fockspace import FockDims, _warn_squeeze_truncation, beam_splitter_action, squeeze_action
 from .geomphase import (
     ThermalSqueeze,
     accumulate_cycles,
@@ -242,9 +242,18 @@ def cmd_diagonalize(config: dict) -> dict:
         res = float(np.linalg.norm(h @ psi.amp - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
     report["eigenstate_residuals_over_Omega_a"] = residuals
-    # |1 - z|, z = <00|U|00>, from the column c = U|00> (flat index 0) free of
-    # cancellation: 1 - Re z = (sum_{j>=1} |c_j|^2 + (Im z)^2) / (1 + Re z)
-    col = build_unitary(dp, 0.0, dims).mat[:, 0]
+    # c = U|00> = S_a(u) S_b(v, -pi) D(s) Shat_b(p) R(0) |00>, each truncated
+    # factor applied to the (n_field, n_det) amplitude by its exact blocks;
+    # R(0) = 1 and S(v, -pi) = S(-v, 0)
+    for t in (d.u, dp.v, d.p):
+        _warn_squeeze_truncation(cutoff, t)
+    vac = np.zeros(cutoff)
+    vac[0] = 1.0
+    amp = beam_splitter_action(np.outer(vac, squeeze_action(vac, d.p)), d.s)
+    amp = squeeze_action(squeeze_action(amp.T, -dp.v).T, d.u)
+    col = amp.reshape(-1)
+    # |1 - z|, z = <00|U|00> = c_0, free of cancellation:
+    # 1 - Re z = (sum_{j>=1} |c_j|^2 + (Im z)^2) / (1 + Re z)
     z = col[0]
     one_minus_re = (np.sum(np.abs(col[1:]) ** 2) + z.imag ** 2) / (1.0 + z.real)
     report["vacuum_overlap_deviation"] = float(np.hypot(one_minus_re, z.imag))

@@ -15,7 +15,10 @@ coefficients.  This module derives the constrained parameters, maps between
 both directions, and builds U and H on a truncated space.  Eigenstates
 U' |n_f n_d> skip the matrices: each factor of U' splits exactly into small
 real tridiagonal blocks (squeezes by parity, the beam splitter by total
-occupation) that act on the amplitude directly.
+occupation) that act on the amplitude directly.  The parameter algebra needs
+only ``math`` and numpy (the inverse-map seed uses a port of scipy's Brent
+solver), so scipy is loaded only by the operator builders, through
+``fockspace``, and the closed-form commands never import it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import brentq
 
 from .fockspace import (
     FockDims,
@@ -323,6 +324,72 @@ def _ratios(u: float, v: float) -> tuple[float, float, float]:
     return om_b / om_a, lam / om_a, om_a
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method: scipy.optimize.brentq, bit for bit.
+
+    A line-for-line port of scipy's C ``brentq`` (Brent 1973, ch. 4) at
+    scipy's default rtol = 4 eps, kept so that the inverse-map seed, and
+    through the Newton path every downstream value, matches the scipy
+    solver exactly without importing scipy.optimize.  Raises ValueError with
+    scipy's messages for a bracket without a sign change or a NaN value,
+    RuntimeError after ``maxiter`` steps.
+    """
+    rtol = 4.0 * float(np.finfo(float).eps)
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _uv_from_coords(x1: float, x2: float) -> tuple[float, float]:
     """(x1, x2) = (0.5*ln(uv), u - v) -> (u, v); positivity is automatic.
 
@@ -355,8 +422,8 @@ def invert_physical(
 
     Works in the scale-free coordinates (0.5*ln(uv), u - v), which keep the
     Jacobian well conditioned down to the near-resonant regime, then fixes
-    omega_b from the overall frequency scale.  The seed is obtained by 1-D
-    bisection of the coupling ratio at a fixed frequency-ratio guess;
+    omega_b from the overall frequency scale.  The seed solves the coupling
+    ratio at a fixed frequency-ratio guess by Brent's method (``_brentq``);
     ``seed_shift`` nudges the seed (used by the local-uniqueness probe).
 
     lam = 0 returns the decoupled boundary (omega_a = Omega_a,
@@ -388,7 +455,7 @@ def invert_physical(
 
     lo, hi = math.log(1e-16), math.log(4.0)
     try:
-        x1 = brentq(f_scale, lo, hi, xtol=1e-13)
+        x1 = _brentq(f_scale, lo, hi, xtol=1e-13)
     except ValueError as exc:
         raise InverseMapError(f"seed bisection failed to bracket the coupling: {exc}")
 
@@ -471,7 +538,8 @@ def build_unitary(dp: DiagParams, varphi: float, dims: FockDims) -> OperatorMatr
     return s_a @ s_b @ disp @ s_hat @ rot
 
 
-def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> sp.csr_matrix:
+def build_hamiltonian(pp: PhysicalParams, varphi: float,
+                      dims: FockDims) -> scipy.sparse.csr_matrix:
     """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi}) as CSR."""
     a = ladder(dims, "field", "lower")
     b = ladder(dims, "detector", "lower")

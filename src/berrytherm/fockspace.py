@@ -5,6 +5,9 @@ displacement / rotation builders used by the detector-field diagonalization.
 The squeeze and beam-splitter actions on a state split exactly into real
 tridiagonal blocks, the one matrix exponential here; the dense builders are
 those actions applied to the identity, conjugated by a diagonal phase.
+scipy is imported inside the two functions that call it (``ladder`` and
+``tridiagonal_exp_action``): the closed-form commands use neither, so they
+never pay for importing scipy.
 Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 """
 
@@ -15,8 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "FockDims",
@@ -173,13 +174,15 @@ class DensityMatrix:
         return float(np.real(np.trace(self.mat)))
 
 
-def ladder(dims: FockDims, mode: str, kind: str) -> sp.csr_matrix:
+def ladder(dims: FockDims, mode: str, kind: str) -> scipy.sparse.csr_matrix:
     """Tensor-embedded ladder operator as a complex CSR matrix.
 
     ``mode`` is ``"field"`` (a) or ``"detector"`` (b); ``kind`` is
     ``"lower"`` or ``"raise"``.  <n-1| lower |n> = sqrt(n) in the designated
     mode, identity on the other.
     """
+    import scipy.sparse as sp
+
     if mode == "field":
         single = sp.diags(np.sqrt(np.arange(1, dims.n_field, dtype=float)), 1)
         full = sp.kron(single, sp.identity(dims.n_det), format="csr")
@@ -215,16 +218,21 @@ def basis_state(dims: FockDims, n_f: int, n_d: int) -> StateVector:
     return StateVector(dims, v, normalize=False)
 
 
-def _squeeze_truncation_estimate(n: int, t: float) -> float:
-    """Amplitude pushed into the top two levels when squeezing the vacuum.
+def _warn_squeeze_truncation(n: int, t: float) -> None:
+    """TruncationWarning when squeezing the vacuum by t pushes more than 1e-8
+    of amplitude into the top two of n levels.
 
     Per-pair amplitude ratio of a squeezed vacuum is tanh|t|, so the top-two
-    amplitude is ~ tanh|t|^{(n-2)/2}; used as the warning-channel estimate.
+    amplitude is ~ tanh|t|^{(n-2)/2}.  The warning names the caller's caller.
     """
     q = np.tanh(abs(t))
-    if q == 0.0:
-        return 0.0
-    return float(q ** ((n - 2) / 2.0))
+    est = 0.0 if q == 0.0 else float(q ** ((n - 2) / 2.0))
+    if est > 1e-8:
+        warnings.warn(
+            f"squeeze t={t:.4g} at cutoff {n}: top-two-level amplitude estimate {est:.2e}",
+            TruncationWarning,
+            stacklevel=3,
+        )
 
 
 def squeeze_single(dims: FockDims, mode: str, t: float, theta: float) -> OperatorMatrix:
@@ -241,13 +249,7 @@ def squeeze_single(dims: FockDims, mode: str, t: float, theta: float) -> Operato
         n = dims.n_det
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    est = _squeeze_truncation_estimate(n, t)
-    if est > 1e-8:
-        warnings.warn(
-            f"squeeze t={t:.4g} at cutoff {n}: top-two-level amplitude estimate {est:.2e}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_squeeze_truncation(n, t)
     # S(t, theta) = R(theta/2) S(t, 0) R(theta/2)^dag, R(x) = exp(-i x n)
     phase = np.exp(-0.5j * theta * np.arange(n))
     s1 = phase[:, None] * squeeze_action(np.eye(n), t) * phase.conj()
@@ -296,6 +298,8 @@ def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndar
     """
     if len(beta) == 0 or not x.any():
         return x.copy()
+    from scipy.linalg import eigh_tridiagonal
+
     lam, vecs = eigh_tridiagonal(np.zeros(len(beta) + 1), beta)
     sign = _CONJ_I_POWERS[np.arange(len(lam)) % 4]
     phase = np.expm1(-1j * c * lam)

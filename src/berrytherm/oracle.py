@@ -6,6 +6,8 @@ gauge-invariant products of successive overlaps, mixed-state phases from
 explicit weighted partial sums, and adiabaticity from direct integration of
 the time-dependent Schrodinger equation.  Closed forms are only allowed in
 as selection targets (which eigenvector to track), never as values.
+scipy is imported inside the functions that call it, so importing this
+module (which ``cli`` does) costs the closed-form commands no scipy import.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg import eigh_tridiagonal
 
 from .diagonalization import (
     DiagParams,
@@ -127,6 +125,9 @@ def numeric_eigenpair(mat, target: StateVector) -> EigenPair:
     gauge fixed: its largest-magnitude component is real positive.  Overlap
     below 0.9 raises OracleError (truncation or wrong parameters).
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     dim = mat.shape[0]
     if dim != target.dims.total:
         raise ValueError("Hamiltonian and target dimensions disagree")
@@ -355,6 +356,8 @@ def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: i
     power per eigenvalue and cycle.  U drops out of every population.  Returns
     per row: sum_{d >= 1} |psi_{n,d}|^2 per cycle, norm drift, edge amplitude.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     lo = np.maximum(n0s - window, 0)
     xi, start, edge_rows = [], [], []
     for n0, low in zip(n0s, lo):
@@ -461,6 +464,8 @@ def thermal_excitation_per_cycle(
     The neglected tail is bounded by three times the last sampled value and
     reported, never silently dropped.
     """
+    from scipy.interpolate import PchipInterpolator
+
     n_hi = max(required_levels(r_thermal, 1e-6), 8)
     base = np.unique(np.concatenate([
         np.array([0, 1, 2, 3, 4, 6, 8, 12, 16]),

@@ -1,11 +1,16 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import berrytherm
 from berrytherm import oracle
 from berrytherm.cli import (
     EXIT_CONFIG,
@@ -258,3 +263,69 @@ def test_matrix_json_golden_fixture():
     chi = 0.2 * np.exp(0.5j)
     gen = chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T)
     assert np.abs(op.mat - scipy.linalg.expm(gen)).max() <= 1e-15
+
+
+# --------------------------------------------------------------------------
+# scipy stays out of the closed-form commands
+# --------------------------------------------------------------------------
+
+SRC = Path(berrytherm.__file__).resolve().parent
+
+SCIPY_PROBE = """
+import json, sys
+import berrytherm
+from berrytherm import cli
+from berrytherm.diagonalization import PhysicalParams, build_hamiltonian
+from berrytherm.fockspace import FockDims
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
+             ["unruh", "--preset", "fig5-1"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+closed_form = loaded()
+build_hamiltonian(PhysicalParams(1.0, 1.0, 0.01), 0.0, FockDims(4, 4))
+print(json.dumps({"closed_form": closed_form, "after_hamiltonian": loaded()}))
+"""
+
+
+def test_closed_form_commands_import_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["closed_form"] == []
+    # positive control: the same probe sees scipy once an operator is built
+    assert "scipy.sparse" in loaded["after_hamiltonian"]
+
+
+def _scipy_imports_at_import_time(source: str) -> list[int]:
+    """Line numbers of scipy imports that run when the module is imported
+    (anywhere outside a function body)."""
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from walk(child)
+
+    def is_scipy(name):
+        return name == "scipy" or name.startswith("scipy.")
+
+    return [node.lineno for node in walk(ast.parse(source))
+            if (isinstance(node, ast.Import) and any(is_scipy(a.name) for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0 and is_scipy(node.module))]
+
+
+def test_module_top_levels_import_no_scipy():
+    sample = ("import scipy.sparse as sp\n"
+              "try:\n    from scipy.linalg import eigh\nexcept ImportError:\n    pass\n"
+              "def f():\n    import scipy\n")
+    assert _scipy_imports_at_import_time(sample) == [1, 3]
+    files = sorted(SRC.glob("*.py"))
+    assert {"cli.py", "diagonalization.py", "fockspace.py", "oracle.py"} <= {f.name for f in files}
+    offenders = {f.name: lines for f in files
+                 if (lines := _scipy_imports_at_import_time(f.read_text(encoding="utf-8")))}
+    assert offenders == {}

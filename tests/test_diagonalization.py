@@ -1,7 +1,10 @@
 import math
 
+import random
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.sparse.linalg import expm_multiply
 
 from berrytherm import cli
@@ -18,6 +21,9 @@ from berrytherm.diagonalization import (
     derive_params,
     eigenstate,
     forward_map,
+    _brentq,
+    _ratios,
+    _uv_from_coords,
     invert_physical,
     inverse_map,
 )
@@ -151,6 +157,80 @@ def test_inverse_two_seeds_agree():
 def test_inverse_rejects_huge_coupling():
     with pytest.raises(InverseMapError, match="basin"):
         invert_physical(PhysicalParams(1e9, 1e9, 0.5e9))
+
+
+def _seed_scale_residual(pp: PhysicalParams):
+    """The coupling residual f_scale(x1) that invert_physical's seed solves."""
+    sigma_t, lnrho = pp.lam / pp.Omega_a, math.log(pp.Omega_b / pp.Omega_a)
+    x2 = max(0.5 * lnrho, 0.5 * sigma_t) - max(-0.5 * lnrho, 0.5 * sigma_t)
+
+    def f_scale(x1):
+        u, v = _uv_from_coords(x1, x2)
+        return math.log(_ratios(u, v)[1] / sigma_t)
+    return f_scale
+
+
+def _both_brentq(f, a, b, **kw):
+    """(result or error message) of scipy's brentq and of the port."""
+    out = []
+    for solver in (brentq, _brentq):
+        try:
+            out.append(solver(f, a, b, **kw))
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+SEED_BRACKET = (math.log(1e-16), math.log(4.0))
+
+
+def test_brentq_port_bit_exact_on_presets():
+    for p in cli.PRESETS.values():
+        f = _seed_scale_residual(PhysicalParams(p["gap"], p["gap"], p["coupling"]))
+        ref, port = _both_brentq(f, *SEED_BRACKET, xtol=1e-13)
+        assert isinstance(ref, float) and port == ref, (p, ref, port)
+
+
+def test_brentq_port_bit_exact_on_random_triples():
+    rng = random.Random(20141)
+    agreed = 0
+    for _ in range(1200):
+        omega_a = 10.0 ** rng.uniform(3.0, 11.0)
+        rho = 10.0 ** rng.uniform(-3.0, 3.0)
+        sigma = 10.0 ** rng.uniform(-12.0, math.log10(0.35))
+        f = _seed_scale_residual(PhysicalParams(omega_a, rho * omega_a, sigma * omega_a))
+        ref, port = _both_brentq(f, *SEED_BRACKET, xtol=1e-13)
+        assert port == ref, (omega_a, rho, sigma, ref, port)
+        agreed += isinstance(ref, float)
+    assert agreed >= 1000
+
+
+def test_brentq_port_generic_functions_and_endpoints():
+    cases = [
+        (lambda x: x * x * x - 2.0 * x - 5.0, 2.0, 3.0, {"xtol": 2e-12}),
+        (math.cos, 0.0, 2.0, {"xtol": 1e-13}),
+        (lambda x: math.exp(x) - 10.0, -5.0, 5.0, {"xtol": 1e-13}),
+        (lambda x: x - 1.0, 1.0, 3.0, {"xtol": 1e-13}),    # f(a) == 0
+        (lambda x: x - 1.0, -2.0, 1.0, {"xtol": 1e-13}),   # f(b) == 0
+        (lambda x: x * x + 1.0, -1.0, 1.0, {"xtol": 1e-13}),  # no sign change
+        (lambda x: math.atan(x - 0.3), -1.0, 1.0, {"xtol": 1e-13, "maxiter": 3}),
+        (lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, {"xtol": 1e-13}),
+    ]
+    for f, a, b, kw in cases:
+        ref, port = _both_brentq(f, a, b, **kw)
+        assert port == ref, (a, b, kw, ref, port)
+    assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-13) == 1.0
+    assert _brentq(lambda x: x - 1.0, -2.0, 1.0, xtol=1e-13) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+
+
+def test_inverse_seed_without_sign_change_is_refused():
+    # lam/Omega_a = 1e-20 lies below the coupling at the bracket's low end
+    with pytest.raises(InverseMapError,
+                       match="seed bisection failed to bracket the coupling: "
+                             "f\\(a\\) and f\\(b\\) must have different signs"):
+        invert_physical(PhysicalParams(1.0, 1.0, 1e-20))
 
 
 def test_map_identities_on_grid():
@@ -397,3 +477,18 @@ def test_diagonalize_vacuum_overlap_deviation_is_second_order(preset):
                                   "coupling": p["coupling"]})
     sigma = p["coupling"] / p["gap"]
     assert abs(8.0 * report["vacuum_overlap_deviation"] / sigma ** 2 - 1.0) <= sigma
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_diagonalize_vacuum_column_matches_dense_unitary(preset):
+    # the report applies the five factors to |00>; the dense chain's column
+    # U|00> must give the same deviation
+    p = cli.PRESETS[preset]
+    pp = PhysicalParams(p["gap"], p["gap"], p["coupling"])
+    report = cli.cmd_diagonalize({"omega_a": pp.Omega_a, "omega_b": pp.Omega_b,
+                                  "coupling": pp.lam})
+    col = build_unitary(invert_physical(pp).params, 0.0, FockDims(24, 24)).mat[:, 0]
+    z = col[0]
+    one_minus_re = (np.sum(np.abs(col[1:]) ** 2) + z.imag ** 2) / (1.0 + z.real)
+    dense = float(np.hypot(one_minus_re, z.imag))
+    assert abs(report["vacuum_overlap_deviation"] - dense) <= 1e-15
