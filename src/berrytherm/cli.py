@@ -25,7 +25,7 @@ from .diagonalization import (
     build_hamiltonian,
     build_unitary,
     derive_params,
-    eigenstate,
+    eigenstates,
     forward_map,
     invert_physical,
 )
@@ -236,8 +236,8 @@ def cmd_diagonalize(config: dict) -> dict:
     )
     h = build_hamiltonian(pp, 0.0, dims).toarray()
     residuals = {}
-    for occ in ((0, 0), (1, 0), (0, 1)):
-        psi = eigenstate(dp, occ[0], occ[1], 0.0, dims)
+    occupations = ((0, 0), (1, 0), (0, 1))
+    for occ, psi in zip(occupations, eigenstates(dp, occupations, 0.0, dims)):
         e_val = float(np.real(np.vdot(psi.amp, h @ psi.amp)))
         res = float(np.linalg.norm(h @ psi.amp - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
@@ -398,43 +398,50 @@ CERT_KEYS = {"negative_control": bool, "loop_points": int, "cutoff": int}
 CERT_GRID_V = (0.1, 0.3, 0.6)
 CERT_GRID_RATIO = (math.e, math.e ** 2, math.e ** 3)
 CERT_OCCUPATIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
-CERT_LOOP_TOL = 1e-5
+CERT_LOOP_TOL = 1e-8
 CUTOFF_LADDER = (30, 44, 60, 78)
 
 
-def _loop_check_cell(dp: DiagParams, occ: tuple[int, int], spec: LoopSpec,
-                     base_cutoff: int, negative_control: bool) -> dict:
-    """Loop oracle vs closed form for one (dp, occupation) cell, escalating the
-    cutoff until the truncation gate is satisfied."""
+def _loop_check_cells(dp: DiagParams, spec: LoopSpec, base_cutoff: int,
+                      negative_control: bool) -> list[dict]:
+    """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at dp.
+
+    Each rung of the cutoff ladder measures the occupations still pending in
+    one batch; an occupation leaves the ladder at the first rung that passes
+    the truncation gate."""
     phase_fn = (geomphase._eigen_phase_unshared_denominator
                 if negative_control else eigen_berry_phase)
-    last_exc: Exception | None = None
+    cells: dict[tuple[int, int], dict] = {}
+    last_exc: dict[tuple[int, int], OracleError] = {}
+    pending = list(CERT_OCCUPATIONS)
     for cutoff in CUTOFF_LADDER:
-        if cutoff < base_cutoff:
+        if cutoff < base_cutoff or not pending:
             continue
-        try:
-            result = oracle.discrete_berry_loop(dp, occ[0], occ[1], spec,
-                                                FockDims(cutoff, cutoff))
-        except OracleError as exc:
-            last_exc = exc
-            continue
-        closed = phase_fn(dp, occ[0], occ[1])
-        diff = phase_distance(closed.raw, result.phase.raw)
-        return {
+        results = oracle.discrete_berry_loops(dp, pending, spec, FockDims(cutoff, cutoff))
+        for occ, result in zip(pending, results):
+            if isinstance(result, OracleError):
+                last_exc[occ] = result
+                continue
+            closed = phase_fn(dp, occ[0], occ[1])
+            diff = phase_distance(closed.raw, result.phase.raw)
+            cells[occ] = {
+                "occupation": list(occ),
+                "cutoff": cutoff,
+                "difference_rad": diff,
+                "loop_error_estimate": result.error_estimate,
+                "truncation_tail": result.truncation_tail,
+                "passed": bool(diff < CERT_LOOP_TOL),
+            }
+        pending = [occ for occ in pending if occ not in cells]
+    for occ in pending:
+        cells[occ] = {
             "occupation": list(occ),
-            "cutoff": cutoff,
-            "difference_rad": diff,
-            "loop_error_estimate": result.error_estimate,
-            "truncation_tail": result.truncation_tail,
-            "passed": bool(diff < CERT_LOOP_TOL),
+            "cutoff": None,
+            "difference_rad": math.nan,
+            "passed": False,
+            "refused": str(last_exc.get(occ)),
         }
-    return {
-        "occupation": list(occ),
-        "cutoff": None,
-        "difference_rad": math.nan,
-        "passed": False,
-        "refused": str(last_exc),
-    }
+    return [cells[occ] for occ in CERT_OCCUPATIONS]
 
 
 def certification_report(negative_control: bool = False,
@@ -516,8 +523,7 @@ def certification_report(negative_control: bool = False,
             except ConstraintError as exc:
                 cells.append({"v": v, "ratio": ratio, "rejected": str(exc)})
                 continue
-            for occ in CERT_OCCUPATIONS:
-                cell = _loop_check_cell(dp, occ, spec, base_cutoff, negative_control)
+            for cell in _loop_check_cells(dp, spec, base_cutoff, negative_control):
                 cell["v"] = v
                 cell["ratio"] = ratio
                 cells.append(cell)

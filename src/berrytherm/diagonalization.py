@@ -55,6 +55,7 @@ __all__ = [
     "build_unitary",
     "build_hamiltonian",
     "eigenstate",
+    "eigenstates",
     "constant_shift",
     "eigenvalue",
 ]
@@ -552,48 +553,55 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float,
     return h.tocsr()
 
 
-def _eigenstate_amp(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> np.ndarray:
-    """U' |n_f n_d> = R' Shat_b' D' S_b' S_a' |n_f n_d>, each factor applied exactly by blocks.
+def _eigenstate_amps(dp: DiagParams, occupations, varphi: float, dims: FockDims) -> np.ndarray:
+    """U' |n_f n_d> = R' Shat_b' D' S_b' S_a' |n_f n_d> for each (n_f, n_d) of
+    ``occupations``, as the columns of an (n_field, n_det, k) array.
 
-    The squeezes act on one mode each, so S_b' S_a' |n_f n_d> is the outer
+    Each factor is applied exactly by blocks to all columns at once.  The
+    squeezes act on one mode each, so S_b' S_a' |n_f n_d> is the outer
     product of two squeezed basis states; the beam splitter D' then acts on
     the (n_field, n_det) amplitude by total-occupation blocks, Shat_b' on the
     detector axis by parity blocks, and R' is diagonal.  Every factor up to
     R' is real orthogonal.
     """
     d = derive_params(dp)
-    f = np.zeros(dims.n_field)
-    f[n_f] = 1.0
-    g = np.zeros(dims.n_det)
-    g[n_d] = 1.0
+    n_f, n_d = np.array(occupations, dtype=int).reshape(-1, 2).T
+    f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
     # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
-    amp = np.outer(squeeze_action(f, -d.u), squeeze_action(g, dp.v))
-    amp = beam_splitter_action(amp, -d.s)
-    amp = squeeze_action(amp.T, -d.p).T
-    return (np.exp(1j * varphi * np.arange(dims.n_field))[:, None] * amp).reshape(-1)
+    amp = squeeze_action(f, -d.u)[:, None, :] * squeeze_action(g, dp.v)[None, :, :]
+    amp = beam_splitter_action(amp, -d.s).transpose(1, 0, 2)
+    amp = squeeze_action(amp.reshape(dims.n_det, -1), -d.p).reshape(amp.shape).transpose(1, 0, 2)
+    return np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amp
 
 
 # The intermediate squeeze stages populate higher levels than the final state
-# does, so eigenstate() evaluates the chain on a space padded by this factor
+# does, so eigenstates() evaluates the chain on a space padded by this factor
 # (at least +10 levels per mode) and projects back.
 EIGENSTATE_PAD = 1.8
 
 
-def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
-    """Closed-form eigenstate U' |n_f n_d> as a unit vector on ``dims``.
+def eigenstates(dp: DiagParams, occupations, varphi: float, dims: FockDims) -> list[StateVector]:
+    """Closed-form eigenstates U' |n_f n_d>, one unit vector on ``dims`` for
+    each (n_f, n_d) of ``occupations``.
 
-    The factors of U' act by exact tridiagonal blocks (see _eigenstate_amp)
-    on a space padded by EIGENSTATE_PAD, and the result is projected back.
-    Occupations must stay below cutoff/2 to leave truncation margin.
+    The factors of U' act by exact tridiagonal blocks on all occupations at
+    once (see _eigenstate_amps), on a space padded by EIGENSTATE_PAD, and
+    the results are projected back.  Occupations must stay below cutoff/2
+    to leave truncation margin.
     """
-    if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
-        raise ValueError(
-            f"occupation ({n_f}, {n_d}) too close to the cutoff {dims}; need < cutoff/2"
-        )
+    for n_f, n_d in occupations:
+        if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
+            raise ValueError(
+                f"occupation ({n_f}, {n_d}) too close to the cutoff {dims}; need < cutoff/2"
+            )
     big = FockDims(
         max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
         max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
     )
-    amp_big = _eigenstate_amp(dp, n_f, n_d, varphi, big)
-    amp = amp_big.reshape(big.n_field, big.n_det)[: dims.n_field, : dims.n_det].reshape(-1)
-    return StateVector(dims, amp, normalize=True)
+    amps = _eigenstate_amps(dp, occupations, varphi, big)[: dims.n_field, : dims.n_det]
+    return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
+
+
+def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
+    """Closed-form eigenstate U' |n_f n_d>: a batch of one through ``eigenstates``."""
+    return eigenstates(dp, [(n_f, n_d)], varphi, dims)[0]

@@ -22,6 +22,7 @@ from .diagonalization import (
     PhysicalParams,
     build_hamiltonian,
     eigenstate,
+    eigenstates,
     forward_map,
 )
 from .fockspace import FockDims, StateVector, number_diagonal, truncation_tail
@@ -37,6 +38,7 @@ __all__ = [
     "numeric_eigenpair",
     "pancharatnam_product",
     "discrete_berry_loop",
+    "discrete_berry_loops",
     "mixed_phase_partial_sum",
     "partial_sum_from_G",
     "schrodinger_excitation_probability",
@@ -114,24 +116,38 @@ class BerryLoopResult:
     n_points: int
 
 
-def numeric_eigenpair(mat, target: StateVector) -> EigenPair:
+def numeric_eigenpair(mat, target: StateVector, sector: np.ndarray | None = None) -> EigenPair:
     """Eigenpair of the truncated Hamiltonian with maximal overlap against ``target``.
 
-    ``mat`` is a dense array or a scipy sparse matrix.  Dense eigh for a
-    dense ``mat`` up to DENSE_EIGH_LIMIT total dimension, shift-invert
-    Lanczos (sigma at the target's Rayleigh quotient) otherwise, in real
-    arithmetic when ``mat`` has no imaginary part and from a fixed start
-    vector, so repeated calls return identical bits.  The returned vector is
-    gauge fixed: its largest-magnitude component is real positive.  Overlap
-    below 0.9 raises OracleError (truncation or wrong parameters).
+    ``mat`` is a dense array or a scipy sparse matrix.  ``sector`` (flat
+    basis indices) restricts the solve to the block of ``mat`` on those
+    indices and embeds the eigenvector back; it refuses (OracleError) when
+    ``mat`` has a nonzero entry between the sector and its complement or the
+    target has weight outside it.  Dense eigh for a dense ``mat`` up to
+    DENSE_EIGH_LIMIT total dimension, shift-invert Lanczos (sigma at the
+    target's Rayleigh quotient) otherwise, in real arithmetic when ``mat``
+    has no imaginary part and from a fixed start vector, so repeated calls
+    return identical bits.  The returned vector is gauge fixed: its
+    largest-magnitude component is real positive.  Overlap below 0.9 raises
+    OracleError (truncation or wrong parameters).
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    dim = mat.shape[0]
-    if dim != target.dims.total:
+    if mat.shape[0] != target.dims.total:
         raise ValueError("Hamiltonian and target dimensions disagree")
     tv = target.amp
+    if sector is not None:
+        inside = np.isin(np.arange(len(tv)), sector)
+        coo = sp.coo_matrix(mat)
+        leak = np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0)
+        if leak > 0.0:
+            raise OracleError(f"Hamiltonian couples the sector to its complement "
+                              f"(entry {leak:.2e}); cannot solve in the sector")
+        if tv[~inside].any():
+            raise OracleError("target has weight outside the sector")
+        mat, tv = mat[sector][:, sector], tv[sector]
+    dim = mat.shape[0]
     # largest modulus of H - H^dag (abs before max: complex max is lexicographic)
     if sp.issparse(mat):
         herm, scale = abs(mat - mat.conj().T).max(), abs(mat).max()
@@ -159,6 +175,10 @@ def numeric_eigenpair(mat, target: StateVector) -> EigenPair:
     vec = vecs[:, best].astype(complex)
     j = int(np.argmax(np.abs(vec)))
     vec = vec * (np.conj(vec[j]) / abs(vec[j]))
+    if sector is not None:
+        full = np.zeros(target.dims.total, dtype=complex)
+        full[sector] = vec
+        vec = full
     return EigenPair(
         value=float(evals[best]),
         vector=StateVector(target.dims, vec, normalize=True),
@@ -198,91 +218,77 @@ def _loop_raw_phase(weights: np.ndarray, n_f_diag: np.ndarray, n_points: int) ->
     return n_points * float(np.angle(z)), float(abs(z))
 
 
+def _transported_loop(h0, target: StateVector, sector: np.ndarray, spec: LoopSpec,
+                      truncation_gate: float) -> BerryLoopResult:
+    """Loop phase of the eigenvector of ``h0`` that ``target`` selects in ``sector``."""
+    chi = numeric_eigenpair(h0, target, sector).vector
+    tail = truncation_tail(chi)
+    if tail > truncation_gate:
+        raise OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
+                          f"{truncation_gate:.1e}; raise the cutoff")
+    w = np.abs(chi.amp) ** 2
+    n_f_diag = number_diagonal(chi.dims, "field")
+    raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
+    if ov1 < LEVEL_CROSSING_OVERLAP:
+        raise OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
+    raw2, ov2 = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
+    raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
+    raw = (4.0 * raw2 - raw1) / 3.0
+    return BerryLoopResult(
+        PhaseResult(value=wrap_angle(raw), raw=raw, method="oracle"),
+        error_estimate=abs(raw2 - raw1), truncation_tail=tail,
+        min_overlap=min(ov1, ov2), n_points=spec.n_points,
+    )
+
+
+def discrete_berry_loops(
+    dp: DiagParams,
+    occupations,
+    spec: LoopSpec,
+    dims: FockDims,
+    truncation_gate: float = TRUNCATION_GATE,
+) -> list[BerryLoopResult | OracleError]:
+    """Gauge-invariant discrete loop phase of the eigenstate of each (n_f, n_d)
+    of ``occupations``: its BerryLoopResult, or the OracleError that refused it.
+
+    One H(0) and one batch of closed-form selection targets serve every
+    occupation.  H commutes with the parity (-1)^(n_f + n_d), so each
+    eigenvector is solved in the parity sector of its label (see
+    ``numeric_eigenpair``), embedded back, and transported around the loop
+    with the exact rotation covariance.  The phase is Richardson-extrapolated
+    from the N and 2N grids and the reported error estimate is
+    |gamma(2N) - gamma(N)|.
+
+    Refuses an occupation when its eigenvector carries more than
+    ``truncation_gate`` amplitude in the top two levels of either mode, or
+    when consecutive overlaps drop below 0.99 (level crossing).
+    """
+    h0 = build_hamiltonian(forward_map(dp), 0.0, dims)
+    parity = (number_diagonal(dims, "field") + number_diagonal(dims, "detector")) % 2
+    results: list[BerryLoopResult | OracleError] = []
+    for (n_f, n_d), target in zip(occupations, eigenstates(dp, occupations, 0.0, dims)):
+        sector = np.flatnonzero(parity == (n_f + n_d) % 2)
+        try:
+            results.append(_transported_loop(h0, target, sector, spec, truncation_gate))
+        except OracleError as exc:
+            results.append(exc)
+    return results
+
+
 def discrete_berry_loop(
     dp: DiagParams,
     n_f: int,
     n_d: int,
     spec: LoopSpec,
     dims: FockDims,
-    eigensolve: str = "initial",
     truncation_gate: float = TRUNCATION_GATE,
 ) -> BerryLoopResult:
-    """Gauge-invariant discrete loop phase of the (n_f, n_d) eigenstate.
-
-    ``eigensolve="initial"`` diagonalizes H(0) once and transports the
-    eigenvector around the loop with the exact rotation covariance;
-    ``"every_point"`` re-diagonalizes at every grid point (dense; intended
-    for small cutoffs) and applies the raw Pancharatnam product.  The phase
-    is Richardson-extrapolated from the N and 2N grids and the reported
-    error estimate is |gamma(2N) - gamma(N)|.
-
-    Refuses (OracleError) when the numeric eigenvector carries more than
-    ``truncation_gate`` amplitude in the top two levels of either mode, or
-    when consecutive overlaps drop below 0.99 (level crossing).
-    """
-    pp = forward_map(dp)
-    target = eigenstate(dp, n_f, n_d, 0.0, dims)
-    h0 = build_hamiltonian(pp, 0.0, dims)
-    pair = numeric_eigenpair(h0, target)
-    chi = pair.vector
-    tail = truncation_tail(chi)
-    if tail > truncation_gate:
-        raise OracleError(
-            f"truncation tail {tail:.3e} exceeds certification gate {truncation_gate:.1e}; "
-            "raise the cutoff"
-        )
-
-    if eigensolve == "initial":
-        w = np.abs(chi.amp) ** 2
-        n_f_diag = number_diagonal(dims, "field")
-        raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
-        if ov1 < LEVEL_CROSSING_OVERLAP:
-            raise OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
-        raw2, ov2 = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
-        raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
-        raw = (4.0 * raw2 - raw1) / 3.0
-        return BerryLoopResult(
-            PhaseResult(value=wrap_angle(raw), raw=raw, method="oracle"),
-            error_estimate=abs(raw2 - raw1), truncation_tail=tail,
-            min_overlap=min(ov1, ov2), n_points=spec.n_points,
-        )
-
-    if eigensolve != "every_point":
-        raise ValueError(f"unknown eigensolve mode {eigensolve!r}")
-
-    def loop_at(n_points: int) -> tuple[float, float]:
-        phis = 2.0 * math.pi * np.arange(n_points) / n_points
-        states = []
-        prev = chi.amp
-        min_ov = 1.0
-        for phi in phis:
-            hm = build_hamiltonian(pp, phi, dims).toarray()
-            evals, vecs = np.linalg.eigh(hm)
-            ovl = np.abs(vecs.conj().T @ prev)
-            best = int(np.argmax(ovl))
-            if ovl[best] < LEVEL_CROSSING_OVERLAP:
-                raise OracleError(
-                    f"level crossing detected at phi={phi:.4f}: overlap {ovl[best]:.4f}"
-                )
-            min_ov = min(min_ov, float(ovl[best]))
-            cur = vecs[:, best]
-            states.append(cur)
-            prev = cur
-        raw, min_abs = pancharatnam_product(states)
-        return raw, min(min_ov, min_abs)
-
-    raw1, ov1 = loop_at(spec.n_points)
-    raw2, ov2 = loop_at(2 * spec.n_points)
-    # per-point gauges wind the raw sums arbitrarily; only the branch-aligned
-    # combination is meaningful for re-diagonalized loops
-    base = wrap_angle(raw1)
-    raw2 = base + wrap_angle(raw2 - raw1)
-    raw = (4.0 * raw2 - base) / 3.0
-    return BerryLoopResult(
-        PhaseResult(value=wrap_angle(raw), raw=raw, method="oracle"),
-        error_estimate=abs(raw2 - base), truncation_tail=tail,
-        min_overlap=min(ov1, ov2), n_points=spec.n_points,
-    )
+    """Loop phase of the (n_f, n_d) eigenstate: a batch of one through
+    ``discrete_berry_loops`` that raises its OracleError."""
+    result = discrete_berry_loops(dp, [(n_f, n_d)], spec, dims, truncation_gate)[0]
+    if isinstance(result, OracleError):
+        raise result
+    return result
 
 
 def partial_sum_from_G(G: float, gamma0: float, r: float, n_max: int) -> PhaseResult:

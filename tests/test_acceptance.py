@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from berrytherm.cli import certification_report
 from berrytherm.diagonalization import (
     ConstraintError,
     DiagParams,
@@ -282,13 +281,6 @@ def test_criterion_8b_hot_source_robustness():
     _report(f"criterion 8b: {'PASS' if worst < 0.10 else 'FAIL'} -- worst "
             f"|d delta / delta| = {worst:.2%} under +/-50% hot-source error (tol 10%)")
     assert worst < 0.10
-
-
-@pytest.fixture(scope="module")
-def certify_reports():
-    pos = certification_report()
-    neg = certification_report(negative_control=True)
-    return pos, neg
 
 
 def test_criterion_9_negative_control(certify_reports):

@@ -252,6 +252,27 @@ def test_certify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+# cells that certify above the first rung of the cutoff ladder, keyed by
+# (v, ln ratio, occupation); the other 20 grid cells certify at cutoff 30
+CERT_ESCALATED = {
+    (0.3, 2, (0, 1)): 44, (0.3, 2, (1, 1)): 44, (0.3, 3, (0, 1)): 44, (0.3, 3, (1, 1)): 44,
+    (0.6, 2, (0, 0)): 60, (0.6, 2, (1, 0)): 60, (0.6, 2, (0, 1)): 60, (0.6, 2, (1, 1)): 60,
+    (0.6, 3, (0, 0)): 60, (0.6, 3, (1, 0)): 60, (0.6, 3, (0, 1)): 78, (0.6, 3, (1, 1)): 78,
+}
+
+
+def test_certify_cutoff_escalation_pinned(certify_reports):
+    for report in certify_reports:
+        cells = [c for c in report["loop_cells"] if "occupation" in c]
+        assert len(cells) == 32
+        got = {(c["v"], round(math.log(c["ratio"])), tuple(c["occupation"])): c["cutoff"]
+               for c in cells}
+        assert len(got) == 32
+        assert got == {key: CERT_ESCALATED.get(key, 30) for key in got}
+        counts = [sum(1 for c in got.values() if c == cutoff) for cutoff in (30, 44, 60, 78)]
+        assert counts == [20, 4, 6, 2]
+
+
 def test_matrix_json_golden_fixture():
     text = (GOLDEN / "displace_4x4_s0p2_phi0p5.json").read_text()
     op = matrix_from_json(text)

@@ -20,6 +20,7 @@ from berrytherm.diagonalization import (
     constant_shift,
     derive_params,
     eigenstate,
+    eigenstates,
     forward_map,
     _brentq,
     _ratios,
@@ -444,6 +445,24 @@ def test_eigenstate_matches_reference_chain_rectangular(dims):
         fast = eigenstate(dp, occ[0], occ[1], 0.7, dims).amp
         ref = reference_eigenstate(dp, occ[0], occ[1], 0.7, dims)
         assert np.abs(fast - ref).max() <= 1e-13
+
+
+CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
+                 for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+
+
+@pytest.mark.parametrize("dims, dps", [
+    (FockDims(30, 30), CERT_GRID_DPS),
+    (FockDims(78, 78), [DiagParams(math.e ** 3, 1.0, 0.6)]),  # the grid's top rung
+    (FockDims(20, 12), [DiagParams(math.e ** 3, 1.0, 0.6)]),
+], ids=["30x30-grid", "78x78", "20x12"])
+def test_eigenstates_batch_equals_batch_of_one(dims, dps):
+    for dp in dps:
+        batch = eigenstates(dp, cli.CERT_OCCUPATIONS, 0.7, dims)
+        assert len(batch) == len(cli.CERT_OCCUPATIONS)
+        for occ, state in zip(cli.CERT_OCCUPATIONS, batch):
+            one = eigenstate(dp, occ[0], occ[1], 0.7, dims)
+            assert np.abs(state.amp - one.amp).max() <= 1e-15
 
 
 # eigenstate_residuals_over_Omega_a of `diagonalize` on the resonant

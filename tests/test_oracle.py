@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from berrytherm import cli, oracle
 from berrytherm.diagonalization import (
     DiagParams,
     PhysicalParams,
     build_hamiltonian,
     eigenstate,
+    eigenstates,
     forward_map,
     inverse_map,
 )
-from berrytherm.fockspace import FockDims, basis_state
+from berrytherm.fockspace import FockDims, StateVector, basis_state, number_diagonal
 from berrytherm.geomphase import (
     ThermalSqueeze,
     eigen_berry_phase,
     mixed_phase_offset,
     mixed_thermal_phase,
     phase_distance,
+    wrap_angle,
 )
-from berrytherm import oracle
 from berrytherm.oracle import (
     EvolutionSpec,
     LoopSpec,
@@ -124,7 +126,6 @@ def test_numeric_eigenpair_ambiguity():
     h = build_hamiltonian(pp, 0.0, dims).toarray()
     mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 0).amp \
         + basis_state(dims, 0, 1).amp + basis_state(dims, 1, 1).amp
-    from berrytherm.fockspace import StateVector
     with pytest.raises(OracleError, match="ambiguous"):
         numeric_eigenpair(h, StateVector(dims, mixed))
 
@@ -165,25 +166,112 @@ def test_loop_doubling_convergence():
     assert r1.error_estimate < 1e-4
 
 
+def _every_point_loop(dp, n_f, n_d, spec, dims):
+    """Reference loop: re-diagonalize H(phi) densely at every grid point,
+    follow the eigenvector by maximal overlap and apply the raw Pancharatnam
+    product, Richardson-refined over the N and 2N grids; small cutoffs only.
+    Returns (raw phase, smallest consecutive overlap)."""
+    pp = forward_map(dp)
+    chi = numeric_eigenpair(build_hamiltonian(pp, 0.0, dims),
+                            eigenstate(dp, n_f, n_d, 0.0, dims)).vector
+
+    def loop_at(n_points):
+        states = []
+        prev = chi.amp
+        min_ov = 1.0
+        for phi in 2.0 * math.pi * np.arange(n_points) / n_points:
+            _, vecs = np.linalg.eigh(build_hamiltonian(pp, phi, dims).toarray())
+            ovl = np.abs(vecs.conj().T @ prev)
+            best = int(np.argmax(ovl))
+            min_ov = min(min_ov, float(ovl[best]))
+            prev = vecs[:, best]
+            states.append(prev)
+        raw, min_abs = pancharatnam_product(states)
+        return raw, min(min_ov, min_abs)
+
+    raw1, ov1 = loop_at(spec.n_points)
+    raw2, ov2 = loop_at(2 * spec.n_points)
+    # per-point gauges wind the raw sums arbitrarily; only the branch-aligned
+    # combination is meaningful for re-diagonalized loops
+    base = wrap_angle(raw1)
+    raw2 = base + wrap_angle(raw2 - raw1)
+    return (4.0 * raw2 - base) / 3.0, min(ov1, ov2)
+
+
 def test_loop_every_point_matches_propagated():
     # full re-diagonalization at every grid point agrees with the
     # rotation-propagated loop at small cutoff
     dp = DiagParams(math.exp(2 * 0.45), 1.0, 0.15)
     dims = FockDims(10, 10)
     spec = LoopSpec(n_points=64)
+    raw, min_overlap = _every_point_loop(dp, 1, 0, spec, dims)
     # method-equivalence check: loosen the absolute truncation gate, both
     # routes share the same truncated eigenvector
-    a = discrete_berry_loop(dp, 1, 0, spec, dims, eigensolve="every_point",
-                            truncation_gate=1e-3)
-    b = discrete_berry_loop(dp, 1, 0, spec, dims, eigensolve="initial",
-                            truncation_gate=1e-3)
-    assert phase_distance(a.phase.raw, b.phase.raw) < 1e-9
-    assert a.min_overlap > 0.99
+    b = discrete_berry_loop(dp, 1, 0, spec, dims, truncation_gate=1e-3)
+    assert phase_distance(raw, b.phase.raw) < 1e-9
+    assert min_overlap > 0.99
 
 
 def test_loop_truncation_gate_refuses():
     with pytest.raises(OracleError, match="truncation"):
         discrete_berry_loop(CANONICAL, 1, 0, LoopSpec(256), FockDims(12, 12))
+
+
+def _parity_sector(dims, parity):
+    return np.flatnonzero(
+        (number_diagonal(dims, "field") + number_diagonal(dims, "detector")) % 2 == parity)
+
+
+def _assert_sector_matches_full(h, target, parity):
+    full = numeric_eigenpair(h, target)
+    part = numeric_eigenpair(h, target, _parity_sector(target.dims, parity))
+    assert abs(part.value - full.value) <= 1e-12 * abs(full.value)
+    assert 1.0 - abs(np.vdot(part.vector.amp, full.vector.amp)) <= 1e-12
+
+
+def test_sector_eigenpair_matches_full_space_on_certify_grid():
+    dims = FockDims(30, 30)
+    for v in cli.CERT_GRID_V:
+        for ratio in cli.CERT_GRID_RATIO:
+            if ratio <= math.exp(2 * v):
+                continue
+            dp = DiagParams(ratio, 1.0, v)
+            h = build_hamiltonian(forward_map(dp), 0.0, dims)
+            targets = eigenstates(dp, cli.CERT_OCCUPATIONS, 0.0, dims)
+            for (n_f, n_d), target in zip(cli.CERT_OCCUPATIONS, targets):
+                _assert_sector_matches_full(h, target, (n_f + n_d) % 2)
+
+
+def test_sector_eigenpair_matches_full_space_complex_hamiltonian():
+    dims = FockDims(30, 30)
+    h = build_hamiltonian(forward_map(CANONICAL), 0.4, dims)
+    assert h.data.imag.any()
+    for n_f, n_d in cli.CERT_OCCUPATIONS:
+        target = eigenstate(CANONICAL, n_f, n_d, 0.4, dims)
+        _assert_sector_matches_full(h, target, (n_f + n_d) % 2)
+
+
+def test_cross_parity_entry_refuses_sector_solve(monkeypatch):
+    dp = DiagParams(E2, 1.0, 0.3)
+    dims = FockDims(30, 30)
+    h = build_hamiltonian(forward_map(dp), 0.0, dims)
+    i, j = dims.index(0, 0), dims.index(0, 1)
+    eps = 1e-6 * abs(h).max()
+    planted = (h + sp.csr_matrix(([eps, eps], ([i, j], [j, i])), shape=h.shape)).tocsr()
+    monkeypatch.setattr(oracle, "build_hamiltonian", lambda pp, varphi, dims: planted)
+    results = oracle.discrete_berry_loops(dp, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
+    assert len(results) == len(cli.CERT_OCCUPATIONS)
+    for result in results:
+        assert isinstance(result, OracleError)
+        assert "couples the sector to its complement" in str(result)
+
+
+def test_sector_solve_refuses_target_outside_sector():
+    dims = FockDims(12, 12)
+    h = build_hamiltonian(forward_map(CANONICAL), 0.0, dims)
+    amp = eigenstate(CANONICAL, 1, 0, 0.0, dims).amp + 1e-9 * basis_state(dims, 0, 0).amp
+    with pytest.raises(OracleError, match="outside the sector"):
+        numeric_eigenpair(h, StateVector(dims, amp), _parity_sector(dims, 1))
 
 
 def test_partial_sum_single_term():
