@@ -1,9 +1,9 @@
 """Geometric-phase quantum thermometry for a single-mode detector model.
 
 Closed-form cyclic (Berry) phases of the dressed detector-field eigenstates,
-thermal and accelerated-observer mixed-state phases, the explicit
-diagonalizing unitary chain on a truncated two-mode Fock space, and
-independent numerical oracles that certify every closed form.
+thermal and accelerated-observer mixed-state phases, the diagonalizing
+unitary chain applied by exact blocks on a truncated two-mode Fock space,
+and independent numerical oracles that certify every closed form.
 """
 
 from .diagonalization import (
@@ -12,23 +12,17 @@ from .diagonalization import (
     DiagParams,
     InverseMapError,
     PhysicalParams,
-    TrajectoryPhase,
     build_hamiltonian,
-    build_unitary,
     derive_params,
     eigenstate,
     forward_map,
-    inverse_map,
+    invert_physical,
+    unitary_action,
 )
 from .fockspace import (
-    DensityMatrix,
     FockDims,
-    OperatorMatrix,
     StateVector,
     ladder,
-    displace_two_mode,
-    rotate_field,
-    squeeze_single,
 )
 from .geomphase import (
     CycleAccumulation,
@@ -49,9 +43,7 @@ from .oracle import (
     LoopSpec,
     OracleError,
     discrete_berry_loop,
-    mixed_phase_partial_sum,
     numeric_eigenpair,
-    schrodinger_excitation_probability,
 )
 from .thermo import (
     CONSTANTS,
@@ -59,7 +51,6 @@ from .thermo import (
     ThermalStateSpec,
     squeeze_from_temperature,
     temperature_from_squeeze,
-    thermal_density_matrix,
     unruh_temperature,
 )
 

@@ -12,13 +12,14 @@ are independent; everything else is fixed by the constraints that kill the
 field-squeezing and detector-squeezing terms and equalize the two coupling
 coefficients.  This module derives the constrained parameters, maps between
 (omega_a, omega_b, v) and the laboratory triple (Omega_a, Omega_b, lam) in
-both directions, and builds U and H on a truncated space.  Eigenstates
-U' |n_f n_d> skip the matrices: each factor of U' splits exactly into small
-real tridiagonal blocks (squeezes by parity, the beam splitter by total
-occupation) that act on the amplitude directly.  The parameter algebra needs
-only ``math`` and numpy (the inverse-map seed uses a port of scipy's Brent
-solver), so scipy is loaded only by the operator builders, through
-``fockspace``, and the closed-form commands never import it.
+both directions, builds H on a truncated space as a sparse matrix, and
+applies the chain to amplitudes: U forward (``unitary_action``) and U' for
+the eigenstates (``eigenstates``).  No matrix of U is formed: each factor
+splits exactly into small real tridiagonal blocks (squeezes by parity, the
+beam splitter by total occupation) that act on the amplitude directly.  The
+parameter algebra needs only ``math`` and numpy (the inverse-map seed uses a
+port of scipy's Brent solver), so scipy is loaded only by the operator
+actions, through ``fockspace``, and the closed-form commands never import it.
 """
 
 from __future__ import annotations
@@ -28,32 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import (
-    FockDims,
-    OperatorMatrix,
-    StateVector,
-    beam_splitter_action,
-    displace_two_mode,
-    ladder,
-    rotate_field,
-    squeeze_action,
-    squeeze_single,
-)
+from .fockspace import FockDims, StateVector, beam_splitter_action, ladder, squeeze_action
 
 __all__ = [
     "DiagParams",
     "DerivedParams",
     "PhysicalParams",
-    "TrajectoryPhase",
     "ConstraintError",
     "InverseMapError",
     "InverseSolution",
     "derive_params",
     "forward_map",
-    "inverse_map",
     "invert_physical",
-    "build_unitary",
     "build_hamiltonian",
+    "unitary_action",
     "eigenstate",
     "eigenstates",
     "constant_shift",
@@ -83,8 +72,9 @@ class DiagParams:
 
     ``u_hint`` optionally caches the complementary squeeze parameter at full
     precision; near resonance the subtraction C - v loses several digits, so
-    the inverse solver stores the value it actually solved for.  It must
-    agree with C - v to rounding and never overrides an invalid set.
+    the inverse solver stores the value it actually solved for.  When set, it
+    must be positive and agree with C - v to rounding; it replaces the ratio
+    test, which cannot resolve a u below the rounding of omega_a/omega_b.
     """
 
     omega_a: float
@@ -97,21 +87,23 @@ class DiagParams:
             raise ConstraintError(f"frequencies must be positive, got {self}")
         if self.v <= 0.0:
             raise ConstraintError(f"squeeze parameter v must be positive, got v={self.v}")
-        if self.omega_a / self.omega_b <= math.exp(2.0 * self.v):
-            raise ConstraintError(
-                "omega_a/omega_b must exceed exp(2v) so the complementary squeeze "
-                f"parameter u stays positive; got ratio {self.omega_a / self.omega_b:.12g} "
-                f"<= exp(2v) = {math.exp(2.0 * self.v):.12g}"
-            )
-        if self.u_hint is not None:
-            # C - v carries ~eps absolute noise from the stored frequency ratio,
-            # so consistency is judged on an absolute scale
-            drift = abs(self.u_hint - (self.C - self.v))
-            allowed = 8.0 * np.finfo(float).eps * max(1.0, self.C)
-            if self.u_hint <= 0.0 or drift > allowed:
+        if self.u_hint is None:
+            if self.omega_a / self.omega_b <= math.exp(2.0 * self.v):
                 raise ConstraintError(
-                    f"u_hint {self.u_hint!r} inconsistent with C - v = {self.C - self.v!r}"
+                    "omega_a/omega_b must exceed exp(2v) so the complementary squeeze "
+                    f"parameter u stays positive; got ratio {self.omega_a / self.omega_b:.12g} "
+                    f"<= exp(2v) = {math.exp(2.0 * self.v):.12g}"
                 )
+            return
+        # a u below the rounding of the stored ratio cannot pass the ratio test,
+        # so u > 0 is judged on u_hint; C - v carries ~eps absolute noise from
+        # the stored frequency ratio, so consistency is judged on an absolute scale
+        drift = abs(self.u_hint - (self.C - self.v))
+        allowed = 8.0 * np.finfo(float).eps * max(1.0, self.C)
+        if self.u_hint <= 0.0 or drift > allowed:
+            raise ConstraintError(
+                f"u_hint {self.u_hint!r} inconsistent with C - v = {self.C - self.v!r}"
+            )
 
     @property
     def C(self) -> float:
@@ -159,33 +151,6 @@ class PhysicalParams:
             raise ValueError(f"frequencies must be positive, got {self}")
         if self.lam < 0.0:
             raise ValueError(f"coupling must be non-negative, got lam={self.lam}")
-
-
-@dataclass(frozen=True)
-class TrajectoryPhase:
-    """Phase variable swept by the detector worldline.
-
-    Inertial frame: varphi = k x - Omega_a t in Minkowski (t, x); uniformly
-    accelerated frame: varphi = |Omega_a| xi - Omega_a tau in Rindler
-    (tau, xi).  Either way one cycle takes 2 pi / Omega_a.
-    """
-
-    Omega_a: float
-    k: float
-    frame: str = "inertial"
-
-    def __post_init__(self):
-        if self.frame not in ("inertial", "rindler"):
-            raise ValueError(f"unknown frame {self.frame!r}")
-
-    def varphi(self, t: float, x: float = 0.0) -> float:
-        if self.frame == "inertial":
-            return self.k * x - self.Omega_a * t
-        return abs(self.Omega_a) * x - self.Omega_a * t
-
-    @property
-    def cycle_duration(self) -> float:
-        return 2.0 * math.pi / self.Omega_a
 
 
 # Fixed phase branch: displacement phase 0, hence theta_a = 0 (n = 0) and
@@ -519,25 +484,9 @@ def invert_physical(
     return InverseSolution(dp, residual=rel, iterations=it)
 
 
-def inverse_map(pp: PhysicalParams, tol: float = 1e-12, max_iter: int = 200) -> DiagParams:
-    """(Omega_a, Omega_b, lam) -> (omega_a, omega_b, v); see invert_physical."""
-    return invert_physical(pp, tol=tol, max_iter=max_iter).params
-
-
 # --------------------------------------------------------------------------
 # Operators on the truncated space
 # --------------------------------------------------------------------------
-
-def build_unitary(dp: DiagParams, varphi: float, dims: FockDims) -> OperatorMatrix:
-    """U = S_a(u) S_b(v) D(s) S_hat_b(p) R(varphi) on the truncated space."""
-    d = derive_params(dp)
-    s_a = squeeze_single(dims, "field", d.u, d.theta_a)
-    s_b = squeeze_single(dims, "detector", dp.v, d.theta_b)
-    disp = displace_two_mode(dims, d.s, d.phi)
-    s_hat = squeeze_single(dims, "detector", d.p, 0.0)
-    rot = rotate_field(dims, varphi)
-    return s_a @ s_b @ disp @ s_hat @ rot
-
 
 def build_hamiltonian(pp: PhysicalParams, varphi: float,
                       dims: FockDims) -> scipy.sparse.csr_matrix:
@@ -551,6 +500,25 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float,
         + pp.lam * (b + bd) @ (ad * np.exp(1j * varphi) + a * np.exp(-1j * varphi))
     )
     return h.tocsr()
+
+
+def _detector_squeeze(amp: np.ndarray, t: float) -> np.ndarray:
+    """S_b(t, 0) applied by parity blocks to the detector axis of the real
+    (n_field, n_det, k) amplitude array ``amp``."""
+    x = amp.transpose(1, 0, 2)
+    return squeeze_action(x.reshape(x.shape[0], -1), t).reshape(x.shape).transpose(1, 0, 2)
+
+
+def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
+    """U amp = S_a S_b D Shat_b R amp at varphi = 0, for the real (n_field, n_det, k)
+    amplitude array ``amp``: the forward chain, one truncated factor at a time.
+
+    R(0) = 1 and S_b(v, -pi) = S_b(-v, 0), so every factor is a real
+    orthogonal block action (see ``fockspace``) and the result is real.
+    """
+    d = derive_params(dp)
+    amp = _detector_squeeze(beam_splitter_action(_detector_squeeze(amp, d.p), d.s), -dp.v)
+    return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
 
 
 def _eigenstate_amps(dp: DiagParams, occupations, varphi: float, dims: FockDims) -> np.ndarray:
@@ -569,8 +537,7 @@ def _eigenstate_amps(dp: DiagParams, occupations, varphi: float, dims: FockDims)
     f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
     # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
     amp = squeeze_action(f, -d.u)[:, None, :] * squeeze_action(g, dp.v)[None, :, :]
-    amp = beam_splitter_action(amp, -d.s).transpose(1, 0, 2)
-    amp = squeeze_action(amp.reshape(dims.n_det, -1), -d.p).reshape(amp.shape).transpose(1, 0, 2)
+    amp = _detector_squeeze(beam_splitter_action(amp, -d.s), -d.p)
     return np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amp
 
 

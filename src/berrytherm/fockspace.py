@@ -1,10 +1,10 @@
 """Truncated two-mode bosonic Fock space.
 
-Sparse (CSR) ladder operators, tensor embedding, and the squeeze / two-mode
-displacement / rotation builders used by the detector-field diagonalization.
-The squeeze and beam-splitter actions on a state split exactly into real
-tridiagonal blocks, the one matrix exponential here; the dense builders are
-those actions applied to the identity, conjugated by a diagonal phase.
+Sparse (CSR) ladder operators, basis states, and the exact actions of the
+squeeze and two-mode displacement (beam splitter) factors of the
+detector-field diagonalization.  Both actions split exactly into real
+tridiagonal blocks, the one matrix exponential here, and act on amplitude
+arrays directly: no matrix of either factor is ever formed.
 scipy is imported inside the two functions that call it (``ladder`` and
 ``tridiagonal_exp_action``): the closed-form commands use neither, so they
 never pay for importing scipy.
@@ -13,7 +13,6 @@ Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,24 +20,14 @@ import numpy as np
 
 __all__ = [
     "FockDims",
-    "OperatorMatrix",
     "StateVector",
-    "DensityMatrix",
     "TruncationWarning",
     "ladder",
-    "identity",
-    "squeeze_single",
-    "displace_two_mode",
-    "rotate_field",
     "tridiagonal_exp_action",
     "squeeze_action",
     "beam_splitter_action",
     "basis_state",
     "truncation_tail",
-    "matrix_to_json",
-    "matrix_from_json",
-    "state_to_json",
-    "state_from_json",
 ]
 
 DEFAULT_CUTOFF = 30
@@ -84,38 +73,6 @@ class FockDims:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex operator on the truncated two-mode space."""
-
-    dims: FockDims
-    mat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.dims.total, self.dims.total):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator matrix has non-finite entries")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.dims, self.mat.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.dims, self.mat @ other.mat)
-        if isinstance(other, StateVector):
-            return StateVector(self.dims, self.mat @ other.amp, normalize=False)
-        return NotImplemented
-
-    def unitarity_defect(self) -> float:
-        """max-norm of U^dag U - 1."""
-        d = self.mat.conj().T @ self.mat - np.eye(self.dims.total)
-        return float(np.abs(d).max())
-
-
-@dataclass(frozen=True)
 class StateVector:
     """Complex state vector on the truncated two-mode space.
 
@@ -146,32 +103,6 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amp, other.amp))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite (to tolerance) density matrix.
-
-    ``trace_deficit`` records how much trace was lost to truncation; the
-    matrix is deliberately NOT renormalized.
-    """
-
-    dims: FockDims
-    mat: np.ndarray = field(repr=False)
-    trace_deficit: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.dims.total, self.dims.total):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > 1e-12:
-            raise ValueError(f"density matrix not Hermitian (defect {herm:.2e})")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
 
 
 def ladder(dims: FockDims, mode: str, kind: str) -> scipy.sparse.csr_matrix:
@@ -207,10 +138,6 @@ def number_diagonal(dims: FockDims, mode: str) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def identity(dims: FockDims) -> OperatorMatrix:
-    return OperatorMatrix(dims, np.eye(dims.total, dtype=complex))
-
-
 def basis_state(dims: FockDims, n_f: int, n_d: int) -> StateVector:
     """|n_f, n_d> as a StateVector."""
     v = np.zeros(dims.total, dtype=complex)
@@ -233,51 +160,6 @@ def _warn_squeeze_truncation(n: int, t: float) -> None:
             TruncationWarning,
             stacklevel=3,
         )
-
-
-def squeeze_single(dims: FockDims, mode: str, t: float, theta: float) -> OperatorMatrix:
-    """Single-mode squeeze S(t, theta) = exp(alpha* X†² − alpha X²), alpha = (t/2)e^{i theta}.
-
-    Satisfies S^dag X S ≈ X cosh t + X^dag e^{-i theta} sinh t on low-lying
-    states.  |t| must keep the squeezed tail inside the cutoff: if the
-    estimated top-two-level amplitude exceeds 1e-8 a TruncationWarning is
-    emitted carrying the estimate.
-    """
-    if mode == "field":
-        n = dims.n_field
-    elif mode == "detector":
-        n = dims.n_det
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    _warn_squeeze_truncation(n, t)
-    # S(t, theta) = R(theta/2) S(t, 0) R(theta/2)^dag, R(x) = exp(-i x n)
-    phase = np.exp(-0.5j * theta * np.arange(n))
-    s1 = phase[:, None] * squeeze_action(np.eye(n), t) * phase.conj()
-    if mode == "field":
-        full = np.kron(s1, np.eye(dims.n_det))
-    else:
-        full = np.kron(np.eye(dims.n_field), s1)
-    return OperatorMatrix(dims, full)
-
-
-def displace_two_mode(dims: FockDims, s: float, phi: float) -> OperatorMatrix:
-    """Two-mode displacement (beam splitter) D = exp(chi a†b − chi* a b†), chi = s e^{i phi}.
-
-    D^dag a D ≈ a cos s + b e^{i phi} sin s and companions on low-lying
-    states; the generator conserves total occupation, so there is no
-    truncation loss for states below the cutoff.  Built as
-    D(s, phi) = R(-phi) D(s, 0) R(-phi)^dag from the total-occupation blocks.
-    """
-    n = dims.total
-    d0 = beam_splitter_action(np.eye(n).reshape(dims.n_field, dims.n_det, n), s)
-    phase = np.exp(1j * phi * number_diagonal(dims, "field"))
-    return OperatorMatrix(dims, phase[:, None] * d0.reshape(n, n) * phase.conj())
-
-
-def rotate_field(dims: FockDims, varphi: float) -> OperatorMatrix:
-    """R(varphi) = exp(-i varphi a†a) ⊗ 1.  Diagonal generator: exact at any cutoff."""
-    n_f = number_diagonal(dims, "field")
-    return OperatorMatrix(dims, np.diag(np.exp(-1j * varphi * n_f)))
 
 
 _CONJ_I_POWERS = np.array([1.0, -1.0, -1.0, 1.0])  # i^-j, real at even j, imaginary at odd j
@@ -354,47 +236,3 @@ def truncation_tail(state: StateVector) -> float:
     w = np.abs(state.amp.reshape(state.dims.n_field, state.dims.n_det)) ** 2
     top = w[-2:, :].sum() + w[:, -2:].sum()
     return float(np.sqrt(top))
-
-
-# --- JSON fixtures: complex arrays as nested [re, im] pairs -----------------
-
-def _complex_to_pairs(arr: np.ndarray):
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
-
-
-def _pairs_to_complex(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_to_json(op: OperatorMatrix) -> str:
-    return json.dumps(
-        {
-            "n_field": op.dims.n_field,
-            "n_det": op.dims.n_det,
-            "entries": _complex_to_pairs(op.mat),
-        }
-    )
-
-
-def matrix_from_json(text: str) -> OperatorMatrix:
-    d = json.loads(text)
-    dims = FockDims(d["n_field"], d["n_det"])
-    return OperatorMatrix(dims, _pairs_to_complex(d["entries"]))
-
-
-def state_to_json(state: StateVector) -> str:
-    return json.dumps(
-        {
-            "n_field": state.dims.n_field,
-            "n_det": state.dims.n_det,
-            "amplitudes": _complex_to_pairs(state.amp),
-        }
-    )
-
-
-def state_from_json(text: str) -> StateVector:
-    d = json.loads(text)
-    dims = FockDims(d["n_field"], d["n_det"])
-    return StateVector(dims, _pairs_to_complex(d["amplitudes"]), normalize=False)

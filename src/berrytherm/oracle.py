@@ -26,7 +26,7 @@ from .diagonalization import (
     forward_map,
 )
 from .fockspace import FockDims, StateVector, number_diagonal, truncation_tail
-from .geomphase import PhaseResult, ThermalSqueeze, wrap_angle
+from .geomphase import PhaseResult, wrap_angle
 from .thermo import required_levels, thermal_weights
 
 __all__ = [
@@ -39,9 +39,7 @@ __all__ = [
     "pancharatnam_product",
     "discrete_berry_loop",
     "discrete_berry_loops",
-    "mixed_phase_partial_sum",
     "partial_sum_from_G",
-    "schrodinger_excitation_probability",
     "excitation_probability_per_cycle",
     "thermal_excitation_per_cycle",
     "berry_connection_v",
@@ -310,23 +308,11 @@ def partial_sum_from_G(G: float, gamma0: float, r: float, n_max: int) -> PhaseRe
     return PhaseResult(value=val, raw=val, method="oracle")
 
 
-def mixed_phase_partial_sum(dp: DiagParams, r: ThermalSqueeze, n_max: int) -> PhaseResult:
-    """Partial-sum route to the mixed-state thermal phase (independent of the
-    closed form): weights and eigenstate phases summed explicitly."""
-    from .geomphase import eigen_berry_phase, mode_fraction_G
-
-    g = mode_fraction_G(dp).G
-    gamma0 = eigen_berry_phase(dp, 0, 0).raw
-    return partial_sum_from_G(g, gamma0, r.r, n_max)
-
-
 def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:
     """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|; exact identity, ~1e-13."""
-    from .fockspace import rotate_field
-
+    r = np.exp(1j * varphi * number_diagonal(dims, "field"))  # diagonal of R(-varphi)
     h_phi = build_hamiltonian(pp, varphi, dims).toarray()
-    r = rotate_field(dims, -varphi).mat
-    h_rot = r @ build_hamiltonian(pp, 0.0, dims).toarray() @ r.conj().T
+    h_rot = r[:, None] * build_hamiltonian(pp, 0.0, dims).toarray() * r.conj()
     return float(np.abs(h_phi - h_rot).max())
 
 
@@ -435,18 +421,6 @@ def excitation_probability_per_cycle(
     """P(detector excited) at each cycle boundary, initial state |n0_f, 0_d>:
     a batch of one through the thermal-mixture evolver (see ``_excitation``)."""
     return _excitation(pp, cycles, spec, [n_field_initial])[0]
-
-
-def schrodinger_excitation_probability(
-    pp: PhysicalParams,
-    cycles: int,
-    spec: EvolutionSpec,
-    n_field_initial: int = 0,
-) -> float:
-    """P(detector excited) after ``cycles`` full cycles (see per-cycle variant)."""
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
-    return float(excitation_probability_per_cycle(pp, cycles, spec, n_field_initial)[-1])
 
 
 @dataclass(frozen=True)

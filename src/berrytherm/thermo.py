@@ -1,4 +1,4 @@
-"""Physical constants, thermal squeeze parameters, and thermal states.
+"""Physical constants, thermal squeeze parameters, and thermal weights.
 
 The thermal weight of Fock level n at temperature T is
 tanh^{2n}(r_T)/cosh^2(r_T) with tanh r_T = exp(-hbar*omega / (2 k_B T)); the
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import DensityMatrix, FockDims
-
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
@@ -23,7 +21,6 @@ __all__ = [
     "squeeze_from_temperature",
     "temperature_from_squeeze",
     "thermal_weights",
-    "thermal_density_matrix",
 ]
 
 TAIL_TARGET = 1e-12
@@ -133,32 +130,3 @@ class ThermalStateSpec:
     def for_tail(cls, omega: float, temperature: float, tail_target: float = TAIL_TARGET):
         r = squeeze_from_temperature(omega, temperature).r
         return cls(omega, temperature, required_levels(r, tail_target))
-
-
-def thermal_density_matrix(spec: ThermalStateSpec, dims: FockDims, mode: str = "field") -> DensityMatrix:
-    """Diagonal thermal state on one mode, ground state on the other.
-
-    Trace is 1 - tanh^{2(n_max+1)} r exactly; the deficit is surfaced on the
-    returned DensityMatrix, never silently renormalized.  Refuses if the
-    truncation tail misses the 1e-12 target or n_max does not fit the cutoff.
-    """
-    n_levels = dims.n_field if mode == "field" else dims.n_det
-    if mode not in ("field", "detector"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if spec.n_max >= n_levels:
-        raise ValueError(f"n_max={spec.n_max} does not fit below the cutoff {n_levels}")
-    if spec.tail >= TAIL_TARGET:
-        raise ValueError(
-            f"truncation tail {spec.tail:.3e} >= {TAIL_TARGET:g}; "
-            f"need n_max >= {required_levels(spec.r_T)}"
-        )
-    w, tail = thermal_weights(spec.r_T, spec.n_max)
-    diag_mode = np.zeros(n_levels)
-    diag_mode[: spec.n_max + 1] = w
-    ground = np.zeros(dims.n_det if mode == "field" else dims.n_field)
-    ground[0] = 1.0
-    if mode == "field":
-        diag = np.kron(diag_mode, ground)
-    else:
-        diag = np.kron(ground, diag_mode)
-    return DensityMatrix(dims, np.diag(diag.astype(complex)), trace_deficit=tail)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 import os
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import berrytherm
 from berrytherm import oracle
@@ -20,7 +20,6 @@ from berrytherm.cli import (
     main,
     read_config_file,
 )
-from berrytherm.fockspace import FockDims, displace_two_mode, ladder, matrix_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -273,19 +272,6 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
         assert counts == [20, 4, 6, 2]
 
 
-def test_matrix_json_golden_fixture():
-    text = (GOLDEN / "displace_4x4_s0p2_phi0p5.json").read_text()
-    op = matrix_from_json(text)
-    dims = FockDims(4, 4)
-    fresh = displace_two_mode(dims, 0.2, 0.5)
-    np.testing.assert_array_equal(op.mat, fresh.mat)
-    a = ladder(dims, "field", "lower").toarray()
-    b = ladder(dims, "detector", "lower").toarray()
-    chi = 0.2 * np.exp(0.5j)
-    gen = chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T)
-    assert np.abs(op.mat - scipy.linalg.expm(gen)).max() <= 1e-15
-
-
 # --------------------------------------------------------------------------
 # scipy stays out of the closed-form commands
 # --------------------------------------------------------------------------
@@ -350,3 +336,20 @@ def test_module_top_levels_import_no_scipy():
     offenders = {f.name: lines for f in files
                  if (lines := _scipy_imports_at_import_time(f.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+def test_exports_resolve():
+    # every name a module exports, and every name the package imports at top
+    # level, exists: a deletion cannot leave a stale export behind
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"berrytherm.{path.stem}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], (path.name, missing)
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    for module_name, name in imported:
+        module = importlib.import_module(f"berrytherm.{module_name}")
+        assert name in module.__all__, (module_name, name)
+        assert getattr(berrytherm, name) is getattr(module, name), name

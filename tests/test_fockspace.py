@@ -2,25 +2,32 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from berrytherm import cli
 from berrytherm.fockspace import (
     FockDims,
-    OperatorMatrix,
     TruncationWarning,
     basis_state,
     beam_splitter_action,
-    displace_two_mode,
-    identity,
     ladder,
-    matrix_from_json,
-    matrix_to_json,
-    rotate_field,
+    number_diagonal,
     squeeze_action,
-    squeeze_single,
-    state_from_json,
-    state_to_json,
     tridiagonal_exp_action,
     truncation_tail,
 )
+
+
+def _orthonormal_columns(n: int, k: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, k)))
+    return q
+
+
+def _low_columns(dims: FockDims, n_low: int) -> tuple[np.ndarray, list[int]]:
+    """Basis columns |n_f n_d>, n_f, n_d < n_low, as an (n_field, n_det, k) array,
+    and their flat indices."""
+    low = [dims.index(nf, nd) for nf in range(n_low) for nd in range(n_low)]
+    cols = np.zeros((dims.total, len(low)))
+    cols[low, np.arange(len(low))] = 1.0
+    return cols.reshape(dims.n_field, dims.n_det, -1), low
 
 
 def test_dims_validation():
@@ -74,105 +81,75 @@ def test_commutator_is_one_below_boundary():
 
 
 def test_squeeze_identity_at_zero():
-    dims = FockDims(8, 8)
-    s = squeeze_single(dims, "field", 0.0, 0.0)
-    assert np.abs(s.mat - np.eye(64)).max() < 1e-14
+    x = np.random.default_rng(3).normal(size=(8, 5))
+    assert np.array_equal(squeeze_action(x, 0.0), x)
 
 
 def test_squeeze_conjugation_action():
-    # S^dag a S = a cosh t + a^dag e^{-i theta} sinh t on low-lying states
-    dims = FockDims(40, 2)
-    t, theta = 0.2, 0.0
-    s = squeeze_single(dims, "field", t, theta).mat
-    a = ladder(dims, "field", "lower").toarray()
-    ad = a.conj().T
-    lhs = s.conj().T @ a @ s
-    rhs = a * np.cosh(t) + ad * np.exp(-1j * theta) * np.sinh(t)
-    one = basis_state(dims, 1, 0)
-    vac = basis_state(dims, 0, 0)
-    residual = abs(np.vdot(vac.amp, (lhs - rhs) @ one.amp))
-    assert residual < 1e-8
-    # full low-block residual, occupation < cutoff/2
-    low = [dims.index(nf, nd) for nf in range(12) for nd in range(2)]
-    sub = (lhs - rhs)[np.ix_(low, low)]
-    assert np.abs(sub).max() < 1e-8
+    # S^dag a S = a cosh t + a^dag sinh t on low-lying states, S = S(t, 0),
+    # checked on the basis columns below cutoff/2 (occupation < 12 of 40)
+    n, t = 40, 0.2
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    low = np.eye(n)[:, :12]
+    lhs = squeeze_action(a @ squeeze_action(low, t), -t)
+    rhs = (a * np.cosh(t) + a.T * np.sinh(t)) @ low
+    assert np.abs((lhs - rhs)[:12]).max() < 1e-8
 
 
 def test_squeeze_unitarity():
-    dims = FockDims(30, 30)
-    s = squeeze_single(dims, "detector", 0.3, -np.pi)
-    assert s.unitarity_defect() < 1e-10
+    # S(0.3, -pi) = S(-0.3, 0): orthonormal columns stay orthonormal at any cutoff
+    cols = squeeze_action(_orthonormal_columns(30, 8, 4), -0.3)
+    assert np.abs(cols.T @ cols - np.eye(8)).max() < 1e-10
 
 
 def test_squeeze_truncation_warning():
-    with pytest.warns(TruncationWarning):
-        squeeze_single(FockDims(6, 6), "field", 1.5, 0.0)
+    # u = 0.7 leaves a fat squeezed tail at cutoff 6
+    config = {"diag_omega_a": np.e ** 2, "diag_omega_b": 1.0, "diag_v": 0.3, "cutoff": 6}
+    with pytest.warns(TruncationWarning, match="cutoff 6"):
+        cli.cmd_diagonalize(config)
 
 
 def test_displace_identity_at_zero():
-    dims = FockDims(8, 8)
-    d = displace_two_mode(dims, 0.0, 0.0)
-    assert np.abs(d.mat - np.eye(64)).max() < 1e-13
+    amp = np.random.default_rng(5).normal(size=(8, 8, 3))
+    assert np.array_equal(beam_splitter_action(amp, 0.0), amp)
 
 
 def test_displace_swap_limit():
-    # s = pi/2 swaps the modes: D^dag a D = b on low-lying states
+    # s = pi/2 swaps the modes: D^dag a D = b on low-lying states, D = D(s, 0)
     dims = FockDims(12, 12)
-    d = displace_two_mode(dims, np.pi / 2, 0.0).mat
-    a = ladder(dims, "field", "lower").toarray()
-    b = ladder(dims, "detector", "lower").toarray()
-    low = [dims.index(nf, nd) for nf in range(5) for nd in range(5)]
-    diff = (d.conj().T @ a @ d - b)[np.ix_(low, low)]
-    assert np.abs(diff).max() < 1e-8
+    a = ladder(dims, "field", "lower").real
+    b = ladder(dims, "detector", "lower").real
+    cols, low = _low_columns(dims, 5)
+    moved = beam_splitter_action(cols, np.pi / 2).reshape(dims.total, -1)
+    lhs = beam_splitter_action((a @ moved).reshape(cols.shape), -np.pi / 2)
+    diff = lhs.reshape(dims.total, -1) - b @ cols.reshape(dims.total, -1)
+    assert np.abs(diff[low]).max() < 1e-8
 
 
 def test_displace_number_conjugation_identities():
-    # D^dag a'a D = a'a cos^2 s + b'b sin^2 s + (1/2) sin 2s (a'b e^{i phi} + b'a e^{-i phi})
+    # D^dag a'a D = a'a cos^2 s + b'b sin^2 s + (1/2) sin 2s (a'b + b'a), and
+    # D^dag b'b D with the roles swapped, for D = D(s, 0) on low-lying states
     dims = FockDims(40, 40)
-    s, phi = 0.3, 0.7
-    d = displace_two_mode(dims, s, phi).mat
-    a = ladder(dims, "field", "lower").toarray()
-    b = ladder(dims, "detector", "lower").toarray()
-    ad, bd = a.conj().T, b.conj().T
-    na, nb = ad @ a, bd @ b
-    cross = ad @ b * np.exp(1j * phi) + bd @ a * np.exp(-1j * phi)
-    low = [dims.index(nf, nd) for nf in range(8) for nd in range(8)]
+    s = 0.3
+    a = ladder(dims, "field", "lower").real
+    b = ladder(dims, "detector", "lower").real
+    cross = a.T @ b + b.T @ a
+    na, nb = number_diagonal(dims, "field"), number_diagonal(dims, "detector")
+    cols, low = _low_columns(dims, 8)
+    flat = cols.reshape(dims.total, -1)
+    moved = beam_splitter_action(cols, s).reshape(dims.total, -1)
+    c2, s2, x = np.cos(s) ** 2, np.sin(s) ** 2, 0.5 * np.sin(2 * s)
 
-    lhs = d.conj().T @ na @ d
-    rhs = na * np.cos(s) ** 2 + nb * np.sin(s) ** 2 + 0.5 * np.sin(2 * s) * cross
-    assert np.abs((lhs - rhs)[np.ix_(low, low)]).max() < 1e-8
-
-    lhs = d.conj().T @ nb @ d
-    rhs = na * np.sin(s) ** 2 + nb * np.cos(s) ** 2 - 0.5 * np.sin(2 * s) * cross
-    assert np.abs((lhs - rhs)[np.ix_(low, low)]).max() < 1e-8
+    for n, rhs in ((na, (na * c2 + nb * s2)[:, None] * flat + x * (cross @ flat)),
+                   (nb, (na * s2 + nb * c2)[:, None] * flat - x * (cross @ flat))):
+        lhs = beam_splitter_action((n[:, None] * moved).reshape(cols.shape), -s)
+        assert np.abs((lhs.reshape(dims.total, -1) - rhs)[low]).max() < 1e-8
 
 
 def test_displace_unitarity():
-    dims = FockDims(30, 30)
-    assert displace_two_mode(dims, 0.3, 0.7).unitarity_defect() < 1e-10
-
-
-def test_rotation_eigenaction_and_group_law():
-    dims = FockDims(7, 4)
-    phi1, phi2 = 0.31, 1.77
-    r1 = rotate_field(dims, phi1)
-    for nf in range(7):
-        ket = basis_state(dims, nf, 2)
-        out = r1 @ ket
-        assert abs(out.amp[dims.index(nf, 2)] - np.exp(-1j * phi1 * nf)) < 1e-14
-    r2 = rotate_field(dims, phi2)
-    r12 = rotate_field(dims, phi1 + phi2)
-    assert np.abs((r1 @ r2).mat - r12.mat).max() < 1e-12
-    assert rotate_field(dims, 0.0).unitarity_defect() < 1e-15
-
-
-def test_rotation_conjugates_lowering_operator():
-    dims = FockDims(6, 3)
-    phi = 0.83
-    r = rotate_field(dims, phi).mat
-    a = ladder(dims, "field", "lower").toarray()
-    # R a R^dag = e^{i phi} a, exact (diagonal generator)
-    assert np.abs(r @ a @ r.conj().T - np.exp(1j * phi) * a).max() < 1e-14
+    cols = _orthonormal_columns(900, 8, 6)
+    moved = beam_splitter_action(cols.reshape(30, 30, 8), 0.3).reshape(900, 8)
+    assert np.abs(moved.T @ moved - np.eye(8)).max() < 1e-10
 
 
 def test_truncation_tail_detects_top_levels():
@@ -181,23 +158,6 @@ def test_truncation_tail_detects_top_levels():
     assert truncation_tail(low) == 0.0
     top = basis_state(dims, 5, 0)
     assert truncation_tail(top) == pytest.approx(1.0)
-
-
-def test_json_roundtrip_matrix_and_state():
-    dims = FockDims(3, 3)
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    op = OperatorMatrix(dims, m)
-    back = matrix_from_json(matrix_to_json(op))
-    np.testing.assert_array_equal(back.mat, op.mat)
-    st = basis_state(dims, 2, 1)
-    st_back = state_from_json(state_to_json(st))
-    np.testing.assert_array_equal(st_back.amp, st.amp)
-
-
-def test_identity_builder():
-    dims = FockDims(4, 4)
-    assert np.abs(identity(dims).mat - np.eye(16)).max() == 0.0
 
 
 def _squeeze_block(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +212,10 @@ def test_tridiagonal_exp_action_small_angle_change_is_relatively_exact():
                 assert np.linalg.norm(err[off]) <= 1e-12 * np.linalg.norm(change[off])
 
 
-@pytest.mark.filterwarnings("ignore::berrytherm.fockspace.TruncationWarning")
-def test_block_actions_match_dense_builders():
-    # the builders are the block actions applied to the identity; both are
-    # checked against a dense expm of the truncated generator.  Rectangular
-    # dims cut the total-occupation blocks by both cutoffs; the match is on
-    # the truncated space, so the squeeze tails may be fat
+def test_block_actions_match_dense_expm():
+    # both actions against a dense expm of the truncated generator.  Rectangular
+    # dims cut the total-occupation blocks by both cutoffs; the match is on the
+    # truncated space, so the squeeze tails may be fat
     dims = FockDims(7, 5)
     amp = np.random.default_rng(9).normal(size=(7, 5))
     flat = amp.reshape(-1)
@@ -265,19 +223,8 @@ def test_block_actions_match_dense_builders():
     b = ladder(dims, "detector", "lower").toarray()
     actions = {"field": squeeze_action(amp, 0.4), "detector": squeeze_action(amp.T, -0.25).T}
     for mode, x, t in (("field", a, 0.4), ("detector", b, -0.25)):
-        for theta in (0.0, -np.pi, 0.9):
-            alpha = 0.5 * t * np.exp(1j * theta)
-            expect = scipy.linalg.expm(np.conj(alpha) * (x.conj().T @ x.conj().T)
-                                       - alpha * (x @ x))
-            got = squeeze_single(dims, mode, t, theta).mat
-            assert np.abs(got - expect).max() <= 1e-13, (mode, theta)
-            if theta == 0.0:
-                assert np.abs(actions[mode].reshape(-1) - expect @ flat).max() <= 1e-13, mode
-    for phi in (0.0, 0.7):
-        chi = 0.37 * np.exp(1j * phi)
-        expect = scipy.linalg.expm(chi * (a.conj().T @ b) - np.conj(chi) * (a @ b.conj().T))
-        got = displace_two_mode(dims, 0.37, phi).mat
-        assert np.abs(got - expect).max() <= 1e-13, phi
-        if phi == 0.0:
-            action = beam_splitter_action(amp, 0.37).reshape(-1)
-            assert np.abs(action - expect @ flat).max() <= 1e-13
+        expect = scipy.linalg.expm(0.5 * t * (x.T @ x.T - x @ x))
+        assert np.abs(actions[mode].reshape(-1) - expect @ flat).max() <= 1e-13, mode
+    expect = scipy.linalg.expm(0.37 * (a.T @ b - a @ b.T))
+    action = beam_splitter_action(amp, 0.37).reshape(-1)
+    assert np.abs(action - expect @ flat).max() <= 1e-13

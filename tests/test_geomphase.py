@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from berrytherm.diagonalization import DiagParams, PhysicalParams, inverse_map
+from berrytherm.diagonalization import DiagParams, PhysicalParams, invert_physical
 from berrytherm.geomphase import (
     ThermalSqueeze,
     accumulate_cycles,
@@ -115,7 +115,7 @@ def test_thermometer_integer_G_gives_zero():
 
 def test_thermometer_equals_mixed_phase_difference():
     # delta(T1, T2) == gamma_T1 - gamma_T2 identically
-    dp = inverse_map(PhysicalParams(1e9, 1e9, TAU * 1200.0))
+    dp = invert_physical(PhysicalParams(1e9, 1e9, TAU * 1200.0)).params
     omega = 1e9
     t1, t2 = 1e-3, 1.0
     delta = thermometer_delta(dp, omega, t1, t2).raw

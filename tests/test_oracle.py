@@ -12,7 +12,7 @@ from berrytherm.diagonalization import (
     eigenstate,
     eigenstates,
     forward_map,
-    inverse_map,
+    invert_physical,
 )
 from berrytherm.fockspace import FockDims, StateVector, basis_state, number_diagonal
 from berrytherm.geomphase import (
@@ -20,6 +20,7 @@ from berrytherm.geomphase import (
     eigen_berry_phase,
     mixed_phase_offset,
     mixed_thermal_phase,
+    mode_fraction_G,
     phase_distance,
     wrap_angle,
 )
@@ -30,12 +31,10 @@ from berrytherm.oracle import (
     berry_connection_v,
     discrete_berry_loop,
     excitation_probability_per_cycle,
-    mixed_phase_partial_sum,
     numeric_eigenpair,
     pancharatnam_product,
     partial_sum_from_G,
     rotation_covariance_residual,
-    schrodinger_excitation_probability,
     thermal_excitation_per_cycle,
 )
 from berrytherm.thermo import required_levels, squeeze_from_temperature
@@ -75,7 +74,7 @@ def test_numeric_eigenpair_residual_contract():
 def test_numeric_eigenpair_overlap_certification():
     # weak resonant coupling: analytic dressed state matches brute force
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-7)
-    dp = inverse_map(pp)
+    dp = invert_physical(pp).params
     dims = FockDims(14, 14)
     h = build_hamiltonian(pp, 0.0, dims).toarray()
     for occ in ((0, 0), (1, 0), (0, 1)):
@@ -304,7 +303,9 @@ def test_partial_sum_refuses_fat_tail():
 def test_mixed_phase_dp_route():
     r = ThermalSqueeze(0.6)
     closed = mixed_thermal_phase(CANONICAL, r)
-    summed = mixed_phase_partial_sum(CANONICAL, r, required_levels(0.6) + 2)
+    g = mode_fraction_G(CANONICAL).G
+    gamma0 = eigen_berry_phase(CANONICAL, 0, 0).raw
+    summed = partial_sum_from_G(g, gamma0, r.r, required_levels(0.6) + 2)
     assert phase_distance(closed.value, summed.value) < 1e-10
 
 
@@ -337,7 +338,7 @@ def test_evolution_norm_preserved_and_small_P():
     pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
     out = excitation_probability_per_cycle(pp, 10, EvolutionSpec(steps_per_cycle=400))
     assert out.max() < 1e-9
-    assert schrodinger_excitation_probability(pp, 3, EvolutionSpec()) < 1e-9
+    assert excitation_probability_per_cycle(pp, 3, EvolutionSpec())[-1] < 1e-9
 
 
 def test_evolution_perturbative_scale_off_boundary():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from berrytherm.fockspace import FockDims
 from berrytherm.geomphase import unruh_squeeze
 from berrytherm.thermo import (
     CONSTANTS,
@@ -11,7 +10,6 @@ from berrytherm.thermo import (
     required_levels,
     squeeze_from_temperature,
     temperature_from_squeeze,
-    thermal_density_matrix,
     thermal_weights,
     unruh_temperature,
 )
@@ -80,33 +78,20 @@ def test_thermal_weights_geometric_tail():
     w, tail = thermal_weights(r, 25)
     assert w.sum() + tail == pytest.approx(1.0, abs=1e-14)
     assert tail == pytest.approx(math.tanh(r) ** 52, rel=1e-12)
-
-
-def test_thermal_density_matrix_trace_and_deficit():
     spec = ThermalStateSpec(omega=1e9, temperature=0.01, n_max=37)
-    assert spec.tail < 1e-12
-    dims = FockDims(40, 4)
-    dm = thermal_density_matrix(spec, dims)
-    assert dm.trace == pytest.approx(1.0 - spec.tail, abs=1e-15)
-    assert dm.trace_deficit == pytest.approx(spec.tail, rel=1e-10)
-
-
-def test_thermal_density_matrix_zero_temperature_limit():
-    spec = ThermalStateSpec(omega=1e9, temperature=1e-6, n_max=2)
-    dims = FockDims(5, 3)
-    dm = thermal_density_matrix(spec, dims)
-    expect = np.zeros(15)
-    expect[0] = 1.0
-    np.testing.assert_allclose(np.diag(dm.mat).real, expect, atol=1e-15)
+    w, tail = thermal_weights(spec.r_T, spec.n_max)
+    assert tail == pytest.approx(spec.tail, rel=1e-10) and tail < 1e-12
+    # zero-temperature limit: all weight on the ground level
+    cold = ThermalStateSpec(omega=1e9, temperature=1e-6, n_max=2)
+    w, _ = thermal_weights(cold.r_T, cold.n_max)
+    np.testing.assert_allclose(w, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_planck_mean_occupation():
     # sum n w_n = sinh^2 r (geometric-series identity)
     spec = ThermalStateSpec.for_tail(1e9, 0.012)
-    dims = FockDims(spec.n_max + 2, 3)
-    dm = thermal_density_matrix(spec, dims)
-    n_f = np.repeat(np.arange(dims.n_field), dims.n_det)
-    mean_n = float(np.real(np.sum(np.diag(dm.mat) * n_f)))
+    w, _ = thermal_weights(spec.r_T, spec.n_max)
+    mean_n = float(np.sum(w * np.arange(spec.n_max + 1)))
     assert mean_n == pytest.approx(math.sinh(spec.r_T) ** 2, abs=1e-10)
 
 
@@ -117,15 +102,6 @@ def test_thermal_spec_r_T_is_squeeze_from_temperature():
         for temperature in (1e-3, 0.012, 0.3, 1.0, 100.0):
             spec = ThermalStateSpec(omega, temperature, n_max=10)
             assert spec.r_T == squeeze_from_temperature(omega, temperature).r
-
-
-def test_thermal_density_matrix_refusals():
-    hot = ThermalStateSpec(omega=1e9, temperature=1.0, n_max=20)  # tail far too fat
-    with pytest.raises(ValueError, match="tail"):
-        thermal_density_matrix(hot, FockDims(30, 4))
-    spec = ThermalStateSpec(omega=1e9, temperature=0.01, n_max=40)
-    with pytest.raises(ValueError, match="cutoff"):
-        thermal_density_matrix(spec, FockDims(30, 4))
 
 
 def test_required_levels_matches_tail():
