@@ -237,7 +237,7 @@ def cmd_diagonalize(config: dict) -> dict:
     h = build_hamiltonian(pp, 0.0, dims)
     residuals = {}
     occupations = ((0, 0), (1, 0), (0, 1))
-    for occ, psi in zip(occupations, eigenstates(dp, occupations, 0.0, dims)):
+    for occ, psi in zip(occupations, eigenstates([dp] * 3, occupations, 0.0, dims)):
         e_val = float(np.real(np.vdot(psi.amp, h @ psi.amp)))
         res = float(np.linalg.norm(h @ psi.amp - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
@@ -398,29 +398,32 @@ CERT_LOOP_TOL = 1e-8
 CUTOFF_LADDER = (30, 44, 60, 78)
 
 
-def _loop_check_cells(dp: DiagParams, spec: LoopSpec, base_cutoff: int,
-                      negative_control: bool) -> list[dict]:
-    """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at dp.
+def _loop_check_cells(dps: list[DiagParams], spec: LoopSpec, base_cutoff: int,
+                      negative_control: bool) -> dict[DiagParams, list[dict]]:
+    """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at
+    each dp of ``dps``: the list of cells of each dp.
 
-    Each rung of the cutoff ladder measures the occupations still pending in
-    one batch; an occupation leaves the ladder at the first rung that passes
-    the truncation gate."""
+    The grid is walked cutoff-major: each rung of the cutoff ladder measures
+    every (dp, occupation) pair still pending in one batch, and a pair leaves
+    the ladder at the first rung that passes the truncation gate."""
     phase_fn = (geomphase._eigen_phase_unshared_denominator
                 if negative_control else eigen_berry_phase)
-    cells: dict[tuple[int, int], dict] = {}
-    last_exc: dict[tuple[int, int], OracleError] = {}
-    pending = list(CERT_OCCUPATIONS)
+    cells: dict[tuple[DiagParams, tuple[int, int]], dict] = {}
+    last_exc: dict[tuple[DiagParams, tuple[int, int]], OracleError] = {}
+    pending = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
     for cutoff in CUTOFF_LADDER:
         if cutoff < base_cutoff or not pending:
             continue
-        results = oracle.discrete_berry_loops(dp, pending, spec, FockDims(cutoff, cutoff))
-        for occ, result in zip(pending, results):
+        results = oracle.discrete_berry_loops([dp for dp, _ in pending],
+                                              [occ for _, occ in pending],
+                                              spec, FockDims(cutoff, cutoff))
+        for (dp, occ), result in zip(pending, results):
             if isinstance(result, OracleError):
-                last_exc[occ] = result
+                last_exc[dp, occ] = result
                 continue
             closed = phase_fn(dp, occ[0], occ[1])
             diff = phase_distance(closed.raw, result.phase.raw)
-            cells[occ] = {
+            cells[dp, occ] = {
                 "occupation": list(occ),
                 "cutoff": cutoff,
                 "difference_rad": diff,
@@ -428,16 +431,16 @@ def _loop_check_cells(dp: DiagParams, spec: LoopSpec, base_cutoff: int,
                 "truncation_tail": result.truncation_tail,
                 "passed": bool(diff < CERT_LOOP_TOL),
             }
-        pending = [occ for occ in pending if occ not in cells]
-    for occ in pending:
-        cells[occ] = {
+        pending = [key for key in pending if key not in cells]
+    for dp, occ in pending:
+        cells[dp, occ] = {
             "occupation": list(occ),
             "cutoff": None,
             "difference_rad": math.nan,
             "passed": False,
-            "refused": str(last_exc.get(occ)),
+            "refused": str(last_exc.get((dp, occ))),
         }
-    return [cells[occ] for occ in CERT_OCCUPATIONS]
+    return {dp: [cells[dp, occ] for occ in CERT_OCCUPATIONS] for dp in dps}
 
 
 def certification_report(negative_control: bool = False,
@@ -510,24 +513,31 @@ def certification_report(negative_control: bool = False,
 
     # loop oracle vs closed form over the full grid
     spec = LoopSpec(n_points=loop_points)
-    cells = []
-    loop_pass = True
-    worst_diff = 0.0
+    grid: dict[tuple[float, float], DiagParams | str] = {}
     for v in CERT_GRID_V:
         for ratio in CERT_GRID_RATIO:
             try:
                 dp = DiagParams(ratio, 1.0, v)
                 dp.validate()
+                grid[v, ratio] = dp
             except ConstraintError as exc:
-                cells.append({"v": v, "ratio": ratio, "rejected": str(exc)})
-                continue
-            for cell in _loop_check_cells(dp, spec, base_cutoff, negative_control):
-                cell["v"] = v
-                cell["ratio"] = ratio
-                cells.append(cell)
-                if "difference_rad" in cell and not math.isnan(cell["difference_rad"]):
-                    worst_diff = max(worst_diff, cell["difference_rad"])
-                loop_pass = loop_pass and cell.get("passed", False)
+                grid[v, ratio] = str(exc)
+    measured = _loop_check_cells([dp for dp in grid.values() if isinstance(dp, DiagParams)],
+                                 spec, base_cutoff, negative_control)
+    cells = []
+    loop_pass = True
+    worst_diff = 0.0
+    for (v, ratio), dp in grid.items():
+        if isinstance(dp, str):
+            cells.append({"v": v, "ratio": ratio, "rejected": dp})
+            continue
+        for cell in measured[dp]:
+            cell["v"] = v
+            cell["ratio"] = ratio
+            cells.append(cell)
+            if "difference_rad" in cell and not math.isnan(cell["difference_rad"]):
+                worst_diff = max(worst_diff, cell["difference_rad"])
+            loop_pass = loop_pass and cell.get("passed", False)
     add("loop_vs_closed_form_grid", loop_pass, worst_diff, CERT_LOOP_TOL,
         detail=f"{sum(1 for c in cells if c.get('passed'))} cells passed")
 

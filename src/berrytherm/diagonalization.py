@@ -502,10 +502,13 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float,
     return h.tocsr()
 
 
-def _detector_squeeze(amp: np.ndarray, t: float) -> np.ndarray:
+def _detector_squeeze(amp: np.ndarray, t) -> np.ndarray:
     """S_b(t, 0) applied by parity blocks to the detector axis of the real
-    (n_field, n_det, k) amplitude array ``amp``."""
+    (n_field, n_det, k) amplitude array ``amp``; ``t`` is a scalar or one value
+    per column k."""
     x = amp.transpose(1, 0, 2)
+    if np.ndim(t):
+        t = np.tile(t, x.shape[1])  # the flattened (n_field, k) columns
     return squeeze_action(x.reshape(x.shape[0], -1), t).reshape(x.shape).transpose(1, 0, 2)
 
 
@@ -521,23 +524,28 @@ def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
     return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
 
 
-def _eigenstate_amps(dp: DiagParams, occupations, varphi: float, dims: FockDims) -> np.ndarray:
-    """U' |n_f n_d> = R' Shat_b' D' S_b' S_a' |n_f n_d> for each (n_f, n_d) of
-    ``occupations``, as the columns of an (n_field, n_det, k) array.
+def _eigenstate_amps(dps: list[DiagParams], occupations, varphi: float,
+                     dims: FockDims) -> np.ndarray:
+    """U' |n_f n_d> = R' Shat_b' D' S_b' S_a' |n_f n_d> for each dp of ``dps``
+    and (n_f, n_d) of ``occupations``, as the columns of an (n_field, n_det, k)
+    array.
 
-    Each factor is applied exactly by blocks to all columns at once.  The
-    squeezes act on one mode each, so S_b' S_a' |n_f n_d> is the outer
-    product of two squeezed basis states; the beam splitter D' then acts on
-    the (n_field, n_det) amplitude by total-occupation blocks, Shat_b' on the
+    Each factor is applied exactly by blocks to all columns at once, with the
+    squeeze and beam-splitter parameters of each column's dp.  The squeezes
+    act on one mode each, so S_b' S_a' |n_f n_d> is the outer product of two
+    squeezed basis states; the beam splitter D' then acts on the
+    (n_field, n_det) amplitude by total-occupation blocks, Shat_b' on the
     detector axis by parity blocks, and R' is diagonal.  Every factor up to
     R' is real orthogonal.
     """
-    d = derive_params(dp)
+    derived = {dp: derive_params(dp) for dp in set(dps)}
+    u, v, s, p = np.array([(derived[dp].u, dp.v, derived[dp].s, derived[dp].p)
+                           for dp in dps]).reshape(-1, 4).T
     n_f, n_d = np.array(occupations, dtype=int).reshape(-1, 2).T
     f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
     # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
-    amp = squeeze_action(f, -d.u)[:, None, :] * squeeze_action(g, dp.v)[None, :, :]
-    amp = _detector_squeeze(beam_splitter_action(amp, -d.s), -d.p)
+    amp = squeeze_action(f, -u)[:, None, :] * squeeze_action(g, v)[None, :, :]
+    amp = _detector_squeeze(beam_splitter_action(amp, -s), -p)
     return np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amp
 
 
@@ -547,15 +555,20 @@ def _eigenstate_amps(dp: DiagParams, occupations, varphi: float, dims: FockDims)
 EIGENSTATE_PAD = 1.8
 
 
-def eigenstates(dp: DiagParams, occupations, varphi: float, dims: FockDims) -> list[StateVector]:
+def eigenstates(dps: list[DiagParams], occupations, varphi: float,
+                dims: FockDims) -> list[StateVector]:
     """Closed-form eigenstates U' |n_f n_d>, one unit vector on ``dims`` for
-    each (n_f, n_d) of ``occupations``.
+    each pair of a dp of ``dps`` and the (n_f, n_d) at the same position of
+    ``occupations``.
 
-    The factors of U' act by exact tridiagonal blocks on all occupations at
-    once (see _eigenstate_amps), on a space padded by EIGENSTATE_PAD, and
-    the results are projected back.  Occupations must stay below cutoff/2
-    to leave truncation margin.
+    The factors of U' act by exact tridiagonal blocks on all pairs at once
+    (see _eigenstate_amps), so each block is diagonalized once per call
+    whatever the mix of parameter sets, on a space padded by EIGENSTATE_PAD,
+    and the results are projected back.  Occupations must stay below
+    cutoff/2 to leave truncation margin.
     """
+    if len(dps) != len(occupations):
+        raise ValueError(f"{len(dps)} parameter sets for {len(occupations)} occupations")
     for n_f, n_d in occupations:
         if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
             raise ValueError(
@@ -565,10 +578,10 @@ def eigenstates(dp: DiagParams, occupations, varphi: float, dims: FockDims) -> l
         max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
         max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
     )
-    amps = _eigenstate_amps(dp, occupations, varphi, big)[: dims.n_field, : dims.n_det]
+    amps = _eigenstate_amps(dps, occupations, varphi, big)[: dims.n_field, : dims.n_det]
     return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
 
 
 def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
     """Closed-form eigenstate U' |n_f n_d>: a batch of one through ``eigenstates``."""
-    return eigenstates(dp, [(n_f, n_d)], varphi, dims)[0]
+    return eigenstates([dp], [(n_f, n_d)], varphi, dims)[0]

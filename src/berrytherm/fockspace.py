@@ -101,9 +101,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amp, other.amp))
-
 
 def ladder(dims: FockDims, mode: str, kind: str) -> scipy.sparse.csr_matrix:
     """Tensor-embedded ladder operator as a complex CSR matrix.
@@ -165,7 +162,7 @@ def _warn_squeeze_truncation(n: int, t: float) -> None:
 _CONJ_I_POWERS = np.array([1.0, -1.0, -1.0, 1.0])  # i^-j, real at even j, imaginary at odd j
 
 
-def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
+def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
     """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
 
     With D = diag(i^j), J = -i D T D^-1 for the symmetric tridiagonal T of
@@ -176,7 +173,9 @@ def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndar
     The expm1 form keeps x exact and the change relatively accurate when
     c lam is small.  For real x, D^-1 x is real on the even rows and imaginary
     on the odd ones, so the product runs in real arithmetic on the two row
-    halves of V.  ``x`` is a real vector or a matrix acted on along axis 0.
+    halves of V.  ``x`` is a real vector or a matrix acted on along axis 0;
+    ``c`` is a scalar or, for a matrix, one value per column, so one
+    eigendecomposition of T serves columns with different parameters.
     """
     if len(beta) == 0 or not x.any():
         return x.copy()
@@ -184,9 +183,9 @@ def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndar
 
     lam, vecs = eigh_tridiagonal(np.zeros(len(beta) + 1), beta)
     sign = _CONJ_I_POWERS[np.arange(len(lam)) % 4]
-    phase = np.expm1(-1j * c * lam)
     if x.ndim == 2:
-        sign, phase = sign[:, None], phase[:, None]
+        sign, lam = sign[:, None], lam[:, None]
+    phase = np.expm1(-1j * c * lam)
     y = sign * x
     even, odd = vecs[0::2], vecs[1::2]
     w_re, w_im = even.T @ y[0::2], odd.T @ y[1::2]
@@ -196,8 +195,9 @@ def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndar
     return out
 
 
-def squeeze_action(x: np.ndarray, t: float) -> np.ndarray:
-    """S(t, 0) x = exp((t/2)(X'^2 - X^2)) x along axis 0 of the real array ``x``.
+def squeeze_action(x: np.ndarray, t) -> np.ndarray:
+    """S(t, 0) x = exp((t/2)(X'^2 - X^2)) x along axis 0 of the real array ``x``;
+    ``t`` is a scalar or one value per column of a matrix ``x``.
 
     X'^2 - X^2 couples levels k and k + 2 with strength sqrt((k+1)(k+2)), so
     the even and the odd levels each form one tridiagonal block.
@@ -211,8 +211,9 @@ def squeeze_action(x: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def beam_splitter_action(amp: np.ndarray, s: float) -> np.ndarray:
-    """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det, ...) amplitude array.
+def beam_splitter_action(amp: np.ndarray, s) -> np.ndarray:
+    """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det) or
+    (n_field, n_det, k) amplitude array; ``s`` is a scalar or one value per column k.
 
     The generator keeps the total occupation N: on |k, N-k> (k field quanta)
     it couples k and k + 1 with strength sqrt((k+1)(N-k)), each block cut at

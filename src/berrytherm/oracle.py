@@ -51,7 +51,7 @@ LEVEL_CROSSING_OVERLAP = 0.99
 AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-10
 DENSE_EIGH_LIMIT = 1600      # dense eigh for dense matrices up to this dimension
-EIGSH_K = 6                  # eigenpairs requested from shift-invert Lanczos
+EIGSH_K = 3                  # shift-invert Lanczos pairs: the 3 levels nearest the target
 MAX_WINDOW = 2048            # field-window half-width cap: eigenvectors of 4097 levels, ~134 MB
 THERMAL_GRID_POINTS = 24     # evenly spaced occupations in the thermal-mixture grid
 _B = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)  # detector b on the 4 levels the evolver keeps
@@ -240,17 +240,18 @@ def _transported_loop(h0, target: StateVector, sector: np.ndarray, spec: LoopSpe
 
 
 def discrete_berry_loops(
-    dp: DiagParams,
+    dps: list[DiagParams],
     occupations,
     spec: LoopSpec,
     dims: FockDims,
     truncation_gate: float = TRUNCATION_GATE,
 ) -> list[BerryLoopResult | OracleError]:
-    """Gauge-invariant discrete loop phase of the eigenstate of each (n_f, n_d)
-    of ``occupations``: its BerryLoopResult, or the OracleError that refused it.
+    """Gauge-invariant discrete loop phase of the eigenstate of each pair of a
+    dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
+    its BerryLoopResult, or the OracleError that refused it.
 
-    One H(0) and one batch of closed-form selection targets serve every
-    occupation.  H commutes with the parity (-1)^(n_f + n_d), so each
+    One H(0) per distinct dp and one batch of closed-form selection targets
+    serve every pair.  H commutes with the parity (-1)^(n_f + n_d), so each
     eigenvector is solved in the parity sector of its label (see
     ``numeric_eigenpair``), embedded back, and transported around the loop
     with the exact rotation covariance.  The phase is Richardson-extrapolated
@@ -261,15 +262,18 @@ def discrete_berry_loops(
     ``truncation_gate`` amplitude in the top two levels of either mode, or
     when consecutive overlaps drop below 0.99 (level crossing).
     """
-    h0 = build_hamiltonian(forward_map(dp), 0.0, dims)
+    h0 = {dp: build_hamiltonian(forward_map(dp), 0.0, dims) for dp in set(dps)}
     parity = (number_diagonal(dims, "field") + number_diagonal(dims, "detector")) % 2
     results: list[BerryLoopResult | OracleError] = []
-    for (n_f, n_d), target in zip(occupations, eigenstates(dp, occupations, 0.0, dims)):
+    targets = eigenstates(dps, occupations, 0.0, dims)
+    for dp, (n_f, n_d), target in zip(dps, occupations, targets):
         sector = np.flatnonzero(parity == (n_f + n_d) % 2)
         try:
-            results.append(_transported_loop(h0, target, sector, spec, truncation_gate))
+            results.append(_transported_loop(h0[dp], target, sector, spec, truncation_gate))
         except OracleError as exc:
-            results.append(exc)
+            # a refusal is returned as a value: its traceback would hold this
+            # frame, and with it every H and target, in a reference cycle
+            results.append(exc.with_traceback(None))
     return results
 
 
@@ -283,7 +287,7 @@ def discrete_berry_loop(
 ) -> BerryLoopResult:
     """Loop phase of the (n_f, n_d) eigenstate: a batch of one through
     ``discrete_berry_loops`` that raises its OracleError."""
-    result = discrete_berry_loops(dp, [(n_f, n_d)], spec, dims, truncation_gate)[0]
+    result = discrete_berry_loops([dp], [(n_f, n_d)], spec, dims, truncation_gate)[0]
     if isinstance(result, OracleError):
         raise result
     return result

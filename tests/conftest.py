@@ -1,19 +1,44 @@
 import warnings
+from unittest import mock
 
 import pytest
 
-from berrytherm.cli import certification_report
+from berrytherm import cli, diagonalization
+from berrytherm.cli import CUTOFF_LADDER, certification_report
 from berrytherm.fockspace import TruncationWarning
 
 
 @pytest.fixture(scope="session")
 def certify_reports():
     """The positive certification report and its negative control, built once;
-    building them must emit no TruncationWarning."""
-    with warnings.catch_warnings(record=True) as caught:
+    building them must emit no TruncationWarning, and each report's loop grid
+    must make at most one block-chain pass (one ``beam_splitter_action`` call)
+    per rung of the cutoff ladder."""
+    beam_splitter_action = diagonalization.beam_splitter_action
+    loop_check_cells = cli._loop_check_cells
+    chain_calls = [0]
+    grid_passes = [0]
+
+    def counted_chain(*args, **kwargs):
+        chain_calls[0] += 1
+        return beam_splitter_action(*args, **kwargs)
+
+    def counted_grid(*args, **kwargs):
+        before = chain_calls[0]
+        cells = loop_check_cells(*args, **kwargs)
+        grid_passes[0] += chain_calls[0] - before
+        return cells
+
+    passes = []
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(diagonalization, "beam_splitter_action", counted_chain), \
+            mock.patch.object(cli, "_loop_check_cells", counted_grid):
         warnings.simplefilter("always")
         pos = certification_report()
+        passes.append(grid_passes[0])
         neg = certification_report(negative_control=True)
+        passes.append(grid_passes[0] - passes[0])
     truncated = [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
     assert truncated == []
+    assert 0 < max(passes) <= len(CUTOFF_LADDER), passes
     return pos, neg

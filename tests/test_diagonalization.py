@@ -285,7 +285,7 @@ def test_diagonalization_chain_reproduces_hamiltonian():
     pp = forward_map(dp)
     h = build_hamiltonian(pp, 0.6, dims)
     labels = [(a, b) for a in range(6) for b in range(6)]
-    for (a, b), psi in zip(labels, eigenstates(dp, labels, 0.6, dims)):
+    for (a, b), psi in zip(labels, eigenstates([dp] * len(labels), labels, 0.6, dims)):
         res = np.linalg.norm(h @ psi.amp - eigenvalue(dp, a, b) * psi.amp)
         assert res < 1e-8 * pp.Omega_a, (a, b)
         if a < 3 and b < 3:
@@ -412,11 +412,28 @@ CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
 ], ids=["30x30-grid", "78x78", "20x12"])
 def test_eigenstates_batch_equals_batch_of_one(dims, dps):
     for dp in dps:
-        batch = eigenstates(dp, cli.CERT_OCCUPATIONS, 0.7, dims)
+        batch = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.7, dims)
         assert len(batch) == len(cli.CERT_OCCUPATIONS)
         for occ, state in zip(cli.CERT_OCCUPATIONS, batch):
             one = eigenstate(dp, occ[0], occ[1], 0.7, dims)
             assert np.abs(state.amp - one.amp).max() <= 1e-15
+
+
+def test_eigenstates_mixed_dps_equal_per_dp_eigenstate():
+    # the whole certify grid in one batch, parameter sets interleaved, as the
+    # cutoff-major loop grid calls it
+    dims = FockDims(30, 30)
+    pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
+    batch = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], 0.7, dims)
+    assert len(batch) == len(pairs) == 32
+    for (dp, occ), state in zip(pairs, batch):
+        one = eigenstate(dp, occ[0], occ[1], 0.7, dims)
+        assert np.abs(state.amp - one.amp).max() <= 1e-15
+
+
+def test_eigenstates_refuses_unpaired_lists():
+    with pytest.raises(ValueError, match="parameter sets"):
+        eigenstates([CANONICAL], [(0, 0), (1, 0)], 0.0, FockDims(12, 12))
 
 
 # eigenstate_residuals_over_Omega_a of `diagonalize` on the resonant

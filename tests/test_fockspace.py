@@ -228,3 +228,25 @@ def test_block_actions_match_dense_expm():
     expect = scipy.linalg.expm(0.37 * (a.T @ b - a @ b.T))
     action = beam_splitter_action(amp, 0.37).reshape(-1)
     assert np.abs(action - expect @ flat).max() <= 1e-13
+
+
+def test_per_column_parameters_match_scalar_calls():
+    # one parameter per column runs one eigendecomposition per block for all
+    # columns; each unit column must equal a scalar call with its own parameter
+    c = np.array([-0.9, 0.0, 1e-9, 0.3, 1.4])
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 7, 40):
+        beta, _ = _squeeze_block(n)
+        x = rng.normal(size=(n, len(c)))
+        x /= np.linalg.norm(x, axis=0)
+        out = tridiagonal_exp_action(beta, c, x)
+        for j, cj in enumerate(c):
+            assert np.abs(out[:, j] - tridiagonal_exp_action(beta, cj, x[:, j])).max() <= 1e-15
+    x = _orthonormal_columns(31, len(c), 11)
+    out = squeeze_action(x, c)
+    for j, cj in enumerate(c):
+        assert np.abs(out[:, j] - squeeze_action(x[:, j], cj)).max() <= 1e-15
+    amp = _orthonormal_columns(54, len(c), 12).reshape(9, 6, len(c))
+    out = beam_splitter_action(amp, c)
+    for j, cj in enumerate(c):
+        assert np.abs(out[:, :, j] - beam_splitter_action(amp[:, :, j], cj)).max() <= 1e-15

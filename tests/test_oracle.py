@@ -236,7 +236,7 @@ def test_sector_eigenpair_matches_full_space_on_certify_grid():
                 continue
             dp = DiagParams(ratio, 1.0, v)
             h = build_hamiltonian(forward_map(dp), 0.0, dims)
-            targets = eigenstates(dp, cli.CERT_OCCUPATIONS, 0.0, dims)
+            targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.0, dims)
             for (n_f, n_d), target in zip(cli.CERT_OCCUPATIONS, targets):
                 _assert_sector_matches_full(h, target, (n_f + n_d) % 2)
 
@@ -258,11 +258,45 @@ def test_cross_parity_entry_refuses_sector_solve(monkeypatch):
     eps = 1e-6 * abs(h).max()
     planted = (h + sp.csr_matrix(([eps, eps], ([i, j], [j, i])), shape=h.shape)).tocsr()
     monkeypatch.setattr(oracle, "build_hamiltonian", lambda pp, varphi, dims: planted)
-    results = oracle.discrete_berry_loops(dp, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
+    results = oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
     assert len(results) == len(cli.CERT_OCCUPATIONS)
     for result in results:
         assert isinstance(result, OracleError)
         assert "couples the sector to its complement" in str(result)
+        assert result.__traceback__ is None  # no frame, H or target kept alive
+
+
+def test_mixed_dp_loops_match_per_dp_calls(monkeypatch):
+    # the cutoff-30 rung of the certify grid in one call, parameter sets
+    # interleaved: one H per distinct dp, and 12 of the 32 pairs refuse on the
+    # truncation gate there
+    dims = FockDims(30, 30)
+    dps = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
+           for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+    pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in dps]
+    built = []
+
+    def counted(pp, varphi, dims):
+        built.append(pp)
+        return build_hamiltonian(pp, varphi, dims)
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", counted)
+    mixed = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
+                                        LoopSpec(256), dims)
+    assert len(built) == len(dps) == 8
+    single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
+              for dp in dps}
+    refused = 0
+    for (dp, occ), got in zip(pairs, mixed):
+        want = single[dp][cli.CERT_OCCUPATIONS.index(occ)]
+        if isinstance(want, OracleError):
+            refused += 1
+            assert isinstance(got, OracleError) and str(got) == str(want)
+            continue
+        assert not isinstance(got, OracleError)
+        assert abs(got.phase.raw - want.phase.raw) <= 1e-12
+        assert abs(got.truncation_tail - want.truncation_tail) <= 1e-15
+    assert refused == 12
 
 
 def test_sector_solve_refuses_target_outside_sector():
