@@ -5,6 +5,10 @@ certify.  Values can come from flags or a plain ``key = value`` config file
 (flags win).  CSV output uses 17 significant digits, a header row, and LF
 line endings so identical configs produce byte-identical files.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 certification failure.
+
+``certify`` takes one flag, ``--negative-control``.  Its loop-grid verdict
+is calibrated at 2048 loop points, the cutoff ladder 30 -> 78 and the 1e-8
+truncation gate, and none of the three is settable.
 """
 
 from __future__ import annotations
@@ -175,9 +179,8 @@ def _resonant_params(gap: float, coupling: float) -> PhysicalParams:
     return PhysicalParams(Omega_a=gap, Omega_b=gap, lam=coupling)
 
 
-def _solve_G(gap: float, coupling: float) -> tuple[float, DiagParams]:
-    dp = invert_physical(_resonant_params(gap, coupling)).params
-    return mode_fraction_G(dp).G, dp
+def _solve_G(gap: float, coupling: float) -> float:
+    return mode_fraction_G(invert_physical(_resonant_params(gap, coupling)).params).G
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +208,8 @@ def cmd_diagonalize(config: dict) -> dict:
         pp = PhysicalParams(_require(config, "omega_a"),
                             _require(config, "omega_b"),
                             _require(config, "coupling"))
-        if pp.lam == 0.0:
-            sol = invert_physical(pp)
+        sol = invert_physical(pp)
+        if sol.degenerate:
             return {
                 "mode": "inverse",
                 "degenerate_boundary": True,
@@ -214,7 +217,6 @@ def cmd_diagonalize(config: dict) -> dict:
                                 "omega_b": sol.params.omega_b, "v": 0.0},
                 "note": "zero coupling: decoupled boundary solution (v = 0)",
             }
-        sol = invert_physical(pp)
         dp = sol.params
         report["mode"] = "inverse"
         report["newton_iterations"] = sol.iterations
@@ -272,7 +274,7 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     t_max = config.get("t_cold_max", t_hot)
     if points < 2 or t_min <= 0 or t_max <= t_min:
         raise ConfigError("need points >= 2 and 0 < t_cold_min < t_cold_max")
-    g, _dp = _solve_G(gap, coupling)
+    g = _solve_G(gap, coupling)
     t_cold = np.logspace(math.log10(t_min), math.log10(t_max), points)
 
     def delta_at(tc: float) -> float:
@@ -307,7 +309,7 @@ def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
     points = int(config.get("points", 101))
     if not 0.0 < relerr_max < 1.0 or points < 3:
         raise ConfigError("need 0 < relerr_max < 1 and points >= 3")
-    g, _dp = _solve_G(gap, coupling)
+    g = _solve_G(gap, coupling)
     ref = thermometer_delta_from_G(g, gap, t_cold, t_hot)
     if ref == 0.0:
         raise ConfigError("reference phase difference vanishes; pick t_cold != t_hot")
@@ -334,7 +336,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
     points = int(config.get("points", 60))
     if points < 2 or a_min <= 0 or a_max <= a_min:
         raise ConfigError("need points >= 2 and 0 < accel_min < accel_max")
-    g, _dp = _solve_G(gap, coupling)
+    g = _solve_G(gap, coupling)
     cycle_time = TWO_PI / gap
     accels = np.logspace(math.log10(a_min), math.log10(a_max), points)
 
@@ -389,7 +391,7 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
 # Certification
 # --------------------------------------------------------------------------
 
-CERT_KEYS = {"negative_control": bool, "loop_points": int, "cutoff": int}
+CERT_KEYS = {"negative_control": bool}
 
 CERT_GRID_V = (0.1, 0.3, 0.6)
 CERT_GRID_RATIO = (math.e, math.e ** 2, math.e ** 3)
@@ -398,7 +400,7 @@ CERT_LOOP_TOL = 1e-8
 CUTOFF_LADDER = (30, 44, 60, 78)
 
 
-def _loop_check_cells(dps: list[DiagParams], spec: LoopSpec, base_cutoff: int,
+def _loop_check_cells(dps: list[DiagParams],
                       negative_control: bool) -> dict[DiagParams, list[dict]]:
     """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at
     each dp of ``dps``: the list of cells of each dp.
@@ -412,11 +414,11 @@ def _loop_check_cells(dps: list[DiagParams], spec: LoopSpec, base_cutoff: int,
     last_exc: dict[tuple[DiagParams, tuple[int, int]], OracleError] = {}
     pending = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
     for cutoff in CUTOFF_LADDER:
-        if cutoff < base_cutoff or not pending:
-            continue
+        if not pending:
+            break
         results = oracle.discrete_berry_loops([dp for dp, _ in pending],
                                               [occ for _, occ in pending],
-                                              spec, FockDims(cutoff, cutoff))
+                                              LoopSpec(), FockDims(cutoff, cutoff))
         for (dp, occ), result in zip(pending, results):
             if isinstance(result, OracleError):
                 last_exc[dp, occ] = result
@@ -438,14 +440,12 @@ def _loop_check_cells(dps: list[DiagParams], spec: LoopSpec, base_cutoff: int,
             "cutoff": None,
             "difference_rad": math.nan,
             "passed": False,
-            "refused": str(last_exc.get((dp, occ))),
+            "refused": str(last_exc[dp, occ]),
         }
     return {dp: [cells[dp, occ] for occ in CERT_OCCUPATIONS] for dp in dps}
 
 
-def certification_report(negative_control: bool = False,
-                         loop_points: int = 2048,
-                         base_cutoff: int = 30) -> dict:
+def certification_report(negative_control: bool = False) -> dict:
     """Run every cross-check and return a machine-readable report."""
     checks: list[dict] = []
 
@@ -512,7 +512,6 @@ def certification_report(negative_control: bool = False,
     add("connection_v_component", av < 1e-8, av, 1e-8)
 
     # loop oracle vs closed form over the full grid
-    spec = LoopSpec(n_points=loop_points)
     grid: dict[tuple[float, float], DiagParams | str] = {}
     for v in CERT_GRID_V:
         for ratio in CERT_GRID_RATIO:
@@ -523,7 +522,7 @@ def certification_report(negative_control: bool = False,
             except ConstraintError as exc:
                 grid[v, ratio] = str(exc)
     measured = _loop_check_cells([dp for dp in grid.values() if isinstance(dp, DiagParams)],
-                                 spec, base_cutoff, negative_control)
+                                 negative_control)
     cells = []
     loop_pass = True
     worst_diff = 0.0
@@ -608,12 +607,7 @@ def certification_report(negative_control: bool = False,
 
 
 def cmd_certify(config: dict) -> tuple[dict, int]:
-    negative = bool(config.get("negative_control", False))
-    report = certification_report(
-        negative_control=negative,
-        loop_points=int(config.get("loop_points", 2048)),
-        base_cutoff=int(config.get("cutoff", 30)),
-    )
+    report = certification_report(negative_control=bool(config.get("negative_control", False)))
     code = EXIT_OK if report["passed"] else EXIT_CERTIFICATION
     return report, code
 
@@ -689,8 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negative-control", dest="negative_control", action="store_true",
                    default=None,
                    help="inject a deliberately wrong closed form; certification must fail")
-    p.add_argument("--loop-points", dest="loop_points", type=int)
-    p.add_argument("--cutoff", type=int)
 
     return parser
 

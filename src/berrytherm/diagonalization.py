@@ -275,6 +275,8 @@ def forward_map(dp: DiagParams) -> PhysicalParams:
 # observed (machine-level round trips, <= 8 iterations) well beyond it; the
 # cap rejects inputs outside the tested basin.
 SIGMA_HARD_CAP = 0.35
+NEWTON_TOL = 1e-12       # max-norm of the scale-free residual that ends the iteration
+NEWTON_MAX_ITER = 200
 
 
 def _ratios(u: float, v: float) -> tuple[float, float, float]:
@@ -378,12 +380,7 @@ class InverseSolution:
     degenerate: bool = False
 
 
-def invert_physical(
-    pp: PhysicalParams,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    seed_shift: float = 0.0,
-) -> InverseSolution:
+def invert_physical(pp: PhysicalParams, seed_shift: float = 0.0) -> InverseSolution:
     """Solve forward_map(dp) = pp by damped Newton.
 
     Works in the scale-free coordinates (0.5*ln(uv), u - v), which keep the
@@ -433,8 +430,8 @@ def invert_physical(
     x = np.array([x1, x2])
     fvec = residual_vec(*x)
     it = 0
-    for it in range(1, max_iter + 1):
-        if np.abs(fvec).max() < tol:
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if np.abs(fvec).max() < NEWTON_TOL:
             break
         h1 = 1e-7
         u_cur, v_cur = _uv_from_coords(*x)
@@ -455,7 +452,8 @@ def invert_physical(
             except (ValueError, OverflowError):
                 lam_damp *= 0.5
                 continue
-            if np.linalg.norm(f_new) <= np.linalg.norm(fvec) or np.abs(f_new).max() < tol:
+            if (np.linalg.norm(f_new) <= np.linalg.norm(fvec)
+                    or np.abs(f_new).max() < NEWTON_TOL):
                 break
             lam_damp *= 0.5
         else:
@@ -463,7 +461,7 @@ def invert_physical(
         x, fvec = x_new, f_new
 
     res = float(np.abs(fvec).max())
-    if res >= max(tol, 1e-11):
+    if res >= 1e-11:
         raise InverseMapError(
             f"Newton did not converge after {it} iterations (residual {res:.3e})",
             residual=res,

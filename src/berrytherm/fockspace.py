@@ -74,15 +74,11 @@ class FockDims:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex state vector on the truncated two-mode space.
-
-    Normalized on construction unless ``normalize=False``; a normalized
-    vector has unit 2-norm to better than 1e-12.
-    """
+    """Complex state vector on the truncated two-mode space, normalized on
+    construction to unit 2-norm to better than 1e-12."""
 
     dims: FockDims
     amp: np.ndarray = field(repr=False)
-    normalize: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.amp, dtype=complex).reshape(-1)
@@ -90,12 +86,10 @@ class StateVector:
             raise ValueError(f"amplitude length {v.shape} does not match dims {self.dims}")
         if not np.all(np.isfinite(v)):
             raise ValueError("state vector has non-finite entries")
-        if self.normalize:
-            n = np.linalg.norm(v)
-            if n == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            v = v / n
-        object.__setattr__(self, "amp", v)
+        n = np.linalg.norm(v)
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        object.__setattr__(self, "amp", v / n)
 
     @property
     def norm(self) -> float:
@@ -139,7 +133,7 @@ def basis_state(dims: FockDims, n_f: int, n_d: int) -> StateVector:
     """|n_f, n_d> as a StateVector."""
     v = np.zeros(dims.total, dtype=complex)
     v[dims.index(n_f, n_d)] = 1.0
-    return StateVector(dims, v, normalize=False)
+    return StateVector(dims, v)
 
 
 def _warn_squeeze_truncation(n: int, t: float) -> None:

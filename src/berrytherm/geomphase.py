@@ -57,11 +57,10 @@ def phase_distance(x: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseResult:
-    """A geometric phase: branch-reduced value, raw (unreduced) value, provenance."""
+    """A geometric phase: branch-reduced value and raw (unreduced) value."""
 
     value: float
     raw: float
-    method: str = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class ThermalSqueeze:
     """Squeeze parameter r >= 0 weighting the geometric-series phase sums."""
 
     r: float
-    origin: str = "unspecified"
 
     def __post_init__(self):
         if not 0.0 <= self.r < math.inf:
@@ -199,7 +197,7 @@ def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
     if Omega_a <= 0.0:
         raise ValueError(f"field frequency must be positive, got {Omega_a}")
     x = math.exp(-math.pi * Omega_a * CONSTANTS.c / accel)
-    return ThermalSqueeze(r=math.atanh(x), origin=f"unruh(Omega_a={Omega_a:g}, a={accel:g})")
+    return ThermalSqueeze(r=math.atanh(x))
 
 
 def delta_per_cycle_from_G(G: float, q: float) -> float:

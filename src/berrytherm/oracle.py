@@ -179,7 +179,7 @@ def numeric_eigenpair(mat, target: StateVector, sector: np.ndarray | None = None
         vec = full
     return EigenPair(
         value=float(evals[best]),
-        vector=StateVector(target.dims, vec, normalize=True),
+        vector=StateVector(target.dims, vec),
         overlap=float(overlaps[best]),
     )
 
@@ -216,14 +216,14 @@ def _loop_raw_phase(weights: np.ndarray, n_f_diag: np.ndarray, n_points: int) ->
     return n_points * float(np.angle(z)), float(abs(z))
 
 
-def _transported_loop(h0, target: StateVector, sector: np.ndarray, spec: LoopSpec,
-                      truncation_gate: float) -> BerryLoopResult:
+def _transported_loop(h0, target: StateVector, sector: np.ndarray,
+                      spec: LoopSpec) -> BerryLoopResult:
     """Loop phase of the eigenvector of ``h0`` that ``target`` selects in ``sector``."""
     chi = numeric_eigenpair(h0, target, sector).vector
     tail = truncation_tail(chi)
-    if tail > truncation_gate:
+    if tail > TRUNCATION_GATE:
         raise OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
-                          f"{truncation_gate:.1e}; raise the cutoff")
+                          f"{TRUNCATION_GATE:.1e}; raise the cutoff")
     w = np.abs(chi.amp) ** 2
     n_f_diag = number_diagonal(chi.dims, "field")
     raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
@@ -233,7 +233,7 @@ def _transported_loop(h0, target: StateVector, sector: np.ndarray, spec: LoopSpe
     raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
     raw = (4.0 * raw2 - raw1) / 3.0
     return BerryLoopResult(
-        PhaseResult(value=wrap_angle(raw), raw=raw, method="oracle"),
+        PhaseResult(value=wrap_angle(raw), raw=raw),
         error_estimate=abs(raw2 - raw1), truncation_tail=tail,
         min_overlap=min(ov1, ov2), n_points=spec.n_points,
     )
@@ -244,7 +244,6 @@ def discrete_berry_loops(
     occupations,
     spec: LoopSpec,
     dims: FockDims,
-    truncation_gate: float = TRUNCATION_GATE,
 ) -> list[BerryLoopResult | OracleError]:
     """Gauge-invariant discrete loop phase of the eigenstate of each pair of a
     dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
@@ -259,7 +258,7 @@ def discrete_berry_loops(
     |gamma(2N) - gamma(N)|.
 
     Refuses an occupation when its eigenvector carries more than
-    ``truncation_gate`` amplitude in the top two levels of either mode, or
+    TRUNCATION_GATE amplitude in the top two levels of either mode, or
     when consecutive overlaps drop below 0.99 (level crossing).
     """
     h0 = {dp: build_hamiltonian(forward_map(dp), 0.0, dims) for dp in set(dps)}
@@ -269,7 +268,7 @@ def discrete_berry_loops(
     for dp, (n_f, n_d), target in zip(dps, occupations, targets):
         sector = np.flatnonzero(parity == (n_f + n_d) % 2)
         try:
-            results.append(_transported_loop(h0[dp], target, sector, spec, truncation_gate))
+            results.append(_transported_loop(h0[dp], target, sector, spec))
         except OracleError as exc:
             # a refusal is returned as a value: its traceback would hold this
             # frame, and with it every H and target, in a reference cycle
@@ -283,11 +282,10 @@ def discrete_berry_loop(
     n_d: int,
     spec: LoopSpec,
     dims: FockDims,
-    truncation_gate: float = TRUNCATION_GATE,
 ) -> BerryLoopResult:
     """Loop phase of the (n_f, n_d) eigenstate: a batch of one through
     ``discrete_berry_loops`` that raises its OracleError."""
-    result = discrete_berry_loops([dp], [(n_f, n_d)], spec, dims, truncation_gate)[0]
+    result = discrete_berry_loops([dp], [(n_f, n_d)], spec, dims)[0]
     if isinstance(result, OracleError):
         raise result
     return result
@@ -309,7 +307,7 @@ def partial_sum_from_G(G: float, gamma0: float, r: float, n_max: int) -> PhaseRe
     n = np.arange(n_max + 1)
     z = np.sum(w * np.exp(1j * (gamma0 + 2.0 * math.pi * G * n)))
     val = float(np.angle(z))
-    return PhaseResult(value=val, raw=val, method="oracle")
+    return PhaseResult(value=val, raw=val)
 
 
 def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:

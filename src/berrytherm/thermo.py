@@ -64,7 +64,7 @@ def squeeze_from_temperature(omega: float, temperature: float) -> "ThermalSqueez
 
     y = 0.5 * boltzmann_exponent(omega, temperature)
     r = 0.5 * (math.log1p(math.exp(-y)) - math.log(-math.expm1(-y)))
-    return ThermalSqueeze(r=float(r), origin=f"thermal(omega={omega:g}, T={temperature:g})")
+    return ThermalSqueeze(r=float(r))
 
 
 def temperature_from_squeeze(omega: float, r) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -16,7 +17,9 @@ from berrytherm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    KEYMAP,
     PRESETS,
+    build_parser,
     main,
     read_config_file,
 )
@@ -249,6 +252,30 @@ def test_certify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert json.loads(out.read_text())["passed"] is False
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("loop_points", "256"), ("cutoff", "100")])
+def test_certify_calibration_is_not_settable(tmp_path, capsys, key, value):
+    # the loop-grid verdict holds only at its calibrated loop points, cutoff
+    # ladder and truncation gate: neither a flag nor a config key may move them
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--" + key.replace("_", "-"), value])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_flags_and_config_keys_agree():
+    # every subcommand accepts the same keys as flags and in a config file
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(KEYMAP)
+    for name, p in sub.choices.items():
+        dests = {a.dest for a in p._actions} - {"help", "config", "out", "format"}
+        assert dests == set(KEYMAP[name]), name
 
 
 # cells that certify above the first rung of the cutoff ladder, keyed by

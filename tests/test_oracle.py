@@ -197,7 +197,7 @@ def _every_point_loop(dp, n_f, n_d, spec, dims):
     return (4.0 * raw2 - base) / 3.0, min(ov1, ov2)
 
 
-def test_loop_every_point_matches_propagated():
+def test_loop_every_point_matches_propagated(monkeypatch):
     # full re-diagonalization at every grid point agrees with the
     # rotation-propagated loop at small cutoff
     dp = DiagParams(math.exp(2 * 0.45), 1.0, 0.15)
@@ -206,7 +206,8 @@ def test_loop_every_point_matches_propagated():
     raw, min_overlap = _every_point_loop(dp, 1, 0, spec, dims)
     # method-equivalence check: loosen the absolute truncation gate, both
     # routes share the same truncated eigenvector
-    b = discrete_berry_loop(dp, 1, 0, spec, dims, truncation_gate=1e-3)
+    monkeypatch.setattr(oracle, "TRUNCATION_GATE", 1e-3)
+    b = discrete_berry_loop(dp, 1, 0, spec, dims)
     assert phase_distance(raw, b.phase.raw) < 1e-9
     assert min_overlap > 0.99
 
