@@ -28,7 +28,6 @@ from .geomphase import (
     CycleAccumulation,
     GFraction,
     PhaseResult,
-    ThermalSqueeze,
     accumulate_cycles,
     eigen_berry_phase,
     ground_T00,
@@ -49,6 +48,7 @@ from .thermo import (
     CONSTANTS,
     PhysicalConstants,
     ThermalStateSpec,
+    ThermalSqueeze,
     squeeze_from_temperature,
     temperature_from_squeeze,
     unruh_temperature,

@@ -26,16 +26,15 @@ from .diagonalization import (
     DiagParams,
     InverseMapError,
     PhysicalParams,
-    build_hamiltonian,
     derive_params,
     eigenstates,
     forward_map,
+    hamiltonian_action,
     invert_physical,
     unitary_action,
 )
 from .fockspace import FockDims, _warn_squeeze_truncation
 from .geomphase import (
-    ThermalSqueeze,
     accumulate_cycles,
     eigen_berry_phase,
     mode_fraction_G,
@@ -236,12 +235,12 @@ def cmd_diagonalize(config: dict) -> dict:
         abs(back.Omega_b / pp.Omega_b - 1.0),
         abs(back.lam / pp.lam - 1.0) if pp.lam else 0.0,
     )
-    h = build_hamiltonian(pp, 0.0, dims)
     residuals = {}
     occupations = ((0, 0), (1, 0), (0, 1))
     for occ, psi in zip(occupations, eigenstates([dp] * 3, occupations, 0.0, dims)):
-        e_val = float(np.real(np.vdot(psi.amp, h @ psi.amp)))
-        res = float(np.linalg.norm(h @ psi.amp - e_val * psi.amp)) / pp.Omega_a
+        h_psi = hamiltonian_action(pp, psi.amp.reshape(cutoff, cutoff)).reshape(-1)
+        e_val = float(np.real(np.vdot(psi.amp, h_psi)))
+        res = float(np.linalg.norm(h_psi - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
     report["eigenstate_residuals_over_Omega_a"] = residuals
     # c = U|00>, each truncated factor applied by its exact blocks

@@ -12,14 +12,15 @@ are independent; everything else is fixed by the constraints that kill the
 field-squeezing and detector-squeezing terms and equalize the two coupling
 coefficients.  This module derives the constrained parameters, maps between
 (omega_a, omega_b, v) and the laboratory triple (Omega_a, Omega_b, lam) in
-both directions, builds H on a truncated space as a sparse matrix, and
-applies the chain to amplitudes: U forward (``unitary_action``) and U' for
-the eigenstates (``eigenstates``).  No matrix of U is formed: each factor
-splits exactly into small real tridiagonal blocks (squeezes by parity, the
-beam splitter by total occupation) that act on the amplitude directly.  The
-parameter algebra needs only ``math`` and numpy (the inverse-map seed uses a
-port of scipy's Brent solver), so scipy is loaded only by the operator
-actions, through ``fockspace``, and the closed-form commands never import it.
+both directions, builds H on a truncated space as a sparse matrix for the
+oracles' eigensolvers and applies it at varphi = 0 as a vector action
+(``hamiltonian_action``), and applies the chain to amplitudes: U forward
+(``unitary_action``) and U' for the eigenstates (``eigenstates``).  No matrix
+of U is formed: each factor splits exactly into small real tridiagonal blocks
+(squeezes by parity, the beam splitter by total occupation) that act on the
+amplitude directly.  Everything here needs only ``math`` and numpy (the
+inverse-map seed uses a port of scipy's Brent solver) except
+``build_hamiltonian``, whose sparse matrix loads scipy through ``fockspace``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "forward_map",
     "invert_physical",
     "build_hamiltonian",
+    "hamiltonian_action",
     "unitary_action",
     "eigenstate",
     "eigenstates",
@@ -486,9 +488,9 @@ def invert_physical(pp: PhysicalParams, seed_shift: float = 0.0) -> InverseSolut
 # Operators on the truncated space
 # --------------------------------------------------------------------------
 
-def build_hamiltonian(pp: PhysicalParams, varphi: float,
-                      dims: FockDims) -> scipy.sparse.csr_matrix:
-    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi}) as CSR."""
+def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims):
+    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi})
+    as a complex scipy.sparse CSR matrix, the form shift-invert eigensolvers take."""
     a = ladder(dims, "field", "lower")
     b = ladder(dims, "detector", "lower")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
@@ -498,6 +500,25 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float,
         + pp.lam * (b + bd) @ (ad * np.exp(1j * varphi) + a * np.exp(-1j * varphi))
     )
     return h.tocsr()
+
+
+def _position(n: int) -> np.ndarray:
+    """a + a' on n levels."""
+    off = np.sqrt(np.arange(1.0, n))
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def hamiltonian_action(pp: PhysicalParams, amp: np.ndarray) -> np.ndarray:
+    """H amp at varphi = 0 for the (n_field, n_det) or (n_field, n_det, k)
+    amplitude array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T,
+    X = a + a' on each mode, with no operator matrix of the product space."""
+    n_field, n_det = amp.shape[:2]
+    tail = (1,) * (amp.ndim - 2)
+    n_f = np.arange(n_field).reshape((-1, 1) + tail)
+    n_d = np.arange(n_det).reshape((1, -1) + tail)
+    coupled = np.einsum("ij,kl,jl...->ik...", _position(n_field), _position(n_det), amp,
+                        optimize=True)
+    return (pp.Omega_a * n_f + pp.Omega_b * n_d) * amp + pp.lam * coupled
 
 
 def _detector_squeeze(amp: np.ndarray, t) -> np.ndarray:

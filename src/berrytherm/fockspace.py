@@ -4,10 +4,10 @@ Sparse (CSR) ladder operators, basis states, and the exact actions of the
 squeeze and two-mode displacement (beam splitter) factors of the
 detector-field diagonalization.  Both actions split exactly into real
 tridiagonal blocks, the one matrix exponential here, and act on amplitude
-arrays directly: no matrix of either factor is ever formed.
-scipy is imported inside the two functions that call it (``ladder`` and
-``tridiagonal_exp_action``): the closed-form commands use neither, so they
-never pay for importing scipy.
+arrays directly: no matrix of either factor is ever formed.  The blocks are
+exponentiated through numpy's SVD, so only ``ladder`` imports scipy (inside
+the function), and the commands that use only the block actions never pay
+for importing it.
 Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 """
 
@@ -91,13 +91,9 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         object.__setattr__(self, "amp", v / n)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
 
-
-def ladder(dims: FockDims, mode: str, kind: str) -> scipy.sparse.csr_matrix:
-    """Tensor-embedded ladder operator as a complex CSR matrix.
+def ladder(dims: FockDims, mode: str, kind: str):
+    """Tensor-embedded ladder operator as a complex scipy.sparse CSR matrix.
 
     ``mode`` is ``"field"`` (a) or ``"detector"`` (b); ``kind`` is
     ``"lower"`` or ``"raise"``.  <n-1| lower |n> = sqrt(n) in the designated
@@ -153,39 +149,38 @@ def _warn_squeeze_truncation(n: int, t: float) -> None:
         )
 
 
-_CONJ_I_POWERS = np.array([1.0, -1.0, -1.0, 1.0])  # i^-j, real at even j, imaginary at odd j
-
-
 def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
     """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
 
-    With D = diag(i^j), J = -i D T D^-1 for the symmetric tridiagonal T of
-    off-diagonal beta, so with T = V diag(lam) V^T
+    J couples even rows only to odd ones: J = [[0, B], [-B^T, 0]] on the
+    (even, odd) row split, the Golub-Kahan form of the bidiagonal B.  With
+    B = U diag(sigma) V^T,
 
-        exp(c J) x = x + D V expm1(-i c lam) V^T D^-1 x.
+        even rows: x_e + U [(cos c sigma - 1) U^T x_e + sin c sigma V^T x_o]
+        odd rows:  x_o + V [(cos c sigma - 1) V^T x_o - sin c sigma U^T x_e]
 
-    The expm1 form keeps x exact and the change relatively accurate when
-    c lam is small.  For real x, D^-1 x is real on the even rows and imaginary
-    on the odd ones, so the product runs in real arithmetic on the two row
-    halves of V.  ``x`` is a real vector or a matrix acted on along axis 0;
-    ``c`` is a scalar or, for a matrix, one value per column, so one
-    eigendecomposition of T serves columns with different parameters.
+    all in real arithmetic, and cos - 1 = -2 sin^2(c sigma / 2) keeps x exact
+    and the change relatively accurate when c sigma is small.  The SVD is of
+    B^T as a square upper-bidiagonal matrix (a zero row pads it for odd n),
+    which LAPACK's Householder bidiagonalization leaves unchanged, so no
+    rounding enters before the bidiagonal SVD itself.  ``x`` is a real vector
+    or a matrix acted on along axis 0; ``c`` is a scalar or, for a matrix, one
+    value per column, so one SVD serves columns with different parameters.
     """
     if len(beta) == 0 or not x.any():
         return x.copy()
-    from scipy.linalg import eigh_tridiagonal
-
-    lam, vecs = eigh_tridiagonal(np.zeros(len(beta) + 1), beta)
-    sign = _CONJ_I_POWERS[np.arange(len(lam)) % 4]
-    if x.ndim == 2:
-        sign, lam = sign[:, None], lam[:, None]
-    phase = np.expm1(-1j * c * lam)
-    y = sign * x
-    even, odd = vecs[0::2], vecs[1::2]
-    w_re, w_im = even.T @ y[0::2], odd.T @ y[1::2]
+    n_even, n_odd = (len(beta) + 2) // 2, (len(beta) + 1) // 2
+    bt = np.zeros((n_even, n_even))
+    bt[np.arange(n_odd), np.arange(n_odd)] = -beta[0::2]
+    bt[np.arange(n_even - 1), np.arange(1, n_even)] = beta[1::2]
+    v, sigma, ut = np.linalg.svd(bt)
+    v = v[:n_odd]
+    angle = (sigma[:, None] if x.ndim == 2 else sigma) * c
+    cos_m1, sin = -2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)
+    w_e, w_o = ut @ x[0::2], v.T @ x[1::2]
     out = x.copy()
-    out[0::2] += sign[0::2] * (even @ (phase.real * w_re - phase.imag * w_im))
-    out[1::2] += sign[1::2] * (odd @ (phase.real * w_im + phase.imag * w_re))
+    out[0::2] += ut.T @ (cos_m1 * w_e + sin * w_o)
+    out[1::2] += v @ (cos_m1 * w_o - sin * w_e)
     return out
 
 

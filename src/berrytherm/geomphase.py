@@ -17,11 +17,10 @@ import numpy as np
 
 from . import thermo
 from .diagonalization import DiagParams, derive_params
-from .thermo import CONSTANTS, boltzmann_exponent
+from .thermo import CONSTANTS, ThermalSqueeze, boltzmann_exponent
 
 __all__ = [
     "PhaseResult",
-    "ThermalSqueeze",
     "GFraction",
     "CycleAccumulation",
     "wrap_angle",
@@ -61,19 +60,6 @@ class PhaseResult:
 
     value: float
     raw: float
-
-
-@dataclass(frozen=True)
-class ThermalSqueeze:
-    """Squeeze parameter r >= 0 weighting the geometric-series phase sums."""
-
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"squeeze parameter must be finite and >= 0, got {self.r}")
-        if math.tanh(self.r) >= 1.0:
-            raise ValueError(f"tanh r must stay below 1, got r = {self.r}")
 
 
 @dataclass(frozen=True)

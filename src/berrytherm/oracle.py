@@ -110,8 +110,6 @@ class BerryLoopResult:
     phase: PhaseResult
     error_estimate: float
     truncation_tail: float
-    min_overlap: float
-    n_points: int
 
 
 def numeric_eigenpair(mat, target: StateVector, sector: np.ndarray | None = None) -> EigenPair:
@@ -229,13 +227,12 @@ def _transported_loop(h0, target: StateVector, sector: np.ndarray,
     raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
     if ov1 < LEVEL_CROSSING_OVERLAP:
         raise OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
-    raw2, ov2 = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
+    raw2, _ = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
     raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
     raw = (4.0 * raw2 - raw1) / 3.0
     return BerryLoopResult(
         PhaseResult(value=wrap_angle(raw), raw=raw),
         error_estimate=abs(raw2 - raw1), truncation_tail=tail,
-        min_overlap=min(ov1, ov2), n_points=spec.n_points,
     )
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
     "ThermalStateSpec",
+    "ThermalSqueeze",
     "unruh_temperature",
     "squeeze_from_temperature",
     "temperature_from_squeeze",
@@ -38,6 +39,19 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
+@dataclass(frozen=True)
+class ThermalSqueeze:
+    """Squeeze parameter r >= 0 weighting the geometric-series phase sums."""
+
+    r: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"squeeze parameter must be finite and >= 0, got {self.r}")
+        if math.tanh(self.r) >= 1.0:
+            raise ValueError(f"tanh r must stay below 1, got r = {self.r}")
+
+
 def unruh_temperature(accel: float) -> float:
     """Unruh temperature T_U = hbar a / (2 pi c k_B) in kelvin; linear in a."""
     if accel <= 0.0:
@@ -54,14 +68,12 @@ def boltzmann_exponent(omega: float, temperature: float) -> float:
     return CONSTANTS.hbar * omega / (CONSTANTS.k_B * temperature)
 
 
-def squeeze_from_temperature(omega: float, temperature: float) -> "ThermalSqueeze":
+def squeeze_from_temperature(omega: float, temperature: float) -> ThermalSqueeze:
     """r_T with tanh r_T = exp(-hbar omega / 2 k_B T).
 
     arctanh(e^{-y}) is evaluated as (log1p(e^{-y}) - log(-expm1(-y)))/2, which
     keeps full precision in the high-temperature regime where e^{-y} -> 1.
     """
-    from .geomphase import ThermalSqueeze  # local import to avoid a cycle
-
     y = 0.5 * boltzmann_exponent(omega, temperature)
     r = 0.5 * (math.log1p(math.exp(-y)) - math.log(-math.expm1(-y)))
     return ThermalSqueeze(r=float(r))

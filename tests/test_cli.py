@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +301,7 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
 
 
 # --------------------------------------------------------------------------
-# scipy stays out of the closed-form commands
+# scipy stays out of the closed-form commands and diagonalize
 # --------------------------------------------------------------------------
 
 SRC = Path(berrytherm.__file__).resolve().parent
@@ -315,12 +316,21 @@ from berrytherm.fockspace import FockDims
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def resonant(preset):
+    p = cli.PRESETS[preset]
+    return ["diagonalize", "--omega-a", repr(p["gap"]), "--omega-b", repr(p["gap"]),
+            "--coupling", repr(p["coupling"])]
+
 for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
              ["unruh", "--preset", "fig5-1"]):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 closed_form = loaded()
+for argv in (resonant("fig3-ghz"), resonant("fig5-1")):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+diagonalize = loaded()
 build_hamiltonian(PhysicalParams(1.0, 1.0, 0.01), 0.0, FockDims(4, 4))
-print(json.dumps({"closed_form": closed_form, "after_hamiltonian": loaded()}))
+print(json.dumps({"closed_form": closed_form, "diagonalize": diagonalize,
+                  "after_hamiltonian": loaded()}))
 """
 
 
@@ -332,6 +342,7 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded["closed_form"] == []
+    assert loaded["diagonalize"] == []
     # positive control: the same probe sees scipy once an operator is built
     assert "scipy.sparse" in loaded["after_hamiltonian"]
 
@@ -380,3 +391,17 @@ def test_exports_resolve():
         module = importlib.import_module(f"berrytherm.{module_name}")
         assert name in module.__all__, (module_name, name)
         assert getattr(berrytherm, name) is getattr(module, name), name
+
+
+def test_exported_annotations_resolve():
+    # every annotation of an exported function or class names something its
+    # module can see, so typing.get_type_hints works on the whole public surface
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"berrytherm.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                typing.get_type_hints(obj)
+                checked += 1
+    assert checked > 30

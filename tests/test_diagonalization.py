@@ -21,6 +21,7 @@ from berrytherm.diagonalization import (
     eigenstates,
     eigenvalue,
     forward_map,
+    hamiltonian_action,
     _brentq,
     _ratios,
     _uv_from_coords,
@@ -271,6 +272,23 @@ def test_hamiltonian_rotation_covariance():
         assert np.abs(h_phi - conj).max() < 1e-12 * pp.Omega_a
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 5), (24, 24)])
+def test_hamiltonian_action_matches_sparse_hamiltonian(shape):
+    # the vector action of H(0) equals the CSR matrix on complex batches,
+    # with and without the trailing column axis
+    dims = FockDims(*shape)
+    pp = forward_map(CANONICAL)
+    h = build_hamiltonian(pp, 0.0, dims)
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    amp = rng.normal(size=shape + (5,)) + 1j * rng.normal(size=shape + (5,))
+    expect = h @ amp.reshape(dims.total, 5)
+    got = hamiltonian_action(pp, amp).reshape(dims.total, 5)
+    rel = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
+    assert rel.max() <= 1e-12
+    one = hamiltonian_action(pp, amp[:, :, 0]).reshape(-1)
+    assert np.linalg.norm(one - expect[:, 0]) <= 1e-12 * np.linalg.norm(expect[:, 0])
+
+
 def test_unitary_is_unitary_at_canonical_dp():
     q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(900, 8)))
     moved = unitary_action(CANONICAL, q.reshape(30, 30, 8)).reshape(900, 8)
@@ -437,13 +455,32 @@ def test_eigenstates_refuses_unpaired_lists():
 
 
 # eigenstate_residuals_over_Omega_a of `diagonalize` on the resonant
-# (gap, gap, coupling) triples, as the expm_multiply chain reported them
+# (gap, gap, coupling) triples: fig3-ghz and fig5-1 as the expm_multiply chain
+# reported them, the other presets as the eigh_tridiagonal block kernel did
 RESONANT_RESIDUALS = {
     "fig3-ghz": {"0,0": 1.9297800919364738e-19, "1,0": 2.3662368405824812e-15,
                  "0,1": 2.360223521925098e-15},
     "fig5-1": {"0,0": 6.529373783586565e-20, "1,0": 1.1306672765141402e-14,
                "0,1": 1.1468900175864572e-14},
+    "fig3-mhz": {"0,0": 3.793120526219484e-17, "1,0": 4.238706425838445e-16,
+                 "0,1": 3.7328235168857175e-16},
+    "fig3-10mhz": {"0,0": 5.575675834236624e-16, "1,0": 2.010553089686574e-13,
+                   "0,1": 2.0112111313203585e-13},
+    "fig3-100mhz": {"0,0": 1.4593024120418348e-17, "1,0": 5.732010517173126e-14,
+                    "0,1": 5.710898356371238e-14},
+    "fig5-2": {"0,0": 3.288519281821187e-20, "1,0": 9.862376960718972e-14,
+               "0,1": 9.870795520470553e-14},
+    "fig5-3": {"0,0": 3.9901381614470685e-21, "1,0": 5.331201500065075e-16,
+               "0,1": 5.960464477860485e-16},
+    "fig6-ghz": {"0,0": 1.5764732801688064e-19, "1,0": 2.2899356843082324e-15,
+                 "0,1": 2.360223526848111e-15},
+    "fig6-mhz": {"0,0": 3.793120526219484e-17, "1,0": 4.238706425838445e-16,
+                 "0,1": 3.7328235168857175e-16},
 }
+
+
+def test_resonant_residuals_cover_every_preset():
+    assert set(RESONANT_RESIDUALS) == set(cli.PRESETS)
 
 
 @pytest.mark.parametrize("preset", sorted(RESONANT_RESIDUALS))

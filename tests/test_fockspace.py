@@ -181,6 +181,34 @@ def test_tridiagonal_exp_action_matches_dense_expm(c):
         assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-14
 
 
+def _certify_blocks() -> list[np.ndarray]:
+    """Off-diagonals of the blocks the certify chain meets: squeeze parity
+    blocks and beam-splitter total-occupation blocks (cut at both cutoffs) on
+    the ladder cutoffs and on 141 levels, the padded space of cutoff 78."""
+    out = []
+    for n in (30, 44, 60, 78, 141):
+        for parity in (0, 1):
+            k = np.arange(parity, n - 2, 2, dtype=float)
+            out.append(np.sqrt((k + 1.0) * (k + 2.0)))
+        for total in (1, n // 2, n - 1, n, 2 * n - 3):
+            k = np.arange(max(0, total - n + 1), min(total, n - 1) + 1, dtype=float)
+            out.append(np.sqrt((k[:-1] + 1.0) * (total - k[:-1])))
+    return out
+
+
+@pytest.mark.parametrize("c", [1e-9, 0.3, np.pi / 4, 1.4])
+def test_tridiagonal_exp_action_matches_dense_expm_on_certify_blocks(c):
+    rng = np.random.default_rng(13)
+    for beta in _certify_blocks():
+        n = len(beta) + 1
+        gen = np.diag(beta, -1) - np.diag(beta, 1)
+        x = rng.normal(size=(n, 3))
+        x /= np.linalg.norm(x, axis=0)
+        out = tridiagonal_exp_action(beta, c, x)
+        assert np.abs(out - scipy.linalg.expm(c * gen) @ x).max() < 1e-12, n
+        assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-14, n
+
+
 def test_tridiagonal_exp_action_small_angle_change_is_relatively_exact():
     # exp(cJ)x - x = cJ phi1(cJ) x, with phi1 read off the exponential of the
     # augmented block [[cJ, 1], [0, 0]].  Squeezing a basis state by a tiny
