@@ -53,7 +53,11 @@ NORM_DRIFT_LIMIT = 1e-10
 DENSE_EIGH_LIMIT = 1600      # dense eigh for dense matrices up to this dimension
 EIGSH_K = 3                  # shift-invert Lanczos pairs: the 3 levels nearest the target
 MAX_WINDOW = 2048            # field-window half-width cap: eigenvectors of 4097 levels, ~134 MB
-THERMAL_GRID_POINTS = 24     # evenly spaced occupations in the thermal-mixture grid
+THERMAL_NODES = 80           # first Gauss-Hermite node count of the thermal mixture
+MAX_NODES = 320              # node-doubling cap: numpy's hermgauss weights turn NaN near 400
+NODE_TOL = 1e-9              # converged once a doubling moves P by at most this times max P,
+POPULATION_FLOOR = np.finfo(float).eps ** 2  # or by at most this, where P is rounding noise
+GAUSS_TAIL_Z = 9.0           # a Gaussian puts weight 2.3e-19 < 1e-18 beyond 9 standard deviations
 _B = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1)  # detector b on the 4 levels the evolver keeps
 
 
@@ -325,13 +329,44 @@ def _window(g: float, n0: int, cycles: int) -> int:
     return 12 + int(math.ceil(30.0 * g * math.sqrt(n0 + 1.0) * (cycles + 1)))
 
 
-def _steps_per_cycle(g: float, n_top: int, cycles: int, floor: int) -> int:
-    """Smallest count >= ``floor`` whose predicted norm drift is <= NORM_DRIFT_LIMIT / 10:
-    an RK4 step keeps |R(iy)|^2 = 1 - y^6/72 + y^8/576 of an eigencomponent,
-    y = h |eigenvalue| <= h g ||x_f|| ||b + b'|| with ||x_f|| <= 2 sqrt(n_top),
-    so n steps per cycle drift the norm by at most cycles n y^6 / 144."""
-    a = 2.0 * math.pi * g * 2.0 * math.sqrt(n_top) * float(np.linalg.eigvalsh(_B + _B.T)[-1])
+def _steps_per_cycle(g: float, x_top: float, cycles: int, floor: int) -> int:
+    """Smallest count >= ``floor`` whose predicted norm drift is <= NORM_DRIFT_LIMIT / 10
+    for |x_f| <= ``x_top``: an RK4 step keeps |R(iy)|^2 = 1 - y^6/72 + y^8/576 of an
+    eigencomponent, y = h |eigenvalue| <= h g x_top ||b + b'||, so n steps per cycle
+    drift the norm by at most cycles n y^6 / 144."""
+    a = 2.0 * math.pi * g * x_top * float(np.linalg.eigvalsh(_B + _B.T)[-1])
     return max(floor, int(math.ceil(a ** 1.2 * (cycles / (14.4 * NORM_DRIFT_LIMIT)) ** 0.2)))
+
+
+def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, steps_per_cycle: int,
+                     start: np.ndarray, cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of start_k |0_d> under kappa_k x_d(t), one 4-level detector per
+    drive, in scaled time Omega_a t.  x_d(t) = U x_d(0) U' with U = exp(i t Omega_b b'b),
+    so n steps compose exactly to U(n h) (U(-h) R)^n, R the step at t = 0: one matrix
+    power per drive, and U drops out of every population.  Returns
+    sum_{d >= 1} |psi_d|^2 per cycle and drive, and the final amplitudes."""
+    kappa = kappa[:, None, None]
+    ratio = pp.Omega_b / pp.Omega_a  # detector phase advance per unit scaled time
+    h = 2.0 * math.pi / steps_per_cycle
+
+    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
+        ph = np.exp(-1j * ratio * tau)
+        return -1j * kappa * ((ph * _B + np.conj(ph) * _B.T) @ y)
+
+    y = np.eye(len(_B))  # one RK4 step of every basis state, all drives at once
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(h, y + h * k3)
+    step = np.exp(-1j * ratio * h * np.arange(len(_B)))[:, None] * (
+        y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    cycle = np.linalg.matrix_power(step, steps_per_cycle)
+    psi = start[:, None] * y[0]
+    excited = np.empty((cycles, len(start)))
+    for c in range(cycles):
+        psi = np.einsum("kij,kj->ki", cycle, psi)
+        excited[c] = np.sum(np.abs(psi[:, 1:]) ** 2, axis=1)
+    return excited, psi
 
 
 def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: int,
@@ -339,13 +374,11 @@ def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: i
     """Fixed-step RK4 evolution of |n0_f, 0_d> for every n0 of ``n0s`` as one batch.
 
     Frame rotating with H0, varphi(t) = -Omega_a t: the generator is
-    lam x_f x_d(t), x_f = a + a', x_d(t) = b e^{-i Omega_b t} + b' e^{i Omega_b t};
-    each row keeps the field levels max(0, n0 - window) .. n0 + window.  In the
-    eigenbasis of the constant x_f each eigenvalue xi drives one detector with
-    strength g xi.  x_d(t) = U x_d(0) U' with U = exp(i t Omega_b b'b), so n RK4
-    steps compose exactly to U(n h) (U(-h) R)^n, R the step at t = 0: one matrix
-    power per eigenvalue and cycle.  U drops out of every population.  Returns
-    per row: sum_{d >= 1} |psi_{n,d}|^2 per cycle, norm drift, edge amplitude.
+    lam x_f x_d(t), x_f = a + a', x_d(t) = b e^{-i Omega_b t} + b' e^{i Omega_b t}.
+    Each row keeps the field levels max(0, n0 - window) .. n0 + window, and each
+    eigenvalue xi of their x_f drives one detector with strength g xi
+    (``_detector_cycles``).  Returns per row: sum_{d >= 1} |psi_{n,d}|^2 per
+    cycle, norm drift, edge amplitude.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -358,27 +391,9 @@ def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: i
         start.append(vecs[n0 - low])                     # <n0 | xi_j>
         edge_rows.append(vecs[[0, 1, -2, -1] if low > 0 else [-2, -1]])
     bounds = np.cumsum([0] + [len(v) for v in xi])
-    kappa = (pp.lam / pp.Omega_a) * np.concatenate(xi)[:, None, None]
-    ratio = pp.Omega_b / pp.Omega_a  # detector phase advance per unit scaled time
-    h = 2.0 * math.pi / steps_per_cycle
-
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        ph = np.exp(-1j * ratio * tau)
-        return -1j * kappa * ((ph * _B + np.conj(ph) * _B.T) @ y)
-
-    y = np.eye(len(_B))  # one RK4 step of every basis state, all eigenvalues at once
-    k1 = rhs(0.0, y)
-    k2 = rhs(0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(h, y + h * k3)
-    step = np.exp(-1j * ratio * h * np.arange(len(_B)))[:, None] * (
-        y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    cycle = np.linalg.matrix_power(step, steps_per_cycle)
-    psi = np.concatenate(start)[:, None] * y[0]           # |n0_f, 0_d>, shape (xi, d)
-    out = np.empty((len(n0s), cycles))
-    for c in range(cycles):
-        psi = np.einsum("kij,kj->ki", cycle, psi)
-        out[:, c] = np.add.reduceat(np.sum(np.abs(psi[:, 1:]) ** 2, axis=1), bounds[:-1])
+    excited, psi = _detector_cycles(pp, (pp.lam / pp.Omega_a) * np.concatenate(xi),
+                                    steps_per_cycle, np.concatenate(start), cycles)
+    out = np.add.reduceat(excited, bounds[:-1], axis=1).T
     norm = np.add.reduceat(np.sum(np.abs(psi) ** 2, axis=1), bounds[:-1])
     edge = [math.sqrt(np.sum(np.abs(rows @ psi[i:j]) ** 2))
             for rows, i, j in zip(edge_rows, bounds[:-1], bounds[1:])]
@@ -399,7 +414,7 @@ def _excitation(pp: PhysicalParams, cycles: int, spec: EvolutionSpec, n0s) -> np
         if window > MAX_WINDOW:
             raise OracleError(f"field window {window} exceeds the cap {MAX_WINDOW}; "
                               "coupling too strong for this driver")
-        steps = _steps_per_cycle(g, n_max + window, cycles,
+        steps = _steps_per_cycle(g, 2.0 * math.sqrt(n_max + window), cycles,
                                  spec.resolved_steps_per_cycle(pp.Omega_a))
         out, drift, edge = _evolve(pp, n0s, cycles, steps, window)
         if drift.max() > NORM_DRIFT_LIMIT:
@@ -418,12 +433,15 @@ def excitation_probability_per_cycle(
     n_field_initial: int = 0,
 ) -> np.ndarray:
     """P(detector excited) at each cycle boundary, initial state |n0_f, 0_d>:
-    a batch of one through the thermal-mixture evolver (see ``_excitation``)."""
+    a batch of one through the window evolver (see ``_excitation``)."""
     return _excitation(pp, cycles, spec, [n_field_initial])[0]
 
 
 @dataclass(frozen=True)
 class ThermalExcitation:
+    """Thermal-mixture P(detector excited) per cycle, its largest change under the last
+    node doubling (``tail_bound``), and the x_f values of the Gauss-Hermite nodes (``grid``)."""
+
     per_cycle: np.ndarray
     tail_bound: float
     grid: np.ndarray
@@ -435,28 +453,35 @@ def thermal_excitation_per_cycle(
     spec: EvolutionSpec,
     r_thermal: float,
 ) -> ThermalExcitation:
-    """Thermal-field excitation probability as an explicit weighted mixture.
+    """Thermal-field excitation probability as one Gaussian expectation.
 
-    P(n) is integrated for a grid of initial field occupations covering all
-    weight down to 1e-6 of the thermal tail, interpolated monotonically
-    between grid points, and summed against the exact geometric weights.
-    The neglected tail is bounded by three times the last sampled value and
-    reported, never silently dropped.
+    x_f commutes with the generator (see ``_evolve``) and is Gaussian with
+    variance cosh 2r in the thermal state of squeeze r, so P = sum_i w_i f(g x_i)
+    over Gauss-Hermite nodes x_i, f from ``_detector_cycles``.  The node count
+    doubles from THERMAL_NODES until converged (NODE_TOL, POPULATION_FLOOR) and
+    refuses past MAX_NODES.  Steps are sized once for |x_f| <= GAUSS_TAIL_Z
+    sigma; norm drift beyond 1e-10 at a node inside that bound refuses.
     """
-    from scipy.interpolate import PchipInterpolator
-
-    n_hi = max(required_levels(r_thermal, 1e-6), 8)
-    base = np.unique(np.concatenate([
-        np.array([0, 1, 2, 3, 4, 6, 8, 12, 16]),
-        np.round(np.linspace(0, n_hi, THERMAL_GRID_POINTS)).astype(int),
-    ]))
-    base = base[base <= n_hi]
-    samples = _excitation(pp, cycles, spec, base)  # (n_grid, cycles)
-    w_all, tail_w = thermal_weights(r_thermal, n_hi)
-    interp = PchipInterpolator(base.astype(float), samples)
-    per_cycle = w_all @ np.clip(interp(np.arange(n_hi + 1)), 0.0, 1.0)
-    tail_bound = 3.0 * tail_w * float(samples[-1].max(initial=0.0))
-    return ThermalExcitation(per_cycle=per_cycle, tail_bound=tail_bound, grid=base)
+    if pp.lam == 0.0:
+        return ThermalExcitation(np.zeros(cycles), 0.0, np.zeros(0))
+    g, sigma = pp.lam / pp.Omega_a, math.sqrt(math.cosh(2.0 * r_thermal))
+    x_top = GAUSS_TAIL_Z * sigma
+    steps = _steps_per_cycle(g, x_top, cycles, spec.resolved_steps_per_cycle(pp.Omega_a))
+    nodes, previous = THERMAL_NODES, np.inf
+    while nodes <= MAX_NODES:
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+        x = math.sqrt(2.0) * sigma * t
+        excited, psi = _detector_cycles(pp, g * x, steps, np.ones(nodes), cycles)
+        drift = np.abs(np.linalg.norm(psi[np.abs(x) <= x_top], axis=1) - 1.0).max()
+        if drift > NORM_DRIFT_LIMIT:
+            raise OracleError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; "
+                              "reduce the step")
+        per_cycle = excited @ (w / math.sqrt(math.pi))
+        change = float(np.abs(per_cycle - previous).max())
+        if change <= max(NODE_TOL * per_cycle.max(), POPULATION_FLOOR):
+            return ThermalExcitation(per_cycle, change, x)
+        nodes, previous = 2 * nodes, per_cycle
+    raise OracleError(f"thermal mixture unconverged at {MAX_NODES} nodes (change {change:.2e})")
 
 
 def berry_connection_v(

@@ -229,7 +229,7 @@ def test_criterion_7_adiabaticity():
     ok = ghz_max < 1e-9 and mhz_max < 1e-3 and elapsed < 300
     _report(
         f"criterion 7: {'PASS' if ok else 'FAIL'} -- GHz vacuum max P = {ghz_max:.2e} "
-        f"(tol 1e-9); MHz/1mK thermal max P = {mhz_max:.2e} incl. tail bound "
+        f"(tol 1e-9); MHz/1mK thermal max P = {mhz_max:.2e} incl. node-doubling change "
         f"{mhz.tail_bound:.1e} (tol 1e-3); runtime {elapsed:.1f} s (< 300 s)"
     )
     assert ghz_max < 1e-9

@@ -169,8 +169,21 @@ def test_adiabaticity_zero_coupling_all_zero(tmp_path):
     assert ps == [0.0, 0.0, 0.0]
 
 
+def test_adiabaticity_zero_coupling_thermal_all_zero(tmp_path, monkeypatch):
+    # the thermal mixture short-circuits like the vacuum path: no node is evaluated
+    def never(*args):
+        raise AssertionError("zero coupling evaluated the detector")
+
+    monkeypatch.setattr(oracle, "_detector_cycles", never)
+    code, text = run(["adiabaticity", "--gap", "1e6", "--coupling", "0",
+                      "--temperature", "1e-3", "--cycles", "3"], tmp_path)
+    assert code == EXIT_OK
+    ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
+    assert ps == [0.0, 0.0, 0.0]
+
+
 def test_adiabaticity_mhz_preset_default_cycles(tmp_path, monkeypatch):
-    # 8 cycles by default: the hottest grid point must not refuse on norm drift
+    # 8 cycles by default: the node doubling converges and no node refuses on norm drift
     mixtures = []
     thermal = oracle.thermal_excitation_per_cycle
 
@@ -301,7 +314,7 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
 
 
 # --------------------------------------------------------------------------
-# scipy stays out of the closed-form commands and diagonalize
+# scipy stays out of the closed-form commands, the thermal mixture and diagonalize
 # --------------------------------------------------------------------------
 
 SRC = Path(berrytherm.__file__).resolve().parent
@@ -322,7 +335,7 @@ def resonant(preset):
             "--coupling", repr(p["coupling"])]
 
 for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
-             ["unruh", "--preset", "fig5-1"]):
+             ["unruh", "--preset", "fig5-1"], ["adiabaticity", "--preset", "fig6-mhz"]):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 closed_form = loaded()
 for argv in (resonant("fig3-ghz"), resonant("fig5-1")):

@@ -37,7 +37,7 @@ from berrytherm.oracle import (
     rotation_covariance_residual,
     thermal_excitation_per_cycle,
 )
-from berrytherm.thermo import required_levels, squeeze_from_temperature
+from berrytherm.thermo import required_levels, squeeze_from_temperature, thermal_weights
 
 E2 = math.e ** 2
 CANONICAL = DiagParams(2e9 / E2 * E2, 2e9 / E2, 0.3)  # == (2e9, 2e9/e^2, 0.3)
@@ -462,10 +462,12 @@ SEED_ROWS_600 = {
     865: [0.0025018705116642836, 0.007802815638190075, 0.014385187091215057],
     1808: [0.04396038495112964, 0.07809333503940119, 0.0728250615649505],
 }
+# The PCHIP occupation-grid mixture the Gauss-Hermite one replaced; 5.6e-4 apart at cycle 3
 SEED_MIXTURE_1MK_600 = [2.7700379737287204e-05, 7.93297116557639e-05, 0.00014490710730438624]
+MIXTURE_1MK = [2.7723506888466532e-05, 7.932735711755037e-05, 0.00014482629958497816]
 
 
-def test_evolver_pinned_to_stepwise_values(monkeypatch):
+def test_evolver_pinned_to_stepwise_values():
     n0s = np.array(sorted(SEED_ROWS_600))
     window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, int(n0s.max()), 3)
     out, drift, _ = oracle._evolve(FIG6_MHZ, n0s, 3, 600, window)
@@ -475,49 +477,89 @@ def test_evolver_pinned_to_stepwise_values(monkeypatch):
         np.testing.assert_allclose(out[row], SEED_ROWS_600[n0], rtol=0,
                                    atol=1e-12 + norm_loss[row])
 
-    # the mixture, with the step count held at the 600-step floor
-    losses = []
-    evolve = oracle._evolve
 
-    def recording(*args):
-        result = evolve(*args)
-        losses.append(float(np.max(1.0 - (1.0 - result[1]) ** 2)))
-        return result
-
-    monkeypatch.setattr(oracle, "_steps_per_cycle", lambda g, n_top, cycles, floor: floor)
-    monkeypatch.setattr(oracle, "_evolve", recording)
+def test_thermal_mixture_pinned_at_1mk():
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, EvolutionSpec(steps_per_cycle=600), R_1MK)
-    np.testing.assert_allclose(mix.per_cycle, SEED_MIXTURE_1MK_600, rtol=0,
-                               atol=1e-12 + losses[-1])
+    assert len(mix.grid) == 160
+    assert mix.tail_bound < 1e-15
+    np.testing.assert_allclose(mix.per_cycle, MIXTURE_1MK, rtol=0, atol=1e-12 + mix.tail_bound)
+    moved = np.abs(np.array(SEED_MIXTURE_1MK_600) / mix.per_cycle - 1.0)
+    assert 5e-4 < moved.max() < 1e-3
 
 
-def test_thermal_grid_one_evolver_call_no_retry(monkeypatch):
+def _recording_detector(monkeypatch):
+    """Record (drives, steps per cycle, excited, final amplitudes) of every
+    ``_detector_cycles`` call, and fail on any window-evolver call."""
     calls = []
-    evolve = oracle._evolve
+    detector = oracle._detector_cycles
 
-    def recording(*args):
-        result = evolve(*args)
-        calls.append(result)
-        return result
+    def recording(pp, kappa, steps, start, cycles):
+        excited, psi = detector(pp, kappa, steps, start, cycles)
+        calls.append((kappa, steps, excited, psi))
+        return excited, psi
 
-    monkeypatch.setattr(oracle, "_evolve", recording)
+    def never(*args):
+        raise AssertionError("the thermal mixture ran the window evolver")
+
+    monkeypatch.setattr(oracle, "_detector_cycles", recording)
+    monkeypatch.setattr(oracle, "_evolve", never)
+    return calls
+
+
+def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
+    # 8 cycles, the CLI default: 80 nodes are not enough (80 -> 160 moves P by
+    # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes at one step count
+    calls = _recording_detector(monkeypatch)
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(steps_per_cycle=600), R_1MK)
-    assert len(calls) == 1
-    out, drift, edge = calls[0]
-    assert out.shape == (len(mix.grid), 8)
-    assert edge.max() < 1e-9
+    assert [len(kappa) for kappa, *_ in calls] == [80, 160, 320]
+    assert len({steps for _, steps, _, _ in calls}) == 1
+    assert len(mix.grid) > 80
+    p80, p160 = (calls[i][2] @ np.polynomial.hermite.hermgauss(n)[1] / math.sqrt(math.pi)
+                 for i, n in ((0, 80), (1, 160)))
+    assert np.abs(p160 / p80 - 1.0).max() > 1e-4
+    assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()
+    # norm drift within a tenth of the gate on every node inside the weight bound
+    psi = calls[-1][3]
+    weighted = np.abs(mix.grid) <= oracle.GAUSS_TAIL_Z * math.sqrt(math.cosh(2.0 * R_1MK))
+    assert weighted.sum() > 100
+    drift = np.abs(np.linalg.norm(psi, axis=1) - 1.0)[weighted]
     assert drift.max() <= oracle.NORM_DRIFT_LIMIT / 10
 
 
+def test_thermal_mixture_matches_occupation_sum():
+    # n-bar ~ 10: the exact sum over Fock rows to a 1e-20 weight tail (483 rows)
+    r = squeeze_from_temperature(1e6, 8e-5).r
+    assert math.sinh(r) ** 2 == pytest.approx(10.0, rel=0.01)
+    spec = EvolutionSpec(steps_per_cycle=600)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, spec, r)
+    n_max = required_levels(r, 1e-20)
+    assert n_max == 482
+    w, _ = thermal_weights(r, n_max)
+    exact = w @ oracle._excitation(FIG6_MHZ, 3, spec, np.arange(n_max + 1))
+    np.testing.assert_allclose(mix.per_cycle, exact, rtol=1e-10, atol=0)
+
+
+def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_NODES", 160)
+    with pytest.raises(OracleError, match="unconverged at 160 nodes"):
+        thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(steps_per_cycle=600), R_1MK)
+
+
+def test_hermgauss_weights_finite_at_node_cap():
+    t, w = np.polynomial.hermite.hermgauss(oracle.MAX_NODES)
+    assert np.all(np.isfinite(t)) and np.all(np.isfinite(w))
+    assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
 def test_raised_step_count_moves_toward_finer_reference():
-    # hottest fig6-mhz grid point at the CLI default of 8 cycles: 600 steps
+    # fig6-mhz from n0 = 1808 at the CLI default of 8 cycles: 600 steps
     # per cycle drift past the 1e-10 gate; the sized count must return and
     # land closer to a 2400-step run than 600 steps do
     spec = EvolutionSpec(steps_per_cycle=600)
     p = excitation_probability_per_cycle(FIG6_MHZ, 8, spec, 1808)
     g = FIG6_MHZ.lam / FIG6_MHZ.Omega_a
     window = oracle._window(g, 1808, 8)
-    assert oracle._steps_per_cycle(g, 1808 + window, 8, 600) > 600
+    assert oracle._steps_per_cycle(g, 2.0 * math.sqrt(1808 + window), 8, 600) > 600
     coarse, coarse_drift, _ = oracle._evolve(FIG6_MHZ, np.array([1808]), 8, 600, window)
     fine, _, _ = oracle._evolve(FIG6_MHZ, np.array([1808]), 8, 2400, window)
     assert coarse_drift[0] > oracle.NORM_DRIFT_LIMIT
@@ -571,12 +613,11 @@ def test_evolution_window_doubling_stops_at_cap(monkeypatch):
 
 
 def test_thermal_mixture_tiny_values_kept_and_nonnegative():
-    # fig6-ghz at 0.2 K: every grid row sits near 1e-35; none may read
-    # negative and the mixture must not be rounded to zero
+    # fig6-ghz at 0.2 K: every node's excitation is rounding noise near 1e-35;
+    # the mixture converges to the population floor, positive and not rounded to zero
     pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
     spec = EvolutionSpec(steps_per_cycle=600)
     mix = thermal_excitation_per_cycle(pp, 2, spec, squeeze_from_temperature(1e9, 0.2).r)
-    rows = oracle._excitation(pp, 2, spec, mix.grid)
-    assert np.all(rows >= 0.0)
+    assert mix.tail_bound <= oracle.POPULATION_FLOOR
     assert np.all(mix.per_cycle > 0.0)
     assert mix.per_cycle.max() < 1e-9
