@@ -17,6 +17,7 @@ from .diagonalization import (
     eigenstate,
     forward_map,
     invert_physical,
+    normal_modes,
     unitary_action,
 )
 from .fockspace import (
@@ -26,15 +27,12 @@ from .fockspace import (
 )
 from .geomphase import (
     CycleAccumulation,
-    GFraction,
     PhaseResult,
     accumulate_cycles,
+    delta_per_cycle_from_eps,
     eigen_berry_phase,
-    ground_T00,
-    mixed_thermal_phase,
-    mode_fraction_G,
-    thermometer_delta,
-    unruh_delta_per_cycle,
+    epsilon,
+    thermometer_delta_from_eps,
     unruh_squeeze,
 )
 from .oracle import (
@@ -50,7 +48,6 @@ from .thermo import (
     ThermalStateSpec,
     ThermalSqueeze,
     squeeze_from_temperature,
-    temperature_from_squeeze,
     unruh_temperature,
 )
 

@@ -26,6 +26,7 @@ from .diagonalization import (
     DiagParams,
     InverseMapError,
     PhysicalParams,
+    check_basin,
     derive_params,
     eigenstates,
     forward_map,
@@ -37,9 +38,10 @@ from .fockspace import FockDims, _warn_squeeze_truncation
 from .geomphase import (
     accumulate_cycles,
     eigen_berry_phase,
-    mode_fraction_G,
+    epsilon,
     phase_distance,
-    thermometer_delta_from_G,
+    thermometer_delta_from_eps,
+    thermometer_slope_from_eps,
     unruh_squeeze,
 )
 from .oracle import EvolutionSpec, LoopSpec, OracleError
@@ -178,8 +180,12 @@ def _resonant_params(gap: float, coupling: float) -> PhysicalParams:
     return PhysicalParams(Omega_a=gap, Omega_b=gap, lam=coupling)
 
 
-def _solve_G(gap: float, coupling: float) -> float:
-    return mode_fraction_G(invert_physical(_resonant_params(gap, coupling)).params).G
+def _sweep_epsilon(gap: float, coupling: float) -> float:
+    """epsilon of the resonant triple, the one number the sweep formulas take;
+    couplings past the tested basin are refused."""
+    pp = _resonant_params(gap, coupling)
+    check_basin(pp)
+    return epsilon(pp)
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +224,6 @@ def cmd_diagonalize(config: dict) -> dict:
             }
         dp = sol.params
         report["mode"] = "inverse"
-        report["newton_iterations"] = sol.iterations
     d = derive_params(dp)
     back = forward_map(dp)
     report["diag_params"] = {"omega_a": dp.omega_a, "omega_b": dp.omega_b, "v": dp.v}
@@ -273,21 +278,15 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     t_max = config.get("t_cold_max", t_hot)
     if points < 2 or t_min <= 0 or t_max <= t_min:
         raise ConfigError("need points >= 2 and 0 < t_cold_min < t_cold_max")
-    g = _solve_G(gap, coupling)
+    eps = _sweep_epsilon(gap, coupling)
     t_cold = np.logspace(math.log10(t_min), math.log10(t_max), points)
-
-    def delta_at(tc: float) -> float:
-        return thermometer_delta_from_G(g, gap, tc, t_hot)
-
     rows = []
-    for tc in t_cold:
-        # sensitivity stand-in: |d delta / d T_cold| by central differences
-        h = 1e-6 * tc
-        dddt = abs(delta_at(tc + h) - delta_at(tc - h)) / (2.0 * h)
+    for tc in map(float, t_cold):
         rows.append({
-            "T_cold_K": float(tc),
-            "delta_rad": float(delta_at(tc)),
-            "dDelta_dTcold_rad_per_K": float(dddt),
+            "T_cold_K": tc,
+            "delta_rad": thermometer_delta_from_eps(eps, gap, tc, t_hot),
+            # sensitivity stand-in: |d delta / d T_cold|
+            "dDelta_dTcold_rad_per_K": abs(thermometer_slope_from_eps(eps, gap, tc)),
         })
     return rows, ["T_cold_K", "delta_rad", "dDelta_dTcold_rad_per_K"]
 
@@ -308,14 +307,14 @@ def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
     points = int(config.get("points", 101))
     if not 0.0 < relerr_max < 1.0 or points < 3:
         raise ConfigError("need 0 < relerr_max < 1 and points >= 3")
-    g = _solve_G(gap, coupling)
-    ref = thermometer_delta_from_G(g, gap, t_cold, t_hot)
+    eps = _sweep_epsilon(gap, coupling)
+    ref = thermometer_delta_from_eps(eps, gap, t_cold, t_hot)
     if ref == 0.0:
         raise ConfigError("reference phase difference vanishes; pick t_cold != t_hot")
     errs = np.linspace(-relerr_max, relerr_max, points)
     rows = []
     for e in errs:
-        val = thermometer_delta_from_G(g, gap, t_cold, t_hot * (1.0 + e))
+        val = thermometer_delta_from_eps(eps, gap, t_cold, t_hot * (1.0 + e))
         rows.append({"relerr_Th": float(e), "relerr_delta": float((val - ref) / ref)})
     return rows, ["relerr_Th", "relerr_delta"]
 
@@ -335,13 +334,13 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
     points = int(config.get("points", 60))
     if points < 2 or a_min <= 0 or a_max <= a_min:
         raise ConfigError("need points >= 2 and 0 < accel_min < accel_max")
-    g = _solve_G(gap, coupling)
+    eps = _sweep_epsilon(gap, coupling)
     cycle_time = TWO_PI / gap
     accels = np.logspace(math.log10(a_min), math.log10(a_max), points)
 
     def row(a: float) -> dict:
         q = unruh_squeeze(gap, a).r
-        delta = geomphase.delta_per_cycle_from_G(g, q)
+        delta = geomphase.delta_per_cycle_from_eps(eps, q)
         acc = accumulate_cycles(abs(delta), 1)
         n_pi = acc.cycles_to_pi
         return {
@@ -478,14 +477,15 @@ def certification_report(negative_control: bool = False) -> dict:
     g36 = abs(d_ref.g3 - d_ref.g6) / abs(d_ref.g3)
     add("coupling_coefficients_equal", g36 < 1e-12, g36, 1e-12)
 
-    # spacing identity gamma(nf+1) - gamma(nf) = 2 pi G (exact algebra)
-    g_val = mode_fraction_G(dp_ref).G
+    # spacing identity gamma(nf+1) - gamma(nf) = 2 pi G = pi + 2 pi eps: the
+    # paper's spacing at dp_ref against the normal-mode epsilon of its triple
+    pp_ref = forward_map(dp_ref)
+    eps_ref = epsilon(pp_ref)
     spacing = eigen_berry_phase(dp_ref, 3, 1).raw - eigen_berry_phase(dp_ref, 2, 1).raw
-    sp_res = abs(spacing - TWO_PI * g_val)
+    sp_res = abs(spacing - (math.pi + TWO_PI * eps_ref))
     add("phase_spacing_2piG", sp_res < 1e-12, sp_res, 1e-12)
 
     # rotation covariance of H
-    pp_ref = forward_map(dp_ref)
     rc = oracle.rotation_covariance_residual(pp_ref, 0.9, FockDims(16, 16))
     add("hamiltonian_rotation_covariance", rc < 1e-12 * pp_ref.Omega_a,
         rc, 1e-12 * pp_ref.Omega_a)
@@ -543,24 +543,23 @@ def certification_report(negative_control: bool = False) -> dict:
     worst = 0.0
     for tanh2 in (0.1, 0.5, 0.9):
         r = math.atanh(math.sqrt(tanh2))
-        for g in (0.1, 0.25, 0.7):
-            closed = -geomphase.mixed_phase_offset(g, r)
+        for eps in (-0.4, -0.25, 0.2):  # G = 0.1, 0.25, 0.7
+            closed = -geomphase.mixed_phase_offset(eps, r)
             n_max = thermo.required_levels(r) + 2
-            summed = oracle.partial_sum_from_G(g, 0.0, r, n_max).value
+            summed = oracle.partial_sum_from_eps(eps, 0.0, r, n_max).value
             worst = max(worst, phase_distance(closed, summed))
     add("mixed_phase_partial_sum", worst < 1e-10, worst, 1e-10)
 
     # thermometer antisymmetry and equality with mixed-phase differences
-    g = mode_fraction_G(dp_ref).G
     om = 1e9
-    anti = abs(thermometer_delta_from_G(g, om, 0.001, 0.3)
-               + thermometer_delta_from_G(g, om, 0.3, 0.001))
+    anti = abs(thermometer_delta_from_eps(eps_ref, om, 0.001, 0.3)
+               + thermometer_delta_from_eps(eps_ref, om, 0.3, 0.001))
     add("thermometer_antisymmetry", anti < 1e-14, anti, 1e-14)
     r1 = thermo.squeeze_from_temperature(om, 0.001).r
     r2 = thermo.squeeze_from_temperature(om, 0.3).r
-    ident = abs(thermometer_delta_from_G(g, om, 0.001, 0.3)
-                - (-geomphase.mixed_phase_offset(g, r1)
-                   + geomphase.mixed_phase_offset(g, r2)))
+    ident = abs(thermometer_delta_from_eps(eps_ref, om, 0.001, 0.3)
+                - (-geomphase.mixed_phase_offset(eps_ref, r1)
+                   + geomphase.mixed_phase_offset(eps_ref, r2)))
     add("thermometer_equals_mixed_difference", ident < 1e-12, ident, 1e-12)
 
     # keystone: accelerated-observer squeeze == thermal squeeze at T_U
@@ -570,14 +569,19 @@ def certification_report(negative_control: bool = False) -> dict:
             worst = max(worst, geomphase.keystone_identity_residual(om_a, a))
     add("unruh_thermal_squeeze_identity", worst < 1e-12, worst, 1e-12)
 
-    # per-cycle difference monotone in the acceleration while 2 pi G in (0, pi)
-    g_low = 0.23
+    # per-cycle difference falls monotonically with the acceleration at the
+    # fig5 presets' epsilon, where 0 < eps < 1/2
+    fig5 = ("fig5-1", "fig5-2", "fig5-3")
     accels = np.logspace(16.5, 17.8, 12)
-    qs = [unruh_squeeze(2e9, a).r for a in accels]
-    ds = [geomphase.delta_per_cycle_from_G(g_low, q) for q in qs]
-    mono = all(b > a_ for a_, b in zip(ds, ds[1:]))
+    mono = True
+    for name in fig5:
+        p = PRESETS[name]
+        eps = _sweep_epsilon(p["gap"], p["coupling"])
+        ds = [geomphase.delta_per_cycle_from_eps(eps, unruh_squeeze(p["gap"], a).r)
+              for a in accels]
+        mono = mono and all(b < a_ for a_, b in zip(ds, ds[1:]))
     add("delta_monotone_in_acceleration", mono,
-        0.0 if mono else 1.0, 0.5, detail=f"G={g_low}")
+        0.0 if mono else 1.0, 0.5, detail=", ".join(fig5))
 
     # thermal state: Planck occupation identity
     spec_t = thermo.ThermalStateSpec.for_tail(1e9, 0.012)

@@ -10,16 +10,16 @@ two-mode displacement, a second detector squeeze, and a field rotation), so
 its eigenstates are U' |n_f n_d>.  Three parameters (omega_a, omega_b, v)
 are independent; everything else is fixed by the constraints that kill the
 field-squeezing and detector-squeezing terms and equalize the two coupling
-coefficients.  This module derives the constrained parameters, maps between
-(omega_a, omega_b, v) and the laboratory triple (Omega_a, Omega_b, lam) in
-both directions, builds H on a truncated space as a sparse matrix for the
+coefficients.  This module derives the constrained parameters, maps
+(omega_a, omega_b, v) to the laboratory triple (Omega_a, Omega_b, lam) and
+back (the inverse in closed form: omega_a and omega_b are the normal-mode
+frequencies of H), builds H on a truncated space as a sparse matrix for the
 oracles' eigensolvers and applies it at varphi = 0 as a vector action
 (``hamiltonian_action``), and applies the chain to amplitudes: U forward
 (``unitary_action``) and U' for the eigenstates (``eigenstates``).  No matrix
 of U is formed: each factor splits exactly into small real tridiagonal blocks
 (squeezes by parity, the beam splitter by total occupation) that act on the
-amplitude directly.  Everything here needs only ``math`` and numpy (the
-inverse-map seed uses a port of scipy's Brent solver) except
+amplitude directly.  Everything here needs only ``math`` and numpy except
 ``build_hamiltonian``, whose sparse matrix loads scipy through ``fockspace``.
 """
 
@@ -42,6 +42,8 @@ __all__ = [
     "derive_params",
     "forward_map",
     "invert_physical",
+    "check_basin",
+    "normal_modes",
     "build_hamiltonian",
     "hamiltonian_action",
     "unitary_action",
@@ -57,7 +59,8 @@ class ConstraintError(ValueError):
 
 
 class InverseMapError(RuntimeError):
-    """Newton inversion failed; carries the last residual."""
+    """The inverse map refused a triple; carries the round-trip residual
+    when that gate failed."""
 
     def __init__(self, message: str, residual: float = math.nan):
         super().__init__(message)
@@ -74,7 +77,7 @@ class DiagParams:
 
     ``u_hint`` optionally caches the complementary squeeze parameter at full
     precision; near resonance the subtraction C - v loses several digits, so
-    the inverse solver stores the value it actually solved for.  When set, it
+    the inverse map stores its closed-form value.  When set, it
     must be positive and agree with C - v to rounding; it replaces the ratio
     test, which cannot resolve a u below the rounding of omega_a/omega_b.
     """
@@ -270,209 +273,100 @@ def forward_map(dp: DiagParams) -> PhysicalParams:
 
 
 # --------------------------------------------------------------------------
-# Inverse map: damped Newton on the scale-free system
+# Inverse map: the normal modes of H in closed form
 # --------------------------------------------------------------------------
 
-# Convergence is guaranteed in the perturbative regime lam/Omega_a < 1e-3 and
-# observed (machine-level round trips, <= 8 iterations) well beyond it; the
-# cap rejects inputs outside the tested basin.
+# the cap rejects couplings outside the tested basin: the round trips, the
+# sweeps and the eigenstate chain are exercised only inside it
 SIGMA_HARD_CAP = 0.35
-NEWTON_TOL = 1e-12       # max-norm of the scale-free residual that ends the iteration
-NEWTON_MAX_ITER = 200
 
 
-def _ratios(u: float, v: float) -> tuple[float, float, float]:
-    """Scale-free (Omega_b/Omega_a, lam/Omega_a, Omega_a at omega_b = 1)."""
-    wa = math.exp(2.0 * (u + v))
-    d = _derive_uv(wa, 1.0, u, v)
-    delta = wa * math.sinh(2 * u) + math.sinh(2 * v)
-    first = 0.5 * math.expm1(4.0 * (u + v))
-    second = 0.5 * (wa ** 2 * math.expm1(4.0 * u) - math.expm1(-4.0 * v))
-    om_a = first / delta
-    om_b = math.sqrt(first * second) / delta
-    lam = math.exp(d.p) * d.lambda_hat
-    return om_b / om_a, lam / om_a, om_a
+def check_basin(pp: PhysicalParams) -> None:
+    """Refuse (InverseMapError) a coupling past the tested basin,
+    lam/Omega_a > SIGMA_HARD_CAP."""
+    sigma = pp.lam / pp.Omega_a
+    if sigma > SIGMA_HARD_CAP:
+        raise InverseMapError(
+            f"lam/Omega_a = {sigma:.3g} exceeds the perturbative basin ({SIGMA_HARD_CAP})"
+        )
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
-    """Root of f in [xa, xb] by Brent's method: scipy.optimize.brentq, bit for bit.
+def normal_modes(pp: PhysicalParams) -> tuple[float, float, float, float]:
+    """(u, v, cos 2 theta, 1 + cos 2 theta) of the two coupled oscillators behind H.
 
-    A line-for-line port of scipy's C ``brentq`` (Brent 1973, ch. 4) at
-    scipy's default rtol = 4 eps, kept so that the inverse-map seed, and
-    through the Newton path every downstream value, matches the scipy
-    solver exactly without importing scipy.optimize.  Raises ValueError with
-    scipy's messages for a bracket without a sign change or a NaN value,
-    RuntimeError after ``maxiter`` steps.
+    In quadratures H is a pair of unit-mass oscillators with stiffness matrix
+    K = [[Omega_a^2, k], [k, Omega_b^2]], k = 2 lam sqrt(Omega_a Omega_b).  Its
+    eigenvalues omega_a^2 > omega_b^2 are the squared dressed frequencies and
+    theta is its mixing angle, tan 2 theta = k / h.  With
+    h = (Omega_a - Omega_b)(Omega_a + Omega_b)/2 and R = hypot(h, k),
+
+        omega_a^2 - Omega_a^2 = R - h,    Omega_a^2 - omega_b^2 = R + h;
+
+    whichever of the two is a sum is formed directly and the other as k^2
+    over it, so neither cancels.  u and v are fixed by omega_a = Omega_a e^{2u}
+    and omega_b = Omega_a e^{-2v}, through log1p.
+
+    Refuses lam = 0 (ConstraintError: the decoupled boundary), and raises
+    InverseMapError where 4 lam^2 >= Omega_a Omega_b, so that omega_b^2 <= 0
+    and H has no ground state.  It applies no basin cap (``check_basin``).
     """
-    rtol = 4.0 * float(np.finfo(float).eps)
-
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _uv_from_coords(x1: float, x2: float) -> tuple[float, float]:
-    """(x1, x2) = (0.5*ln(uv), u - v) -> (u, v); positivity is automatic.
-
-    The smaller root is recovered through the conjugate form so it never
-    cancels to zero when |x2| dominates."""
-    m2 = math.exp(2.0 * x1)
-    root = math.sqrt(x2 * x2 + 4.0 * m2)
-    if x2 >= 0.0:
-        v = 2.0 * m2 / (x2 + root)
-        return x2 + v, v
-    u = 2.0 * m2 / (-x2 + root)
-    return u, u - x2
+    pp.validate()
+    if pp.lam == 0.0:
+        raise ConstraintError("zero coupling is the decoupled boundary: no normal-mode mixing")
+    k = 2.0 * pp.lam * math.sqrt(pp.Omega_a * pp.Omega_b)
+    h = 0.5 * (pp.Omega_a - pp.Omega_b) * (pp.Omega_a + pp.Omega_b)
+    radius = math.hypot(h, k)
+    big = radius + abs(h)
+    r_minus, r_plus = (k * k / big, big) if h >= 0.0 else (big, k * k / big)  # R - h, R + h
+    scale = pp.Omega_a ** 2
+    if r_plus >= scale:
+        raise InverseMapError(
+            f"4 lam^2 >= Omega_a Omega_b for {pp}: the lower normal mode is unbound"
+        )
+    u = 0.25 * math.log1p(r_minus / scale)
+    v = -0.25 * math.log1p(-r_plus / scale)
+    return u, v, h / radius, r_plus / radius
 
 
 @dataclass(frozen=True)
 class InverseSolution:
     params: DiagParams
     residual: float
-    iterations: int
+    iterations: int = 0  # nothing is iterated; kept for callers that report solver work
     degenerate: bool = False
 
 
-def invert_physical(pp: PhysicalParams, seed_shift: float = 0.0) -> InverseSolution:
-    """Solve forward_map(dp) = pp by damped Newton.
+def invert_physical(pp: PhysicalParams) -> InverseSolution:
+    """Solve forward_map(dp) = pp in closed form.
 
-    Works in the scale-free coordinates (0.5*ln(uv), u - v), which keep the
-    Jacobian well conditioned down to the near-resonant regime, then fixes
-    omega_b from the overall frequency scale.  The seed solves the coupling
-    ratio at a fixed frequency-ratio guess by Brent's method (``_brentq``);
-    ``seed_shift`` nudges the seed (used by the local-uniqueness probe).
+    U takes H to omega_a a'a + omega_b b'b less a constant, so (omega_a,
+    omega_b) are the normal-mode frequencies of H (``normal_modes``), and v
+    follows from the identity Omega_a = omega_b e^{2v} of forward_map.  There
+    Omega_a = (omega_a^2 - omega_b^2) / (2 delta), and with omega_a =
+    omega_b e^{2C}, C = u + v, the denominator is
+
+        delta = omega_a sinh 2u + omega_b sinh 2v
+              = (omega_b/2)(e^{4u+2v} - e^{-2v}) = (omega_b/2)(e^{4C} - 1) e^{-2v},
+
+    while omega_a^2 - omega_b^2 = omega_b^2 (e^{4C} - 1).  So omega_a =
+    Omega_a e^{2u} and omega_b = Omega_a e^{-2v}, and u is kept as u_hint at
+    the precision log1p gives it.
 
     lam = 0 returns the decoupled boundary (omega_a = Omega_a,
-    omega_b = Omega_b, v = 0) flagged degenerate.  Convergence failure raises
-    InverseMapError carrying the last residual.
+    omega_b = Omega_b, v = 0) flagged degenerate.  Couplings past the basin
+    are refused (``check_basin``).  A solution that does not reproduce pp
+    through forward_map to 1e-10 raises InverseMapError carrying that
+    residual.
     """
     pp.validate()
     if pp.lam == 0.0:
         return InverseSolution(
-            DiagParams(pp.Omega_a, pp.Omega_b, 0.0), residual=0.0, iterations=0, degenerate=True
+            DiagParams(pp.Omega_a, pp.Omega_b, 0.0), residual=0.0, degenerate=True
         )
-    sigma_t = pp.lam / pp.Omega_a
-    rho_t = pp.Omega_b / pp.Omega_a
-    if sigma_t > SIGMA_HARD_CAP:
-        raise InverseMapError(
-            f"lam/Omega_a = {sigma_t:.3g} exceeds the perturbative basin ({SIGMA_HARD_CAP})"
-        )
-
-    # seed: detuning fixes u - v at leading order, coupling fixes the scale
-    lnrho = math.log(rho_t)
-    t0 = 0.5 * sigma_t
-    u0 = max(0.5 * lnrho, t0)
-    v0 = max(-0.5 * lnrho, t0)
-    x2 = (u0 - v0) * (1.0 + seed_shift)
-
-    def f_scale(x1: float) -> float:
-        u, v = _uv_from_coords(x1, x2)
-        return math.log(_ratios(u, v)[1] / sigma_t)
-
-    lo, hi = math.log(1e-16), math.log(4.0)
-    try:
-        x1 = _brentq(f_scale, lo, hi, xtol=1e-13)
-    except ValueError as exc:
-        raise InverseMapError(f"seed bisection failed to bracket the coupling: {exc}")
-
-    def residual_vec(x1: float, x2: float) -> np.ndarray:
-        u, v = _uv_from_coords(x1, x2)
-        rho, sigma, _ = _ratios(u, v)
-        return np.array([math.log(sigma / sigma_t), rho / rho_t - 1.0])
-
-    x = np.array([x1, x2])
-    fvec = residual_vec(*x)
-    it = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if np.abs(fvec).max() < NEWTON_TOL:
-            break
-        h1 = 1e-7
-        u_cur, v_cur = _uv_from_coords(*x)
-        h2 = 1e-7 * max(u_cur + v_cur, 1e-12)
-        jac = np.empty((2, 2))
-        jac[:, 0] = (residual_vec(x[0] + h1, x[1]) - fvec) / h1
-        jac[:, 1] = (residual_vec(x[0], x[1] + h2) - fvec) / h2
-        try:
-            step = np.linalg.solve(jac, -fvec)
-        except np.linalg.LinAlgError:
-            raise InverseMapError("singular Jacobian in Newton iteration",
-                                  residual=float(np.abs(fvec).max()))
-        lam_damp = 1.0
-        for _ in range(25):
-            x_new = x + lam_damp * step
-            try:
-                f_new = residual_vec(*x_new)
-            except (ValueError, OverflowError):
-                lam_damp *= 0.5
-                continue
-            if (np.linalg.norm(f_new) <= np.linalg.norm(fvec)
-                    or np.abs(f_new).max() < NEWTON_TOL):
-                break
-            lam_damp *= 0.5
-        else:
-            break
-        x, fvec = x_new, f_new
-
-    res = float(np.abs(fvec).max())
-    if res >= 1e-11:
-        raise InverseMapError(
-            f"Newton did not converge after {it} iterations (residual {res:.3e})",
-            residual=res,
-        )
-
-    u, v = _uv_from_coords(*x)
-    _, _, om_a_sf = _ratios(u, v)
-    omega_b = pp.Omega_a / om_a_sf
-    dp = DiagParams(omega_b * math.exp(2.0 * (u + v)), omega_b, v, u_hint=u)
+    check_basin(pp)
+    u, v, _, _ = normal_modes(pp)
+    dp = DiagParams(pp.Omega_a * math.exp(2.0 * u), pp.Omega_a * math.exp(-2.0 * v), v,
+                    u_hint=u)
     back = forward_map(dp)
     rel = max(
         abs(back.Omega_a / pp.Omega_a - 1.0),
@@ -481,7 +375,7 @@ def invert_physical(pp: PhysicalParams, seed_shift: float = 0.0) -> InverseSolut
     )
     if rel > 1e-10:
         raise InverseMapError(f"round-trip residual {rel:.3e} exceeds 1e-10", residual=rel)
-    return InverseSolution(dp, residual=rel, iterations=it)
+    return InverseSolution(dp, residual=rel)
 
 
 # --------------------------------------------------------------------------

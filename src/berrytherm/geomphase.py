@@ -6,6 +6,13 @@ overlaps taken with increasing varphi, which for the eigenstate U'|n_f n_d>
 evaluates to 2 pi times its mean field occupation.  Arg is always taken on
 the branch (-pi, pi].  Cycle accumulation uses raw (unreduced) per-cycle
 values.
+
+The thermal and accelerated phases depend on the model only through
+epsilon = G - 1/2, G the phase advance per field quantum in cycles, so they
+take epsilon, computed from the laboratory triple (``epsilon``), and use
+e^{2 pi i G} = -e^{2 pi i epsilon}.  At the figure presets epsilon is
+1e-15 to 1e-5, and passing G instead would lose it to the spacing of
+doubles near 2 pi G = pi.
 """
 
 from __future__ import annotations
@@ -13,28 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import thermo
-from .diagonalization import DiagParams, derive_params
+from .diagonalization import DiagParams, PhysicalParams, derive_params, normal_modes
 from .thermo import CONSTANTS, ThermalSqueeze, boltzmann_exponent
 
 __all__ = [
     "PhaseResult",
-    "GFraction",
     "CycleAccumulation",
     "wrap_angle",
     "phase_distance",
-    "ground_T00",
     "eigen_berry_phase",
-    "mode_fraction_G",
+    "epsilon",
     "mixed_phase_offset",
-    "mixed_thermal_phase",
-    "thermometer_delta",
-    "thermometer_delta_from_G",
+    "thermometer_delta_from_eps",
+    "thermometer_slope_from_eps",
     "unruh_squeeze",
-    "unruh_delta_per_cycle",
-    "delta_per_cycle_from_G",
+    "delta_per_cycle_from_eps",
     "accumulate_cycles",
 ]
 
@@ -63,13 +64,6 @@ class PhaseResult:
 
 
 @dataclass(frozen=True)
-class GFraction:
-    """Phase advance per field quantum, in cycles: gamma(n_f+1) - gamma(n_f) = 2 pi G."""
-
-    G: float
-
-
-@dataclass(frozen=True)
 class CycleAccumulation:
     total: float
     capped_at_pi: bool
@@ -88,11 +82,6 @@ def _phase_pieces(dp: DiagParams) -> tuple[float, float, float]:
     t00 = (wa * math.sinh(v) ** 2 * math.sinh(2 * u)
            + wb * math.sinh(2 * v) * math.sinh(u) ** 2) / delta
     return coeff_nd, coeff_nf, t00
-
-
-def ground_T00(dp: DiagParams) -> float:
-    """Ground-state phase per cycle in units of 2 pi; positive for valid dp."""
-    return _phase_pieces(dp)[2]
 
 
 def eigen_berry_phase(dp: DiagParams, n_f: int, n_d: int) -> PhaseResult:
@@ -123,52 +112,55 @@ def _eigen_phase_unshared_denominator(dp: DiagParams, n_f: int, n_d: int) -> Pha
     return PhaseResult(value=wrap_angle(raw), raw=raw)
 
 
-def mode_fraction_G(dp: DiagParams) -> GFraction:
-    """G = omega_b sinh(2v) cosh(2u) / (omega_a sinh(2u) + omega_b sinh(2v)).
+def epsilon(pp: PhysicalParams) -> float:
+    """epsilon = G - 1/2 from the laboratory triple, free of cancellation.
 
-    Strictly between 0 and 1 for valid dp; equals the eigenstate phase
-    spacing per field quantum divided by 2 pi.
+    G = omega_b sinh 2v cosh 2u / (omega_a sinh 2u + omega_b sinh 2v) is the
+    eigenstate phase spacing per field quantum over 2 pi.  By the identity
+    Omega_a = omega_b e^{2v} (see ``invert_physical``) it equals
+    (Omega_a^2 - omega_b^2) cosh 2u / (omega_a^2 - omega_b^2) = cos^2 theta cosh 2u,
+    with u and the mixing angle theta of ``normal_modes``, so
+
+        epsilon = cos 2 theta / 2 + (1 + cos 2 theta) sinh^2 u.
+
+    On resonance this is sigma^2 / (s (1 + s)^2), sigma = lam/Omega_a,
+    s = sqrt(1 + 2 sigma).  Raises as ``normal_modes`` does.
     """
-    g = _phase_pieces(dp)[1]
-    if not 0.0 < g < 1.0:
-        raise ValueError(f"G = {g} fell outside (0, 1); parameter set invalid")
-    return GFraction(G=g)
+    u, _, cos_2theta, one_plus_cos = normal_modes(pp)
+    return 0.5 * cos_2theta + one_plus_cos * math.sinh(u) ** 2
 
 
-def mixed_phase_offset(G: float, r: float) -> float:
-    """Arg(cosh^2 r - e^{2 pi i G} sinh^2 r) on (-pi, pi]."""
-    z = math.cosh(r) ** 2 - np.exp(2j * math.pi * G) * math.sinh(r) ** 2
-    return float(np.angle(z))
+def mixed_phase_offset(eps: float, r: float) -> float:
+    """Arg(cosh^2 r - e^{2 pi i G} sinh^2 r) = Arg(cosh^2 r + e^{2 pi i eps} sinh^2 r),
+    on (-pi, pi]: the thermal mixed-state phase is gamma_0 minus this offset."""
+    sh2 = math.sinh(r) ** 2
+    return math.atan2(sh2 * math.sin(TAU * eps), math.cosh(r) ** 2 + sh2 * math.cos(TAU * eps))
 
 
-def mixed_thermal_phase(dp: DiagParams, r: ThermalSqueeze) -> PhaseResult:
-    """Mixed-state phase for a thermal field: gamma_0 - Arg(cosh^2 r - e^{2 pi i G} sinh^2 r)."""
-    gamma0 = eigen_berry_phase(dp, 0, 0).raw
-    g = mode_fraction_G(dp).G
-    raw = gamma0 - mixed_phase_offset(g, r.r)
-    return PhaseResult(value=wrap_angle(raw), raw=raw)
-
-
-def thermometer_delta_from_G(G: float, omega: float, t_cold: float, t_hot: float) -> float:
+def thermometer_delta_from_eps(eps: float, omega: float, t_cold: float, t_hot: float) -> float:
     """Arg(1 - e^{-hbar w/kT1 - 2 pi i G}) - Arg(1 - e^{-hbar w/kT2 - 2 pi i G}).
 
-    Identically equal to the difference of the two mixed-state thermal
-    phases; antisymmetric under swapping the temperatures.
+    Each term is Arg(1 + x e^{-2 pi i eps}), x = e^{-hbar w/kT}.  Identically
+    equal to the difference of the two mixed-state thermal phases;
+    antisymmetric under swapping the temperatures.
     """
+    s, c = math.sin(TAU * eps), math.cos(TAU * eps)
+
     def term(temp: float) -> float:
         x = math.exp(-boltzmann_exponent(omega, temp))
-        return float(np.angle(1.0 - x * np.exp(-2j * math.pi * G)))
+        return math.atan2(-x * s, 1.0 + x * c)
 
     return term(t_cold) - term(t_hot)
 
 
-def thermometer_delta(dp: DiagParams, omega: float, t_cold: float, t_hot: float) -> PhaseResult:
-    """Phase difference between detectors probing thermal sources at two temperatures."""
-    if t_cold <= 0.0 or t_hot <= 0.0:
-        raise ValueError(f"temperatures must be positive, got ({t_cold}, {t_hot})")
-    g = mode_fraction_G(dp).G
-    raw = thermometer_delta_from_G(g, omega, t_cold, t_hot)
-    return PhaseResult(value=wrap_angle(raw), raw=raw)
+def thermometer_slope_from_eps(eps: float, omega: float, t_cold: float) -> float:
+    """d delta / d T_cold = -(x y / T_c) sin 2 pi eps / (1 + 2 x cos 2 pi eps + x^2),
+    y = hbar w / k T_c, x = e^{-y}: the derivative of the cold term of
+    ``thermometer_delta_from_eps``."""
+    y = boltzmann_exponent(omega, t_cold)
+    x = math.exp(-y)
+    c = math.cos(TAU * eps)
+    return -(x * y / t_cold) * math.sin(TAU * eps) / (1.0 + 2.0 * x * c + x * x)
 
 
 def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
@@ -186,24 +178,15 @@ def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
     return ThermalSqueeze(r=math.atanh(x))
 
 
-def delta_per_cycle_from_G(G: float, q: float) -> float:
+def delta_per_cycle_from_eps(eps: float, q: float) -> float:
     """Per-cycle inertial/accelerated phase difference at squeeze q.
 
-    Arg(cosh^2 q - e^{-2 pi i G} sinh^2 q): this sign choice makes the
-    difference equal +sinh^2 q sin(2 pi G) at small q, hence positive and
-    monotone increasing in the acceleration while 2 pi G mod 2 pi lies in
-    (0, pi).  It has the same magnitude as the mixed-phase offset at G.
+    Arg(cosh^2 q - e^{-2 pi i G} sinh^2 q) = Arg(cosh^2 q + e^{-2 pi i eps} sinh^2 q),
+    minus the mixed-phase offset at eps.  It equals -sinh^2 q sin(2 pi eps)
+    at small q, so while 0 < eps < 1/2 it is negative and falls monotonically
+    as the acceleration (and q) grows.
     """
-    z = math.cosh(q) ** 2 - np.exp(-2j * math.pi * G) * math.sinh(q) ** 2
-    return float(np.angle(z))
-
-
-def unruh_delta_per_cycle(dp: DiagParams, Omega_a: float, accel: float) -> PhaseResult:
-    """Per-cycle phase difference between an inertial and an accelerated detector."""
-    q = unruh_squeeze(Omega_a, accel).r
-    g = mode_fraction_G(dp).G
-    val = delta_per_cycle_from_G(g, q)
-    return PhaseResult(value=val, raw=val)
+    return -mixed_phase_offset(eps, q)
 
 
 def accumulate_cycles(delta_per_cycle: float, n_cycles: int) -> CycleAccumulation:

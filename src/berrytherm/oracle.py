@@ -39,7 +39,7 @@ __all__ = [
     "pancharatnam_product",
     "discrete_berry_loop",
     "discrete_berry_loops",
-    "partial_sum_from_G",
+    "partial_sum_from_eps",
     "excitation_probability_per_cycle",
     "thermal_excitation_per_cycle",
     "berry_connection_v",
@@ -292,9 +292,10 @@ def discrete_berry_loop(
     return result
 
 
-def partial_sum_from_G(G: float, gamma0: float, r: float, n_max: int) -> PhaseResult:
+def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> PhaseResult:
     """Arg of the explicitly summed weighted phase factors sum_n w_n e^{i gamma_n},
-    gamma_n = gamma0 + 2 pi G n, w_n the thermal weights at squeeze r.
+    gamma_n = gamma0 + 2 pi G n with G = 1/2 + eps, w_n the thermal weights at
+    squeeze r: the sum is taken as sum_n w_n (-1)^n e^{i (gamma0 + 2 pi eps n)}.
 
     Refuses when the geometric tail tanh^{2(n_max+1)} r >= 1e-12, reporting
     the required n_max.
@@ -306,7 +307,8 @@ def partial_sum_from_G(G: float, gamma0: float, r: float, n_max: int) -> PhaseRe
         )
     w, _ = thermal_weights(r, n_max)
     n = np.arange(n_max + 1)
-    z = np.sum(w * np.exp(1j * (gamma0 + 2.0 * math.pi * G * n)))
+    sign = 1.0 - 2.0 * (n % 2)
+    z = np.sum(w * sign * np.exp(1j * (gamma0 + 2.0 * math.pi * eps * n)))
     val = float(np.angle(z))
     return PhaseResult(value=val, raw=val)
 

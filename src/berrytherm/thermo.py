@@ -20,7 +20,6 @@ __all__ = [
     "ThermalSqueeze",
     "unruh_temperature",
     "squeeze_from_temperature",
-    "temperature_from_squeeze",
     "thermal_weights",
 ]
 
@@ -77,26 +76,6 @@ def squeeze_from_temperature(omega: float, temperature: float) -> ThermalSqueeze
     y = 0.5 * boltzmann_exponent(omega, temperature)
     r = 0.5 * (math.log1p(math.exp(-y)) - math.log(-math.expm1(-y)))
     return ThermalSqueeze(r=float(r))
-
-
-def temperature_from_squeeze(omega: float, r) -> float:
-    """Inverse of squeeze_from_temperature: T = hbar omega / (-2 k_B ln tanh r).
-
-    r = 0 is the T = 0 boundary and is returned as exactly 0.0.
-    """
-    rv = float(getattr(r, "r", r))
-    if rv < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {rv}")
-    if omega <= 0.0:
-        raise ValueError(f"mode frequency must be positive, got {omega}")
-    if rv == 0.0:
-        return 0.0
-    # ln tanh r = log1p(-e^{-2r}) - log1p(e^{-2r}), stable at both ends
-    x = math.exp(-2.0 * rv)
-    log_tanh = math.log1p(-x) - math.log1p(x)
-    if log_tanh >= 0.0:
-        raise ValueError("tanh r must stay below 1")
-    return CONSTANTS.hbar * omega / (-2.0 * CONSTANTS.k_B * log_tanh)
 
 
 def thermal_weights(r: float, n_max: int) -> tuple[np.ndarray, float]:

@@ -137,7 +137,7 @@ def test_unruh_columns_and_time_arithmetic(tmp_path):
         if math.isfinite(r[4]):
             assert r[5] == pytest.approx(r[4] * math.pi * 1e-9, rel=1e-12)
     # left end: tiny per-cycle phase, astronomically many cycles
-    assert rows[0][3] < 1e-30
+    assert abs(rows[0][3]) < 1e-30
     assert rows[0][4] > 1e10
 
 
@@ -222,8 +222,8 @@ def test_diagonalize_zero_coupling_flagged(tmp_path):
 
 
 def test_unruh_deterministic_bytes_and_rows_in_order(tmp_path):
-    from berrytherm.diagonalization import PhysicalParams, invert_physical
-    from berrytherm.geomphase import delta_per_cycle_from_G, mode_fraction_G, unruh_squeeze
+    from berrytherm.diagonalization import PhysicalParams
+    from berrytherm.geomphase import delta_per_cycle_from_eps, epsilon, unruh_squeeze
 
     args = ["unruh", "--preset", "fig5-3", "--points", "7"]
     code, a = run(args, tmp_path, "a.csv")
@@ -231,15 +231,31 @@ def test_unruh_deterministic_bytes_and_rows_in_order(tmp_path):
     assert code == EXIT_OK
     assert a == b
     p = PRESETS["fig5-3"]
-    dp = invert_physical(PhysicalParams(p["gap"], p["gap"], p["coupling"])).params
-    g = mode_fraction_G(dp).G
+    eps = epsilon(PhysicalParams(p["gap"], p["gap"], p["coupling"]))
     rows = [list(map(float, ln.split(","))) for ln in a.strip().split("\n")[1:]]
     accels = np.logspace(16.0, 18.0, 7)
     assert [r[0] for r in rows] == list(accels)
     for r, acc in zip(rows, accels):
         q = unruh_squeeze(p["gap"], acc).r
         assert r[2] == q
-        assert r[3] == delta_per_cycle_from_G(g, q)
+        assert r[3] == delta_per_cycle_from_eps(eps, q)
+
+
+def test_sweeps_never_call_the_inverse_map(tmp_path, monkeypatch):
+    # the sweep formulas take epsilon straight from the laboratory triple
+    from berrytherm import cli, diagonalization
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called the inverse map")
+
+    monkeypatch.setattr(diagonalization, "invert_physical", refuse)
+    monkeypatch.setattr(cli, "invert_physical", refuse)
+    for argv in (["thermometer", "--preset", "fig3-ghz", "--points", "5"],
+                 ["sensitivity", "--preset", "fig3-mhz", "--points", "5"],
+                 ["unruh", "--preset", "fig5-1", "--points", "5"]):
+        code, text = run(argv, tmp_path)
+        assert code == EXIT_OK, argv
+        assert len(text.strip().split("\n")) == 6
 
 
 def test_thermometer_200_point_sweep_under_five_seconds(tmp_path):

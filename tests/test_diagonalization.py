@@ -4,7 +4,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 from scipy.sparse.linalg import expm_multiply
 
 from berrytherm import cli
@@ -22,10 +21,8 @@ from berrytherm.diagonalization import (
     eigenvalue,
     forward_map,
     hamiltonian_action,
-    _brentq,
-    _ratios,
-    _uv_from_coords,
     invert_physical,
+    normal_modes,
     unitary_action,
 )
 from berrytherm.fockspace import FockDims, basis_state, ladder, number_diagonal
@@ -140,90 +137,67 @@ def test_inverse_zero_coupling_boundary():
     assert sol.params.omega_b == 3e9
 
 
-def test_inverse_two_seeds_agree():
-    pp = PhysicalParams(2e9, 2e9, 2 * math.pi * 34)
-    s1 = invert_physical(pp, seed_shift=0.0)
-    s2 = invert_physical(pp, seed_shift=0.25)
-    assert abs(s1.params.v - s2.params.v) <= 1e-9 * max(s1.params.v, 1e-300)
-
-
 def test_inverse_rejects_huge_coupling():
     with pytest.raises(InverseMapError, match="basin"):
         invert_physical(PhysicalParams(1e9, 1e9, 0.5e9))
 
 
-def _seed_scale_residual(pp: PhysicalParams):
-    """The coupling residual f_scale(x1) that invert_physical's seed solves."""
-    sigma_t, lnrho = pp.lam / pp.Omega_a, math.log(pp.Omega_b / pp.Omega_a)
-    x2 = max(0.5 * lnrho, 0.5 * sigma_t) - max(-0.5 * lnrho, 0.5 * sigma_t)
-
-    def f_scale(x1):
-        u, v = _uv_from_coords(x1, x2)
-        return math.log(_ratios(u, v)[1] / sigma_t)
-    return f_scale
-
-
-def _both_brentq(f, a, b, **kw):
-    """(result or error message) of scipy's brentq and of the port."""
-    out = []
-    for solver in (brentq, _brentq):
-        try:
-            out.append(solver(f, a, b, **kw))
-        except (ArithmeticError, ValueError, RuntimeError) as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
-    return out
+def test_inverse_round_trips_at_sigma_1e20():
+    # far below any seed bracket: the closed form is exact at lam/Omega_a = 1e-20
+    pp = PhysicalParams(1.0, 1.0, 1e-20)
+    sol = invert_physical(pp)
+    assert sol.residual == 0.0 and sol.iterations == 0
+    assert sol.params.v == pytest.approx(0.5e-20, rel=1e-15)
+    back = forward_map(sol.params)
+    assert (back.Omega_a, back.Omega_b, back.lam) == (pp.Omega_a, pp.Omega_b, pp.lam)
 
 
-SEED_BRACKET = (math.log(1e-16), math.log(4.0))
-
-
-def test_brentq_port_bit_exact_on_presets():
-    for p in cli.PRESETS.values():
-        f = _seed_scale_residual(PhysicalParams(p["gap"], p["gap"], p["coupling"]))
-        ref, port = _both_brentq(f, *SEED_BRACKET, xtol=1e-13)
-        assert isinstance(ref, float) and port == ref, (p, ref, port)
-
-
-def test_brentq_port_bit_exact_on_random_triples():
-    rng = random.Random(20141)
-    agreed = 0
-    for _ in range(1200):
+def _random_triples(seed: int, count: int):
+    """Laboratory triples with Omega_a in 1e3..1e11, Omega_b/Omega_a in
+    0.1..10 and sigma = lam/Omega_a in 1e-4..0.3, log-uniform."""
+    rng = random.Random(seed)
+    for _ in range(count):
         omega_a = 10.0 ** rng.uniform(3.0, 11.0)
-        rho = 10.0 ** rng.uniform(-3.0, 3.0)
-        sigma = 10.0 ** rng.uniform(-12.0, math.log10(0.35))
-        f = _seed_scale_residual(PhysicalParams(omega_a, rho * omega_a, sigma * omega_a))
-        ref, port = _both_brentq(f, *SEED_BRACKET, xtol=1e-13)
-        assert port == ref, (omega_a, rho, sigma, ref, port)
-        agreed += isinstance(ref, float)
-    assert agreed >= 1000
+        omega_b = omega_a * 10.0 ** rng.uniform(-1.0, 1.0)
+        yield PhysicalParams(omega_a, omega_b, omega_a * 10.0 ** rng.uniform(-4.0, math.log10(0.3)))
 
 
-def test_brentq_port_generic_functions_and_endpoints():
-    cases = [
-        (lambda x: x * x * x - 2.0 * x - 5.0, 2.0, 3.0, {"xtol": 2e-12}),
-        (math.cos, 0.0, 2.0, {"xtol": 1e-13}),
-        (lambda x: math.exp(x) - 10.0, -5.0, 5.0, {"xtol": 1e-13}),
-        (lambda x: x - 1.0, 1.0, 3.0, {"xtol": 1e-13}),    # f(a) == 0
-        (lambda x: x - 1.0, -2.0, 1.0, {"xtol": 1e-13}),   # f(b) == 0
-        (lambda x: x * x + 1.0, -1.0, 1.0, {"xtol": 1e-13}),  # no sign change
-        (lambda x: math.atan(x - 0.3), -1.0, 1.0, {"xtol": 1e-13, "maxiter": 3}),
-        (lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, {"xtol": 1e-13}),
-    ]
-    for f, a, b, kw in cases:
-        ref, port = _both_brentq(f, a, b, **kw)
-        assert port == ref, (a, b, kw, ref, port)
-    assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-13) == 1.0
-    assert _brentq(lambda x: x - 1.0, -2.0, 1.0, xtol=1e-13) == 1.0
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+def test_inverse_round_trips_on_random_triples():
+    solved = 0
+    for pp in _random_triples(20141, 1200):
+        if 4.0 * pp.lam ** 2 >= pp.Omega_a * pp.Omega_b:
+            # the lower normal mode is unbound: no diagonalization exists
+            with pytest.raises(InverseMapError, match="unbound"):
+                invert_physical(pp)
+            continue
+        sol = invert_physical(pp)
+        assert sol.residual <= 1e-13, pp
+        solved += 1
+    assert solved >= 1000
 
 
-def test_inverse_seed_without_sign_change_is_refused():
-    # lam/Omega_a = 1e-20 lies below the coupling at the bracket's low end
-    with pytest.raises(InverseMapError,
-                       match="seed bisection failed to bracket the coupling: "
-                             "f\\(a\\) and f\\(b\\) must have different signs"):
-        invert_physical(PhysicalParams(1.0, 1.0, 1e-20))
+def test_normal_modes_are_the_stiffness_eigenvalues():
+    # omega_a = Omega_a e^{2u} and omega_b = Omega_a e^{-2v} are the square
+    # roots of the eigenvalues of K = [[Omega_a^2, k], [k, Omega_b^2]],
+    # k = 2 lam sqrt(Omega_a Omega_b), and cos 2 theta its mixing angle
+    for pp in (PhysicalParams(1.0, 1.3, 0.2), PhysicalParams(1.0, 0.6, 0.1),
+               PhysicalParams(2.0, 2.0, 0.3)):
+        k = 2.0 * pp.lam * math.sqrt(pp.Omega_a * pp.Omega_b)
+        stiffness = np.array([[pp.Omega_a ** 2, k], [k, pp.Omega_b ** 2]])
+        low, high = np.linalg.eigvalsh(stiffness)
+        u, v, cos_2theta, one_plus_cos = normal_modes(pp)
+        assert pp.Omega_a * math.exp(2 * u) == pytest.approx(math.sqrt(high), rel=1e-14)
+        assert pp.Omega_a * math.exp(-2 * v) == pytest.approx(math.sqrt(low), rel=1e-14)
+        h = 0.5 * (pp.Omega_a ** 2 - pp.Omega_b ** 2)
+        assert cos_2theta == pytest.approx(h / math.hypot(h, k), rel=1e-14)
+        assert one_plus_cos == pytest.approx(1.0 + cos_2theta, rel=1e-14)
+
+
+def test_normal_modes_refuse_unbound_and_decoupled():
+    with pytest.raises(InverseMapError, match="unbound"):
+        normal_modes(PhysicalParams(1.0, 0.1, 0.2))
+    with pytest.raises(ConstraintError, match="decoupled"):
+        normal_modes(PhysicalParams(1.0, 1.0, 0.0))
 
 
 def test_map_identities_on_grid():
@@ -240,9 +214,9 @@ def test_map_identities_on_grid():
                 assert abs(sol.params.omega_b / dp.omega_b - 1) < 1e-10
                 assert abs(sol.params.v / dp.v - 1) < 1e-9
                 back = forward_map(sol.params)
-                assert abs(back.Omega_a / pp.Omega_a - 1) < 1e-10
-                assert abs(back.Omega_b / pp.Omega_b - 1) < 1e-10
-                assert abs(back.lam / pp.lam - 1) < 1e-10
+                assert abs(back.Omega_a / pp.Omega_a - 1) < 1e-13
+                assert abs(back.Omega_b / pp.Omega_b - 1) < 1e-13
+                assert abs(back.lam / pp.lam - 1) < 1e-13
 
 
 def test_hamiltonian_diagonal_at_zero_coupling():

@@ -16,11 +16,9 @@ from berrytherm.diagonalization import (
 )
 from berrytherm.fockspace import FockDims, StateVector, basis_state, number_diagonal
 from berrytherm.geomphase import (
-    ThermalSqueeze,
     eigen_berry_phase,
+    epsilon,
     mixed_phase_offset,
-    mixed_thermal_phase,
-    mode_fraction_G,
     phase_distance,
     wrap_angle,
 )
@@ -33,7 +31,7 @@ from berrytherm.oracle import (
     excitation_probability_per_cycle,
     numeric_eigenpair,
     pancharatnam_product,
-    partial_sum_from_G,
+    partial_sum_from_eps,
     rotation_covariance_residual,
     thermal_excitation_per_cycle,
 )
@@ -309,13 +307,13 @@ def test_sector_solve_refuses_target_outside_sector():
 
 
 def test_partial_sum_single_term():
-    res = partial_sum_from_G(0.37, 1.234, 0.0, 0)
+    res = partial_sum_from_eps(-0.13, 1.234, 0.0, 0)
     assert res.value == pytest.approx(1.234, abs=1e-14)
 
 
 def test_partial_sum_spot_value():
     r = math.atanh(math.sqrt(0.5))
-    res = partial_sum_from_G(0.25, 0.0, r, 60)
+    res = partial_sum_from_eps(-0.25, 0.0, r, 60)  # G = 1/4
     assert res.value == pytest.approx(0.46364760900080615, abs=1e-10)
 
 
@@ -323,25 +321,27 @@ def test_partial_sum_matches_closed_form_grid():
     for tanh2 in (0.1, 0.5, 0.9):
         r = math.atanh(math.sqrt(tanh2))
         n_max = required_levels(r) + 2
-        for g in (0.1, 0.25, 0.7):
-            closed = -mixed_phase_offset(g, r)
-            summed = partial_sum_from_G(g, 0.0, r, n_max).value
+        for eps in (-0.4, -0.25, 0.2, 1e-15):  # G = 0.1, 0.25, 0.7 and a preset's 1/2 + eps
+            closed = -mixed_phase_offset(eps, r)
+            summed = partial_sum_from_eps(eps, 0.0, r, n_max).value
             assert phase_distance(closed, summed) < 1e-10
 
 
 def test_partial_sum_refuses_fat_tail():
     r = math.atanh(math.sqrt(0.9))
     with pytest.raises(OracleError, match="n_max"):
-        partial_sum_from_G(0.25, 0.0, r, 40)
+        partial_sum_from_eps(-0.25, 0.0, r, 40)
 
 
 def test_mixed_phase_dp_route():
-    r = ThermalSqueeze(0.6)
-    closed = mixed_thermal_phase(CANONICAL, r)
-    g = mode_fraction_G(CANONICAL).G
+    # the thermal phase gamma_0 - offset at the epsilon of CANONICAL's triple
+    # against the explicit sum over its eigenstate phases
+    r = 0.6
+    eps = epsilon(forward_map(CANONICAL))
     gamma0 = eigen_berry_phase(CANONICAL, 0, 0).raw
-    summed = partial_sum_from_G(g, gamma0, r.r, required_levels(0.6) + 2)
-    assert phase_distance(closed.value, summed.value) < 1e-10
+    closed = gamma0 - mixed_phase_offset(eps, r)
+    summed = partial_sum_from_eps(eps, gamma0, r, required_levels(r) + 2)
+    assert phase_distance(closed, summed.value) < 1e-10
 
 
 def test_rotation_covariance():
