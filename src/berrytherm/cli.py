@@ -201,6 +201,8 @@ DIAG_KEYS = {
 
 def cmd_diagonalize(config: dict) -> dict:
     cutoff = int(config.get("cutoff", 24))
+    if cutoff < 4:
+        raise ConfigError("need cutoff >= 4")
     dims = FockDims(cutoff, cutoff)
     report: dict = {}
     if config.get("diag_v") is not None:
@@ -370,8 +372,8 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
     temperature = config.get("temperature", 0.0)
     cycles = int(config.get("cycles", 8))
     steps = int(config.get("steps_per_cycle", 600))
-    if cycles < 1:
-        raise ConfigError("need cycles >= 1")
+    if cycles < 1 or steps < 100 or not temperature >= 0.0:
+        raise ConfigError("need cycles >= 1, steps_per_cycle >= 100 and temperature >= 0")
     pp = _resonant_params(gap, coupling)
     spec = EvolutionSpec(steps_per_cycle=steps)
     if temperature > 0.0:
@@ -619,11 +621,12 @@ def cmd_certify(config: dict) -> tuple[dict, int]:
 # Argument parsing and dispatch
 # --------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--config", help="plain key = value configuration file")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format for sweep commands")
+    if sweep:  # sweeps write rows; diagonalize and certify always write a JSON report
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int)
 
     p = sub.add_parser("thermometer", help="phase difference vs cold-source temperature")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.add_argument("--preset", help="fig3-mhz | fig3-10mhz | fig3-100mhz | fig3-ghz")
     p.add_argument("--gap", type=float, help="resonant gap (rad/s)")
     p.add_argument("--t-hot", dest="t_hot", type=float, help="hot source temperature (K)")
@@ -654,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
 
     p = sub.add_parser("sensitivity", help="phase error vs hot-source temperature error")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.add_argument("--preset")
     p.add_argument("--gap", type=float)
     p.add_argument("--t-hot", dest="t_hot", type=float)
@@ -664,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
 
     p = sub.add_parser("unruh", help="per-cycle phase difference vs acceleration")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.add_argument("--preset", help="fig5-1 | fig5-2 | fig5-3")
     p.add_argument("--gap", type=float)
     p.add_argument("--coupling", type=float)
@@ -673,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
 
     p = sub.add_parser("adiabaticity", help="excitation probability per cycle")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.add_argument("--preset", help="fig6-ghz | fig6-mhz")
     p.add_argument("--gap", type=float)
     p.add_argument("--coupling", type=float)

@@ -396,9 +396,9 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims):
     return h.tocsr()
 
 
-def _position(n: int) -> np.ndarray:
-    """a + a' on n levels."""
-    off = np.sqrt(np.arange(1.0, n))
+def _position(n: int, first: int = 0) -> np.ndarray:
+    """a + a' on the n levels first .. first + n - 1."""
+    off = np.sqrt(np.arange(first + 1.0, first + n))
     return np.diag(off, 1) + np.diag(off, -1)
 
 

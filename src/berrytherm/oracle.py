@@ -6,8 +6,12 @@ gauge-invariant products of successive overlaps, mixed-state phases from
 explicit weighted partial sums, and adiabaticity from direct integration of
 the time-dependent Schrodinger equation.  Closed forms are only allowed in
 as selection targets (which eigenvector to track), never as values.
-scipy is imported inside the functions that call it, so importing this
-module (which ``cli`` does) costs the closed-form commands no scipy import.
+Every field-state quadrature of the adiabaticity check is the Gauss rule of
+x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
+and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
+1969), from numpy's eigh.  scipy is imported only by ``numeric_eigenpair``
+and reached through ``build_hamiltonian``, so the closed-form commands and
+the adiabaticity check never load it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from .diagonalization import (
     DiagParams,
     PhysicalParams,
+    _position,
     build_hamiltonian,
     eigenstate,
     eigenstates,
@@ -52,9 +57,9 @@ AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-10
 DENSE_EIGH_LIMIT = 1600      # dense eigh for dense matrices up to this dimension
 EIGSH_K = 3                  # shift-invert Lanczos pairs: the 3 levels nearest the target
-MAX_WINDOW = 2048            # field-window half-width cap: eigenvectors of 4097 levels, ~134 MB
+MAX_WINDOW = 2048            # field-window half-width cap: eigh of 4097 levels, ~650 MB
 THERMAL_NODES = 80           # first Gauss-Hermite node count of the thermal mixture
-MAX_NODES = 320              # node-doubling cap: numpy's hermgauss weights turn NaN near 400
+MAX_NODES = 320              # node-doubling cap on cost: one detector drive per node
 NODE_TOL = 1e-9              # converged once a doubling moves P by at most this times max P,
 POPULATION_FLOOR = np.finfo(float).eps ** 2  # or by at most this, where P is rounding noise
 GAUSS_TAIL_Z = 9.0           # a Gaussian puts weight 2.3e-19 < 1e-18 beyond 9 standard deviations
@@ -80,11 +85,10 @@ class LoopSpec:
 class EvolutionSpec:
     """Fixed-step integration controls for the time-dependent problem.
 
-    ``step`` (seconds, < 0.01 cycle) or else steps_per_cycle is a floor: the
-    evolver raises it until the predicted RK4 norm drift is <= NORM_DRIFT_LIMIT / 10.
+    steps_per_cycle is a floor: the evolver raises it until the predicted RK4
+    norm drift is <= NORM_DRIFT_LIMIT / 10.
     """
 
-    step: float | None = None
     steps_per_cycle: int = 400
 
     def __post_init__(self):
@@ -92,13 +96,7 @@ class EvolutionSpec:
             raise ValueError("need at least 100 steps per cycle")
 
     def resolved_steps_per_cycle(self, Omega_a: float) -> int:
-        cycle = 2.0 * math.pi / Omega_a
-        if self.step is not None:
-            if self.step >= 0.01 * cycle:
-                raise ValueError(
-                    f"step {self.step:g} s violates the bound 0.01 * cycle = {0.01 * cycle:g} s"
-                )
-            return max(100, int(math.ceil(cycle / self.step)))
+        """The step-count floor; ``Omega_a`` is unused and kept for existing callers."""
         return self.steps_per_cycle
 
 
@@ -371,61 +369,34 @@ def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, steps_per_cycle: int
     return excited, psi
 
 
-def _evolve(pp: PhysicalParams, n0s: np.ndarray, cycles: int, steps_per_cycle: int,
-            window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 evolution of |n0_f, 0_d> for every n0 of ``n0s`` as one batch.
+def _field_rule(n: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues xi_j (ascending) of x_f = a + a' on the levels first .. first + n - 1,
+    and the eigenvector matrix <first + k | xi_j>: the Gauss rule of x_f on those
+    levels (Golub-Welsch).  From level 0 it is the Gauss-Hermite rule of a
+    unit-variance Gaussian, xi_j = sqrt(2) t_j with weight |<0|xi_j>|^2 = w_j / sqrt(pi)."""
+    return np.linalg.eigh(_position(n, first))
+
+
+def _evolve(pp: PhysicalParams, n0: int, cycles: int, steps_per_cycle: int,
+            window: int) -> tuple[np.ndarray, float, float]:
+    """Fixed-step RK4 evolution of |n0_f, 0_d>.
 
     Frame rotating with H0, varphi(t) = -Omega_a t: the generator is
     lam x_f x_d(t), x_f = a + a', x_d(t) = b e^{-i Omega_b t} + b' e^{i Omega_b t}.
-    Each row keeps the field levels max(0, n0 - window) .. n0 + window, and each
-    eigenvalue xi of their x_f drives one detector with strength g xi
-    (``_detector_cycles``).  Returns per row: sum_{d >= 1} |psi_{n,d}|^2 per
-    cycle, norm drift, edge amplitude.
+    The field keeps the levels max(0, n0 - window) .. n0 + window, and each
+    eigenvalue xi_j of their x_f drives one detector with strength g xi_j from
+    the amplitude <n0 | xi_j> (``_detector_cycles``).  Returns
+    sum_{d >= 1} |psi_{n,d}|^2 per cycle, the norm drift, and the amplitude on
+    the two edge levels at each end of the window (the top end only, from 0).
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    lo = np.maximum(n0s - window, 0)
-    xi, start, edge_rows = [], [], []
-    for n0, low in zip(n0s, lo):
-        vals, vecs = eigh_tridiagonal(np.zeros(n0 + window - low + 1),
-                                      np.sqrt(np.arange(low + 1.0, n0 + window + 1.0)))
-        xi.append(vals)
-        start.append(vecs[n0 - low])                     # <n0 | xi_j>
-        edge_rows.append(vecs[[0, 1, -2, -1] if low > 0 else [-2, -1]])
-    bounds = np.cumsum([0] + [len(v) for v in xi])
-    excited, psi = _detector_cycles(pp, (pp.lam / pp.Omega_a) * np.concatenate(xi),
-                                    steps_per_cycle, np.concatenate(start), cycles)
-    out = np.add.reduceat(excited, bounds[:-1], axis=1).T
-    norm = np.add.reduceat(np.sum(np.abs(psi) ** 2, axis=1), bounds[:-1])
-    edge = [math.sqrt(np.sum(np.abs(rows @ psi[i:j]) ** 2))
-            for rows, i, j in zip(edge_rows, bounds[:-1], bounds[1:])]
-    return out, np.abs(np.sqrt(norm) - 1.0), np.array(edge)
-
-
-def _excitation(pp: PhysicalParams, cycles: int, spec: EvolutionSpec, n0s) -> np.ndarray:
-    """P(detector excited) per cycle for each n0 of ``n0s``, rows sharing the window
-    and step count sized for the largest n0.  Norm drift beyond 1e-10 in a row
-    refuses; an edge amplitude of 1e-6 in a row doubles the window, twice at most,
-    and a window above MAX_WINDOW refuses before anything is allocated."""
-    n0s = np.asarray(n0s, dtype=int)
-    if pp.lam == 0.0:
-        return np.zeros((len(n0s), cycles))
-    g, n_max = pp.lam / pp.Omega_a, int(n0s.max())
-    window = _window(g, n_max, cycles)
-    for _ in range(3):
-        if window > MAX_WINDOW:
-            raise OracleError(f"field window {window} exceeds the cap {MAX_WINDOW}; "
-                              "coupling too strong for this driver")
-        steps = _steps_per_cycle(g, 2.0 * math.sqrt(n_max + window), cycles,
-                                 spec.resolved_steps_per_cycle(pp.Omega_a))
-        out, drift, edge = _evolve(pp, n0s, cycles, steps, window)
-        if drift.max() > NORM_DRIFT_LIMIT:
-            raise OracleError(f"norm drift {drift.max():.3e} exceeds {NORM_DRIFT_LIMIT:g}; "
-                              "reduce the step")
-        if edge.max() < 1e-6:
-            return out
-        window *= 2
-    raise OracleError("field window kept saturating; coupling too strong for this driver")
+    low = max(n0 - window, 0)
+    xi, vecs = _field_rule(n0 + window - low + 1, low)
+    excited, psi = _detector_cycles(pp, (pp.lam / pp.Omega_a) * xi, steps_per_cycle,
+                                    vecs[n0 - low], cycles)
+    edge = vecs[[0, 1, -2, -1] if low > 0 else [-2, -1]] @ psi
+    # reduceat keeps the summation order, and so the bits, of the CSVs written so far
+    return (np.add.reduceat(excited, [0], axis=1)[:, 0], abs(np.linalg.norm(psi) - 1.0),
+            float(np.linalg.norm(edge)))
 
 
 def excitation_probability_per_cycle(
@@ -434,9 +405,27 @@ def excitation_probability_per_cycle(
     spec: EvolutionSpec,
     n_field_initial: int = 0,
 ) -> np.ndarray:
-    """P(detector excited) at each cycle boundary, initial state |n0_f, 0_d>:
-    a batch of one through the window evolver (see ``_excitation``)."""
-    return _excitation(pp, cycles, spec, [n_field_initial])[0]
+    """P(detector excited) at each cycle boundary, initial state |n0_f, 0_d>
+    (see ``_evolve``).  Norm drift beyond 1e-10 refuses; an edge amplitude of
+    1e-6 doubles the window, twice at most, and a window above MAX_WINDOW
+    refuses before anything is allocated."""
+    if pp.lam == 0.0:
+        return np.zeros(cycles)
+    g, n0 = pp.lam / pp.Omega_a, n_field_initial
+    window = _window(g, n0, cycles)
+    for _ in range(3):
+        if window > MAX_WINDOW:
+            raise OracleError(f"field window {window} exceeds the cap {MAX_WINDOW}; "
+                              "coupling too strong for this driver")
+        steps = _steps_per_cycle(g, 2.0 * math.sqrt(n0 + window), cycles, spec.steps_per_cycle)
+        out, drift, edge = _evolve(pp, n0, cycles, steps, window)
+        if drift > NORM_DRIFT_LIMIT:
+            raise OracleError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; "
+                              "reduce the step")
+        if edge < 1e-6:
+            return out
+        window *= 2
+    raise OracleError("field window kept saturating; coupling too strong for this driver")
 
 
 @dataclass(frozen=True)
@@ -458,8 +447,10 @@ def thermal_excitation_per_cycle(
     """Thermal-field excitation probability as one Gaussian expectation.
 
     x_f commutes with the generator (see ``_evolve``) and is Gaussian with
-    variance cosh 2r in the thermal state of squeeze r, so P = sum_i w_i f(g x_i)
-    over Gauss-Hermite nodes x_i, f from ``_detector_cycles``.  The node count
+    variance sigma^2 = cosh 2r in the thermal state of squeeze r, so
+    P = sum_i w_i f(g x_i), f from ``_detector_cycles``, over the N-node
+    Gauss-Hermite rule (``_field_rule`` on the levels 0 .. N - 1):
+    x_i = sigma xi_i and w_i = |<0|xi_i>|^2.  The node count
     doubles from THERMAL_NODES until converged (NODE_TOL, POPULATION_FLOOR) and
     refuses past MAX_NODES.  Steps are sized once for |x_f| <= GAUSS_TAIL_Z
     sigma; norm drift beyond 1e-10 at a node inside that bound refuses.
@@ -468,17 +459,17 @@ def thermal_excitation_per_cycle(
         return ThermalExcitation(np.zeros(cycles), 0.0, np.zeros(0))
     g, sigma = pp.lam / pp.Omega_a, math.sqrt(math.cosh(2.0 * r_thermal))
     x_top = GAUSS_TAIL_Z * sigma
-    steps = _steps_per_cycle(g, x_top, cycles, spec.resolved_steps_per_cycle(pp.Omega_a))
+    steps = _steps_per_cycle(g, x_top, cycles, spec.steps_per_cycle)
     nodes, previous = THERMAL_NODES, np.inf
     while nodes <= MAX_NODES:
-        t, w = np.polynomial.hermite.hermgauss(nodes)
-        x = math.sqrt(2.0) * sigma * t
+        xi, vecs = _field_rule(nodes)
+        x = sigma * xi
         excited, psi = _detector_cycles(pp, g * x, steps, np.ones(nodes), cycles)
         drift = np.abs(np.linalg.norm(psi[np.abs(x) <= x_top], axis=1) - 1.0).max()
         if drift > NORM_DRIFT_LIMIT:
             raise OracleError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; "
                               "reduce the step")
-        per_cycle = excited @ (w / math.sqrt(math.pi))
+        per_cycle = excited @ vecs[0] ** 2
         change = float(np.abs(per_cycle - previous).max())
         if change <= max(NODE_TOL * per_cycle.max(), POPULATION_FLOOR):
             return ThermalExcitation(per_cycle, change, x)

@@ -72,6 +72,30 @@ def test_numerical_failure_exit_code(capsys):
     assert "basin" in capsys.readouterr().err
 
 
+RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["adiabaticity", "--preset", "fig6-mhz", "--temperature", "-1"],
+    ["adiabaticity", "--preset", "fig6-mhz", "--steps-per-cycle", "50"],
+    ["diagonalize", *RESONANT_GHZ, "--cutoff", "3"],
+    ["diagonalize", *RESONANT_GHZ, "--cutoff", "1"],
+], ids=["negative-temperature", "steps-per-cycle-50", "cutoff-3", "cutoff-1"])
+def test_values_the_numerics_cannot_take_are_config_errors(capsys, argv):
+    # caught with the other config values, before any numerics run
+    assert main(argv) == EXIT_CONFIG
+    assert "need" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "diagonalize"])
+def test_report_commands_take_no_format(capsys, command):
+    # both always write a JSON report, so --format is not theirs to accept
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_thermometer_rows_and_zero_at_equal_temperatures(tmp_path):
     code, text = run(["thermometer", "--preset", "fig3-ghz", "--points", "7"],
                      tmp_path)
@@ -304,8 +328,10 @@ def test_flags_and_config_keys_agree():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(KEYMAP)
     for name, p in sub.choices.items():
-        dests = {a.dest for a in p._actions} - {"help", "config", "out", "format"}
-        assert dests == set(KEYMAP[name]), name
+        dests = {a.dest for a in p._actions} - {"help", "config", "out"}
+        # --format selects how a sweep writes its rows, and only sweeps take it
+        assert ("format" in dests) == (name not in ("diagonalize", "certify")), name
+        assert dests - {"format"} == set(KEYMAP[name]), name
 
 
 # cells that certify above the first rung of the cutoff ladder, keyed by
@@ -330,7 +356,7 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
 
 
 # --------------------------------------------------------------------------
-# scipy stays out of the closed-form commands, the thermal mixture and diagonalize
+# scipy stays out of the closed-form commands, the adiabaticity check and diagonalize
 # --------------------------------------------------------------------------
 
 SRC = Path(berrytherm.__file__).resolve().parent
@@ -338,12 +364,12 @@ SRC = Path(berrytherm.__file__).resolve().parent
 SCIPY_PROBE = """
 import json, sys
 import berrytherm
-from berrytherm import cli
+from berrytherm import cli, oracle
 from berrytherm.diagonalization import PhysicalParams, build_hamiltonian
 from berrytherm.fockspace import FockDims
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 def resonant(preset):
     p = cli.PRESETS[preset]
@@ -351,14 +377,21 @@ def resonant(preset):
             "--coupling", repr(p["coupling"])]
 
 for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
-             ["unruh", "--preset", "fig5-1"], ["adiabaticity", "--preset", "fig6-mhz"]):
+             ["unruh", "--preset", "fig5-1"]):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 closed_form = loaded()
+for argv in (["adiabaticity", "--preset", "fig6-ghz"], ["adiabaticity", "--preset", "fig6-mhz"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+mhz = cli.PRESETS["fig6-mhz"]
+oracle.excitation_probability_per_cycle(PhysicalParams(mhz["gap"], mhz["gap"], mhz["coupling"]),
+                                        8, oracle.EvolutionSpec(steps_per_cycle=600), 1808)
+adiabaticity = loaded()
 for argv in (resonant("fig3-ghz"), resonant("fig5-1")):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 diagonalize = loaded()
 build_hamiltonian(PhysicalParams(1.0, 1.0, 0.01), 0.0, FockDims(4, 4))
-print(json.dumps({"closed_form": closed_form, "diagonalize": diagonalize,
+print(json.dumps({"closed_form": closed_form, "adiabaticity": adiabaticity,
+                  "diagonalize": diagonalize,
                   "after_hamiltonian": loaded()}))
 """
 
@@ -371,6 +404,7 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded["closed_form"] == []
+    assert loaded["adiabaticity"] == []
     assert loaded["diagonalize"] == []
     # positive control: the same probe sees scipy once an operator is built
     assert "scipy.sparse" in loaded["after_hamiltonian"]

@@ -361,13 +361,6 @@ def test_evolution_zero_coupling():
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
-def test_evolution_step_bound_enforced():
-    pp = PhysicalParams(1e9, 1e9, 100.0)
-    cycle = TAU / pp.Omega_a
-    with pytest.raises(ValueError, match="0.01"):
-        EvolutionSpec(step=0.02 * cycle).resolved_steps_per_cycle(pp.Omega_a)
-
-
 def test_evolution_norm_preserved_and_small_P():
     # GHz vacuum case: excitation stays far below 1e-9 at cycle boundaries
     pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
@@ -388,7 +381,7 @@ def test_evolution_perturbative_scale_off_boundary():
 
 
 # --------------------------------------------------------------------------
-# Batched RK4 evolver
+# Window RK4 evolver and the thermal quadrature
 # --------------------------------------------------------------------------
 
 FIG6_MHZ = PhysicalParams(1e6, 1e6, TAU * 1200.0)
@@ -433,24 +426,13 @@ def _rk4_reference(pp, n0, cycles, steps, window, n_det=4):
 def test_evolver_matches_stepwise_rk4():
     # detuned and strongly coupled, so the frame phases and both window edges matter
     pp = PhysicalParams(1e6, 1.5e6, TAU * 2e4)
-    out, drift, edge = oracle._evolve(pp, np.array([20, 3]), 2, 200, 12)
-    for row, n0 in enumerate((20, 3)):
+    for n0 in (20, 3):
+        out, drift, edge = oracle._evolve(pp, n0, 2, 200, 12)
         ref, ref_drift, ref_edge = _rk4_reference(pp, n0, 2, 200, 12)
         assert ref.min() > 1e-4
-        np.testing.assert_allclose(out[row], ref, rtol=0, atol=1e-13)
-        assert drift[row] == pytest.approx(ref_drift, abs=1e-13)
-        assert edge[row] == pytest.approx(ref_edge, rel=1e-12)
-
-
-def test_evolver_batch_rows_equal_batch_of_one():
-    n0s = np.array([0, 157, 865, 1808])
-    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, 1808, 3)
-    batch, drift, edge = oracle._evolve(FIG6_MHZ, n0s, 3, 600, window)
-    for row, n0 in enumerate(n0s):
-        one, one_drift, one_edge = oracle._evolve(FIG6_MHZ, n0s[row:row + 1], 3, 600, window)
-        np.testing.assert_allclose(batch[row], one[0], rtol=0, atol=1e-14)
-        assert drift[row] == pytest.approx(one_drift[0], abs=1e-14)
-        assert edge[row] == pytest.approx(one_edge[0], abs=1e-14)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        assert drift == pytest.approx(ref_drift, abs=1e-13)
+        assert edge == pytest.approx(ref_edge, rel=1e-12)
 
 
 # Values of the step-by-step dense evolver this one replaced, fig6-mhz at
@@ -468,14 +450,12 @@ MIXTURE_1MK = [2.7723506888466532e-05, 7.932735711755037e-05, 0.0001448262995849
 
 
 def test_evolver_pinned_to_stepwise_values():
-    n0s = np.array(sorted(SEED_ROWS_600))
-    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, int(n0s.max()), 3)
-    out, drift, _ = oracle._evolve(FIG6_MHZ, n0s, 3, 600, window)
-    norm_loss = 1.0 - (1.0 - drift) ** 2
-    for row, n0 in enumerate(n0s):
-        assert np.all(out[row] >= 0.0)
-        np.testing.assert_allclose(out[row], SEED_ROWS_600[n0], rtol=0,
-                                   atol=1e-12 + norm_loss[row])
+    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, max(SEED_ROWS_600), 3)
+    for n0, seed in SEED_ROWS_600.items():
+        out, drift, _ = oracle._evolve(FIG6_MHZ, n0, 3, 600, window)
+        norm_loss = 1.0 - (1.0 - drift) ** 2
+        assert np.all(out >= 0.0)
+        np.testing.assert_allclose(out, seed, rtol=0, atol=1e-12 + norm_loss)
 
 
 def test_thermal_mixture_pinned_at_1mk():
@@ -514,8 +494,7 @@ def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
     assert [len(kappa) for kappa, *_ in calls] == [80, 160, 320]
     assert len({steps for _, steps, _, _ in calls}) == 1
     assert len(mix.grid) > 80
-    p80, p160 = (calls[i][2] @ np.polynomial.hermite.hermgauss(n)[1] / math.sqrt(math.pi)
-                 for i, n in ((0, 80), (1, 160)))
+    p80, p160 = (calls[i][2] @ oracle._field_rule(n)[1][0] ** 2 for i, n in ((0, 80), (1, 160)))
     assert np.abs(p160 / p80 - 1.0).max() > 1e-4
     assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()
     # norm drift within a tenth of the gate on every node inside the weight bound
@@ -535,7 +514,7 @@ def test_thermal_mixture_matches_occupation_sum():
     n_max = required_levels(r, 1e-20)
     assert n_max == 482
     w, _ = thermal_weights(r, n_max)
-    exact = w @ oracle._excitation(FIG6_MHZ, 3, spec, np.arange(n_max + 1))
+    exact = w @ [excitation_probability_per_cycle(FIG6_MHZ, 3, spec, n) for n in range(n_max + 1)]
     np.testing.assert_allclose(mix.per_cycle, exact, rtol=1e-10, atol=0)
 
 
@@ -545,10 +524,17 @@ def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
         thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(steps_per_cycle=600), R_1MK)
 
 
-def test_hermgauss_weights_finite_at_node_cap():
-    t, w = np.polynomial.hermite.hermgauss(oracle.MAX_NODES)
-    assert np.all(np.isfinite(t)) and np.all(np.isfinite(w))
-    assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+@pytest.mark.parametrize("nodes", [80, 160, 320])
+def test_field_rule_is_gauss_hermite(nodes):
+    # x_f on levels 0 .. N-1 gives numpy's Gauss-Hermite rule: x = sqrt(2) t, w / sqrt(pi)
+    xi, vecs = oracle._field_rule(nodes)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    np.testing.assert_allclose(xi, math.sqrt(2.0) * t, rtol=1e-13, atol=0)
+    weights = vecs[0] ** 2
+    np.testing.assert_allclose(weights, w / math.sqrt(math.pi), rtol=0, atol=1e-14)
+    heavy = w / math.sqrt(math.pi) > 1e-10
+    np.testing.assert_allclose(weights[heavy], w[heavy] / math.sqrt(math.pi), rtol=1e-10)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_raised_step_count_moves_toward_finer_reference():
@@ -560,10 +546,10 @@ def test_raised_step_count_moves_toward_finer_reference():
     g = FIG6_MHZ.lam / FIG6_MHZ.Omega_a
     window = oracle._window(g, 1808, 8)
     assert oracle._steps_per_cycle(g, 2.0 * math.sqrt(1808 + window), 8, 600) > 600
-    coarse, coarse_drift, _ = oracle._evolve(FIG6_MHZ, np.array([1808]), 8, 600, window)
-    fine, _, _ = oracle._evolve(FIG6_MHZ, np.array([1808]), 8, 2400, window)
-    assert coarse_drift[0] > oracle.NORM_DRIFT_LIMIT
-    assert np.abs(p - fine[0]).max() < np.abs(coarse[0] - fine[0]).max()
+    coarse, coarse_drift, _ = oracle._evolve(FIG6_MHZ, 1808, 8, 600, window)
+    fine, _, _ = oracle._evolve(FIG6_MHZ, 1808, 8, 2400, window)
+    assert coarse_drift > oracle.NORM_DRIFT_LIMIT
+    assert np.abs(p - fine).max() < np.abs(coarse - fine).max()
 
 
 def test_evolution_saturated_window_retries_doubled(monkeypatch):
@@ -572,9 +558,9 @@ def test_evolution_saturated_window_retries_doubled(monkeypatch):
     windows = []
     evolve = oracle._evolve
 
-    def recording(pp, n0s, cycles, steps, window):
+    def recording(pp, n0, cycles, steps, window):
         windows.append(window)
-        return evolve(pp, n0s, cycles, steps, window)
+        return evolve(pp, n0, cycles, steps, window)
 
     monkeypatch.setattr(oracle, "_window", lambda g, n0, cycles: 5)
     monkeypatch.setattr(oracle, "_evolve", recording)
@@ -601,9 +587,9 @@ def test_evolution_window_above_cap_refuses_before_evolving(monkeypatch):
 def test_evolution_window_doubling_stops_at_cap(monkeypatch):
     windows = []
 
-    def saturated(pp, n0s, cycles, steps, window):
+    def saturated(pp, n0, cycles, steps, window):
         windows.append(window)
-        return np.zeros((len(n0s), cycles)), np.zeros(len(n0s)), np.ones(len(n0s))
+        return np.zeros(cycles), 0.0, 1.0
 
     monkeypatch.setattr(oracle, "_window", lambda g, n0, cycles: 1500)
     monkeypatch.setattr(oracle, "_evolve", saturated)
