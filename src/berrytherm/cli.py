@@ -34,7 +34,7 @@ from .diagonalization import (
     invert_physical,
     unitary_action,
 )
-from .fockspace import FockDims, _warn_squeeze_truncation
+from .fockspace import FockDims, _warn_squeeze_truncation, ladder
 from .geomphase import (
     accumulate_cycles,
     eigen_berry_phase,
@@ -176,14 +176,20 @@ def _apply_preset(config: dict, allowed_prefix: str | None = None) -> dict:
     return merged
 
 
-def _resonant_params(gap: float, coupling: float) -> PhysicalParams:
-    return PhysicalParams(Omega_a=gap, Omega_b=gap, lam=coupling)
+def _physical_params(omega_a: float, omega_b: float, coupling: float) -> PhysicalParams:
+    """The laboratory triple; a value no numerics can take is a config error."""
+    pp = PhysicalParams(Omega_a=omega_a, Omega_b=omega_b, lam=coupling)
+    try:
+        pp.validate()
+    except ValueError as exc:
+        raise ConfigError(f"need finite frequencies > 0 and coupling >= 0: {exc}")
+    return pp
 
 
 def _sweep_epsilon(gap: float, coupling: float) -> float:
     """epsilon of the resonant triple, the one number the sweep formulas take;
     couplings past the tested basin are refused."""
-    pp = _resonant_params(gap, coupling)
+    pp = _physical_params(gap, gap, coupling)
     check_basin(pp)
     return epsilon(pp)
 
@@ -212,9 +218,9 @@ def cmd_diagonalize(config: dict) -> dict:
         pp = forward_map(dp)
         report["mode"] = "forward"
     else:
-        pp = PhysicalParams(_require(config, "omega_a"),
-                            _require(config, "omega_b"),
-                            _require(config, "coupling"))
+        pp = _physical_params(_require(config, "omega_a"),
+                              _require(config, "omega_b"),
+                              _require(config, "coupling"))
         sol = invert_physical(pp)
         if sol.degenerate:
             return {
@@ -374,7 +380,7 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
     steps = int(config.get("steps_per_cycle", 600))
     if cycles < 1 or steps < 100 or not temperature >= 0.0:
         raise ConfigError("need cycles >= 1, steps_per_cycle >= 100 and temperature >= 0")
-    pp = _resonant_params(gap, coupling)
+    pp = _physical_params(gap, gap, coupling)
     spec = EvolutionSpec(steps_per_cycle=steps)
     if temperature > 0.0:
         r = thermo.squeeze_from_temperature(gap, temperature).r
@@ -459,9 +465,8 @@ def certification_report(negative_control: bool = False) -> dict:
     dims_small = FockDims(12, 12)
 
     # ladder algebra: commutator rows away from the truncation boundary
-    from .fockspace import ladder
-    a = ladder(dims_small, "field", "lower").toarray()
-    comm = a @ a.conj().T - a.conj().T @ a
+    a = ladder(dims_small, "field", "lower")
+    comm = a @ a.T - a.T @ a
     rows_ok = np.abs(np.diag(comm).reshape(12, 12)[:10, :] - 1.0).max()
     add("ladder_commutator_rows", rows_ok < 1e-12, rows_ok, 1e-12)
 

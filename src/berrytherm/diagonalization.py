@@ -13,14 +13,13 @@ field-squeezing and detector-squeezing terms and equalize the two coupling
 coefficients.  This module derives the constrained parameters, maps
 (omega_a, omega_b, v) to the laboratory triple (Omega_a, Omega_b, lam) and
 back (the inverse in closed form: omega_a and omega_b are the normal-mode
-frequencies of H), builds H on a truncated space as a sparse matrix for the
-oracles' eigensolvers and applies it at varphi = 0 as a vector action
-(``hamiltonian_action``), and applies the chain to amplitudes: U forward
+frequencies of H), applies H at varphi = 0 as a vector action
+(``hamiltonian_action``; ``build_hamiltonian`` is its dense matrix at any
+varphi, for small cutoffs), and applies the chain to amplitudes: U forward
 (``unitary_action``) and U' for the eigenstates (``eigenstates``).  No matrix
 of U is formed: each factor splits exactly into small real tridiagonal blocks
 (squeezes by parity, the beam splitter by total occupation) that act on the
-amplitude directly.  Everything here needs only ``math`` and numpy except
-``build_hamiltonian``, whose sparse matrix loads scipy through ``fockspace``.
+amplitude directly.  Everything here needs only ``math`` and numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import FockDims, StateVector, beam_splitter_action, ladder, squeeze_action
+from .fockspace import FockDims, StateVector, beam_splitter_action, number_diagonal, squeeze_action
 
 __all__ = [
     "DiagParams",
@@ -152,10 +151,10 @@ class PhysicalParams:
     lam: float
 
     def validate(self) -> None:
-        if self.Omega_a <= 0.0 or self.Omega_b <= 0.0:
-            raise ValueError(f"frequencies must be positive, got {self}")
-        if self.lam < 0.0:
-            raise ValueError(f"coupling must be non-negative, got lam={self.lam}")
+        if not (0.0 < self.Omega_a < math.inf and 0.0 < self.Omega_b < math.inf):
+            raise ValueError(f"frequencies must be positive and finite, got {self}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"coupling must be non-negative and finite, got lam={self.lam}")
 
 
 # Fixed phase branch: displacement phase 0, hence theta_a = 0 (n = 0) and
@@ -382,18 +381,15 @@ def invert_physical(pp: PhysicalParams) -> InverseSolution:
 # Operators on the truncated space
 # --------------------------------------------------------------------------
 
-def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims):
+def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> np.ndarray:
     """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi})
-    as a complex scipy.sparse CSR matrix, the form shift-invert eigensolvers take."""
-    a = ladder(dims, "field", "lower")
-    b = ladder(dims, "detector", "lower")
-    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    h = (
-        pp.Omega_a * (ad @ a)
-        + pp.Omega_b * (bd @ b)
-        + pp.lam * (b + bd) @ (ad * np.exp(1j * varphi) + a * np.exp(-1j * varphi))
-    )
-    return h.tocsr()
+    as a dense complex matrix, the Kronecker product of single-mode matrices;
+    for small cutoffs (``hamiltonian_action`` applies H(0) at any cutoff)."""
+    a = np.diag(np.sqrt(np.arange(1.0, dims.n_field)), 1)
+    field = np.exp(1j * varphi) * a.T + np.exp(-1j * varphi) * a
+    bare = (pp.Omega_a * number_diagonal(dims, "field")
+            + pp.Omega_b * number_diagonal(dims, "detector"))
+    return np.diag(bare) + pp.lam * np.kron(field, _position(dims.n_det))
 
 
 def _position(n: int, first: int = 0) -> np.ndarray:

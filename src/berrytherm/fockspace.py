@@ -1,13 +1,11 @@
 """Truncated two-mode bosonic Fock space.
 
-Sparse (CSR) ladder operators, basis states, and the exact actions of the
-squeeze and two-mode displacement (beam splitter) factors of the
-detector-field diagonalization.  Both actions split exactly into real
+Dense ladder operators for small cutoffs, basis states, and the exact
+actions of the squeeze and two-mode displacement (beam splitter) factors of
+the detector-field diagonalization.  Both actions split exactly into real
 tridiagonal blocks, the one matrix exponential here, and act on amplitude
 arrays directly: no matrix of either factor is ever formed.  The blocks are
-exponentiated through numpy's SVD, so only ``ladder`` imports scipy (inside
-the function), and the commands that use only the block actions never pay
-for importing it.
+exponentiated through numpy's SVD; the module needs only numpy.
 Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 """
 
@@ -92,28 +90,19 @@ class StateVector:
         object.__setattr__(self, "amp", v / n)
 
 
-def ladder(dims: FockDims, mode: str, kind: str):
-    """Tensor-embedded ladder operator as a complex scipy.sparse CSR matrix.
+def ladder(dims: FockDims, mode: str, kind: str) -> np.ndarray:
+    """Tensor-embedded ladder operator as a dense real matrix, for small cutoffs.
 
     ``mode`` is ``"field"`` (a) or ``"detector"`` (b); ``kind`` is
     ``"lower"`` or ``"raise"``.  <n-1| lower |n> = sqrt(n) in the designated
     mode, identity on the other.
     """
-    import scipy.sparse as sp
-
-    if mode == "field":
-        single = sp.diags(np.sqrt(np.arange(1, dims.n_field, dtype=float)), 1)
-        full = sp.kron(single, sp.identity(dims.n_det), format="csr")
-    elif mode == "detector":
-        single = sp.diags(np.sqrt(np.arange(1, dims.n_det, dtype=float)), 1)
-        full = sp.kron(sp.identity(dims.n_field), single, format="csr")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if kind == "raise":
-        full = full.conj().T.tocsr()
-    elif kind != "lower":
-        raise ValueError(f"unknown kind {kind!r}")
-    return full.astype(complex)
+    if mode not in ("field", "detector") or kind not in ("lower", "raise"):
+        raise ValueError(f"unknown mode {mode!r} or kind {kind!r}")
+    single = np.diag(np.sqrt(np.arange(1.0, dims.n_field if mode == "field" else dims.n_det)), 1)
+    full = (np.kron(single, np.eye(dims.n_det)) if mode == "field"
+            else np.kron(np.eye(dims.n_field), single))
+    return full.T if kind == "raise" else full
 
 
 def number_diagonal(dims: FockDims, mode: str) -> np.ndarray:

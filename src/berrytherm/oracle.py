@@ -1,17 +1,17 @@
 """Independent numerical verification of the closed-form phases.
 
 Nothing here consumes the closed-form phase formulas: eigenvectors come from
-brute-force diagonalization of the truncated Hamiltonian, loop phases from
+brute-force solves of the truncated Hamiltonian, loop phases from
 gauge-invariant products of successive overlaps, mixed-state phases from
 explicit weighted partial sums, and adiabaticity from direct integration of
 the time-dependent Schrodinger equation.  Closed forms are only allowed in
 as selection targets (which eigenvector to track), never as values.
+Loop eigenpairs come from Rayleigh-quotient iteration in one parity sector of
+H(0), block tridiagonal in n_f (Parlett, The Symmetric Eigenvalue Problem, 4.6).
 Every field-state quadrature of the adiabaticity check is the Gauss rule of
 x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
 and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
-1969), from numpy's eigh.  scipy is imported only by ``numeric_eigenpair``
-and reached through ``build_hamiltonian``, so the closed-form commands and
-the adiabaticity check never load it.
+1969), from numpy's eigh.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .diagonalization import (
     eigenstate,
     eigenstates,
     forward_map,
+    hamiltonian_action,
 )
 from .fockspace import FockDims, StateVector, number_diagonal, truncation_tail
 from .geomphase import PhaseResult, wrap_angle
@@ -55,8 +56,8 @@ TRUNCATION_GATE = 1e-8       # top-two-level amplitude above this refuses certif
 LEVEL_CROSSING_OVERLAP = 0.99
 AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-10
-DENSE_EIGH_LIMIT = 1600      # dense eigh for dense matrices up to this dimension
-EIGSH_K = 3                  # shift-invert Lanczos pairs: the 3 levels nearest the target
+RQI_MAX_STEPS = 8            # shifted solves before the iteration refuses
+RQI_TOL = 1e-13              # converged once |H v - sigma v| <= this times max |diag H|
 MAX_WINDOW = 2048            # field-window half-width cap: eigh of 4097 levels, ~650 MB
 THERMAL_NODES = 80           # first Gauss-Hermite node count of the thermal mixture
 MAX_NODES = 320              # node-doubling cap on cost: one detector drive per node
@@ -114,74 +115,81 @@ class BerryLoopResult:
     truncation_tail: float
 
 
-def numeric_eigenpair(mat, target: StateVector, sector: np.ndarray | None = None) -> EigenPair:
-    """Eigenpair of the truncated Hamiltonian with maximal overlap against ``target``.
+def _shifted_solve(diag: list, couple: list, sigma: float, rhs: list) -> list:
+    """(H - sigma)^{-1} rhs, block by block, for the symmetric block-tridiagonal H
+    with diagonal blocks diag(diag[f]) and C_f = couple[f] = H[f+1, f]: block-Thomas
+    elimination S_{f+1} = D_{f+1} - sigma - C_f S_f^{-1} C_f^T, one dense solve
+    per block, then back-substitution from the last block."""
+    gain, part = [], []  # S_f^{-1} C_f^T and S_f^{-1} y_f
+    schur, y = np.diag(diag[0] - sigma), rhs[0]
+    for f, c in enumerate(couple):
+        sol = np.linalg.solve(schur, np.column_stack([c.T, y]))
+        gain.append(sol[:, :-1])
+        part.append(sol[:, -1])
+        schur = np.diag(diag[f + 1] - sigma) - c @ gain[f]
+        y = rhs[f + 1] - c @ part[f]
+    out = [np.linalg.solve(schur, y)]
+    for f in reversed(range(len(couple))):
+        out.append(part[f] - gain[f] @ out[-1])
+    return out[::-1]
 
-    ``mat`` is a dense array or a scipy sparse matrix.  ``sector`` (flat
-    basis indices) restricts the solve to the block of ``mat`` on those
-    indices and embeds the eigenvector back; it refuses (OracleError) when
-    ``mat`` has a nonzero entry between the sector and its complement or the
-    target has weight outside it.  Dense eigh for a dense ``mat`` up to
-    DENSE_EIGH_LIMIT total dimension, shift-invert Lanczos (sigma at the
-    target's Rayleigh quotient) otherwise, in real arithmetic when ``mat``
-    has no imaginary part and from a fixed start vector, so repeated calls
-    return identical bits.  The returned vector is gauge fixed: its
-    largest-magnitude component is real positive.  Overlap below 0.9 raises
-    OracleError (truncation or wrong parameters).
+
+def numeric_eigenpair(pp: PhysicalParams, target: StateVector, parity: int) -> EigenPair:
+    """Eigenpair of the truncated H(0) of ``pp`` that ``target`` selects in the
+    sector (-1)^(n_f + n_d) = (-1)^parity.
+
+    In field-major order the sector is block tridiagonal in n_f: block f is
+    Omega_a f + Omega_b d over its detector levels d, block (f+1, f) is
+    lam sqrt(f+1) x_d on them.  Rayleigh-quotient iteration starts from the
+    target, sigma its Rayleigh quotient; each step solves (H - sigma) w = v
+    (``_shifted_solve``) and moves sigma to the Rayleigh quotient of w, H v
+    from ``hamiltonian_action``, until |H v - sigma v| <= RQI_TOL max |diag H|.
+    Refuses (OracleError) after RQI_MAX_STEPS solves, a target with weight
+    outside the sector, and an overlap with the target below AMBIGUITY_OVERLAP
+    (a neighbour: truncation too small or wrong parameters).  Repeated calls
+    return identical bits; the vector's largest component is real positive.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    if mat.shape[0] != target.dims.total:
-        raise ValueError("Hamiltonian and target dimensions disagree")
-    tv = target.amp
-    if sector is not None:
-        inside = np.isin(np.arange(len(tv)), sector)
-        coo = sp.coo_matrix(mat)
-        leak = np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0)
-        if leak > 0.0:
-            raise OracleError(f"Hamiltonian couples the sector to its complement "
-                              f"(entry {leak:.2e}); cannot solve in the sector")
-        if tv[~inside].any():
-            raise OracleError("target has weight outside the sector")
-        mat, tv = mat[sector][:, sector], tv[sector]
-    dim = mat.shape[0]
-    # largest modulus of H - H^dag (abs before max: complex max is lexicographic)
-    if sp.issparse(mat):
-        herm, scale = abs(mat - mat.conj().T).max(), abs(mat).max()
-    else:
-        herm, scale = np.abs(mat - mat.conj().T).max(), np.abs(mat).max()
-    if herm > 1e-10 * max(scale, 1.0):
-        raise ValueError(f"Hamiltonian is not Hermitian (defect {herm:.2e})")
-
-    if dim <= DENSE_EIGH_LIMIT and not sp.issparse(mat):
-        evals, vecs = np.linalg.eigh(mat)
-    else:
-        smat = sp.csc_matrix(mat)
-        if smat.imag.count_nonzero() == 0:
-            smat = smat.real
-        sigma = float(np.real(np.vdot(tv, smat @ tv)))
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        evals, vecs = spla.eigsh(smat, k=min(EIGSH_K, dim - 2), sigma=sigma, which="LM", v0=v0)
-    overlaps = np.abs(vecs.conj().T @ tv)
-    best = int(np.argmax(overlaps))
-    if overlaps[best] < AMBIGUITY_OVERLAP:
+    dims = target.dims
+    n_f, n_d = np.ogrid[:dims.n_field, :dims.n_det]
+    inside = (n_f + n_d) % 2 == parity
+    v = target.amp.reshape(inside.shape)
+    if v[~inside].any():
+        raise OracleError("target has weight outside the sector")
+    levels = [np.flatnonzero(row) for row in inside]
+    x_d = _position(dims.n_det)
+    diag = [pp.Omega_a * f + pp.Omega_b * d for f, d in enumerate(levels)]
+    couple = [pp.lam * math.sqrt(f + 1.0) * x_d[np.ix_(levels[f + 1], levels[f])]
+              for f in range(dims.n_field - 1)]
+    tol = RQI_TOL * (pp.Omega_a * (dims.n_field - 1) + pp.Omega_b * (dims.n_det - 1))
+    if not v.imag.any():
+        v = v.real
+    for step in range(RQI_MAX_STEPS + 1):
+        hv = hamiltonian_action(pp, v)  # zero outside the sector, as v is
+        sigma = float(np.vdot(v, hv).real)
+        residual = float(np.linalg.norm(hv - sigma * v))
+        if residual <= tol:
+            break
+        if step == RQI_MAX_STEPS:
+            raise OracleError(f"Rayleigh-quotient iteration unconverged after {step} solves "
+                              f"(residual {residual:.2e} > {tol:.2e})")
+        rhs = [v[f, d] for f, d in enumerate(levels)]
+        try:
+            blocks = _shifted_solve(diag, couple, sigma, rhs)
+        except np.linalg.LinAlgError:  # sigma is an eigenvalue of a leading block to the bit
+            blocks = _shifted_solve(diag, couple, sigma + tol, rhs)
+        v = np.zeros_like(v)
+        v[inside] = np.concatenate(blocks)  # row-major: block f fills row f
+        v /= np.linalg.norm(v)
+    vec = v.reshape(-1).astype(complex)
+    j = int(np.argmax(np.abs(vec)))
+    vec *= np.conj(vec[j]) / abs(vec[j])
+    overlap = abs(np.vdot(vec, target.amp))
+    if overlap < AMBIGUITY_OVERLAP:
         raise OracleError(
-            f"eigenvector selection ambiguous: best overlap {overlaps[best]:.4f} < "
+            f"eigenvector selection ambiguous: overlap {overlap:.4f} < "
             f"{AMBIGUITY_OVERLAP} (truncation too small or wrong parameters)"
         )
-    vec = vecs[:, best].astype(complex)
-    j = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.conj(vec[j]) / abs(vec[j]))
-    if sector is not None:
-        full = np.zeros(target.dims.total, dtype=complex)
-        full[sector] = vec
-        vec = full
-    return EigenPair(
-        value=float(evals[best]),
-        vector=StateVector(target.dims, vec),
-        overlap=float(overlaps[best]),
-    )
+    return EigenPair(value=sigma, vector=StateVector(dims, vec), overlap=float(overlap))
 
 
 def pancharatnam_product(states) -> tuple[float, float]:
@@ -216,10 +224,10 @@ def _loop_raw_phase(weights: np.ndarray, n_f_diag: np.ndarray, n_points: int) ->
     return n_points * float(np.angle(z)), float(abs(z))
 
 
-def _transported_loop(h0, target: StateVector, sector: np.ndarray,
+def _transported_loop(pp: PhysicalParams, target: StateVector, parity: int,
                       spec: LoopSpec) -> BerryLoopResult:
-    """Loop phase of the eigenvector of ``h0`` that ``target`` selects in ``sector``."""
-    chi = numeric_eigenpair(h0, target, sector).vector
+    """Loop phase of the eigenvector of H(0) that ``target`` selects in its sector."""
+    chi = numeric_eigenpair(pp, target, parity).vector
     tail = truncation_tail(chi)
     if tail > TRUNCATION_GATE:
         raise OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
@@ -248,29 +256,25 @@ def discrete_berry_loops(
     dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
     its BerryLoopResult, or the OracleError that refused it.
 
-    One H(0) per distinct dp and one batch of closed-form selection targets
-    serve every pair.  H commutes with the parity (-1)^(n_f + n_d), so each
-    eigenvector is solved in the parity sector of its label (see
-    ``numeric_eigenpair``), embedded back, and transported around the loop
-    with the exact rotation covariance.  The phase is Richardson-extrapolated
-    from the N and 2N grids and the reported error estimate is
-    |gamma(2N) - gamma(N)|.
+    One batch of closed-form selection targets serves every pair.  H
+    commutes with the parity (-1)^(n_f + n_d), so each eigenvector is solved
+    in the parity sector of its label (see ``numeric_eigenpair``) and
+    transported around the loop with the exact rotation covariance.  The
+    phase is Richardson-extrapolated from the N and 2N grids and the
+    reported error estimate is |gamma(2N) - gamma(N)|.
 
     Refuses an occupation when its eigenvector carries more than
     TRUNCATION_GATE amplitude in the top two levels of either mode, or
     when consecutive overlaps drop below 0.99 (level crossing).
     """
-    h0 = {dp: build_hamiltonian(forward_map(dp), 0.0, dims) for dp in set(dps)}
-    parity = (number_diagonal(dims, "field") + number_diagonal(dims, "detector")) % 2
     results: list[BerryLoopResult | OracleError] = []
     targets = eigenstates(dps, occupations, 0.0, dims)
     for dp, (n_f, n_d), target in zip(dps, occupations, targets):
-        sector = np.flatnonzero(parity == (n_f + n_d) % 2)
         try:
-            results.append(_transported_loop(h0[dp], target, sector, spec))
+            results.append(_transported_loop(forward_map(dp), target, (n_f + n_d) % 2, spec))
         except OracleError as exc:
             # a refusal is returned as a value: its traceback would hold this
-            # frame, and with it every H and target, in a reference cycle
+            # frame, and with it every target, in a reference cycle
             results.append(exc.with_traceback(None))
     return results
 
@@ -314,8 +318,8 @@ def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> Pha
 def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:
     """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|; exact identity, ~1e-13."""
     r = np.exp(1j * varphi * number_diagonal(dims, "field"))  # diagonal of R(-varphi)
-    h_phi = build_hamiltonian(pp, varphi, dims).toarray()
-    h_rot = r[:, None] * build_hamiltonian(pp, 0.0, dims).toarray() * r.conj()
+    h_phi = build_hamiltonian(pp, varphi, dims)
+    h_rot = r[:, None] * build_hamiltonian(pp, 0.0, dims) * r.conj()
     return float(np.abs(h_phi - h_rot).max())
 
 

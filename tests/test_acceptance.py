@@ -135,7 +135,7 @@ def test_criterion_3_eigenstate_certification():
     def residual(lam_ratio: float, occ=(0, 0)) -> float:
         pp = PhysicalParams(1.0, 1.0, lam_ratio)
         dp = invert_physical(pp).params
-        h = build_hamiltonian(pp, 0.0, dims).toarray()
+        h = build_hamiltonian(pp, 0.0, dims)
         psi = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
         e_label = dp.omega_a * occ[0] + dp.omega_b * occ[1]
         return float(np.linalg.norm(h @ psi - e_label * psi)) / pp.Omega_a

@@ -80,7 +80,15 @@ RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
     ["adiabaticity", "--preset", "fig6-mhz", "--steps-per-cycle", "50"],
     ["diagonalize", *RESONANT_GHZ, "--cutoff", "3"],
     ["diagonalize", *RESONANT_GHZ, "--cutoff", "1"],
-], ids=["negative-temperature", "steps-per-cycle-50", "cutoff-3", "cutoff-1"])
+    ["thermometer", "--gap", "0", "--t-hot", "1", "--coupling", "1", "--points", "3"],
+    ["adiabaticity", "--gap", "0", "--coupling", "1", "--cycles", "2"],
+    ["unruh", "--gap", "-1", "--coupling", "1", "--points", "3"],
+    ["diagonalize", "--omega-a", "0", "--omega-b", "1e9", "--coupling", "7539.8"],
+    ["thermometer", "--gap", "nan", "--t-hot", "1", "--coupling", "1", "--points", "3"],
+    ["adiabaticity", "--gap", "1e9", "--coupling", "inf", "--cycles", "2"],
+], ids=["negative-temperature", "steps-per-cycle-50", "cutoff-3", "cutoff-1",
+        "thermometer-zero-gap", "adiabaticity-zero-gap", "unruh-negative-gap",
+        "diagonalize-zero-omega-a", "thermometer-nan-gap", "adiabaticity-infinite-coupling"])
 def test_values_the_numerics_cannot_take_are_config_errors(capsys, argv):
     # caught with the other config values, before any numerics run
     assert main(argv) == EXIT_CONFIG
@@ -356,7 +364,7 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
 
 
 # --------------------------------------------------------------------------
-# scipy stays out of the closed-form commands, the adiabaticity check and diagonalize
+# scipy is a test-only reference: no command, and no package module, loads it
 # --------------------------------------------------------------------------
 
 SRC = Path(berrytherm.__file__).resolve().parent
@@ -365,8 +373,7 @@ SCIPY_PROBE = """
 import json, sys
 import berrytherm
 from berrytherm import cli, oracle
-from berrytherm.diagonalization import PhysicalParams, build_hamiltonian
-from berrytherm.fockspace import FockDims
+from berrytherm.diagonalization import PhysicalParams
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -389,10 +396,12 @@ adiabaticity = loaded()
 for argv in (resonant("fig3-ghz"), resonant("fig5-1")):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 diagonalize = loaded()
-build_hamiltonian(PhysicalParams(1.0, 1.0, 0.01), 0.0, FockDims(4, 4))
+assert cli.certification_report()["passed"]
+certify = loaded()
+import scipy.sparse
 print(json.dumps({"closed_form": closed_form, "adiabaticity": adiabaticity,
-                  "diagonalize": diagonalize,
-                  "after_hamiltonian": loaded()}))
+                  "diagonalize": diagonalize, "certify": certify,
+                  "after_import": loaded()}))
 """
 
 
@@ -406,36 +415,32 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
     assert loaded["closed_form"] == []
     assert loaded["adiabaticity"] == []
     assert loaded["diagonalize"] == []
-    # positive control: the same probe sees scipy once an operator is built
-    assert "scipy.sparse" in loaded["after_hamiltonian"]
+    assert loaded["certify"] == []
+    # positive control: the same probe sees scipy once it is imported
+    assert "scipy.sparse" in loaded["after_import"]
 
 
-def _scipy_imports_at_import_time(source: str) -> list[int]:
-    """Line numbers of scipy imports that run when the module is imported
-    (anywhere outside a function body)."""
-    def walk(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                yield child
-                yield from walk(child)
-
+def _scipy_imports(source: str) -> list[int]:
+    """Line numbers of every scipy import in ``source``: at module level,
+    under a try, or inside a function body."""
     def is_scipy(name):
         return name == "scipy" or name.startswith("scipy.")
 
-    return [node.lineno for node in walk(ast.parse(source))
+    return [node.lineno for node in ast.walk(ast.parse(source))
             if (isinstance(node, ast.Import) and any(is_scipy(a.name) for a in node.names))
             or (isinstance(node, ast.ImportFrom) and node.level == 0 and is_scipy(node.module))]
 
 
 def test_module_top_levels_import_no_scipy():
+    # no package module imports scipy anywhere, not only when it is imported
     sample = ("import scipy.sparse as sp\n"
               "try:\n    from scipy.linalg import eigh\nexcept ImportError:\n    pass\n"
               "def f():\n    import scipy\n")
-    assert _scipy_imports_at_import_time(sample) == [1, 3]
+    assert _scipy_imports(sample) == [1, 3, 7]
     files = sorted(SRC.glob("*.py"))
     assert {"cli.py", "diagonalization.py", "fockspace.py", "oracle.py"} <= {f.name for f in files}
     offenders = {f.name: lines for f in files
-                 if (lines := _scipy_imports_at_import_time(f.read_text(encoding="utf-8")))}
+                 if (lines := _scipy_imports(f.read_text(encoding="utf-8")))}
     assert offenders == {}
 
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
+from sparse_ops import sparse_ladder
 
 from berrytherm import cli
 from berrytherm.diagonalization import (
@@ -25,7 +26,7 @@ from berrytherm.diagonalization import (
     normal_modes,
     unitary_action,
 )
-from berrytherm.fockspace import FockDims, basis_state, ladder, number_diagonal
+from berrytherm.fockspace import FockDims, basis_state, number_diagonal
 
 E2 = math.e ** 2
 CANONICAL = DiagParams(2e9, 2e9 / E2, 0.3)
@@ -222,7 +223,7 @@ def test_map_identities_on_grid():
 def test_hamiltonian_diagonal_at_zero_coupling():
     dims = FockDims(5, 4)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.4, dims).toarray()
+    h = build_hamiltonian(pp, 0.4, dims)
     expect = np.diag([3.0 * nf + 2.0 * nd for nf in range(5) for nd in range(4)])
     np.testing.assert_allclose(h, expect, atol=1e-14)
 
@@ -231,7 +232,7 @@ def test_hamiltonian_hermitian_any_phase():
     dims = FockDims(8, 8)
     pp = PhysicalParams(1.9, 1.1, 0.4)
     for phi in (0.0, 0.3, 2.8, -1.2):
-        h = build_hamiltonian(pp, phi, dims).toarray()
+        h = build_hamiltonian(pp, phi, dims)
         assert np.abs(h - h.conj().T).max() < 1e-14
 
 
@@ -240,15 +241,15 @@ def test_hamiltonian_rotation_covariance():
     dims = FockDims(10, 10)
     pp = PhysicalParams(1.9, 1.1, 0.4)
     for phi in (0.3, 1.0, -2.2):
-        h_phi = build_hamiltonian(pp, phi, dims).toarray()
+        h_phi = build_hamiltonian(pp, phi, dims)
         r = np.exp(1j * phi * number_diagonal(dims, "field"))  # diagonal of R(-phi)
-        conj = r[:, None] * build_hamiltonian(pp, 0.0, dims).toarray() * r.conj()
+        conj = r[:, None] * build_hamiltonian(pp, 0.0, dims) * r.conj()
         assert np.abs(h_phi - conj).max() < 1e-12 * pp.Omega_a
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 5), (24, 24)])
 def test_hamiltonian_action_matches_sparse_hamiltonian(shape):
-    # the vector action of H(0) equals the CSR matrix on complex batches,
+    # the vector action of H(0) equals the dense matrix on complex batches,
     # with and without the trailing column axis
     dims = FockDims(*shape)
     pp = forward_map(CANONICAL)
@@ -314,7 +315,7 @@ def test_eigenstate_rayleigh_residual_small_coupling():
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-6)
     dp = invert_physical(pp).params
     dims = FockDims(24, 24)
-    h = build_hamiltonian(pp, 0.0, dims).toarray()
+    h = build_hamiltonian(pp, 0.0, dims)
     for occ in ((0, 0), (1, 0), (0, 1)):
         psi = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
         e_val = float(np.real(np.vdot(psi, h @ psi)))
@@ -345,8 +346,8 @@ def reference_eigenstate(dp, n_f, n_d, varphi, dims):
     big = FockDims(max(dims.n_field + 10, math.ceil(dims.n_field * EIGENSTATE_PAD)),
                    max(dims.n_det + 10, math.ceil(dims.n_det * EIGENSTATE_PAD)))
     d = derive_params(dp)
-    a = ladder(big, "field", "lower")
-    b = ladder(big, "detector", "lower")
+    a = sparse_ladder(big, "field")
+    b = sparse_ladder(big, "detector")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
     x = basis_state(big, n_f, n_d).amp
     # U' = R' Shat' D' S_b' S_a'; each factor is exp(-K) for its generator K
@@ -492,8 +493,8 @@ def test_diagonalize_vacuum_column_matches_dense_unitary(preset):
     dp = invert_physical(pp).params
     d = derive_params(dp)
     dims = FockDims(24, 24)
-    a = ladder(dims, "field", "lower")
-    b = ladder(dims, "detector", "lower")
+    a = sparse_ladder(dims, "field")
+    b = sparse_ladder(dims, "detector")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
     col = basis_state(dims, 0, 0).amp
     # U|00> = S_a S_b D Shat_b |00>, each factor exp(K) for its generator K

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from sparse_ops import sparse_ladder
 
 from berrytherm import cli
 from berrytherm.fockspace import (
@@ -71,8 +72,8 @@ def test_raise_gives_sqrt2():
 def test_commutator_is_one_below_boundary():
     dims = FockDims(9, 7)
     for mode in ("field", "detector"):
-        lo = ladder(dims, mode, "lower").toarray()
-        hi = ladder(dims, mode, "raise").toarray()
+        lo = ladder(dims, mode, "lower")
+        hi = ladder(dims, mode, "raise")
         comm = np.diag(lo @ hi - hi @ lo).real.reshape(9, 7)
         if mode == "field":
             assert np.abs(comm[:-1, :] - 1.0).max() < 1e-14
@@ -117,8 +118,8 @@ def test_displace_identity_at_zero():
 def test_displace_swap_limit():
     # s = pi/2 swaps the modes: D^dag a D = b on low-lying states, D = D(s, 0)
     dims = FockDims(12, 12)
-    a = ladder(dims, "field", "lower").real
-    b = ladder(dims, "detector", "lower").real
+    a = ladder(dims, "field", "lower")
+    b = ladder(dims, "detector", "lower")
     cols, low = _low_columns(dims, 5)
     moved = beam_splitter_action(cols, np.pi / 2).reshape(dims.total, -1)
     lhs = beam_splitter_action((a @ moved).reshape(cols.shape), -np.pi / 2)
@@ -131,8 +132,8 @@ def test_displace_number_conjugation_identities():
     # D^dag b'b D with the roles swapped, for D = D(s, 0) on low-lying states
     dims = FockDims(40, 40)
     s = 0.3
-    a = ladder(dims, "field", "lower").real
-    b = ladder(dims, "detector", "lower").real
+    a = sparse_ladder(dims, "field").real
+    b = sparse_ladder(dims, "detector").real
     cross = a.T @ b + b.T @ a
     na, nb = number_diagonal(dims, "field"), number_diagonal(dims, "detector")
     cols, low = _low_columns(dims, 8)
@@ -247,8 +248,8 @@ def test_block_actions_match_dense_expm():
     dims = FockDims(7, 5)
     amp = np.random.default_rng(9).normal(size=(7, 5))
     flat = amp.reshape(-1)
-    a = ladder(dims, "field", "lower").toarray()
-    b = ladder(dims, "detector", "lower").toarray()
+    a = ladder(dims, "field", "lower")
+    b = ladder(dims, "detector", "lower")
     actions = {"field": squeeze_action(amp, 0.4), "detector": squeeze_action(amp.T, -0.25).T}
     for mode, x, t in (("field", a, 0.4), ("detector", b, -0.25)):
         expect = scipy.linalg.expm(0.5 * t * (x.T @ x.T - x @ x))

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from sparse_ops import sparse_hamiltonian
 
 from berrytherm import cli, oracle
 from berrytherm.diagonalization import (
@@ -50,8 +51,7 @@ def test_loopspec_validation():
 def test_numeric_eigenpair_decoupled():
     dims = FockDims(6, 6)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.0, dims).toarray()
-    pair = numeric_eigenpair(h, basis_state(dims, 1, 0))
+    pair = numeric_eigenpair(pp, basis_state(dims, 1, 0), 1)
     assert pair.value == pytest.approx(3.0, abs=1e-12)
     assert abs(pair.vector.amp[dims.index(1, 0)]) == pytest.approx(1.0, abs=1e-12)
     # gauge fix: largest component real positive
@@ -62,9 +62,9 @@ def test_numeric_eigenpair_decoupled():
 def test_numeric_eigenpair_residual_contract():
     dims = FockDims(14, 14)
     pp = forward_map(CANONICAL)
-    h = build_hamiltonian(pp, 0.0, dims).toarray()
+    h = build_hamiltonian(pp, 0.0, dims)
     target = eigenstate(CANONICAL, 0, 0, 0.0, dims)
-    pair = numeric_eigenpair(h, target)
+    pair = numeric_eigenpair(pp, target, 0)
     res = np.linalg.norm(h @ pair.vector.amp - pair.value * pair.vector.amp)
     assert res < 1e-10 * np.abs(h).max()
 
@@ -74,57 +74,43 @@ def test_numeric_eigenpair_overlap_certification():
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-7)
     dp = invert_physical(pp).params
     dims = FockDims(14, 14)
-    h = build_hamiltonian(pp, 0.0, dims).toarray()
     for occ in ((0, 0), (1, 0), (0, 1)):
         target = eigenstate(dp, occ[0], occ[1], 0.0, dims)
-        pair = numeric_eigenpair(h, target)
+        pair = numeric_eigenpair(pp, target, sum(occ) % 2)
         assert pair.overlap > 1 - 1e-8
 
 
-def test_numeric_eigenpair_rejects_nonhermitian():
-    dims = FockDims(4, 4)
-    bad = np.zeros((16, 16), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        numeric_eigenpair(bad, basis_state(dims, 0, 0))
-
-
-def test_numeric_eigenpair_rejects_nonhermitian_sparse():
-    # a negative-imaginary diagonal defect: the largest |H - H^dag| entry is
-    # 2e-3, while a max over complex entries (lexicographic) would see 0
-    dims = FockDims(6, 6)
-    h = build_hamiltonian(PhysicalParams(3.0, 2.0, 0.1), 0.0, dims)
-    i = dims.index(1, 0)
-    bad = (h + sp.csr_matrix(([-1e-3j], ([i], [i])), shape=h.shape)).tocsr()
-    target = basis_state(dims, 1, 0)
-    for mat in (bad, bad.toarray()):
-        with pytest.raises(ValueError, match=r"not Hermitian \(defect 2\.00e-03\)"):
-            numeric_eigenpair(mat, target)
-
-
-@pytest.mark.parametrize("varphi", [0.0, 0.4])
-def test_numeric_eigenpair_sparse_repeatable_bits(varphi):
-    # ARPACK's own start vector is random and moved the last digits from call
-    # to call; a real H (varphi = 0) is solved in real arithmetic
+def test_numeric_eigenpair_repeatable_bits():
     dims = FockDims(44, 44)
-    h = build_hamiltonian(forward_map(CANONICAL), varphi, dims)
-    target = eigenstate(CANONICAL, 1, 1, varphi, dims)
-    pairs = [numeric_eigenpair(h, target) for _ in range(3)]
+    pp = forward_map(CANONICAL)
+    target = eigenstate(CANONICAL, 1, 1, 0.0, dims)
+    pairs = [numeric_eigenpair(pp, target, 0) for _ in range(3)]
     for pair in pairs[1:]:
         assert pair.value == pairs[0].value
         assert np.array_equal(pair.vector.amp, pairs[0].vector.amp)
     assert pairs[0].overlap > 0.999
-    assert pairs[0].vector.amp.imag.any() == (varphi != 0.0)
+    assert not pairs[0].vector.amp.imag.any()  # H(0) is real: so is the gauge-fixed vector
 
 
 def test_numeric_eigenpair_ambiguity():
+    # an even mixture of three decoupled levels: the iteration converges to
+    # |0,2>, the level nearest the mixture's Rayleigh quotient, at overlap 3^-1/2
     dims = FockDims(5, 5)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.0, dims).toarray()
-    mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 0).amp \
-        + basis_state(dims, 0, 1).amp + basis_state(dims, 1, 1).amp
-    with pytest.raises(OracleError, match="ambiguous"):
-        numeric_eigenpair(h, StateVector(dims, mixed))
+    mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 1).amp \
+        + basis_state(dims, 0, 2).amp
+    with pytest.raises(OracleError, match="ambiguous: overlap 0.5774"):
+        numeric_eigenpair(pp, StateVector(dims, mixed), 0)
+
+
+def test_numeric_eigenpair_refuses_unconverged():
+    # equal weight on two levels symmetric about the Rayleigh quotient 5/2:
+    # every shifted solve keeps the weights equal, so the residual never falls
+    dims = FockDims(5, 5)
+    pp = PhysicalParams(3.0, 2.0, 0.0)
+    mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 1).amp
+    with pytest.raises(OracleError, match=f"unconverged after {oracle.RQI_MAX_STEPS} solves"):
+        numeric_eigenpair(pp, StateVector(dims, mixed), 0)
 
 
 def test_pancharatnam_gauge_invariance():
@@ -169,15 +155,14 @@ def _every_point_loop(dp, n_f, n_d, spec, dims):
     product, Richardson-refined over the N and 2N grids; small cutoffs only.
     Returns (raw phase, smallest consecutive overlap)."""
     pp = forward_map(dp)
-    chi = numeric_eigenpair(build_hamiltonian(pp, 0.0, dims),
-                            eigenstate(dp, n_f, n_d, 0.0, dims)).vector
+    chi = numeric_eigenpair(pp, eigenstate(dp, n_f, n_d, 0.0, dims), (n_f + n_d) % 2).vector
 
     def loop_at(n_points):
         states = []
         prev = chi.amp
         min_ov = 1.0
         for phi in 2.0 * math.pi * np.arange(n_points) / n_points:
-            _, vecs = np.linalg.eigh(build_hamiltonian(pp, phi, dims).toarray())
+            _, vecs = np.linalg.eigh(build_hamiltonian(pp, phi, dims))
             ovl = np.abs(vecs.conj().T @ prev)
             best = int(np.argmax(ovl))
             min_ov = min(min_ov, float(ovl[best]))
@@ -220,69 +205,62 @@ def _parity_sector(dims, parity):
         (number_diagonal(dims, "field") + number_diagonal(dims, "detector")) % 2 == parity)
 
 
-def _assert_sector_matches_full(h, target, parity):
-    full = numeric_eigenpair(h, target)
-    part = numeric_eigenpair(h, target, _parity_sector(target.dims, parity))
-    assert abs(part.value - full.value) <= 1e-12 * abs(full.value)
-    assert 1.0 - abs(np.vdot(part.vector.amp, full.vector.amp)) <= 1e-12
+def _assert_matches(pair, target, vals, vecs, sector):
+    """``pair`` against the reference eigenvector of the sector (columns of
+    ``vecs``) that overlaps ``target`` most."""
+    ref = int(np.argmax(np.abs(vecs.T @ target.amp[sector])))
+    assert abs(pair.value - vals[ref]) <= 1e-12 * abs(vals[ref])
+    assert 1.0 - abs(vecs[:, ref] @ pair.vector.amp[sector]) <= 1e-12
 
 
 def test_sector_eigenpair_matches_full_space_on_certify_grid():
+    # every certify pair at cutoff 30 against a dense eigh of its sector of
+    # the full-space H; H has no entry between the two sectors
     dims = FockDims(30, 30)
     for v in cli.CERT_GRID_V:
         for ratio in cli.CERT_GRID_RATIO:
             if ratio <= math.exp(2 * v):
                 continue
             dp = DiagParams(ratio, 1.0, v)
-            h = build_hamiltonian(forward_map(dp), 0.0, dims)
+            pp = forward_map(dp)
+            h = build_hamiltonian(pp, 0.0, dims).real
+            ref = {}
+            for parity in (0, 1):
+                sector = _parity_sector(dims, parity)
+                assert not h[np.ix_(sector, _parity_sector(dims, 1 - parity))].any()
+                ref[parity] = (sector, *np.linalg.eigh(h[np.ix_(sector, sector)]))
             targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.0, dims)
             for (n_f, n_d), target in zip(cli.CERT_OCCUPATIONS, targets):
-                _assert_sector_matches_full(h, target, (n_f + n_d) % 2)
+                sector, vals, vecs = ref[(n_f + n_d) % 2]
+                _assert_matches(numeric_eigenpair(pp, target, (n_f + n_d) % 2),
+                                target, vals, vecs, sector)
 
 
-def test_sector_eigenpair_matches_full_space_complex_hamiltonian():
-    dims = FockDims(30, 30)
-    h = build_hamiltonian(forward_map(CANONICAL), 0.4, dims)
-    assert h.data.imag.any()
-    for n_f, n_d in cli.CERT_OCCUPATIONS:
-        target = eigenstate(CANONICAL, n_f, n_d, 0.4, dims)
-        _assert_sector_matches_full(h, target, (n_f + n_d) % 2)
+def test_numeric_eigenpair_matches_eigsh_on_top_rung():
+    # a cell that certifies only at cutoff 78, against shift-invert Lanczos
+    # on the sparse sector matrix
+    dims = FockDims(78, 78)
+    dp = DiagParams(math.e ** 3, 1.0, 0.6)
+    pp = forward_map(dp)
+    target = eigenstate(dp, 1, 1, 0.0, dims)
+    sector = _parity_sector(dims, 0)
+    h = sparse_hamiltonian(pp, dims)[sector][:, sector].tocsc()
+    start = target.amp[sector].real
+    vals, vecs = spla.eigsh(h, k=3, sigma=start @ (h @ start), which="LM",
+                            v0=np.ones(len(sector)))
+    _assert_matches(numeric_eigenpair(pp, target, 0), target, vals, vecs, sector)
 
 
-def test_cross_parity_entry_refuses_sector_solve(monkeypatch):
-    dp = DiagParams(E2, 1.0, 0.3)
-    dims = FockDims(30, 30)
-    h = build_hamiltonian(forward_map(dp), 0.0, dims)
-    i, j = dims.index(0, 0), dims.index(0, 1)
-    eps = 1e-6 * abs(h).max()
-    planted = (h + sp.csr_matrix(([eps, eps], ([i, j], [j, i])), shape=h.shape)).tocsr()
-    monkeypatch.setattr(oracle, "build_hamiltonian", lambda pp, varphi, dims: planted)
-    results = oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
-    assert len(results) == len(cli.CERT_OCCUPATIONS)
-    for result in results:
-        assert isinstance(result, OracleError)
-        assert "couples the sector to its complement" in str(result)
-        assert result.__traceback__ is None  # no frame, H or target kept alive
-
-
-def test_mixed_dp_loops_match_per_dp_calls(monkeypatch):
+def test_mixed_dp_loops_match_per_dp_calls():
     # the cutoff-30 rung of the certify grid in one call, parameter sets
-    # interleaved: one H per distinct dp, and 12 of the 32 pairs refuse on the
-    # truncation gate there
+    # interleaved: 12 of the 32 pairs refuse on the truncation gate there
     dims = FockDims(30, 30)
     dps = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
            for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+    assert len(dps) == 8
     pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in dps]
-    built = []
-
-    def counted(pp, varphi, dims):
-        built.append(pp)
-        return build_hamiltonian(pp, varphi, dims)
-
-    monkeypatch.setattr(oracle, "build_hamiltonian", counted)
     mixed = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
                                         LoopSpec(256), dims)
-    assert len(built) == len(dps) == 8
     single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
               for dp in dps}
     refused = 0
@@ -291,6 +269,8 @@ def test_mixed_dp_loops_match_per_dp_calls(monkeypatch):
         if isinstance(want, OracleError):
             refused += 1
             assert isinstance(got, OracleError) and str(got) == str(want)
+            assert "truncation tail" in str(got)
+            assert got.__traceback__ is None  # no frame or target kept alive
             continue
         assert not isinstance(got, OracleError)
         assert abs(got.phase.raw - want.phase.raw) <= 1e-12
@@ -300,10 +280,9 @@ def test_mixed_dp_loops_match_per_dp_calls(monkeypatch):
 
 def test_sector_solve_refuses_target_outside_sector():
     dims = FockDims(12, 12)
-    h = build_hamiltonian(forward_map(CANONICAL), 0.0, dims)
     amp = eigenstate(CANONICAL, 1, 0, 0.0, dims).amp + 1e-9 * basis_state(dims, 0, 0).amp
     with pytest.raises(OracleError, match="outside the sector"):
-        numeric_eigenpair(h, StateVector(dims, amp), _parity_sector(dims, 1))
+        numeric_eigenpair(forward_map(CANONICAL), StateVector(dims, amp), 1)
 
 
 def test_partial_sum_single_term():
