@@ -80,16 +80,27 @@ def test_numeric_eigenpair_overlap_certification():
         assert pair.overlap > 1 - 1e-8
 
 
-def test_numeric_eigenpair_repeatable_bits():
+@pytest.mark.parametrize("varphi", [0.0, 0.4])
+def test_numeric_eigenpair_sparse_repeatable_bits(varphi):
+    # the solve is in real arithmetic on H(0); the eigenvector at varphi is
+    # exp(+i varphi n_f) times it, by rotation covariance
     dims = FockDims(44, 44)
     pp = forward_map(CANONICAL)
-    target = eigenstate(CANONICAL, 1, 1, 0.0, dims)
-    pairs = [numeric_eigenpair(pp, target, 0) for _ in range(3)]
-    for pair in pairs[1:]:
+    h0 = sparse_hamiltonian(pp, dims)
+    r = np.exp(1j * varphi * number_diagonal(dims, "field"))
+    pairs = [numeric_eigenpair(pp, eigenstate(CANONICAL, 1, 1, 0.0, dims), 0)
+             for _ in range(3)]
+    vecs = [r * pair.vector.amp for pair in pairs]
+    for pair, vec in zip(pairs[1:], vecs[1:]):
         assert pair.value == pairs[0].value
-        assert np.array_equal(pair.vector.amp, pairs[0].vector.amp)
+        assert np.array_equal(vec, vecs[0])
     assert pairs[0].overlap > 0.999
     assert not pairs[0].vector.amp.imag.any()  # H(0) is real: so is the gauge-fixed vector
+    res = np.linalg.norm(h0 @ pairs[0].vector.amp - pairs[0].value * pairs[0].vector.amp)
+    assert res < 1e-10 * abs(h0).max()
+    target = eigenstate(CANONICAL, 1, 1, varphi, dims)
+    assert abs(np.vdot(target.amp, vecs[0])) > 0.999
+    assert vecs[0].imag.any() == (varphi != 0.0)
 
 
 def test_numeric_eigenpair_ambiguity():
