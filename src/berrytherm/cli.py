@@ -211,10 +211,19 @@ def cmd_diagonalize(config: dict) -> dict:
         raise ConfigError("need cutoff >= 4")
     dims = FockDims(cutoff, cutoff)
     report: dict = {}
-    if config.get("diag_v") is not None:
+    forward = any(config.get(key) is not None for key in ("diag_omega_a", "diag_omega_b", "diag_v"))
+    if forward and any(config.get(key) is not None for key in ("omega_a", "omega_b", "coupling")):
+        raise ConfigError("need either the laboratory triple (omega_a, omega_b, coupling) "
+                          "or the diagonalization triple (diag_omega_a, diag_omega_b, diag_v), "
+                          "not both")
+    if forward:
         dp = DiagParams(_require(config, "diag_omega_a"),
                         _require(config, "diag_omega_b"),
                         _require(config, "diag_v"))
+        try:
+            dp.validate()
+        except ConstraintError as exc:
+            raise ConfigError(f"need finite omega_a > omega_b e^(2v) > 0 and v > 0: {exc}")
         pp = forward_map(dp)
         report["mode"] = "forward"
     else:
@@ -409,46 +418,35 @@ CUTOFF_LADDER = (30, 44, 60, 78)
 def _loop_check_cells(dps: list[DiagParams],
                       negative_control: bool) -> dict[DiagParams, list[dict]]:
     """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at
-    each dp of ``dps``: the list of cells of each dp.
-
-    The grid is walked cutoff-major: each rung of the cutoff ladder measures
-    every (dp, occupation) pair still pending in one batch, and a pair leaves
-    the ladder at the first rung that passes the truncation gate."""
+    each dp of ``dps``: the list of cells of each dp.  The oracle walks the
+    cutoff ladder itself (``oracle.discrete_berry_loops``); a cell reports
+    the rung it passed at, or the oracle's refusal at the last rung."""
     phase_fn = (geomphase._eigen_phase_unshared_denominator
                 if negative_control else eigen_berry_phase)
-    cells: dict[tuple[DiagParams, tuple[int, int]], dict] = {}
-    last_exc: dict[tuple[DiagParams, tuple[int, int]], OracleError] = {}
-    pending = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
-    for cutoff in CUTOFF_LADDER:
-        if not pending:
-            break
-        results = oracle.discrete_berry_loops([dp for dp, _ in pending],
-                                              [occ for _, occ in pending],
-                                              LoopSpec(), FockDims(cutoff, cutoff))
-        for (dp, occ), result in zip(pending, results):
-            if isinstance(result, OracleError):
-                last_exc[dp, occ] = result
-                continue
-            closed = phase_fn(dp, occ[0], occ[1])
-            diff = phase_distance(closed.raw, result.phase.raw)
-            cells[dp, occ] = {
+    pairs = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
+    results = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
+                                          LoopSpec(), [FockDims(c, c) for c in CUTOFF_LADDER])
+    cells: dict[DiagParams, list[dict]] = {dp: [] for dp in dps}
+    for (dp, occ), result in zip(pairs, results):
+        if isinstance(result, OracleError):
+            cells[dp].append({
                 "occupation": list(occ),
-                "cutoff": cutoff,
-                "difference_rad": diff,
-                "loop_error_estimate": result.error_estimate,
-                "truncation_tail": result.truncation_tail,
-                "passed": bool(diff < CERT_LOOP_TOL),
-            }
-        pending = [key for key in pending if key not in cells]
-    for dp, occ in pending:
-        cells[dp, occ] = {
+                "cutoff": None,
+                "difference_rad": math.nan,
+                "passed": False,
+                "refused": str(result),
+            })
+            continue
+        diff = phase_distance(phase_fn(dp, occ[0], occ[1]).raw, result.phase.raw)
+        cells[dp].append({
             "occupation": list(occ),
-            "cutoff": None,
-            "difference_rad": math.nan,
-            "passed": False,
-            "refused": str(last_exc[dp, occ]),
-        }
-    return {dp: [cells[dp, occ] for occ in CERT_OCCUPATIONS] for dp in dps}
+            "cutoff": result.dims.n_field,
+            "difference_rad": diff,
+            "loop_error_estimate": result.error_estimate,
+            "truncation_tail": result.truncation_tail,
+            "passed": bool(diff < CERT_LOOP_TOL),
+        })
+    return cells
 
 
 def certification_report(negative_control: bool = False) -> dict:

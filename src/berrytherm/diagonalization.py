@@ -87,6 +87,9 @@ class DiagParams:
     u_hint: float | None = None
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.omega_a, self.omega_b, self.v,
+                                       0.0 if self.u_hint is None else self.u_hint))):
+            raise ConstraintError(f"parameters must be finite, got {self}")
         if self.omega_a <= 0.0 or self.omega_b <= 0.0:
             raise ConstraintError(f"frequencies must be positive, got {self}")
         if self.v <= 0.0:
@@ -387,9 +390,12 @@ def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> np.n
     for small cutoffs (``hamiltonian_action`` applies H(0) at any cutoff)."""
     a = np.diag(np.sqrt(np.arange(1.0, dims.n_field)), 1)
     field = np.exp(1j * varphi) * a.T + np.exp(-1j * varphi) * a
-    bare = (pp.Omega_a * number_diagonal(dims, "field")
-            + pp.Omega_b * number_diagonal(dims, "detector"))
-    return np.diag(bare) + pp.lam * np.kron(field, _position(dims.n_det))
+    h = np.kron(field, _position(dims.n_det))  # scaled and shifted in place
+    h *= pp.lam
+    i = np.arange(dims.total)
+    h[i, i] += (pp.Omega_a * number_diagonal(dims, "field")
+                + pp.Omega_b * number_diagonal(dims, "detector"))
+    return h
 
 
 def _position(n: int, first: int = 0) -> np.ndarray:
@@ -398,17 +404,23 @@ def _position(n: int, first: int = 0) -> np.ndarray:
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-def hamiltonian_action(pp: PhysicalParams, amp: np.ndarray) -> np.ndarray:
+def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
+                       amp: np.ndarray) -> np.ndarray:
     """H amp at varphi = 0 for the (n_field, n_det) or (n_field, n_det, k)
     amplitude array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T,
-    X = a + a' on each mode, with no operator matrix of the product space."""
+    X = a + a' on each mode, with no operator matrix of the product space.
+    ``pp`` is one parameter set, or a list of them, one per column k."""
+    if isinstance(pp, PhysicalParams):
+        omega_a, omega_b, lam = pp.Omega_a, pp.Omega_b, pp.lam
+    else:
+        omega_a, omega_b, lam = np.array([(p.Omega_a, p.Omega_b, p.lam) for p in pp]).T
     n_field, n_det = amp.shape[:2]
     tail = (1,) * (amp.ndim - 2)
     n_f = np.arange(n_field).reshape((-1, 1) + tail)
     n_d = np.arange(n_det).reshape((1, -1) + tail)
     coupled = np.einsum("ij,kl,jl...->ik...", _position(n_field), _position(n_det), amp,
                         optimize=True)
-    return (pp.Omega_a * n_f + pp.Omega_b * n_d) * amp + pp.lam * coupled
+    return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
 
 
 def _detector_squeeze(amp: np.ndarray, t) -> np.ndarray:
@@ -433,19 +445,19 @@ def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
     return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
 
 
-def _eigenstate_amps(dps: list[DiagParams], occupations, varphi: float,
-                     dims: FockDims) -> np.ndarray:
-    """U' |n_f n_d> = R' Shat_b' D' S_b' S_a' |n_f n_d> for each dp of ``dps``
-    and (n_f, n_d) of ``occupations``, as the columns of an (n_field, n_det, k)
-    array.
+def _eigenstate_amps(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarray:
+    """R U' |n_f n_d> = Shat_b' D' S_b' S_a' |n_f n_d> for each dp of ``dps``
+    and (n_f, n_d) of ``occupations``, as the columns of a real
+    (n_field, n_det, k) array: U' without its last factor R', which is
+    diagonal.
 
     Each factor is applied exactly by blocks to all columns at once, with the
     squeeze and beam-splitter parameters of each column's dp.  The squeezes
     act on one mode each, so S_b' S_a' |n_f n_d> is the outer product of two
     squeezed basis states; the beam splitter D' then acts on the
-    (n_field, n_det) amplitude by total-occupation blocks, Shat_b' on the
-    detector axis by parity blocks, and R' is diagonal.  Every factor up to
-    R' is real orthogonal.
+    (n_field, n_det) amplitude by total-occupation blocks, and Shat_b' on the
+    detector axis by parity blocks.  Every one of these factors is real
+    orthogonal.
     """
     derived = {dp: derive_params(dp) for dp in set(dps)}
     u, v, s, p = np.array([(derived[dp].u, dp.v, derived[dp].s, derived[dp].p)
@@ -454,8 +466,10 @@ def _eigenstate_amps(dps: list[DiagParams], occupations, varphi: float,
     f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
     # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
     amp = squeeze_action(f, -u)[:, None, :] * squeeze_action(g, v)[None, :, :]
-    amp = _detector_squeeze(beam_splitter_action(amp, -s), -p)
-    return np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amp
+    # a detector-major copy, which the detector squeeze reshapes without copying
+    # again, so no more than three arrays of the batch's size are alive at once
+    amp = beam_splitter_action(amp, -s).transpose(1, 0, 2).copy()
+    return _detector_squeeze(amp.transpose(1, 0, 2), -p)
 
 
 # The intermediate squeeze stages populate higher levels than the final state
@@ -487,7 +501,8 @@ def eigenstates(dps: list[DiagParams], occupations, varphi: float,
         max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
         max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
     )
-    amps = _eigenstate_amps(dps, occupations, varphi, big)[: dims.n_field, : dims.n_det]
+    amps = _eigenstate_amps(dps, occupations, big)[: dims.n_field, : dims.n_det]
+    amps = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amps  # R'
     return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
 
 

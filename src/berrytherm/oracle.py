@@ -8,10 +8,14 @@ the time-dependent Schrodinger equation.  Closed forms are only allowed in
 as selection targets (which eigenvector to track), never as values.
 Loop eigenpairs come from Rayleigh-quotient iteration in one parity sector of
 H(0), block tridiagonal in n_f (Parlett, The Symmetric Eigenvalue Problem, 4.6).
-Every field-state quadrature of the adiabaticity check is the Gauss rule of
-x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
-and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
-1969), from numpy's eigh.  The module needs only numpy.
+A loop grid walks a ladder of growing cutoffs: its selection targets are built
+once, at the first rung; the pending pairs of a rung are solved by parity, each
+parity as one stacked iteration; and a pair refused at a rung continues at the
+next from its last eigenvector.  Every field-state quadrature of the
+adiabaticity check is the Gauss rule of x_f = a + a' on a window of field
+levels: the eigenvalues of its Jacobi matrix and their eigenvector components
+(Golub and Welsch, Math. Comp. 23, 221, 1969), from numpy's eigh.  The module
+needs only numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .diagonalization import (
     PhysicalParams,
     _position,
     build_hamiltonian,
-    eigenstate,
     eigenstates,
     forward_map,
     hamiltonian_action,
@@ -42,6 +45,7 @@ __all__ = [
     "EigenPair",
     "BerryLoopResult",
     "numeric_eigenpair",
+    "numeric_eigenpairs",
     "pancharatnam_product",
     "discrete_berry_loop",
     "discrete_berry_loops",
@@ -113,83 +117,155 @@ class BerryLoopResult:
     phase: PhaseResult
     error_estimate: float
     truncation_tail: float
+    dims: FockDims  # the truncation the eigenvector passed the gates at
 
 
-def _shifted_solve(diag: list, couple: list, sigma: float, rhs: list) -> list:
-    """(H - sigma)^{-1} rhs, block by block, for the symmetric block-tridiagonal H
-    with diagonal blocks diag(diag[f]) and C_f = couple[f] = H[f+1, f]: block-Thomas
-    elimination S_{f+1} = D_{f+1} - sigma - C_f S_f^{-1} C_f^T, one dense solve
-    per block, then back-substitution from the last block."""
-    gain, part = [], []  # S_f^{-1} C_f^T and S_f^{-1} y_f
-    schur, y = np.diag(diag[0] - sigma), rhs[0]
-    for f, c in enumerate(couple):
-        sol = np.linalg.solve(schur, np.column_stack([c.T, y]))
-        gain.append(sol[:, :-1])
-        part.append(sol[:, -1])
-        schur = np.diag(diag[f + 1] - sigma) - c @ gain[f]
-        y = rhs[f + 1] - c @ part[f]
-    out = [np.linalg.solve(schur, y)]
-    for f in reversed(range(len(couple))):
-        out.append(part[f] - gain[f] @ out[-1])
+def _sweep(diag: list, couple: list, lam: np.ndarray, sigma: np.ndarray, rhs: list) -> list:
+    """(H - sigma)^{-1} rhs for a stack of k symmetric block-tridiagonal H: block
+    f of pair i is diag(diag[f][i]) and H[f+1, f] = lam[i] couple[f].  Block-Thomas
+    elimination S_{f+1} = D_{f+1} - sigma - lam^2 X_f S_f^{-1} X_f^T, one stacked
+    dense solve per block, then back-substitution from the last block; each rhs[f]
+    and result block is (k, m_f)."""
+    k, sizes = len(sigma), [d.shape[1] for d in diag]
+    lam = lam[:, None]
+    # S_f^{-1} [X_f^T | y_f] of every block, kept for the back-substitution in
+    # one array: one allocation, where a list of blocks fragments the heap
+    store = np.empty((len(couple), k, max(sizes), max(sizes) + 1), dtype=rhs[0].dtype)
+    schur = _add_diagonal(np.zeros((k, sizes[0], sizes[0])), diag[0] - sigma[:, None])
+    y = rhs[0]
+    for f, x in enumerate(couple):
+        a, b = x.T.shape
+        sol = store[f, :, :a, :b + 1]
+        sol[...] = np.linalg.solve(schur, np.concatenate(
+            [np.broadcast_to(x.T, (k, a, b)), y[:, :, None]], axis=2))
+        schur = _add_diagonal(-(lam ** 2)[:, :, None] * (x @ sol[:, :, :b]),
+                              diag[f + 1] - sigma[:, None])
+        y = rhs[f + 1] - lam * (sol[:, :, b] @ x.T)
+    out = [np.linalg.solve(schur, y[:, :, None])[:, :, 0]]
+    for f, x in reversed(list(enumerate(couple))):
+        a, b = x.T.shape
+        gain, part = store[f, :, :a, :b], store[f, :, :a, b]
+        out.append(part - lam * (gain @ out[-1][:, :, None])[:, :, 0])
     return out[::-1]
 
 
-def numeric_eigenpair(pp: PhysicalParams, target: StateVector, parity: int) -> EigenPair:
-    """Eigenpair of the truncated H(0) of ``pp`` that ``target`` selects in the
-    sector (-1)^(n_f + n_d) = (-1)^parity.
+def _add_diagonal(blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Add diag(d[i]) to each block i of the (k, m, m) stack ``blocks``, in place."""
+    i = np.arange(d.shape[1])
+    blocks[:, i, i] += d
+    return blocks
 
-    In field-major order the sector is block tridiagonal in n_f: block f is
-    Omega_a f + Omega_b d over its detector levels d, block (f+1, f) is
-    lam sqrt(f+1) x_d on them.  Rayleigh-quotient iteration starts from the
-    target, sigma its Rayleigh quotient; each step solves (H - sigma) w = v
-    (``_shifted_solve``) and moves sigma to the Rayleigh quotient of w, H v
-    from ``hamiltonian_action``, until |H v - sigma v| <= RQI_TOL max |diag H|.
-    Refuses (OracleError) after RQI_MAX_STEPS solves, a target with weight
-    outside the sector, and an overlap with the target below AMBIGUITY_OVERLAP
-    (a neighbour: truncation too small or wrong parameters).  Repeated calls
-    return identical bits; the vector's largest component is real positive.
-    """
-    dims = target.dims
-    n_f, n_d = np.ogrid[:dims.n_field, :dims.n_det]
-    inside = (n_f + n_d) % 2 == parity
-    v = target.amp.reshape(inside.shape)
-    if v[~inside].any():
-        raise OracleError("target has weight outside the sector")
-    levels = [np.flatnonzero(row) for row in inside]
-    x_d = _position(dims.n_det)
-    diag = [pp.Omega_a * f + pp.Omega_b * d for f, d in enumerate(levels)]
-    couple = [pp.lam * math.sqrt(f + 1.0) * x_d[np.ix_(levels[f + 1], levels[f])]
-              for f in range(dims.n_field - 1)]
-    tol = RQI_TOL * (pp.Omega_a * (dims.n_field - 1) + pp.Omega_b * (dims.n_det - 1))
-    if not v.imag.any():
-        v = v.real
-    for step in range(RQI_MAX_STEPS + 1):
-        hv = hamiltonian_action(pp, v)  # zero outside the sector, as v is
-        sigma = float(np.vdot(v, hv).real)
-        residual = float(np.linalg.norm(hv - sigma * v))
-        if residual <= tol:
-            break
-        if step == RQI_MAX_STEPS:
-            raise OracleError(f"Rayleigh-quotient iteration unconverged after {step} solves "
-                              f"(residual {residual:.2e} > {tol:.2e})")
-        rhs = [v[f, d] for f, d in enumerate(levels)]
-        try:
-            blocks = _shifted_solve(diag, couple, sigma, rhs)
-        except np.linalg.LinAlgError:  # sigma is an eigenvalue of a leading block to the bit
-            blocks = _shifted_solve(diag, couple, sigma + tol, rhs)
-        v = np.zeros_like(v)
-        v[inside] = np.concatenate(blocks)  # row-major: block f fills row f
-        v /= np.linalg.norm(v)
+
+def _shifted_solve(diag: list, couple: list, lam: np.ndarray, sigma: np.ndarray,
+                   rhs: list, tol: np.ndarray) -> list:
+    """``_sweep``, with a pair whose sigma is an eigenvalue of a leading block to the
+    bit (a singular solve) moved to sigma + tol alone: the stack is then solved
+    pair by pair, so no other pair's shift changes."""
+    try:
+        return _sweep(diag, couple, lam, sigma, rhs)
+    except np.linalg.LinAlgError:
+        if len(sigma) == 1:
+            return _sweep(diag, couple, lam, sigma + tol, rhs)
+    one = [_shifted_solve([d[[i]] for d in diag], couple, lam[[i]], sigma[[i]],
+                          [r[[i]] for r in rhs], tol[[i]]) for i in range(len(sigma))]
+    return [np.concatenate(blocks) for blocks in zip(*one)]
+
+
+def _selected(v: np.ndarray, sigma: float, target: StateVector) -> EigenPair | OracleError:
+    """The converged vector ``v`` gauge-fixed (largest component real positive) as
+    an EigenPair, or the refusal when it overlaps ``target`` below AMBIGUITY_OVERLAP."""
     vec = v.reshape(-1).astype(complex)
     j = int(np.argmax(np.abs(vec)))
     vec *= np.conj(vec[j]) / abs(vec[j])
     overlap = abs(np.vdot(vec, target.amp))
     if overlap < AMBIGUITY_OVERLAP:
-        raise OracleError(
+        return OracleError(
             f"eigenvector selection ambiguous: overlap {overlap:.4f} < "
             f"{AMBIGUITY_OVERLAP} (truncation too small or wrong parameters)"
         )
-    return EigenPair(value=sigma, vector=StateVector(dims, vec), overlap=float(overlap))
+    return EigenPair(value=sigma, vector=StateVector(target.dims, vec), overlap=float(overlap))
+
+
+def numeric_eigenpairs(
+    pps: list[PhysicalParams],
+    targets: list[StateVector],
+    parity: int,
+    starts: list[StateVector | None] | None = None,
+) -> list[EigenPair | OracleError]:
+    """Eigenpair of the truncated H(0) of each pp of ``pps`` that the target at
+    the same position selects, all in the sector (-1)^(n_f + n_d) = (-1)^parity
+    of one truncation: the EigenPair, or the OracleError that refused it.
+
+    In field-major order the sector is block tridiagonal in n_f: block f is
+    Omega_a f + Omega_b d over its detector levels d, block (f+1, f) is
+    lam sqrt(f+1) x_d on them; the lam-free blocks are shared by the stack.
+    Rayleigh-quotient iteration starts from each pair's start (its target
+    where ``starts`` gives none), sigma its Rayleigh quotient; each step solves
+    (H - sigma) w = v for every unconverged pair in one stacked block-Thomas
+    sweep (``_shifted_solve``) and moves each sigma to the Rayleigh quotient
+    of its w, H v from ``hamiltonian_action``.  A pair leaves the stack once
+    |H v - sigma v| <= RQI_TOL max |diag H| of its own H.  Refuses a pair
+    after RQI_MAX_STEPS solves, a target or start with weight outside the
+    sector, and an overlap with the target below AMBIGUITY_OVERLAP (a
+    neighbour: truncation too small or wrong parameters).  Repeated calls
+    return identical bits; each vector's largest component is real positive.
+    """
+    dims = targets[0].dims
+    if any(t.dims != dims for t in targets) or len(pps) != len(targets):
+        raise ValueError("need one parameter set per target, all targets on one truncation")
+    starts = [t if s is None else s for s, t in zip(starts or [None] * len(targets), targets)]
+    n_f, n_d = np.ogrid[:dims.n_field, :dims.n_det]
+    inside = (n_f + n_d) % 2 == parity
+    results: list[EigenPair | OracleError | None] = [None] * len(targets)
+    for i, pair in enumerate(zip(targets, starts)):
+        if any(s.amp.reshape(inside.shape)[~inside].any() for s in pair):
+            results[i] = OracleError("target or start has weight outside the sector")
+    at = np.array([i for i, r in enumerate(results) if r is None], dtype=int)  # iterating
+    if not len(at):
+        return results
+    levels = [np.flatnonzero(row) for row in inside]
+    x_d = _position(dims.n_det)
+    couple = [math.sqrt(f + 1.0) * x_d[np.ix_(levels[f + 1], levels[f])]
+              for f in range(dims.n_field - 1)]
+    omega_a, omega_b, lam = np.array([(pp.Omega_a, pp.Omega_b, pp.lam) for pp in pps]).T
+    diag = [omega_a[:, None] * f + omega_b[:, None] * d for f, d in enumerate(levels)]
+    tol = RQI_TOL * (omega_a * (dims.n_field - 1) + omega_b * (dims.n_det - 1))
+    v = np.stack([starts[i].amp.reshape(inside.shape) for i in at], axis=-1)
+    if not v.imag.any():
+        v = v.real
+    for step in range(RQI_MAX_STEPS + 1):
+        hv = hamiltonian_action([pps[i] for i in at], v)  # zero outside the sector
+        sigma = np.einsum("ijk,ijk->k", v.conj(), hv).real
+        residual = np.linalg.norm((hv - sigma * v).reshape(-1, len(at)), axis=0)
+        done = residual <= tol[at]
+        for j in np.flatnonzero(done):
+            results[at[j]] = _selected(v[:, :, j], float(sigma[j]), targets[at[j]])
+        if step == RQI_MAX_STEPS:
+            for j in np.flatnonzero(~done):
+                results[at[j]] = OracleError(
+                    f"Rayleigh-quotient iteration unconverged after {step} solves "
+                    f"(residual {residual[j]:.2e} > {tol[at[j]]:.2e})")
+            break
+        at, v, sigma = at[~done], v[:, :, ~done], sigma[~done]
+        if not len(at):
+            break
+        rhs = [v[f, lev].T for f, lev in enumerate(levels)]
+        blocks = _shifted_solve([d[at] for d in diag], couple, lam[at], sigma, rhs, tol[at])
+        v = np.zeros_like(v)
+        for f, (lev, block) in enumerate(zip(levels, blocks)):
+            v[f, lev] = block.T
+        v /= np.linalg.norm(v.reshape(-1, len(at)), axis=0)
+    return results
+
+
+def numeric_eigenpair(pp: PhysicalParams, target: StateVector, parity: int) -> EigenPair:
+    """Eigenpair of the truncated H(0) of ``pp`` that ``target`` selects in the
+    sector (-1)^(n_f + n_d) = (-1)^parity: a stack of one through
+    ``numeric_eigenpairs`` that raises its OracleError."""
+    pair = numeric_eigenpairs([pp], [target], parity)[0]
+    if isinstance(pair, OracleError):
+        raise pair
+    return pair
 
 
 def pancharatnam_product(states) -> tuple[float, float]:
@@ -224,58 +300,88 @@ def _loop_raw_phase(weights: np.ndarray, n_f_diag: np.ndarray, n_points: int) ->
     return n_points * float(np.angle(z)), float(abs(z))
 
 
-def _transported_loop(pp: PhysicalParams, target: StateVector, parity: int,
-                      spec: LoopSpec) -> BerryLoopResult:
-    """Loop phase of the eigenvector of H(0) that ``target`` selects in its sector."""
-    chi = numeric_eigenpair(pp, target, parity).vector
+def _transported_loop(chi: StateVector, spec: LoopSpec) -> BerryLoopResult | OracleError:
+    """Loop phase of the eigenvector ``chi`` of H(0), or the refusal of its gates."""
     tail = truncation_tail(chi)
     if tail > TRUNCATION_GATE:
-        raise OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
-                          f"{TRUNCATION_GATE:.1e}; raise the cutoff")
+        return OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
+                           f"{TRUNCATION_GATE:.1e}; raise the cutoff")
     w = np.abs(chi.amp) ** 2
     n_f_diag = number_diagonal(chi.dims, "field")
     raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
     if ov1 < LEVEL_CROSSING_OVERLAP:
-        raise OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
+        return OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
     raw2, _ = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
     raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
     raw = (4.0 * raw2 - raw1) / 3.0
     return BerryLoopResult(
         PhaseResult(value=wrap_angle(raw), raw=raw),
-        error_estimate=abs(raw2 - raw1), truncation_tail=tail,
+        error_estimate=abs(raw2 - raw1), truncation_tail=tail, dims=chi.dims,
     )
+
+
+def _padded(state: StateVector, dims: FockDims) -> StateVector:
+    """``state`` on the truncation ``dims`` (as large or larger), zero on the levels it adds."""
+    if state.dims == dims:
+        return state
+    amp = np.zeros((dims.n_field, dims.n_det), dtype=complex)
+    amp[:state.dims.n_field, :state.dims.n_det] = state.amp.reshape(
+        state.dims.n_field, state.dims.n_det)
+    return StateVector(dims, amp)
 
 
 def discrete_berry_loops(
     dps: list[DiagParams],
     occupations,
     spec: LoopSpec,
-    dims: FockDims,
+    ladder: list[FockDims],
 ) -> list[BerryLoopResult | OracleError]:
     """Gauge-invariant discrete loop phase of the eigenstate of each pair of a
     dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
-    its BerryLoopResult, or the OracleError that refused it.
+    its BerryLoopResult, at the first truncation of ``ladder`` (a sequence of
+    growing FockDims) that passes every gate, or the OracleError that refused
+    it at the last one.
 
-    One batch of closed-form selection targets serves every pair.  H
-    commutes with the parity (-1)^(n_f + n_d), so each eigenvector is solved
-    in the parity sector of its label (see ``numeric_eigenpair``) and
-    transported around the loop with the exact rotation covariance.  The
-    phase is Richardson-extrapolated from the N and 2N grids and the
-    reported error estimate is |gamma(2N) - gamma(N)|.
+    The closed-form selection targets are built once, in one batch at
+    ``ladder[0]``, and zero-padded to each later rung.  H commutes with the
+    parity (-1)^(n_f + n_d), so each rung solves its pending pairs by parity,
+    each parity as one stack (``numeric_eigenpairs``).  A pair refused at a
+    rung moves to the next one, where its iteration starts from its last
+    eigenvector, zero-padded, if that passed the overlap gate, and from its
+    padded target otherwise.  The eigenvector is transported around the
+    loop with the exact rotation covariance.  The phase is
+    Richardson-extrapolated from the N and 2N grids and the reported error
+    estimate is |gamma(2N) - gamma(N)|.
 
-    Refuses an occupation when its eigenvector carries more than
+    Refuses an occupation at a rung when its eigenvector carries more than
     TRUNCATION_GATE amplitude in the top two levels of either mode, or
     when consecutive overlaps drop below 0.99 (level crossing).
     """
-    results: list[BerryLoopResult | OracleError] = []
-    targets = eigenstates(dps, occupations, 0.0, dims)
-    for dp, (n_f, n_d), target in zip(dps, occupations, targets):
-        try:
-            results.append(_transported_loop(forward_map(dp), target, (n_f + n_d) % 2, spec))
-        except OracleError as exc:
-            # a refusal is returned as a value: its traceback would hold this
-            # frame, and with it every target, in a reference cycle
-            results.append(exc.with_traceback(None))
+    ladder = list(ladder)
+    if not ladder or any(b.n_field < a.n_field or b.n_det < a.n_det
+                         for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"need a non-empty ladder of growing truncations, got {ladder}")
+    pps = {dp: forward_map(dp) for dp in dps}
+    parities = [(n_f + n_d) % 2 for n_f, n_d in occupations]
+    targets = eigenstates(dps, occupations, 0.0, ladder[0])
+    results: list[BerryLoopResult | OracleError] = [None] * len(targets)
+    starts: list[StateVector | None] = [None] * len(targets)
+    pending = range(len(targets))
+    for dims in ladder:
+        for parity in (0, 1):
+            batch = [i for i in pending if parities[i] == parity]
+            if not batch:
+                continue
+            pairs = numeric_eigenpairs(
+                [pps[dps[i]] for i in batch],
+                [_padded(targets[i], dims) for i in batch], parity,
+                [None if starts[i] is None else _padded(starts[i], dims) for i in batch])
+            for i, pair in zip(batch, pairs):
+                if isinstance(pair, OracleError):
+                    results[i], starts[i] = pair, None
+                else:
+                    results[i], starts[i] = _transported_loop(pair.vector, spec), pair.vector
+        pending = [i for i in pending if isinstance(results[i], OracleError)]
     return results
 
 
@@ -286,9 +392,9 @@ def discrete_berry_loop(
     spec: LoopSpec,
     dims: FockDims,
 ) -> BerryLoopResult:
-    """Loop phase of the (n_f, n_d) eigenstate: a batch of one through
-    ``discrete_berry_loops`` that raises its OracleError."""
-    result = discrete_berry_loops([dp], [(n_f, n_d)], spec, dims)[0]
+    """Loop phase of the (n_f, n_d) eigenstate: a batch of one on the one-rung
+    ladder ``[dims]`` through ``discrete_berry_loops`` that raises its OracleError."""
+    result = discrete_berry_loops([dp], [(n_f, n_d)], spec, [dims])[0]
     if isinstance(result, OracleError):
         raise result
     return result
@@ -318,9 +424,11 @@ def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> Pha
 def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:
     """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|; exact identity, ~1e-13."""
     r = np.exp(1j * varphi * number_diagonal(dims, "field"))  # diagonal of R(-varphi)
-    h_phi = build_hamiltonian(pp, varphi, dims)
-    h_rot = r[:, None] * build_hamiltonian(pp, 0.0, dims) * r.conj()
-    return float(np.abs(h_phi - h_rot).max())
+    h_rot = build_hamiltonian(pp, 0.0, dims)  # rotated in place
+    h_rot *= r[:, None]
+    h_rot *= r.conj()
+    h_rot -= build_hamiltonian(pp, varphi, dims)
+    return float(np.abs(h_rot).max())
 
 
 # --------------------------------------------------------------------------
@@ -497,7 +605,6 @@ def berry_connection_v(
     """
     up = DiagParams(dp.omega_a, dp.omega_b, dp.v + eps)
     dn = DiagParams(dp.omega_a, dp.omega_b, dp.v - eps)
-    psi0 = eigenstate(dp, n_f, n_d, varphi, dims)
-    dpsi = (eigenstate(up, n_f, n_d, varphi, dims).amp
-            - eigenstate(dn, n_f, n_d, varphi, dims).amp) / (2.0 * eps)
+    psi0, psi_up, psi_dn = eigenstates([dp, up, dn], [(n_f, n_d)] * 3, varphi, dims)
+    dpsi = (psi_up.amp - psi_dn.amp) / (2.0 * eps)
     return float(np.imag(np.vdot(psi0.amp, dpsi)))

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 
 from berrytherm import cli, diagonalization
-from berrytherm.cli import CUTOFF_LADDER, certification_report
+from berrytherm.cli import certification_report
 from berrytherm.fockspace import TruncationWarning
 
 
@@ -12,8 +12,8 @@ from berrytherm.fockspace import TruncationWarning
 def certify_reports():
     """The positive certification report and its negative control, built once;
     building them must emit no TruncationWarning, and each report's loop grid
-    must make at most one block-chain pass (one ``beam_splitter_action`` call)
-    per rung of the cutoff ladder."""
+    must make exactly one block-chain pass (one ``beam_splitter_action`` call):
+    the selection targets are built once, at the first rung of the ladder."""
     beam_splitter_action = diagonalization.beam_splitter_action
     loop_check_cells = cli._loop_check_cells
     chain_calls = [0]
@@ -40,5 +40,5 @@ def certify_reports():
         passes.append(grid_passes[0] - passes[0])
     truncated = [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
     assert truncated == []
-    assert 0 < max(passes) <= len(CUTOFF_LADDER), passes
+    assert passes == [1, 1], passes
     return pos, neg

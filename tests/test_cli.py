@@ -86,9 +86,16 @@ RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
     ["diagonalize", "--omega-a", "0", "--omega-b", "1e9", "--coupling", "7539.8"],
     ["thermometer", "--gap", "nan", "--t-hot", "1", "--coupling", "1", "--points", "3"],
     ["adiabaticity", "--gap", "1e9", "--coupling", "inf", "--cycles", "2"],
+    ["diagonalize", "--diag-omega-a", "0", "--diag-omega-b", "1", "--diag-v", "0.1"],
+    ["diagonalize", "--diag-omega-a", "nan", "--diag-omega-b", "1", "--diag-v", "0.1"],
+    ["diagonalize", "--diag-omega-a", "10", "--diag-omega-b", "1", "--diag-v", "2"],
+    ["diagonalize", "--diag-omega-a", "10", "--diag-omega-b", "1", "--diag-v", "0.1",
+     "--omega-a", "5"],
 ], ids=["negative-temperature", "steps-per-cycle-50", "cutoff-3", "cutoff-1",
         "thermometer-zero-gap", "adiabaticity-zero-gap", "unruh-negative-gap",
-        "diagonalize-zero-omega-a", "thermometer-nan-gap", "adiabaticity-infinite-coupling"])
+        "diagonalize-zero-omega-a", "thermometer-nan-gap", "adiabaticity-infinite-coupling",
+        "diagonalize-forward-zero-omega-a", "diagonalize-forward-nan-omega-a",
+        "diagonalize-forward-ratio-below-exp-2v", "diagonalize-both-triples"])
 def test_values_the_numerics_cannot_take_are_config_errors(capsys, argv):
     # caught with the other config values, before any numerics run
     assert main(argv) == EXIT_CONFIG

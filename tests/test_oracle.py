@@ -31,6 +31,7 @@ from berrytherm.oracle import (
     discrete_berry_loop,
     excitation_probability_per_cycle,
     numeric_eigenpair,
+    numeric_eigenpairs,
     pancharatnam_product,
     partial_sum_from_eps,
     rotation_covariance_residual,
@@ -67,6 +68,10 @@ def test_numeric_eigenpair_residual_contract():
     pair = numeric_eigenpair(pp, target, 0)
     res = np.linalg.norm(h @ pair.vector.amp - pair.value * pair.vector.amp)
     assert res < 1e-10 * np.abs(h).max()
+    # a complex target (here a global phase) runs the solve in complex arithmetic
+    rephased = numeric_eigenpair(pp, StateVector(dims, np.exp(0.7j) * target.amp), 0)
+    assert abs(rephased.value - pair.value) <= 1e-12 * abs(pair.value)
+    assert 1.0 - abs(np.vdot(rephased.vector.amp, pair.vector.amp)) <= 1e-12
 
 
 def test_numeric_eigenpair_overlap_certification():
@@ -271,8 +276,9 @@ def test_mixed_dp_loops_match_per_dp_calls():
     assert len(dps) == 8
     pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in dps]
     mixed = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
-                                        LoopSpec(256), dims)
-    single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256), dims)
+                                        LoopSpec(256), [dims])
+    single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256),
+                                              [dims])
               for dp in dps}
     refused = 0
     for (dp, occ), got in zip(pairs, mixed):
@@ -287,6 +293,95 @@ def test_mixed_dp_loops_match_per_dp_calls():
         assert abs(got.phase.raw - want.phase.raw) <= 1e-12
         assert abs(got.truncation_tail - want.truncation_tail) <= 1e-15
     assert refused == 12
+
+
+def _certify_dps():
+    return [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
+            for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+
+
+def _assert_same_pairs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g.value - w.value) <= 1e-12 * abs(w.value)
+        assert 1.0 - abs(np.vdot(g.vector.amp, w.vector.amp)) <= 1e-12
+
+
+def test_stacked_eigenpairs_match_one_at_a_time_on_certify_rung():
+    # every certify pair at cutoff 30, each parity solved as one stack
+    dims = FockDims(30, 30)
+    for parity in (0, 1):
+        pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS
+                 if sum(occ) % 2 == parity]
+        assert len(pairs) == 16
+        pps = [forward_map(dp) for dp, _ in pairs]
+        targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], 0.0, dims)
+        _assert_same_pairs(numeric_eigenpairs(pps, targets, parity),
+                           [numeric_eigenpair(pp, t, parity) for pp, t in zip(pps, targets)])
+
+
+def test_stacked_eigenpairs_return_refusals_as_values():
+    # three refusals from decoupled levels (see the single-pair tests above)
+    # stacked between two good pairs of CANONICAL
+    dims = FockDims(12, 12)
+    pp, decoupled = forward_map(CANONICAL), PhysicalParams(3.0, 2.0, 0.0)
+    good = eigenstates([CANONICAL] * 2, [(0, 0), (1, 1)], 0.0, dims)
+    ket = {occ: basis_state(dims, *occ).amp for occ in ((0, 0), (1, 0), (1, 1), (0, 2))}
+    unconverged = StateVector(dims, ket[0, 0] + ket[1, 1])
+    ambiguous = StateVector(dims, ket[0, 0] + ket[1, 1] + ket[0, 2])
+    outside = StateVector(dims, good[0].amp + 1e-9 * ket[1, 0])
+    got = numeric_eigenpairs([pp, decoupled, pp, decoupled, pp],
+                             [good[0], unconverged, outside, ambiguous, good[1]], 0)
+    for refusal, reason in zip(got[1:4], (f"unconverged after {oracle.RQI_MAX_STEPS} solves",
+                                          "outside the sector", "ambiguous: overlap 0.5774")):
+        assert isinstance(refusal, OracleError) and reason in str(refusal)
+        assert refusal.__traceback__ is None
+    _assert_same_pairs([got[0], got[4]], numeric_eigenpairs([pp, pp], good, 0))
+
+
+def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
+    # lam = 0: the even mixture of the levels 0, 4, 6 and 10 has amplitudes 1/2
+    # and Rayleigh quotient 5 to the bit, the energy of |1,1>, so block 1 of
+    # H - sigma is exactly singular and the stacked sweep fails
+    dims = FockDims(12, 12)
+    pp, decoupled = forward_map(CANONICAL), PhysicalParams(3.0, 2.0, 0.0)
+    good = eigenstates([CANONICAL] * 2, [(0, 0), (1, 1)], 0.0, dims)
+    singular = StateVector(dims, sum(basis_state(dims, *occ).amp
+                                     for occ in ((0, 0), (0, 2), (2, 0), (2, 2))))
+    failed = []
+    sweep = oracle._sweep
+
+    def watched(diag, couple, lam, sigma, rhs):
+        try:
+            return sweep(diag, couple, lam, sigma, rhs)
+        except np.linalg.LinAlgError:
+            failed.append(len(sigma))
+            raise
+
+    monkeypatch.setattr(oracle, "_sweep", watched)
+    got = numeric_eigenpairs([pp, decoupled, pp], [good[0], singular, good[1]], 0)
+    assert failed[:2] == [3, 1]  # the stack, then the singular pair alone
+    assert isinstance(got[1], OracleError) and "unconverged" in str(got[1])
+    _assert_same_pairs([got[0], got[2]], numeric_eigenpairs([pp, pp], good, 0))
+
+
+def test_ladder_walk_matches_fresh_single_rung_loops():
+    # the 12 certify cells that pass above cutoff 30 start each later rung from
+    # their last eigenvector and a padded cutoff-30 target; a fresh one-rung
+    # call builds its target at that rung and starts from it
+    pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS]
+    ladder = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
+    walked = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
+                                         LoopSpec(), ladder)
+    escalated = [(dp, occ, got) for (dp, occ), got in zip(pairs, walked)
+                 if got.dims != ladder[0]]
+    assert len(escalated) == 12
+    for dp, (n_f, n_d), got in escalated:
+        fresh = discrete_berry_loop(dp, n_f, n_d, LoopSpec(), got.dims)
+        assert abs(got.phase.raw - fresh.phase.raw) <= 1e-12
+        assert abs(got.truncation_tail - fresh.truncation_tail) <= 1e-15
+    with pytest.raises(ValueError, match="growing"):
+        oracle.discrete_berry_loops([CANONICAL], [(0, 0)], LoopSpec(), ladder[::-1])
 
 
 def test_sector_solve_refuses_target_outside_sector():
