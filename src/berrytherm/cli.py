@@ -374,10 +374,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
                   "cycles_to_pi", "time_to_pi_s"]
 
 
-ADIA_KEYS = {
-    "preset": str, "gap": float, "coupling": float, "temperature": float,
-    "cycles": int, "steps_per_cycle": int,
-}
+ADIA_KEYS = {"preset": str, "gap": float, "coupling": float, "temperature": float, "cycles": int}
 
 
 def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
@@ -386,11 +383,10 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
     coupling = _require(config, "coupling")
     temperature = config.get("temperature", 0.0)
     cycles = int(config.get("cycles", 8))
-    steps = int(config.get("steps_per_cycle", 600))
-    if cycles < 1 or steps < 100 or not temperature >= 0.0:
-        raise ConfigError("need cycles >= 1, steps_per_cycle >= 100 and temperature >= 0")
+    if cycles < 1 or not temperature >= 0.0:
+        raise ConfigError("need cycles >= 1 and temperature >= 0")
     pp = _physical_params(gap, gap, coupling)
-    spec = EvolutionSpec(steps_per_cycle=steps)
+    spec = EvolutionSpec()
     if temperature > 0.0:
         r = thermo.squeeze_from_temperature(gap, temperature).r
         result = oracle.thermal_excitation_per_cycle(pp, cycles, spec, r)
@@ -685,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=float)
     p.add_argument("--temperature", type=float)
     p.add_argument("--cycles", type=int)
-    p.add_argument("--steps-per-cycle", dest="steps_per_cycle", type=int)
 
     p = sub.add_parser("certify", help="run the full oracle-vs-closed-form suite")
     _add_common(p)

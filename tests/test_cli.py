@@ -77,7 +77,6 @@ RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
 
 @pytest.mark.parametrize("argv", [
     ["adiabaticity", "--preset", "fig6-mhz", "--temperature", "-1"],
-    ["adiabaticity", "--preset", "fig6-mhz", "--steps-per-cycle", "50"],
     ["diagonalize", *RESONANT_GHZ, "--cutoff", "3"],
     ["diagonalize", *RESONANT_GHZ, "--cutoff", "1"],
     ["thermometer", "--gap", "0", "--t-hot", "1", "--coupling", "1", "--points", "3"],
@@ -91,7 +90,7 @@ RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
     ["diagonalize", "--diag-omega-a", "10", "--diag-omega-b", "1", "--diag-v", "2"],
     ["diagonalize", "--diag-omega-a", "10", "--diag-omega-b", "1", "--diag-v", "0.1",
      "--omega-a", "5"],
-], ids=["negative-temperature", "steps-per-cycle-50", "cutoff-3", "cutoff-1",
+], ids=["negative-temperature", "cutoff-3", "cutoff-1",
         "thermometer-zero-gap", "adiabaticity-zero-gap", "unruh-negative-gap",
         "diagonalize-zero-omega-a", "thermometer-nan-gap", "adiabaticity-infinite-coupling",
         "diagonalize-forward-zero-omega-a", "diagonalize-forward-nan-omega-a",
@@ -221,6 +220,16 @@ def test_adiabaticity_zero_coupling_thermal_all_zero(tmp_path, monkeypatch):
     assert ps == [0.0, 0.0, 0.0]
 
 
+def test_adiabaticity_ghz_preset_long_run(tmp_path):
+    # 10 000 cycles: each cycle's phase is evaluated afresh, so every node keeps
+    # its norm to the 1e-12 unitarity check and no row comes near 1e-9
+    code, text = run(["adiabaticity", "--preset", "fig6-ghz", "--cycles", "10000"], tmp_path)
+    assert code == EXIT_OK
+    ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
+    assert len(ps) == 10000
+    assert max(ps) < 1e-9
+
+
 def test_adiabaticity_mhz_preset_default_cycles(tmp_path, monkeypatch):
     # 8 cycles by default: the node doubling converges and no node refuses on norm drift
     mixtures = []
@@ -323,18 +332,30 @@ def test_certify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("loop_points", "256"), ("cutoff", "100")])
-def test_certify_calibration_is_not_settable(tmp_path, capsys, key, value):
-    # the loop-grid verdict holds only at its calibrated loop points, cutoff
-    # ladder and truncation gate: neither a flag nor a config key may move them
+def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
+    """argparse rejects ``--key value`` (exit 2), and a config file line
+    ``key = value`` is an unknown-key config error."""
     with pytest.raises(SystemExit) as exc:
-        main(["certify", "--" + key.replace("_", "-"), value])
+        main(argv + ["--" + key.replace("_", "-"), value])
     assert exc.value.code == 2
     capsys.readouterr()
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"{key} = {value}\n")
-    assert main(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("loop_points", "256"), ("cutoff", "100")])
+def test_certify_calibration_is_not_settable(tmp_path, capsys, key, value):
+    # the loop-grid verdict holds only at its calibrated loop points, cutoff
+    # ladder and truncation gate: neither a flag nor a config key may move them
+    _rejected_as_flag_and_config_key(tmp_path, capsys, ["certify"], key, value)
+
+
+def test_adiabaticity_takes_no_step_count(tmp_path, capsys):
+    # the adiabaticity oracle propagates each cycle exactly: there are no steps to set
+    _rejected_as_flag_and_config_key(
+        tmp_path, capsys, ["adiabaticity", "--preset", "fig6-mhz"], "steps_per_cycle", "600")
 
 
 def test_flags_and_config_keys_agree():
@@ -398,7 +419,7 @@ for argv in (["adiabaticity", "--preset", "fig6-ghz"], ["adiabaticity", "--prese
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 mhz = cli.PRESETS["fig6-mhz"]
 oracle.excitation_probability_per_cycle(PhysicalParams(mhz["gap"], mhz["gap"], mhz["coupling"]),
-                                        8, oracle.EvolutionSpec(steps_per_cycle=600), 1808)
+                                        8, oracle.EvolutionSpec(), 1808)
 adiabaticity = loaded()
 for argv in (resonant("fig3-ghz"), resonant("fig5-1")):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv

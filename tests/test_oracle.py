@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 from sparse_ops import sparse_hamiltonian
 
 from berrytherm import cli, oracle
@@ -449,7 +450,7 @@ def test_evolution_zero_coupling():
 def test_evolution_norm_preserved_and_small_P():
     # GHz vacuum case: excitation stays far below 1e-9 at cycle boundaries
     pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
-    out = excitation_probability_per_cycle(pp, 10, EvolutionSpec(steps_per_cycle=400))
+    out = excitation_probability_per_cycle(pp, 10, EvolutionSpec())
     assert out.max() < 1e-9
     assert excitation_probability_per_cycle(pp, 3, EvolutionSpec())[-1] < 1e-9
 
@@ -457,7 +458,7 @@ def test_evolution_norm_preserved_and_small_P():
 def test_evolution_perturbative_scale_off_boundary():
     # detuned case: first-order probability ~ (2 lam / Omega_b)^2 sin^2(...)
     pp = PhysicalParams(1e9, 1.5e9, 1e5)
-    spec = EvolutionSpec(steps_per_cycle=600)
+    spec = EvolutionSpec()
     out = excitation_probability_per_cycle(pp, 3, spec, n_field_initial=0)
     amp = 2 * pp.lam / pp.Omega_b
     for k, p in enumerate(out, start=1):
@@ -466,63 +467,72 @@ def test_evolution_perturbative_scale_off_boundary():
 
 
 # --------------------------------------------------------------------------
-# Window RK4 evolver and the thermal quadrature
+# Window evolver, detector propagator and the thermal quadrature
 # --------------------------------------------------------------------------
 
 FIG6_MHZ = PhysicalParams(1e6, 1e6, TAU * 1200.0)
 R_1MK = squeeze_from_temperature(1e6, 1e-3).r
 
 
-def _rk4_reference(pp, n0, cycles, steps, window, n_det=4):
-    """Step-by-step RK4 on the dense windowed |n_f, d> problem, the plain
-    form of the evolver: (P per cycle, norm drift, edge amplitude)."""
-    g = pp.lam / pp.Omega_a
+def _expm_reference(pp, n0, cycles, window):
+    """The dense windowed |n_f, d> problem in the detector's co-rotating frame,
+    where its generator g X_f (x) (b + b') + rho 1 (x) n_d is time-independent:
+    one cycle is scipy's expm of it, applied once per cycle.  Returns
+    (P per cycle, edge amplitude)."""
+    n_det = oracle.DETECTOR_LEVELS
     lo = max(0, n0 - window)
     nf = n0 + window - lo + 1
     s = np.sqrt(np.arange(lo + 1.0, lo + nf))
     x_f = np.diag(s, 1) + np.diag(s, -1)
-    b = np.diag(np.sqrt(np.arange(1.0, n_det)), 1)
-    m1, m2 = np.kron(x_f, b), np.kron(x_f, b.T)
+    t = np.sqrt(np.arange(1.0, n_det))
+    x_d = np.diag(t, 1) + np.diag(t, -1)
+    generator = ((pp.lam / pp.Omega_a) * np.kron(x_f, x_d)
+                 + (pp.Omega_b / pp.Omega_a) * np.kron(np.eye(nf), np.diag(np.arange(n_det))))
+    cycle = expm(-1j * TAU * generator)
     psi = np.zeros(nf * n_det, dtype=complex)
     psi[(n0 - lo) * n_det] = 1.0
-    ratio = pp.Omega_b / pp.Omega_a
-
-    def rhs(tau, y):
-        ph = np.exp(-1j * ratio * tau)
-        return -1j * g * (ph * (m1 @ y) + np.conj(ph) * (m2 @ y))
-
-    h = TAU / steps
-    tau = 0.0
     out = []
     for _ in range(cycles):
-        for _ in range(steps):
-            k1 = rhs(tau, psi)
-            k2 = rhs(tau + 0.5 * h, psi + 0.5 * h * k1)
-            k3 = rhs(tau + 0.5 * h, psi + 0.5 * h * k2)
-            k4 = rhs(tau + h, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tau += h
+        psi = cycle @ psi
         out.append(np.sum(np.abs(psi.reshape(nf, n_det)[:, 1:]) ** 2))
     level = np.sum(np.abs(psi.reshape(nf, n_det)) ** 2, axis=1)
     edge = math.sqrt(level[-2:].sum() + (level[:2].sum() if lo > 0 else 0.0))
-    return np.array(out), abs(np.linalg.norm(psi) - 1.0), edge
+    return np.array(out), edge
 
 
 def test_evolver_matches_stepwise_rk4():
+    # the window evolver against a dense matrix exponential of the whole window;
     # detuned and strongly coupled, so the frame phases and both window edges matter
     pp = PhysicalParams(1e6, 1.5e6, TAU * 2e4)
     for n0 in (20, 3):
-        out, drift, edge = oracle._evolve(pp, n0, 2, 200, 12)
-        ref, ref_drift, ref_edge = _rk4_reference(pp, n0, 2, 200, 12)
+        out, edge = oracle._evolve(pp, n0, 2, 12)
+        ref, ref_edge = _expm_reference(pp, n0, 2, 12)
         assert ref.min() > 1e-4
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
-        assert drift == pytest.approx(ref_drift, abs=1e-13)
         assert edge == pytest.approx(ref_edge, rel=1e-12)
 
 
-# Values of the step-by-step dense evolver this one replaced, fig6-mhz at
-# 600 steps per cycle.  That evolver reported 1 - sum |psi_{n,0}|^2, which
-# also counts the RK4 norm loss; the evolver reports the excited population.
+@pytest.mark.parametrize("rho", [0.7, 1.0, 1.5])
+def test_detector_cycles_match_displaced_oscillator(monkeypatch, rho):
+    # K = kappa (b + b') + rho b'b displaces the vacuum to a coherent state with
+    # |alpha|^2 = (2 kappa / rho)^2 sin^2(pi rho c) after c cycles; 40 levels hold it
+    monkeypatch.setattr(oracle, "DETECTOR_LEVELS", 40)
+    kappa = np.array([0.1, 0.5, 1.0])
+    excited, _ = oracle._detector_cycles(PhysicalParams(1.0, rho, 0.0), kappa, np.ones(3), 3)
+    c = np.arange(1.0, 4.0)[:, None]
+    exact = 1.0 - np.exp(-(2.0 * kappa / rho) ** 2 * np.sin(math.pi * rho * c) ** 2)
+    np.testing.assert_allclose(excited, exact, rtol=0, atol=1e-12)
+
+
+# fig6-mhz rows of the exact propagator at 3 cycles, on the window of n0 = 1808
+ROWS = {
+    0: [5.877921077393945e-17, 2.350998575213065e-16, 5.289109922961818e-16],
+    157: [1.1877172174983452e-06, 4.195598298715698e-06, 7.69849184729841e-06],
+    865: [0.0025018705096844416, 0.007802815635706906, 0.014385187084785808],
+    1808: [0.04396038500207706, 0.07809333502387271, 0.0728250616611683],
+}
+# The step-by-step dense RK4 evolver's values at 600 steps per cycle, which
+# reported 1 - sum |psi_{n,0}|^2; they carry its step error, 9.6e-11 at n0 = 1808
 SEED_ROWS_600 = {
     0: [-8.881784197001252e-16, 7.771561172376096e-16, 0.0],
     157: [1.1877172376717482e-06, 4.195598339529205e-06, 7.698491907071059e-06],
@@ -535,16 +545,16 @@ MIXTURE_1MK = [2.7723506888466532e-05, 7.932735711755037e-05, 0.0001448262995849
 
 
 def test_evolver_pinned_to_stepwise_values():
-    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, max(SEED_ROWS_600), 3)
-    for n0, seed in SEED_ROWS_600.items():
-        out, drift, _ = oracle._evolve(FIG6_MHZ, n0, 3, 600, window)
-        norm_loss = 1.0 - (1.0 - drift) ** 2
-        assert np.all(out >= 0.0)
-        np.testing.assert_allclose(out, seed, rtol=0, atol=1e-12 + norm_loss)
+    window = oracle._window(FIG6_MHZ.lam / FIG6_MHZ.Omega_a, max(ROWS), 3)
+    rows = np.array([oracle._evolve(FIG6_MHZ, n0, 3, window)[0] for n0 in ROWS])
+    assert np.all(rows >= 0.0)
+    np.testing.assert_allclose(rows, list(ROWS.values()), rtol=0, atol=1e-12)
+    moved = np.abs(rows - list(SEED_ROWS_600.values())).max()
+    assert 5e-11 < moved < 2e-10
 
 
 def test_thermal_mixture_pinned_at_1mk():
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, EvolutionSpec(steps_per_cycle=600), R_1MK)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, EvolutionSpec(), R_1MK)
     assert len(mix.grid) == 160
     assert mix.tail_bound < 1e-15
     np.testing.assert_allclose(mix.per_cycle, MIXTURE_1MK, rtol=0, atol=1e-12 + mix.tail_bound)
@@ -553,14 +563,14 @@ def test_thermal_mixture_pinned_at_1mk():
 
 
 def _recording_detector(monkeypatch):
-    """Record (drives, steps per cycle, excited, final amplitudes) of every
-    ``_detector_cycles`` call, and fail on any window-evolver call."""
+    """Record (drives, excited, final amplitudes) of every ``_detector_cycles``
+    call, and fail on any window-evolver call."""
     calls = []
     detector = oracle._detector_cycles
 
-    def recording(pp, kappa, steps, start, cycles):
-        excited, psi = detector(pp, kappa, steps, start, cycles)
-        calls.append((kappa, steps, excited, psi))
+    def recording(pp, kappa, start, cycles):
+        excited, psi = detector(pp, kappa, start, cycles)
+        calls.append((kappa, excited, psi))
         return excited, psi
 
     def never(*args):
@@ -573,28 +583,24 @@ def _recording_detector(monkeypatch):
 
 def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
     # 8 cycles, the CLI default: 80 nodes are not enough (80 -> 160 moves P by
-    # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes at one step count
+    # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes
     calls = _recording_detector(monkeypatch)
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(steps_per_cycle=600), R_1MK)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
     assert [len(kappa) for kappa, *_ in calls] == [80, 160, 320]
-    assert len({steps for _, steps, _, _ in calls}) == 1
     assert len(mix.grid) > 80
-    p80, p160 = (calls[i][2] @ oracle._field_rule(n)[1][0] ** 2 for i, n in ((0, 80), (1, 160)))
+    p80, p160 = (calls[i][1] @ oracle._field_rule(n)[1][0] ** 2 for i, n in ((0, 80), (1, 160)))
     assert np.abs(p160 / p80 - 1.0).max() > 1e-4
     assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()
-    # norm drift within a tenth of the gate on every node inside the weight bound
-    psi = calls[-1][3]
-    weighted = np.abs(mix.grid) <= oracle.GAUSS_TAIL_Z * math.sqrt(math.cosh(2.0 * R_1MK))
-    assert weighted.sum() > 100
-    drift = np.abs(np.linalg.norm(psi, axis=1) - 1.0)[weighted]
-    assert drift.max() <= oracle.NORM_DRIFT_LIMIT / 10
+    # every node of every doubling keeps its norm to the 1e-12 unitarity check
+    for _, _, psi in calls:
+        assert np.abs(np.linalg.norm(psi, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_thermal_mixture_matches_occupation_sum():
     # n-bar ~ 10: the exact sum over Fock rows to a 1e-20 weight tail (483 rows)
     r = squeeze_from_temperature(1e6, 8e-5).r
     assert math.sinh(r) ** 2 == pytest.approx(10.0, rel=0.01)
-    spec = EvolutionSpec(steps_per_cycle=600)
+    spec = EvolutionSpec()
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, spec, r)
     n_max = required_levels(r, 1e-20)
     assert n_max == 482
@@ -606,7 +612,7 @@ def test_thermal_mixture_matches_occupation_sum():
 def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_NODES", 160)
     with pytest.raises(OracleError, match="unconverged at 160 nodes"):
-        thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(steps_per_cycle=600), R_1MK)
+        thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
 
 
 @pytest.mark.parametrize("nodes", [80, 160, 320])
@@ -622,30 +628,15 @@ def test_field_rule_is_gauss_hermite(nodes):
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_raised_step_count_moves_toward_finer_reference():
-    # fig6-mhz from n0 = 1808 at the CLI default of 8 cycles: 600 steps
-    # per cycle drift past the 1e-10 gate; the sized count must return and
-    # land closer to a 2400-step run than 600 steps do
-    spec = EvolutionSpec(steps_per_cycle=600)
-    p = excitation_probability_per_cycle(FIG6_MHZ, 8, spec, 1808)
-    g = FIG6_MHZ.lam / FIG6_MHZ.Omega_a
-    window = oracle._window(g, 1808, 8)
-    assert oracle._steps_per_cycle(g, 2.0 * math.sqrt(1808 + window), 8, 600) > 600
-    coarse, coarse_drift, _ = oracle._evolve(FIG6_MHZ, 1808, 8, 600, window)
-    fine, _, _ = oracle._evolve(FIG6_MHZ, 1808, 8, 2400, window)
-    assert coarse_drift > oracle.NORM_DRIFT_LIMIT
-    assert np.abs(p - fine).max() < np.abs(coarse - fine).max()
-
-
 def test_evolution_saturated_window_retries_doubled(monkeypatch):
-    spec = EvolutionSpec(steps_per_cycle=600)
+    spec = EvolutionSpec()
     expect = excitation_probability_per_cycle(FIG6_MHZ, 3, spec, 157)
     windows = []
     evolve = oracle._evolve
 
-    def recording(pp, n0, cycles, steps, window):
+    def recording(pp, n0, cycles, window):
         windows.append(window)
-        return evolve(pp, n0, cycles, steps, window)
+        return evolve(pp, n0, cycles, window)
 
     monkeypatch.setattr(oracle, "_window", lambda g, n0, cycles: 5)
     monkeypatch.setattr(oracle, "_evolve", recording)
@@ -672,9 +663,9 @@ def test_evolution_window_above_cap_refuses_before_evolving(monkeypatch):
 def test_evolution_window_doubling_stops_at_cap(monkeypatch):
     windows = []
 
-    def saturated(pp, n0, cycles, steps, window):
+    def saturated(pp, n0, cycles, window):
         windows.append(window)
-        return np.zeros(cycles), 0.0, 1.0
+        return np.zeros(cycles), 1.0
 
     monkeypatch.setattr(oracle, "_window", lambda g, n0, cycles: 1500)
     monkeypatch.setattr(oracle, "_evolve", saturated)
@@ -687,7 +678,7 @@ def test_thermal_mixture_tiny_values_kept_and_nonnegative():
     # fig6-ghz at 0.2 K: every node's excitation is rounding noise near 1e-35;
     # the mixture converges to the population floor, positive and not rounded to zero
     pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
-    spec = EvolutionSpec(steps_per_cycle=600)
+    spec = EvolutionSpec()
     mix = thermal_excitation_per_cycle(pp, 2, spec, squeeze_from_temperature(1e9, 0.2).r)
     assert mix.tail_bound <= oracle.POPULATION_FLOOR
     assert np.all(mix.per_cycle > 0.0)
