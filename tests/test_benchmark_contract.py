@@ -17,17 +17,16 @@ def test_adiabaticity_workload_runs_clean(monkeypatch, traced):
     import workloads
 
     sizes = workloads.Sizes(vacuum_reps=2, vacuum_cycles=1, thermal_cycles=1, thermal_T=2e-4)
-    tracer = tracing.Tracer() if traced else None
-    if tracer is not None:
+    tracer = tracing.Tracer()
+    if traced:
         tracer.install()
     try:
         out = workloads.run_adiabaticity(seed=7, seconds=0.0, sizes=sizes)
     finally:
-        if tracer is not None:
-            tracer.uninstall()
+        tracer.uninstall()  # a no-op when nothing was installed
     assert out.problems == []
     assert [op.kind for op in out.ops if op.failed] == []
     assert {op.kind for op in out.ops} == {"hot_point", "thermal", "vacuum"}
-    if tracer is not None:
+    if traced:
         assert {"oracle.excitation_probability_per_cycle",
                 "oracle.thermal_excitation_per_cycle"} <= {span[2] for span in tracer.spans}
