@@ -5,6 +5,10 @@ certify.  Values can come from flags or a plain ``key = value`` config file
 (flags win).  CSV output uses 17 significant digits, a header row, and LF
 line endings so identical configs produce byte-identical files.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 certification failure.
+The sweeps (thermometer, sensitivity, unruh) need only ``math`` and build
+their grids with ``linspace`` below; numpy is loaded by the commands that
+reach the array layers ``fockspace`` and ``oracle`` (diagonalize,
+adiabaticity, certify), which this module uses only as module attributes.
 
 ``certify`` takes one flag, ``--negative-control``.  Its loop-grid verdict
 is calibrated at 2048 loop points, the cutoff ladder 30 -> 78 and the 1e-8
@@ -18,23 +22,18 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import geomphase, oracle, thermo
+from . import fockspace, geomphase, oracle, thermo
 from .diagonalization import (
     ConstraintError,
     DiagParams,
     InverseMapError,
+    OracleError,
     PhysicalParams,
     check_basin,
     derive_params,
-    eigenstates,
     forward_map,
-    hamiltonian_action,
     invert_physical,
-    unitary_action,
 )
-from .fockspace import FockDims, _warn_squeeze_truncation, ladder
 from .geomphase import (
     accumulate_cycles,
     eigen_berry_phase,
@@ -44,7 +43,6 @@ from .geomphase import (
     thermometer_slope_from_eps,
     unruh_squeeze,
 )
-from .oracle import EvolutionSpec, LoopSpec, OracleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,6 +125,22 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 2 evenly spaced values from ``start`` to ``stop``, bit for bit
+    those of ``numpy.linspace``: i * step + start with step = (stop - start) /
+    (num - 1), or i / (num - 1) * (stop - start) + start where step underflows
+    to zero, and the last value ``stop``."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def format_float(x: float) -> str:
     return "%.17g" % x
 
@@ -206,10 +220,12 @@ DIAG_KEYS = {
 
 
 def cmd_diagonalize(config: dict) -> dict:
+    import numpy as np
+
     cutoff = int(config.get("cutoff", 24))
     if cutoff < 4:
         raise ConfigError("need cutoff >= 4")
-    dims = FockDims(cutoff, cutoff)
+    dims = fockspace.FockDims(cutoff, cutoff)
     report: dict = {}
     forward = any(config.get(key) is not None for key in ("diag_omega_a", "diag_omega_b", "diag_v"))
     if forward and any(config.get(key) is not None for key in ("omega_a", "omega_b", "coupling")):
@@ -259,18 +275,19 @@ def cmd_diagonalize(config: dict) -> dict:
     )
     residuals = {}
     occupations = ((0, 0), (1, 0), (0, 1))
-    for occ, psi in zip(occupations, eigenstates([dp] * 3, occupations, 0.0, dims)):
-        h_psi = hamiltonian_action(pp, psi.amp.reshape(cutoff, cutoff)).reshape(-1)
+    psis = fockspace.eigenstates([dp] * 3, occupations, 0.0, dims)
+    for occ, psi in zip(occupations, psis):
+        h_psi = fockspace.hamiltonian_action(pp, psi.amp.reshape(cutoff, cutoff)).reshape(-1)
         e_val = float(np.real(np.vdot(psi.amp, h_psi)))
         res = float(np.linalg.norm(h_psi - e_val * psi.amp)) / pp.Omega_a
         residuals[f"{occ[0]},{occ[1]}"] = res
     report["eigenstate_residuals_over_Omega_a"] = residuals
     # c = U|00>, each truncated factor applied by its exact blocks
     for t in (d.u, dp.v, d.p):
-        _warn_squeeze_truncation(cutoff, t)
+        fockspace._warn_squeeze_truncation(cutoff, t)
     vac = np.zeros((cutoff, cutoff, 1))
     vac[0, 0, 0] = 1.0
-    col = unitary_action(dp, vac).reshape(-1)
+    col = fockspace.unitary_action(dp, vac).reshape(-1)
     # |1 - z|, z = <00|U|00> = c_0, free of cancellation:
     # 1 - Re z = (sum_{j>=1} |c_j|^2 + (Im z)^2) / (1 + Re z)
     z = col[0]
@@ -296,9 +313,8 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     if points < 2 or t_min <= 0 or t_max <= t_min:
         raise ConfigError("need points >= 2 and 0 < t_cold_min < t_cold_max")
     eps = _sweep_epsilon(gap, coupling)
-    t_cold = np.logspace(math.log10(t_min), math.log10(t_max), points)
     rows = []
-    for tc in map(float, t_cold):
+    for tc in (10.0 ** x for x in linspace(math.log10(t_min), math.log10(t_max), points)):
         rows.append({
             "T_cold_K": tc,
             "delta_rad": thermometer_delta_from_eps(eps, gap, tc, t_hot),
@@ -328,11 +344,10 @@ def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
     ref = thermometer_delta_from_eps(eps, gap, t_cold, t_hot)
     if ref == 0.0:
         raise ConfigError("reference phase difference vanishes; pick t_cold != t_hot")
-    errs = np.linspace(-relerr_max, relerr_max, points)
     rows = []
-    for e in errs:
+    for e in linspace(-relerr_max, relerr_max, points):
         val = thermometer_delta_from_eps(eps, gap, t_cold, t_hot * (1.0 + e))
-        rows.append({"relerr_Th": float(e), "relerr_delta": float((val - ref) / ref)})
+        rows.append({"relerr_Th": e, "relerr_delta": (val - ref) / ref})
     return rows, ["relerr_Th", "relerr_delta"]
 
 
@@ -353,7 +368,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
         raise ConfigError("need points >= 2 and 0 < accel_min < accel_max")
     eps = _sweep_epsilon(gap, coupling)
     cycle_time = TWO_PI / gap
-    accels = np.logspace(math.log10(a_min), math.log10(a_max), points)
+    accels = [10.0 ** x for x in linspace(math.log10(a_min), math.log10(a_max), points)]
 
     def row(a: float) -> dict:
         q = unruh_squeeze(gap, a).r
@@ -361,7 +376,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
         acc = accumulate_cycles(abs(delta), 1)
         n_pi = acc.cycles_to_pi
         return {
-            "accel_m_s2": float(a),
+            "accel_m_s2": a,
             "T_unruh_K": thermo.unruh_temperature(a),
             "q": q,
             "delta_per_cycle_rad": float(delta),
@@ -386,7 +401,7 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
     if cycles < 1 or not temperature >= 0.0:
         raise ConfigError("need cycles >= 1 and temperature >= 0")
     pp = _physical_params(gap, gap, coupling)
-    spec = EvolutionSpec()
+    spec = oracle.EvolutionSpec()
     if temperature > 0.0:
         r = thermo.squeeze_from_temperature(gap, temperature).r
         result = oracle.thermal_excitation_per_cycle(pp, cycles, spec, r)
@@ -421,7 +436,8 @@ def _loop_check_cells(dps: list[DiagParams],
                 if negative_control else eigen_berry_phase)
     pairs = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
     results = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
-                                          LoopSpec(), [FockDims(c, c) for c in CUTOFF_LADDER])
+                                          oracle.LoopSpec(),
+                                          [fockspace.FockDims(c, c) for c in CUTOFF_LADDER])
     cells: dict[DiagParams, list[dict]] = {dp: [] for dp in dps}
     for (dp, occ), result in zip(pairs, results):
         if isinstance(result, OracleError):
@@ -447,6 +463,8 @@ def _loop_check_cells(dps: list[DiagParams],
 
 def certification_report(negative_control: bool = False) -> dict:
     """Run every cross-check and return a machine-readable report."""
+    import numpy as np
+
     checks: list[dict] = []
 
     def add(name: str, passed: bool, residual: float, tolerance: float, detail: str = ""):
@@ -456,10 +474,10 @@ def certification_report(negative_control: bool = False) -> dict:
         })
 
     rng = np.random.default_rng(20260810)
-    dims_small = FockDims(12, 12)
+    dims_small = fockspace.FockDims(12, 12)
 
     # ladder algebra: commutator rows away from the truncation boundary
-    a = ladder(dims_small, "field", "lower")
+    a = fockspace.ladder(dims_small, "field", "lower")
     comm = a @ a.T - a.T @ a
     rows_ok = np.abs(np.diag(comm).reshape(12, 12)[:10, :] - 1.0).max()
     add("ladder_commutator_rows", rows_ok < 1e-12, rows_ok, 1e-12)
@@ -467,7 +485,7 @@ def certification_report(negative_control: bool = False) -> dict:
     # the forward chain U at the default cutoff keeps 8 random columns orthonormal
     dp_ref = DiagParams(math.e ** 2, 1.0, 0.3)
     cols, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(900, 8)))
-    moved = unitary_action(dp_ref, cols.reshape(30, 30, 8)).reshape(900, 8)
+    moved = fockspace.unitary_action(dp_ref, cols.reshape(30, 30, 8)).reshape(900, 8)
     gram = np.abs(moved.T @ moved - np.eye(8)).max()
     add("unitary_chain_orthogonality", gram < 1e-10, gram, 1e-10)
 
@@ -487,7 +505,7 @@ def certification_report(negative_control: bool = False) -> dict:
     add("phase_spacing_2piG", sp_res < 1e-12, sp_res, 1e-12)
 
     # rotation covariance of H
-    rc = oracle.rotation_covariance_residual(pp_ref, 0.9, FockDims(16, 16))
+    rc = oracle.rotation_covariance_residual(pp_ref, 0.9, fockspace.FockDims(16, 16))
     add("hamiltonian_rotation_covariance", rc < 1e-12 * pp_ref.Omega_a,
         rc, 1e-12 * pp_ref.Omega_a)
 
@@ -508,7 +526,7 @@ def certification_report(negative_control: bool = False) -> dict:
     add("map_round_trip", worst < 1e-10, worst, 1e-10)
 
     # vanishing v-component of the connection
-    av = abs(oracle.berry_connection_v(dp_ref, 1, 1, 0.3, FockDims(24, 24)))
+    av = abs(oracle.berry_connection_v(dp_ref, 1, 1, 0.3, fockspace.FockDims(24, 24)))
     add("connection_v_component", av < 1e-8, av, 1e-8)
 
     # loop oracle vs closed form over the full grid
@@ -546,7 +564,7 @@ def certification_report(negative_control: bool = False) -> dict:
         r = math.atanh(math.sqrt(tanh2))
         for eps in (-0.4, -0.25, 0.2):  # G = 0.1, 0.25, 0.7
             closed = -geomphase.mixed_phase_offset(eps, r)
-            n_max = thermo.required_levels(r) + 2
+            n_max = oracle.required_levels(r) + 2
             summed = oracle.partial_sum_from_eps(eps, 0.0, r, n_max).value
             worst = max(worst, phase_distance(closed, summed))
     add("mixed_phase_partial_sum", worst < 1e-10, worst, 1e-10)
@@ -585,8 +603,8 @@ def certification_report(negative_control: bool = False) -> dict:
         0.0 if mono else 1.0, 0.5, detail=", ".join(fig5))
 
     # thermal state: Planck occupation identity
-    spec_t = thermo.ThermalStateSpec.for_tail(1e9, 0.012)
-    w, _ = thermo.thermal_weights(spec_t.r_T, spec_t.n_max)
+    spec_t = oracle.ThermalStateSpec.for_tail(1e9, 0.012)
+    w, _ = oracle.thermal_weights(spec_t.r_T, spec_t.n_max)
     mean_n = float(np.sum(w * np.arange(spec_t.n_max + 1)))
     planck = abs(mean_n - math.sinh(spec_t.r_T) ** 2)
     add("planck_occupation", planck < 1e-10, planck, 1e-10)

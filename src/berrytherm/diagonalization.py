@@ -1,4 +1,4 @@
-"""Parameter algebra and diagonalizing unitary for the detector-field model.
+"""Parameter algebra of the diagonalizing unitary for the detector-field model.
 
 The model Hamiltonian
 
@@ -13,23 +13,18 @@ field-squeezing and detector-squeezing terms and equalize the two coupling
 coefficients.  This module derives the constrained parameters, maps
 (omega_a, omega_b, v) to the laboratory triple (Omega_a, Omega_b, lam) and
 back (the inverse in closed form: omega_a and omega_b are the normal-mode
-frequencies of H), applies H at varphi = 0 as a vector action
-(``hamiltonian_action``; ``build_hamiltonian`` is its dense matrix at any
-varphi, for small cutoffs), and applies the chain to amplitudes: U forward
-(``unitary_action``) and U' for the eigenstates (``eigenstates``).  No matrix
-of U is formed: each factor splits exactly into small real tridiagonal blocks
-(squeezes by parity, the beam splitter by total occupation) that act on the
-amplitude directly.  Everything here needs only ``math`` and numpy.
+frequencies of H), and defines the package's errors.  The chain itself, its
+actions on amplitude arrays and H on the truncated space, lives in
+``fockspace``.  Everything here needs only ``math`` and ``cmath``, so the
+closed-form commands load no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-
-from .fockspace import FockDims, StateVector, beam_splitter_action, number_diagonal, squeeze_action
 
 __all__ = [
     "DiagParams",
@@ -37,17 +32,13 @@ __all__ = [
     "PhysicalParams",
     "ConstraintError",
     "InverseMapError",
+    "OracleError",
     "InverseSolution",
     "derive_params",
     "forward_map",
     "invert_physical",
     "check_basin",
     "normal_modes",
-    "build_hamiltonian",
-    "hamiltonian_action",
-    "unitary_action",
-    "eigenstate",
-    "eigenstates",
     "constant_shift",
     "eigenvalue",
 ]
@@ -64,6 +55,12 @@ class InverseMapError(RuntimeError):
     def __init__(self, message: str, residual: float = math.nan):
         super().__init__(message)
         self.residual = residual
+
+
+class OracleError(RuntimeError):
+    """Certification refused or failed (truncation, ambiguity, level crossing).
+    Defined here, not in ``oracle``, so that the CLI can catch it without
+    loading numpy."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class DiagParams:
         # so u > 0 is judged on u_hint; C - v carries ~eps absolute noise from
         # the stored frequency ratio, so consistency is judged on an absolute scale
         drift = abs(self.u_hint - (self.C - self.v))
-        allowed = 8.0 * np.finfo(float).eps * max(1.0, self.C)
+        allowed = 8.0 * sys.float_info.epsilon * max(1.0, self.C)
         if self.u_hint <= 0.0 or drift > allowed:
             raise ConstraintError(
                 f"u_hint {self.u_hint!r} inconsistent with C - v = {self.C - self.v!r}"
@@ -180,15 +177,15 @@ def _derive_uv(omega_a: float, omega_b: float, u: float, v: float) -> DerivedPar
     cos2, sin2 = B / delta, A / delta  # cos^2 s, sin^2 s
     sin_2s = 2.0 * math.sqrt(A * B) / delta
 
-    ea = np.exp(-1j * THETA_A)
-    eb = np.exp(-1j * THETA_B)
-    ep = np.exp(1j * PHI_DISPLACEMENT)
+    ea = cmath.exp(-1j * THETA_A)
+    eb = cmath.exp(-1j * THETA_B)
+    ep = cmath.exp(1j * PHI_DISPLACEMENT)
     g1 = omega_a * cos2 * ch2u + omega_b * sin2 * ch2v
     g2 = omega_a * sin2 * ch2u + omega_b * cos2 * ch2v
     g3 = 0.5 * sin_2s * ep * (omega_a * ch2u - omega_b * ch2v)
     g4 = 0.5 * (omega_a * ea * sh2u * cos2 + omega_b * eb * ep ** 2 * sh2v * sin2)
-    g5 = 0.5 * (omega_a * ea * np.conj(ep) ** 2 * sh2u * sin2 + omega_b * eb * sh2v * cos2)
-    g6 = 0.5 * sin_2s * (omega_a * ea * np.conj(ep) * sh2u - omega_b * eb * ep * sh2v)
+    g5 = 0.5 * (omega_a * ea * ep.conjugate() ** 2 * sh2u * sin2 + omega_b * eb * sh2v * cos2)
+    g6 = 0.5 * sin_2s * (omega_a * ea * ep.conjugate() * sh2u - omega_b * eb * ep * sh2v)
 
     g4_scale = 0.5 * (abs(omega_a * sh2u * cos2) + abs(omega_b * sh2v * sin2))
     if abs(g4) > G4_RELATIVE_TOL * g4_scale:
@@ -378,134 +375,3 @@ def invert_physical(pp: PhysicalParams) -> InverseSolution:
     if rel > 1e-10:
         raise InverseMapError(f"round-trip residual {rel:.3e} exceeds 1e-10", residual=rel)
     return InverseSolution(dp, residual=rel)
-
-
-# --------------------------------------------------------------------------
-# Operators on the truncated space
-# --------------------------------------------------------------------------
-
-def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> np.ndarray:
-    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi})
-    as a dense complex matrix, the Kronecker product of single-mode matrices;
-    for small cutoffs (``hamiltonian_action`` applies H(0) at any cutoff)."""
-    a = np.diag(np.sqrt(np.arange(1.0, dims.n_field)), 1)
-    field = np.exp(1j * varphi) * a.T + np.exp(-1j * varphi) * a
-    h = np.kron(field, _position(dims.n_det))  # scaled and shifted in place
-    h *= pp.lam
-    i = np.arange(dims.total)
-    h[i, i] += (pp.Omega_a * number_diagonal(dims, "field")
-                + pp.Omega_b * number_diagonal(dims, "detector"))
-    return h
-
-
-def _position(n: int, first: int = 0) -> np.ndarray:
-    """a + a' on the n levels first .. first + n - 1."""
-    off = np.sqrt(np.arange(first + 1.0, first + n))
-    return np.diag(off, 1) + np.diag(off, -1)
-
-
-def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
-                       amp: np.ndarray) -> np.ndarray:
-    """H amp at varphi = 0 for the (n_field, n_det) or (n_field, n_det, k)
-    amplitude array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T,
-    X = a + a' on each mode, with no operator matrix of the product space.
-    ``pp`` is one parameter set, or a list of them, one per column k."""
-    if isinstance(pp, PhysicalParams):
-        omega_a, omega_b, lam = pp.Omega_a, pp.Omega_b, pp.lam
-    else:
-        omega_a, omega_b, lam = np.array([(p.Omega_a, p.Omega_b, p.lam) for p in pp]).T
-    n_field, n_det = amp.shape[:2]
-    tail = (1,) * (amp.ndim - 2)
-    n_f = np.arange(n_field).reshape((-1, 1) + tail)
-    n_d = np.arange(n_det).reshape((1, -1) + tail)
-    coupled = np.einsum("ij,kl,jl...->ik...", _position(n_field), _position(n_det), amp,
-                        optimize=True)
-    return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
-
-
-def _detector_squeeze(amp: np.ndarray, t) -> np.ndarray:
-    """S_b(t, 0) applied by parity blocks to the detector axis of the real
-    (n_field, n_det, k) amplitude array ``amp``; ``t`` is a scalar or one value
-    per column k."""
-    x = amp.transpose(1, 0, 2)
-    if np.ndim(t):
-        t = np.tile(t, x.shape[1])  # the flattened (n_field, k) columns
-    return squeeze_action(x.reshape(x.shape[0], -1), t).reshape(x.shape).transpose(1, 0, 2)
-
-
-def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
-    """U amp = S_a S_b D Shat_b R amp at varphi = 0, for the real (n_field, n_det, k)
-    amplitude array ``amp``: the forward chain, one truncated factor at a time.
-
-    R(0) = 1 and S_b(v, -pi) = S_b(-v, 0), so every factor is a real
-    orthogonal block action (see ``fockspace``) and the result is real.
-    """
-    d = derive_params(dp)
-    amp = _detector_squeeze(beam_splitter_action(_detector_squeeze(amp, d.p), d.s), -dp.v)
-    return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
-
-
-def _eigenstate_amps(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarray:
-    """R U' |n_f n_d> = Shat_b' D' S_b' S_a' |n_f n_d> for each dp of ``dps``
-    and (n_f, n_d) of ``occupations``, as the columns of a real
-    (n_field, n_det, k) array: U' without its last factor R', which is
-    diagonal.
-
-    Each factor is applied exactly by blocks to all columns at once, with the
-    squeeze and beam-splitter parameters of each column's dp.  The squeezes
-    act on one mode each, so S_b' S_a' |n_f n_d> is the outer product of two
-    squeezed basis states; the beam splitter D' then acts on the
-    (n_field, n_det) amplitude by total-occupation blocks, and Shat_b' on the
-    detector axis by parity blocks.  Every one of these factors is real
-    orthogonal.
-    """
-    derived = {dp: derive_params(dp) for dp in set(dps)}
-    u, v, s, p = np.array([(derived[dp].u, dp.v, derived[dp].s, derived[dp].p)
-                           for dp in dps]).reshape(-1, 4).T
-    n_f, n_d = np.array(occupations, dtype=int).reshape(-1, 2).T
-    f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
-    # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
-    amp = squeeze_action(f, -u)[:, None, :] * squeeze_action(g, v)[None, :, :]
-    # a detector-major copy, which the detector squeeze reshapes without copying
-    # again, so no more than three arrays of the batch's size are alive at once
-    amp = beam_splitter_action(amp, -s).transpose(1, 0, 2).copy()
-    return _detector_squeeze(amp.transpose(1, 0, 2), -p)
-
-
-# The intermediate squeeze stages populate higher levels than the final state
-# does, so eigenstates() evaluates the chain on a space padded by this factor
-# (at least +10 levels per mode) and projects back.
-EIGENSTATE_PAD = 1.8
-
-
-def eigenstates(dps: list[DiagParams], occupations, varphi: float,
-                dims: FockDims) -> list[StateVector]:
-    """Closed-form eigenstates U' |n_f n_d>, one unit vector on ``dims`` for
-    each pair of a dp of ``dps`` and the (n_f, n_d) at the same position of
-    ``occupations``.
-
-    The factors of U' act by exact tridiagonal blocks on all pairs at once
-    (see _eigenstate_amps), so each block is diagonalized once per call
-    whatever the mix of parameter sets, on a space padded by EIGENSTATE_PAD,
-    and the results are projected back.  Occupations must stay below
-    cutoff/2 to leave truncation margin.
-    """
-    if len(dps) != len(occupations):
-        raise ValueError(f"{len(dps)} parameter sets for {len(occupations)} occupations")
-    for n_f, n_d in occupations:
-        if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
-            raise ValueError(
-                f"occupation ({n_f}, {n_d}) too close to the cutoff {dims}; need < cutoff/2"
-            )
-    big = FockDims(
-        max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
-        max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
-    )
-    amps = _eigenstate_amps(dps, occupations, big)[: dims.n_field, : dims.n_det]
-    amps = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amps  # R'
-    return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
-
-
-def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
-    """Closed-form eigenstate U' |n_f n_d>: a batch of one through ``eigenstates``."""
-    return eigenstates([dp], [(n_f, n_d)], varphi, dims)[0]

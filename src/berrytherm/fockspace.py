@@ -1,20 +1,29 @@
-"""Truncated two-mode bosonic Fock space.
+"""Truncated two-mode bosonic Fock space and the diagonalizing chain on it.
 
 Dense ladder operators for small cutoffs, basis states, and the exact
 actions of the squeeze and two-mode displacement (beam splitter) factors of
 the detector-field diagonalization.  Both actions split exactly into real
 tridiagonal blocks, the one matrix exponential here, and act on amplitude
 arrays directly: no matrix of either factor is ever formed.  The blocks are
-exponentiated through numpy's SVD; the module needs only numpy.
+exponentiated through numpy's SVD.  On top of them sit the model's operators
+on the truncated space, with the parameters ``diagonalization`` derives: H at
+varphi = 0 as a vector action (``hamiltonian_action``; ``build_hamiltonian``
+is its dense matrix at any varphi, for small cutoffs), U forward
+(``unitary_action``) and U' for the eigenstates (``eigenstates``).  The
+module needs only numpy; it is the package's array layer, with ``oracle``,
+and the package loads both lazily.
 Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .diagonalization import DiagParams, PhysicalParams, derive_params
 
 __all__ = [
     "FockDims",
@@ -26,6 +35,11 @@ __all__ = [
     "beam_splitter_action",
     "basis_state",
     "truncation_tail",
+    "build_hamiltonian",
+    "hamiltonian_action",
+    "unitary_action",
+    "eigenstate",
+    "eigenstates",
 ]
 
 DEFAULT_CUTOFF = 30
@@ -215,3 +229,135 @@ def truncation_tail(state: StateVector) -> float:
     w = np.abs(state.amp.reshape(state.dims.n_field, state.dims.n_det)) ** 2
     top = w[-2:, :].sum() + w[:, -2:].sum()
     return float(np.sqrt(top))
+
+
+# --------------------------------------------------------------------------
+# The detector-field Hamiltonian and the diagonalizing chain
+# --------------------------------------------------------------------------
+
+def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> np.ndarray:
+    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi})
+    as a dense complex matrix, the Kronecker product of single-mode matrices;
+    for small cutoffs (``hamiltonian_action`` applies H(0) at any cutoff)."""
+    a = np.diag(np.sqrt(np.arange(1.0, dims.n_field)), 1)
+    field = np.exp(1j * varphi) * a.T + np.exp(-1j * varphi) * a
+    h = np.kron(field, _position(dims.n_det))  # scaled and shifted in place
+    h *= pp.lam
+    i = np.arange(dims.total)
+    h[i, i] += (pp.Omega_a * number_diagonal(dims, "field")
+                + pp.Omega_b * number_diagonal(dims, "detector"))
+    return h
+
+
+def _position(n: int, first: int = 0) -> np.ndarray:
+    """a + a' on the n levels first .. first + n - 1."""
+    off = np.sqrt(np.arange(first + 1.0, first + n))
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
+                       amp: np.ndarray) -> np.ndarray:
+    """H amp at varphi = 0 for the (n_field, n_det) or (n_field, n_det, k)
+    amplitude array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T,
+    X = a + a' on each mode, with no operator matrix of the product space.
+    ``pp`` is one parameter set, or a list of them, one per column k."""
+    if isinstance(pp, PhysicalParams):
+        omega_a, omega_b, lam = pp.Omega_a, pp.Omega_b, pp.lam
+    else:
+        omega_a, omega_b, lam = np.array([(p.Omega_a, p.Omega_b, p.lam) for p in pp]).T
+    n_field, n_det = amp.shape[:2]
+    tail = (1,) * (amp.ndim - 2)
+    n_f = np.arange(n_field).reshape((-1, 1) + tail)
+    n_d = np.arange(n_det).reshape((1, -1) + tail)
+    coupled = np.einsum("ij,kl,jl...->ik...", _position(n_field), _position(n_det), amp,
+                        optimize=True)
+    return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
+
+
+def _detector_squeeze(amp: np.ndarray, t) -> np.ndarray:
+    """S_b(t, 0) applied by parity blocks to the detector axis of the real
+    (n_field, n_det, k) amplitude array ``amp``; ``t`` is a scalar or one value
+    per column k."""
+    x = amp.transpose(1, 0, 2)
+    if np.ndim(t):
+        t = np.tile(t, x.shape[1])  # the flattened (n_field, k) columns
+    return squeeze_action(x.reshape(x.shape[0], -1), t).reshape(x.shape).transpose(1, 0, 2)
+
+
+def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
+    """U amp = S_a S_b D Shat_b R amp at varphi = 0, for the real (n_field, n_det, k)
+    amplitude array ``amp``: the forward chain, one truncated factor at a time.
+
+    R(0) = 1 and S_b(v, -pi) = S_b(-v, 0), so every factor is a real
+    orthogonal block action (``squeeze_action``, ``beam_splitter_action``) and the
+    result is real.
+    """
+    d = derive_params(dp)
+    amp = _detector_squeeze(beam_splitter_action(_detector_squeeze(amp, d.p), d.s), -dp.v)
+    return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
+
+
+def _eigenstate_amps(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarray:
+    """R U' |n_f n_d> = Shat_b' D' S_b' S_a' |n_f n_d> for each dp of ``dps``
+    and (n_f, n_d) of ``occupations``, as the columns of a real
+    (n_field, n_det, k) array: U' without its last factor R', which is
+    diagonal.
+
+    Each factor is applied exactly by blocks to all columns at once, with the
+    squeeze and beam-splitter parameters of each column's dp.  The squeezes
+    act on one mode each, so S_b' S_a' |n_f n_d> is the outer product of two
+    squeezed basis states; the beam splitter D' then acts on the
+    (n_field, n_det) amplitude by total-occupation blocks, and Shat_b' on the
+    detector axis by parity blocks.  Every one of these factors is real
+    orthogonal.
+    """
+    derived = {dp: derive_params(dp) for dp in set(dps)}
+    u, v, s, p = np.array([(derived[dp].u, dp.v, derived[dp].s, derived[dp].p)
+                           for dp in dps]).reshape(-1, 4).T
+    n_f, n_d = np.array(occupations, dtype=int).reshape(-1, 2).T
+    f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
+    # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
+    amp = squeeze_action(f, -u)[:, None, :] * squeeze_action(g, v)[None, :, :]
+    # a detector-major copy, which the detector squeeze reshapes without copying
+    # again, so no more than three arrays of the batch's size are alive at once
+    amp = beam_splitter_action(amp, -s).transpose(1, 0, 2).copy()
+    return _detector_squeeze(amp.transpose(1, 0, 2), -p)
+
+
+# The intermediate squeeze stages populate higher levels than the final state
+# does, so eigenstates() evaluates the chain on a space padded by this factor
+# (at least +10 levels per mode) and projects back.
+EIGENSTATE_PAD = 1.8
+
+
+def eigenstates(dps: list[DiagParams], occupations, varphi: float,
+                dims: FockDims) -> list[StateVector]:
+    """Closed-form eigenstates U' |n_f n_d>, one unit vector on ``dims`` for
+    each pair of a dp of ``dps`` and the (n_f, n_d) at the same position of
+    ``occupations``.
+
+    The factors of U' act by exact tridiagonal blocks on all pairs at once
+    (see _eigenstate_amps), so each block is diagonalized once per call
+    whatever the mix of parameter sets, on a space padded by EIGENSTATE_PAD,
+    and the results are projected back.  Occupations must stay below
+    cutoff/2 to leave truncation margin.
+    """
+    if len(dps) != len(occupations):
+        raise ValueError(f"{len(dps)} parameter sets for {len(occupations)} occupations")
+    for n_f, n_d in occupations:
+        if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
+            raise ValueError(
+                f"occupation ({n_f}, {n_d}) too close to the cutoff {dims}; need < cutoff/2"
+            )
+    big = FockDims(
+        max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
+        max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
+    )
+    amps = _eigenstate_amps(dps, occupations, big)[: dims.n_field, : dims.n_det]
+    amps = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amps  # R'
+    return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
+
+
+def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
+    """Closed-form eigenstate U' |n_f n_d>: a batch of one through ``eigenstates``."""
+    return eigenstates([dp], [(n_f, n_d)], varphi, dims)[0]

@@ -26,28 +26,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonalization import (
-    DiagParams,
-    PhysicalParams,
+from .diagonalization import DiagParams, OracleError, PhysicalParams, forward_map
+from .fockspace import (
+    FockDims,
+    StateVector,
     _position,
     build_hamiltonian,
     eigenstates,
-    forward_map,
     hamiltonian_action,
+    number_diagonal,
+    truncation_tail,
 )
-from .fockspace import FockDims, StateVector, number_diagonal, truncation_tail
 from .geomphase import PhaseResult, wrap_angle
-from .thermo import required_levels, thermal_weights
+from .thermo import squeeze_from_temperature
 
 __all__ = [
     "LoopSpec",
     "EvolutionSpec",
     "OracleError",
+    "ThermalStateSpec",
     "EigenPair",
     "BerryLoopResult",
     "numeric_eigenpair",
     "numeric_eigenpairs",
     "pancharatnam_product",
+    "thermal_weights",
+    "required_levels",
     "discrete_berry_loop",
     "discrete_berry_loops",
     "partial_sum_from_eps",
@@ -69,10 +73,7 @@ MAX_NODES = 320              # node-doubling cap on cost: one detector drive per
 NODE_TOL = 1e-9              # converged once a doubling moves P by at most this times max P,
 POPULATION_FLOOR = np.finfo(float).eps ** 2  # or by at most this, where P is rounding noise
 DETECTOR_LEVELS = 4          # detector levels the adiabaticity propagator keeps
-
-
-class OracleError(RuntimeError):
-    """Certification refused or failed (truncation, ambiguity, level crossing)."""
+TAIL_TARGET = 1e-12          # geometric tail a truncated thermal state leaves out
 
 
 @dataclass(frozen=True)
@@ -396,6 +397,51 @@ def discrete_berry_loop(
     if isinstance(result, OracleError):
         raise result
     return result
+
+
+def thermal_weights(r: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Geometric weights tanh^{2n}r / cosh^2 r for n = 0..n_max and the exact
+    tail sum tanh^{2(n_max+1)} r."""
+    q = np.tanh(r) ** 2
+    n = np.arange(n_max + 1)
+    if q == 0.0:
+        w = np.zeros(n_max + 1)
+        w[0] = 1.0
+        return w, 0.0
+    w = (1.0 - q) * q ** n
+    tail = float(q ** (n_max + 1))
+    return w, tail
+
+
+def required_levels(r: float, tail_target: float = TAIL_TARGET) -> int:
+    """Smallest n_max with geometric tail tanh^{2(n_max+1)} r < tail_target."""
+    q = np.tanh(r) ** 2
+    if q == 0.0:
+        return 0
+    n = int(np.ceil(np.log(tail_target) / np.log(q))) - 1
+    return max(n, 0)
+
+
+@dataclass(frozen=True)
+class ThermalStateSpec:
+    """Single-mode thermal state at (omega, temperature), truncated at n_max."""
+
+    omega: float
+    temperature: float
+    n_max: int
+
+    @property
+    def r_T(self) -> float:
+        return squeeze_from_temperature(self.omega, self.temperature).r
+
+    @property
+    def tail(self) -> float:
+        return float(np.tanh(self.r_T) ** (2 * (self.n_max + 1)))
+
+    @classmethod
+    def for_tail(cls, omega: float, temperature: float, tail_target: float = TAIL_TARGET):
+        r = squeeze_from_temperature(omega, temperature).r
+        return cls(omega, temperature, required_levels(r, tail_target))
 
 
 def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> PhaseResult:

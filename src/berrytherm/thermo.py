@@ -1,9 +1,11 @@
-"""Physical constants, thermal squeeze parameters, and thermal weights.
+"""Physical constants and thermal squeeze parameters.
 
 The thermal weight of Fock level n at temperature T is
-tanh^{2n}(r_T)/cosh^2(r_T) with tanh r_T = exp(-hbar*omega / (2 k_B T)); the
-same squeeze parameter describes the state seen by a uniformly accelerated
-observer at the corresponding Unruh temperature.
+tanh^{2n}(r_T)/cosh^2(r_T) with tanh r_T = exp(-hbar*omega / (2 k_B T)) (the
+truncated weights are the oracle's, ``oracle.thermal_weights``); the same
+squeeze parameter describes the state seen by a uniformly accelerated
+observer at the corresponding Unruh temperature.  The module needs only
+``math``.
 """
 
 from __future__ import annotations
@@ -11,19 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
-    "ThermalStateSpec",
     "ThermalSqueeze",
     "unruh_temperature",
     "squeeze_from_temperature",
-    "thermal_weights",
 ]
-
-TAIL_TARGET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ def unruh_temperature(accel: float) -> float:
     """Unruh temperature T_U = hbar a / (2 pi c k_B) in kelvin; linear in a."""
     if accel <= 0.0:
         raise ValueError(f"acceleration must be positive, got {accel}")
-    return CONSTANTS.hbar * accel / (2.0 * np.pi * CONSTANTS.c * CONSTANTS.k_B)
+    return CONSTANTS.hbar * accel / (2.0 * math.pi * CONSTANTS.c * CONSTANTS.k_B)
 
 
 def boltzmann_exponent(omega: float, temperature: float) -> float:
@@ -76,48 +72,3 @@ def squeeze_from_temperature(omega: float, temperature: float) -> ThermalSqueeze
     y = 0.5 * boltzmann_exponent(omega, temperature)
     r = 0.5 * (math.log1p(math.exp(-y)) - math.log(-math.expm1(-y)))
     return ThermalSqueeze(r=float(r))
-
-
-def thermal_weights(r: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Geometric weights tanh^{2n}r / cosh^2 r for n = 0..n_max and the exact
-    tail sum tanh^{2(n_max+1)} r."""
-    q = np.tanh(r) ** 2
-    n = np.arange(n_max + 1)
-    if q == 0.0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
-        return w, 0.0
-    w = (1.0 - q) * q ** n
-    tail = float(q ** (n_max + 1))
-    return w, tail
-
-
-def required_levels(r: float, tail_target: float = TAIL_TARGET) -> int:
-    """Smallest n_max with geometric tail tanh^{2(n_max+1)} r < tail_target."""
-    q = np.tanh(r) ** 2
-    if q == 0.0:
-        return 0
-    n = int(np.ceil(np.log(tail_target) / np.log(q))) - 1
-    return max(n, 0)
-
-
-@dataclass(frozen=True)
-class ThermalStateSpec:
-    """Single-mode thermal state at (omega, temperature), truncated at n_max."""
-
-    omega: float
-    temperature: float
-    n_max: int
-
-    @property
-    def r_T(self) -> float:
-        return squeeze_from_temperature(self.omega, self.temperature).r
-
-    @property
-    def tail(self) -> float:
-        return float(np.tanh(self.r_T) ** (2 * (self.n_max + 1)))
-
-    @classmethod
-    def for_tail(cls, omega: float, temperature: float, tail_target: float = TAIL_TARGET):
-        r = squeeze_from_temperature(omega, temperature).r
-        return cls(omega, temperature, required_levels(r, tail_target))

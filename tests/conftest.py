@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from berrytherm import cli, diagonalization
+from berrytherm import cli, fockspace
 from berrytherm.cli import certification_report
 from berrytherm.fockspace import TruncationWarning
 
@@ -14,7 +14,7 @@ def certify_reports():
     building them must emit no TruncationWarning, and each report's loop grid
     must make exactly one block-chain pass (one ``beam_splitter_action`` call):
     the selection targets are built once, at the first rung of the ladder."""
-    beam_splitter_action = diagonalization.beam_splitter_action
+    beam_splitter_action = fockspace.beam_splitter_action
     loop_check_cells = cli._loop_check_cells
     chain_calls = [0]
     grid_passes = [0]
@@ -31,7 +31,7 @@ def certify_reports():
 
     passes = []
     with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(diagonalization, "beam_splitter_action", counted_chain), \
+            mock.patch.object(fockspace, "beam_splitter_action", counted_chain), \
             mock.patch.object(cli, "_loop_check_cells", counted_grid):
         warnings.simplefilter("always")
         pos = certification_report()

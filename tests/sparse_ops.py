@@ -2,7 +2,7 @@
 reference where a dense matrix of the whole space would not fit (the padded
 eigenstate chain reaches 141 levels a mode).  The package itself builds dense
 operators only at small cutoffs (``fockspace.ladder``,
-``diagonalization.build_hamiltonian``)."""
+``fockspace.build_hamiltonian``)."""
 
 import numpy as np
 import scipy.sparse as sp

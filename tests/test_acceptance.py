@@ -23,12 +23,10 @@ from berrytherm.diagonalization import (
     ConstraintError,
     DiagParams,
     PhysicalParams,
-    build_hamiltonian,
-    eigenstate,
     forward_map,
     invert_physical,
 )
-from berrytherm.fockspace import FockDims
+from berrytherm.fockspace import FockDims, build_hamiltonian, eigenstate
 from berrytherm.geomphase import (
     accumulate_cycles,
     delta_per_cycle_from_eps,
@@ -41,8 +39,9 @@ from berrytherm.geomphase import (
     unruh_squeeze,
 )
 from berrytherm.oracle import EvolutionSpec, LoopSpec, discrete_berry_loop, partial_sum_from_eps
-from berrytherm.oracle import excitation_probability_per_cycle, thermal_excitation_per_cycle
-from berrytherm.thermo import required_levels, squeeze_from_temperature, unruh_temperature
+from berrytherm.oracle import excitation_probability_per_cycle, required_levels
+from berrytherm.oracle import thermal_excitation_per_cycle
+from berrytherm.thermo import squeeze_from_temperature, unruh_temperature
 
 TAU = 2 * math.pi
 

@@ -3,11 +3,15 @@ name: it imports ``EvolutionSpec``, calls the two adiabaticity functions
 positionally and, traced, binds their parameters ``pp``, ``cycles`` and
 ``spec`` by name.  A rename must fail here, not in a benchmark run."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -30,3 +34,29 @@ def test_adiabaticity_workload_runs_clean(monkeypatch, traced):
     if traced:
         assert {"oracle.excitation_probability_per_cycle",
                 "oracle.thermal_excitation_per_cycle"} <= {span[2] for span in tracer.spans}
+
+
+TRACER_PROBE = """
+import sys
+import berrytherm.cli
+import tracing
+
+tracer = tracing.Tracer()
+tracer.install()
+fockspace = sys.modules["berrytherm.fockspace"]
+assert hasattr(fockspace.eigenstates, "__wrapped__")
+tracer.uninstall()
+assert not hasattr(fockspace.eigenstates, "__wrapped__")
+"""
+
+
+def test_tracer_installs_in_a_fresh_interpreter():
+    # the tracer reads every layer module from sys.modules right after
+    # ``import berrytherm.cli``; in this process every module is imported
+    # already, so only a fresh interpreter shows a layer that import misses
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(PERFBENCH), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -21,6 +21,7 @@ from berrytherm.cli import (
     KEYMAP,
     PRESETS,
     build_parser,
+    linspace,
     main,
     read_config_file,
 )
@@ -136,6 +137,24 @@ def test_thermometer_golden_file(tmp_path):
                       "--t-cold-min", "1e-4", "--t-cold-max", "0.1"], tmp_path)
     assert code == EXIT_OK
     assert text == (GOLDEN / "thermometer_fig3_100mhz_12pt.csv").read_text()
+
+
+def test_thermometer_golden_file_on_the_libm_grid(tmp_path):
+    # the sweep grid is libm's 10.0 ** x; numpy's SIMD power on AVX-512 hosts
+    # rounds the first point of this sweep to 9.9999999999999991e-06 instead
+    code, text = run(["thermometer", "--preset", "fig3-10mhz", "--points", "12"], tmp_path)
+    assert code == EXIT_OK
+    assert text == (GOLDEN / "thermometer_fig3_10mhz_12pt.csv").read_text()
+
+
+@pytest.mark.parametrize("start, stop", [
+    (-6.0, -3.0), (-5.0, -2.0), (-4.0, -1.0), (-3.0, 0.0), (16.0, 18.0), (-0.5, 0.5),
+    (-1e-320, 1e-320),  # a step that underflows to zero at 20000 points
+], ids=str)
+def test_linspace_equals_numpy_bit_for_bit(start, stop):
+    for num in [*range(2, 301), 20000]:
+        got = np.array(linspace(start, stop, num)).view(np.uint64)
+        assert np.array_equal(got, np.linspace(start, stop, num).view(np.uint64)), num
 
 
 def test_json_format_output(tmp_path):
@@ -281,8 +300,8 @@ def test_unruh_deterministic_bytes_and_rows_in_order(tmp_path):
     p = PRESETS["fig5-3"]
     eps = epsilon(PhysicalParams(p["gap"], p["gap"], p["coupling"]))
     rows = [list(map(float, ln.split(","))) for ln in a.strip().split("\n")[1:]]
-    accels = np.logspace(16.0, 18.0, 7)
-    assert [r[0] for r in rows] == list(accels)
+    accels = [10.0 ** x for x in np.linspace(16.0, 18.0, 7)]
+    assert [r[0] for r in rows] == accels
     for r, acc in zip(rows, accels):
         q = unruh_squeeze(p["gap"], acc).r
         assert r[2] == q
@@ -433,19 +452,60 @@ print(json.dumps({"closed_form": closed_form, "adiabaticity": adiabaticity,
 """
 
 
-def test_closed_form_commands_import_no_scipy(tmp_path):
+def _run_probe(probe: str, tmp_path) -> dict:
+    """The JSON a probe prints, run in a fresh interpreter on this source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "out.csv")],
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out.csv")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_import_no_scipy(tmp_path):
+    loaded = _run_probe(SCIPY_PROBE, tmp_path)
     assert loaded["closed_form"] == []
     assert loaded["adiabaticity"] == []
     assert loaded["diagonalize"] == []
     assert loaded["certify"] == []
     # positive control: the same probe sees scipy once it is imported
     assert "scipy.sparse" in loaded["after_import"]
+
+
+# numpy is loaded by the commands that use arrays, and only by them
+
+NUMPY_PROBE = """
+import json, sys
+import berrytherm, berrytherm.cli
+from berrytherm import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("numpy"))
+
+layers = sorted(m for m in sys.modules if m.startswith("berrytherm."))
+after_import = loaded()
+for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
+             ["unruh", "--preset", "fig5-1"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+closed_form = loaded()
+p = cli.PRESETS["fig3-ghz"]
+assert cli.main(["diagonalize", "--omega-a", repr(p["gap"]), "--omega-b", repr(p["gap"]),
+                 "--coupling", repr(p["coupling"]), "--out", sys.argv[1]]) == 0
+print(json.dumps({"layers": layers, "after_import": after_import, "closed_form": closed_form,
+                  "diagonalize": loaded()}))
+"""
+
+
+def test_closed_form_commands_import_no_numpy(tmp_path):
+    loaded = _run_probe(NUMPY_PROBE, tmp_path)
+    # every layer is registered on import, the array layers lazily
+    assert loaded["layers"] == [f"berrytherm.{m}" for m in
+                                ("cli", "diagonalization", "fockspace", "geomphase", "oracle",
+                                 "thermo")]
+    assert loaded["after_import"] == []
+    assert loaded["closed_form"] == []
+    # positive control: diagonalize loads numpy, and the same probe sees it
+    assert "numpy" in loaded["diagonalize"]
 
 
 def _scipy_imports(source: str) -> list[int]:
@@ -472,29 +532,39 @@ def test_module_top_levels_import_no_scipy():
     assert offenders == {}
 
 
+def _package_modules():
+    """The package itself and each of its modules."""
+    return [importlib.import_module("berrytherm" if path.stem == "__init__"
+                                    else f"berrytherm.{path.stem}")
+            for path in sorted(SRC.glob("*.py"))]
+
+
 def test_exports_resolve():
-    # every name a module exports, and every name the package imports at top
-    # level, exists: a deletion cannot leave a stale export behind
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module(f"berrytherm.{path.stem}")
+    # every name a module exports exists: a deletion cannot leave a stale export behind
+    for module in _package_modules():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-        assert missing == [], (path.name, missing)
+        assert missing == [], (module.__name__, missing)
+    # the package exports every name it imports at top level and every name it
+    # resolves lazily, each the object of the module that defines it and
+    # exported there
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
     assert imported
-    for module_name, name in imported:
-        module = importlib.import_module(f"berrytherm.{module_name}")
-        assert name in module.__all__, (module_name, name)
-        assert getattr(berrytherm, name) is getattr(module, name), name
+    assert set(berrytherm.__all__) == imported | set(berrytherm._LAZY)
+    for name in berrytherm.__all__:
+        obj = getattr(berrytherm, name)
+        module = sys.modules[obj.__module__]
+        assert name in module.__all__, (module.__name__, name)
+        assert getattr(module, name) is obj, name
 
 
 def test_exported_annotations_resolve():
     # every annotation of an exported function or class names something its
-    # module can see, so typing.get_type_hints works on the whole public surface
+    # module can see, so typing.get_type_hints works on the whole public surface,
+    # the names the package resolves lazily included
     checked = 0
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module(f"berrytherm.{path.stem}")
+    for module in _package_modules():
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
             if callable(obj):

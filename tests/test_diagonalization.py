@@ -9,24 +9,28 @@ from sparse_ops import sparse_ladder
 
 from berrytherm import cli
 from berrytherm.diagonalization import (
-    EIGENSTATE_PAD,
     ConstraintError,
     DiagParams,
     InverseMapError,
     PhysicalParams,
-    build_hamiltonian,
     constant_shift,
     derive_params,
-    eigenstate,
-    eigenstates,
     eigenvalue,
     forward_map,
-    hamiltonian_action,
     invert_physical,
     normal_modes,
+)
+from berrytherm.fockspace import (
+    EIGENSTATE_PAD,
+    FockDims,
+    basis_state,
+    build_hamiltonian,
+    eigenstate,
+    eigenstates,
+    hamiltonian_action,
+    number_diagonal,
     unitary_action,
 )
-from berrytherm.fockspace import FockDims, basis_state, number_diagonal
 
 E2 = math.e ** 2
 CANONICAL = DiagParams(2e9, 2e9 / E2, 0.3)

@@ -7,16 +7,16 @@ from scipy.linalg import expm
 from sparse_ops import sparse_hamiltonian
 
 from berrytherm import cli, oracle
-from berrytherm.diagonalization import (
-    DiagParams,
-    PhysicalParams,
+from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map, invert_physical
+from berrytherm.fockspace import (
+    FockDims,
+    StateVector,
+    basis_state,
     build_hamiltonian,
     eigenstate,
     eigenstates,
-    forward_map,
-    invert_physical,
+    number_diagonal,
 )
-from berrytherm.fockspace import FockDims, StateVector, basis_state, number_diagonal
 from berrytherm.geomphase import (
     eigen_berry_phase,
     epsilon,
@@ -35,10 +35,12 @@ from berrytherm.oracle import (
     numeric_eigenpairs,
     pancharatnam_product,
     partial_sum_from_eps,
+    required_levels,
     rotation_covariance_residual,
     thermal_excitation_per_cycle,
+    thermal_weights,
 )
-from berrytherm.thermo import required_levels, squeeze_from_temperature, thermal_weights
+from berrytherm.thermo import squeeze_from_temperature
 
 E2 = math.e ** 2
 CANONICAL = DiagParams(2e9 / E2 * E2, 2e9 / E2, 0.3)  # == (2e9, 2e9/e^2, 0.3)

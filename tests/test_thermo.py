@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from berrytherm.geomphase import unruh_squeeze
-from berrytherm.thermo import (
-    CONSTANTS,
-    ThermalStateSpec,
-    required_levels,
-    squeeze_from_temperature,
-    thermal_weights,
-    unruh_temperature,
-)
+from berrytherm.oracle import ThermalStateSpec, required_levels, thermal_weights
+from berrytherm.thermo import CONSTANTS, squeeze_from_temperature, unruh_temperature
 
 
 def test_constants_are_codata():
