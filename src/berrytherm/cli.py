@@ -1,8 +1,10 @@
 """Command-line frontend: parameter sweeps, diagnostics, and certification.
 
-Subcommands: diagonalize, thermometer, sensitivity, unruh, adiabaticity,
-certify.  Values can come from flags or a plain ``key = value`` config file
-(flags win).  CSV output uses 17 significant digits, a header row, and LF
+Each option is declared once, in ``OPTIONS``; ``COMMANDS`` lists which
+options each subcommand takes.  Option ``x_y`` is the flag ``--x-y`` and the
+key ``x_y`` of a plain ``key = value`` config file (flags win), a float
+option must be finite, and ``--preset`` takes the presets of the command's
+figure family.  CSV output uses 17 significant digits, a header row, and LF
 line endings so identical configs produce byte-identical files.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 certification failure.
 The sweeps (thermometer, sensitivity, unruh) need only ``math`` and build
@@ -10,9 +12,9 @@ their grids with ``linspace`` below; numpy is loaded by the commands that
 reach the array layers ``fockspace`` and ``oracle`` (diagonalize,
 adiabaticity, certify), which this module uses only as module attributes.
 
-``certify`` takes one flag, ``--negative-control``.  Its loop-grid verdict
-is calibrated at 2048 loop points, the cutoff ladder 30 -> 78 and the 1e-8
-truncation gate, and none of the three is settable.
+``certify``'s loop-grid verdict is calibrated at 2048 loop points, the
+cutoff ladder 30 -> 78 and the 1e-8 truncation gate, and none of the three
+is settable.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from . import fockspace, geomphase, oracle, thermo
 from .diagonalization import (
@@ -67,6 +70,32 @@ PRESETS = {
     "fig6-mhz": {"gap": 1e6, "coupling": TWO_PI * 1200.0, "temperature": 1e-3},
 }
 
+# Every option: its type and help.  ``--preset``'s help is the names of the
+# command's figure family.
+OPTIONS: dict[str, tuple[type, str | None]] = {
+    "omega_a": (float, "field frequency Omega_a (rad/s)"),
+    "omega_b": (float, "detector gap Omega_b (rad/s)"),
+    "coupling": (float, "coupling lam (rad/s)"),
+    "diag_omega_a": (float, "forward mode: normal-mode frequency omega_a (rad/s)"),
+    "diag_omega_b": (float, "forward mode: normal-mode frequency omega_b (rad/s)"),
+    "diag_v": (float, "forward mode: two-mode squeeze v"),
+    "cutoff": (int, "Fock levels per mode"),
+    "preset": (str, None),
+    "gap": (float, "resonant gap (rad/s)"),
+    "t_hot": (float, "hot-source temperature (K)"),
+    "t_cold_min": (float, "lowest cold-source temperature (K)"),
+    "t_cold_max": (float, "highest cold-source temperature (K)"),
+    "t_cold": (float, "cold-source temperature (K)"),
+    "relerr_max": (float, "largest relative error of the hot-source temperature"),
+    "points": (int, "sweep size"),
+    "accel_min": (float, "lowest acceleration (m/s^2)"),
+    "accel_max": (float, "highest acceleration (m/s^2)"),
+    "temperature": (float, "field temperature (K)"),
+    "cycles": (int, "number of cycles"),
+    "negative_control": (bool, "inject a deliberately wrong closed form; "
+                               "certification must fail"),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -90,19 +119,22 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _merge_config(args: argparse.Namespace, keys: dict[str, type]) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """Config-file values overridden by flags; every value validated."""
+    keys = COMMANDS[args.command].options
     merged: dict = {}
-    if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
+    if args.config:
+        for key, value in read_config_file(args.config).items():
             if key not in keys:
                 raise ConfigError(f"unknown configuration key '{key}'")
-            merged[key] = _convert(key, value, keys[key])
-    for key, typ in keys.items():
-        flag_val = getattr(args, key, None)
+            merged[key] = _convert(key, value, OPTIONS[key][0])
+    for key in keys:
+        flag_val = getattr(args, key)
         if flag_val is not None:
             merged[key] = flag_val
+    for key, value in merged.items():
+        if OPTIONS[key][0] is float and not math.isfinite(value):
+            raise ConfigError(f"need a finite value for '{key}', got {value}")
     return merged
 
 
@@ -158,6 +190,10 @@ def write_rows(rows: list[dict], header: list[str], fmt: str, out_path: str | No
         text = json.dumps(rows, indent=2) + "\n"
     else:
         raise ConfigError(f"unknown output format '{fmt}'")
+    _write_text(text, out_path)
+
+
+def _write_text(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -165,22 +201,13 @@ def write_rows(rows: list[dict], header: list[str], fmt: str, out_path: str | No
         sys.stdout.write(text)
 
 
-def write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _apply_preset(config: dict, allowed_prefix: str | None = None) -> dict:
+def _apply_preset(config: dict, family: str) -> dict:
     name = config.get("preset")
     if not name:
         return config
     if name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}' (known: {', '.join(sorted(PRESETS))})")
-    if allowed_prefix and not name.startswith(allowed_prefix):
+    if not name.startswith(family):
         raise ConfigError(f"preset '{name}' does not apply to this command")
     merged = dict(PRESETS[name])
     for key, value in config.items():
@@ -212,13 +239,6 @@ def _sweep_epsilon(gap: float, coupling: float) -> float:
 # Subcommands
 # --------------------------------------------------------------------------
 
-DIAG_KEYS = {
-    "omega_a": float, "omega_b": float, "coupling": float,
-    "diag_omega_a": float, "diag_omega_b": float, "diag_v": float,
-    "cutoff": int,
-}
-
-
 def cmd_diagonalize(config: dict) -> dict:
     import numpy as np
 
@@ -226,7 +246,6 @@ def cmd_diagonalize(config: dict) -> dict:
     if cutoff < 4:
         raise ConfigError("need cutoff >= 4")
     dims = fockspace.FockDims(cutoff, cutoff)
-    report: dict = {}
     forward = any(config.get(key) is not None for key in ("diag_omega_a", "diag_omega_b", "diag_v"))
     if forward and any(config.get(key) is not None for key in ("omega_a", "omega_b", "coupling")):
         raise ConfigError("need either the laboratory triple (omega_a, omega_b, coupling) "
@@ -241,7 +260,6 @@ def cmd_diagonalize(config: dict) -> dict:
         except ConstraintError as exc:
             raise ConfigError(f"need finite omega_a > omega_b e^(2v) > 0 and v > 0: {exc}")
         pp = forward_map(dp)
-        report["mode"] = "forward"
     else:
         pp = _physical_params(_require(config, "omega_a"),
                               _require(config, "omega_b"),
@@ -256,23 +274,21 @@ def cmd_diagonalize(config: dict) -> dict:
                 "note": "zero coupling: decoupled boundary solution (v = 0)",
             }
         dp = sol.params
-        report["mode"] = "inverse"
     d = derive_params(dp)
-    back = forward_map(dp)
-    report["diag_params"] = {"omega_a": dp.omega_a, "omega_b": dp.omega_b, "v": dp.v}
-    report["physical_params"] = {"Omega_a": pp.Omega_a, "Omega_b": pp.Omega_b, "lam": pp.lam}
-    report["derived"] = {
-        "C": d.C, "u": d.u, "s": d.s, "theta_a": d.theta_a, "theta_b": d.theta_b,
-        "phi": d.phi, "p": d.p, "Z": d.Z, "lambda_hat": d.lambda_hat,
-        "Omega_hat_b": d.Omega_hat_b,
-        "g1": d.g1.real, "g2": d.g2.real, "g3": d.g3.real,
-        "g4_abs": abs(d.g4), "g5": d.g5.real, "g6": d.g6.real,
+    report: dict = {
+        "mode": "forward" if forward else "inverse",
+        "diag_params": {"omega_a": dp.omega_a, "omega_b": dp.omega_b, "v": dp.v},
+        "physical_params": {"Omega_a": pp.Omega_a, "Omega_b": pp.Omega_b, "lam": pp.lam},
+        "derived": {
+            "C": d.C, "u": d.u, "s": d.s, "theta_a": d.theta_a, "theta_b": d.theta_b,
+            "phi": d.phi, "p": d.p, "Z": d.Z, "lambda_hat": d.lambda_hat,
+            "Omega_hat_b": d.Omega_hat_b,
+            "g1": d.g1.real, "g2": d.g2.real, "g3": d.g3.real,
+            "g4_abs": abs(d.g4), "g5": d.g5.real, "g6": d.g6.real,
+        },
     }
-    report["round_trip_residual"] = max(
-        abs(back.Omega_a / pp.Omega_a - 1.0),
-        abs(back.Omega_b / pp.Omega_b - 1.0),
-        abs(back.lam / pp.lam - 1.0) if pp.lam else 0.0,
-    )
+    if not forward:  # forward mode's pp is forward_map(dp): no round trip to measure
+        report["round_trip_residual"] = sol.residual
     residuals = {}
     occupations = ((0, 0), (1, 0), (0, 1))
     psis = fockspace.eigenstates([dp] * 3, occupations, 0.0, dims)
@@ -296,14 +312,7 @@ def cmd_diagonalize(config: dict) -> dict:
     return report
 
 
-THERMO_KEYS = {
-    "preset": str, "gap": float, "t_hot": float, "coupling": float,
-    "t_cold_min": float, "t_cold_max": float, "points": int,
-}
-
-
 def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
-    config = _apply_preset(config, "fig3")
     gap = _require(config, "gap")
     t_hot = _require(config, "t_hot")
     coupling = _require(config, "coupling")
@@ -324,14 +333,7 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     return rows, ["T_cold_K", "delta_rad", "dDelta_dTcold_rad_per_K"]
 
 
-SENS_KEYS = {
-    "preset": str, "gap": float, "t_hot": float, "coupling": float,
-    "t_cold": float, "relerr_max": float, "points": int,
-}
-
-
 def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
-    config = _apply_preset(config, "fig3")
     gap = _require(config, "gap")
     t_hot = _require(config, "t_hot")
     coupling = _require(config, "coupling")
@@ -351,14 +353,7 @@ def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
     return rows, ["relerr_Th", "relerr_delta"]
 
 
-UNRUH_KEYS = {
-    "preset": str, "gap": float, "coupling": float,
-    "accel_min": float, "accel_max": float, "points": int,
-}
-
-
 def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
-    config = _apply_preset(config, "fig5")
     gap = _require(config, "gap")
     coupling = _require(config, "coupling")
     a_min = config.get("accel_min", 1e16)
@@ -389,11 +384,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
                   "cycles_to_pi", "time_to_pi_s"]
 
 
-ADIA_KEYS = {"preset": str, "gap": float, "coupling": float, "temperature": float, "cycles": int}
-
-
 def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
-    config = _apply_preset(config, "fig6")
     gap = _require(config, "gap")
     coupling = _require(config, "coupling")
     temperature = config.get("temperature", 0.0)
@@ -416,8 +407,6 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
 # --------------------------------------------------------------------------
 # Certification
 # --------------------------------------------------------------------------
-
-CERT_KEYS = {"negative_control": bool}
 
 CERT_GRID_V = (0.1, 0.3, 0.6)
 CERT_GRID_RATIO = (math.e, math.e ** 2, math.e ** 3)
@@ -628,22 +617,40 @@ def certification_report(negative_control: bool = False) -> dict:
     }
 
 
-def cmd_certify(config: dict) -> tuple[dict, int]:
-    report = certification_report(negative_control=bool(config.get("negative_control", False)))
-    code = EXIT_OK if report["passed"] else EXIT_CERTIFICATION
-    return report, code
+def cmd_certify(config: dict) -> dict:
+    return certification_report(negative_control=bool(config.get("negative_control", False)))
 
 
 # --------------------------------------------------------------------------
 # Argument parsing and dispatch
 # --------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
-    p.add_argument("--config", help="plain key = value configuration file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    if sweep:  # sweeps write rows; diagonalize and certify always write a JSON report
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format")
+class Command(NamedTuple):
+    handler: Callable[[dict], object]
+    help: str
+    family: str | None  # preset family of a sweep; None for a report command
+    options: tuple[str, ...]
+
+
+COMMANDS = {
+    "diagonalize": Command(
+        cmd_diagonalize, "derived parameters, round trips, eigenstate residuals", None,
+        ("omega_a", "omega_b", "coupling", "diag_omega_a", "diag_omega_b", "diag_v", "cutoff")),
+    "thermometer": Command(
+        cmd_thermometer, "phase difference vs cold-source temperature", "fig3",
+        ("preset", "gap", "t_hot", "coupling", "t_cold_min", "t_cold_max", "points")),
+    "sensitivity": Command(
+        cmd_sensitivity, "phase error vs hot-source temperature error", "fig3",
+        ("preset", "gap", "t_hot", "coupling", "t_cold", "relerr_max", "points")),
+    "unruh": Command(
+        cmd_unruh, "per-cycle phase difference vs acceleration", "fig5",
+        ("preset", "gap", "coupling", "accel_min", "accel_max", "points")),
+    "adiabaticity": Command(
+        cmd_adiabaticity, "excitation probability per cycle", "fig6",
+        ("preset", "gap", "coupling", "temperature", "cycles")),
+    "certify": Command(
+        cmd_certify, "run the full oracle-vs-closed-form suite", None, ("negative_control",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -652,100 +659,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geometric-phase quantum thermometry sweeps and certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diagonalize", help="derived parameters, round trips, eigenstate residuals")
-    _add_common(p)
-    p.add_argument("--omega-a", dest="omega_a", type=float, help="field frequency (rad/s)")
-    p.add_argument("--omega-b", dest="omega_b", type=float, help="detector gap (rad/s)")
-    p.add_argument("--coupling", type=float, help="coupling (rad/s)")
-    p.add_argument("--diag-omega-a", dest="diag_omega_a", type=float)
-    p.add_argument("--diag-omega-b", dest="diag_omega_b", type=float)
-    p.add_argument("--diag-v", dest="diag_v", type=float)
-    p.add_argument("--cutoff", type=int)
-
-    p = sub.add_parser("thermometer", help="phase difference vs cold-source temperature")
-    _add_common(p, sweep=True)
-    p.add_argument("--preset", help="fig3-mhz | fig3-10mhz | fig3-100mhz | fig3-ghz")
-    p.add_argument("--gap", type=float, help="resonant gap (rad/s)")
-    p.add_argument("--t-hot", dest="t_hot", type=float, help="hot source temperature (K)")
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--t-cold-min", dest="t_cold_min", type=float)
-    p.add_argument("--t-cold-max", dest="t_cold_max", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("sensitivity", help="phase error vs hot-source temperature error")
-    _add_common(p, sweep=True)
-    p.add_argument("--preset")
-    p.add_argument("--gap", type=float)
-    p.add_argument("--t-hot", dest="t_hot", type=float)
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--t-cold", dest="t_cold", type=float)
-    p.add_argument("--relerr-max", dest="relerr_max", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("unruh", help="per-cycle phase difference vs acceleration")
-    _add_common(p, sweep=True)
-    p.add_argument("--preset", help="fig5-1 | fig5-2 | fig5-3")
-    p.add_argument("--gap", type=float)
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--accel-min", dest="accel_min", type=float)
-    p.add_argument("--accel-max", dest="accel_max", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("adiabaticity", help="excitation probability per cycle")
-    _add_common(p, sweep=True)
-    p.add_argument("--preset", help="fig6-ghz | fig6-mhz")
-    p.add_argument("--gap", type=float)
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--cycles", type=int)
-
-    p = sub.add_parser("certify", help="run the full oracle-vs-closed-form suite")
-    _add_common(p)
-    p.add_argument("--negative-control", dest="negative_control", action="store_true",
-                   default=None,
-                   help="inject a deliberately wrong closed form; certification must fail")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="plain key = value configuration file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        if command.family:  # sweeps write rows; report commands always write JSON
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format")
+        for key in command.options:
+            typ, text = OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if key == "preset":
+                text = " | ".join(n for n in PRESETS if n.startswith(command.family))
+            if typ is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, type=typ, help=text)
     return parser
 
 
-KEYMAP = {
-    "diagonalize": DIAG_KEYS,
-    "thermometer": THERMO_KEYS,
-    "sensitivity": SENS_KEYS,
-    "unruh": UNRUH_KEYS,
-    "adiabaticity": ADIA_KEYS,
-    "certify": CERT_KEYS,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _merge_config(args, KEYMAP[args.command])
+        config = _merge_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    handler, _, family, _ = COMMANDS[args.command]
     try:
-        if args.command == "diagonalize":
-            report = cmd_diagonalize(config)
-            write_report(report, args.out)
-            return EXIT_OK
-        if args.command == "certify":
-            report, code = cmd_certify(config)
-            write_report(report, args.out)
-            if code != EXIT_OK:
-                print("certification FAILED", file=sys.stderr)
-            return code
-        handler = {
-            "thermometer": cmd_thermometer,
-            "sensitivity": cmd_sensitivity,
-            "unruh": cmd_unruh,
-            "adiabaticity": cmd_adiabaticity,
-        }[args.command]
-        rows, header = handler(config)
+        if family is None:
+            report = handler(config)
+            _write_text(json.dumps(report, indent=2) + "\n", args.out)
+            if report.get("passed", True):  # only certify's report carries a verdict
+                return EXIT_OK
+            print("certification FAILED", file=sys.stderr)
+            return EXIT_CERTIFICATION
+        rows, header = handler(_apply_preset(config, family))
         write_rows(rows, header, args.format, args.out)
         return EXIT_OK
     except ConfigError as exc:

@@ -193,20 +193,19 @@ def accumulate_cycles(delta_per_cycle: float, n_cycles: int) -> CycleAccumulatio
     """Linear accumulation of a per-cycle phase difference.
 
     total = n * delta; cycles_to_pi = ceil(pi / delta), or None (unbounded)
-    when delta is zero.  The per-cycle value must be non-negative; callers
-    pass magnitudes.
+    when pi / delta is not finite: delta zero or subnormal.  The per-cycle
+    value must be non-negative; callers pass magnitudes.
     """
-    if delta_per_cycle < 0.0:
+    if not delta_per_cycle >= 0.0:
         raise ValueError(f"per-cycle phase must be >= 0, got {delta_per_cycle}")
     if n_cycles < 0:
         raise ValueError(f"cycle count must be >= 0, got {n_cycles}")
     total = delta_per_cycle * n_cycles
-    if delta_per_cycle == 0.0:
-        return CycleAccumulation(total=0.0, capped_at_pi=False, cycles_to_pi=None)
+    n_pi = math.pi / delta_per_cycle if delta_per_cycle else math.inf
     return CycleAccumulation(
         total=total,
         capped_at_pi=total >= math.pi,
-        cycles_to_pi=int(math.ceil(math.pi / delta_per_cycle)),
+        cycles_to_pi=int(math.ceil(n_pi)) if math.isfinite(n_pi) else None,
     )
 
 

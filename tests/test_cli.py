@@ -18,8 +18,9 @@ from berrytherm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    KEYMAP,
+    COMMANDS,
     PRESETS,
+    _merge_config,
     build_parser,
     linspace,
     main,
@@ -91,11 +92,18 @@ RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
     ["diagonalize", "--diag-omega-a", "10", "--diag-omega-b", "1", "--diag-v", "2"],
     ["diagonalize", "--diag-omega-a", "10", "--diag-omega-b", "1", "--diag-v", "0.1",
      "--omega-a", "5"],
+    ["thermometer", "--preset", "fig3-ghz", "--t-hot", "nan", "--points", "3"],
+    ["thermometer", "--preset", "fig3-ghz", "--t-cold-max", "inf", "--points", "3"],
+    ["sensitivity", "--preset", "fig3-ghz", "--t-cold", "nan"],
+    ["unruh", "--preset", "fig5-1", "--accel-max", "inf", "--points", "3"],
+    ["adiabaticity", "--preset", "fig6-mhz", "--temperature", "inf", "--cycles", "2"],
 ], ids=["negative-temperature", "cutoff-3", "cutoff-1",
         "thermometer-zero-gap", "adiabaticity-zero-gap", "unruh-negative-gap",
         "diagonalize-zero-omega-a", "thermometer-nan-gap", "adiabaticity-infinite-coupling",
         "diagonalize-forward-zero-omega-a", "diagonalize-forward-nan-omega-a",
-        "diagonalize-forward-ratio-below-exp-2v", "diagonalize-both-triples"])
+        "diagonalize-forward-ratio-below-exp-2v", "diagonalize-both-triples",
+        "thermometer-nan-t-hot", "thermometer-infinite-t-cold-max", "sensitivity-nan-t-cold",
+        "unruh-infinite-accel-max", "adiabaticity-infinite-temperature"])
 def test_values_the_numerics_cannot_take_are_config_errors(capsys, argv):
     # caught with the other config values, before any numerics run
     assert main(argv) == EXIT_CONFIG
@@ -137,6 +145,27 @@ def test_thermometer_golden_file(tmp_path):
                       "--t-cold-min", "1e-4", "--t-cold-max", "0.1"], tmp_path)
     assert code == EXIT_OK
     assert text == (GOLDEN / "thermometer_fig3_100mhz_12pt.csv").read_text()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sensitivity", "--preset", "fig3-100mhz"], "sensitivity_fig3_100mhz.csv"),
+    (["unruh", "--preset", "fig5-3", "--points", "12"], "unruh_fig5_3_12pt.csv"),
+], ids=["sensitivity", "unruh"])
+def test_sweep_golden_files(tmp_path, argv, name):
+    code, text = run(argv, tmp_path)
+    assert code == EXIT_OK
+    assert text == (GOLDEN / name).read_text()
+
+
+def test_unruh_subnormal_phase_is_unbounded(tmp_path):
+    # at 5.3076e15 m/s^2 the per-cycle phase is -8.55e-322, so pi/|delta|
+    # overflows: never reaching pi is printed as inf, as for delta = -0
+    code, text = run(["unruh", "--preset", "fig5-2", "--points", "2",
+                      "--accel-min", "5.3076e15", "--accel-max", "1e18"], tmp_path)
+    assert code == EXIT_OK
+    first = dict(zip(*(line.split(",") for line in text.strip().split("\n")[:2])))
+    assert 0.0 < -float(first["delta_per_cycle_rad"]) < 1e-300
+    assert first["cycles_to_pi"] == first["time_to_pi_s"] == "inf"
 
 
 def test_thermometer_golden_file_on_the_libm_grid(tmp_path):
@@ -279,6 +308,17 @@ def test_diagonalize_json_report(tmp_path):
     assert rep["vacuum_overlap_deviation"] < 1e-6
 
 
+def test_diagonalize_forward_report(tmp_path):
+    # forward mode builds the laboratory triple from dp: it has no round trip
+    code, text = run(["diagonalize", "--diag-omega-a", repr(math.e ** 0.5), "--diag-omega-b", "1",
+                      "--diag-v", "0.1"], tmp_path, "d.json")
+    assert code == EXIT_OK
+    rep = json.loads(text)
+    assert rep["mode"] == "forward"
+    assert "round_trip_residual" not in rep
+    assert rep["physical_params"]["Omega_a"] == pytest.approx(math.exp(0.2))  # omega_b e^(2v)
+
+
 def test_diagonalize_zero_coupling_flagged(tmp_path):
     code, text = run(["diagonalize", "--omega-a", "2e9", "--omega-b", "3e9",
                       "--coupling", "0"], tmp_path, "d.json")
@@ -377,16 +417,26 @@ def test_adiabaticity_takes_no_step_count(tmp_path, capsys):
         tmp_path, capsys, ["adiabaticity", "--preset", "fig6-mhz"], "steps_per_cycle", "600")
 
 
-def test_flags_and_config_keys_agree():
+def test_flags_and_config_keys_agree(tmp_path):
     # every subcommand accepts the same keys as flags and in a config file
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(KEYMAP)
+    assert set(sub.choices) == set(COMMANDS)
+    sample = {float: "1.5", int: "3", str: "fig"}
     for name, p in sub.choices.items():
         dests = {a.dest for a in p._actions} - {"help", "config", "out"}
         # --format selects how a sweep writes its rows, and only sweeps take it
         assert ("format" in dests) == (name not in ("diagonalize", "certify")), name
-        assert dests - {"format"} == set(KEYMAP[name]), name
+        assert dests - {"format"} == set(COMMANDS[name].options), name
+        for key in COMMANDS[name].options:
+            # a store_true flag takes no value; its config value is "yes"
+            value = sample.get(next(a for a in p._actions if a.dest == key).type)
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{key} = {value or 'yes'}\n")
+            flag = ["--" + key.replace("_", "-")] + ([value] if value else [])
+            from_flag = _merge_config(parser.parse_args([name, *flag]))
+            from_file = _merge_config(parser.parse_args([name, "--config", str(cfg)]))
+            assert from_flag == from_file and set(from_flag) == {key}, (name, key)
 
 
 # cells that certify above the first rung of the cutoff ladder, keyed by

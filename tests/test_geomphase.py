@@ -232,6 +232,8 @@ def test_accumulate_cycles():
     assert lin.cycles_to_pi == math.ceil(math.pi / 1e-4)
     unbounded = accumulate_cycles(0.0, 100)
     assert unbounded.cycles_to_pi is None
+    subnormal = accumulate_cycles(8.55e-322, 100)  # pi / delta overflows to inf
+    assert subnormal.cycles_to_pi is None and not subnormal.capped_at_pi
     with pytest.raises(ValueError):
         accumulate_cycles(-0.1, 5)
 
