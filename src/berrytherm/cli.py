@@ -32,7 +32,6 @@ from .diagonalization import (
     InverseMapError,
     OracleError,
     PhysicalParams,
-    check_basin,
     derive_params,
     forward_map,
     invert_physical,
@@ -114,7 +113,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
                 key, _, value = text.partition("=")
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return out
 
@@ -227,14 +226,6 @@ def _physical_params(omega_a: float, omega_b: float, coupling: float) -> Physica
     return pp
 
 
-def _sweep_epsilon(gap: float, coupling: float) -> float:
-    """epsilon of the resonant triple, the one number the sweep formulas take;
-    couplings past the tested basin are refused."""
-    pp = _physical_params(gap, gap, coupling)
-    check_basin(pp)
-    return epsilon(pp)
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -321,7 +312,7 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     t_max = config.get("t_cold_max", t_hot)
     if points < 2 or t_min <= 0 or t_max <= t_min:
         raise ConfigError("need points >= 2 and 0 < t_cold_min < t_cold_max")
-    eps = _sweep_epsilon(gap, coupling)
+    eps = epsilon(_physical_params(gap, gap, coupling))
     rows = []
     for tc in (10.0 ** x for x in linspace(math.log10(t_min), math.log10(t_max), points)):
         rows.append({
@@ -342,7 +333,7 @@ def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
     points = int(config.get("points", 101))
     if not 0.0 < relerr_max < 1.0 or points < 3:
         raise ConfigError("need 0 < relerr_max < 1 and points >= 3")
-    eps = _sweep_epsilon(gap, coupling)
+    eps = epsilon(_physical_params(gap, gap, coupling))
     ref = thermometer_delta_from_eps(eps, gap, t_cold, t_hot)
     if ref == 0.0:
         raise ConfigError("reference phase difference vanishes; pick t_cold != t_hot")
@@ -361,7 +352,7 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
     points = int(config.get("points", 60))
     if points < 2 or a_min <= 0 or a_max <= a_min:
         raise ConfigError("need points >= 2 and 0 < accel_min < accel_max")
-    eps = _sweep_epsilon(gap, coupling)
+    eps = epsilon(_physical_params(gap, gap, coupling))
     cycle_time = TWO_PI / gap
     accels = [10.0 ** x for x in linspace(math.log10(a_min), math.log10(a_max), points)]
 
@@ -498,27 +489,8 @@ def certification_report(negative_control: bool = False) -> dict:
     add("hamiltonian_rotation_covariance", rc < 1e-12 * pp_ref.Omega_a,
         rc, 1e-12 * pp_ref.Omega_a)
 
-    # inverse/forward round trips on a parameter grid (inside the solver basin)
-    worst = 0.0
-    for u_seed in (1e-3, 0.05, 0.3):
-        for v in (1e-3, 5e-3):
-            dp = DiagParams(2e9 * math.exp(2 * (u_seed + v)), 2e9, v)
-            pp = forward_map(dp)
-            if pp.lam / pp.Omega_a > 0.3:
-                continue
-            sol = invert_physical(pp)
-            back = forward_map(sol.params)
-            worst = max(worst,
-                        abs(back.Omega_a / pp.Omega_a - 1.0),
-                        abs(back.Omega_b / pp.Omega_b - 1.0),
-                        abs(back.lam / pp.lam - 1.0))
-    add("map_round_trip", worst < 1e-10, worst, 1e-10)
-
-    # vanishing v-component of the connection
-    av = abs(oracle.berry_connection_v(dp_ref, 1, 1, 0.3, fockspace.FockDims(24, 24)))
-    add("connection_v_component", av < 1e-8, av, 1e-8)
-
-    # loop oracle vs closed form over the full grid
+    # the loop grid's (v, ratio) cells: a valid parameter set, or the reason
+    # it breaks ratio > e^{2v}
     grid: dict[tuple[float, float], DiagParams | str] = {}
     for v in CERT_GRID_V:
         for ratio in CERT_GRID_RATIO:
@@ -528,8 +500,22 @@ def certification_report(negative_control: bool = False) -> dict:
                 grid[v, ratio] = dp
             except ConstraintError as exc:
                 grid[v, ratio] = str(exc)
-    measured = _loop_check_cells([dp for dp in grid.values() if isinstance(dp, DiagParams)],
-                                 negative_control)
+    grid_dps = [dp for dp in grid.values() if isinstance(dp, DiagParams)]
+
+    # inverse/forward round trips: a weak-coupling grid (lam/Omega_a 0.002 to
+    # 0.08) and the loop grid's sets (lam/Omega_a 0.39 to 1.38)
+    triples = [forward_map(DiagParams(2e9 * math.exp(2 * (u_seed + v)), 2e9, v))
+               for u_seed in (1e-3, 0.05, 0.3) for v in (1e-3, 5e-3)]
+    triples += [forward_map(dp) for dp in grid_dps]
+    worst = max(invert_physical(pp).residual for pp in triples)
+    add("map_round_trip", worst < 1e-10, worst, 1e-10)
+
+    # vanishing v-component of the connection
+    av = abs(oracle.berry_connection_v(dp_ref, 1, 1, 0.3, fockspace.FockDims(24, 24)))
+    add("connection_v_component", av < 1e-8, av, 1e-8)
+
+    # loop oracle vs closed form over the full grid
+    measured = _loop_check_cells(grid_dps, negative_control)
     cells = []
     loop_pass = True
     worst_diff = 0.0
@@ -584,7 +570,7 @@ def certification_report(negative_control: bool = False) -> dict:
     mono = True
     for name in fig5:
         p = PRESETS[name]
-        eps = _sweep_epsilon(p["gap"], p["coupling"])
+        eps = epsilon(_physical_params(p["gap"], p["gap"], p["coupling"]))
         ds = [geomphase.delta_per_cycle_from_eps(eps, unruh_squeeze(p["gap"], a).r)
               for a in accels]
         mono = mono and all(b < a_ for a_, b in zip(ds, ds[1:]))
@@ -701,7 +687,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConstraintError, InverseMapError, OracleError, OverflowError, ValueError) as exc:
+    except (ArithmeticError, ConstraintError, InverseMapError, OracleError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

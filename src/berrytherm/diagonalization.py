@@ -37,7 +37,6 @@ __all__ = [
     "derive_params",
     "forward_map",
     "invert_physical",
-    "check_basin",
     "normal_modes",
     "constant_shift",
     "eigenvalue",
@@ -275,21 +274,6 @@ def forward_map(dp: DiagParams) -> PhysicalParams:
 # Inverse map: the normal modes of H in closed form
 # --------------------------------------------------------------------------
 
-# the cap rejects couplings outside the tested basin: the round trips, the
-# sweeps and the eigenstate chain are exercised only inside it
-SIGMA_HARD_CAP = 0.35
-
-
-def check_basin(pp: PhysicalParams) -> None:
-    """Refuse (InverseMapError) a coupling past the tested basin,
-    lam/Omega_a > SIGMA_HARD_CAP."""
-    sigma = pp.lam / pp.Omega_a
-    if sigma > SIGMA_HARD_CAP:
-        raise InverseMapError(
-            f"lam/Omega_a = {sigma:.3g} exceeds the perturbative basin ({SIGMA_HARD_CAP})"
-        )
-
-
 def normal_modes(pp: PhysicalParams) -> tuple[float, float, float, float]:
     """(u, v, cos 2 theta, 1 + cos 2 theta) of the two coupled oscillators behind H.
 
@@ -307,7 +291,7 @@ def normal_modes(pp: PhysicalParams) -> tuple[float, float, float, float]:
 
     Refuses lam = 0 (ConstraintError: the decoupled boundary), and raises
     InverseMapError where 4 lam^2 >= Omega_a Omega_b, so that omega_b^2 <= 0
-    and H has no ground state.  It applies no basin cap (``check_basin``).
+    and H has no ground state: the one bound on the coupling.
     """
     pp.validate()
     if pp.lam == 0.0:
@@ -352,17 +336,16 @@ def invert_physical(pp: PhysicalParams) -> InverseSolution:
     the precision log1p gives it.
 
     lam = 0 returns the decoupled boundary (omega_a = Omega_a,
-    omega_b = Omega_b, v = 0) flagged degenerate.  Couplings past the basin
-    are refused (``check_basin``).  A solution that does not reproduce pp
-    through forward_map to 1e-10 raises InverseMapError carrying that
-    residual.
+    omega_b = Omega_b, v = 0) flagged degenerate.  An unbound triple,
+    4 lam^2 >= Omega_a Omega_b, is refused as ``normal_modes`` refuses it.  A
+    solution that does not reproduce pp through forward_map to 1e-10 raises
+    InverseMapError carrying that residual.
     """
     pp.validate()
     if pp.lam == 0.0:
         return InverseSolution(
             DiagParams(pp.Omega_a, pp.Omega_b, 0.0), residual=0.0, degenerate=True
         )
-    check_basin(pp)
     u, v, _, _ = normal_modes(pp)
     dp = DiagParams(pp.Omega_a * math.exp(2.0 * u), pp.Omega_a * math.exp(-2.0 * v), v,
                     u_hint=u)

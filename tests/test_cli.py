@@ -15,6 +15,8 @@ import pytest
 import berrytherm
 from berrytherm import oracle
 from berrytherm.cli import (
+    CERT_GRID_RATIO,
+    CERT_GRID_V,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -26,6 +28,8 @@ from berrytherm.cli import (
     main,
     read_config_file,
 )
+from berrytherm.diagonalization import DiagParams, forward_map
+from berrytherm.fockspace import TruncationWarning
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,12 +70,34 @@ def test_config_file_parsing_comments_and_spaces(tmp_path):
     assert parsed == {"gap": "1e9", "t_hot": "1.0"}
 
 
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"gap = 1\n\xff\xfe\n")
+    assert main(["thermometer", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(capsys):
-    # coupling outside the inversion basin surfaces as a numerical failure
-    code = main(["thermometer", "--gap", "1e6", "--t-hot", "1e-3",
-                 "--coupling", "5e5", "--points", "3"])
-    assert code == EXIT_NUMERICAL
-    assert "basin" in capsys.readouterr().err
+    # the one coupling refusal is the physical bound 4 lam^2 < Omega_a Omega_b:
+    # on resonance it sits at coupling/gap = 1/2
+    sweep = ["thermometer", "--gap", "1e6", "--t-hot", "1e-3", "--points", "3"]
+    assert main(sweep + ["--coupling", "4.9e5"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(sweep + ["--coupling", "5e5"]) == EXIT_NUMERICAL
+    assert "unbound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermometer", "--preset", "fig3-ghz", "--t-cold-min", "1e-305", "--t-cold-max", "1e-300",
+     "--points", "3"],
+    ["sensitivity", "--preset", "fig3-ghz", "--t-cold", "1e-305"],
+    ["adiabaticity", "--preset", "fig6-mhz", "--temperature", "1e-305", "--cycles", "1"],
+    ["diagonalize", "--omega-a", "1e-300", "--omega-b", "1e-300", "--coupling", "1e-301"],
+], ids=["thermometer", "sensitivity", "adiabaticity", "diagonalize"])
+def test_division_by_an_underflowed_value_is_a_numerical_failure(capsys, argv):
+    # a float division whose divisor underflowed to zero exits 3, not with a traceback
+    assert main(argv) == EXIT_NUMERICAL
+    assert "numerical failure: float division by zero" in capsys.readouterr().err
 
 
 RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
@@ -317,6 +343,20 @@ def test_diagonalize_forward_report(tmp_path):
     assert rep["mode"] == "forward"
     assert "round_trip_residual" not in rep
     assert rep["physical_params"]["Omega_a"] == pytest.approx(math.exp(0.2))  # omega_b e^(2v)
+
+
+@pytest.mark.parametrize("dp", [
+    DiagParams(ratio, 1.0, v) for v in CERT_GRID_V for ratio in CERT_GRID_RATIO
+    if ratio > math.exp(2 * v)], ids=lambda dp: f"v{dp.v}-ratio{dp.omega_a:.4g}")
+def test_diagonalize_round_trips_on_the_certify_loop_grid(tmp_path, dp):
+    # the loop oracle certifies these sets at lam/Omega_a 0.39 to 1.38, so the
+    # inverse map must accept their laboratory triples
+    pp = forward_map(dp)
+    with pytest.warns(TruncationWarning):
+        code, text = run(["diagonalize", "--omega-a", repr(pp.Omega_a), "--omega-b",
+                          repr(pp.Omega_b), "--coupling", repr(pp.lam)], tmp_path, "d.json")
+    assert code == EXIT_OK
+    assert json.loads(text)["round_trip_residual"] <= 1e-10
 
 
 def test_diagonalize_zero_coupling_flagged(tmp_path):

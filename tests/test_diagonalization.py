@@ -143,7 +143,7 @@ def test_inverse_zero_coupling_boundary():
 
 
 def test_inverse_rejects_huge_coupling():
-    with pytest.raises(InverseMapError, match="basin"):
+    with pytest.raises(InverseMapError, match="unbound"):
         invert_physical(PhysicalParams(1e9, 1e9, 0.5e9))
 
 
@@ -159,12 +159,12 @@ def test_inverse_round_trips_at_sigma_1e20():
 
 def _random_triples(seed: int, count: int):
     """Laboratory triples with Omega_a in 1e3..1e11, Omega_b/Omega_a in
-    0.1..10 and sigma = lam/Omega_a in 1e-4..0.3, log-uniform."""
+    0.1..10 and sigma = lam/Omega_a in 1e-4..0.5, log-uniform."""
     rng = random.Random(seed)
     for _ in range(count):
         omega_a = 10.0 ** rng.uniform(3.0, 11.0)
         omega_b = omega_a * 10.0 ** rng.uniform(-1.0, 1.0)
-        yield PhysicalParams(omega_a, omega_b, omega_a * 10.0 ** rng.uniform(-4.0, math.log10(0.3)))
+        yield PhysicalParams(omega_a, omega_b, omega_a * 10.0 ** rng.uniform(-4.0, math.log10(0.5)))
 
 
 def test_inverse_round_trips_on_random_triples():
@@ -212,8 +212,6 @@ def test_map_identities_on_grid():
             for wb in (1.0, 2.7e8, 6e9):
                 dp = DiagParams(wb * math.exp(2 * (u_seed + v)), wb, v)
                 pp = forward_map(dp)
-                if pp.lam / pp.Omega_a > 0.3:
-                    continue
                 sol = invert_physical(pp)
                 assert abs(sol.params.omega_a / dp.omega_a - 1) < 1e-10
                 assert abs(sol.params.omega_b / dp.omega_b - 1) < 1e-10

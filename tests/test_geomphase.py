@@ -89,7 +89,7 @@ def test_epsilon_matches_phase_coefficient_on_random_grid():
     for _ in range(1500):
         omega_a = 10.0 ** rng.uniform(3.0, 11.0)
         pp = PhysicalParams(omega_a, omega_a * 10.0 ** rng.uniform(-1.0, 1.0),
-                            omega_a * 10.0 ** rng.uniform(-4.0, math.log10(0.3)))
+                            omega_a * 10.0 ** rng.uniform(-4.0, math.log10(0.5)))
         if 4.0 * pp.lam ** 2 >= pp.Omega_a * pp.Omega_b:
             continue
         g = _phase_pieces(invert_physical(pp).params)[1]

@@ -43,12 +43,12 @@ def _forward_mp(wa, wb, v):
 
 
 @functools.lru_cache(maxsize=None)
-def reference_epsilon(preset: str):
-    """epsilon of a resonant preset as a 60-digit mpf: findroot of the forward
-    map from the leading-order seed omega = Omega (1 +/- sigma), v = sigma/2."""
-    p = cli.PRESETS[preset]
+def resonant_epsilon(gap: float, coupling: float):
+    """epsilon of the resonant triple (gap, gap, coupling) as a 60-digit mpf:
+    findroot of the forward map from the leading-order seed
+    omega = Omega (1 +/- sigma), v = sigma/2."""
     with mp.workdps(60):
-        om, lam = mp.mpf(p["gap"]), mp.mpf(p["coupling"])
+        om, lam = mp.mpf(gap), mp.mpf(coupling)
         sigma = lam / om
 
         def point(x, y, z):
@@ -63,6 +63,11 @@ def reference_epsilon(preset: str):
         return +(_forward_mp(*point(*root))[3] - mp.mpf(1) / 2)
 
 
+def reference_epsilon(preset: str):
+    p = cli.PRESETS[preset]
+    return resonant_epsilon(p["gap"], p["coupling"])
+
+
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
 def test_epsilon_matches_60_digit_forward_map_root(preset):
     p = cli.PRESETS[preset]
@@ -72,6 +77,15 @@ def test_epsilon_matches_60_digit_forward_map_root(preset):
     # and the weak-coupling law epsilon = sigma^2/4 (1 + O(sigma)) holds
     sigma = p["coupling"] / p["gap"]
     assert abs(4 * got / sigma ** 2 - 1) <= 2 * sigma
+
+
+@pytest.mark.parametrize("sigma", [0.4, 0.45, 0.49])
+def test_epsilon_matches_60_digit_root_at_strong_coupling(sigma):
+    # up to the bound sigma = lam/Omega < 1/2 the closed form holds; the
+    # leading-order seed still converges at 0.49, but not at 0.499
+    ref = resonant_epsilon(1e6, sigma * 1e6)
+    got = epsilon(PhysicalParams(1e6, 1e6, sigma * 1e6))
+    assert abs(got - ref) <= 1e-12 * abs(ref), (sigma, got, ref)
 
 
 def _csv(argv: list[str]) -> list[list[float]]:
