@@ -65,10 +65,8 @@ fockspace = _lazy("fockspace")
 oracle = _lazy("oracle")
 
 _LAZY = {
-    **dict.fromkeys(("FockDims", "StateVector", "build_hamiltonian", "eigenstate", "ladder",
-                     "unitary_action"), fockspace),
-    **dict.fromkeys(("EvolutionSpec", "LoopSpec", "ThermalStateSpec", "discrete_berry_loop",
-                     "numeric_eigenpair"), oracle),
+    **dict.fromkeys(("FockDims", "StateVector", "eigenstates", "unitary_action"), fockspace),
+    **dict.fromkeys(("EvolutionSpec", "LoopSpec", "discrete_berry_loops"), oracle),
 }
 
 __all__ = [

@@ -315,7 +315,7 @@ def normal_modes(pp: PhysicalParams) -> tuple[float, float, float, float]:
 class InverseSolution:
     params: DiagParams
     residual: float
-    iterations: int = 0  # nothing is iterated; kept for callers that report solver work
+    iterations: int = 0  # nothing is iterated; perfbench's tracer reads it as solver work
     degenerate: bool = False
 
 

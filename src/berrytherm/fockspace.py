@@ -1,17 +1,16 @@
 """Truncated two-mode bosonic Fock space and the diagonalizing chain on it.
 
-Dense ladder operators for small cutoffs, basis states, and the exact
-actions of the squeeze and two-mode displacement (beam splitter) factors of
-the detector-field diagonalization.  Both actions split exactly into real
-tridiagonal blocks, the one matrix exponential here, and act on amplitude
-arrays directly: no matrix of either factor is ever formed.  The blocks are
-exponentiated through numpy's SVD.  On top of them sit the model's operators
-on the truncated space, with the parameters ``diagonalization`` derives: H at
-varphi = 0 as a vector action (``hamiltonian_action``; ``build_hamiltonian``
-is its dense matrix at any varphi, for small cutoffs), U forward
-(``unitary_action``) and U' for the eigenstates (``eigenstates``).  The
-module needs only numpy; it is the package's array layer, with ``oracle``,
-and the package loads both lazily.
+Basis states and the exact actions of the squeeze and two-mode displacement
+(beam splitter) factors of the detector-field diagonalization.  Both actions
+split exactly into real tridiagonal blocks, the one matrix exponential here,
+and act on amplitude arrays directly: no matrix of either factor is ever
+formed.  The blocks are exponentiated through numpy's SVD.  On top of them
+sit the model's operators on the truncated space, with the parameters
+``diagonalization`` derives, each in one form, an action on amplitude arrays
+that builds no matrix of the product space: H at any varphi
+(``hamiltonian_action``), U forward (``unitary_action``) and U' for the
+eigenstates (``eigenstates``).  The module needs only numpy; it is the
+package's array layer, with ``oracle``, and the package loads both lazily.
 Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 """
 
@@ -29,16 +28,13 @@ __all__ = [
     "FockDims",
     "StateVector",
     "TruncationWarning",
-    "ladder",
     "tridiagonal_exp_action",
     "squeeze_action",
     "beam_splitter_action",
     "basis_state",
     "truncation_tail",
-    "build_hamiltonian",
     "hamiltonian_action",
     "unitary_action",
-    "eigenstate",
     "eigenstates",
 ]
 
@@ -77,12 +73,6 @@ class FockDims:
             raise IndexError(f"occupation ({n_f}, {n_d}) outside {self}")
         return n_f * self.n_det + n_d
 
-    def unindex(self, idx: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= idx < self.total:
-            raise IndexError(f"flat index {idx} outside {self}")
-        return divmod(idx, self.n_det)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -102,21 +92,6 @@ class StateVector:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         object.__setattr__(self, "amp", v / n)
-
-
-def ladder(dims: FockDims, mode: str, kind: str) -> np.ndarray:
-    """Tensor-embedded ladder operator as a dense real matrix, for small cutoffs.
-
-    ``mode`` is ``"field"`` (a) or ``"detector"`` (b); ``kind`` is
-    ``"lower"`` or ``"raise"``.  <n-1| lower |n> = sqrt(n) in the designated
-    mode, identity on the other.
-    """
-    if mode not in ("field", "detector") or kind not in ("lower", "raise"):
-        raise ValueError(f"unknown mode {mode!r} or kind {kind!r}")
-    single = np.diag(np.sqrt(np.arange(1.0, dims.n_field if mode == "field" else dims.n_det)), 1)
-    full = (np.kron(single, np.eye(dims.n_det)) if mode == "field"
-            else np.kron(np.eye(dims.n_field), single))
-    return full.T if kind == "raise" else full
 
 
 def number_diagonal(dims: FockDims, mode: str) -> np.ndarray:
@@ -235,20 +210,6 @@ def truncation_tail(state: StateVector) -> float:
 # The detector-field Hamiltonian and the diagonalizing chain
 # --------------------------------------------------------------------------
 
-def build_hamiltonian(pp: PhysicalParams, varphi: float, dims: FockDims) -> np.ndarray:
-    """H = Omega_a a'a + Omega_b b'b + lam (b+b')(a' e^{i varphi} + a e^{-i varphi})
-    as a dense complex matrix, the Kronecker product of single-mode matrices;
-    for small cutoffs (``hamiltonian_action`` applies H(0) at any cutoff)."""
-    a = np.diag(np.sqrt(np.arange(1.0, dims.n_field)), 1)
-    field = np.exp(1j * varphi) * a.T + np.exp(-1j * varphi) * a
-    h = np.kron(field, _position(dims.n_det))  # scaled and shifted in place
-    h *= pp.lam
-    i = np.arange(dims.total)
-    h[i, i] += (pp.Omega_a * number_diagonal(dims, "field")
-                + pp.Omega_b * number_diagonal(dims, "detector"))
-    return h
-
-
 def _position(n: int, first: int = 0) -> np.ndarray:
     """a + a' on the n levels first .. first + n - 1."""
     off = np.sqrt(np.arange(first + 1.0, first + n))
@@ -256,21 +217,25 @@ def _position(n: int, first: int = 0) -> np.ndarray:
 
 
 def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
-                       amp: np.ndarray) -> np.ndarray:
-    """H amp at varphi = 0 for the (n_field, n_det) or (n_field, n_det, k)
-    amplitude array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T,
-    X = a + a' on each mode, with no operator matrix of the product space.
-    ``pp`` is one parameter set, or a list of them, one per column k."""
+                       amp: np.ndarray, varphi: float = 0.0) -> np.ndarray:
+    """H(varphi) amp for the (n_field, n_det) or (n_field, n_det, k) amplitude
+    array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T, with
+    X_d = b + b' and X_f = e^{i varphi} a' + e^{-i varphi} a, and no operator
+    matrix of the product space.  X_f is complex only at varphi != 0, so the
+    action at varphi = 0 stays real on a real ``amp``.  ``pp`` is one parameter
+    set, or a list of them, one per column k."""
     if isinstance(pp, PhysicalParams):
         omega_a, omega_b, lam = pp.Omega_a, pp.Omega_b, pp.lam
     else:
         omega_a, omega_b, lam = np.array([(p.Omega_a, p.Omega_b, p.lam) for p in pp]).T
     n_field, n_det = amp.shape[:2]
+    x_f = _position(n_field)
+    if varphi != 0.0:  # a' below the diagonal, a above it
+        x_f = np.exp(1j * varphi) * np.tril(x_f) + np.exp(-1j * varphi) * np.triu(x_f)
     tail = (1,) * (amp.ndim - 2)
     n_f = np.arange(n_field).reshape((-1, 1) + tail)
     n_d = np.arange(n_det).reshape((1, -1) + tail)
-    coupled = np.einsum("ij,kl,jl...->ik...", _position(n_field), _position(n_det), amp,
-                        optimize=True)
+    coupled = np.einsum("ij,kl,jl...->ik...", x_f, _position(n_det), amp, optimize=True)
     return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
 
 
@@ -356,8 +321,3 @@ def eigenstates(dps: list[DiagParams], occupations, varphi: float,
     amps = _eigenstate_amps(dps, occupations, big)[: dims.n_field, : dims.n_det]
     amps = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amps  # R'
     return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
-
-
-def eigenstate(dp: DiagParams, n_f: int, n_d: int, varphi: float, dims: FockDims) -> StateVector:
-    """Closed-form eigenstate U' |n_f n_d>: a batch of one through ``eigenstates``."""
-    return eigenstates([dp], [(n_f, n_d)], varphi, dims)[0]

@@ -105,7 +105,6 @@ def _eigen_phase_unshared_denominator(dp: DiagParams, n_f: int, n_d: int) -> Pha
     d = derive_params(dp)
     u, v = d.u, dp.v
     wa, wb = dp.omega_a, dp.omega_b
-    delta = wa * math.sinh(2 * u) + wb * math.sinh(2 * v)
     bad_nd = wa * math.cosh(2 * v) * math.sinh(2 * u) / ((wa + wb) * math.sinh(2 * v))
     _, coeff_nf, t00 = _phase_pieces(dp)
     raw = TAU * (bad_nd * n_d + coeff_nf * n_f + t00)

@@ -31,28 +31,23 @@ from .fockspace import (
     FockDims,
     StateVector,
     _position,
-    build_hamiltonian,
     eigenstates,
     hamiltonian_action,
     number_diagonal,
     truncation_tail,
 )
 from .geomphase import PhaseResult, wrap_angle
-from .thermo import squeeze_from_temperature
 
 __all__ = [
     "LoopSpec",
     "EvolutionSpec",
     "OracleError",
-    "ThermalStateSpec",
     "EigenPair",
     "BerryLoopResult",
-    "numeric_eigenpair",
     "numeric_eigenpairs",
     "pancharatnam_product",
     "thermal_weights",
     "required_levels",
-    "discrete_berry_loop",
     "discrete_berry_loops",
     "partial_sum_from_eps",
     "excitation_probability_per_cycle",
@@ -257,16 +252,6 @@ def numeric_eigenpairs(
     return results
 
 
-def numeric_eigenpair(pp: PhysicalParams, target: StateVector, parity: int) -> EigenPair:
-    """Eigenpair of the truncated H(0) of ``pp`` that ``target`` selects in the
-    sector (-1)^(n_f + n_d) = (-1)^parity: a stack of one through
-    ``numeric_eigenpairs`` that raises its OracleError."""
-    pair = numeric_eigenpairs([pp], [target], parity)[0]
-    if isinstance(pair, OracleError):
-        raise pair
-    return pair
-
-
 def pancharatnam_product(states) -> tuple[float, float]:
     """Accumulated phase of the closed overlap chain of ``states``.
 
@@ -384,21 +369,6 @@ def discrete_berry_loops(
     return results
 
 
-def discrete_berry_loop(
-    dp: DiagParams,
-    n_f: int,
-    n_d: int,
-    spec: LoopSpec,
-    dims: FockDims,
-) -> BerryLoopResult:
-    """Loop phase of the (n_f, n_d) eigenstate: a batch of one on the one-rung
-    ladder ``[dims]`` through ``discrete_berry_loops`` that raises its OracleError."""
-    result = discrete_berry_loops([dp], [(n_f, n_d)], spec, [dims])[0]
-    if isinstance(result, OracleError):
-        raise result
-    return result
-
-
 def thermal_weights(r: float, n_max: int) -> tuple[np.ndarray, float]:
     """Geometric weights tanh^{2n}r / cosh^2 r for n = 0..n_max and the exact
     tail sum tanh^{2(n_max+1)} r."""
@@ -422,42 +392,18 @@ def required_levels(r: float, tail_target: float = TAIL_TARGET) -> int:
     return max(n, 0)
 
 
-@dataclass(frozen=True)
-class ThermalStateSpec:
-    """Single-mode thermal state at (omega, temperature), truncated at n_max."""
-
-    omega: float
-    temperature: float
-    n_max: int
-
-    @property
-    def r_T(self) -> float:
-        return squeeze_from_temperature(self.omega, self.temperature).r
-
-    @property
-    def tail(self) -> float:
-        return float(np.tanh(self.r_T) ** (2 * (self.n_max + 1)))
-
-    @classmethod
-    def for_tail(cls, omega: float, temperature: float, tail_target: float = TAIL_TARGET):
-        r = squeeze_from_temperature(omega, temperature).r
-        return cls(omega, temperature, required_levels(r, tail_target))
-
-
 def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> PhaseResult:
     """Arg of the explicitly summed weighted phase factors sum_n w_n e^{i gamma_n},
     gamma_n = gamma0 + 2 pi G n with G = 1/2 + eps, w_n the thermal weights at
     squeeze r: the sum is taken as sum_n w_n (-1)^n e^{i (gamma0 + 2 pi eps n)}.
 
-    Refuses when the geometric tail tanh^{2(n_max+1)} r >= 1e-12, reporting
-    the required n_max.
+    Refuses when the geometric tail of ``thermal_weights`` reaches TAIL_TARGET,
+    reporting the required n_max.
     """
-    tail = math.tanh(r) ** (2 * (n_max + 1))
-    if tail >= 1e-12:
-        raise OracleError(
-            f"partial-sum tail {tail:.3e} >= 1e-12; need n_max >= {required_levels(r)}"
-        )
-    w, _ = thermal_weights(r, n_max)
+    w, tail = thermal_weights(r, n_max)
+    if tail >= TAIL_TARGET:
+        raise OracleError(f"partial-sum tail {tail:.3e} >= {TAIL_TARGET:g}; "
+                          f"need n_max >= {required_levels(r)}")
     n = np.arange(n_max + 1)
     sign = 1.0 - 2.0 * (n % 2)
     z = np.sum(w * sign * np.exp(1j * (gamma0 + 2.0 * math.pi * eps * n)))
@@ -466,13 +412,14 @@ def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> Pha
 
 
 def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:
-    """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|; exact identity, ~1e-13."""
-    r = np.exp(1j * varphi * number_diagonal(dims, "field"))  # diagonal of R(-varphi)
-    h_rot = build_hamiltonian(pp, 0.0, dims)  # rotated in place
-    h_rot *= r[:, None]
-    h_rot *= r.conj()
-    h_rot -= build_hamiltonian(pp, varphi, dims)
-    return float(np.abs(h_rot).max())
+    """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|, each H ``hamiltonian_action``
+    on the identity batch, one field level's columns at a time so that the complex
+    temporaries stay a fraction of the batch; exact identity, ~1e-13."""
+    eye = np.eye(dims.total).reshape(dims.n_field, dims.n_det, dims.total)
+    r = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None]  # R(-varphi)
+    return max(float(np.abs(r * hamiltonian_action(pp, cols) * r[f].conj()
+                            - hamiltonian_action(pp, cols, varphi)).max())
+               for f, cols in enumerate(np.split(eye, dims.n_field, axis=2)))  # columns |f, n_d>
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""scipy.sparse operators on the truncated two-mode space, a test-only
-reference where a dense matrix of the whole space would not fit (the padded
-eigenstate chain reaches 141 levels a mode).  The package itself builds dense
-operators only at small cutoffs (``fockspace.ladder``,
-``fockspace.build_hamiltonian``)."""
+"""scipy.sparse operators on the truncated two-mode space: a test-only
+reference, built from Kronecker products and so independent of the package's
+actions on amplitude arrays, which build no matrix of the product space.
+Sparse, because a dense matrix of the whole space would not fit where the
+padded eigenstate chain reaches 141 levels a mode; call ``.toarray()`` for a
+dense reference at small cutoffs."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,9 +21,13 @@ def sparse_ladder(dims, mode: str) -> sp.csr_matrix:
     return full.astype(complex)
 
 
-def sparse_hamiltonian(pp, dims) -> sp.csr_matrix:
-    """H(0) = Omega_a a'a + Omega_b b'b + lam (b + b')(a + a') as a real CSR matrix."""
+def sparse_hamiltonian(pp, dims, varphi: float = 0.0) -> sp.csr_matrix:
+    """H(varphi) = Omega_a a'a + Omega_b b'b + lam (b + b')(e^{i varphi} a' + e^{-i varphi} a)
+    as a CSR matrix, real at varphi = 0."""
     a = sparse_ladder(dims, "field").real
     b = sparse_ladder(dims, "detector").real
+    field = a + a.T
+    if varphi != 0.0:
+        field = np.exp(1j * varphi) * a.T + np.exp(-1j * varphi) * a
     return (pp.Omega_a * (a.T @ a) + pp.Omega_b * (b.T @ b)
-            + pp.lam * ((b + b.T) @ (a + a.T))).tocsr()
+            + pp.lam * ((b + b.T) @ field)).tocsr()

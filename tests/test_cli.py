@@ -1,9 +1,11 @@
 import argparse
 import ast
+import copy
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -218,6 +220,44 @@ def test_json_format_output(tmp_path):
     assert code == EXIT_OK
     rows = json.loads(text)
     assert len(rows) == 3 and "delta_rad" in rows[0]
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_is_strict_json(tmp_path, monkeypatch, certify_reports):
+    # an unbounded cycles_to_pi: null in the JSON rows where the CSV prints inf
+    argv = ["unruh", "--preset", "fig5-1", "--accel-min", "1e10", "--accel-max", "1e11",
+            "--points", "3"]
+    code, text = run(argv + ["--format", "json"], tmp_path, "u.json")
+    assert code == EXIT_OK
+    rows = _strict_json(text)
+    _, csv = run(argv, tmp_path)
+    header, *lines = csv.strip().split("\n")
+    assert len(rows) == len(lines) == 3
+    for row, line in zip(rows, lines):
+        assert [row[key] is None for key in header.split(",")] == \
+            [value == "inf" for value in line.split(",")]
+    assert all(row["cycles_to_pi"] is None for row in rows)
+    # certify's reports as main writes them, and one with a loop cell refused
+    # as the oracle refuses it, its difference NaN
+    import berrytherm.cli as cli_mod
+
+    refused = copy.deepcopy(certify_reports[0])
+    refused["loop_cells"][0].update(cutoff=None, difference_rad=math.nan, passed=False)
+    for report in (*certify_reports, refused):
+        monkeypatch.setattr(cli_mod, "certification_report", lambda **kw: report)
+        run(["certify"], tmp_path, "c.json")
+        written = _strict_json((tmp_path / "c.json").read_text())
+        assert written["checks"] == report["checks"]
+        assert len(written["loop_cells"]) == len(report["loop_cells"])
+    assert written["loop_cells"][0]["difference_rad"] is None
+    assert math.isnan(refused["loop_cells"][0]["difference_rad"])  # the report is unchanged
 
 
 def test_sensitivity_monotone_and_row_count(tmp_path):
@@ -620,6 +660,15 @@ def test_module_top_levels_import_no_scipy():
     offenders = {f.name: lines for f in files
                  if (lines := _scipy_imports(f.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+def test_package_builds_no_kronecker_product():
+    # one operator form: the array layers act on amplitude arrays, so no dense
+    # product-space copy of an operator can come back through a Kronecker product
+    files = sorted(SRC.glob("*.py"))
+    assert {"fockspace.py", "oracle.py"} <= {f.name for f in files}
+    offenders = [f.name for f in files if re.search(r"\bkron\b", f.read_text(encoding="utf-8"))]
+    assert offenders == []
 
 
 def _package_modules():

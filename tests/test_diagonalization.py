@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
-from sparse_ops import sparse_ladder
+from sparse_ops import sparse_hamiltonian, sparse_ladder
 
 from berrytherm import cli
 from berrytherm.diagonalization import (
@@ -24,8 +24,6 @@ from berrytherm.fockspace import (
     EIGENSTATE_PAD,
     FockDims,
     basis_state,
-    build_hamiltonian,
-    eigenstate,
     eigenstates,
     hamiltonian_action,
     number_diagonal,
@@ -222,48 +220,56 @@ def test_map_identities_on_grid():
                 assert abs(back.lam / pp.lam - 1) < 1e-13
 
 
+def _action_matrix(pp, dims, varphi=0.0):
+    """The matrix of ``hamiltonian_action`` at ``varphi``: its action on the
+    identity batch, column j the image of basis index j."""
+    eye = np.eye(dims.total).reshape(dims.n_field, dims.n_det, dims.total)
+    return hamiltonian_action(pp, eye, varphi).reshape(dims.total, dims.total)
+
+
 def test_hamiltonian_diagonal_at_zero_coupling():
     dims = FockDims(5, 4)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    h = build_hamiltonian(pp, 0.4, dims)
     expect = np.diag([3.0 * nf + 2.0 * nd for nf in range(5) for nd in range(4)])
-    np.testing.assert_allclose(h, expect, atol=1e-14)
+    for phi in (0.0, 0.4):
+        np.testing.assert_allclose(_action_matrix(pp, dims, phi), expect, atol=1e-14)
 
 
 def test_hamiltonian_hermitian_any_phase():
     dims = FockDims(8, 8)
     pp = PhysicalParams(1.9, 1.1, 0.4)
     for phi in (0.0, 0.3, 2.8, -1.2):
-        h = build_hamiltonian(pp, phi, dims)
+        h = _action_matrix(pp, dims, phi)
         assert np.abs(h - h.conj().T).max() < 1e-14
+    assert _action_matrix(pp, dims).dtype == float  # real at phi = 0
 
 
 def test_hamiltonian_rotation_covariance():
     # H(phi) = R(-phi) H(0) R(-phi)^dag with R the field rotation
     dims = FockDims(10, 10)
     pp = PhysicalParams(1.9, 1.1, 0.4)
+    h0 = _action_matrix(pp, dims)
     for phi in (0.3, 1.0, -2.2):
-        h_phi = build_hamiltonian(pp, phi, dims)
         r = np.exp(1j * phi * number_diagonal(dims, "field"))  # diagonal of R(-phi)
-        conj = r[:, None] * build_hamiltonian(pp, 0.0, dims) * r.conj()
-        assert np.abs(h_phi - conj).max() < 1e-12 * pp.Omega_a
+        conj = r[:, None] * h0 * r.conj()
+        assert np.abs(_action_matrix(pp, dims, phi) - conj).max() < 1e-12 * pp.Omega_a
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 5), (24, 24)])
 def test_hamiltonian_action_matches_sparse_hamiltonian(shape):
-    # the vector action of H(0) equals the dense matrix on complex batches,
-    # with and without the trailing column axis
+    # the vector action of H(phi) equals the Kronecker-built reference on
+    # complex batches, with and without the trailing column axis
     dims = FockDims(*shape)
     pp = forward_map(CANONICAL)
-    h = build_hamiltonian(pp, 0.0, dims)
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     amp = rng.normal(size=shape + (5,)) + 1j * rng.normal(size=shape + (5,))
-    expect = h @ amp.reshape(dims.total, 5)
-    got = hamiltonian_action(pp, amp).reshape(dims.total, 5)
-    rel = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
-    assert rel.max() <= 1e-12
-    one = hamiltonian_action(pp, amp[:, :, 0]).reshape(-1)
-    assert np.linalg.norm(one - expect[:, 0]) <= 1e-12 * np.linalg.norm(expect[:, 0])
+    for phi in (0.0, 0.3, -2.2):
+        expect = sparse_hamiltonian(pp, dims, phi).toarray() @ amp.reshape(dims.total, 5)
+        got = hamiltonian_action(pp, amp, phi).reshape(dims.total, 5)
+        rel = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
+        assert rel.max() <= 1e-12, phi
+        one = hamiltonian_action(pp, amp[:, :, 0], phi).reshape(-1)
+        assert np.linalg.norm(one - expect[:, 0]) <= 1e-12 * np.linalg.norm(expect[:, 0])
 
 
 def test_unitary_is_unitary_at_canonical_dp():
@@ -278,7 +284,7 @@ def test_diagonalization_chain_reproduces_hamiltonian():
     dp = DiagParams(math.exp(2 * (0.15 + 0.1)), 1.0, 0.1)  # gentle squeezes
     dims = FockDims(30, 30)
     pp = forward_map(dp)
-    h = build_hamiltonian(pp, 0.6, dims)
+    h = sparse_hamiltonian(pp, dims, 0.6)
     labels = [(a, b) for a in range(6) for b in range(6)]
     for (a, b), psi in zip(labels, eigenstates([dp] * len(labels), labels, 0.6, dims)):
         res = np.linalg.norm(h @ psi.amp - eigenvalue(dp, a, b) * psi.amp)
@@ -303,12 +309,12 @@ def test_eigenstate_decoupling_limits():
     # detuned decoupling: the dressed state collapses onto a single basis
     # state, with the mode labels swapped (omega_a tracks the detector gap)
     dp = invert_physical(PhysicalParams(2e9, 3e9, 2.0)).params
-    psi = eigenstate(dp, 2, 1, 0.0, dims)
+    psi, = eigenstates([dp], [(2, 1)], 0.0, dims)
     assert abs(psi.amp[dims.index(1, 2)]) > 1 - 1e-10
     # resonant decoupling: degenerate perturbation theory leaves an equal
     # superposition of the bare pair however small the coupling
     dp_res = invert_physical(PhysicalParams(2e9, 2e9, 2e9 * 1e-9)).params
-    pair = eigenstate(dp_res, 1, 0, 0.0, dims)
+    pair, = eigenstates([dp_res], [(1, 0)], 0.0, dims)
     assert abs(pair.amp[dims.index(1, 0)]) ** 2 == pytest.approx(0.5, abs=1e-6)
     assert abs(pair.amp[dims.index(0, 1)]) ** 2 == pytest.approx(0.5, abs=1e-6)
 
@@ -317,9 +323,10 @@ def test_eigenstate_rayleigh_residual_small_coupling():
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-6)
     dp = invert_physical(pp).params
     dims = FockDims(24, 24)
-    h = build_hamiltonian(pp, 0.0, dims)
-    for occ in ((0, 0), (1, 0), (0, 1)):
-        psi = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
+    h = sparse_hamiltonian(pp, dims)
+    occupations = ((0, 0), (1, 0), (0, 1))
+    for psi in eigenstates([dp] * 3, occupations, 0.0, dims):
+        psi = psi.amp
         e_val = float(np.real(np.vdot(psi, h @ psi)))
         res = np.linalg.norm(h @ psi - e_val * psi)
         assert res / pp.Omega_a < 1e-6
@@ -328,7 +335,7 @@ def test_eigenstate_rayleigh_residual_small_coupling():
 def test_eigenstate_occupation_guard():
     dims = FockDims(12, 12)
     with pytest.raises(ValueError, match="cutoff"):
-        eigenstate(CANONICAL, 6, 0, 0.0, dims)
+        eigenstates([CANONICAL], [(6, 0)], 0.0, dims)
 
 
 def test_label_eigenvalue_shift_scales_quadratically():
@@ -370,30 +377,30 @@ def test_eigenstate_matches_reference_chain_on_certify_grid():
             if ratio <= math.exp(2 * v):
                 continue
             dp = DiagParams(ratio, 1.0, v)
-            for occ in cli.CERT_OCCUPATIONS:
-                fast = eigenstate(dp, occ[0], occ[1], 0.0, dims).amp
+            fast = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.0, dims)
+            for occ, state in zip(cli.CERT_OCCUPATIONS, fast):
                 ref = reference_eigenstate(dp, occ[0], occ[1], 0.0, dims)
-                worst = max(worst, np.abs(fast - ref).max())
+                worst = max(worst, np.abs(state.amp - ref).max())
     assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("varphi", [0.4, -2.3])
 def test_eigenstate_matches_reference_chain_nonzero_phase(varphi):
     dims = FockDims(24, 24)
-    for occ in cli.CERT_OCCUPATIONS:
-        fast = eigenstate(CANONICAL, occ[0], occ[1], varphi, dims).amp
+    fast = eigenstates([CANONICAL] * 4, cli.CERT_OCCUPATIONS, varphi, dims)
+    for occ, state in zip(cli.CERT_OCCUPATIONS, fast):
         ref = reference_eigenstate(CANONICAL, occ[0], occ[1], varphi, dims)
-        assert np.abs(fast - ref).max() <= 1e-13
+        assert np.abs(state.amp - ref).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dims", [FockDims(20, 12), FockDims(12, 20)])
 def test_eigenstate_matches_reference_chain_rectangular(dims):
     # total-number blocks of the beam splitter are cut unevenly by the two cutoffs
     dp = DiagParams(math.e ** 3, 1.0, 0.45)
-    for occ in ((0, 0), (2, 1), (1, 3), (4, 5)):
-        fast = eigenstate(dp, occ[0], occ[1], 0.7, dims).amp
+    occupations = ((0, 0), (2, 1), (1, 3), (4, 5))
+    for occ, state in zip(occupations, eigenstates([dp] * 4, occupations, 0.7, dims)):
         ref = reference_eigenstate(dp, occ[0], occ[1], 0.7, dims)
-        assert np.abs(fast - ref).max() <= 1e-13
+        assert np.abs(state.amp - ref).max() <= 1e-13
 
 
 CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
@@ -410,7 +417,7 @@ def test_eigenstates_batch_equals_batch_of_one(dims, dps):
         batch = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.7, dims)
         assert len(batch) == len(cli.CERT_OCCUPATIONS)
         for occ, state in zip(cli.CERT_OCCUPATIONS, batch):
-            one = eigenstate(dp, occ[0], occ[1], 0.7, dims)
+            one, = eigenstates([dp], [occ], 0.7, dims)
             assert np.abs(state.amp - one.amp).max() <= 1e-15
 
 
@@ -422,7 +429,7 @@ def test_eigenstates_mixed_dps_equal_per_dp_eigenstate():
     batch = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], 0.7, dims)
     assert len(batch) == len(pairs) == 32
     for (dp, occ), state in zip(pairs, batch):
-        one = eigenstate(dp, occ[0], occ[1], 0.7, dims)
+        one, = eigenstates([dp], [occ], 0.7, dims)
         assert np.abs(state.amp - one.amp).max() <= 1e-15
 
 

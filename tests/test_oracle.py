@@ -12,8 +12,6 @@ from berrytherm.fockspace import (
     FockDims,
     StateVector,
     basis_state,
-    build_hamiltonian,
-    eigenstate,
     eigenstates,
     number_diagonal,
 )
@@ -29,9 +27,8 @@ from berrytherm.oracle import (
     LoopSpec,
     OracleError,
     berry_connection_v,
-    discrete_berry_loop,
+    discrete_berry_loops,
     excitation_probability_per_cycle,
-    numeric_eigenpair,
     numeric_eigenpairs,
     pancharatnam_product,
     partial_sum_from_eps,
@@ -47,6 +44,21 @@ CANONICAL = DiagParams(2e9 / E2 * E2, 2e9 / E2, 0.3)  # == (2e9, 2e9/e^2, 0.3)
 TAU = 2 * math.pi
 
 
+def _pair(pp, target, parity):
+    """The one eigenpair, or refusal, of a stack of one."""
+    return numeric_eigenpairs([pp], [target], parity)[0]
+
+
+def _loop(dp, n_f, n_d, spec, dims):
+    """The one loop phase, or refusal, of a batch of one on the one-rung ladder [dims]."""
+    return discrete_berry_loops([dp], [(n_f, n_d)], spec, [dims])[0]
+
+
+def _target(dp, n_f, n_d, varphi, dims):
+    """The closed-form eigenstate of a batch of one."""
+    return eigenstates([dp], [(n_f, n_d)], varphi, dims)[0]
+
+
 def test_loopspec_validation():
     with pytest.raises(ValueError):
         LoopSpec(n_points=8)
@@ -55,7 +67,7 @@ def test_loopspec_validation():
 def test_numeric_eigenpair_decoupled():
     dims = FockDims(6, 6)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    pair = numeric_eigenpair(pp, basis_state(dims, 1, 0), 1)
+    pair = _pair(pp, basis_state(dims, 1, 0), 1)
     assert pair.value == pytest.approx(3.0, abs=1e-12)
     assert abs(pair.vector.amp[dims.index(1, 0)]) == pytest.approx(1.0, abs=1e-12)
     # gauge fix: largest component real positive
@@ -66,13 +78,13 @@ def test_numeric_eigenpair_decoupled():
 def test_numeric_eigenpair_residual_contract():
     dims = FockDims(14, 14)
     pp = forward_map(CANONICAL)
-    h = build_hamiltonian(pp, 0.0, dims)
-    target = eigenstate(CANONICAL, 0, 0, 0.0, dims)
-    pair = numeric_eigenpair(pp, target, 0)
+    h = sparse_hamiltonian(pp, dims)
+    target = _target(CANONICAL, 0, 0, 0.0, dims)
+    pair = _pair(pp, target, 0)
     res = np.linalg.norm(h @ pair.vector.amp - pair.value * pair.vector.amp)
-    assert res < 1e-10 * np.abs(h).max()
+    assert res < 1e-10 * abs(h).max()
     # a complex target (here a global phase) runs the solve in complex arithmetic
-    rephased = numeric_eigenpair(pp, StateVector(dims, np.exp(0.7j) * target.amp), 0)
+    rephased = _pair(pp, StateVector(dims, np.exp(0.7j) * target.amp), 0)
     assert abs(rephased.value - pair.value) <= 1e-12 * abs(pair.value)
     assert 1.0 - abs(np.vdot(rephased.vector.amp, pair.vector.amp)) <= 1e-12
 
@@ -82,9 +94,9 @@ def test_numeric_eigenpair_overlap_certification():
     pp = PhysicalParams(2e9, 2e9, 2e9 * 1e-7)
     dp = invert_physical(pp).params
     dims = FockDims(14, 14)
-    for occ in ((0, 0), (1, 0), (0, 1)):
-        target = eigenstate(dp, occ[0], occ[1], 0.0, dims)
-        pair = numeric_eigenpair(pp, target, sum(occ) % 2)
+    occupations = ((0, 0), (1, 0), (0, 1))
+    for occ, target in zip(occupations, eigenstates([dp] * 3, occupations, 0.0, dims)):
+        pair = _pair(pp, target, sum(occ) % 2)
         assert pair.overlap > 1 - 1e-8
 
 
@@ -96,8 +108,7 @@ def test_numeric_eigenpair_sparse_repeatable_bits(varphi):
     pp = forward_map(CANONICAL)
     h0 = sparse_hamiltonian(pp, dims)
     r = np.exp(1j * varphi * number_diagonal(dims, "field"))
-    pairs = [numeric_eigenpair(pp, eigenstate(CANONICAL, 1, 1, 0.0, dims), 0)
-             for _ in range(3)]
+    pairs = [_pair(pp, _target(CANONICAL, 1, 1, 0.0, dims), 0) for _ in range(3)]
     vecs = [r * pair.vector.amp for pair in pairs]
     for pair, vec in zip(pairs[1:], vecs[1:]):
         assert pair.value == pairs[0].value
@@ -106,7 +117,7 @@ def test_numeric_eigenpair_sparse_repeatable_bits(varphi):
     assert not pairs[0].vector.amp.imag.any()  # H(0) is real: so is the gauge-fixed vector
     res = np.linalg.norm(h0 @ pairs[0].vector.amp - pairs[0].value * pairs[0].vector.amp)
     assert res < 1e-10 * abs(h0).max()
-    target = eigenstate(CANONICAL, 1, 1, varphi, dims)
+    target = _target(CANONICAL, 1, 1, varphi, dims)
     assert abs(np.vdot(target.amp, vecs[0])) > 0.999
     assert vecs[0].imag.any() == (varphi != 0.0)
 
@@ -118,8 +129,9 @@ def test_numeric_eigenpair_ambiguity():
     pp = PhysicalParams(3.0, 2.0, 0.0)
     mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 1).amp \
         + basis_state(dims, 0, 2).amp
-    with pytest.raises(OracleError, match="ambiguous: overlap 0.5774"):
-        numeric_eigenpair(pp, StateVector(dims, mixed), 0)
+    refusal = _pair(pp, StateVector(dims, mixed), 0)
+    assert isinstance(refusal, OracleError)
+    assert "ambiguous: overlap 0.5774" in str(refusal)
 
 
 def test_numeric_eigenpair_refuses_unconverged():
@@ -128,8 +140,9 @@ def test_numeric_eigenpair_refuses_unconverged():
     dims = FockDims(5, 5)
     pp = PhysicalParams(3.0, 2.0, 0.0)
     mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 1).amp
-    with pytest.raises(OracleError, match=f"unconverged after {oracle.RQI_MAX_STEPS} solves"):
-        numeric_eigenpair(pp, StateVector(dims, mixed), 0)
+    refusal = _pair(pp, StateVector(dims, mixed), 0)
+    assert isinstance(refusal, OracleError)
+    assert f"unconverged after {oracle.RQI_MAX_STEPS} solves" in str(refusal)
 
 
 def test_pancharatnam_gauge_invariance():
@@ -145,13 +158,13 @@ def test_pancharatnam_gauge_invariance():
 
 def test_loop_zero_coupling_gives_zero_phase():
     dp = DiagParams(E2, 1.0, 1e-7)  # essentially decoupled
-    res = discrete_berry_loop(dp, 1, 0, LoopSpec(256), FockDims(16, 16))
+    res = _loop(dp, 1, 0, LoopSpec(256), FockDims(16, 16))
     assert phase_distance(res.phase.raw, 0.0) < 1e-6
 
 
 def test_loop_matches_closed_form_canonical():
     spec = LoopSpec(n_points=2048)
-    res = discrete_berry_loop(CANONICAL, 1, 0, spec, FockDims(40, 40))
+    res = _loop(CANONICAL, 1, 0, spec, FockDims(40, 40))
     closed = eigen_berry_phase(CANONICAL, 1, 0)
     assert phase_distance(res.phase.raw, closed.raw) < 1e-6
     # raw values agree as well (loop winding reconstructs the unreduced phase)
@@ -162,8 +175,8 @@ def test_loop_doubling_convergence():
     spec1 = LoopSpec(n_points=2048)
     spec2 = LoopSpec(n_points=4096)
     dims = FockDims(36, 36)
-    r1 = discrete_berry_loop(CANONICAL, 0, 1, spec1, dims)
-    r2 = discrete_berry_loop(CANONICAL, 0, 1, spec2, dims)
+    r1 = _loop(CANONICAL, 0, 1, spec1, dims)
+    r2 = _loop(CANONICAL, 0, 1, spec2, dims)
     assert abs(r1.phase.raw - r2.phase.raw) < 1e-8
     assert r1.error_estimate < 1e-4
 
@@ -174,14 +187,14 @@ def _every_point_loop(dp, n_f, n_d, spec, dims):
     product, Richardson-refined over the N and 2N grids; small cutoffs only.
     Returns (raw phase, smallest consecutive overlap)."""
     pp = forward_map(dp)
-    chi = numeric_eigenpair(pp, eigenstate(dp, n_f, n_d, 0.0, dims), (n_f + n_d) % 2).vector
+    chi = _pair(pp, _target(dp, n_f, n_d, 0.0, dims), (n_f + n_d) % 2).vector
 
     def loop_at(n_points):
         states = []
         prev = chi.amp
         min_ov = 1.0
         for phi in 2.0 * math.pi * np.arange(n_points) / n_points:
-            _, vecs = np.linalg.eigh(build_hamiltonian(pp, phi, dims))
+            _, vecs = np.linalg.eigh(sparse_hamiltonian(pp, dims, phi).toarray())
             ovl = np.abs(vecs.conj().T @ prev)
             best = int(np.argmax(ovl))
             min_ov = min(min_ov, float(ovl[best]))
@@ -209,14 +222,14 @@ def test_loop_every_point_matches_propagated(monkeypatch):
     # method-equivalence check: loosen the absolute truncation gate, both
     # routes share the same truncated eigenvector
     monkeypatch.setattr(oracle, "TRUNCATION_GATE", 1e-3)
-    b = discrete_berry_loop(dp, 1, 0, spec, dims)
+    b = _loop(dp, 1, 0, spec, dims)
     assert phase_distance(raw, b.phase.raw) < 1e-9
     assert min_overlap > 0.99
 
 
 def test_loop_truncation_gate_refuses():
-    with pytest.raises(OracleError, match="truncation"):
-        discrete_berry_loop(CANONICAL, 1, 0, LoopSpec(256), FockDims(12, 12))
+    refusal = _loop(CANONICAL, 1, 0, LoopSpec(256), FockDims(12, 12))
+    assert isinstance(refusal, OracleError) and "truncation" in str(refusal)
 
 
 def _parity_sector(dims, parity):
@@ -242,7 +255,7 @@ def test_sector_eigenpair_matches_full_space_on_certify_grid():
                 continue
             dp = DiagParams(ratio, 1.0, v)
             pp = forward_map(dp)
-            h = build_hamiltonian(pp, 0.0, dims).real
+            h = sparse_hamiltonian(pp, dims).toarray()
             ref = {}
             for parity in (0, 1):
                 sector = _parity_sector(dims, parity)
@@ -251,7 +264,7 @@ def test_sector_eigenpair_matches_full_space_on_certify_grid():
             targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.0, dims)
             for (n_f, n_d), target in zip(cli.CERT_OCCUPATIONS, targets):
                 sector, vals, vecs = ref[(n_f + n_d) % 2]
-                _assert_matches(numeric_eigenpair(pp, target, (n_f + n_d) % 2),
+                _assert_matches(_pair(pp, target, (n_f + n_d) % 2),
                                 target, vals, vecs, sector)
 
 
@@ -261,13 +274,13 @@ def test_numeric_eigenpair_matches_eigsh_on_top_rung():
     dims = FockDims(78, 78)
     dp = DiagParams(math.e ** 3, 1.0, 0.6)
     pp = forward_map(dp)
-    target = eigenstate(dp, 1, 1, 0.0, dims)
+    target = _target(dp, 1, 1, 0.0, dims)
     sector = _parity_sector(dims, 0)
     h = sparse_hamiltonian(pp, dims)[sector][:, sector].tocsc()
     start = target.amp[sector].real
     vals, vecs = spla.eigsh(h, k=3, sigma=start @ (h @ start), which="LM",
                             v0=np.ones(len(sector)))
-    _assert_matches(numeric_eigenpair(pp, target, 0), target, vals, vecs, sector)
+    _assert_matches(_pair(pp, target, 0), target, vals, vecs, sector)
 
 
 def test_mixed_dp_loops_match_per_dp_calls():
@@ -320,7 +333,7 @@ def test_stacked_eigenpairs_match_one_at_a_time_on_certify_rung():
         pps = [forward_map(dp) for dp, _ in pairs]
         targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], 0.0, dims)
         _assert_same_pairs(numeric_eigenpairs(pps, targets, parity),
-                           [numeric_eigenpair(pp, t, parity) for pp, t in zip(pps, targets)])
+                           [_pair(pp, t, parity) for pp, t in zip(pps, targets)])
 
 
 def test_stacked_eigenpairs_return_refusals_as_values():
@@ -380,7 +393,7 @@ def test_ladder_walk_matches_fresh_single_rung_loops():
                  if got.dims != ladder[0]]
     assert len(escalated) == 12
     for dp, (n_f, n_d), got in escalated:
-        fresh = discrete_berry_loop(dp, n_f, n_d, LoopSpec(), got.dims)
+        fresh = _loop(dp, n_f, n_d, LoopSpec(), got.dims)
         assert abs(got.phase.raw - fresh.phase.raw) <= 1e-12
         assert abs(got.truncation_tail - fresh.truncation_tail) <= 1e-15
     with pytest.raises(ValueError, match="growing"):
@@ -389,9 +402,9 @@ def test_ladder_walk_matches_fresh_single_rung_loops():
 
 def test_sector_solve_refuses_target_outside_sector():
     dims = FockDims(12, 12)
-    amp = eigenstate(CANONICAL, 1, 0, 0.0, dims).amp + 1e-9 * basis_state(dims, 0, 0).amp
-    with pytest.raises(OracleError, match="outside the sector"):
-        numeric_eigenpair(forward_map(CANONICAL), StateVector(dims, amp), 1)
+    amp = _target(CANONICAL, 1, 0, 0.0, dims).amp + 1e-9 * basis_state(dims, 0, 0).amp
+    refusal = _pair(forward_map(CANONICAL), StateVector(dims, amp), 1)
+    assert isinstance(refusal, OracleError) and "outside the sector" in str(refusal)
 
 
 def test_partial_sum_single_term():
@@ -419,6 +432,14 @@ def test_partial_sum_refuses_fat_tail():
     r = math.atanh(math.sqrt(0.9))
     with pytest.raises(OracleError, match="n_max"):
         partial_sum_from_eps(-0.25, 0.0, r, 40)
+    # the refusal reads the tail of thermal_weights, and required_levels
+    # sizes the sum to just below it
+    for r in (0.3, 0.9, 2.0, 4.0):
+        n_max = required_levels(r)
+        assert thermal_weights(r, n_max)[1] < oracle.TAIL_TARGET
+        partial_sum_from_eps(0.2, 0.0, r, n_max)
+        with pytest.raises(OracleError, match=f"need n_max >= {n_max}"):
+            partial_sum_from_eps(0.2, 0.0, r, n_max - 1)
 
 
 def test_mixed_phase_dp_route():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from berrytherm.geomphase import unruh_squeeze
-from berrytherm.oracle import ThermalStateSpec, required_levels, thermal_weights
+from berrytherm.oracle import required_levels, thermal_weights
 from berrytherm.thermo import CONSTANTS, squeeze_from_temperature, unruh_temperature
 
 
@@ -71,30 +71,21 @@ def test_thermal_weights_geometric_tail():
     w, tail = thermal_weights(r, 25)
     assert w.sum() + tail == pytest.approx(1.0, abs=1e-14)
     assert tail == pytest.approx(math.tanh(r) ** 52, rel=1e-12)
-    spec = ThermalStateSpec(omega=1e9, temperature=0.01, n_max=37)
-    w, tail = thermal_weights(spec.r_T, spec.n_max)
-    assert tail == pytest.approx(spec.tail, rel=1e-10) and tail < 1e-12
+    r_t = squeeze_from_temperature(1e9, 0.01).r
+    w, tail = thermal_weights(r_t, 37)
+    assert tail == pytest.approx(math.tanh(r_t) ** 76, rel=1e-10) and tail < 1e-12
     # zero-temperature limit: all weight on the ground level
-    cold = ThermalStateSpec(omega=1e9, temperature=1e-6, n_max=2)
-    w, _ = thermal_weights(cold.r_T, cold.n_max)
+    w, _ = thermal_weights(squeeze_from_temperature(1e9, 1e-6).r, 2)
     np.testing.assert_allclose(w, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_planck_mean_occupation():
     # sum n w_n = sinh^2 r (geometric-series identity)
-    spec = ThermalStateSpec.for_tail(1e9, 0.012)
-    w, _ = thermal_weights(spec.r_T, spec.n_max)
-    mean_n = float(np.sum(w * np.arange(spec.n_max + 1)))
-    assert mean_n == pytest.approx(math.sinh(spec.r_T) ** 2, abs=1e-10)
-
-
-def test_thermal_spec_r_T_is_squeeze_from_temperature():
-    # one route to r_T: bit-identical to squeeze_from_temperature on a grid
-    # reaching the high-temperature end (1e6 rad/s at 1 K and 100 K)
-    for omega in (1e6, 1e8, 1e9, 2e9):
-        for temperature in (1e-3, 0.012, 0.3, 1.0, 100.0):
-            spec = ThermalStateSpec(omega, temperature, n_max=10)
-            assert spec.r_T == squeeze_from_temperature(omega, temperature).r
+    r_t = squeeze_from_temperature(1e9, 0.012).r
+    n_max = required_levels(r_t)
+    w, _ = thermal_weights(r_t, n_max)
+    mean_n = float(np.sum(w * np.arange(n_max + 1)))
+    assert mean_n == pytest.approx(math.sinh(r_t) ** 2, abs=1e-10)
 
 
 def test_required_levels_matches_tail():
