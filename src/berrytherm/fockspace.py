@@ -16,6 +16,7 @@ Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -127,32 +128,49 @@ def _warn_squeeze_truncation(n: int, t: float) -> None:
         )
 
 
-def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
-    """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
+def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the bidiagonal B in the Golub-Kahan form of the zero-diagonal
+    tridiagonal with off-diagonal ``beta``: for the antisymmetric
+    J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]] on the
+    (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1].
 
-    J couples even rows only to odd ones: J = [[0, B], [-B^T, 0]] on the
-    (even, odd) row split, the Golub-Kahan form of the bidiagonal B.  With
-    B = U diag(sigma) V^T,
-
-        even rows: x_e + U [(cos c sigma - 1) U^T x_e + sin c sigma V^T x_o]
-        odd rows:  x_o + V [(cos c sigma - 1) V^T x_o - sin c sigma U^T x_e]
-
-    all in real arithmetic, and cos - 1 = -2 sin^2(c sigma / 2) keeps x exact
-    and the change relatively accurate when c sigma is small.  The SVD is of
-    B^T as a square upper-bidiagonal matrix (a zero row pads it for odd n),
-    which LAPACK's Householder bidiagonalization leaves unchanged, so no
-    rounding enters before the bidiagonal SVD itself.  ``x`` is a real vector
-    or a matrix acted on along axis 0; ``c`` is a scalar or, for a matrix, one
-    value per column, so one SVD serves columns with different parameters.
+    Returns (U^T, sigma, V) with B = U diag(sigma) V^T: U^T square over the
+    even rows, sigma descending, V with one row per odd row.  For odd n the
+    last sigma is the structural zero and the last row of U^T its null
+    vector.  The SVD is of B^T as a square upper-bidiagonal matrix (a zero
+    row pads it for odd n), which LAPACK's Householder bidiagonalization
+    leaves unchanged, so no rounding enters before the bidiagonal SVD
+    itself.  The symmetric tridiagonal with the same ``beta`` has the
+    bidiagonal D_e B D_o, D_e = diag((-1)^i) and D_o = diag(-(-1)^i): the
+    same sigma, and singular vectors that differ only in signs.
     """
-    if len(beta) == 0 or not x.any():
-        return x.copy()
     n_even, n_odd = (len(beta) + 2) // 2, (len(beta) + 1) // 2
     bt = np.zeros((n_even, n_even))
     bt[np.arange(n_odd), np.arange(n_odd)] = -beta[0::2]
     bt[np.arange(n_even - 1), np.arange(1, n_even)] = beta[1::2]
     v, sigma, ut = np.linalg.svd(bt)
-    v = v[:n_odd]
+    return ut, sigma, v[:n_odd]
+
+
+def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
+    """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
+
+    J couples even rows only to odd ones: J = [[0, B], [-B^T, 0]] on the
+    (even, odd) row split, the Golub-Kahan form of the bidiagonal B.  With
+    B = U diag(sigma) V^T (``_golub_kahan_svd``),
+
+        even rows: x_e + U [(cos c sigma - 1) U^T x_e + sin c sigma V^T x_o]
+        odd rows:  x_o + V [(cos c sigma - 1) V^T x_o - sin c sigma U^T x_e]
+
+    all in real arithmetic, and cos - 1 = -2 sin^2(c sigma / 2) keeps x exact
+    and the change relatively accurate when c sigma is small.  ``x`` is a real
+    vector or a matrix acted on along axis 0; ``c`` is a scalar or, for a
+    matrix, one value per column, so one SVD serves columns with different
+    parameters.
+    """
+    if len(beta) == 0 or not x.any():
+        return x.copy()
+    ut, sigma, v = _golub_kahan_svd(beta)
     angle = (sigma[:, None] if x.ndim == 2 else sigma) * c
     cos_m1, sin = -2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)
     w_e, w_o = ut @ x[0::2], v.T @ x[1::2]
@@ -210,10 +228,20 @@ def truncation_tail(state: StateVector) -> float:
 # The detector-field Hamiltonian and the diagonalizing chain
 # --------------------------------------------------------------------------
 
-def _position(n: int, first: int = 0) -> np.ndarray:
-    """a + a' on the n levels first .. first + n - 1."""
-    off = np.sqrt(np.arange(first + 1.0, first + n))
+def _position(n: int) -> np.ndarray:
+    """a + a' on the n levels 0 .. n - 1."""
+    off = np.sqrt(np.arange(1.0, n))
     return np.diag(off, 1) + np.diag(off, -1)
+
+
+@functools.lru_cache(maxsize=64)
+def _coupling_path(shape: tuple[int, ...]) -> list:
+    """The contraction order of ``hamiltonian_action``'s X_f amp X_d^T for an
+    amplitude array of ``shape``, planned once per shape: the order depends
+    on the shapes alone, so the planned path gives the bits of optimize=True."""
+    n_field, n_det = shape[:2]
+    return np.einsum_path("ij,kl,jl...->ik...", np.empty((n_field, n_field)),
+                          np.empty((n_det, n_det)), np.empty(shape), optimize=True)[0]
 
 
 def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
@@ -235,7 +263,8 @@ def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
     tail = (1,) * (amp.ndim - 2)
     n_f = np.arange(n_field).reshape((-1, 1) + tail)
     n_d = np.arange(n_det).reshape((1, -1) + tail)
-    coupled = np.einsum("ij,kl,jl...->ik...", x_f, _position(n_det), amp, optimize=True)
+    coupled = np.einsum("ij,kl,jl...->ik...", x_f, _position(n_det), amp,
+                        optimize=_coupling_path(amp.shape))
     return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
 
 

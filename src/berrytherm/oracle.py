@@ -15,8 +15,11 @@ parity as one stacked iteration; and a pair refused at a rung continues at the
 next from its last eigenvector.  Every field-state quadrature of the
 adiabaticity check is the Gauss rule of x_f = a + a' on a window of field
 levels: the eigenvalues of its Jacobi matrix and their eigenvector components
-(Golub and Welsch, Math. Comp. 23, 221, 1969), from numpy's eigh.  The module
-needs only numpy.
+(Golub and Welsch, Math. Comp. 23, 221, 1969).  That matrix has a zero
+diagonal, so it is the Golub-Kahan form of a bidiagonal of half its size, and
+one SVD of the bidiagonal gives the rule (``_field_rule``, through the helper
+the chain's block exponentials use); no field window is diagonalized densely.
+The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .diagonalization import DiagParams, OracleError, PhysicalParams, forward_ma
 from .fockspace import (
     FockDims,
     StateVector,
+    _golub_kahan_svd,
     _position,
     eigenstates,
     hamiltonian_action,
@@ -62,7 +66,8 @@ AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-12     # unitarity check of the detector propagator, on every node
 RQI_MAX_STEPS = 8            # shifted solves before the iteration refuses
 RQI_TOL = 1e-13              # converged once |H v - sigma v| <= this times max |diag H|
-MAX_WINDOW = 2048            # field-window half-width cap: eigh of 4097 levels, ~650 MB
+MAX_WINDOW = 2048            # field-window half-width cap: 4097-level rule ~4 s, ~300 MB (2 vCPUs)
+CYCLE_BLOCK = 1 << 15        # detector amplitudes per block of cycles: 0.5 MB per temporary
 THERMAL_NODES = 80           # first Gauss-Hermite node count of the thermal mixture
 MAX_NODES = 320              # node-doubling cap on cost: one detector drive per node
 NODE_TOL = 1e-9              # converged once a doubling moves P by at most this times max P,
@@ -441,9 +446,10 @@ def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, start: np.ndarray,
     exp(-2 pi i c K) up to a diagonal phase that no population sees.  One
     stacked eigh, K = V diag(w) V^T, gives psi_c = V (e^{-2 pi i c w} * V[0] start)
     at every cycle, the phase evaluated afresh per cycle so that rounding does
-    not accumulate.  Refuses when a node's norm moves from |start_k| by more
-    than NORM_DRIFT_LIMIT.  Returns sum_{d >= 1} |psi_d|^2 per cycle and drive,
-    and the final amplitudes."""
+    not accumulate.  The cycles go in blocks of at most CYCLE_BLOCK amplitudes,
+    one numpy call per step for a whole block.  Refuses when a node's norm moves
+    from |start_k| by more than NORM_DRIFT_LIMIT.  Returns sum_{d >= 1} |psi_d|^2
+    per cycle and drive, and the final amplitudes."""
     levels = np.arange(DETECTOR_LEVELS)
     generator = kappa[:, None, None] * _position(DETECTOR_LEVELS)
     generator[:, levels, levels] += (pp.Omega_b / pp.Omega_a) * levels
@@ -451,9 +457,13 @@ def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, start: np.ndarray,
     coef = v[:, 0, :] * start[:, None]
     excited = np.empty((cycles, len(start)))
     psi = start[:, None] * (levels == 0)
-    for c in range(cycles):
-        psi = np.einsum("kij,kj->ki", v, np.exp(-2j * math.pi * (c + 1) * w) * coef)
-        excited[c] = np.sum(np.abs(psi[:, 1:]) ** 2, axis=1)
+    block = max(1, CYCLE_BLOCK // coef.size)
+    for first in range(0, cycles, block):
+        c = np.arange(first + 1, min(first + block, cycles) + 1)
+        phase = np.exp(-2j * math.pi * c[:, None, None] * w)
+        amps = np.einsum("kij,ckj->cki", v, phase * coef)
+        excited[first:first + len(c)] = np.sum(np.abs(amps[:, :, 1:]) ** 2, axis=2)
+        psi = amps[-1]
     drift = float(np.abs(np.linalg.norm(psi, axis=1) - np.abs(start)).max())
     if drift > NORM_DRIFT_LIMIT:
         raise OracleError(f"propagator not unitary: norm drift {drift:.3e} "
@@ -461,12 +471,31 @@ def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, start: np.ndarray,
     return excited, psi
 
 
-def _field_rule(n: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues xi_j (ascending) of x_f = a + a' on the levels first .. first + n - 1,
-    and the eigenvector matrix <first + k | xi_j>: the Gauss rule of x_f on those
-    levels (Golub-Welsch).  From level 0 it is the Gauss-Hermite rule of a
+def _field_rule(n: int, first: int, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule of x_f = a + a' on the levels first .. first + n - 1
+    (Golub-Welsch): its eigenvalues xi_j, ascending, and for each k of ``rows``
+    the row <first + k | xi_j> of eigenvector amplitudes.
+
+    x_f has a zero diagonal, so on the (even, odd) level split it is the
+    Golub-Kahan form [[0, B], [B^T, 0]] of a half-size bidiagonal B, whose SVD
+    (``_golub_kahan_svd``, with the signs (-1)^((k+1)//2) per level that turn its
+    antisymmetric form into x_f) gives the whole rule: each singular triple
+    (sigma, u, v) gives the nodes -sigma and +sigma with the eigenvectors
+    (u, -v) / sqrt(2) and (u, v) / sqrt(2), and odd n adds the node 0 with the
+    null vector (u_0, 0).  Only the requested rows are formed, never the n x n
+    eigenvector matrix.  From level 0 it is the Gauss-Hermite rule of a
     unit-variance Gaussian, xi_j = sqrt(2) t_j with weight |<0|xi_j>|^2 = w_j / sqrt(pi)."""
-    return np.linalg.eigh(_position(n, first))
+    ut, sigma, v = _golub_kahan_svd(np.sqrt(np.arange(first + 1.0, first + n)))
+    m, k = n // 2, np.asarray(rows)
+    even = k % 2 == 0
+    part = np.empty((len(k), len(sigma)))
+    part[even], part[~even] = ut.T[k[even] // 2], v[k[~even] // 2]
+    part *= np.where((k + 1) // 2 % 2, -1.0, 1.0)[:, None]  # the level signs of x_f
+    pair = part[:, :m] / math.sqrt(2.0)  # the nodes +sigma_j, sigma descending
+    zero = np.where(even[:, None], part[:, m:], 0.0)  # empty for even n
+    amps = np.concatenate([np.where(even, 1.0, -1.0)[:, None] * pair, zero, pair[:, ::-1]],
+                          axis=1)
+    return np.concatenate([-sigma[:m], np.zeros(n % 2), sigma[m - 1::-1]]), amps
 
 
 def _evolve(pp: PhysicalParams, n0: int, cycles: int, window: int) -> tuple[np.ndarray, float]:
@@ -481,10 +510,11 @@ def _evolve(pp: PhysicalParams, n0: int, cycles: int, window: int) -> tuple[np.n
     levels at each end of the window (the top end only, from 0).
     """
     low = max(n0 - window, 0)
-    xi, vecs = _field_rule(n0 + window - low + 1, low)
-    excited, psi = _detector_cycles(pp, (pp.lam / pp.Omega_a) * xi, vecs[n0 - low], cycles)
-    edge = vecs[[0, 1, -2, -1] if low > 0 else [-2, -1]] @ psi
-    return excited.sum(axis=1), float(np.linalg.norm(edge))
+    n = n0 + window - low + 1
+    edges = [0, 1, n - 2, n - 1] if low > 0 else [n - 2, n - 1]
+    xi, amps = _field_rule(n, low, [n0 - low] + edges)
+    excited, psi = _detector_cycles(pp, (pp.lam / pp.Omega_a) * xi, amps[0], cycles)
+    return excited.sum(axis=1), float(np.linalg.norm(amps[1:] @ psi))
 
 
 def excitation_probability_per_cycle(
@@ -542,10 +572,10 @@ def thermal_excitation_per_cycle(
     g, sigma = pp.lam / pp.Omega_a, math.sqrt(math.cosh(2.0 * r_thermal))
     nodes, previous = THERMAL_NODES, np.inf
     while nodes <= MAX_NODES:
-        xi, vecs = _field_rule(nodes)
+        xi, amps = _field_rule(nodes, 0, [0])
         x = sigma * xi
         excited, _ = _detector_cycles(pp, g * x, np.ones(nodes), cycles)
-        per_cycle = excited @ vecs[0] ** 2
+        per_cycle = excited @ amps[0] ** 2
         change = float(np.abs(per_cycle - previous).max())
         if change <= max(NODE_TOL * per_cycle.max(), POPULATION_FLOOR):
             return ThermalExcitation(per_cycle, change, x)

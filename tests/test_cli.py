@@ -671,6 +671,29 @@ def test_package_builds_no_kronecker_product():
     assert offenders == []
 
 
+def _eigensolver_calls(source: str) -> list[str]:
+    """The enclosing top-level function (or "<module>") of every dense eigensolver
+    call in ``source``, however it was imported."""
+    solvers = {"eig", "eigh", "eigvals", "eigvalsh", "eigh_tridiagonal"}
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [where for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and (getattr(node.func, "attr", None) in solvers
+                       or getattr(node.func, "id", None) in solvers)]
+    return found
+
+
+def test_oracle_solves_no_field_window_densely():
+    # the Gauss rules of x_f come from the half-size bidiagonal SVD: the one dense
+    # eigensolver call left is the stacked detector generator of _detector_cycles
+    sample = ("from numpy.linalg import eigh\nw = eigh(m)\n"
+              "def f(x):\n    return np.linalg.eigvalsh(x)\n")
+    assert _eigensolver_calls(sample) == ["<module>", "f"]
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert _eigensolver_calls(source) == ["_detector_cycles"]
+
+
 def _package_modules():
     """The package itself and each of its modules."""
     return [importlib.import_module("berrytherm" if path.stem == "__init__"

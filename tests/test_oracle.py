@@ -611,7 +611,8 @@ def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
     assert [len(kappa) for kappa, *_ in calls] == [80, 160, 320]
     assert len(mix.grid) > 80
-    p80, p160 = (calls[i][1] @ oracle._field_rule(n)[1][0] ** 2 for i, n in ((0, 80), (1, 160)))
+    p80, p160 = (calls[i][1] @ oracle._field_rule(n, 0, [0])[1][0] ** 2
+                 for i, n in ((0, 80), (1, 160)))
     assert np.abs(p160 / p80 - 1.0).max() > 1e-4
     assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()
     # every node of every doubling keeps its norm to the 1e-12 unitarity check
@@ -638,17 +639,74 @@ def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
         thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
 
 
-@pytest.mark.parametrize("nodes", [80, 160, 320])
+@pytest.mark.parametrize("nodes", [80, 81, 160, 161, 320])
 def test_field_rule_is_gauss_hermite(nodes):
-    # x_f on levels 0 .. N-1 gives numpy's Gauss-Hermite rule: x = sqrt(2) t, w / sqrt(pi)
-    xi, vecs = oracle._field_rule(nodes)
+    # x_f on levels 0 .. N-1 gives numpy's Gauss-Hermite rule: x = sqrt(2) t, w / sqrt(pi);
+    # an odd N has the node 0, exactly
+    xi, amps = oracle._field_rule(nodes, 0, [0])
     t, w = np.polynomial.hermite.hermgauss(nodes)
     np.testing.assert_allclose(xi, math.sqrt(2.0) * t, rtol=1e-13, atol=0)
-    weights = vecs[0] ** 2
+    weights = amps[0] ** 2
     np.testing.assert_allclose(weights, w / math.sqrt(math.pi), rtol=0, atol=1e-14)
     heavy = w / math.sqrt(math.pi) > 1e-10
     np.testing.assert_allclose(weights[heavy], w[heavy] / math.sqrt(math.pi), rtol=1e-10)
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n, first", [(2, 0), (3, 0), (15, 0), (16, 0), (80, 0), (160, 0),
+                                      (4, 7), (5, 100), (197, 1710)])
+def test_field_rule_matches_dense_eigh(n, first):
+    # every row of the rule against a dense eigh of x_f on the levels first .. first + n - 1
+    off = np.sqrt(np.arange(first + 1.0, first + n))
+    x_f = np.diag(off, 1) + np.diag(off, -1)
+    w, vecs = np.linalg.eigh(x_f)
+    xi, amps = oracle._field_rule(n, first, range(n))
+    scale = 2.0 * math.sqrt(first + n)  # bounds the norm of x_f
+    assert np.all(np.diff(xi) > 0)
+    np.testing.assert_allclose(xi, w, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(amps ** 2, vecs ** 2, rtol=0, atol=1e-13)
+    assert np.abs(x_f @ amps - amps * xi).max() <= 1e-14 * scale
+    assert np.abs(amps.T @ amps - np.eye(n)).max() <= 1e-14
+    # the weights the window evolver forms, <n0|xi_j><k|xi_j> for the edge rows k,
+    # are free of each eigenvector's sign
+    rows = [n // 2, 0, 1, n - 2, n - 1]
+    np.testing.assert_allclose(amps[rows[0]] * amps[rows], vecs[rows[0]] * vecs[rows],
+                               rtol=0, atol=1e-13)
+    # a few rows are the same rows of the whole rule, to the bit
+    assert np.array_equal(oracle._field_rule(n, first, rows)[1], amps[rows])
+
+
+def _per_cycle_detector(pp, kappa, start, cycles):
+    """``_detector_cycles`` as one numpy evaluation per cycle: the reference of its blocks."""
+    levels = np.arange(oracle.DETECTOR_LEVELS)
+    generator = kappa[:, None, None] * (np.diag(np.sqrt(levels[1:]), 1)
+                                        + np.diag(np.sqrt(levels[1:]), -1))
+    generator[:, levels, levels] += (pp.Omega_b / pp.Omega_a) * levels
+    w, v = np.linalg.eigh(generator)
+    coef = v[:, 0, :] * start[:, None]
+    excited = np.empty((cycles, len(start)))
+    for c in range(cycles):
+        psi = np.einsum("kij,kj->ki", v, np.exp(-2j * math.pi * (c + 1) * w) * coef)
+        excited[c] = np.sum(np.abs(psi[:, 1:]) ** 2, axis=1)
+    return excited, psi
+
+
+@pytest.mark.parametrize("block_cycles", [None, 3])
+def test_detector_cycle_blocks_match_per_cycle_loop(monkeypatch, block_cycles):
+    # a run of several blocks, the last one partial, at the default budget and at
+    # blocks of 3 cycles, equals one evaluation per cycle to the bit
+    nodes, levels = 36, oracle.DETECTOR_LEVELS
+    if block_cycles is not None:
+        monkeypatch.setattr(oracle, "CYCLE_BLOCK", block_cycles * nodes * levels)
+    block = oracle.CYCLE_BLOCK // (nodes * levels)
+    cycles = 2 * block + block // 2 + 1
+    pp = PhysicalParams(1e6, 1.5e6, TAU * 2e4)
+    kappa = np.linspace(-0.3, 0.3, nodes)
+    start = np.cos(np.arange(nodes))
+    excited, psi = oracle._detector_cycles(pp, kappa, start, cycles)
+    ref_excited, ref_psi = _per_cycle_detector(pp, kappa, start, cycles)
+    assert np.array_equal(excited, ref_excited)
+    assert np.array_equal(psi, ref_psi)
 
 
 def test_evolution_saturated_window_retries_doubled(monkeypatch):
