@@ -8,10 +8,12 @@ figure family.  CSV output uses 17 significant digits, a header row, and LF
 line endings so identical configs produce byte-identical files; JSON output
 writes an infinite or NaN value as null.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 certification failure.
-The sweeps (thermometer, sensitivity, unruh) need only ``math`` and build
-their grids with ``linspace`` below; numpy is loaded by the commands that
-reach the array layers ``fockspace`` and ``oracle`` (diagonalize,
-adiabaticity, certify), which this module uses only as module attributes.
+A sweep returns tuple rows under a header it declares once.  The sweeps
+(thermometer, sensitivity, unruh) need only ``math`` and build their grids
+with ``linspace`` below, and ``json`` is loaded only to write JSON.  numpy
+is loaded by the commands that reach the array layers ``fockspace`` and
+``oracle`` (diagonalize, adiabaticity, certify), which this module uses
+only as module attributes.
 
 ``certify``'s loop-grid verdict is calibrated at 2048 loop points, the
 cutoff ladder 30 -> 78 and the 1e-8 truncation gate, and none of the three
@@ -21,7 +23,6 @@ is settable.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -173,21 +174,13 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-def format_float(x: float) -> str:
-    return "%.17g" % x
-
-
-def write_rows(rows: list[dict], header: list[str], fmt: str, out_path: str | None) -> None:
+def write_rows(rows: list[tuple], header: tuple[str, ...], fmt: str, out_path: str | None) -> None:
+    """Rows of numbers under ``header`` as CSV, or as JSON objects keyed by it."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                format_float(row[h]) if isinstance(row[h], float) else str(row[h])
-                for h in header
-            ))
-        text = "\n".join(lines) + "\n"
+        template = ",".join(["%.17g"] * len(header))
+        text = "\n".join([",".join(header), *(template % row for row in rows)]) + "\n"
     elif fmt == "json":
-        text = _json_text(rows)
+        text = _json_text([dict(zip(header, row)) for row in rows])
     else:
         raise ConfigError(f"unknown output format '{fmt}'")
     _write_text(text, out_path)
@@ -196,6 +189,8 @@ def write_rows(rows: list[dict], header: list[str], fmt: str, out_path: str | No
 def _json_text(obj) -> str:
     """``obj`` as indented JSON with each infinite or NaN float written as null,
     which RFC 8259 JSON requires; ``obj`` itself is left unchanged."""
+    import json
+
     plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
     return json.dumps(plain, indent=2, allow_nan=False) + "\n"
 
@@ -238,13 +233,18 @@ def _physical_params(omega_a: float, omega_b: float, coupling: float) -> Physica
 # Subcommands
 # --------------------------------------------------------------------------
 
+# diagonalize without --cutoff: the least cutoff at which no squeeze of the chain
+# warns, up to a cap (a report at 305 levels takes ~7 s and ~60 MB on 2 vCPUs)
+DIAG_CUTOFF = 24
+DIAG_CUTOFF_CAP = 320
+
+
 def cmd_diagonalize(config: dict) -> dict:
     import numpy as np
 
-    cutoff = int(config.get("cutoff", 24))
-    if cutoff < 4:
+    cutoff = config.get("cutoff")
+    if cutoff is not None and cutoff < 4:
         raise ConfigError("need cutoff >= 4")
-    dims = fockspace.FockDims(cutoff, cutoff)
     forward = any(config.get(key) is not None for key in ("diag_omega_a", "diag_omega_b", "diag_v"))
     if forward and any(config.get(key) is not None for key in ("omega_a", "omega_b", "coupling")):
         raise ConfigError("need either the laboratory triple (omega_a, omega_b, coupling) "
@@ -274,8 +274,15 @@ def cmd_diagonalize(config: dict) -> dict:
             }
         dp = sol.params
     d = derive_params(dp)
+    if cutoff is None:
+        cutoff = fockspace.squeeze_cutoff((d.u, dp.v, d.p), DIAG_CUTOFF, DIAG_CUTOFF_CAP)
+        if cutoff is None:
+            raise ConfigError(f"need --cutoff: the squeezes (u, v, p) = ({d.u:.4g}, {dp.v:.4g}, "
+                              f"{d.p:.4g}) need more than {DIAG_CUTOFF_CAP} levels per mode")
+    dims = fockspace.FockDims(cutoff, cutoff)
     report: dict = {
         "mode": "forward" if forward else "inverse",
+        "cutoff": cutoff,
         "diag_params": {"omega_a": dp.omega_a, "omega_b": dp.omega_b, "v": dp.v},
         "physical_params": {"Omega_a": pp.Omega_a, "Omega_b": pp.Omega_b, "lam": pp.lam},
         "derived": {
@@ -311,7 +318,7 @@ def cmd_diagonalize(config: dict) -> dict:
     return report
 
 
-def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
+def cmd_thermometer(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
     gap = _require(config, "gap")
     t_hot = _require(config, "t_hot")
     coupling = _require(config, "coupling")
@@ -321,18 +328,14 @@ def cmd_thermometer(config: dict) -> tuple[list[dict], list[str]]:
     if points < 2 or t_min <= 0 or t_max <= t_min:
         raise ConfigError("need points >= 2 and 0 < t_cold_min < t_cold_max")
     eps = epsilon(_physical_params(gap, gap, coupling))
-    rows = []
-    for tc in (10.0 ** x for x in linspace(math.log10(t_min), math.log10(t_max), points)):
-        rows.append({
-            "T_cold_K": tc,
-            "delta_rad": thermometer_delta_from_eps(eps, gap, tc, t_hot),
-            # sensitivity stand-in: |d delta / d T_cold|
-            "dDelta_dTcold_rad_per_K": abs(thermometer_slope_from_eps(eps, gap, tc)),
-        })
-    return rows, ["T_cold_K", "delta_rad", "dDelta_dTcold_rad_per_K"]
+    temps = [10.0 ** x for x in linspace(math.log10(t_min), math.log10(t_max), points)]
+    # the sensitivity stand-in |d delta / d T_cold| rides along
+    rows = [(tc, thermometer_delta_from_eps(eps, gap, tc, t_hot),
+             abs(thermometer_slope_from_eps(eps, gap, tc))) for tc in temps]
+    return rows, ("T_cold_K", "delta_rad", "dDelta_dTcold_rad_per_K")
 
 
-def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
+def cmd_sensitivity(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
     gap = _require(config, "gap")
     t_hot = _require(config, "t_hot")
     coupling = _require(config, "coupling")
@@ -345,14 +348,12 @@ def cmd_sensitivity(config: dict) -> tuple[list[dict], list[str]]:
     ref = thermometer_delta_from_eps(eps, gap, t_cold, t_hot)
     if ref == 0.0:
         raise ConfigError("reference phase difference vanishes; pick t_cold != t_hot")
-    rows = []
-    for e in linspace(-relerr_max, relerr_max, points):
-        val = thermometer_delta_from_eps(eps, gap, t_cold, t_hot * (1.0 + e))
-        rows.append({"relerr_Th": e, "relerr_delta": (val - ref) / ref})
-    return rows, ["relerr_Th", "relerr_delta"]
+    rows = [(e, (thermometer_delta_from_eps(eps, gap, t_cold, t_hot * (1.0 + e)) - ref) / ref)
+            for e in linspace(-relerr_max, relerr_max, points)]
+    return rows, ("relerr_Th", "relerr_delta")
 
 
-def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
+def cmd_unruh(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
     gap = _require(config, "gap")
     coupling = _require(config, "coupling")
     a_min = config.get("accel_min", 1e16)
@@ -364,26 +365,18 @@ def cmd_unruh(config: dict) -> tuple[list[dict], list[str]]:
     cycle_time = TWO_PI / gap
     accels = [10.0 ** x for x in linspace(math.log10(a_min), math.log10(a_max), points)]
 
-    def row(a: float) -> dict:
+    def row(a: float) -> tuple:
         q = unruh_squeeze(gap, a).r
         delta = geomphase.delta_per_cycle_from_eps(eps, q)
-        acc = accumulate_cycles(abs(delta), 1)
-        n_pi = acc.cycles_to_pi
-        return {
-            "accel_m_s2": a,
-            "T_unruh_K": thermo.unruh_temperature(a),
-            "q": q,
-            "delta_per_cycle_rad": float(delta),
-            "cycles_to_pi": float("inf") if n_pi is None else float(n_pi),
-            "time_to_pi_s": float("inf") if n_pi is None else n_pi * cycle_time,
-        }
+        n_pi = accumulate_cycles(abs(delta), 1).cycles_to_pi
+        n_pi = math.inf if n_pi is None else float(n_pi)
+        return a, thermo.unruh_temperature(a), q, delta, n_pi, n_pi * cycle_time
 
-    rows = [row(a) for a in accels]
-    return rows, ["accel_m_s2", "T_unruh_K", "q", "delta_per_cycle_rad",
-                  "cycles_to_pi", "time_to_pi_s"]
+    return [row(a) for a in accels], ("accel_m_s2", "T_unruh_K", "q", "delta_per_cycle_rad",
+                                      "cycles_to_pi", "time_to_pi_s")
 
 
-def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
+def cmd_adiabaticity(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
     gap = _require(config, "gap")
     coupling = _require(config, "coupling")
     temperature = config.get("temperature", 0.0)
@@ -394,13 +387,10 @@ def cmd_adiabaticity(config: dict) -> tuple[list[dict], list[str]]:
     spec = oracle.EvolutionSpec()
     if temperature > 0.0:
         r = thermo.squeeze_from_temperature(gap, temperature).r
-        result = oracle.thermal_excitation_per_cycle(pp, cycles, spec, r)
-        per_cycle = result.per_cycle
+        per_cycle = oracle.thermal_excitation_per_cycle(pp, cycles, spec, r).per_cycle
     else:
         per_cycle = oracle.excitation_probability_per_cycle(pp, cycles, spec, 0)
-    rows = [{"cycle_index": i + 1, "P_excitation": float(p)}
-            for i, p in enumerate(per_cycle)]
-    return rows, ["cycle_index", "P_excitation"]
+    return list(enumerate(per_cycle.tolist(), 1)), ("cycle_index", "P_excitation")
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ back (the inverse in closed form: omega_a and omega_b are the normal-mode
 frequencies of H), and defines the package's errors.  The chain itself, its
 actions on amplitude arrays and H on the truncated space, lives in
 ``fockspace``.  Everything here needs only ``math`` and ``cmath``, so the
-closed-form commands load no numpy.
+closed-form commands load no numpy; the value types are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "DiagParams",
@@ -62,8 +62,7 @@ class OracleError(RuntimeError):
     loading numpy."""
 
 
-@dataclass(frozen=True)
-class DiagParams:
+class DiagParams(NamedTuple):
     """Independent diagonalization parameters (omega_a, omega_b, v).
 
     Valid sets satisfy omega_a, omega_b, v > 0 and omega_a/omega_b > e^{2v}
@@ -119,8 +118,7 @@ class DiagParams:
         return self.C - self.v
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """All constrained parameters of the unitary chain at fixed (omega_a, omega_b, v)."""
 
     C: float
@@ -141,8 +139,7 @@ class DerivedParams:
     g6: complex
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(NamedTuple):
     """Laboratory parameters: field frequency, detector gap, coupling (all rad/s)."""
 
     Omega_a: float
@@ -311,8 +308,7 @@ def normal_modes(pp: PhysicalParams) -> tuple[float, float, float, float]:
     return u, v, h / radius, r_plus / radius
 
 
-@dataclass(frozen=True)
-class InverseSolution:
+class InverseSolution(NamedTuple):
     params: DiagParams
     residual: float
     iterations: int = 0  # nothing is iterated; perfbench's tracer reads it as solver work

@@ -34,12 +34,14 @@ __all__ = [
     "beam_splitter_action",
     "basis_state",
     "truncation_tail",
+    "squeeze_cutoff",
     "hamiltonian_action",
     "unitary_action",
     "eigenstates",
 ]
 
 DEFAULT_CUTOFF = 30
+SQUEEZE_TAIL_GATE = 1e-8  # top-two-level amplitude a squeezed vacuum may leave
 
 
 class TruncationWarning(UserWarning):
@@ -111,16 +113,24 @@ def basis_state(dims: FockDims, n_f: int, n_d: int) -> StateVector:
     return StateVector(dims, v)
 
 
-def _warn_squeeze_truncation(n: int, t: float) -> None:
-    """TruncationWarning when squeezing the vacuum by t pushes more than 1e-8
-    of amplitude into the top two of n levels.
+def _squeeze_tail(n: int, t: float) -> float:
+    """Top-two-level amplitude of the vacuum squeezed by t on n levels, estimated
+    from the per-pair amplitude ratio tanh|t| as tanh|t|^{(n-2)/2}."""
+    return math.tanh(abs(t)) ** ((n - 2) / 2.0) if t else 0.0
 
-    Per-pair amplitude ratio of a squeezed vacuum is tanh|t|, so the top-two
-    amplitude is ~ tanh|t|^{(n-2)/2}.  The warning names the caller's caller.
-    """
-    q = np.tanh(abs(t))
-    est = 0.0 if q == 0.0 else float(q ** ((n - 2) / 2.0))
-    if est > 1e-8:
+
+def squeeze_cutoff(ts, low: int, high: int) -> int | None:
+    """The least cutoff in low .. high at which no squeeze t of ``ts`` leaves more
+    than SQUEEZE_TAIL_GATE in the top two levels (``_squeeze_tail``), or None."""
+    return next((n for n in range(low, high + 1)
+                 if all(_squeeze_tail(n, t) <= SQUEEZE_TAIL_GATE for t in ts)), None)
+
+
+def _warn_squeeze_truncation(n: int, t: float) -> None:
+    """TruncationWarning, naming the caller's caller, when the top two of n
+    levels keep more than SQUEEZE_TAIL_GATE of the vacuum squeezed by t."""
+    est = _squeeze_tail(n, t)
+    if est > SQUEEZE_TAIL_GATE:
         warnings.warn(
             f"squeeze t={t:.4g} at cutoff {n}: top-two-level amplitude estimate {est:.2e}",
             TruncationWarning,

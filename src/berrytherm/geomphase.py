@@ -12,13 +12,14 @@ epsilon = G - 1/2, G the phase advance per field quantum in cycles, so they
 take epsilon, computed from the laboratory triple (``epsilon``), and use
 e^{2 pi i G} = -e^{2 pi i epsilon}.  At the figure presets epsilon is
 1e-15 to 1e-5, and passing G instead would lose it to the spacing of
-doubles near 2 pi G = pi.
+doubles near 2 pi G = pi.  The module needs only ``math``; its value types
+are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import thermo
 from .diagonalization import DiagParams, PhysicalParams, derive_params, normal_modes
@@ -55,16 +56,14 @@ def phase_distance(x: float, y: float) -> float:
     return abs(wrap_angle(x - y))
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     """A geometric phase: branch-reduced value and raw (unreduced) value."""
 
     value: float
     raw: float
 
 
-@dataclass(frozen=True)
-class CycleAccumulation:
+class CycleAccumulation(NamedTuple):
     total: float
     capped_at_pi: bool
     cycles_to_pi: int | None  # None means unbounded (zero per-cycle phase)

@@ -562,8 +562,11 @@ def thermal_excitation_per_cycle(
     x_f commutes with the generator (see ``_evolve``) and is Gaussian with
     variance sigma^2 = cosh 2r in the thermal state of squeeze r, so
     P = sum_i w_i f(g x_i), f from ``_detector_cycles``, over the N-node
-    Gauss-Hermite rule (``_field_rule`` on the levels 0 .. N - 1):
-    x_i = sigma xi_i and w_i = |<0|xi_i>|^2.  The node count
+    Gauss-Hermite rule of x_f on the levels 0 .. N - 1 (``_field_rule``):
+    x_i = sigma xi_i and w_i = |<0|xi_i>|^2.  N is even, so the nodes are the
+    pairs +-s_j of ``_golub_kahan_svd``, each of weight U[0, j]^2 / 2, and f is
+    even in the drive (the parity (-1)^{b'b} maps kappa to -kappa and fixes
+    |0_d> and the excited population): each pair is driven once, at +s_j.  N
     doubles from THERMAL_NODES until converged (NODE_TOL, POPULATION_FLOOR) and
     refuses past MAX_NODES.  ``spec`` is ignored.
     """
@@ -572,13 +575,13 @@ def thermal_excitation_per_cycle(
     g, sigma = pp.lam / pp.Omega_a, math.sqrt(math.cosh(2.0 * r_thermal))
     nodes, previous = THERMAL_NODES, np.inf
     while nodes <= MAX_NODES:
-        xi, amps = _field_rule(nodes, 0, [0])
-        x = sigma * xi
-        excited, _ = _detector_cycles(pp, g * x, np.ones(nodes), cycles)
-        per_cycle = excited @ amps[0] ** 2
+        ut, s, _ = _golub_kahan_svd(np.sqrt(np.arange(1.0, nodes)))
+        x = sigma * s  # the positive nodes, descending
+        excited, _ = _detector_cycles(pp, g * x, np.ones(len(x)), cycles)
+        per_cycle = excited @ ut[:, 0] ** 2
         change = float(np.abs(per_cycle - previous).max())
         if change <= max(NODE_TOL * per_cycle.max(), POPULATION_FLOOR):
-            return ThermalExcitation(per_cycle, change, x)
+            return ThermalExcitation(per_cycle, change, np.concatenate([-x, x[::-1]]))
         nodes, previous = 2 * nodes, per_cycle
     raise OracleError(f"thermal mixture unconverged at {MAX_NODES} nodes (change {change:.2e})")
 

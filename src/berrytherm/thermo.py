@@ -5,13 +5,13 @@ tanh^{2n}(r_T)/cosh^2(r_T) with tanh r_T = exp(-hbar*omega / (2 k_B T)) (the
 truncated weights are the oracle's, ``oracle.thermal_weights``); the same
 squeeze parameter describes the state seen by a uniformly accelerated
 observer at the corresponding Unruh temperature.  The module needs only
-``math``.
+``math``; its value types are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "PhysicalConstants",
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """CODATA values; immutable."""
 
     hbar: float = 1.054571817e-34   # J s
@@ -34,17 +33,18 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class ThermalSqueeze:
-    """Squeeze parameter r >= 0 weighting the geometric-series phase sums."""
+class ThermalSqueeze(NamedTuple("ThermalSqueeze", [("r", float)])):
+    """Squeeze parameter r >= 0 weighting the geometric-series phase sums;
+    checked on construction."""
 
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"squeeze parameter must be finite and >= 0, got {self.r}")
-        if math.tanh(self.r) >= 1.0:
-            raise ValueError(f"tanh r must stay below 1, got r = {self.r}")
+    def __new__(cls, r: float) -> ThermalSqueeze:
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
+        if math.tanh(r) >= 1.0:
+            raise ValueError(f"tanh r must stay below 1, got r = {r}")
+        return super().__new__(cls, r)
 
 
 def unruh_temperature(accel: float) -> float:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,31 @@ def test_sweep_golden_files(tmp_path, argv, name):
     code, text = run(argv, tmp_path)
     assert code == EXIT_OK
     assert text == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermometer", "--preset", "fig3-ghz", "--points", "9"],
+    ["sensitivity", "--preset", "fig3-mhz", "--points", "9"],
+    ["unruh", "--preset", "fig5-2", "--points", "2", "--accel-min", "5.3076e15"],
+    ["adiabaticity", "--preset", "fig6-ghz", "--cycles", "3"],
+], ids=["thermometer", "sensitivity", "unruh", "adiabaticity"])
+def test_json_rows_equal_csv_rows(tmp_path, argv):
+    # one row tuple feeds both formats: the same header, the same values, an
+    # integer column an integer in both, and an infinite value null in JSON
+    _, csv_text = run(argv, tmp_path, "rows.csv")
+    code, json_text = run(argv + ["--format", "json"], tmp_path, "rows.json")
+    assert code == EXIT_OK
+    header, *lines = csv_text.strip().split("\n")
+    objects = json.loads(json_text)
+    assert len(objects) == len(lines) > 0
+    for line, obj in zip(lines, objects):
+        assert list(obj) == header.split(",")
+        for text, value in zip(line.split(","), obj.values()):
+            if value is None:
+                assert text == "inf"
+            else:
+                assert type(value)(text) == value
+                assert text == "%.17g" % value
 
 
 def test_unruh_subnormal_phase_is_unbounded(tmp_path):
@@ -390,13 +416,49 @@ def test_diagonalize_forward_report(tmp_path):
     if ratio > math.exp(2 * v)], ids=lambda dp: f"v{dp.v}-ratio{dp.omega_a:.4g}")
 def test_diagonalize_round_trips_on_the_certify_loop_grid(tmp_path, dp):
     # the loop oracle certifies these sets at lam/Omega_a 0.39 to 1.38, so the
-    # inverse map must accept their laboratory triples
+    # inverse map must accept their laboratory triples.  Run at cutoff 24, which
+    # their squeezes overrun: the sized default would take up to 305 levels and ~7 s
     pp = forward_map(dp)
     with pytest.warns(TruncationWarning):
         code, text = run(["diagonalize", "--omega-a", repr(pp.Omega_a), "--omega-b",
-                          repr(pp.Omega_b), "--coupling", repr(pp.lam)], tmp_path, "d.json")
+                          repr(pp.Omega_b), "--coupling", repr(pp.lam), "--cutoff", "24"],
+                         tmp_path, "d.json")
     assert code == EXIT_OK
     assert json.loads(text)["round_trip_residual"] <= 1e-10
+
+
+def test_diagonalize_sizes_its_default_cutoff(tmp_path):
+    # lam/Omega_a = 0.49: at the old fixed cutoff 24 the worst residual was 0.11
+    # with a warning; the default is the least cutoff the squeezes' estimate
+    # tanh|t|^((n-2)/2) <= 1e-8 allows for t = u, v, p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        code, text = run(["diagonalize", "--omega-a", "1", "--omega-b", "1",
+                          "--coupling", "0.49"], tmp_path, "d.json")
+    assert code == EXIT_OK
+    rep = json.loads(text)
+    assert max(rep["eigenstate_residuals_over_Omega_a"].values()) <= 1e-10
+    ts = [rep["derived"]["u"], rep["diag_params"]["v"], rep["derived"]["p"]]
+
+    def estimate(n):
+        return max(math.tanh(abs(t)) ** ((n - 2) / 2.0) for t in ts if t != 0.0)
+
+    assert rep["cutoff"] == 132
+    assert estimate(132) <= 1e-8 < estimate(131)
+    # an explicit cutoff keeps its meaning, and every preset triple stays at 24
+    code, text = run(["diagonalize", *RESONANT_GHZ, "--cutoff", "30"], tmp_path, "d.json")
+    assert json.loads(text)["cutoff"] == 30
+    for p in PRESETS.values():
+        code, text = run(["diagonalize", "--omega-a", repr(p["gap"]), "--omega-b",
+                          repr(p["gap"]), "--coupling", repr(p["coupling"])], tmp_path, "d.json")
+        assert json.loads(text)["cutoff"] == 24
+
+
+def test_diagonalize_refuses_a_default_cutoff_past_its_cap(capsys):
+    # lam/Omega_a = 0.4999 would need more than DIAG_CUTOFF_CAP levels per mode
+    assert main(["diagonalize", "--omega-a", "1", "--omega-b", "1",
+                 "--coupling", "0.4999"]) == EXIT_CONFIG
+    assert "need --cutoff" in capsys.readouterr().err
 
 
 def test_diagonalize_zero_coupling_flagged(tmp_path):
@@ -605,24 +667,30 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
 # numpy is loaded by the commands that use arrays, and only by them
 
 NUMPY_PROBE = """
-import json, sys
+import sys
 import berrytherm, berrytherm.cli
 from berrytherm import cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("numpy"))
 
+def stdlib():
+    return sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules)
+
 layers = sorted(m for m in sys.modules if m.startswith("berrytherm."))
 after_import = loaded()
 for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
              ["unruh", "--preset", "fig5-1"]):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
-closed_form = loaded()
+closed_form, closed_form_stdlib = loaded(), stdlib()
 p = cli.PRESETS["fig3-ghz"]
 assert cli.main(["diagonalize", "--omega-a", repr(p["gap"]), "--omega-b", repr(p["gap"]),
                  "--coupling", repr(p["coupling"]), "--out", sys.argv[1]]) == 0
+diagonalize, diagonalize_stdlib = loaded(), stdlib()
+import json
 print(json.dumps({"layers": layers, "after_import": after_import, "closed_form": closed_form,
-                  "diagonalize": loaded()}))
+                  "closed_form_stdlib": closed_form_stdlib, "diagonalize": diagonalize,
+                  "diagonalize_stdlib": diagonalize_stdlib}))
 """
 
 
@@ -634,8 +702,11 @@ def test_closed_form_commands_import_no_numpy(tmp_path):
                                  "thermo")]
     assert loaded["after_import"] == []
     assert loaded["closed_form"] == []
+    # the CSV sweeps' value types are NamedTuples, and json is loaded only to write JSON
+    assert loaded["closed_form_stdlib"] == []
     # positive control: diagonalize loads numpy, and the same probe sees it
     assert "numpy" in loaded["diagonalize"]
+    assert "json" in loaded["diagonalize_stdlib"]
 
 
 def _scipy_imports(source: str) -> list[int]:
@@ -660,6 +731,30 @@ def test_module_top_levels_import_no_scipy():
     offenders = {f.name: lines for f in files
                  if (lines := _scipy_imports(f.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+def _imports(source: str) -> list[tuple[str, str]]:
+    """(enclosing top-level function or "<module>", module) of every absolute
+    import in ``source``."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                found += [(where, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((where, node.module))
+    return found
+
+
+def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it():
+    sample = "import json\nfrom dataclasses import dataclass\ndef f():\n    import json\n"
+    assert _imports(sample) == [("<module>", "json"), ("<module>", "dataclasses"), ("f", "json")]
+    for name in ("diagonalization.py", "geomphase.py", "thermo.py"):
+        found = _imports((SRC / name).read_text(encoding="utf-8"))
+        assert found and not [m for _, m in found if m == "dataclasses"], name
+    found = _imports((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [where for where, m in found if m == "json"] == ["_json_text"]
 
 
 def test_package_builds_no_kronecker_product():

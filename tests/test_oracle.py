@@ -606,12 +606,14 @@ def _recording_detector(monkeypatch):
 
 def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
     # 8 cycles, the CLI default: 80 nodes are not enough (80 -> 160 moves P by
-    # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes
+    # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes, each +- pair
+    # driven once at its positive node with the pair's weight
     calls = _recording_detector(monkeypatch)
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
-    assert [len(kappa) for kappa, *_ in calls] == [80, 160, 320]
+    assert [len(kappa) for kappa, *_ in calls] == [40, 80, 160]
+    assert all(np.all(kappa > 0.0) for kappa, *_ in calls)
     assert len(mix.grid) > 80
-    p80, p160 = (calls[i][1] @ oracle._field_rule(n, 0, [0])[1][0] ** 2
+    p80, p160 = (calls[i][1] @ (2.0 * oracle._field_rule(n, 0, [0])[1][0, n // 2:][::-1] ** 2)
                  for i, n in ((0, 80), (1, 160)))
     assert np.abs(p160 / p80 - 1.0).max() > 1e-4
     assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()

@@ -5,13 +5,33 @@ import pytest
 
 from berrytherm.geomphase import unruh_squeeze
 from berrytherm.oracle import required_levels, thermal_weights
-from berrytherm.thermo import CONSTANTS, squeeze_from_temperature, unruh_temperature
+from berrytherm.thermo import (
+    CONSTANTS,
+    ThermalSqueeze,
+    squeeze_from_temperature,
+    unruh_temperature,
+)
 
 
 def test_constants_are_codata():
     assert CONSTANTS.hbar == 1.054571817e-34
     assert CONSTANTS.k_B == 1.380649e-23
     assert CONSTANTS.c == 2.99792458e8
+
+
+@pytest.mark.parametrize("r, match", [(-1.0, "finite and >= 0"), (math.inf, "finite and >= 0"),
+                                      (math.nan, "finite and >= 0"), (20.0, "tanh r")])
+def test_thermal_squeeze_is_checked_on_construction(r, match):
+    with pytest.raises(ValueError, match=match):
+        ThermalSqueeze(r)
+    with pytest.raises(ValueError, match=match):
+        ThermalSqueeze(r=r)
+
+
+def test_thermal_squeeze_value():
+    sq = ThermalSqueeze(0.5)
+    assert sq.r == 0.5 and sq == ThermalSqueeze(r=0.5)
+    assert repr(sq) == "ThermalSqueeze(r=0.5)"
 
 
 def test_unruh_temperature_values():
