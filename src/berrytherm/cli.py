@@ -507,10 +507,6 @@ def certification_report(negative_control: bool = False) -> dict:
     worst = max(invert_physical(pp).residual for pp in triples)
     add("map_round_trip", worst < 1e-10, worst, 1e-10)
 
-    # vanishing v-component of the connection
-    av = abs(oracle.berry_connection_v(dp_ref, 1, 1, 0.3, fockspace.FockDims(24, 24)))
-    add("connection_v_component", av < 1e-8, av, 1e-8)
-
     # loop oracle vs closed form over the full grid
     measured = _loop_check_cells(grid_dps, negative_control)
     cells = []
@@ -541,11 +537,8 @@ def certification_report(negative_control: bool = False) -> dict:
             worst = max(worst, phase_distance(closed, summed))
     add("mixed_phase_partial_sum", worst < 1e-10, worst, 1e-10)
 
-    # thermometer antisymmetry and equality with mixed-phase differences
+    # thermometer equals the difference of the mixed-state phases
     om = 1e9
-    anti = abs(thermometer_delta_from_eps(eps_ref, om, 0.001, 0.3)
-               + thermometer_delta_from_eps(eps_ref, om, 0.3, 0.001))
-    add("thermometer_antisymmetry", anti < 1e-14, anti, 1e-14)
     r1 = thermo.squeeze_from_temperature(om, 0.001).r
     r2 = thermo.squeeze_from_temperature(om, 0.3).r
     ident = abs(thermometer_delta_from_eps(eps_ref, om, 0.001, 0.3)
@@ -679,12 +672,17 @@ def main(argv=None) -> int:
                 return EXIT_OK
             print("certification FAILED", file=sys.stderr)
             return EXIT_CERTIFICATION
-        rows, header = handler(_apply_preset(config, family))
+        config = _apply_preset(config, family)
+        rows, header = handler(config)
         write_rows(rows, header, args.format, args.out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError:  # an ArithmeticError whose own message names no input
+        inputs = ", ".join(f"{k} = {v:g}" for k, v in config.items() if type(v) in (int, float))
+        print(f"numerical failure: overflow at {inputs}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ArithmeticError, ConstraintError, InverseMapError, OracleError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

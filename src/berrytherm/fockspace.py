@@ -138,28 +138,29 @@ def _warn_squeeze_truncation(n: int, t: float) -> None:
         )
 
 
-def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the bidiagonal B in the Golub-Kahan form of the zero-diagonal
-    tridiagonal with off-diagonal ``beta``: for the antisymmetric
-    J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]] on the
-    (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1].
-
-    Returns (U^T, sigma, V) with B = U diag(sigma) V^T: U^T square over the
-    even rows, sigma descending, V with one row per odd row.  For odd n the
-    last sigma is the structural zero and the last row of U^T its null
-    vector.  The SVD is of B^T as a square upper-bidiagonal matrix (a zero
-    row pads it for odd n), which LAPACK's Householder bidiagonalization
-    leaves unchanged, so no rounding enters before the bidiagonal SVD
-    itself.  The symmetric tridiagonal with the same ``beta`` has the
-    bidiagonal D_e B D_o, D_e = diag((-1)^i) and D_o = diag(-(-1)^i): the
-    same sigma, and singular vectors that differ only in signs.
-    """
+def _golub_kahan_bidiagonal(beta: np.ndarray) -> np.ndarray:
+    """B^T, square upper bidiagonal, for the bidiagonal B in the Golub-Kahan form
+    of the zero-diagonal tridiagonal with off-diagonal ``beta``: for the
+    antisymmetric J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]] on
+    the (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1],
+    and a zero row pads B^T for odd n.  LAPACK's Householder bidiagonalization
+    leaves B^T unchanged, so no rounding enters its SVD before the bidiagonal
+    SVD itself.  The symmetric tridiagonal with the same ``beta`` has the
+    bidiagonal D_e B D_o, D_e = diag((-1)^i) and D_o = diag(-(-1)^i): the same
+    singular values, and singular vectors that differ only in signs."""
     n_even, n_odd = (len(beta) + 2) // 2, (len(beta) + 1) // 2
     bt = np.zeros((n_even, n_even))
     bt[np.arange(n_odd), np.arange(n_odd)] = -beta[0::2]
     bt[np.arange(n_even - 1), np.arange(1, n_even)] = beta[1::2]
-    v, sigma, ut = np.linalg.svd(bt)
-    return ut, sigma, v[:n_odd]
+    return bt
+
+
+def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U^T, sigma, V) with B = U diag(sigma) V^T (``_golub_kahan_bidiagonal``): U^T square
+    over the even rows, sigma descending, V with one row per odd row.  For odd n the
+    last sigma is the structural zero and the last row of U^T its null vector."""
+    v, sigma, ut = np.linalg.svd(_golub_kahan_bidiagonal(beta))
+    return ut, sigma, v[:(len(beta) + 1) // 2]
 
 
 def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ levels: the eigenvalues of its Jacobi matrix and their eigenvector components
 diagonal, so it is the Golub-Kahan form of a bidiagonal of half its size, and
 one SVD of the bidiagonal gives the rule (``_field_rule``, through the helper
 the chain's block exponentials use); no field window is diagonalized densely.
+The thermal mixture's rule takes the singular values alone (``_hermite_pairs``).
 The module needs only numpy.
 """
 
@@ -33,6 +34,7 @@ from .diagonalization import DiagParams, OracleError, PhysicalParams, forward_ma
 from .fockspace import (
     FockDims,
     StateVector,
+    _golub_kahan_bidiagonal,
     _golub_kahan_svd,
     _position,
     eigenstates,
@@ -56,7 +58,6 @@ __all__ = [
     "partial_sum_from_eps",
     "excitation_probability_per_cycle",
     "thermal_excitation_per_cycle",
-    "berry_connection_v",
     "rotation_covariance_residual",
 ]
 
@@ -551,6 +552,22 @@ class ThermalExcitation:
     grid: np.ndarray
 
 
+def _hermite_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Hermite rule of a unit-variance Gaussian, n even, from the
+    singular values of x_f's bidiagonal alone (``_golub_kahan_bidiagonal``): the
+    positive nodes s_j, descending, and each pair's weight 2 / p_n'(s_j)^2, p_n the
+    orthonormal Hermite polynomial, p_n'(s_j) = 2 s_j prod_{i!=j} (s_j^2 - s_i^2) / sqrt(n!).
+    The product is taken in split exponents (frexp mantissas multiplied, exponents
+    added, n! = prod_i (2i + 1)(2i + 2)), so no factor overflows up to MAX_NODES."""
+    s = np.linalg.svd(_golub_kahan_bidiagonal(np.sqrt(np.arange(1.0, n))), compute_uv=False)
+    diff = (s[:, None] - s) * (s[:, None] + s)
+    np.fill_diagonal(diff, 2.0 * s)  # the factor 2 s_j in place of the zero difference
+    m_d, e_d = np.frexp(diff)
+    k = np.arange(1.0, n, 2)
+    m_f, e_f = np.frexp(k * (k + 1.0))
+    return s, np.ldexp(2.0 * m_f.prod() / m_d.prod(axis=1) ** 2, e_f.sum() - 2 * e_d.sum(axis=1))
+
+
 def thermal_excitation_per_cycle(
     pp: PhysicalParams,
     cycles: int,
@@ -562,46 +579,30 @@ def thermal_excitation_per_cycle(
     x_f commutes with the generator (see ``_evolve``) and is Gaussian with
     variance sigma^2 = cosh 2r in the thermal state of squeeze r, so
     P = sum_i w_i f(g x_i), f from ``_detector_cycles``, over the N-node
-    Gauss-Hermite rule of x_f on the levels 0 .. N - 1 (``_field_rule``):
-    x_i = sigma xi_i and w_i = |<0|xi_i>|^2.  N is even, so the nodes are the
-    pairs +-s_j of ``_golub_kahan_svd``, each of weight U[0, j]^2 / 2, and f is
-    even in the drive (the parity (-1)^{b'b} maps kappa to -kappa and fixes
-    |0_d> and the excited population): each pair is driven once, at +s_j.  N
-    doubles from THERMAL_NODES until converged (NODE_TOL, POPULATION_FLOOR) and
-    refuses past MAX_NODES.  ``spec`` is ignored.
+    Gauss-Hermite rule of x_f on the levels 0 .. N - 1: x_i = sigma xi_i.  N is
+    even, so the nodes are pairs +-s_j, and f is even in the drive (the parity
+    (-1)^{b'b} maps kappa to -kappa and fixes |0_d> and the excited population):
+    each pair is driven once, at +s_j, with its weight from the singular values
+    alone (``_hermite_pairs``), within 1.4e-12 relative of a 40-digit rule up to
+    320 nodes.  So P carries up to ~3e-14 relative rounding beyond ``tail_bound``
+    (2e-14 relative itself at fig6-mhz, 1 mK, 3 cycles).  ``_field_rule`` keeps
+    the full SVD: the window evolver needs signed amplitude rows at a level
+    n0 > 0, which no formula in the values gives.  N doubles from THERMAL_NODES
+    until converged (NODE_TOL, POPULATION_FLOOR); past MAX_NODES it refuses,
+    naming the squeeze.  ``spec`` is ignored.
     """
     if pp.lam == 0.0:
         return ThermalExcitation(np.zeros(cycles), 0.0, np.zeros(0))
     g, sigma = pp.lam / pp.Omega_a, math.sqrt(math.cosh(2.0 * r_thermal))
     nodes, previous = THERMAL_NODES, np.inf
     while nodes <= MAX_NODES:
-        ut, s, _ = _golub_kahan_svd(np.sqrt(np.arange(1.0, nodes)))
+        s, weight = _hermite_pairs(nodes)
         x = sigma * s  # the positive nodes, descending
         excited, _ = _detector_cycles(pp, g * x, np.ones(len(x)), cycles)
-        per_cycle = excited @ ut[:, 0] ** 2
+        per_cycle = excited @ weight
         change = float(np.abs(per_cycle - previous).max())
         if change <= max(NODE_TOL * per_cycle.max(), POPULATION_FLOOR):
             return ThermalExcitation(per_cycle, change, np.concatenate([-x, x[::-1]]))
         nodes, previous = 2 * nodes, per_cycle
-    raise OracleError(f"thermal mixture unconverged at {MAX_NODES} nodes (change {change:.2e})")
-
-
-def berry_connection_v(
-    dp: DiagParams,
-    n_f: int,
-    n_d: int,
-    varphi: float,
-    dims: FockDims,
-    eps: float = 3e-5,
-) -> float:
-    """Im <psi(v) | d/dv psi(v)> by central finite differences.
-
-    Vanishes identically for the eigenstate family (the v-derivative of the
-    unitary chain carries no number-diagonal content), so the returned value
-    measures numerical noise.
-    """
-    up = DiagParams(dp.omega_a, dp.omega_b, dp.v + eps)
-    dn = DiagParams(dp.omega_a, dp.omega_b, dp.v - eps)
-    psi0, psi_up, psi_dn = eigenstates([dp, up, dn], [(n_f, n_d)] * 3, varphi, dims)
-    dpsi = (psi_up.amp - psi_dn.amp) / (2.0 * eps)
-    return float(np.imag(np.vdot(psi0.amp, dpsi)))
+    raise OracleError(f"thermal mixture unconverged at {MAX_NODES} nodes (change {change:.2e}, "
+                      f"squeeze r {r_thermal:.4g}, mean occupation {math.sinh(r_thermal)**2:.4g})")

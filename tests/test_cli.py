@@ -103,6 +103,29 @@ def test_division_by_an_underflowed_value_is_a_numerical_failure(capsys, argv):
     assert "numerical failure: float division by zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, inputs", [
+    (["thermometer", "--preset", "fig3-ghz", "--gap", "1e300", "--points", "3"],
+     "gap = 1e+300, t_hot = 1, coupling = 7539.82, points = 3"),
+    (["thermometer", "--gap", "1e300", "--t-hot", "1", "--coupling", "1e3", "--points", "3"],
+     "gap = 1e+300, t_hot = 1, coupling = 1000, points = 3"),
+    (["diagonalize", "--omega-a", "1e300", "--omega-b", "1e300", "--coupling", "1e299"],
+     "omega_a = 1e+300, omega_b = 1e+300, coupling = 1e+299"),
+], ids=["preset", "thermometer", "diagonalize"])
+def test_overflow_is_a_numerical_failure_naming_the_inputs(capsys, argv, inputs):
+    # a result out of the float range exits 3 and names the numeric inputs, preset ones too
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: overflow at {inputs}\n"
+
+
+def test_thermal_refusal_names_the_mean_occupation(capsys):
+    # at 1 K the 1 MHz field holds ~1.3e5 quanta, beyond what 320 nodes resolve
+    assert main(["adiabaticity", "--preset", "fig6-mhz", "--temperature", "1"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: thermal mixture unconverged at 320 nodes")
+    assert "squeeze r 6.584, mean occupation 1.309e+05)" in err
+    assert "Traceback" not in err
+
+
 RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
 
 

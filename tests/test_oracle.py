@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from berrytherm.oracle import (
     EvolutionSpec,
     LoopSpec,
     OracleError,
-    berry_connection_v,
     discrete_berry_loops,
     excitation_probability_per_cycle,
     numeric_eigenpairs,
@@ -459,11 +459,6 @@ def test_rotation_covariance():
         assert rotation_covariance_residual(pp, phi, FockDims(12, 12)) < 1e-12 * pp.Omega_a
 
 
-def test_connection_v_component_vanishes():
-    val = berry_connection_v(CANONICAL, 1, 1, 0.4, FockDims(24, 24))
-    assert abs(val) < 1e-8
-
-
 def test_evolution_zero_coupling():
     pp = PhysicalParams(1e9, 1e9, 0.0)
     out = excitation_probability_per_cycle(pp, 4, EvolutionSpec())
@@ -639,6 +634,76 @@ def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_NODES", 160)
     with pytest.raises(OracleError, match="unconverged at 160 nodes"):
         thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
+
+
+def test_thermal_mixture_forms_no_singular_vectors(monkeypatch):
+    # one values-only SVD per node doubling: 80, 160 and 320 nodes at 8 cycles
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append({**dict(zip(("full_matrices", "compute_uv"), args)), **kwargs})
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
+    assert len(mix.grid) == 320
+    assert [call.get("compute_uv", True) for call in calls] == [False] * 3
+
+
+@pytest.mark.parametrize("nodes", [80, 160, 320])
+def test_hermite_pairs_match_hermgauss(nodes):
+    # the positive half of numpy's rule, descending, each pair's two weights summed
+    s, weight = oracle._hermite_pairs(nodes)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    np.testing.assert_allclose(s, math.sqrt(2.0) * t[:nodes // 2 - 1:-1], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(weight, 2.0 * w[:nodes // 2 - 1:-1] / math.sqrt(math.pi),
+                               rtol=1e-11, atol=0)
+    assert weight.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_rule_40_digits(nodes):
+    """(s, weight) of the pairs of the nodes-point rule at 40 digits: each double node
+    of ``_hermite_pairs`` refined by one Newton step on He_n, and the pair weight
+    2 n! / He_n'(x)^2, He_n' = n He_{n-1} moved to the refined node to first order."""
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(40):
+        for x in map(mp.mpf, oracle._hermite_pairs(nodes)[0].tolist()):
+            he = [mp.mpf(1), x]
+            for k in range(1, nodes):
+                he.append(x * he[k] - k * he[k - 1])
+            dx = -he[nodes] / (nodes * he[nodes - 1])
+            d_he = nodes * (he[nodes - 1] + dx * (nodes - 1) * he[nodes - 2])
+            out.append((x + dx, 2 * mp.factorial(nodes) / d_he ** 2))
+    return out
+
+
+@pytest.mark.parametrize("nodes", [80, 160, 320])
+def test_hermite_pairs_match_40_digit_rule(nodes):
+    # nodes to 16 ulps; every weight above 1e-290 to 2e-12 relative, the deep tail
+    # too, where the full SVD's U[0, j]^2 is accurate only to ~4e-16 absolute
+    s, weight = oracle._hermite_pairs(nodes)
+    ref = _pair_rule_40_digits(nodes)
+    node_err = max(abs(float((x - r) / r)) for x, (r, _) in zip(s.tolist(), ref))
+    assert node_err <= 16 * np.finfo(float).eps
+    weight_err = [abs(float((w - r) / r)) for w, (_, r) in zip(weight.tolist(), ref) if r > 1e-290]
+    assert len(weight_err) == nodes // 2
+    assert max(weight_err) <= 2e-12
+
+
+@pytest.mark.parametrize("cycles", [3, 8])
+def test_thermal_mixture_matches_40_digit_rule(cycles):
+    # P against sum_j w_j f(sigma s_j) with the 40-digit pairs, at the node count
+    # the mixture converged at: the weight rounding stays near 1e-14 relative
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, cycles, EvolutionSpec(), R_1MK)
+    ref = _pair_rule_40_digits(len(mix.grid))
+    x = math.sqrt(math.cosh(2.0 * R_1MK)) * np.array([float(r) for r, _ in ref])
+    excited, _ = oracle._detector_cycles(FIG6_MHZ, FIG6_MHZ.lam / FIG6_MHZ.Omega_a * x,
+                                         np.ones(len(x)), cycles)
+    expect = excited @ np.array([float(w) for _, w in ref])
+    np.testing.assert_allclose(mix.per_cycle, expect, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("nodes", [80, 81, 160, 161, 320])
