@@ -65,7 +65,7 @@ fockspace = _lazy("fockspace")
 oracle = _lazy("oracle")
 
 _LAZY = {
-    **dict.fromkeys(("FockDims", "StateVector", "eigenstates", "unitary_action"), fockspace),
+    **dict.fromkeys(("FockDims", "eigenstates", "unitary_action"), fockspace),
     **dict.fromkeys(("EvolutionSpec", "LoopSpec", "discrete_berry_loops"), oracle),
 }
 

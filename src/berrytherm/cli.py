@@ -295,15 +295,13 @@ def cmd_diagonalize(config: dict) -> dict:
     }
     if not forward:  # forward mode's pp is forward_map(dp): no round trip to measure
         report["round_trip_residual"] = sol.residual
-    residuals = {}
     occupations = ((0, 0), (1, 0), (0, 1))
-    psis = fockspace.eigenstates([dp] * 3, occupations, 0.0, dims)
-    for occ, psi in zip(occupations, psis):
-        h_psi = fockspace.hamiltonian_action(pp, psi.amp.reshape(cutoff, cutoff)).reshape(-1)
-        e_val = float(np.real(np.vdot(psi.amp, h_psi)))
-        res = float(np.linalg.norm(h_psi - e_val * psi.amp)) / pp.Omega_a
-        residuals[f"{occ[0]},{occ[1]}"] = res
-    report["eigenstate_residuals_over_Omega_a"] = residuals
+    psis = fockspace.eigenstates([dp] * 3, occupations, dims)
+    h_psis = fockspace.hamiltonian_action(pp, psis)
+    e_vals = np.einsum("ijk,ijk->k", psis, h_psis)
+    residuals = np.linalg.norm(h_psis - e_vals * psis, axis=(0, 1)) / pp.Omega_a
+    report["eigenstate_residuals_over_Omega_a"] = {
+        f"{n_f},{n_d}": float(res) for (n_f, n_d), res in zip(occupations, residuals)}
     # c = U|00>, each truncated factor applied by its exact blocks
     for t in (d.u, dp.v, d.p):
         fockspace._warn_squeeze_truncation(cutoff, t)
@@ -325,8 +323,8 @@ def cmd_thermometer(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
     points = int(config.get("points", 200))
     t_min = config.get("t_cold_min", t_hot / 1000.0)
     t_max = config.get("t_cold_max", t_hot)
-    if points < 2 or t_min <= 0 or t_max <= t_min:
-        raise ConfigError("need points >= 2 and 0 < t_cold_min < t_cold_max")
+    if points < 2 or t_hot <= 0 or t_min <= 0 or t_max <= t_min:
+        raise ConfigError("need points >= 2, t_hot > 0 and 0 < t_cold_min < t_cold_max")
     eps = epsilon(_physical_params(gap, gap, coupling))
     temps = [10.0 ** x for x in linspace(math.log10(t_min), math.log10(t_max), points)]
     # the sensitivity stand-in |d delta / d T_cold| rides along
@@ -342,8 +340,8 @@ def cmd_sensitivity(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
     t_cold = config.get("t_cold", t_hot / 1000.0)
     relerr_max = config.get("relerr_max", 0.5)
     points = int(config.get("points", 101))
-    if not 0.0 < relerr_max < 1.0 or points < 3:
-        raise ConfigError("need 0 < relerr_max < 1 and points >= 3")
+    if not 0.0 < relerr_max < 1.0 or points < 3 or t_hot <= 0 or t_cold <= 0:
+        raise ConfigError("need 0 < relerr_max < 1, points >= 3, t_hot > 0 and t_cold > 0")
     eps = epsilon(_physical_params(gap, gap, coupling))
     ref = thermometer_delta_from_eps(eps, gap, t_cold, t_hot)
     if ref == 0.0:

@@ -219,14 +219,13 @@ def derive_params(dp: DiagParams) -> DerivedParams:
     return _derive_uv(dp.omega_a, dp.omega_b, dp.u, dp.v)
 
 
-def constant_shift(dp: DiagParams, d: DerivedParams | None = None) -> float:
+def constant_shift(dp: DiagParams) -> float:
     """Zero-point constant dropped while rearranging the Hamiltonian.
 
     The exact spectrum is omega_a n_f + omega_b n_d - shift; the shift scales
     as lam^2 / Omega_a in the weak-coupling regime.
     """
-    if d is None:
-        d = derive_params(dp)
+    d = derive_params(dp)
     return (
         dp.omega_a * math.sinh(d.u) ** 2
         + dp.omega_b * math.sinh(dp.v) ** 2
@@ -235,13 +234,9 @@ def constant_shift(dp: DiagParams, d: DerivedParams | None = None) -> float:
     )
 
 
-def eigenvalue(dp: DiagParams, n_f: int, n_d: int, include_shift: bool = True) -> float:
-    """Closed-form eigenvalue; without the shift it is the bare label
-    omega_a n_f + omega_b n_d."""
-    e = dp.omega_a * n_f + dp.omega_b * n_d
-    if include_shift:
-        e -= constant_shift(dp)
-    return e
+def eigenvalue(dp: DiagParams, n_f: int, n_d: int) -> float:
+    """Closed-form eigenvalue omega_a n_f + omega_b n_d - constant_shift(dp)."""
+    return dp.omega_a * n_f + dp.omega_b * n_d - constant_shift(dp)
 
 
 def forward_map(dp: DiagParams) -> PhysicalParams:

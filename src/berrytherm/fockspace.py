@@ -1,17 +1,20 @@
 """Truncated two-mode bosonic Fock space and the diagonalizing chain on it.
 
-Basis states and the exact actions of the squeeze and two-mode displacement
-(beam splitter) factors of the detector-field diagonalization.  Both actions
-split exactly into real tridiagonal blocks, the one matrix exponential here,
-and act on amplitude arrays directly: no matrix of either factor is ever
-formed.  The blocks are exponentiated through numpy's SVD.  On top of them
-sit the model's operators on the truncated space, with the parameters
+The truncation (``FockDims``) and the exact actions of the squeeze and
+two-mode displacement (beam splitter) factors of the detector-field
+diagonalization.  Both actions split exactly into real tridiagonal blocks, the
+one matrix exponential here, and act on amplitude arrays directly: no matrix
+of either factor is ever formed.  The blocks are exponentiated through
+numpy's SVD.  On top of them sit the model's operators on the truncated space, with the parameters
 ``diagonalization`` derives, each in one form, an action on amplitude arrays
 that builds no matrix of the product space: H at any varphi
 (``hamiltonian_action``), U forward (``unitary_action``) and U' for the
 eigenstates (``eigenstates``).  The module needs only numpy; it is the
 package's array layer, with ``oracle``, and the package loads both lazily.
-Basis ordering is field-major throughout: ``index = n_f * n_det + n_d``.
+A state is a real (n_field, n_det) amplitude array, and a batch of states the
+(n_field, n_det, k) stack of them, amp[n_f, n_d, i] = <n_f n_d|psi_i>; no
+other form is used, and H at varphi = 0 and every factor of the chain keep it
+real.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +30,10 @@ from .diagonalization import DiagParams, PhysicalParams, derive_params
 
 __all__ = [
     "FockDims",
-    "StateVector",
     "TruncationWarning",
     "tridiagonal_exp_action",
     "squeeze_action",
     "beam_splitter_action",
-    "basis_state",
     "truncation_tail",
     "squeeze_cutoff",
     "hamiltonian_action",
@@ -69,48 +70,6 @@ class FockDims:
     @property
     def total(self) -> int:
         return self.n_field * self.n_det
-
-    def index(self, n_f: int, n_d: int) -> int:
-        """Field-major flat index of |n_f, n_d>."""
-        if not (0 <= n_f < self.n_field and 0 <= n_d < self.n_det):
-            raise IndexError(f"occupation ({n_f}, {n_d}) outside {self}")
-        return n_f * self.n_det + n_d
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex state vector on the truncated two-mode space, normalized on
-    construction to unit 2-norm to better than 1e-12."""
-
-    dims: FockDims
-    amp: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.amp, dtype=complex).reshape(-1)
-        if v.shape != (self.dims.total,):
-            raise ValueError(f"amplitude length {v.shape} does not match dims {self.dims}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state vector has non-finite entries")
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        object.__setattr__(self, "amp", v / n)
-
-
-def number_diagonal(dims: FockDims, mode: str) -> np.ndarray:
-    """Occupation of each flat basis index in the given mode."""
-    if mode == "field":
-        return np.repeat(np.arange(dims.n_field), dims.n_det)
-    if mode == "detector":
-        return np.tile(np.arange(dims.n_det), dims.n_field)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def basis_state(dims: FockDims, n_f: int, n_d: int) -> StateVector:
-    """|n_f, n_d> as a StateVector."""
-    v = np.zeros(dims.total, dtype=complex)
-    v[dims.index(n_f, n_d)] = 1.0
-    return StateVector(dims, v)
 
 
 def _squeeze_tail(n: int, t: float) -> float:
@@ -224,13 +183,14 @@ def beam_splitter_action(amp: np.ndarray, s) -> np.ndarray:
     return out
 
 
-def truncation_tail(state: StateVector) -> float:
-    """Amplitude norm living in the top two levels of either mode.
+def truncation_tail(amp: np.ndarray) -> float:
+    """Amplitude norm the (n_field, n_det) state ``amp`` keeps in the top two
+    levels of either mode.
 
     Oracle certifications refuse when this exceeds their calibrated gate;
     see oracle module.
     """
-    w = np.abs(state.amp.reshape(state.dims.n_field, state.dims.n_det)) ** 2
+    w = np.abs(amp) ** 2
     top = w[-2:, :].sum() + w[:, -2:].sum()
     return float(np.sqrt(top))
 
@@ -335,11 +295,12 @@ def _eigenstate_amps(dps: list[DiagParams], occupations, dims: FockDims) -> np.n
 EIGENSTATE_PAD = 1.8
 
 
-def eigenstates(dps: list[DiagParams], occupations, varphi: float,
-                dims: FockDims) -> list[StateVector]:
-    """Closed-form eigenstates U' |n_f n_d>, one unit vector on ``dims`` for
-    each pair of a dp of ``dps`` and the (n_f, n_d) at the same position of
-    ``occupations``.
+def eigenstates(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarray:
+    """Closed-form eigenstates U' |n_f n_d> of H(0) on ``dims``, one unit column
+    of the real (n_field, n_det, k) result for each pair of a dp of ``dps`` and
+    the (n_f, n_d) at the same position of ``occupations``.  At varphi = 0 the
+    last factor R' of U' is the identity; the eigenstate of H(varphi) is
+    e^{i varphi n_f} times the column.
 
     The factors of U' act by exact tridiagonal blocks on all pairs at once
     (see _eigenstate_amps), so each block is diagonalized once per call
@@ -359,5 +320,5 @@ def eigenstates(dps: list[DiagParams], occupations, varphi: float,
         max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
     )
     amps = _eigenstate_amps(dps, occupations, big)[: dims.n_field, : dims.n_det]
-    amps = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None] * amps  # R'
-    return [StateVector(dims, amps[:, :, i]) for i in range(amps.shape[2])]
+    # each column's norm as a contiguous row: one summation order at any batch size
+    return amps / np.linalg.norm(np.moveaxis(amps, 2, 0).reshape(amps.shape[2], -1), axis=1)

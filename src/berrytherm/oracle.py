@@ -9,18 +9,20 @@ frame.  Closed forms are only allowed in as selection targets (which
 eigenvector to track), never as values.
 Loop eigenpairs come from Rayleigh-quotient iteration in one parity sector of
 H(0), block tridiagonal in n_f (Parlett, The Symmetric Eigenvalue Problem, 4.6).
-A loop grid walks a ladder of growing cutoffs: its selection targets are built
-once, at the first rung; the pending pairs of a rung are solved by parity, each
-parity as one stacked iteration; and a pair refused at a rung continues at the
-next from its last eigenvector.  Every field-state quadrature of the
-adiabaticity check is the Gauss rule of x_f = a + a' on a window of field
-levels: the eigenvalues of its Jacobi matrix and their eigenvector components
-(Golub and Welsch, Math. Comp. 23, 221, 1969).  That matrix has a zero
-diagonal, so it is the Golub-Kahan form of a bidiagonal of half its size, and
-one SVD of the bidiagonal gives the rule (``_field_rule``, through the helper
-the chain's block exponentials use); no field window is diagonalized densely.
-The thermal mixture's rule takes the singular values alone (``_hermite_pairs``).
-The module needs only numpy.
+H(0) is real, so targets, starts and eigenvectors are real amplitude arrays,
+each pair a column of one (n_field, n_det, k) stack, as ``fockspace`` builds
+them.  A loop grid walks a ladder of growing cutoffs: its selection targets are
+built once, at the first rung; the pending pairs of a rung are zero-padded to
+it and solved by parity, each parity as one stacked iteration; and a pair
+refused at a rung continues at the next from its last eigenvector.  Every
+field-state quadrature of the adiabaticity check is the Gauss rule of
+x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
+and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
+1969).  That matrix has a zero diagonal, so it is the Golub-Kahan form of a
+bidiagonal of half its size, and one SVD of the bidiagonal gives the rule
+(``_field_rule``, through the helper the chain's block exponentials use); no
+field window is diagonalized densely.  The thermal mixture's rule takes the
+singular values alone (``_hermite_pairs``).  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ import numpy as np
 from .diagonalization import DiagParams, OracleError, PhysicalParams, forward_map
 from .fockspace import (
     FockDims,
-    StateVector,
     _golub_kahan_bidiagonal,
     _golub_kahan_svd,
     _position,
     eigenstates,
     hamiltonian_action,
-    number_diagonal,
     truncation_tail,
 )
 from .geomphase import PhaseResult, wrap_angle
@@ -108,7 +108,7 @@ class EvolutionSpec:
 @dataclass(frozen=True)
 class EigenPair:
     value: float
-    vector: StateVector
+    vector: np.ndarray  # real (n_field, n_det), unit norm, largest component positive
     overlap: float
 
 
@@ -171,36 +171,51 @@ def _shifted_solve(diag: list, couple: list, lam: np.ndarray, sigma: np.ndarray,
     return [np.concatenate(blocks) for blocks in zip(*one)]
 
 
-def _selected(v: np.ndarray, sigma: float, target: StateVector) -> EigenPair | OracleError:
-    """The converged vector ``v`` gauge-fixed (largest component real positive) as
-    an EigenPair, or the refusal when it overlaps ``target`` below AMBIGUITY_OVERLAP."""
-    vec = v.reshape(-1).astype(complex)
-    j = int(np.argmax(np.abs(vec)))
-    vec *= np.conj(vec[j]) / abs(vec[j])
-    overlap = abs(np.vdot(vec, target.amp))
+def _selected(v: np.ndarray, sigma: float, target: np.ndarray) -> EigenPair | OracleError:
+    """The converged (n_field, n_det) vector ``v`` gauge-fixed (largest component
+    positive) as an EigenPair, or the refusal when it overlaps ``target`` below
+    AMBIGUITY_OVERLAP."""
+    vec = v * math.copysign(1.0, v.flat[np.argmax(np.abs(v))])
+    overlap = abs(float(np.vdot(vec, target)))
     if overlap < AMBIGUITY_OVERLAP:
         return OracleError(
             f"eigenvector selection ambiguous: overlap {overlap:.4f} < "
             f"{AMBIGUITY_OVERLAP} (truncation too small or wrong parameters)"
         )
-    return EigenPair(value=sigma, vector=StateVector(target.dims, vec), overlap=float(overlap))
+    return EigenPair(value=sigma, vector=vec, overlap=overlap)
+
+
+def _unit_columns(stack, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """The stack ``stack`` with each column scaled to unit norm; ValueError unless
+    it is real and finite, of ``shape``, and has no zero column."""
+    stack = np.asarray(stack)
+    norm = np.linalg.norm(stack, axis=(0, 1)) if stack.shape == shape else None
+    if (norm is None or np.iscomplexobj(stack) or not np.isfinite(stack).all()
+            or not norm.all()):
+        raise ValueError(f"need a real, finite {shape} {name} stack with no zero column, "
+                         f"got {stack.dtype} {stack.shape}")
+    return stack / norm
 
 
 def numeric_eigenpairs(
     pps: list[PhysicalParams],
-    targets: list[StateVector],
+    targets: np.ndarray,
     parity: int,
-    starts: list[StateVector | None] | None = None,
+    starts: np.ndarray | None = None,
 ) -> list[EigenPair | OracleError]:
-    """Eigenpair of the truncated H(0) of each pp of ``pps`` that the target at
-    the same position selects, all in the sector (-1)^(n_f + n_d) = (-1)^parity
-    of one truncation: the EigenPair, or the OracleError that refused it.
+    """Eigenpair of the truncated H(0) of each pp of ``pps`` that the column at
+    the same position of the real (n_field, n_det, k) stack ``targets`` selects,
+    all in the sector (-1)^(n_f + n_d) = (-1)^parity of the stack's truncation:
+    the EigenPair, or the OracleError that refused it.  Each column of
+    ``targets`` and of ``starts`` (same shape; default the targets) is
+    normalized; a stack of another shape, with a complex or non-finite entry
+    or with a zero column, raises ValueError.
 
     In field-major order the sector is block tridiagonal in n_f: block f is
     Omega_a f + Omega_b d over its detector levels d, block (f+1, f) is
     lam sqrt(f+1) x_d on them; the lam-free blocks are shared by the stack.
-    Rayleigh-quotient iteration starts from each pair's start (its target
-    where ``starts`` gives none), sigma its Rayleigh quotient; each step solves
+    Rayleigh-quotient iteration starts from each pair's column of ``starts``
+    (of ``targets`` without one), sigma its Rayleigh quotient; each step solves
     (H - sigma) w = v for every unconverged pair in one stacked block-Thomas
     sweep (``_shifted_solve``) and moves each sigma to the Rayleigh quotient
     of its w, H v from ``hamiltonian_action``.  A pair leaves the stack once
@@ -208,38 +223,36 @@ def numeric_eigenpairs(
     after RQI_MAX_STEPS solves, a target or start with weight outside the
     sector, and an overlap with the target below AMBIGUITY_OVERLAP (a
     neighbour: truncation too small or wrong parameters).  Repeated calls
-    return identical bits; each vector's largest component is real positive.
+    return identical bits; each vector's largest component is positive.
     """
-    dims = targets[0].dims
-    if any(t.dims != dims for t in targets) or len(pps) != len(targets):
-        raise ValueError("need one parameter set per target, all targets on one truncation")
-    starts = [t if s is None else s for s, t in zip(starts or [None] * len(targets), targets)]
-    n_f, n_d = np.ogrid[:dims.n_field, :dims.n_det]
+    shape = np.shape(targets)[:2] + (len(pps),)
+    targets = _unit_columns(targets, shape, "target")
+    starts = targets if starts is None else _unit_columns(starts, shape, "start")
+    n_field, n_det, _ = shape
+    n_f, n_d = np.ogrid[:n_field, :n_det]
     inside = (n_f + n_d) % 2 == parity
-    results: list[EigenPair | OracleError | None] = [None] * len(targets)
-    for i, pair in enumerate(zip(targets, starts)):
-        if any(s.amp.reshape(inside.shape)[~inside].any() for s in pair):
-            results[i] = OracleError("target or start has weight outside the sector")
-    at = np.array([i for i, r in enumerate(results) if r is None], dtype=int)  # iterating
+    outside = targets[~inside].any(axis=0) | starts[~inside].any(axis=0)
+    results: list[EigenPair | OracleError | None] = [
+        OracleError("target or start has weight outside the sector") if out else None
+        for out in outside]
+    at = np.flatnonzero(~outside)  # iterating
     if not len(at):
         return results
     levels = [np.flatnonzero(row) for row in inside]
-    x_d = _position(dims.n_det)
+    x_d = _position(n_det)
     couple = [math.sqrt(f + 1.0) * x_d[np.ix_(levels[f + 1], levels[f])]
-              for f in range(dims.n_field - 1)]
+              for f in range(n_field - 1)]
     omega_a, omega_b, lam = np.array([(pp.Omega_a, pp.Omega_b, pp.lam) for pp in pps]).T
     diag = [omega_a[:, None] * f + omega_b[:, None] * d for f, d in enumerate(levels)]
-    tol = RQI_TOL * (omega_a * (dims.n_field - 1) + omega_b * (dims.n_det - 1))
-    v = np.stack([starts[i].amp.reshape(inside.shape) for i in at], axis=-1)
-    if not v.imag.any():
-        v = v.real
+    tol = RQI_TOL * (omega_a * (n_field - 1) + omega_b * (n_det - 1))
+    v = starts[:, :, at]
     for step in range(RQI_MAX_STEPS + 1):
         hv = hamiltonian_action([pps[i] for i in at], v)  # zero outside the sector
-        sigma = np.einsum("ijk,ijk->k", v.conj(), hv).real
+        sigma = np.einsum("ijk,ijk->k", v, hv)
         residual = np.linalg.norm((hv - sigma * v).reshape(-1, len(at)), axis=0)
         done = residual <= tol[at]
         for j in np.flatnonzero(done):
-            results[at[j]] = _selected(v[:, :, j], float(sigma[j]), targets[at[j]])
+            results[at[j]] = _selected(v[:, :, j], float(sigma[j]), targets[:, :, at[j]])
         if step == RQI_MAX_STEPS:
             for j in np.flatnonzero(~done):
                 results[at[j]] = OracleError(
@@ -265,59 +278,52 @@ def pancharatnam_product(states) -> tuple[float, float]:
     the smallest |overlap| seen).  Gauge invariant modulo 2 pi under
     per-state rephasing.
     """
-    vecs = [np.asarray(s.amp if isinstance(s, StateVector) else s) for s in states]
-    total = 0.0
-    min_abs = 1.0
-    n = len(vecs)
-    for i in range(n):
-        z = np.vdot(vecs[i], vecs[(i + 1) % n])
-        total += float(np.angle(z))
-        min_abs = min(min_abs, abs(z))
-    return total, min_abs
+    z = [np.vdot(a, b) for a, b in zip(states, [*states[1:], *states[:1]])]
+    return sum(float(np.angle(x)) for x in z), min([1.0, *map(abs, z)])
 
 
-def _loop_raw_phase(weights: np.ndarray, n_f_diag: np.ndarray, n_points: int) -> tuple[float, float]:
+def _loop_raw_phase(weights: np.ndarray, n_points: int) -> tuple[float, float]:
     """Raw loop phase for the rotation-propagated eigenvector family.
 
     The eigenvector at angle phi_k is exp(+i phi_k n_f) chi (an exact
     consequence of the rotation covariance of H, which is verified
     separately as a matrix identity), so every consecutive overlap equals
-    z(h) = sum_j |chi_j|^2 e^{i h n_f(j)} with h = 2 pi / N.  Returns
-    (N * Arg z, |z|).
+    z(h) = sum_{n_f, n_d} |chi|^2 e^{i h n_f} with h = 2 pi / N, ``weights``
+    the (n_field, n_det) array |chi|^2.  Returns (N * Arg z, |z|).
     """
     h = 2.0 * math.pi / n_points
-    z = np.sum(weights * np.exp(1j * h * n_f_diag))
+    z = np.sum(weights * np.exp(1j * h * np.arange(weights.shape[0]))[:, None])
     return n_points * float(np.angle(z)), float(abs(z))
 
 
-def _transported_loop(chi: StateVector, spec: LoopSpec) -> BerryLoopResult | OracleError:
-    """Loop phase of the eigenvector ``chi`` of H(0), or the refusal of its gates."""
+def _transported_loop(chi: np.ndarray, spec: LoopSpec) -> BerryLoopResult | OracleError:
+    """Loop phase of the (n_field, n_det) eigenvector ``chi`` of H(0), or the
+    refusal of its gates."""
     tail = truncation_tail(chi)
     if tail > TRUNCATION_GATE:
         return OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
                            f"{TRUNCATION_GATE:.1e}; raise the cutoff")
-    w = np.abs(chi.amp) ** 2
-    n_f_diag = number_diagonal(chi.dims, "field")
-    raw1, ov1 = _loop_raw_phase(w, n_f_diag, spec.n_points)
+    w = chi ** 2
+    raw1, ov1 = _loop_raw_phase(w, spec.n_points)
     if ov1 < LEVEL_CROSSING_OVERLAP:
         return OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
-    raw2, _ = _loop_raw_phase(w, n_f_diag, 2 * spec.n_points)
+    raw2, _ = _loop_raw_phase(w, 2 * spec.n_points)
     raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
     raw = (4.0 * raw2 - raw1) / 3.0
     return BerryLoopResult(
         PhaseResult(value=wrap_angle(raw), raw=raw),
-        error_estimate=abs(raw2 - raw1), truncation_tail=tail, dims=chi.dims,
+        error_estimate=abs(raw2 - raw1), truncation_tail=tail, dims=FockDims(*chi.shape),
     )
 
 
-def _padded(state: StateVector, dims: FockDims) -> StateVector:
-    """``state`` on the truncation ``dims`` (as large or larger), zero on the levels it adds."""
-    if state.dims == dims:
-        return state
-    amp = np.zeros((dims.n_field, dims.n_det), dtype=complex)
-    amp[:state.dims.n_field, :state.dims.n_det] = state.amp.reshape(
-        state.dims.n_field, state.dims.n_det)
-    return StateVector(dims, amp)
+def _padded(columns: list[np.ndarray], dims: FockDims) -> np.ndarray:
+    """The (n_field, n_det) arrays ``columns``, each on a truncation no larger
+    than ``dims``, as the columns of one stack on ``dims``, zero on the levels
+    it adds."""
+    out = np.zeros((dims.n_field, dims.n_det, len(columns)))
+    for i, col in enumerate(columns):
+        out[:col.shape[0], :col.shape[1], i] = col
+    return out
 
 
 def discrete_berry_loops(
@@ -353,9 +359,9 @@ def discrete_berry_loops(
         raise ValueError(f"need a non-empty ladder of growing truncations, got {ladder}")
     pps = {dp: forward_map(dp) for dp in dps}
     parities = [(n_f + n_d) % 2 for n_f, n_d in occupations]
-    targets = eigenstates(dps, occupations, 0.0, ladder[0])
+    targets = list(np.moveaxis(eigenstates(dps, occupations, ladder[0]), 2, 0))
     results: list[BerryLoopResult | OracleError] = [None] * len(targets)
-    starts: list[StateVector | None] = [None] * len(targets)
+    starts = list(targets)
     pending = range(len(targets))
     for dims in ladder:
         for parity in (0, 1):
@@ -363,12 +369,11 @@ def discrete_berry_loops(
             if not batch:
                 continue
             pairs = numeric_eigenpairs(
-                [pps[dps[i]] for i in batch],
-                [_padded(targets[i], dims) for i in batch], parity,
-                [None if starts[i] is None else _padded(starts[i], dims) for i in batch])
+                [pps[dps[i]] for i in batch], _padded([targets[i] for i in batch], dims),
+                parity, _padded([starts[i] for i in batch], dims))
             for i, pair in zip(batch, pairs):
                 if isinstance(pair, OracleError):
-                    results[i], starts[i] = pair, None
+                    results[i], starts[i] = pair, targets[i]
                 else:
                     results[i], starts[i] = _transported_loop(pair.vector, spec), pair.vector
         pending = [i for i in pending if isinstance(results[i], OracleError)]

@@ -136,7 +136,7 @@ def test_criterion_3_eigenstate_certification():
         pp = PhysicalParams(1.0, 1.0, lam_ratio)
         dp = invert_physical(pp).params
         h = sparse_hamiltonian(pp, dims)
-        psi = eigenstates([dp], [occ], 0.0, dims)[0].amp
+        psi = eigenstates([dp], [occ], dims).reshape(-1)
         e_label = dp.omega_a * occ[0] + dp.omega_b * occ[1]
         return float(np.linalg.norm(h @ psi - e_label * psi)) / pp.Omega_a
 

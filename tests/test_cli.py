@@ -149,13 +149,18 @@ RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
     ["sensitivity", "--preset", "fig3-ghz", "--t-cold", "nan"],
     ["unruh", "--preset", "fig5-1", "--accel-max", "inf", "--points", "3"],
     ["adiabaticity", "--preset", "fig6-mhz", "--temperature", "inf", "--cycles", "2"],
+    ["thermometer", "--preset", "fig3-ghz", "--t-hot", "0", "--t-cold-min", "1e-3",
+     "--t-cold-max", "1e-2", "--points", "3"],
+    ["sensitivity", "--preset", "fig3-ghz", "--t-cold", "-1", "--points", "3"],
+    ["sensitivity", "--preset", "fig3-ghz", "--t-hot", "-1", "--points", "3"],
 ], ids=["negative-temperature", "cutoff-3", "cutoff-1",
         "thermometer-zero-gap", "adiabaticity-zero-gap", "unruh-negative-gap",
         "diagonalize-zero-omega-a", "thermometer-nan-gap", "adiabaticity-infinite-coupling",
         "diagonalize-forward-zero-omega-a", "diagonalize-forward-nan-omega-a",
         "diagonalize-forward-ratio-below-exp-2v", "diagonalize-both-triples",
         "thermometer-nan-t-hot", "thermometer-infinite-t-cold-max", "sensitivity-nan-t-cold",
-        "unruh-infinite-accel-max", "adiabaticity-infinite-temperature"])
+        "unruh-infinite-accel-max", "adiabaticity-infinite-temperature",
+        "thermometer-zero-t-hot", "sensitivity-negative-t-cold", "sensitivity-negative-t-hot"])
 def test_values_the_numerics_cannot_take_are_config_errors(capsys, argv):
     # caught with the other config values, before any numerics run
     assert main(argv) == EXIT_CONFIG
@@ -780,12 +785,20 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
     assert [where for where, m in found if m == "json"] == ["_json_text"]
 
 
+# Names of retired forms: ``kron`` built dense product-space copies of operators;
+# ``StateVector``, ``basis_state`` and ``number_diagonal`` kept states as flat
+# complex vectors beside the real (n_field, n_det, k) amplitude stacks
+RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal")
+
+
 def test_package_builds_no_kronecker_product():
-    # one operator form: the array layers act on amplitude arrays, so no dense
-    # product-space copy of an operator can come back through a Kronecker product
+    # one operator form and one state form: the array layers act on real amplitude
+    # stacks, so neither a dense product-space copy of an operator (through a
+    # Kronecker product) nor a flat state vector can come back
     files = sorted(SRC.glob("*.py"))
     assert {"fockspace.py", "oracle.py"} <= {f.name for f in files}
-    offenders = [f.name for f in files if re.search(r"\bkron\b", f.read_text(encoding="utf-8"))]
+    offenders = [(f.name, name) for f in files for name in RETIRED_NAMES
+                 if re.search(rf"\b{name}\b", f.read_text(encoding="utf-8"))]
     assert offenders == []
 
 

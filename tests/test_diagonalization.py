@@ -23,10 +23,8 @@ from berrytherm.diagonalization import (
 from berrytherm.fockspace import (
     EIGENSTATE_PAD,
     FockDims,
-    basis_state,
     eigenstates,
     hamiltonian_action,
-    number_diagonal,
     unitary_action,
 )
 
@@ -250,7 +248,7 @@ def test_hamiltonian_rotation_covariance():
     pp = PhysicalParams(1.9, 1.1, 0.4)
     h0 = _action_matrix(pp, dims)
     for phi in (0.3, 1.0, -2.2):
-        r = np.exp(1j * phi * number_diagonal(dims, "field"))  # diagonal of R(-phi)
+        r = np.exp(1j * phi * _field_occupation(dims))  # diagonal of R(-phi)
         conj = r[:, None] * h0 * r.conj()
         assert np.abs(_action_matrix(pp, dims, phi) - conj).max() < 1e-12 * pp.Omega_a
 
@@ -286,8 +284,9 @@ def test_diagonalization_chain_reproduces_hamiltonian():
     pp = forward_map(dp)
     h = sparse_hamiltonian(pp, dims, 0.6)
     labels = [(a, b) for a in range(6) for b in range(6)]
-    for (a, b), psi in zip(labels, eigenstates([dp] * len(labels), labels, 0.6, dims)):
-        res = np.linalg.norm(h @ psi.amp - eigenvalue(dp, a, b) * psi.amp)
+    for (a, b), psi in zip(labels, _at_phase(eigenstates([dp] * len(labels), labels, dims),
+                                            0.6).T):
+        res = np.linalg.norm(h @ psi - eigenvalue(dp, a, b) * psi)
         assert res < 1e-8 * pp.Omega_a, (a, b)
         if a < 3 and b < 3:
             assert res < 1e-11 * pp.Omega_a, (a, b)
@@ -309,14 +308,14 @@ def test_eigenstate_decoupling_limits():
     # detuned decoupling: the dressed state collapses onto a single basis
     # state, with the mode labels swapped (omega_a tracks the detector gap)
     dp = invert_physical(PhysicalParams(2e9, 3e9, 2.0)).params
-    psi, = eigenstates([dp], [(2, 1)], 0.0, dims)
-    assert abs(psi.amp[dims.index(1, 2)]) > 1 - 1e-10
+    psi = eigenstates([dp], [(2, 1)], dims)[:, :, 0]
+    assert abs(psi[1, 2]) > 1 - 1e-10
     # resonant decoupling: degenerate perturbation theory leaves an equal
     # superposition of the bare pair however small the coupling
     dp_res = invert_physical(PhysicalParams(2e9, 2e9, 2e9 * 1e-9)).params
-    pair, = eigenstates([dp_res], [(1, 0)], 0.0, dims)
-    assert abs(pair.amp[dims.index(1, 0)]) ** 2 == pytest.approx(0.5, abs=1e-6)
-    assert abs(pair.amp[dims.index(0, 1)]) ** 2 == pytest.approx(0.5, abs=1e-6)
+    pair = eigenstates([dp_res], [(1, 0)], dims)[:, :, 0]
+    assert abs(pair[1, 0]) ** 2 == pytest.approx(0.5, abs=1e-6)
+    assert abs(pair[0, 1]) ** 2 == pytest.approx(0.5, abs=1e-6)
 
 
 def test_eigenstate_rayleigh_residual_small_coupling():
@@ -325,8 +324,7 @@ def test_eigenstate_rayleigh_residual_small_coupling():
     dims = FockDims(24, 24)
     h = sparse_hamiltonian(pp, dims)
     occupations = ((0, 0), (1, 0), (0, 1))
-    for psi in eigenstates([dp] * 3, occupations, 0.0, dims):
-        psi = psi.amp
+    for psi in eigenstates([dp] * 3, occupations, dims).reshape(dims.total, -1).T:
         e_val = float(np.real(np.vdot(psi, h @ psi)))
         res = np.linalg.norm(h @ psi - e_val * psi)
         assert res / pp.Omega_a < 1e-6
@@ -335,7 +333,7 @@ def test_eigenstate_rayleigh_residual_small_coupling():
 def test_eigenstate_occupation_guard():
     dims = FockDims(12, 12)
     with pytest.raises(ValueError, match="cutoff"):
-        eigenstates([CANONICAL], [(6, 0)], 0.0, dims)
+        eigenstates([CANONICAL], [(6, 0)], dims)
 
 
 def test_label_eigenvalue_shift_scales_quadratically():
@@ -349,6 +347,18 @@ def test_label_eigenvalue_shift_scales_quadratically():
     assert c1 == pytest.approx(pp1.lam ** 2 / (2 * pp1.Omega_a), rel=0.01)
 
 
+def _field_occupation(dims):
+    """n_f at each field-major flat index of ``dims``."""
+    return np.repeat(np.arange(dims.n_field), dims.n_det)
+
+
+def _at_phase(amps, varphi):
+    """The closed-form eigenstates of H(varphi), as flat columns, from those of H(0)
+    in the (n_field, n_det, k) stack ``amps``: R' = e^{i varphi n_f} on each column."""
+    r = np.exp(1j * varphi * np.arange(amps.shape[0]))[:, None, None]
+    return (r * amps).reshape(-1, amps.shape[2])
+
+
 def reference_eigenstate(dp, n_f, n_d, varphi, dims):
     """U' |n_f n_d> as a chain of sparse expm_multiply actions of the whole
     generators on the padded space, projected back and normalized."""
@@ -358,13 +368,14 @@ def reference_eigenstate(dp, n_f, n_d, varphi, dims):
     a = sparse_ladder(big, "field")
     b = sparse_ladder(big, "detector")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    x = basis_state(big, n_f, n_d).amp
+    x = np.zeros(big.total, dtype=complex)
+    x[n_f * big.n_det + n_d] = 1.0  # |n_f n_d>
     # U' = R' Shat' D' S_b' S_a'; each factor is exp(-K) for its generator K
     x = expm_multiply(-0.5 * d.u * (ad @ ad - a @ a), x)          # theta_a = 0
     x = expm_multiply(-0.5 * dp.v * (b @ b - bd @ bd), x)         # theta_b = -pi
     x = expm_multiply(-d.s * (ad @ b - a @ bd), x)
     x = expm_multiply(-0.5 * d.p * (bd @ bd - b @ b), x)
-    x = np.exp(1j * varphi * number_diagonal(big, "field")) * x
+    x = np.exp(1j * varphi * _field_occupation(big)) * x
     amp = x.reshape(big.n_field, big.n_det)[: dims.n_field, : dims.n_det].reshape(-1)
     return amp / np.linalg.norm(amp)
 
@@ -377,20 +388,20 @@ def test_eigenstate_matches_reference_chain_on_certify_grid():
             if ratio <= math.exp(2 * v):
                 continue
             dp = DiagParams(ratio, 1.0, v)
-            fast = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.0, dims)
-            for occ, state in zip(cli.CERT_OCCUPATIONS, fast):
+            fast = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims).reshape(dims.total, -1)
+            for occ, state in zip(cli.CERT_OCCUPATIONS, fast.T):
                 ref = reference_eigenstate(dp, occ[0], occ[1], 0.0, dims)
-                worst = max(worst, np.abs(state.amp - ref).max())
+                worst = max(worst, np.abs(state - ref).max())
     assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("varphi", [0.4, -2.3])
 def test_eigenstate_matches_reference_chain_nonzero_phase(varphi):
     dims = FockDims(24, 24)
-    fast = eigenstates([CANONICAL] * 4, cli.CERT_OCCUPATIONS, varphi, dims)
-    for occ, state in zip(cli.CERT_OCCUPATIONS, fast):
+    fast = _at_phase(eigenstates([CANONICAL] * 4, cli.CERT_OCCUPATIONS, dims), varphi)
+    for occ, state in zip(cli.CERT_OCCUPATIONS, fast.T):
         ref = reference_eigenstate(CANONICAL, occ[0], occ[1], varphi, dims)
-        assert np.abs(state.amp - ref).max() <= 1e-13
+        assert np.abs(state - ref).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dims", [FockDims(20, 12), FockDims(12, 20)])
@@ -398,9 +409,10 @@ def test_eigenstate_matches_reference_chain_rectangular(dims):
     # total-number blocks of the beam splitter are cut unevenly by the two cutoffs
     dp = DiagParams(math.e ** 3, 1.0, 0.45)
     occupations = ((0, 0), (2, 1), (1, 3), (4, 5))
-    for occ, state in zip(occupations, eigenstates([dp] * 4, occupations, 0.7, dims)):
+    for occ, state in zip(occupations, _at_phase(eigenstates([dp] * 4, occupations, dims),
+                                                 0.7).T):
         ref = reference_eigenstate(dp, occ[0], occ[1], 0.7, dims)
-        assert np.abs(state.amp - ref).max() <= 1e-13
+        assert np.abs(state - ref).max() <= 1e-13
 
 
 CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
@@ -414,11 +426,11 @@ CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
 ], ids=["30x30-grid", "78x78", "20x12"])
 def test_eigenstates_batch_equals_batch_of_one(dims, dps):
     for dp in dps:
-        batch = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.7, dims)
-        assert len(batch) == len(cli.CERT_OCCUPATIONS)
-        for occ, state in zip(cli.CERT_OCCUPATIONS, batch):
-            one, = eigenstates([dp], [occ], 0.7, dims)
-            assert np.abs(state.amp - one.amp).max() <= 1e-15
+        batch = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims)
+        assert batch.shape[2] == len(cli.CERT_OCCUPATIONS)
+        for i, occ in enumerate(cli.CERT_OCCUPATIONS):
+            one = eigenstates([dp], [occ], dims)
+            assert np.abs(batch[:, :, i] - one[:, :, 0]).max() <= 1e-15
 
 
 def test_eigenstates_mixed_dps_equal_per_dp_eigenstate():
@@ -426,16 +438,25 @@ def test_eigenstates_mixed_dps_equal_per_dp_eigenstate():
     # cutoff-major loop grid calls it
     dims = FockDims(30, 30)
     pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
-    batch = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], 0.7, dims)
-    assert len(batch) == len(pairs) == 32
-    for (dp, occ), state in zip(pairs, batch):
-        one, = eigenstates([dp], [occ], 0.7, dims)
-        assert np.abs(state.amp - one.amp).max() <= 1e-15
+    batch = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
+    assert batch.shape[2] == len(pairs) == 32
+    for i, (dp, occ) in enumerate(pairs):
+        one = eigenstates([dp], [occ], dims)
+        assert np.abs(batch[:, :, i] - one[:, :, 0]).max() <= 1e-15
+
+
+def test_eigenstates_are_real_unit_columns():
+    # the one state form: a real (n_field, n_det, k) stack, each column of unit norm
+    dims = FockDims(30, 30)
+    pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
+    amps = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
+    assert amps.dtype == np.float64 and amps.shape == (30, 30, 32)
+    assert np.abs(np.linalg.norm(amps, axis=(0, 1)) - 1.0).max() <= 1e-14
 
 
 def test_eigenstates_refuses_unpaired_lists():
     with pytest.raises(ValueError, match="parameter sets"):
-        eigenstates([CANONICAL], [(0, 0), (1, 0)], 0.0, FockDims(12, 12))
+        eigenstates([CANONICAL], [(0, 0), (1, 0)], FockDims(12, 12))
 
 
 # eigenstate_residuals_over_Omega_a of `diagonalize` on the resonant
@@ -505,7 +526,8 @@ def test_diagonalize_vacuum_column_matches_dense_unitary(preset):
     a = sparse_ladder(dims, "field")
     b = sparse_ladder(dims, "detector")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    col = basis_state(dims, 0, 0).amp
+    col = np.zeros(dims.total, dtype=complex)
+    col[0] = 1.0  # |00>
     # U|00> = S_a S_b D Shat_b |00>, each factor exp(K) for its generator K
     col = expm_multiply(0.5 * d.p * (bd @ bd - b @ b), col)
     col = expm_multiply(d.s * (ad @ b - a @ bd), col)

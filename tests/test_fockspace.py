@@ -7,9 +7,7 @@ from berrytherm import cli
 from berrytherm.fockspace import (
     FockDims,
     TruncationWarning,
-    basis_state,
     beam_splitter_action,
-    number_diagonal,
     squeeze_action,
     tridiagonal_exp_action,
     truncation_tail,
@@ -24,7 +22,7 @@ def _orthonormal_columns(n: int, k: int, seed: int) -> np.ndarray:
 def _low_columns(dims: FockDims, n_low: int) -> tuple[np.ndarray, list[int]]:
     """Basis columns |n_f n_d>, n_f, n_d < n_low, as an (n_field, n_det, k) array,
     and their flat indices."""
-    low = [dims.index(nf, nd) for nf in range(n_low) for nd in range(n_low)]
+    low = [nf * dims.n_det + nd for nf in range(n_low) for nd in range(n_low)]
     cols = np.zeros((dims.total, len(low)))
     cols[low, np.arange(len(low))] = 1.0
     return cols.reshape(dims.n_field, dims.n_det, -1), low
@@ -36,19 +34,6 @@ def test_dims_validation():
     with pytest.raises(ValueError):
         FockDims(5, 0)
     assert FockDims(3, 4).total == 12
-
-
-def test_index_roundtrip_is_bijection():
-    dims = FockDims(7, 5)
-    seen = set()
-    for nf in range(7):
-        for nd in range(5):
-            idx = dims.index(nf, nd)
-            assert idx == nf * 5 + nd
-            seen.add(idx)
-    assert seen == set(range(dims.total))
-    with pytest.raises(IndexError):
-        dims.index(7, 0)
 
 
 def test_squeeze_identity_at_zero():
@@ -105,7 +90,8 @@ def test_displace_number_conjugation_identities():
     a = sparse_ladder(dims, "field").real
     b = sparse_ladder(dims, "detector").real
     cross = a.T @ b + b.T @ a
-    na, nb = number_diagonal(dims, "field"), number_diagonal(dims, "detector")
+    na = np.repeat(np.arange(dims.n_field), dims.n_det)  # occupations, field-major
+    nb = np.tile(np.arange(dims.n_det), dims.n_field)
     cols, low = _low_columns(dims, 8)
     flat = cols.reshape(dims.total, -1)
     moved = beam_splitter_action(cols, s).reshape(dims.total, -1)
@@ -124,10 +110,9 @@ def test_displace_unitarity():
 
 
 def test_truncation_tail_detects_top_levels():
-    dims = FockDims(6, 6)
-    low = basis_state(dims, 1, 1)
+    low, top = np.zeros((6, 6)), np.zeros((6, 6))
+    low[1, 1] = top[5, 0] = 1.0  # |1,1> and |5,0>
     assert truncation_tail(low) == 0.0
-    top = basis_state(dims, 5, 0)
     assert truncation_tail(top) == pytest.approx(1.0)
 
 

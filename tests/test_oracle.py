@@ -9,13 +9,7 @@ from sparse_ops import sparse_hamiltonian
 
 from berrytherm import cli, oracle
 from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map, invert_physical
-from berrytherm.fockspace import (
-    FockDims,
-    StateVector,
-    basis_state,
-    eigenstates,
-    number_diagonal,
-)
+from berrytherm.fockspace import FockDims, eigenstates
 from berrytherm.geomphase import (
     eigen_berry_phase,
     epsilon,
@@ -45,8 +39,8 @@ TAU = 2 * math.pi
 
 
 def _pair(pp, target, parity):
-    """The one eigenpair, or refusal, of a stack of one."""
-    return numeric_eigenpairs([pp], [target], parity)[0]
+    """The one eigenpair, or refusal, of the stack of the one (n_field, n_det) target."""
+    return numeric_eigenpairs([pp], target[:, :, None], parity)[0]
 
 
 def _loop(dp, n_f, n_d, spec, dims):
@@ -54,9 +48,17 @@ def _loop(dp, n_f, n_d, spec, dims):
     return discrete_berry_loops([dp], [(n_f, n_d)], spec, [dims])[0]
 
 
-def _target(dp, n_f, n_d, varphi, dims):
-    """The closed-form eigenstate of a batch of one."""
-    return eigenstates([dp], [(n_f, n_d)], varphi, dims)[0]
+def _target(dp, n_f, n_d, dims):
+    """The closed-form eigenstate of a batch of one, as an (n_field, n_det) array."""
+    return eigenstates([dp], [(n_f, n_d)], dims)[:, :, 0]
+
+
+def _ket(dims, *occupations):
+    """The sum of the basis states |n_f n_d> of ``occupations``, unnormalized."""
+    amp = np.zeros((dims.n_field, dims.n_det))
+    for n_f, n_d in occupations:
+        amp[n_f, n_d] += 1.0
+    return amp
 
 
 def test_loopspec_validation():
@@ -67,26 +69,27 @@ def test_loopspec_validation():
 def test_numeric_eigenpair_decoupled():
     dims = FockDims(6, 6)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    pair = _pair(pp, basis_state(dims, 1, 0), 1)
+    pair = _pair(pp, _ket(dims, (1, 0)), 1)
     assert pair.value == pytest.approx(3.0, abs=1e-12)
-    assert abs(pair.vector.amp[dims.index(1, 0)]) == pytest.approx(1.0, abs=1e-12)
-    # gauge fix: largest component real positive
-    assert pair.vector.amp[dims.index(1, 0)].real > 0
-    assert abs(pair.vector.amp[dims.index(1, 0)].imag) < 1e-14
+    assert abs(pair.vector[1, 0]) == pytest.approx(1.0, abs=1e-12)
+    # gauge fix: largest component positive, in a real vector
+    assert pair.vector[1, 0] > 0
+    assert pair.vector.dtype == np.float64
 
 
 def test_numeric_eigenpair_residual_contract():
     dims = FockDims(14, 14)
     pp = forward_map(CANONICAL)
     h = sparse_hamiltonian(pp, dims)
-    target = _target(CANONICAL, 0, 0, 0.0, dims)
+    target = _target(CANONICAL, 0, 0, dims)
     pair = _pair(pp, target, 0)
-    res = np.linalg.norm(h @ pair.vector.amp - pair.value * pair.vector.amp)
+    vec = pair.vector.reshape(-1)
+    res = np.linalg.norm(h @ vec - pair.value * vec)
     assert res < 1e-10 * abs(h).max()
-    # a complex target (here a global phase) runs the solve in complex arithmetic
-    rephased = _pair(pp, StateVector(dims, np.exp(0.7j) * target.amp), 0)
+    # a rescaled, sign-flipped target (a global phase of a real state) selects the same pair
+    rephased = _pair(pp, -2.5 * target, 0)
     assert abs(rephased.value - pair.value) <= 1e-12 * abs(pair.value)
-    assert 1.0 - abs(np.vdot(rephased.vector.amp, pair.vector.amp)) <= 1e-12
+    assert 1.0 - abs(np.vdot(rephased.vector, pair.vector)) <= 1e-12
 
 
 def test_numeric_eigenpair_overlap_certification():
@@ -95,8 +98,9 @@ def test_numeric_eigenpair_overlap_certification():
     dp = invert_physical(pp).params
     dims = FockDims(14, 14)
     occupations = ((0, 0), (1, 0), (0, 1))
-    for occ, target in zip(occupations, eigenstates([dp] * 3, occupations, 0.0, dims)):
-        pair = _pair(pp, target, sum(occ) % 2)
+    targets = eigenstates([dp] * 3, occupations, dims)
+    for i, occ in enumerate(occupations):
+        pair = _pair(pp, targets[:, :, i], sum(occ) % 2)
         assert pair.overlap > 1 - 1e-8
 
 
@@ -107,18 +111,19 @@ def test_numeric_eigenpair_sparse_repeatable_bits(varphi):
     dims = FockDims(44, 44)
     pp = forward_map(CANONICAL)
     h0 = sparse_hamiltonian(pp, dims)
-    r = np.exp(1j * varphi * number_diagonal(dims, "field"))
-    pairs = [_pair(pp, _target(CANONICAL, 1, 1, 0.0, dims), 0) for _ in range(3)]
-    vecs = [r * pair.vector.amp for pair in pairs]
+    r = np.exp(1j * varphi * np.arange(dims.n_field))[:, None]
+    pairs = [_pair(pp, _target(CANONICAL, 1, 1, dims), 0) for _ in range(3)]
+    vecs = [r * pair.vector for pair in pairs]
     for pair, vec in zip(pairs[1:], vecs[1:]):
         assert pair.value == pairs[0].value
         assert np.array_equal(vec, vecs[0])
     assert pairs[0].overlap > 0.999
-    assert not pairs[0].vector.amp.imag.any()  # H(0) is real: so is the gauge-fixed vector
-    res = np.linalg.norm(h0 @ pairs[0].vector.amp - pairs[0].value * pairs[0].vector.amp)
+    assert pairs[0].vector.dtype == np.float64  # H(0) is real: so is the gauge-fixed vector
+    vec = pairs[0].vector.reshape(-1)
+    res = np.linalg.norm(h0 @ vec - pairs[0].value * vec)
     assert res < 1e-10 * abs(h0).max()
-    target = _target(CANONICAL, 1, 1, varphi, dims)
-    assert abs(np.vdot(target.amp, vecs[0])) > 0.999
+    target = r * _target(CANONICAL, 1, 1, dims)  # the closed-form eigenstate of H(varphi)
+    assert abs(np.vdot(target, vecs[0])) > 0.999
     assert vecs[0].imag.any() == (varphi != 0.0)
 
 
@@ -127,9 +132,7 @@ def test_numeric_eigenpair_ambiguity():
     # |0,2>, the level nearest the mixture's Rayleigh quotient, at overlap 3^-1/2
     dims = FockDims(5, 5)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 1).amp \
-        + basis_state(dims, 0, 2).amp
-    refusal = _pair(pp, StateVector(dims, mixed), 0)
+    refusal = _pair(pp, _ket(dims, (0, 0), (1, 1), (0, 2)), 0)
     assert isinstance(refusal, OracleError)
     assert "ambiguous: overlap 0.5774" in str(refusal)
 
@@ -139,8 +142,7 @@ def test_numeric_eigenpair_refuses_unconverged():
     # every shifted solve keeps the weights equal, so the residual never falls
     dims = FockDims(5, 5)
     pp = PhysicalParams(3.0, 2.0, 0.0)
-    mixed = basis_state(dims, 0, 0).amp + basis_state(dims, 1, 1).amp
-    refusal = _pair(pp, StateVector(dims, mixed), 0)
+    refusal = _pair(pp, _ket(dims, (0, 0), (1, 1)), 0)
     assert isinstance(refusal, OracleError)
     assert f"unconverged after {oracle.RQI_MAX_STEPS} solves" in str(refusal)
 
@@ -187,11 +189,11 @@ def _every_point_loop(dp, n_f, n_d, spec, dims):
     product, Richardson-refined over the N and 2N grids; small cutoffs only.
     Returns (raw phase, smallest consecutive overlap)."""
     pp = forward_map(dp)
-    chi = _pair(pp, _target(dp, n_f, n_d, 0.0, dims), (n_f + n_d) % 2).vector
+    chi = _pair(pp, _target(dp, n_f, n_d, dims), (n_f + n_d) % 2).vector
 
     def loop_at(n_points):
         states = []
-        prev = chi.amp
+        prev = chi.reshape(-1)
         min_ov = 1.0
         for phi in 2.0 * math.pi * np.arange(n_points) / n_points:
             _, vecs = np.linalg.eigh(sparse_hamiltonian(pp, dims, phi).toarray())
@@ -233,16 +235,17 @@ def test_loop_truncation_gate_refuses():
 
 
 def _parity_sector(dims, parity):
-    return np.flatnonzero(
-        (number_diagonal(dims, "field") + number_diagonal(dims, "detector")) % 2 == parity)
+    """Field-major flat indices of the sector (-1)^(n_f + n_d) = (-1)^parity."""
+    return np.flatnonzero(np.add.outer(np.arange(dims.n_field), np.arange(dims.n_det)) % 2
+                          == parity)
 
 
 def _assert_matches(pair, target, vals, vecs, sector):
     """``pair`` against the reference eigenvector of the sector (columns of
     ``vecs``) that overlaps ``target`` most."""
-    ref = int(np.argmax(np.abs(vecs.T @ target.amp[sector])))
+    ref = int(np.argmax(np.abs(vecs.T @ target.reshape(-1)[sector])))
     assert abs(pair.value - vals[ref]) <= 1e-12 * abs(vals[ref])
-    assert 1.0 - abs(vecs[:, ref] @ pair.vector.amp[sector]) <= 1e-12
+    assert 1.0 - abs(vecs[:, ref] @ pair.vector.reshape(-1)[sector]) <= 1e-12
 
 
 def test_sector_eigenpair_matches_full_space_on_certify_grid():
@@ -261,8 +264,9 @@ def test_sector_eigenpair_matches_full_space_on_certify_grid():
                 sector = _parity_sector(dims, parity)
                 assert not h[np.ix_(sector, _parity_sector(dims, 1 - parity))].any()
                 ref[parity] = (sector, *np.linalg.eigh(h[np.ix_(sector, sector)]))
-            targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, 0.0, dims)
-            for (n_f, n_d), target in zip(cli.CERT_OCCUPATIONS, targets):
+            targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims)
+            for i, (n_f, n_d) in enumerate(cli.CERT_OCCUPATIONS):
+                target = targets[:, :, i]
                 sector, vals, vecs = ref[(n_f + n_d) % 2]
                 _assert_matches(_pair(pp, target, (n_f + n_d) % 2),
                                 target, vals, vecs, sector)
@@ -274,10 +278,10 @@ def test_numeric_eigenpair_matches_eigsh_on_top_rung():
     dims = FockDims(78, 78)
     dp = DiagParams(math.e ** 3, 1.0, 0.6)
     pp = forward_map(dp)
-    target = _target(dp, 1, 1, 0.0, dims)
+    target = _target(dp, 1, 1, dims)
     sector = _parity_sector(dims, 0)
     h = sparse_hamiltonian(pp, dims)[sector][:, sector].tocsc()
-    start = target.amp[sector].real
+    start = target.reshape(-1)[sector]
     vals, vecs = spla.eigsh(h, k=3, sigma=start @ (h @ start), which="LM",
                             v0=np.ones(len(sector)))
     _assert_matches(_pair(pp, target, 0), target, vals, vecs, sector)
@@ -320,7 +324,7 @@ def _assert_same_pairs(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert abs(g.value - w.value) <= 1e-12 * abs(w.value)
-        assert 1.0 - abs(np.vdot(g.vector.amp, w.vector.amp)) <= 1e-12
+        assert 1.0 - abs(np.vdot(g.vector, w.vector)) <= 1e-12
 
 
 def test_stacked_eigenpairs_match_one_at_a_time_on_certify_rung():
@@ -331,9 +335,9 @@ def test_stacked_eigenpairs_match_one_at_a_time_on_certify_rung():
                  if sum(occ) % 2 == parity]
         assert len(pairs) == 16
         pps = [forward_map(dp) for dp, _ in pairs]
-        targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], 0.0, dims)
+        targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
         _assert_same_pairs(numeric_eigenpairs(pps, targets, parity),
-                           [_pair(pp, t, parity) for pp, t in zip(pps, targets)])
+                           [_pair(pp, targets[:, :, i], parity) for i, pp in enumerate(pps)])
 
 
 def test_stacked_eigenpairs_return_refusals_as_values():
@@ -341,13 +345,13 @@ def test_stacked_eigenpairs_return_refusals_as_values():
     # stacked between two good pairs of CANONICAL
     dims = FockDims(12, 12)
     pp, decoupled = forward_map(CANONICAL), PhysicalParams(3.0, 2.0, 0.0)
-    good = eigenstates([CANONICAL] * 2, [(0, 0), (1, 1)], 0.0, dims)
-    ket = {occ: basis_state(dims, *occ).amp for occ in ((0, 0), (1, 0), (1, 1), (0, 2))}
-    unconverged = StateVector(dims, ket[0, 0] + ket[1, 1])
-    ambiguous = StateVector(dims, ket[0, 0] + ket[1, 1] + ket[0, 2])
-    outside = StateVector(dims, good[0].amp + 1e-9 * ket[1, 0])
-    got = numeric_eigenpairs([pp, decoupled, pp, decoupled, pp],
-                             [good[0], unconverged, outside, ambiguous, good[1]], 0)
+    good = eigenstates([CANONICAL] * 2, [(0, 0), (1, 1)], dims)
+    unconverged = _ket(dims, (0, 0), (1, 1))
+    ambiguous = _ket(dims, (0, 0), (1, 1), (0, 2))
+    outside = good[:, :, 0] + 1e-9 * _ket(dims, (1, 0))
+    got = numeric_eigenpairs(
+        [pp, decoupled, pp, decoupled, pp],
+        np.stack([good[:, :, 0], unconverged, outside, ambiguous, good[:, :, 1]], axis=2), 0)
     for refusal, reason in zip(got[1:4], (f"unconverged after {oracle.RQI_MAX_STEPS} solves",
                                           "outside the sector", "ambiguous: overlap 0.5774")):
         assert isinstance(refusal, OracleError) and reason in str(refusal)
@@ -361,9 +365,8 @@ def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
     # H - sigma is exactly singular and the stacked sweep fails
     dims = FockDims(12, 12)
     pp, decoupled = forward_map(CANONICAL), PhysicalParams(3.0, 2.0, 0.0)
-    good = eigenstates([CANONICAL] * 2, [(0, 0), (1, 1)], 0.0, dims)
-    singular = StateVector(dims, sum(basis_state(dims, *occ).amp
-                                     for occ in ((0, 0), (0, 2), (2, 0), (2, 2))))
+    good = eigenstates([CANONICAL] * 2, [(0, 0), (1, 1)], dims)
+    singular = _ket(dims, (0, 0), (0, 2), (2, 0), (2, 2))
     failed = []
     sweep = oracle._sweep
 
@@ -375,7 +378,8 @@ def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
             raise
 
     monkeypatch.setattr(oracle, "_sweep", watched)
-    got = numeric_eigenpairs([pp, decoupled, pp], [good[0], singular, good[1]], 0)
+    got = numeric_eigenpairs([pp, decoupled, pp],
+                             np.stack([good[:, :, 0], singular, good[:, :, 1]], axis=2), 0)
     assert failed[:2] == [3, 1]  # the stack, then the singular pair alone
     assert isinstance(got[1], OracleError) and "unconverged" in str(got[1])
     _assert_same_pairs([got[0], got[2]], numeric_eigenpairs([pp, pp], good, 0))
@@ -402,9 +406,31 @@ def test_ladder_walk_matches_fresh_single_rung_loops():
 
 def test_sector_solve_refuses_target_outside_sector():
     dims = FockDims(12, 12)
-    amp = _target(CANONICAL, 1, 0, 0.0, dims).amp + 1e-9 * basis_state(dims, 0, 0).amp
-    refusal = _pair(forward_map(CANONICAL), StateVector(dims, amp), 1)
+    amp = _target(CANONICAL, 1, 0, dims) + 1e-9 * _ket(dims, (0, 0))
+    refusal = _pair(forward_map(CANONICAL), amp, 1)
     assert isinstance(refusal, OracleError) and "outside the sector" in str(refusal)
+
+
+def test_numeric_eigenpairs_checks_and_normalizes_stacks():
+    # a malformed target or start stack is a caller's error, not a refusal: a zero
+    # column, a non-finite or complex entry, or a start of another shape than the
+    # targets'; a well-formed one is normalized column by column
+    dims = FockDims(6, 6)
+    pps = [PhysicalParams(3.0, 2.0, 0.0)] * 2
+    good = np.stack([_ket(dims, (0, 0)), _ket(dims, (1, 1))], axis=2)
+    zero, nan = good.copy(), good.copy()
+    zero[:, :, 1] = 0.0
+    nan[3, 3, 0] = np.nan
+    for bad in (zero, nan, 1j * good):
+        for targets, starts in ((bad, None), (good, bad)):
+            with pytest.raises(ValueError, match="need a real, finite"):
+                numeric_eigenpairs(pps, targets, 0, starts)
+    for targets, starts in ((good, good[:5]), (good, good[:, :, :1]), (good[:, :, 0], None),
+                            (good[:, :, :1], None)):
+        with pytest.raises(ValueError, match="need a real, finite"):
+            numeric_eigenpairs(pps, targets, 0, starts)
+    _assert_same_pairs(numeric_eigenpairs(pps, 3.0 * good, 0, 0.5 * good),
+                       numeric_eigenpairs(pps, good, 0))
 
 
 def test_partial_sum_single_term():
