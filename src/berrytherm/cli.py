@@ -544,7 +544,8 @@ def certification_report(negative_control: bool = False) -> dict:
                    + geomphase.mixed_phase_offset(eps_ref, r2)))
     add("thermometer_equals_mixed_difference", ident < 1e-12, ident, 1e-12)
 
-    # keystone: accelerated-observer squeeze == thermal squeeze at T_U
+    # keystone: accelerated-observer squeeze == thermal squeeze at T_U, relative
+    # (r runs down to 4.5e-130 on this grid; a cell where both underflow counts as equal)
     worst = 0.0
     for om_a in np.logspace(8, 10, 5):
         for a in np.logspace(16, 18, 5):

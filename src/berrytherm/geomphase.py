@@ -163,7 +163,9 @@ def thermometer_slope_from_eps(eps: float, omega: float, t_cold: float) -> float
 
 def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
     """Squeeze parameter seen by a uniformly accelerated detector:
-    r = arctanh(exp(-pi Omega_a c / a)).
+    r = arctanh(exp(-pi Omega_a c / a)), from pi Omega_a c / a by
+    ``thermo.arctanh_exp``.  Refuses (ValueError naming the acceleration) once
+    tanh r rounds to 1, at a above about 1.7e25 Omega_a (SI units).
 
     Identical to the thermal squeeze at the Unruh temperature of the same
     acceleration (the keystone cross-check of this module).
@@ -172,8 +174,11 @@ def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
         raise ValueError(f"acceleration must be positive, got {accel}")
     if Omega_a <= 0.0:
         raise ValueError(f"field frequency must be positive, got {Omega_a}")
-    x = math.exp(-math.pi * Omega_a * CONSTANTS.c / accel)
-    return ThermalSqueeze(r=math.atanh(x))
+    r = thermo.arctanh_exp(math.pi * Omega_a * CONSTANTS.c / accel)
+    if not math.tanh(r) < 1.0:
+        raise ValueError(f"acceleration {accel:.6g} m/s^2 too large at field frequency "
+                         f"{Omega_a:.6g} rad/s: tanh r rounds to 1 (r = {r:.6g})")
+    return ThermalSqueeze(r=r)
 
 
 def delta_per_cycle_from_eps(eps: float, q: float) -> float:
@@ -208,7 +213,8 @@ def accumulate_cycles(delta_per_cycle: float, n_cycles: int) -> CycleAccumulatio
 
 
 def keystone_identity_residual(Omega_a: float, accel: float) -> float:
-    """|unruh_squeeze - thermal squeeze at the Unruh temperature| (should be ~0)."""
+    """|unruh_squeeze - thermal squeeze at the Unruh temperature|, relative to the
+    larger of the two (should be ~0); 0 where both underflow to 0."""
     q = unruh_squeeze(Omega_a, accel).r
     r = thermo.squeeze_from_temperature(Omega_a, thermo.unruh_temperature(accel)).r
-    return abs(q - r)
+    return abs(q - r) / max(q, r) if max(q, r) > 0.0 else 0.0

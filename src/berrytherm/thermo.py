@@ -63,12 +63,20 @@ def boltzmann_exponent(omega: float, temperature: float) -> float:
     return CONSTANTS.hbar * omega / (CONSTANTS.k_B * temperature)
 
 
-def squeeze_from_temperature(omega: float, temperature: float) -> ThermalSqueeze:
-    """r_T with tanh r_T = exp(-hbar omega / 2 k_B T).
+def arctanh_exp(y: float) -> float:
+    """arctanh(e^{-y}) for y >= 0, within 3e-16 relative of a 50-digit value
+    over y in [1e-30, 700]: atanh(x) while x = e^{-y} < 1/2, and above it
+    (log1p(x) - log(-expm1(-y)))/2, which keeps the digits of 1 - x that
+    atanh(x) loses as x -> 1.  The second form alone fails the other way: once
+    y >~ 37, -expm1(-y) rounds to 1 and it gives x/2 for x.  inf at y = 0."""
+    x = math.exp(-y)
+    if x < 0.5:
+        return math.atanh(x)
+    if y == 0.0:
+        return math.inf
+    return 0.5 * (math.log1p(x) - math.log(-math.expm1(-y)))
 
-    arctanh(e^{-y}) is evaluated as (log1p(e^{-y}) - log(-expm1(-y)))/2, which
-    keeps full precision in the high-temperature regime where e^{-y} -> 1.
-    """
-    y = 0.5 * boltzmann_exponent(omega, temperature)
-    r = 0.5 * (math.log1p(math.exp(-y)) - math.log(-math.expm1(-y)))
-    return ThermalSqueeze(r=float(r))
+
+def squeeze_from_temperature(omega: float, temperature: float) -> ThermalSqueeze:
+    """r_T with tanh r_T = exp(-hbar omega / 2 k_B T), through ``arctanh_exp``."""
+    return ThermalSqueeze(r=arctanh_exp(0.5 * boltzmann_exponent(omega, temperature)))

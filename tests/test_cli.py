@@ -802,6 +802,40 @@ def test_package_builds_no_kronecker_product():
     assert offenders == []
 
 
+# Every cached src function, with why its key is not a physics input: a cache keyed
+# on the parameters, a squeeze or a cycle count would serve one stale answer
+# wherever the same inputs recur, and grow with every sweep point
+ALLOWED_CACHES = {
+    "fockspace._coupling_path": "an einsum contraction order, keyed on an array shape",
+    "oracle._hermite_pairs": "a Gauss-Hermite rule, keyed on its node count",
+}
+PHYSICS_INPUTS = {"pp", "pps", "dp", "dps", "r", "r_thermal", "cycles", "accel", "temperature"}
+
+
+def _cached_functions(source: str) -> dict[str, list[str]]:
+    """Each function of ``source`` decorated with ``functools.cache`` or
+    ``lru_cache``, however imported, and its argument names."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(target, "attr", getattr(target, "id", None)) in {"cache", "lru_cache"}:
+                    found[node.name] = [a.arg for a in node.args.args + node.args.kwonlyargs]
+    return found
+
+
+def test_caches_are_keyed_on_shapes_and_node_counts_only():
+    sample = ("import functools\nfrom functools import cache\n"
+              "@functools.lru_cache(maxsize=8)\ndef a(n):\n    pass\n"
+              "@cache\ndef b(pp, cycles):\n    pass\n@staticmethod\ndef c(x):\n    pass\n")
+    assert _cached_functions(sample) == {"a": ["n"], "b": ["pp", "cycles"]}
+    found = {f"{path.stem}.{name}": args for path in sorted(SRC.glob("*.py"))
+             for name, args in _cached_functions(path.read_text(encoding="utf-8")).items()}
+    assert sorted(found) == sorted(ALLOWED_CACHES)
+    assert not [name for name, args in found.items() if PHYSICS_INPUTS & set(args)]
+
+
 def _eigensolver_calls(source: str) -> list[str]:
     """The enclosing top-level function (or "<module>") of every dense eigensolver
     call in ``source``, however it was imported."""

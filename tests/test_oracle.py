@@ -628,14 +628,18 @@ def _recording_detector(monkeypatch):
 def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
     # 8 cycles, the CLI default: 80 nodes are not enough (80 -> 160 moves P by
     # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes, each +- pair
-    # driven once at its positive node with the pair's weight
+    # driven once at its positive node with the pair's weight.  The first test
+    # always compares 80 with 160 nodes, so their 40 + 80 drives share one call
     calls = _recording_detector(monkeypatch)
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
-    assert [len(kappa) for kappa, *_ in calls] == [40, 80, 160]
+    assert [len(kappa) for kappa, *_ in calls] == [120, 160]
     assert all(np.all(kappa > 0.0) for kappa, *_ in calls)
+    g, sigma = FIG6_MHZ.lam / FIG6_MHZ.Omega_a, math.sqrt(math.cosh(2.0 * R_1MK))
+    for part, n in ((calls[0][0][:40], 80), (calls[0][0][40:], 160), (calls[1][0], 320)):
+        np.testing.assert_array_equal(part, g * (sigma * oracle._hermite_pairs(n)[0]))
     assert len(mix.grid) > 80
-    p80, p160 = (calls[i][1] @ (2.0 * oracle._field_rule(n, 0, [0])[1][0, n // 2:][::-1] ** 2)
-                 for i, n in ((0, 80), (1, 160)))
+    p80, p160 = (excited @ (2.0 * oracle._field_rule(n, 0, [0])[1][0, n // 2:][::-1] ** 2)
+                 for excited, n in zip(np.split(calls[0][1], [40], axis=1), (80, 160)))
     assert np.abs(p160 / p80 - 1.0).max() > 1e-4
     assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()
     # every node of every doubling keeps its norm to the 1e-12 unitarity check
@@ -663,7 +667,8 @@ def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
 
 
 def test_thermal_mixture_forms_no_singular_vectors(monkeypatch):
-    # one values-only SVD per node doubling: 80, 160 and 320 nodes at 8 cycles
+    # one values-only SVD per rule, 80, 160 and 320 nodes at 8 cycles, on a cold
+    # call; a second call finds every rule cached and takes no SVD
     calls = []
     svd = np.linalg.svd
 
@@ -671,10 +676,39 @@ def test_thermal_mixture_forms_no_singular_vectors(monkeypatch):
         calls.append({**dict(zip(("full_matrices", "compute_uv"), args)), **kwargs})
         return svd(a, *args, **kwargs)
 
+    oracle._hermite_pairs.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", recording)
     mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
     assert len(mix.grid) == 320
     assert [call.get("compute_uv", True) for call in calls] == [False] * 3
+    again = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
+    assert len(calls) == 3
+    assert again.per_cycle.tobytes() == mix.per_cycle.tobytes()
+
+
+def test_cached_hermite_rule_is_read_only():
+    # the cached rule is shared by every later mixture, so no caller may write to it
+    s, weight = oracle._hermite_pairs(80)
+    assert oracle._hermite_pairs(80)[0] is s
+    for array in (s, weight):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_vacuum_path_equals_thermal_path_at_zero_squeeze():
+    # r = 0 is the vacuum: the 14-node window rule from |0_f> and the cached
+    # Gauss-Hermite rule give the same P.  At fig6-ghz both are rounding noise
+    # near 1e-41, so they agree only to the population floor
+    spec = EvolutionSpec()
+    for cycles in (3, 8):
+        vacuum = excitation_probability_per_cycle(FIG6_MHZ, cycles, spec, 0)
+        thermal = thermal_excitation_per_cycle(FIG6_MHZ, cycles, spec, 0.0)
+        assert len(thermal.grid) == 160
+        np.testing.assert_allclose(thermal.per_cycle, vacuum, rtol=1e-10, atol=0)
+    ghz = PhysicalParams(1e9, 1e9, TAU * 1200.0)
+    vacuum = excitation_probability_per_cycle(ghz, 3, spec, 0)
+    thermal = thermal_excitation_per_cycle(ghz, 3, spec, 0.0)
+    np.testing.assert_allclose(thermal.per_cycle, vacuum, rtol=0, atol=oracle.POPULATION_FLOOR)
 
 
 @pytest.mark.parametrize("nodes", [80, 160, 320])

@@ -16,8 +16,8 @@ import pytest
 
 from berrytherm import cli
 from berrytherm.diagonalization import PhysicalParams
-from berrytherm.geomphase import epsilon
-from berrytherm.thermo import CONSTANTS
+from berrytherm.geomphase import epsilon, unruh_squeeze
+from berrytherm.thermo import CONSTANTS, arctanh_exp, boltzmann_exponent, squeeze_from_temperature
 
 mp = pytest.importorskip("mpmath")
 
@@ -172,6 +172,40 @@ def test_unruh_columns_match_mpmath(preset):
             n_ref = mp.ceil(mp.pi / abs(d_ref))
             _close(cycles, n_ref, ("cycles_to_pi", accel))
             _close(time_s, n_ref * 2 * mp.pi / gap, ("time_to_pi", accel))
+
+
+SQUEEZE_TOL = 1e-15
+
+
+@pytest.mark.parametrize("y", [20.0, 38.0, 100.0])
+def test_thermal_squeeze_matches_mpmath_at_low_temperature(y):
+    # hbar omega / 2 k_B T = y: -expm1(-y) is 1 - 2e-9 at y = 20 and rounds to 1
+    # from y ~ 37, where (log1p(x) - log(-expm1(-y)))/2 alone would give x/2
+    temperature = CONSTANTS.hbar * 1e9 / (2.0 * y * CONSTANTS.k_B)
+    y_double = 0.5 * boltzmann_exponent(1e9, temperature)
+    with mp.workdps(50):
+        ref = mp.atanh(mp.exp(-mp.mpf(y_double)))
+        for r in (arctanh_exp(y_double), squeeze_from_temperature(1e9, temperature).r):
+            assert abs((r - ref) / ref) <= SQUEEZE_TOL, (y, r)
+
+
+def test_arctanh_exp_matches_mpmath_on_a_log_grid():
+    # both sides of x = e^{-y} = 1/2, from y = 1e-30 (r ~ 35) to 700 (r ~ 1e-304)
+    with mp.workdps(50):
+        for y in map(float, _logspace(1e-30, 700.0, 400)):
+            ref = mp.atanh(mp.exp(-mp.mpf(y)))
+            assert abs((arctanh_exp(y) - ref) / ref) <= SQUEEZE_TOL, y
+
+
+@pytest.mark.parametrize("preset", FIG5)
+def test_unruh_squeeze_matches_mpmath_at_large_acceleration(preset):
+    # a = 1e22 .. 1e33: tanh q from 1 - 2e-4 up to 1 - 4e-15, where atanh(x) of the
+    # rounded x = e^{-y} lost up to 2% of q; q is fed pi Omega_a c / a directly
+    gap, c = cli.PRESETS[preset]["gap"], mp.mpf(CONSTANTS.c)
+    with mp.workdps(50):
+        for a in map(float, _logspace(1e22, 1e33, 45)):
+            ref = mp.atanh(mp.exp(-mp.pi * mp.mpf(gap) * c / mp.mpf(a)))
+            assert abs((unruh_squeeze(gap, a).r - ref) / ref) <= SQUEEZE_TOL, a
 
 
 def test_fig5_per_cycle_difference_is_negative():

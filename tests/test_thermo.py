@@ -8,6 +8,8 @@ from berrytherm.oracle import required_levels, thermal_weights
 from berrytherm.thermo import (
     CONSTANTS,
     ThermalSqueeze,
+    arctanh_exp,
+    boltzmann_exponent,
     squeeze_from_temperature,
     unruh_temperature,
 )
@@ -78,12 +80,28 @@ def test_domain_errors():
 
 
 def test_keystone_unruh_thermal_identity():
-    # squeeze at the Unruh temperature == accelerated-observer squeeze, 5x5 grid
+    # squeeze at the Unruh temperature == accelerated-observer squeeze, 5x5 grid,
+    # relative: r runs from 1.5 down to 4.5e-130 (and 0, where both sides underflow)
     for omega in np.logspace(8, 10, 5):
         for accel in np.logspace(16, 18, 5):
             r_thermal = squeeze_from_temperature(omega, unruh_temperature(accel)).r
             r_unruh = unruh_squeeze(omega, accel).r
-            assert abs(r_thermal - r_unruh) < 1e-12
+            assert abs(r_thermal - r_unruh) <= 1e-12 * max(r_thermal, r_unruh)
+
+
+def test_squeeze_keeps_full_precision_past_y_37():
+    # hbar omega / 2 k_B T = 38.2: -expm1(-y) rounds to 1, which once halved r
+    r = squeeze_from_temperature(1e9, 1e-4).r
+    assert r == pytest.approx(math.exp(-0.5 * boltzmann_exponent(1e9, 1e-4)), rel=1e-15)
+    assert arctanh_exp(0.0) == math.inf
+
+
+def test_unruh_refusal_names_the_acceleration():
+    # tanh q rounds to 1 past a ~ 3.4e34 at 2e9 rad/s; just below, q is finite
+    assert unruh_squeeze(2e9, 2.5e34).r == pytest.approx(18.9088, abs=1e-4)
+    for accel in (1e35, math.inf):
+        with pytest.raises(ValueError, match=r"acceleration .* too large.*tanh r rounds to 1"):
+            unruh_squeeze(2e9, accel)
 
 
 def test_thermal_weights_geometric_tail():
