@@ -545,12 +545,14 @@ def certification_report(negative_control: bool = False) -> dict:
     add("thermometer_equals_mixed_difference", ident < 1e-12, ident, 1e-12)
 
     # keystone: accelerated-observer squeeze == thermal squeeze at T_U, relative
-    # (r runs down to 4.5e-130 on this grid; a cell where both underflow counts as equal)
+    # below r = 1 (r runs down to 4.5e-130 on this grid; a cell where both
+    # underflow counts as equal), and q inverted through tanh
     worst = 0.0
     for om_a in np.logspace(8, 10, 5):
         for a in np.logspace(16, 18, 5):
             worst = max(worst, geomphase.keystone_identity_residual(om_a, a))
-    add("unruh_thermal_squeeze_identity", worst < 1e-12, worst, 1e-12)
+    add("unruh_thermal_squeeze_identity", worst < 1e-12, worst, 1e-12,
+        detail="relative below r = 1; q also checked against tanh q = exp(-y)")
 
     # per-cycle difference falls monotonically with the acceleration at the
     # fig5 presets' epsilon, where 0 < eps < 1/2

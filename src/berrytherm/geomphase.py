@@ -213,8 +213,22 @@ def accumulate_cycles(delta_per_cycle: float, n_cycles: int) -> CycleAccumulatio
 
 
 def keystone_identity_residual(Omega_a: float, accel: float) -> float:
-    """|unruh_squeeze - thermal squeeze at the Unruh temperature|, relative to the
-    larger of the two (should be ~0); 0 where both underflow to 0."""
+    """Residual of the keystone q = arctanh(x) = r_T, x = exp(-pi Omega_a c / a),
+    r_T the thermal squeeze at the Unruh temperature (should be ~0).  The larger of
+
+    - |q - r_T| / min(1, max(q, r_T)): relative below 1, absolute above; 0 where
+      both underflow to 0;
+    - q inverted without an arctanh, |tanh q - x| / x and
+      |2 / (1 + e^{2q}) - (1 - x)| / (1 - x), 1 - x from ``expm1``: both squeezes
+      come from ``thermo.arctanh_exp``, so an error there shows only here.
+    """
+    y = math.pi * Omega_a * CONSTANTS.c / accel
     q = unruh_squeeze(Omega_a, accel).r
     r = thermo.squeeze_from_temperature(Omega_a, thermo.unruh_temperature(accel)).r
-    return abs(q - r) / max(q, r) if max(q, r) > 0.0 else 0.0
+    scale = min(1.0, max(q, r))
+    residual = abs(q - r) / scale if scale > 0.0 else 0.0
+    x, one_minus_x = math.exp(-y), -math.expm1(-y)
+    if x > 0.0:
+        residual = max(residual, abs(math.tanh(q) - x) / x,
+                       abs(2.0 / (1.0 + math.exp(2.0 * q)) - one_minus_x) / one_minus_x)
+    return residual

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from berrytherm import thermo
 from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map, invert_physical
 from berrytherm.geomphase import (
     _phase_pieces,
@@ -185,6 +186,16 @@ def test_keystone_identity_grid():
     for om in np.logspace(8, 10, 5):
         for a in np.logspace(16, 18, 5):
             assert keystone_identity_residual(om, a) < 1e-12
+
+
+def test_keystone_residual_catches_an_arctanh_error_both_sides_share(monkeypatch):
+    # the log form alone gives x/2 for arctanh(x) once y >~ 37; with it on both
+    # sides the identity holds, and only the tanh inversion of q shows the error
+    def log_form(y):
+        return 0.5 * (math.log1p(math.exp(-y)) - math.log(-math.expm1(-y)))
+
+    monkeypatch.setattr(thermo, "arctanh_exp", log_form)
+    assert keystone_identity_residual(1e10, 1e17) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_delta_small_q_expansion():

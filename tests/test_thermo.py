@@ -81,12 +81,14 @@ def test_domain_errors():
 
 def test_keystone_unruh_thermal_identity():
     # squeeze at the Unruh temperature == accelerated-observer squeeze, 5x5 grid,
-    # relative: r runs from 1.5 down to 4.5e-130 (and 0, where both sides underflow)
+    # relative below r = 1: r runs from 1.5 down to 4.5e-130 (and 0, where both
+    # sides underflow)
     for omega in np.logspace(8, 10, 5):
         for accel in np.logspace(16, 18, 5):
             r_thermal = squeeze_from_temperature(omega, unruh_temperature(accel)).r
             r_unruh = unruh_squeeze(omega, accel).r
-            assert abs(r_thermal - r_unruh) <= 1e-12 * max(r_thermal, r_unruh)
+            scale = min(1.0, max(r_thermal, r_unruh))
+            assert abs(r_thermal - r_unruh) <= 1e-12 * scale
 
 
 def test_squeeze_keeps_full_precision_past_y_37():
