@@ -406,8 +406,9 @@ def _loop_check_cells(dps: list[DiagParams],
                       negative_control: bool) -> dict[DiagParams, list[dict]]:
     """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at
     each dp of ``dps``: the list of cells of each dp.  The oracle walks the
-    cutoff ladder itself (``oracle.discrete_berry_loops``); a cell reports
-    the rung it passed at, or the oracle's refusal at the last rung."""
+    cutoff ladder itself, each mode on its own (``oracle.discrete_berry_loops``);
+    a cell reports the field and detector cutoffs it passed at, or the
+    oracle's last refusal."""
     phase_fn = (geomphase._eigen_phase_unshared_denominator
                 if negative_control else eigen_berry_phase)
     pairs = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
@@ -420,6 +421,7 @@ def _loop_check_cells(dps: list[DiagParams],
             cells[dp].append({
                 "occupation": list(occ),
                 "cutoff": None,
+                "detector_cutoff": None,
                 "difference_rad": math.nan,
                 "passed": False,
                 "refused": str(result),
@@ -429,6 +431,7 @@ def _loop_check_cells(dps: list[DiagParams],
         cells[dp].append({
             "occupation": list(occ),
             "cutoff": result.dims.n_field,
+            "detector_cutoff": result.dims.n_det,
             "difference_rad": diff,
             "loop_error_estimate": result.error_estimate,
             "truncation_tail": result.truncation_tail,

@@ -7,14 +7,15 @@ explicit weighted partial sums, and adiabaticity from the exact propagator
 of the detector, whose generator is time-independent in its co-rotating
 frame.  Closed forms are only allowed in as selection targets (which
 eigenvector to track), never as values.
-Loop eigenpairs come from Rayleigh-quotient iteration in one parity sector of
-H(0), block tridiagonal in n_f (Parlett, The Symmetric Eigenvalue Problem, 4.6).
-H(0) is real, so targets, starts and eigenvectors are real amplitude arrays,
-each pair a column of one (n_field, n_det, k) stack, as ``fockspace`` builds
-them.  A loop grid walks a ladder of growing cutoffs: its selection targets are
-built once, at the first rung; the pending pairs of a rung are zero-padded to
-it and solved by parity, each parity as one stacked iteration; and a pair
-refused at a rung continues at the next from its last eigenvector.  Every
+Loop eigenpairs come from Rayleigh-quotient iteration in the parity sector of
+H(0) that each pair names, block tridiagonal in n_f (Parlett, The Symmetric
+Eigenvalue Problem, 4.6).  H(0) is real, so targets, starts and eigenvectors
+are real amplitude arrays, each pair a column of one (n_field, n_det, k) stack,
+as ``fockspace`` builds them.  A loop grid walks a ladder of growing cutoffs,
+each mode on its own gate: its selection targets are built once, at the first
+rung; the pending pairs of each truncation are zero-padded to it and solved,
+both parities together, as one stacked iteration; and a refused pair continues
+at a larger truncation from its last eigenvector.  Every
 field-state quadrature of the adiabaticity check is the Gauss rule of
 x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
 and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
@@ -121,33 +122,38 @@ class BerryLoopResult:
     dims: FockDims  # the truncation the eigenvector passed the gates at
 
 
-def _sweep(diag: list, couple: list, lam: np.ndarray, sigma: np.ndarray, rhs: list) -> list:
-    """(H - sigma)^{-1} rhs for a stack of k symmetric block-tridiagonal H: block
-    f of pair i is diag(diag[f][i]) and H[f+1, f] = lam[i] couple[f].  Block-Thomas
-    elimination S_{f+1} = D_{f+1} - sigma - lam^2 X_f S_f^{-1} X_f^T, one stacked
-    dense solve per block, then back-substitution from the last block; each rhs[f]
-    and result block is (k, m_f)."""
-    k, sizes = len(sigma), [d.shape[1] for d in diag]
+def _sweep(shifted: np.ndarray, couple: np.ndarray, parity: np.ndarray, lam: np.ndarray,
+           rhs: np.ndarray) -> np.ndarray:
+    """(H - sigma)^{-1} rhs for a stack of k symmetric block-tridiagonal H - sigma,
+    every block m x m: block f of pair i is diag(shifted[f, i]) and
+    (H - sigma)[f, f+1] = lam[i] couple[f, parity[i]], ``couple`` holding X_f^T of
+    both parities.  Block-Thomas elimination S_{f+1} = diag(shifted[f+1])
+    - lam^2 X_f S_f^{-1} X_f^T, one stacked dense solve per block, then
+    back-substitution from the last block; ``rhs`` and the result are
+    (n_blocks, k, m)."""
+    n_blocks, k, m = shifted.shape
     lam = lam[:, None]
     # S_f^{-1} [X_f^T | y_f] of every block, kept for the back-substitution in
-    # one array: one allocation, where a list of blocks fragments the heap
-    store = np.empty((len(couple), k, max(sizes), max(sizes) + 1), dtype=rhs[0].dtype)
-    schur = _add_diagonal(np.zeros((k, sizes[0], sizes[0])), diag[0] - sigma[:, None])
+    # one array: one allocation, where a list of blocks fragments the heap.
+    # Block f first holds [X_f^T | y_f], the right-hand side of its solve; the
+    # couplings go in block by block, as a copy of all of them at once would be
+    # a second temporary the size of the store
+    store = np.empty((n_blocks - 1, k, m, m + 1), dtype=rhs.dtype)
+    schur = _add_diagonal(np.zeros((k, m, m)), shifted[0])
     y = rhs[0]
-    for f, x in enumerate(couple):
-        a, b = x.T.shape
-        sol = store[f, :, :a, :b + 1]
-        sol[...] = np.linalg.solve(schur, np.concatenate(
-            [np.broadcast_to(x.T, (k, a, b)), y[:, :, None]], axis=2))
-        schur = _add_diagonal(-(lam ** 2)[:, :, None] * (x @ sol[:, :, :b]),
-                              diag[f + 1] - sigma[:, None])
-        y = rhs[f + 1] - lam * (sol[:, :, b] @ x.T)
-    out = [np.linalg.solve(schur, y[:, :, None])[:, :, 0]]
-    for f, x in reversed(list(enumerate(couple))):
-        a, b = x.T.shape
-        gain, part = store[f, :, :a, :b], store[f, :, :a, b]
-        out.append(part - lam * (gain @ out[-1][:, :, None])[:, :, 0])
-    return out[::-1]
+    for f in range(n_blocks - 1):
+        xt = couple[f, parity]
+        store[f, :, :, :m], store[f, :, :, m] = xt, y
+        sol = np.linalg.solve(schur, store[f])
+        x = xt.swapaxes(1, 2)
+        schur = _add_diagonal(-(lam ** 2)[:, :, None] * (x @ sol[:, :, :m]), shifted[f + 1])
+        y = rhs[f + 1] - lam * (x @ sol[:, :, m:])[:, :, 0]
+        store[f] = sol
+    out = np.empty_like(rhs)
+    out[-1] = np.linalg.solve(schur, y[:, :, None])[:, :, 0]
+    for f in range(n_blocks - 2, -1, -1):
+        out[f] = store[f, :, :, m] - lam * (store[f, :, :, :m] @ out[f + 1][:, :, None])[:, :, 0]
+    return out
 
 
 def _add_diagonal(blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -157,19 +163,35 @@ def _add_diagonal(blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _shifted_solve(diag: list, couple: list, lam: np.ndarray, sigma: np.ndarray,
-                   rhs: list, tol: np.ndarray) -> list:
+def _shifted_solve(shifted: np.ndarray, couple: np.ndarray, parity: np.ndarray,
+                   lam: np.ndarray, rhs: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """``_sweep``, with a pair whose sigma is an eigenvalue of a leading block to the
     bit (a singular solve) moved to sigma + tol alone: the stack is then solved
     pair by pair, so no other pair's shift changes."""
     try:
-        return _sweep(diag, couple, lam, sigma, rhs)
+        return _sweep(shifted, couple, parity, lam, rhs)
     except np.linalg.LinAlgError:
-        if len(sigma) == 1:
-            return _sweep(diag, couple, lam, sigma + tol, rhs)
-    one = [_shifted_solve([d[[i]] for d in diag], couple, lam[[i]], sigma[[i]],
-                          [r[[i]] for r in rhs], tol[[i]]) for i in range(len(sigma))]
-    return [np.concatenate(blocks) for blocks in zip(*one)]
+        if len(lam) == 1:
+            return _sweep(shifted - tol, couple, parity, lam, rhs)
+    return np.concatenate([
+        _shifted_solve(shifted[:, [i]], couple, parity[[i]], lam[[i]], rhs[:, [i]], tol[[i]])
+        for i in range(len(lam))], axis=1)
+
+
+def _sector_layout(n_field: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
+    """The detector levels of each field level f in each parity p, as one
+    (n_field, 2, m) array, m = ceil(n_det / 2): the levels d with
+    (f + d) % 2 == p, ascending, the smaller sector of an odd n_det padded with
+    the level n_det, which no level couples to; and the coupling X_f^T =
+    sqrt(f + 1) x_d[levels[f, p]][:, levels[f + 1, p]] of every f and p as one
+    (n_field - 1, 2, m, m) array, both by one fancy index."""
+    m = (n_det + 1) // 2
+    levels = np.minimum((np.arange(n_field)[:, None, None] + np.arange(2)[:, None]) % 2
+                        + 2 * np.arange(m), n_det)
+    x_d = np.zeros((n_det + 1, n_det + 1))
+    x_d[:n_det, :n_det] = _position(n_det)
+    couple = x_d[levels[:-1, :, :, None], levels[1:, :, None, :]]
+    return levels, np.sqrt(np.arange(1.0, n_field))[:, None, None, None] * couple
 
 
 def _selected(v: np.ndarray, sigma: float, target: np.ndarray) -> EigenPair | OracleError:
@@ -201,54 +223,64 @@ def _unit_columns(stack, shape: tuple[int, ...], name: str) -> np.ndarray:
 def numeric_eigenpairs(
     pps: list[PhysicalParams],
     targets: np.ndarray,
-    parity: int,
+    parities,
     starts: np.ndarray | None = None,
 ) -> list[EigenPair | OracleError]:
     """Eigenpair of the truncated H(0) of each pp of ``pps`` that the column at
     the same position of the real (n_field, n_det, k) stack ``targets`` selects,
-    all in the sector (-1)^(n_f + n_d) = (-1)^parity of the stack's truncation:
-    the EigenPair, or the OracleError that refused it.  Each column of
-    ``targets`` and of ``starts`` (same shape; default the targets) is
-    normalized; a stack of another shape, with a complex or non-finite entry
-    or with a zero column, raises ValueError.
+    in the sector (-1)^(n_f + n_d) = (-1)^p of the stack's truncation, p the
+    entry of ``parities`` (one 0 or 1 per column) at that position: the
+    EigenPair, or the OracleError that refused it.  Each column of ``targets``
+    and of ``starts`` (same shape; default the targets) is normalized; a stack
+    of another shape, with a complex or non-finite entry or with a zero
+    column, or parities that are not one 0 or 1 per column, raise ValueError.
 
-    In field-major order the sector is block tridiagonal in n_f: block f is
+    In field-major order a sector is block tridiagonal in n_f: block f is
     Omega_a f + Omega_b d over its detector levels d, block (f+1, f) is
-    lam sqrt(f+1) x_d on them; the lam-free blocks are shared by the stack.
+    lam sqrt(f+1) x_d on them.  The levels and the lam-free couplings of both
+    parities are laid out once per call (``_sector_layout``); every block has
+    ceil(n_det / 2) levels, the smaller sector of an odd n_det padded with one
+    level that nothing couples to, on which the shifted block is 1 and the
+    right-hand side 0, so both sectors take one code path.
     Rayleigh-quotient iteration starts from each pair's column of ``starts``
     (of ``targets`` without one), sigma its Rayleigh quotient; each step solves
-    (H - sigma) w = v for every unconverged pair in one stacked block-Thomas
-    sweep (``_shifted_solve``) and moves each sigma to the Rayleigh quotient
-    of its w, H v from ``hamiltonian_action``.  A pair leaves the stack once
-    |H v - sigma v| <= RQI_TOL max |diag H| of its own H.  Refuses a pair
-    after RQI_MAX_STEPS solves, a target or start with weight outside the
-    sector, and an overlap with the target below AMBIGUITY_OVERLAP (a
-    neighbour: truncation too small or wrong parameters).  Repeated calls
-    return identical bits; each vector's largest component is positive.
+    (H - sigma) w = v for every unconverged pair, of either parity, in one
+    stacked block-Thomas sweep (``_shifted_solve``) and moves each sigma to the
+    Rayleigh quotient of its w, H v from ``hamiltonian_action``.  A pair leaves
+    the stack once |H v - sigma v| <= RQI_TOL max |diag H| of its own H.
+    Refuses a pair after RQI_MAX_STEPS solves, a target or start with weight
+    outside its sector, and an overlap with the target below
+    AMBIGUITY_OVERLAP (a neighbour: truncation too small or wrong
+    parameters).  Repeated calls return identical bits; each vector's largest
+    component is positive.
     """
     shape = np.shape(targets)[:2] + (len(pps),)
     targets = _unit_columns(targets, shape, "target")
     starts = targets if starts is None else _unit_columns(starts, shape, "start")
+    parity = np.asarray(parities)
+    if (parity.shape != shape[2:] or parity.dtype.kind not in "iu"
+            or not np.isin(parity, (0, 1)).all()):
+        raise ValueError(f"need one parity, 0 or 1, per column, got {parities!r}")
     n_field, n_det, _ = shape
     n_f, n_d = np.ogrid[:n_field, :n_det]
-    inside = (n_f + n_d) % 2 == parity
-    outside = targets[~inside].any(axis=0) | starts[~inside].any(axis=0)
+    other = ((n_f + n_d)[:, :, None] + parity) % 2 == 1  # each column's other sector
+    outside = (np.where(other, targets, 0.0).any(axis=(0, 1))
+               | np.where(other, starts, 0.0).any(axis=(0, 1)))
     results: list[EigenPair | OracleError | None] = [
         OracleError("target or start has weight outside the sector") if out else None
         for out in outside]
     at = np.flatnonzero(~outside)  # iterating
     if not len(at):
         return results
-    levels = [np.flatnonzero(row) for row in inside]
-    x_d = _position(n_det)
-    couple = [math.sqrt(f + 1.0) * x_d[np.ix_(levels[f + 1], levels[f])]
-              for f in range(n_field - 1)]
+    levels, couple = _sector_layout(n_field, n_det)
+    levels = levels[:, parity]  # (n_field, k, m): the detector levels of each pair's blocks
+    padding = levels == n_det
     omega_a, omega_b, lam = np.array([(pp.Omega_a, pp.Omega_b, pp.lam) for pp in pps]).T
-    diag = [omega_a[:, None] * f + omega_b[:, None] * d for f, d in enumerate(levels)]
+    energy = omega_a[:, None] * np.arange(n_field)[:, None, None] + omega_b[:, None] * levels
     tol = RQI_TOL * (omega_a * (n_field - 1) + omega_b * (n_det - 1))
     v = starts[:, :, at]
     for step in range(RQI_MAX_STEPS + 1):
-        hv = hamiltonian_action([pps[i] for i in at], v)  # zero outside the sector
+        hv = hamiltonian_action([pps[i] for i in at], v)  # zero outside each sector
         sigma = np.einsum("ijk,ijk->k", v, hv)
         residual = np.linalg.norm((hv - sigma * v).reshape(-1, len(at)), axis=0)
         done = residual <= tol[at]
@@ -263,12 +295,15 @@ def numeric_eigenpairs(
         at, v, sigma = at[~done], v[:, :, ~done], sigma[~done]
         if not len(at):
             break
-        rhs = [v[f, lev].T for f, lev in enumerate(levels)]
-        blocks = _shifted_solve([d[at] for d in diag], couple, lam[at], sigma, rhs, tol[at])
-        v = np.zeros_like(v)
-        for f, (lev, block) in enumerate(zip(levels, blocks)):
-            v[f, lev] = block.T
-        v /= np.linalg.norm(v.reshape(-1, len(at)), axis=0)
+        # the blocks of v, and back, through a padded detector level n_det that stays 0
+        index = levels[:, at].transpose(0, 2, 1)
+        full = np.concatenate([v, np.zeros((n_field, 1, len(at)))], axis=1)
+        rhs = np.take_along_axis(full, index, axis=1).transpose(0, 2, 1)
+        shifted = np.where(padding[:, at], 1.0, energy[:, at] - sigma[:, None])
+        w = _shifted_solve(shifted, couple, parity[at], lam[at], rhs, tol[at])
+        np.put_along_axis(full, index, w.transpose(0, 2, 1), axis=1)
+        v = full[:, :n_det]
+        v = v / np.linalg.norm(v.reshape(-1, len(at)), axis=0)
     return results
 
 
@@ -327,6 +362,20 @@ def _padded(columns: list[np.ndarray], dims: FockDims) -> np.ndarray:
     return out
 
 
+def _modes_up(chi: np.ndarray) -> np.ndarray:
+    """Which modes, (field, detector), a refused loop of the eigenvector ``chi``
+    moves up the cutoff ladder: on the truncation gate, each mode whose own
+    top-two-level tail exceeds TRUNCATION_GATE / sqrt(2), which the larger one
+    does, as the squares of the two tails sum to that of the gated tail
+    (``truncation_tail``); on any other gate, both."""
+    w = chi ** 2
+    tails = np.array([w[-2:, :].sum(), w[:, -2:].sum()])
+    if math.sqrt(tails[0] + tails[1]) <= TRUNCATION_GATE:
+        return np.ones(2, dtype=bool)
+    # the larger tail is named as well, so that rounding at the gate still moves a mode
+    return (tails > TRUNCATION_GATE ** 2 / 2) | (tails == tails.max())
+
+
 def discrete_berry_loops(
     dps: list[DiagParams],
     occupations,
@@ -335,23 +384,27 @@ def discrete_berry_loops(
 ) -> list[BerryLoopResult | OracleError]:
     """Gauge-invariant discrete loop phase of the eigenstate of each pair of a
     dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
-    its BerryLoopResult, at the first truncation of ``ladder`` (a sequence of
-    growing FockDims) that passes every gate, or the OracleError that refused
-    it at the last one.
+    its BerryLoopResult, at the first truncation that passes every gate, or
+    the OracleError that refused it at the last one.
 
-    The closed-form selection targets are built once, in one batch at
-    ``ladder[0]``, and zero-padded to each later rung.  H commutes with the
-    parity (-1)^(n_f + n_d), so each rung solves its pending pairs by parity,
-    each parity as one stack (``numeric_eigenpairs``).  A pair refused at a
-    rung moves to the next one, where its iteration starts from its last
-    eigenvector, zero-padded, if that passed the overlap gate, and from its
-    padded target otherwise.  The eigenvector is transported around the
-    loop with the exact rotation covariance.  The phase is
-    Richardson-extrapolated from the N and 2N grids and the reported error
-    estimate is |gamma(2N) - gamma(N)|.
+    Each mode climbs the distinct cutoffs that ``ladder`` (a sequence of
+    growing FockDims) gives it on its own: a pair is solved at (its field
+    cutoff, its detector cutoff), both starting at ``ladder[0]``.  A pair
+    refused by the truncation gate moves up only the mode or modes whose own
+    tail refuses it (``_modes_up``); any other refusal moves both.  A pair
+    that would move a mode past its top cutoff keeps its last refusal.  Each step groups
+    the pending pairs by truncation and solves each group as one stack, both
+    parity sectors of (-1)^(n_f + n_d), which H conserves, together
+    (``numeric_eigenpairs``).  The closed-form selection targets are built
+    once, in one batch at ``ladder[0]``, and zero-padded to each later
+    truncation.  A refused pair continues from its last eigenvector,
+    zero-padded, if that passed the overlap gate, and from its padded target
+    otherwise.  The eigenvector is transported around the loop with the exact
+    rotation covariance.  The phase is Richardson-extrapolated from the N and
+    2N grids and the reported error estimate is |gamma(2N) - gamma(N)|.
 
-    Refuses an occupation at a rung when its eigenvector carries more than
-    TRUNCATION_GATE amplitude in the top two levels of either mode, or
+    Refuses an occupation at a truncation when its eigenvector carries more
+    than TRUNCATION_GATE amplitude in the top two levels of either mode, or
     when consecutive overlaps drop below 0.99 (level crossing).
     """
     ladder = list(ladder)
@@ -363,21 +416,29 @@ def discrete_berry_loops(
     targets = list(np.moveaxis(eigenstates(dps, occupations, ladder[0]), 2, 0))
     results: list[BerryLoopResult | OracleError] = [None] * len(targets)
     starts = list(targets)
-    pending = range(len(targets))
-    for dims in ladder:
-        for parity in (0, 1):
-            batch = [i for i in pending if parities[i] == parity]
-            if not batch:
-                continue
+    cutoffs = [sorted({d.n_field for d in ladder}), sorted({d.n_det for d in ladder})]
+    top = np.array([len(c) - 1 for c in cutoffs])
+    rungs = np.zeros((len(targets), 2), dtype=int)  # each pair's place in each mode's cutoffs
+    pending = list(range(len(targets)))
+    while pending:
+        groups: dict[FockDims, list[int]] = {}
+        for i in pending:
+            dims = FockDims(cutoffs[0][rungs[i, 0]], cutoffs[1][rungs[i, 1]])
+            groups.setdefault(dims, []).append(i)
+        pending = []
+        for dims, batch in groups.items():
             pairs = numeric_eigenpairs(
                 [pps[dps[i]] for i in batch], _padded([targets[i] for i in batch], dims),
-                parity, _padded([starts[i] for i in batch], dims))
+                [parities[i] for i in batch], _padded([starts[i] for i in batch], dims))
             for i, pair in zip(batch, pairs):
                 if isinstance(pair, OracleError):
-                    results[i], starts[i] = pair, targets[i]
+                    results[i], starts[i], up = pair, targets[i], np.ones(2, dtype=bool)
                 else:
                     results[i], starts[i] = _transported_loop(pair.vector, spec), pair.vector
-        pending = [i for i in pending if isinstance(results[i], OracleError)]
+                    up = _modes_up(pair.vector)
+                if isinstance(results[i], OracleError) and (rungs[i, up] < top[up]).all():
+                    rungs[i] += up
+                    pending.append(i)
     return results
 
 

@@ -78,5 +78,11 @@ def arctanh_exp(y: float) -> float:
 
 
 def squeeze_from_temperature(omega: float, temperature: float) -> ThermalSqueeze:
-    """r_T with tanh r_T = exp(-hbar omega / 2 k_B T), through ``arctanh_exp``."""
-    return ThermalSqueeze(r=arctanh_exp(0.5 * boltzmann_exponent(omega, temperature)))
+    """r_T with tanh r_T = exp(-hbar omega / 2 k_B T), through ``arctanh_exp``.
+    Refuses (ValueError naming the temperature and the mode frequency) once
+    tanh r_T rounds to 1, at T above about 6.9e4 omega (SI units)."""
+    r = arctanh_exp(0.5 * boltzmann_exponent(omega, temperature))
+    if not math.tanh(r) < 1.0:
+        raise ValueError(f"temperature {temperature:.6g} K too high at mode frequency "
+                         f"{omega:.6g} rad/s: tanh r rounds to 1 (r = {r:.6g})")
+    return ThermalSqueeze(r=r)

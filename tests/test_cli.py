@@ -303,7 +303,8 @@ def test_json_output_is_strict_json(tmp_path, monkeypatch, certify_reports):
     import berrytherm.cli as cli_mod
 
     refused = copy.deepcopy(certify_reports[0])
-    refused["loop_cells"][0].update(cutoff=None, difference_rad=math.nan, passed=False)
+    refused["loop_cells"][0].update(cutoff=None, detector_cutoff=None, difference_rad=math.nan,
+                                    passed=False)
     for report in (*certify_reports, refused):
         monkeypatch.setattr(cli_mod, "certification_report", lambda **kw: report)
         run(["certify"], tmp_path, "c.json")
@@ -616,6 +617,10 @@ CERT_ESCALATED = {
     (0.6, 2, (0, 0)): 60, (0.6, 2, (1, 0)): 60, (0.6, 2, (0, 1)): 60, (0.6, 2, (1, 1)): 60,
     (0.6, 3, (0, 0)): 60, (0.6, 3, (1, 0)): 60, (0.6, 3, (0, 1)): 78, (0.6, 3, (1, 1)): 78,
 }
+# each mode climbs the ladder on its own gate: only these cells raise the detector
+CERT_DETECTOR_ESCALATED = {
+    (0.6, 2, (0, 0)): 44, (0.6, 2, (1, 0)): 44, (0.6, 2, (0, 1)): 44, (0.6, 2, (1, 1)): 44,
+}
 
 
 def test_certify_cutoff_escalation_pinned(certify_reports):
@@ -628,6 +633,9 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
         assert got == {key: CERT_ESCALATED.get(key, 30) for key in got}
         counts = [sum(1 for c in got.values() if c == cutoff) for cutoff in (30, 44, 60, 78)]
         assert counts == [20, 4, 6, 2]
+        detector = {(c["v"], round(math.log(c["ratio"])), tuple(c["occupation"])):
+                    c["detector_cutoff"] for c in cells}
+        assert detector == {key: CERT_DETECTOR_ESCALATED.get(key, 30) for key in got}
 
 
 # --------------------------------------------------------------------------

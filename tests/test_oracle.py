@@ -40,7 +40,7 @@ TAU = 2 * math.pi
 
 def _pair(pp, target, parity):
     """The one eigenpair, or refusal, of the stack of the one (n_field, n_det) target."""
-    return numeric_eigenpairs([pp], target[:, :, None], parity)[0]
+    return numeric_eigenpairs([pp], target[:, :, None], [parity])[0]
 
 
 def _loop(dp, n_f, n_d, spec, dims):
@@ -323,6 +323,9 @@ def _certify_dps():
 def _assert_same_pairs(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
+        if isinstance(w, OracleError):
+            assert isinstance(g, OracleError) and str(g) == str(w)
+            continue
         assert abs(g.value - w.value) <= 1e-12 * abs(w.value)
         assert 1.0 - abs(np.vdot(g.vector, w.vector)) <= 1e-12
 
@@ -336,8 +339,120 @@ def test_stacked_eigenpairs_match_one_at_a_time_on_certify_rung():
         assert len(pairs) == 16
         pps = [forward_map(dp) for dp, _ in pairs]
         targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
-        _assert_same_pairs(numeric_eigenpairs(pps, targets, parity),
+        _assert_same_pairs(numeric_eigenpairs(pps, targets, [parity] * 16),
                            [_pair(pp, targets[:, :, i], parity) for i, pp in enumerate(pps)])
+
+
+@pytest.mark.parametrize("dims", [FockDims(30, 30), FockDims(13, 11)], ids=str)
+def test_mixed_parity_stack_matches_per_parity_stacks(dims):
+    # every certify pair in one stack, both parities interleaved, against one
+    # stack per parity; at an odd n_det the two sectors' blocks differ by one
+    # level, which the smaller sector pads (one pair refuses at 13 x 11)
+    pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS]
+    pps = [forward_map(dp) for dp, _ in pairs]
+    targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
+    parities = [sum(occ) % 2 for _, occ in pairs]
+    mixed = numeric_eigenpairs(pps, targets, parities)
+    for parity in (0, 1):
+        cols = [i for i, p in enumerate(parities) if p == parity]
+        _assert_same_pairs([mixed[i] for i in cols],
+                           numeric_eigenpairs([pps[i] for i in cols], targets[:, :, cols],
+                                              [parity] * len(cols)))
+
+
+def test_odd_detector_cutoff_pairs_match_full_space():
+    # the padded sector of an odd n_det against a dense eigh of each sector
+    dims = FockDims(13, 11)
+    dp = DiagParams(math.e, 1.0, 0.1)
+    pp = forward_map(dp)
+    h = sparse_hamiltonian(pp, dims).toarray()
+    targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims)
+    parities = [sum(occ) % 2 for occ in cli.CERT_OCCUPATIONS]
+    got = numeric_eigenpairs([pp] * 4, targets, parities)
+    for i, parity in enumerate(parities):
+        sector = _parity_sector(dims, parity)
+        vals, vecs = np.linalg.eigh(h[np.ix_(sector, sector)])
+        _assert_matches(got[i], targets[:, :, i], vals, vecs, sector)
+
+
+def test_certification_report_solves_each_truncation_once(monkeypatch):
+    # the loop grid solves every pair pending at one truncation, of both
+    # parities, as one stack: one numeric_eigenpairs call per truncation visited
+    solve = oracle.numeric_eigenpairs
+    calls = []
+
+    def counted(pps, targets, parities, starts=None):
+        calls.append(targets.shape[:2])
+        return solve(pps, targets, parities, starts)
+
+    monkeypatch.setattr(oracle, "numeric_eigenpairs", counted)
+    assert cli.certification_report()["passed"]
+    assert len(calls) == len(set(calls)) == 6
+    assert calls == [(30, 30), (44, 30), (44, 44), (60, 30), (60, 44), (78, 30)]
+
+
+def _walked(monkeypatch, dps, occupations, ladder, refuse=lambda dims: False):
+    """The loops of a ladder walk and the truncations each step solved; ``refuse``
+    plants a refusal of every pair at the truncations it names."""
+    visited = []
+
+    def watched(pps, targets, parities, starts=None):
+        dims = FockDims(*targets.shape[:2])
+        visited.append(dims)
+        if refuse(dims):
+            return [OracleError(f"planted at {dims}") for _ in pps]
+        return numeric_eigenpairs(pps, targets, parities, starts)
+
+    monkeypatch.setattr(oracle, "numeric_eigenpairs", watched)
+    return discrete_berry_loops(dps, occupations, LoopSpec(), ladder), visited
+
+
+CERTIFY_LADDER = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
+
+
+def test_ladder_field_tail_moves_only_the_field(monkeypatch):
+    # (v, ratio) = (0.3, e^2), |0_f 1_d>: only the field's tail fails at 30,
+    # so the pair passes at (44, 30), its detector never raised
+    got, visited = _walked(monkeypatch, [DiagParams(E2, 1.0, 0.3)], [(0, 1)], CERTIFY_LADDER)
+    assert visited == [FockDims(30, 30), FockDims(44, 30)]
+    assert got[0].dims == FockDims(44, 30)
+
+
+def test_ladder_detector_tail_moves_only_the_detector(monkeypatch):
+    # 10 detector levels: the detector's tail (6.5e-5) refuses and the field's
+    # (3.0e-9) passes, so the field stays at 30 when the detector moves to 30
+    ladder = [FockDims(30, 10), FockDims(44, 30)]
+    got, visited = _walked(monkeypatch, [DiagParams(E2, 1.0, 0.3)], [(0, 0)], ladder)
+    assert visited == [FockDims(30, 10), FockDims(30, 30)]
+    assert got[0].dims == FockDims(30, 30)
+
+
+def test_ladder_other_refusals_move_both_modes(monkeypatch):
+    # a refused eigensolve, and a level-crossing refusal of a converged
+    # eigenvector, move both modes up, where the truncation gate would move none
+    dp = DiagParams(E2, 1.0, 0.1)
+    got, visited = _walked(monkeypatch, [dp], [(0, 0)], CERTIFY_LADDER,
+                           lambda dims: dims == CERTIFY_LADDER[0])
+    assert visited == CERTIFY_LADDER[:2] and got[0].dims == CERTIFY_LADDER[1]
+    monkeypatch.setattr(oracle, "LEVEL_CROSSING_OVERLAP", 1.0)
+    got, visited = _walked(monkeypatch, [dp], [(0, 0)], CERTIFY_LADDER)
+    assert visited == CERTIFY_LADDER
+    assert isinstance(got[0], OracleError) and "consecutive overlap" in str(got[0])
+
+
+def test_ladder_refused_at_the_top_rung_keeps_its_last_refusal(monkeypatch):
+    # refused everywhere: the walk ends at the top rung with the refusal of that rung
+    got, visited = _walked(monkeypatch, [DiagParams(E2, 1.0, 0.1)], [(0, 0)], CERTIFY_LADDER,
+                           lambda dims: True)
+    assert visited == CERTIFY_LADDER
+    assert str(got[0]) == f"planted at {CERTIFY_LADDER[-1]}"
+    # each mode climbs only the cutoffs the ladder gives it: both tails refuse
+    # at 12 x 12 (5.2e-4 and 5.6e-5, 5.205e-4 together) and the field has no
+    # larger cutoff, so the walk ends there, with the detector's 40 and 60 untried
+    ladder = [FockDims(12, 12), FockDims(12, 40), FockDims(12, 60)]
+    got, visited = _walked(monkeypatch, [CANONICAL], [(1, 0)], ladder)
+    assert visited == ladder[:1]
+    assert isinstance(got[0], OracleError) and "truncation tail 5.205e-04" in str(got[0])
 
 
 def test_stacked_eigenpairs_return_refusals_as_values():
@@ -351,12 +466,12 @@ def test_stacked_eigenpairs_return_refusals_as_values():
     outside = good[:, :, 0] + 1e-9 * _ket(dims, (1, 0))
     got = numeric_eigenpairs(
         [pp, decoupled, pp, decoupled, pp],
-        np.stack([good[:, :, 0], unconverged, outside, ambiguous, good[:, :, 1]], axis=2), 0)
+        np.stack([good[:, :, 0], unconverged, outside, ambiguous, good[:, :, 1]], axis=2), [0] * 5)
     for refusal, reason in zip(got[1:4], (f"unconverged after {oracle.RQI_MAX_STEPS} solves",
                                           "outside the sector", "ambiguous: overlap 0.5774")):
         assert isinstance(refusal, OracleError) and reason in str(refusal)
         assert refusal.__traceback__ is None
-    _assert_same_pairs([got[0], got[4]], numeric_eigenpairs([pp, pp], good, 0))
+    _assert_same_pairs([got[0], got[4]], numeric_eigenpairs([pp, pp], good, [0, 0]))
 
 
 def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
@@ -370,19 +485,19 @@ def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
     failed = []
     sweep = oracle._sweep
 
-    def watched(diag, couple, lam, sigma, rhs):
+    def watched(shifted, couple, parity, lam, rhs):
         try:
-            return sweep(diag, couple, lam, sigma, rhs)
+            return sweep(shifted, couple, parity, lam, rhs)
         except np.linalg.LinAlgError:
-            failed.append(len(sigma))
+            failed.append(len(lam))
             raise
 
     monkeypatch.setattr(oracle, "_sweep", watched)
     got = numeric_eigenpairs([pp, decoupled, pp],
-                             np.stack([good[:, :, 0], singular, good[:, :, 1]], axis=2), 0)
+                             np.stack([good[:, :, 0], singular, good[:, :, 1]], axis=2), [0] * 3)
     assert failed[:2] == [3, 1]  # the stack, then the singular pair alone
     assert isinstance(got[1], OracleError) and "unconverged" in str(got[1])
-    _assert_same_pairs([got[0], got[2]], numeric_eigenpairs([pp, pp], good, 0))
+    _assert_same_pairs([got[0], got[2]], numeric_eigenpairs([pp, pp], good, [0, 0]))
 
 
 def test_ladder_walk_matches_fresh_single_rung_loops():
@@ -413,8 +528,9 @@ def test_sector_solve_refuses_target_outside_sector():
 
 def test_numeric_eigenpairs_checks_and_normalizes_stacks():
     # a malformed target or start stack is a caller's error, not a refusal: a zero
-    # column, a non-finite or complex entry, or a start of another shape than the
-    # targets'; a well-formed one is normalized column by column
+    # column, a non-finite or complex entry, a start of another shape than the
+    # targets', or parities that are not one 0 or 1 per column; a well-formed
+    # stack is normalized column by column
     dims = FockDims(6, 6)
     pps = [PhysicalParams(3.0, 2.0, 0.0)] * 2
     good = np.stack([_ket(dims, (0, 0)), _ket(dims, (1, 1))], axis=2)
@@ -424,13 +540,16 @@ def test_numeric_eigenpairs_checks_and_normalizes_stacks():
     for bad in (zero, nan, 1j * good):
         for targets, starts in ((bad, None), (good, bad)):
             with pytest.raises(ValueError, match="need a real, finite"):
-                numeric_eigenpairs(pps, targets, 0, starts)
+                numeric_eigenpairs(pps, targets, [0, 0], starts)
     for targets, starts in ((good, good[:5]), (good, good[:, :, :1]), (good[:, :, 0], None),
                             (good[:, :, :1], None)):
         with pytest.raises(ValueError, match="need a real, finite"):
-            numeric_eigenpairs(pps, targets, 0, starts)
-    _assert_same_pairs(numeric_eigenpairs(pps, 3.0 * good, 0, 0.5 * good),
-                       numeric_eigenpairs(pps, good, 0))
+            numeric_eigenpairs(pps, targets, [0, 0], starts)
+    for parities in (0, [0], [0, 0, 0], [0, 2], [0.5, 0], [0.0, 0.0], [False, False]):
+        with pytest.raises(ValueError, match="one parity"):
+            numeric_eigenpairs(pps, good, parities)
+    _assert_same_pairs(numeric_eigenpairs(pps, 3.0 * good, [0, 0], 0.5 * good),
+                       numeric_eigenpairs(pps, good, [0, 0]))
 
 
 def test_partial_sum_single_term():

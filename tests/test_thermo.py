@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ def test_domain_errors():
         squeeze_from_temperature(1e9, 0.0)
     with pytest.raises(ValueError):
         squeeze_from_temperature(-1.0, 1.0)
+
+
+def test_squeeze_refusal_names_temperature_and_frequency():
+    # tanh r_T rounds to 1 above T ~ 6.9e4 omega: the refusal names both inputs,
+    # as the accelerated squeeze names its acceleration
+    assert math.tanh(squeeze_from_temperature(1e6, 6.8e10).r) < 1.0
+    for omega, temperature in ((1e6, 1e30), (1e6, 7e10), (1e9, 1e14)):
+        with pytest.raises(ValueError, match=re.escape(f"temperature {temperature:.6g} K too "
+                                                       f"high at mode frequency {omega:.6g} rad/s")):
+            squeeze_from_temperature(omega, temperature)
 
 
 def test_keystone_unruh_thermal_identity():
