@@ -3,18 +3,16 @@
 The truncation (``FockDims``) and the exact actions of the squeeze and
 two-mode displacement (beam splitter) factors of the detector-field
 diagonalization.  Both actions split exactly into real tridiagonal blocks, the
-one matrix exponential here, and act on amplitude arrays directly: no matrix
-of either factor is ever formed.  The blocks are exponentiated through
-numpy's SVD.  On top of them sit the model's operators on the truncated space, with the parameters
-``diagonalization`` derives, each in one form, an action on amplitude arrays
-that builds no matrix of the product space: H at any varphi
-(``hamiltonian_action``), U forward (``unitary_action``) and U' for the
-eigenstates (``eigenstates``).  The module needs only numpy; it is the
-package's array layer, with ``oracle``, and the package loads both lazily.
-A state is a real (n_field, n_det) amplitude array, and a batch of states the
-(n_field, n_det, k) stack of them, amp[n_f, n_d, i] = <n_f n_d|psi_i>; no
-other form is used, and H at varphi = 0 and every factor of the chain keep it
-real.
+one matrix exponential here, exponentiated through numpy's SVD, and act on
+amplitude arrays directly.  On top of them sit the model's operators on the
+truncated space, each an action that builds no matrix of the product space:
+H at any varphi (``hamiltonian_action``) and U forward (``unitary_action``).
+The eigenstates U' |n_f n_d> (``eigenstates``) need no block and no padded
+space: U' is Gaussian, and its linear map on the ladder operators gives each
+column exactly by recurrence (Miatto and Quesada, Quantum 4, 366, 2020).  The
+module needs only numpy; the package loads it lazily, with ``oracle``.  A state
+is a real (n_field, n_det) amplitude array, and a batch the (n_field, n_det, k)
+stack of them, amp[n_f, n_d, i] = <n_f n_d|psi_i>; no other form is used.
 """
 
 from __future__ import annotations
@@ -122,7 +120,7 @@ def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return ut, sigma, v[:(len(beta) + 1) // 2]
 
 
-def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
+def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
     """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
 
     J couples even rows only to odd ones: J = [[0, B], [-B^T, 0]] on the
@@ -134,9 +132,7 @@ def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
 
     all in real arithmetic, and cos - 1 = -2 sin^2(c sigma / 2) keeps x exact
     and the change relatively accurate when c sigma is small.  ``x`` is a real
-    vector or a matrix acted on along axis 0; ``c`` is a scalar or, for a
-    matrix, one value per column, so one SVD serves columns with different
-    parameters.
+    vector or a matrix acted on along axis 0.
     """
     if len(beta) == 0 or not x.any():
         return x.copy()
@@ -150,9 +146,8 @@ def tridiagonal_exp_action(beta: np.ndarray, c, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def squeeze_action(x: np.ndarray, t) -> np.ndarray:
-    """S(t, 0) x = exp((t/2)(X'^2 - X^2)) x along axis 0 of the real array ``x``;
-    ``t`` is a scalar or one value per column of a matrix ``x``.
+def squeeze_action(x: np.ndarray, t: float) -> np.ndarray:
+    """S(t, 0) x = exp((t/2)(X'^2 - X^2)) x along axis 0 of the real array ``x``.
 
     X'^2 - X^2 couples levels k and k + 2 with strength sqrt((k+1)(k+2)), so
     the even and the odd levels each form one tridiagonal block.
@@ -166,9 +161,9 @@ def squeeze_action(x: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def beam_splitter_action(amp: np.ndarray, s) -> np.ndarray:
+def beam_splitter_action(amp: np.ndarray, s: float) -> np.ndarray:
     """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det) or
-    (n_field, n_det, k) amplitude array; ``s`` is a scalar or one value per column k.
+    (n_field, n_det, k) amplitude array.
 
     The generator keeps the total occupation N: on |k, N-k> (k field quanta)
     it couples k and k + 1 with strength sqrt((k+1)(N-k)), each block cut at
@@ -239,13 +234,10 @@ def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
     return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
 
 
-def _detector_squeeze(amp: np.ndarray, t) -> np.ndarray:
+def _detector_squeeze(amp: np.ndarray, t: float) -> np.ndarray:
     """S_b(t, 0) applied by parity blocks to the detector axis of the real
-    (n_field, n_det, k) amplitude array ``amp``; ``t`` is a scalar or one value
-    per column k."""
+    (n_field, n_det, k) amplitude array ``amp``."""
     x = amp.transpose(1, 0, 2)
-    if np.ndim(t):
-        t = np.tile(t, x.shape[1])  # the flattened (n_field, k) columns
     return squeeze_action(x.reshape(x.shape[0], -1), t).reshape(x.shape).transpose(1, 0, 2)
 
 
@@ -262,63 +254,71 @@ def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
     return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
 
 
-def _eigenstate_amps(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarray:
-    """R U' |n_f n_d> = Shat_b' D' S_b' S_a' |n_f n_d> for each dp of ``dps``
-    and (n_f, n_d) of ``occupations``, as the columns of a real
-    (n_field, n_det, k) array: U' without its last factor R', which is
-    diagonal.
+def _heisenberg_map(dp: DiagParams) -> np.ndarray:
+    """The real 4x4 F with W xi W' = F xi, xi = (a, b, a', b'), for W = R U' =
+    S_b(-p) D(-s) S_b(v) S_a(-u): S(t) c S(t)' = c cosh t - c' sinh t,
+    D(s) a D(s)' = a cos s - b sin s and D(s) b D(s)' = b cos s + a sin s, and
+    the maps of W_1 W_2 compose as F_2 F_1."""
+    d = derive_params(dp)
 
-    Each factor is applied exactly by blocks to all columns at once, with the
-    squeeze and beam-splitter parameters of each column's dp.  The squeezes
-    act on one mode each, so S_b' S_a' |n_f n_d> is the outer product of two
-    squeezed basis states; the beam splitter D' then acts on the
-    (n_field, n_det) amplitude by total-occupation blocks, and Shat_b' on the
-    detector axis by parity blocks.  Every one of these factors is real
-    orthogonal.
-    """
-    derived = {dp: derive_params(dp) for dp in set(dps)}
-    u, v, s, p = np.array([(derived[dp].u, dp.v, derived[dp].s, derived[dp].p)
-                           for dp in dps]).reshape(-1, 4).T
-    n_f, n_d = np.array(occupations, dtype=int).reshape(-1, 2).T
-    f, g = np.eye(dims.n_field)[:, n_f], np.eye(dims.n_det)[:, n_d]  # basis columns
-    # S(t, theta)' = S(-t, theta), and S(v, -pi) = S(-v, 0)
-    amp = squeeze_action(f, -u)[:, None, :] * squeeze_action(g, v)[None, :, :]
-    # a detector-major copy, which the detector squeeze reshapes without copying
-    # again, so no more than three arrays of the batch's size are alive at once
-    amp = beam_splitter_action(amp, -s).transpose(1, 0, 2).copy()
-    return _detector_squeeze(amp.transpose(1, 0, 2), -p)
+    def squeeze(t_a: float, t_b: float) -> np.ndarray:  # S_a(t_a) S_b(t_b)
+        ch, sh = np.diag(np.cosh([t_a, t_b])), np.diag(np.sinh([t_a, t_b]))
+        return np.block([[ch, -sh], [-sh, ch]])
+
+    c, s = math.cos(d.s), math.sin(d.s)
+    beam = np.array([[c, s, 0, 0], [-s, c, 0, 0], [0, 0, c, s], [0, 0, -s, c]])  # D(-s)
+    return squeeze(-d.u, dp.v) @ beam @ squeeze(0.0, -d.p)
 
 
-# The intermediate squeeze stages populate higher levels than the final state
-# does, so eigenstates() evaluates the chain on a space padded by this factor
-# (at least +10 levels per mode) and projects back.
-EIGENSTATE_PAD = 1.8
+# Past half its norm lost, a column is mostly a cut through the state's tail;
+# callers stay far below (certify's targets lose at most 3e-8 at cutoff 30).
+EIGENSTATE_LOSS_GATE = 0.5
 
 
 def eigenstates(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarray:
     """Closed-form eigenstates U' |n_f n_d> of H(0) on ``dims``, one unit column
     of the real (n_field, n_det, k) result for each pair of a dp of ``dps`` and
-    the (n_f, n_d) at the same position of ``occupations``.  At varphi = 0 the
-    last factor R' of U' is the identity; the eigenstate of H(varphi) is
-    e^{i varphi n_f} times the column.
+    the (n_f, n_d) at the same position of ``occupations``.  R'(0) = 1, and the
+    eigenstate of H(varphi) is e^{i varphi n_f} times the column.
 
-    The factors of U' act by exact tridiagonal blocks on all pairs at once
-    (see _eigenstate_amps), so each block is diagonalized once per call
-    whatever the mix of parameter sets, on a space padded by EIGENSTATE_PAD,
-    and the results are projected back.  Occupations must stay below
-    cutoff/2 to leave truncation margin.
+    With W = R U' and its map F (``_heisenberg_map``), a column is
+    (W a' W')^n_f (W b' W')^n_d W |00> / sqrt(n_f! n_d!), rows 2 and 3 of F acting
+    on the exact vacuum built n_f + n_d levels beyond ``dims`` (each action is
+    exact one level short of its input).  So every kept amplitude is exact, and
+    a truncation loss 1 - |column|^2 above EIGENSTATE_LOSS_GATE raises ValueError.
     """
     if len(dps) != len(occupations):
         raise ValueError(f"{len(dps)} parameter sets for {len(occupations)} occupations")
-    for n_f, n_d in occupations:
-        if n_f >= dims.n_field // 2 or n_d >= dims.n_det // 2:
-            raise ValueError(
-                f"occupation ({n_f}, {n_d}) too close to the cutoff {dims}; need < cutoff/2"
-            )
-    big = FockDims(
-        max(dims.n_field + 10, int(math.ceil(dims.n_field * EIGENSTATE_PAD))),
-        max(dims.n_det + 10, int(math.ceil(dims.n_det * EIGENSTATE_PAD))),
-    )
-    amps = _eigenstate_amps(dps, occupations, big)[: dims.n_field, : dims.n_det]
+    n_f, n_d = np.array(occupations, dtype=int).reshape(-1, 2).T
+    maps = {dp: _heisenberg_map(dp) for dp in set(dps)}
+    f = np.array([maps[dp] for dp in dps]).reshape(-1, 4, 4)
+    extra = int((n_f + n_d).max(initial=0))
+    g = np.zeros((dims.n_field + extra, dims.n_det + extra, len(f)))
+    # W a W' and W b W', the rows [M N] of F, annihilate W |00>, so
+    # sqrt(m_k + 1) G[m + e_k] = sum_j A_kj sqrt(m_j) G[m - e_j] with A = -M^-1 N,
+    # from G[0, 0] = det(M)^(-1/2), and det M > 0 along the chain from W = 1
+    a = -np.linalg.solve(f[:, :2, :2], f[:, :2, 2:])
+    g[0, 0] = np.linalg.det(f[:, :2, :2]) ** -0.5
+    root = np.sqrt(np.arange(max(g.shape[:2]), dtype=float))
+    for j in range(1, g.shape[1] - 1):  # row 0 by the detector step
+        g[0, j + 1] = a[:, 1, 1] * root[j] * g[0, j - 1] / root[j + 1]
+    for j in range(g.shape[0] - 1):  # the field step; root[0] = 0 drops g[-1]
+        g[j + 1, 1:] = a[:, 0, 1] * (root[1:g.shape[1], None] * g[j, :-1])
+        g[j + 1] = (g[j + 1] + a[:, 0, 0] * root[j] * g[j - 1]) / root[j + 1]
+    r_f, r_d = root[1:g.shape[0], None, None], root[1:g.shape[1], None]
+    for count, c in ((n_d, f[:, 3].T), (n_f, f[:, 2].T)):
+        for j in range(count.max(initial=0)):  # c_0 a + c_1 b + c_2 a' + c_3 b'
+            out = np.zeros_like(g)
+            out[:-1] += c[0] * (r_f * g[1:])
+            out[:, :-1] += c[1] * (r_d * g[:, 1:])
+            out[1:] += c[2] * (r_f * g[:-1])
+            out[:, 1:] += c[3] * (r_d * g[:, :-1])
+            g = np.where(j < count, out / math.sqrt(j + 1), g)
+    g = g[:dims.n_field, :dims.n_det]
     # each column's norm as a contiguous row: one summation order at any batch size
-    return amps / np.linalg.norm(np.moveaxis(amps, 2, 0).reshape(amps.shape[2], -1), axis=1)
+    norm = np.linalg.norm(np.moveaxis(g, 2, 0).reshape(g.shape[2], -1), axis=1)
+    loss = 1.0 - norm ** 2
+    for i in np.flatnonzero(loss > EIGENSTATE_LOSS_GATE)[:1]:
+        raise ValueError(f"occupation ({n_f[i]}, {n_d[i]}) loses {loss[i]:.3g} of its norm "
+                         f"to the truncation {dims}, above {EIGENSTATE_LOSS_GATE}")
+    return g / norm

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from berrytherm import cli, fockspace
+from berrytherm import cli, oracle
 from berrytherm.cli import certification_report
 from berrytherm.fockspace import TruncationWarning
 
@@ -12,26 +12,26 @@ from berrytherm.fockspace import TruncationWarning
 def certify_reports():
     """The positive certification report and its negative control, built once;
     building them must emit no TruncationWarning, and each report's loop grid
-    must make exactly one block-chain pass (one ``beam_splitter_action`` call):
-    the selection targets are built once, at the first rung of the ladder."""
-    beam_splitter_action = fockspace.beam_splitter_action
+    must build its selection targets once (one ``eigenstates`` call), at the
+    first rung of the ladder."""
+    eigenstates = oracle.eigenstates
     loop_check_cells = cli._loop_check_cells
-    chain_calls = [0]
+    target_calls = [0]
     grid_passes = [0]
 
-    def counted_chain(*args, **kwargs):
-        chain_calls[0] += 1
-        return beam_splitter_action(*args, **kwargs)
+    def counted_targets(*args, **kwargs):
+        target_calls[0] += 1
+        return eigenstates(*args, **kwargs)
 
     def counted_grid(*args, **kwargs):
-        before = chain_calls[0]
+        before = target_calls[0]
         cells = loop_check_cells(*args, **kwargs)
-        grid_passes[0] += chain_calls[0] - before
+        grid_passes[0] += target_calls[0] - before
         return cells
 
     passes = []
     with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(fockspace, "beam_splitter_action", counted_chain), \
+            mock.patch.object(oracle, "eigenstates", counted_targets), \
             mock.patch.object(cli, "_loop_check_cells", counted_grid):
         warnings.simplefilter("always")
         pos = certification_report()

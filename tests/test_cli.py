@@ -446,7 +446,7 @@ def test_diagonalize_forward_report(tmp_path):
 def test_diagonalize_round_trips_on_the_certify_loop_grid(tmp_path, dp):
     # the loop oracle certifies these sets at lam/Omega_a 0.39 to 1.38, so the
     # inverse map must accept their laboratory triples.  Run at cutoff 24, which
-    # their squeezes overrun: the sized default would take up to 305 levels and ~7 s
+    # their squeezes overrun: the sized default would take up to 305 levels, ~0.5 s each
     pp = forward_map(dp)
     with pytest.warns(TruncationWarning):
         code, text = run(["diagonalize", "--omega-a", repr(pp.Omega_a), "--omega-b",

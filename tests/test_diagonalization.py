@@ -21,7 +21,6 @@ from berrytherm.diagonalization import (
     normal_modes,
 )
 from berrytherm.fockspace import (
-    EIGENSTATE_PAD,
     FockDims,
     eigenstates,
     hamiltonian_action,
@@ -331,9 +330,10 @@ def test_eigenstate_rayleigh_residual_small_coupling():
 
 
 def test_eigenstate_occupation_guard():
+    # |14, 0> at 12 x 12 loses 0.91 of its norm to the truncation
     dims = FockDims(12, 12)
-    with pytest.raises(ValueError, match="cutoff"):
-        eigenstates([CANONICAL], [(6, 0)], dims)
+    with pytest.raises(ValueError, match=r"occupation \(14, 0\) loses 0.9\d+ .*FockDims"):
+        eigenstates([CANONICAL], [(14, 0)], dims)
 
 
 def test_label_eigenvalue_shift_scales_quadratically():
@@ -359,11 +359,12 @@ def _at_phase(amps, varphi):
     return (r * amps).reshape(-1, amps.shape[2])
 
 
-def reference_eigenstate(dp, n_f, n_d, varphi, dims):
+def reference_eigenstate(dp, n_f, n_d, varphi, dims, pad):
     """U' |n_f n_d> as a chain of sparse expm_multiply actions of the whole
-    generators on the padded space, projected back and normalized."""
-    big = FockDims(max(dims.n_field + 10, math.ceil(dims.n_field * EIGENSTATE_PAD)),
-                   max(dims.n_det + 10, math.ceil(dims.n_det * EIGENSTATE_PAD)))
+    generators on the space ``pad`` times larger than ``dims`` in each mode,
+    projected back and normalized: converged only where the pad holds every
+    intermediate squeeze of the chain."""
+    big = FockDims(math.ceil(dims.n_field * pad), math.ceil(dims.n_det * pad))
     d = derive_params(dp)
     a = sparse_ladder(big, "field")
     b = sparse_ladder(big, "detector")
@@ -380,43 +381,41 @@ def reference_eigenstate(dp, n_f, n_d, varphi, dims):
     return amp / np.linalg.norm(amp)
 
 
-def test_eigenstate_matches_reference_chain_on_certify_grid():
-    dims = FockDims(30, 30)
-    worst = 0.0
-    for v in cli.CERT_GRID_V:
-        for ratio in cli.CERT_GRID_RATIO:
-            if ratio <= math.exp(2 * v):
-                continue
-            dp = DiagParams(ratio, 1.0, v)
-            fast = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims).reshape(dims.total, -1)
-            for occ, state in zip(cli.CERT_OCCUPATIONS, fast.T):
-                ref = reference_eigenstate(dp, occ[0], occ[1], 0.0, dims)
-                worst = max(worst, np.abs(state - ref).max())
-    assert worst <= 1e-13
-
-
 @pytest.mark.parametrize("varphi", [0.4, -2.3])
 def test_eigenstate_matches_reference_chain_nonzero_phase(varphi):
-    dims = FockDims(24, 24)
+    # the reference converges at 8 times the cutoff (96 levels a mode), where
+    # 6 times still leaves it 2e-13 off at 16 x 16
+    dims = FockDims(12, 12)
     fast = _at_phase(eigenstates([CANONICAL] * 4, cli.CERT_OCCUPATIONS, dims), varphi)
     for occ, state in zip(cli.CERT_OCCUPATIONS, fast.T):
-        ref = reference_eigenstate(CANONICAL, occ[0], occ[1], varphi, dims)
-        assert np.abs(state - ref).max() <= 1e-13
-
-
-@pytest.mark.parametrize("dims", [FockDims(20, 12), FockDims(12, 20)])
-def test_eigenstate_matches_reference_chain_rectangular(dims):
-    # total-number blocks of the beam splitter are cut unevenly by the two cutoffs
-    dp = DiagParams(math.e ** 3, 1.0, 0.45)
-    occupations = ((0, 0), (2, 1), (1, 3), (4, 5))
-    for occ, state in zip(occupations, _at_phase(eigenstates([dp] * 4, occupations, dims),
-                                                 0.7).T):
-        ref = reference_eigenstate(dp, occ[0], occ[1], 0.7, dims)
+        ref = reference_eigenstate(CANONICAL, occ[0], occ[1], varphi, dims, 8)
         assert np.abs(state - ref).max() <= 1e-13
 
 
 CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
                  for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+RECTANGULAR_DP = DiagParams(math.e ** 3, 1.0, 0.45)
+RECTANGULAR_OCCUPATIONS = [(0, 0), (2, 1), (1, 3), (4, 5)]
+
+
+@pytest.mark.parametrize("dims, dps, occupations", [
+    (FockDims(30, 30), [dp for _ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS],
+     [occ for occ in cli.CERT_OCCUPATIONS for _ in CERT_GRID_DPS]),
+    # total-number blocks of H are cut unevenly by the two cutoffs
+    (FockDims(20, 12), [RECTANGULAR_DP] * 4, RECTANGULAR_OCCUPATIONS),
+    (FockDims(12, 20), [RECTANGULAR_DP] * 4, RECTANGULAR_OCCUPATIONS),
+    (FockDims(12, 12), [CANONICAL], [(6, 0)]),  # half the cutoff, loss 9e-5
+], ids=["30x30-grid", "20x12", "12x20", "12x12-n6"])
+def test_eigenstate_interior_residual_vanishes(dims, dps, occupations):
+    # the truncated H reads one level beyond each row, so on exact amplitudes
+    # (H(0) - E) psi vanishes on every row below the top level of both modes,
+    # however much of the state the truncation cuts off: a check that needs no
+    # reference, which on the same truncation would share the states' error
+    amps = eigenstates(dps, occupations, dims)
+    for i, (dp, (n_f, n_d)) in enumerate(zip(dps, occupations)):
+        pp = forward_map(dp)
+        res = hamiltonian_action(pp, amps[:, :, i]) - eigenvalue(dp, n_f, n_d) * amps[:, :, i]
+        assert np.linalg.norm(res[:-1, :-1]) <= 1e-12 * pp.Omega_a, (dp, n_f, n_d)
 
 
 @pytest.mark.parametrize("dims, dps", [

@@ -519,6 +519,22 @@ def test_ladder_walk_matches_fresh_single_rung_loops():
         oracle.discrete_berry_loops([CANONICAL], [(0, 0)], LoopSpec(), ladder[::-1])
 
 
+@pytest.mark.parametrize("v, ratio", [(0.1, math.e ** 3), (0.3, math.e ** 2),
+                                      (0.6, math.e ** 3)])
+def test_field_ladder_loops_match_closed_form(v, ratio):
+    # the (n, 0) loops of a thermal mixture at tanh^2 r = 0.1 (n <= 11): targets
+    # padded by a fixed factor selected the wrong eigenvector of (0.1, e^3) at
+    # n = 8 and 10 and of (0.6, e^3) at n = 10 and 11
+    dp = DiagParams(ratio, 1.0, v)
+    occupations = [(n, 0) for n in range(12)]
+    ladder = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
+    got = discrete_berry_loops([dp] * 12, occupations, LoopSpec(), ladder)
+    for (n_f, n_d), loop in zip(occupations, got):
+        assert not isinstance(loop, OracleError), (n_f, loop)
+        diff = phase_distance(loop.phase.raw, eigen_berry_phase(dp, n_f, n_d).raw)
+        assert diff < cli.CERT_LOOP_TOL, (n_f, diff)
+
+
 def test_sector_solve_refuses_target_outside_sector():
     dims = FockDims(12, 12)
     amp = _target(CANONICAL, 1, 0, dims) + 1e-9 * _ket(dims, (0, 0))
