@@ -1,9 +1,9 @@
 """Geometric-phase quantum thermometry for a single-mode detector model.
 
 Closed-form cyclic (Berry) phases of the dressed detector-field eigenstates,
-thermal and accelerated-observer mixed-state phases, the diagonalizing
-unitary chain applied by exact blocks on a truncated two-mode Fock space,
-and independent numerical oracles that certify every closed form.
+thermal and accelerated-observer mixed-state phases, the exact dressed
+eigenstates on a truncated two-mode Fock space, and independent numerical
+oracles that certify every closed form.
 
 The closed forms (``diagonalization``, ``geomphase``, ``thermo``) need only
 the standard library.  The two array layers, ``fockspace`` and ``oracle``,
@@ -65,7 +65,7 @@ fockspace = _lazy("fockspace")
 oracle = _lazy("oracle")
 
 _LAZY = {
-    **dict.fromkeys(("FockDims", "eigenstates", "unitary_action"), fockspace),
+    **dict.fromkeys(("FockDims", "eigenstates"), fockspace),
     **dict.fromkeys(("EvolutionSpec", "LoopSpec", "discrete_berry_loops"), oracle),
 }
 

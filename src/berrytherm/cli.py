@@ -35,6 +35,7 @@ from .diagonalization import (
     OracleError,
     PhysicalParams,
     derive_params,
+    eigenvalue,
     forward_map,
     invert_physical,
 )
@@ -302,17 +303,13 @@ def cmd_diagonalize(config: dict) -> dict:
     residuals = np.linalg.norm(h_psis - e_vals * psis, axis=(0, 1)) / pp.Omega_a
     report["eigenstate_residuals_over_Omega_a"] = {
         f"{n_f},{n_d}": float(res) for (n_f, n_d), res in zip(occupations, residuals)}
-    # c = U|00>, each truncated factor applied by its exact blocks
-    for t in (d.u, dp.v, d.p):
+    for t in (d.u, dp.v, d.p):  # an explicit cutoff too small for a squeeze warns
         fockspace._warn_squeeze_truncation(cutoff, t)
-    vac = np.zeros((cutoff, cutoff, 1))
-    vac[0, 0, 0] = 1.0
-    col = fockspace.unitary_action(dp, vac).reshape(-1)
-    # |1 - z|, z = <00|U|00> = c_0, free of cancellation:
-    # 1 - Re z = (sum_{j>=1} |c_j|^2 + (Im z)^2) / (1 + Re z)
-    z = col[0]
-    one_minus_re = (np.sum(np.abs(col[1:]) ** 2) + z.imag ** 2) / (1.0 + z.real)
-    report["vacuum_overlap_deviation"] = float(np.hypot(one_minus_re, z.imag))
+    # |1 - z|, z = <00|U|00> = <00|U'|00> (U is real orthogonal at varphi = 0), from
+    # the real unit column c = U'|00> built above, free of cancellation:
+    # 1 - z = sum_{j>=1} c_j^2 / (1 + z)
+    col = psis[:, :, 0].reshape(-1)
+    report["vacuum_overlap_deviation"] = float(np.sum(col[1:] ** 2) / (1.0 + col[0]))
     return report
 
 
@@ -460,12 +457,17 @@ def certification_report(negative_control: bool = False) -> dict:
     rows_ok = np.abs(np.diag(comm)[:10] - 1.0).max()
     add("ladder_commutator_rows", rows_ok < 1e-12, rows_ok, 1e-12)
 
-    # the forward chain U at the default cutoff keeps 8 random columns orthonormal
+    # the closed-form eigenstates U'|n_f n_d> and eigenvalues at the default cutoff
+    # solve H(0) psi = E psi on every row below the top level of both modes, the
+    # rows on which the truncated H acts as the untruncated one
     dp_ref = DiagParams(math.e ** 2, 1.0, 0.3)
-    cols, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(900, 8)))
-    moved = fockspace.unitary_action(dp_ref, cols.reshape(30, 30, 8)).reshape(900, 8)
-    gram = np.abs(moved.T @ moved - np.eye(8)).max()
-    add("unitary_chain_orthogonality", gram < 1e-10, gram, 1e-10)
+    pp_ref = forward_map(dp_ref)
+    psis = fockspace.eigenstates([dp_ref] * len(CERT_OCCUPATIONS), CERT_OCCUPATIONS,
+                                 fockspace.FockDims(30, 30))
+    energies = np.array([eigenvalue(dp_ref, n_f, n_d) for n_f, n_d in CERT_OCCUPATIONS])
+    rows = (fockspace.hamiltonian_action(pp_ref, psis) - energies * psis)[:-1, :-1]
+    interior = np.linalg.norm(rows, axis=(0, 1)).max() / pp_ref.Omega_a
+    add("eigenstate_interior_residual", interior <= 1e-12, interior, 1e-12)
 
     # constrained-parameter identities
     d_ref = derive_params(dp_ref)
@@ -476,7 +478,6 @@ def certification_report(negative_control: bool = False) -> dict:
 
     # spacing identity gamma(nf+1) - gamma(nf) = 2 pi G = pi + 2 pi eps: the
     # paper's spacing at dp_ref against the normal-mode epsilon of its triple
-    pp_ref = forward_map(dp_ref)
     eps_ref = epsilon(pp_ref)
     spacing = eigen_berry_phase(dp_ref, 3, 1).raw - eigen_berry_phase(dp_ref, 2, 1).raw
     sp_res = abs(spacing - (math.pi + TWO_PI * eps_ref))

@@ -13,9 +13,9 @@ field-squeezing and detector-squeezing terms and equalize the two coupling
 coefficients.  This module derives the constrained parameters, maps
 (omega_a, omega_b, v) to the laboratory triple (Omega_a, Omega_b, lam) and
 back (the inverse in closed form: omega_a and omega_b are the normal-mode
-frequencies of H), and defines the package's errors.  The chain itself, its
-actions on amplitude arrays and H on the truncated space, lives in
-``fockspace``.  Everything here needs only ``math`` and ``cmath``, so the
+frequencies of H), and defines the package's errors.  The chain's map on the
+ladder operators, the eigenstates it gives and H on the truncated space live
+in ``fockspace``.  Everything here needs only ``math`` and ``cmath``, so the
 closed-form commands load no numpy; the value types are ``typing.NamedTuple``s.
 """
 

@@ -1,18 +1,16 @@
-"""Truncated two-mode bosonic Fock space and the diagonalizing chain on it.
+"""Truncated two-mode bosonic Fock space and the detector-field model on it.
 
-The truncation (``FockDims``) and the exact actions of the squeeze and
-two-mode displacement (beam splitter) factors of the detector-field
-diagonalization.  Both actions split exactly into real tridiagonal blocks, the
-one matrix exponential here, exponentiated through numpy's SVD, and act on
-amplitude arrays directly.  On top of them sit the model's operators on the
-truncated space, each an action that builds no matrix of the product space:
-H at any varphi (``hamiltonian_action``) and U forward (``unitary_action``).
-The eigenstates U' |n_f n_d> (``eigenstates``) need no block and no padded
-space: U' is Gaussian, and its linear map on the ladder operators gives each
-column exactly by recurrence (Miatto and Quesada, Quantum 4, 366, 2020).  The
-module needs only numpy; the package loads it lazily, with ``oracle``.  A state
-is a real (n_field, n_det) amplitude array, and a batch the (n_field, n_det, k)
-stack of them, amp[n_f, n_d, i] = <n_f n_d|psi_i>; no other form is used.
+The truncation (``FockDims``), the squeeze-tail estimate that sizes it
+(``squeeze_cutoff``) and warns when it is too small, and the model's operators
+on the truncated space, each an action that builds no matrix of the product
+space: H at any varphi (``hamiltonian_action``).  U has one representation, its
+real 4x4 linear map on the ladder operators (``_heisenberg_map``): U' is
+Gaussian, so that map gives each eigenstate U' |n_f n_d> (``eigenstates``)
+exactly by recurrence, with no padded space (Miatto and Quesada, Quantum 4,
+366, 2020).  The module needs only numpy; the package loads it lazily, with
+``oracle``.  A state is a real (n_field, n_det) amplitude array, and a batch
+the (n_field, n_det, k) stack of them, amp[n_f, n_d, i] = <n_f n_d|psi_i>; no
+other form is used.
 """
 
 from __future__ import annotations
@@ -29,13 +27,9 @@ from .diagonalization import DiagParams, PhysicalParams, derive_params
 __all__ = [
     "FockDims",
     "TruncationWarning",
-    "tridiagonal_exp_action",
-    "squeeze_action",
-    "beam_splitter_action",
     "truncation_tail",
     "squeeze_cutoff",
     "hamiltonian_action",
-    "unitary_action",
     "eigenstates",
 ]
 
@@ -95,89 +89,6 @@ def _warn_squeeze_truncation(n: int, t: float) -> None:
         )
 
 
-def _golub_kahan_bidiagonal(beta: np.ndarray) -> np.ndarray:
-    """B^T, square upper bidiagonal, for the bidiagonal B in the Golub-Kahan form
-    of the zero-diagonal tridiagonal with off-diagonal ``beta``: for the
-    antisymmetric J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]] on
-    the (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1],
-    and a zero row pads B^T for odd n.  LAPACK's Householder bidiagonalization
-    leaves B^T unchanged, so no rounding enters its SVD before the bidiagonal
-    SVD itself.  The symmetric tridiagonal with the same ``beta`` has the
-    bidiagonal D_e B D_o, D_e = diag((-1)^i) and D_o = diag(-(-1)^i): the same
-    singular values, and singular vectors that differ only in signs."""
-    n_even, n_odd = (len(beta) + 2) // 2, (len(beta) + 1) // 2
-    bt = np.zeros((n_even, n_even))
-    bt[np.arange(n_odd), np.arange(n_odd)] = -beta[0::2]
-    bt[np.arange(n_even - 1), np.arange(1, n_even)] = beta[1::2]
-    return bt
-
-
-def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U^T, sigma, V) with B = U diag(sigma) V^T (``_golub_kahan_bidiagonal``): U^T square
-    over the even rows, sigma descending, V with one row per odd row.  For odd n the
-    last sigma is the structural zero and the last row of U^T its null vector."""
-    v, sigma, ut = np.linalg.svd(_golub_kahan_bidiagonal(beta))
-    return ut, sigma, v[:(len(beta) + 1) // 2]
-
-
-def tridiagonal_exp_action(beta: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
-    """exp(c J) x for the real antisymmetric tridiagonal J[k+1, k] = beta[k] = -J[k, k+1].
-
-    J couples even rows only to odd ones: J = [[0, B], [-B^T, 0]] on the
-    (even, odd) row split, the Golub-Kahan form of the bidiagonal B.  With
-    B = U diag(sigma) V^T (``_golub_kahan_svd``),
-
-        even rows: x_e + U [(cos c sigma - 1) U^T x_e + sin c sigma V^T x_o]
-        odd rows:  x_o + V [(cos c sigma - 1) V^T x_o - sin c sigma U^T x_e]
-
-    all in real arithmetic, and cos - 1 = -2 sin^2(c sigma / 2) keeps x exact
-    and the change relatively accurate when c sigma is small.  ``x`` is a real
-    vector or a matrix acted on along axis 0.
-    """
-    if len(beta) == 0 or not x.any():
-        return x.copy()
-    ut, sigma, v = _golub_kahan_svd(beta)
-    angle = (sigma[:, None] if x.ndim == 2 else sigma) * c
-    cos_m1, sin = -2.0 * np.sin(0.5 * angle) ** 2, np.sin(angle)
-    w_e, w_o = ut @ x[0::2], v.T @ x[1::2]
-    out = x.copy()
-    out[0::2] += ut.T @ (cos_m1 * w_e + sin * w_o)
-    out[1::2] += v @ (cos_m1 * w_o - sin * w_e)
-    return out
-
-
-def squeeze_action(x: np.ndarray, t: float) -> np.ndarray:
-    """S(t, 0) x = exp((t/2)(X'^2 - X^2)) x along axis 0 of the real array ``x``.
-
-    X'^2 - X^2 couples levels k and k + 2 with strength sqrt((k+1)(k+2)), so
-    the even and the odd levels each form one tridiagonal block.
-    """
-    n = x.shape[0]
-    out = np.empty_like(x)
-    for parity in (0, 1):
-        k = np.arange(parity, n - 2, 2, dtype=float)
-        out[parity::2] = tridiagonal_exp_action(np.sqrt((k + 1.0) * (k + 2.0)), 0.5 * t,
-                                                x[parity::2])
-    return out
-
-
-def beam_splitter_action(amp: np.ndarray, s: float) -> np.ndarray:
-    """D(s, 0) amp = exp(s (a'b - a b')) amp for the real (n_field, n_det) or
-    (n_field, n_det, k) amplitude array.
-
-    The generator keeps the total occupation N: on |k, N-k> (k field quanta)
-    it couples k and k + 1 with strength sqrt((k+1)(N-k)), each block cut at
-    both cutoffs exactly as the truncated ladders cut it.
-    """
-    n_field, n_det = amp.shape[:2]
-    out = np.empty_like(amp)
-    for total in range(n_field + n_det - 1):
-        k = np.arange(max(0, total - n_det + 1), min(total, n_field - 1) + 1)
-        beta = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
-        out[k, total - k] = tridiagonal_exp_action(beta, s, amp[k, total - k])
-    return out
-
-
 def truncation_tail(amp: np.ndarray) -> float:
     """Amplitude norm the (n_field, n_det) state ``amp`` keeps in the top two
     levels of either mode.
@@ -191,7 +102,7 @@ def truncation_tail(amp: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# The detector-field Hamiltonian and the diagonalizing chain
+# The detector-field Hamiltonian and the eigenstates of H(0)
 # --------------------------------------------------------------------------
 
 def _position(n: int) -> np.ndarray:
@@ -232,26 +143,6 @@ def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
     coupled = np.einsum("ij,kl,jl...->ik...", x_f, _position(n_det), amp,
                         optimize=_coupling_path(amp.shape))
     return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
-
-
-def _detector_squeeze(amp: np.ndarray, t: float) -> np.ndarray:
-    """S_b(t, 0) applied by parity blocks to the detector axis of the real
-    (n_field, n_det, k) amplitude array ``amp``."""
-    x = amp.transpose(1, 0, 2)
-    return squeeze_action(x.reshape(x.shape[0], -1), t).reshape(x.shape).transpose(1, 0, 2)
-
-
-def unitary_action(dp: DiagParams, amp: np.ndarray) -> np.ndarray:
-    """U amp = S_a S_b D Shat_b R amp at varphi = 0, for the real (n_field, n_det, k)
-    amplitude array ``amp``: the forward chain, one truncated factor at a time.
-
-    R(0) = 1 and S_b(v, -pi) = S_b(-v, 0), so every factor is a real
-    orthogonal block action (``squeeze_action``, ``beam_splitter_action``) and the
-    result is real.
-    """
-    d = derive_params(dp)
-    amp = _detector_squeeze(beam_splitter_action(_detector_squeeze(amp, d.p), d.s), -dp.v)
-    return squeeze_action(amp.reshape(amp.shape[0], -1), d.u).reshape(amp.shape)
 
 
 def _heisenberg_map(dp: DiagParams) -> np.ndarray:

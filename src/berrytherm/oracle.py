@@ -21,8 +21,8 @@ x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
 and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
 1969).  That matrix has a zero diagonal, so it is the Golub-Kahan form of a
 bidiagonal of half its size, and one SVD of the bidiagonal gives the rule
-(``_field_rule``, through the helper the chain's block exponentials use); no
-field window is diagonalized densely.  The thermal mixture's rule takes the
+(``_field_rule``, through ``_golub_kahan_svd``); no field window is
+diagonalized densely.  The thermal mixture's rule takes the
 singular values alone (``_hermite_pairs``).  The module needs only numpy.
 """
 
@@ -37,8 +37,6 @@ import numpy as np
 from .diagonalization import DiagParams, OracleError, PhysicalParams, forward_map
 from .fockspace import (
     FockDims,
-    _golub_kahan_bidiagonal,
-    _golub_kahan_svd,
     _position,
     eigenstates,
     hamiltonian_action,
@@ -537,6 +535,31 @@ def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, start: np.ndarray,
         raise OracleError(f"propagator not unitary: norm drift {drift:.3e} "
                           f"exceeds {NORM_DRIFT_LIMIT:g}")
     return excited, psi
+
+
+def _golub_kahan_bidiagonal(beta: np.ndarray) -> np.ndarray:
+    """B^T, square upper bidiagonal, for the bidiagonal B in the Golub-Kahan form
+    of the zero-diagonal tridiagonal with off-diagonal ``beta``: for the
+    antisymmetric J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]] on
+    the (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1],
+    and a zero row pads B^T for odd n.  LAPACK's Householder bidiagonalization
+    leaves B^T unchanged, so no rounding enters its SVD before the bidiagonal
+    SVD itself.  The symmetric tridiagonal with the same ``beta`` has the
+    bidiagonal D_e B D_o, D_e = diag((-1)^i) and D_o = diag(-(-1)^i): the same
+    singular values, and singular vectors that differ only in signs."""
+    n_even, n_odd = (len(beta) + 2) // 2, (len(beta) + 1) // 2
+    bt = np.zeros((n_even, n_even))
+    bt[np.arange(n_odd), np.arange(n_odd)] = -beta[0::2]
+    bt[np.arange(n_even - 1), np.arange(1, n_even)] = beta[1::2]
+    return bt
+
+
+def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U^T, sigma, V) with B = U diag(sigma) V^T (``_golub_kahan_bidiagonal``): U^T square
+    over the even rows, sigma descending, V with one row per odd row.  For odd n the
+    last sigma is the structural zero and the last row of U^T its null vector."""
+    v, sigma, ut = np.linalg.svd(_golub_kahan_bidiagonal(beta))
+    return ut, sigma, v[:(len(beta) + 1) // 2]
 
 
 def _field_rule(n: int, first: int, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:

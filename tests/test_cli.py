@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import berrytherm
-from berrytherm import oracle
+from berrytherm import fockspace, oracle
 from berrytherm.cli import (
     CERT_GRID_RATIO,
     CERT_GRID_V,
@@ -27,6 +27,7 @@ from berrytherm.cli import (
     PRESETS,
     _merge_config,
     build_parser,
+    certification_report,
     linspace,
     main,
     read_config_file,
@@ -562,6 +563,20 @@ def test_certify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_certify_fails_on_eigenstates_built_at_a_wrong_squeeze(monkeypatch):
+    # a planted fault: every eigenstate built from U' at v(1 + 1e-6).  Certify's
+    # dp_ref carries no u_hint, so the changed v passes validation and only the
+    # eigenstates move; the loop grid uses them as selection targets alone
+    exact = fockspace._heisenberg_map
+    monkeypatch.setattr(fockspace, "_heisenberg_map",
+                        lambda dp: exact(dp._replace(v=dp.v * (1 + 1e-6))))
+    report = certification_report()
+    check = next(c for c in report["checks"] if c["name"] == "eigenstate_interior_residual")
+    assert not check["passed"]
+    assert check["residual"] > 1e-7
+    assert report["passed"] is False
+
+
 def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
     """argparse rejects ``--key value`` (exit 2), and a config file line
     ``key = value`` is an unknown-key config error."""
@@ -795,8 +810,12 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
 
 # Names of retired forms: ``kron`` built dense product-space copies of operators;
 # ``StateVector``, ``basis_state`` and ``number_diagonal`` kept states as flat
-# complex vectors beside the real (n_field, n_det, k) amplitude stacks
-RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal")
+# complex vectors beside the real (n_field, n_det, k) amplitude stacks;
+# ``unitary_action`` applied U as a chain of truncated factors, through
+# ``squeeze_action``, ``beam_splitter_action`` and ``tridiagonal_exp_action``,
+# a second representation of U beside its map on the ladder operators
+RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal", "unitary_action",
+                 "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action")
 
 
 def test_package_builds_no_kronecker_product():
