@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 from . import fockspace, geomphase, oracle, thermo
@@ -234,10 +235,36 @@ def _physical_params(omega_a: float, omega_b: float, coupling: float) -> Physica
 # Subcommands
 # --------------------------------------------------------------------------
 
-# diagonalize without --cutoff: the least cutoff at which no squeeze of the chain
-# warns, up to a cap (a report at 305 levels takes ~0.5 s and ~46 MB on 2 vCPUs)
+# diagonalize's default cutoff (sizing lam/Omega_a = 0.498 to 276 levels takes six
+# builds, ~0.5 s and ~44 MB per process on 2 vCPUs)
 DIAG_CUTOFF = 24
 DIAG_CUTOFF_CAP = 320
+DIAG_TAIL_GATE = 1e-14
+
+
+def _diag_eigenstates(dp: DiagParams, occupations, cutoff: int | None):
+    """``eigenstates`` of dp at ``cutoff``, or by default at the least cutoff in
+    DIAG_CUTOFF .. DIAG_CUTOFF_CAP at which each keeps a ``truncation_tail`` of at
+    most DIAG_TAIL_GATE.  A build's amplitudes are the untruncated states', so
+    its strip sums (``mode_tails``) give the tails at every smaller cutoff: the
+    default doubles its builds until one fits."""
+    def build(n: int):
+        return fockspace.eigenstates([dp] * len(occupations), occupations,
+                                     fockspace.FockDims(n, n))
+
+    if cutoff is not None:
+        return build(cutoff)
+    for size in (min(DIAG_CUTOFF << k, DIAG_CUTOFF_CAP) for k in range(5)):  # 24 .. 192, cap
+        try:
+            psis = build(size)
+        except ValueError:  # a column lost half its norm: far too few levels
+            continue
+        weights = psis ** 2
+        for n in range(DIAG_CUTOFF, size + 1):
+            if (fockspace.mode_tails(weights[:n, :n]).sum(axis=0) <= DIAG_TAIL_GATE ** 2).all():
+                return psis if n == size else build(n)
+    raise ConfigError(f"need --cutoff: an eigenstate keeps more than {DIAG_TAIL_GATE:g} "
+                      f"in the top two of {DIAG_CUTOFF_CAP} levels per mode")
 
 
 def cmd_diagonalize(config: dict) -> dict:
@@ -275,15 +302,11 @@ def cmd_diagonalize(config: dict) -> dict:
             }
         dp = sol.params
     d = derive_params(dp)
-    if cutoff is None:
-        cutoff = fockspace.squeeze_cutoff((d.u, dp.v, d.p), DIAG_CUTOFF, DIAG_CUTOFF_CAP)
-        if cutoff is None:
-            raise ConfigError(f"need --cutoff: the squeezes (u, v, p) = ({d.u:.4g}, {dp.v:.4g}, "
-                              f"{d.p:.4g}) need more than {DIAG_CUTOFF_CAP} levels per mode")
-    dims = fockspace.FockDims(cutoff, cutoff)
+    occupations = ((0, 0), (1, 0), (0, 1))
+    psis = _diag_eigenstates(dp, occupations, cutoff)
     report: dict = {
         "mode": "forward" if forward else "inverse",
-        "cutoff": cutoff,
+        "cutoff": len(psis),
         "diag_params": {"omega_a": dp.omega_a, "omega_b": dp.omega_b, "v": dp.v},
         "physical_params": {"Omega_a": pp.Omega_a, "Omega_b": pp.Omega_b, "lam": pp.lam},
         "derived": {
@@ -296,15 +319,17 @@ def cmd_diagonalize(config: dict) -> dict:
     }
     if not forward:  # forward mode's pp is forward_map(dp): no round trip to measure
         report["round_trip_residual"] = sol.residual
-    occupations = ((0, 0), (1, 0), (0, 1))
-    psis = fockspace.eigenstates([dp] * 3, occupations, dims)
     h_psis = fockspace.hamiltonian_action(pp, psis)
     e_vals = np.einsum("ijk,ijk->k", psis, h_psis)
     residuals = np.linalg.norm(h_psis - e_vals * psis, axis=(0, 1)) / pp.Omega_a
     report["eigenstate_residuals_over_Omega_a"] = {
         f"{n_f},{n_d}": float(res) for (n_f, n_d), res in zip(occupations, residuals)}
-    for t in (d.u, dp.v, d.p):  # an explicit cutoff too small for a squeeze warns
-        fockspace._warn_squeeze_truncation(cutoff, t)
+    tails = [fockspace.truncation_tail(psis[:, :, i]) for i in range(len(occupations))]
+    report["eigenstate_truncation_tails"] = {
+        f"{n_f},{n_d}": tail for (n_f, n_d), tail in zip(occupations, tails)}
+    if max(tails) > DIAG_TAIL_GATE:  # at an explicit cutoff: the sized one fits
+        warnings.warn(f"cutoff {len(psis)}: eigenstate tail {max(tails):.2e} > {DIAG_TAIL_GATE:g}",
+                      fockspace.TruncationWarning, stacklevel=2)
     # |1 - z|, z = <00|U|00> = <00|U'|00> (U is real orthogonal at varphi = 0), from
     # the real unit column c = U'|00> built above, free of cancellation:
     # 1 - z = sum_{j>=1} c_j^2 / (1 + z)

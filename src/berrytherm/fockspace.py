@@ -1,9 +1,9 @@
 """Truncated two-mode bosonic Fock space and the detector-field model on it.
 
-The truncation (``FockDims``), the squeeze-tail estimate that sizes it
-(``squeeze_cutoff``) and warns when it is too small, and the model's operators
-on the truncated space, each an action that builds no matrix of the product
-space: H at any varphi (``hamiltonian_action``).  U has one representation, its
+The truncation (``FockDims``), the weight a state keeps in the top two levels of
+each mode (``mode_tails``), and the model's operators on the truncated space,
+each an action that builds no matrix of the product space: H at any varphi
+(``hamiltonian_action``).  U has one representation, its
 real 4x4 linear map on the ladder operators (``_heisenberg_map``): U' is
 Gaussian, so that map gives each eigenstate U' |n_f n_d> (``eigenstates``)
 exactly by recurrence, with no padded space (Miatto and Quesada, Quantum 4,
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +26,11 @@ from .diagonalization import DiagParams, PhysicalParams, derive_params
 __all__ = [
     "FockDims",
     "TruncationWarning",
+    "mode_tails",
     "truncation_tail",
-    "squeeze_cutoff",
     "hamiltonian_action",
     "eigenstates",
 ]
-
-DEFAULT_CUTOFF = 30
-SQUEEZE_TAIL_GATE = 1e-8  # top-two-level amplitude a squeezed vacuum may leave
 
 
 class TruncationWarning(UserWarning):
@@ -49,8 +45,8 @@ class FockDims:
     for the detector mode (b).  Total dimension is the product.
     """
 
-    n_field: int = DEFAULT_CUTOFF
-    n_det: int = DEFAULT_CUTOFF
+    n_field: int
+    n_det: int
 
     def __post_init__(self):
         if self.n_field < 2 or self.n_det < 2:
@@ -64,41 +60,19 @@ class FockDims:
         return self.n_field * self.n_det
 
 
-def _squeeze_tail(n: int, t: float) -> float:
-    """Top-two-level amplitude of the vacuum squeezed by t on n levels, estimated
-    from the per-pair amplitude ratio tanh|t| as tanh|t|^{(n-2)/2}."""
-    return math.tanh(abs(t)) ** ((n - 2) / 2.0) if t else 0.0
-
-
-def squeeze_cutoff(ts, low: int, high: int) -> int | None:
-    """The least cutoff in low .. high at which no squeeze t of ``ts`` leaves more
-    than SQUEEZE_TAIL_GATE in the top two levels (``_squeeze_tail``), or None."""
-    return next((n for n in range(low, high + 1)
-                 if all(_squeeze_tail(n, t) <= SQUEEZE_TAIL_GATE for t in ts)), None)
-
-
-def _warn_squeeze_truncation(n: int, t: float) -> None:
-    """TruncationWarning, naming the caller's caller, when the top two of n
-    levels keep more than SQUEEZE_TAIL_GATE of the vacuum squeezed by t."""
-    est = _squeeze_tail(n, t)
-    if est > SQUEEZE_TAIL_GATE:
-        warnings.warn(
-            f"squeeze t={t:.4g} at cutoff {n}: top-two-level amplitude estimate {est:.2e}",
-            TruncationWarning,
-            stacklevel=3,
-        )
+def mode_tails(weights: np.ndarray) -> np.ndarray:
+    """The weight the squared amplitudes ``weights`` of an (n_field, n_det) state,
+    or of each column of an (n_field, n_det, k) stack, keep in the top two levels
+    of the field and of the detector, stacked on a new first axis.  For exact
+    amplitudes (``eigenstates``), ``weights[:n, :n]`` gives them at cutoff n."""
+    return np.array([weights[-2:, :].sum(axis=(0, 1)), weights[:, -2:].sum(axis=(0, 1))])
 
 
 def truncation_tail(amp: np.ndarray) -> float:
     """Amplitude norm the (n_field, n_det) state ``amp`` keeps in the top two
-    levels of either mode.
-
-    Oracle certifications refuse when this exceeds their calibrated gate;
-    see oracle module.
-    """
-    w = np.abs(amp) ** 2
-    top = w[-2:, :].sum() + w[:, -2:].sum()
-    return float(np.sqrt(top))
+    levels of either mode: the root of its two ``mode_tails`` summed."""
+    field, det = mode_tails(np.abs(amp) ** 2)
+    return float(np.sqrt(field + det))
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .fockspace import (
     _position,
     eigenstates,
     hamiltonian_action,
+    mode_tails,
     truncation_tail,
 )
 from .geomphase import PhaseResult, wrap_angle
@@ -366,8 +367,7 @@ def _modes_up(chi: np.ndarray) -> np.ndarray:
     top-two-level tail exceeds TRUNCATION_GATE / sqrt(2), which the larger one
     does, as the squares of the two tails sum to that of the gated tail
     (``truncation_tail``); on any other gate, both."""
-    w = chi ** 2
-    tails = np.array([w[-2:, :].sum(), w[:, -2:].sum()])
+    tails = mode_tails(chi ** 2)
     if math.sqrt(tails[0] + tails[1]) <= TRUNCATION_GATE:
         return np.ones(2, dtype=bool)
     # the larger tail is named as well, so that rounding at the gate still moves a mode

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import berrytherm
-from berrytherm import fockspace, oracle
+from berrytherm import cli, fockspace, oracle
 from berrytherm.cli import (
     CERT_GRID_RATIO,
     CERT_GRID_V,
+    DIAG_TAIL_GATE,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -32,7 +33,7 @@ from berrytherm.cli import (
     main,
     read_config_file,
 )
-from berrytherm.diagonalization import DiagParams, forward_map
+from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map
 from berrytherm.fockspace import TruncationWarning
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -446,8 +447,8 @@ def test_diagonalize_forward_report(tmp_path):
     if ratio > math.exp(2 * v)], ids=lambda dp: f"v{dp.v}-ratio{dp.omega_a:.4g}")
 def test_diagonalize_round_trips_on_the_certify_loop_grid(tmp_path, dp):
     # the loop oracle certifies these sets at lam/Omega_a 0.39 to 1.38, so the
-    # inverse map must accept their laboratory triples.  Run at cutoff 24, which
-    # their squeezes overrun: the sized default would take up to 305 levels, ~0.5 s each
+    # inverse map must accept their laboratory triples.  Run at cutoff 24, where
+    # each leaves an eigenstate tail past the gate: the sized default takes 29 to 107 levels
     pp = forward_map(dp)
     with pytest.warns(TruncationWarning):
         code, text = run(["diagonalize", "--omega-a", repr(pp.Omega_a), "--omega-b",
@@ -459,8 +460,8 @@ def test_diagonalize_round_trips_on_the_certify_loop_grid(tmp_path, dp):
 
 def test_diagonalize_sizes_its_default_cutoff(tmp_path):
     # lam/Omega_a = 0.49: at the old fixed cutoff 24 the worst residual was 0.11
-    # with a warning; the default is the least cutoff the squeezes' estimate
-    # tanh|t|^((n-2)/2) <= 1e-8 allows for t = u, v, p
+    # with a warning; the default is the least cutoff n >= 24 at which every
+    # eigenstate's exact top-two-level tail is at most the gate
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         code, text = run(["diagonalize", "--omega-a", "1", "--omega-b", "1",
@@ -468,27 +469,59 @@ def test_diagonalize_sizes_its_default_cutoff(tmp_path):
     assert code == EXIT_OK
     rep = json.loads(text)
     assert max(rep["eigenstate_residuals_over_Omega_a"].values()) <= 1e-10
-    ts = [rep["derived"]["u"], rep["diag_params"]["v"], rep["derived"]["p"]]
-
-    def estimate(n):
-        return max(math.tanh(abs(t)) ** ((n - 2) / 2.0) for t in ts if t != 0.0)
-
-    assert rep["cutoff"] == 132
-    assert estimate(132) <= 1e-8 < estimate(131)
-    # an explicit cutoff keeps its meaning, and every preset triple stays at 24
+    n = rep["cutoff"]
+    assert max(rep["eigenstate_truncation_tails"].values()) <= DIAG_TAIL_GATE
+    with pytest.warns(TruncationWarning, match=f"cutoff {n - 1}"):
+        code, text = run(["diagonalize", "--omega-a", "1", "--omega-b", "1",
+                          "--coupling", "0.49", "--cutoff", str(n - 1)], tmp_path, "d.json")
+    assert max(json.loads(text)["eigenstate_truncation_tails"].values()) > DIAG_TAIL_GATE
+    # an explicit cutoff keeps its meaning
     code, text = run(["diagonalize", *RESONANT_GHZ, "--cutoff", "30"], tmp_path, "d.json")
     assert json.loads(text)["cutoff"] == 30
+
+
+@pytest.mark.parametrize("pp", [
+    *(pytest.param(forward_map(DiagParams(ratio, 1.0, v)), id=f"v{v}-ratio{ratio:.4g}")
+      for v in CERT_GRID_V for ratio in CERT_GRID_RATIO if ratio > math.exp(2 * v)),
+    *(pytest.param(PhysicalParams(1.0, 1.0, lam), id=f"resonant-lam{lam}")
+      for lam in (0.3, 0.4, 0.45, 0.49, 0.495, 0.498))])
+def test_diagonalize_sized_default_keeps_the_residuals_small(tmp_path, pp):
+    # the certify loop grid and the resonant approach to the bound; 62 levels,
+    # too few at (v 0.6, ratio e^2), read a residual of 8.3e-9 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        code, text = run(["diagonalize", "--omega-a", repr(pp.Omega_a), "--omega-b",
+                          repr(pp.Omega_b), "--coupling", repr(pp.lam)], tmp_path, "d.json")
+    assert code == EXIT_OK
+    rep = json.loads(text)
+    assert max(rep["eigenstate_residuals_over_Omega_a"].values()) <= 2e-12
+    assert max(rep["eigenstate_truncation_tails"].values()) <= DIAG_TAIL_GATE
+
+
+def test_diagonalize_keeps_every_preset_at_one_build_of_24_levels(monkeypatch):
+    # the benchmark's diagonalize processes run the preset triples: sizing must
+    # not add a build there
+    calls = []
+    for name in ("eigenstates", "hamiltonian_action"):
+        def counted(*args, _f=getattr(fockspace, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(fockspace, name, counted)
     for p in PRESETS.values():
-        code, text = run(["diagonalize", "--omega-a", repr(p["gap"]), "--omega-b",
-                          repr(p["gap"]), "--coupling", repr(p["coupling"])], tmp_path, "d.json")
-        assert json.loads(text)["cutoff"] == 24
+        calls.clear()
+        rep = cli.cmd_diagonalize({"omega_a": p["gap"], "omega_b": p["gap"],
+                                   "coupling": p["coupling"]})
+        assert rep["cutoff"] == 24
+        assert sorted(calls) == ["eigenstates", "hamiltonian_action"]
 
 
 def test_diagonalize_refuses_a_default_cutoff_past_its_cap(capsys):
-    # lam/Omega_a = 0.4999 would need more than DIAG_CUTOFF_CAP levels per mode
-    assert main(["diagonalize", "--omega-a", "1", "--omega-b", "1",
-                 "--coupling", "0.4999"]) == EXIT_CONFIG
-    assert "need --cutoff" in capsys.readouterr().err
+    # lam/Omega_a = 0.4999 would need more than DIAG_CUTOFF_CAP levels per mode;
+    # at 0.49999 the builds at 24 and 48 levels lose over half a column's norm
+    for coupling in ("0.4999", "0.49999"):
+        assert main(["diagonalize", "--omega-a", "1", "--omega-b", "1",
+                     "--coupling", coupling]) == EXIT_CONFIG
+        assert "need --cutoff" in capsys.readouterr().err
 
 
 def test_diagonalize_zero_coupling_flagged(tmp_path):
