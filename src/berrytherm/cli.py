@@ -427,10 +427,10 @@ CUTOFF_LADDER = (30, 44, 60, 78)
 def _loop_check_cells(dps: list[DiagParams],
                       negative_control: bool) -> dict[DiagParams, list[dict]]:
     """Loop oracle vs closed form for every occupation of CERT_OCCUPATIONS at
-    each dp of ``dps``: the list of cells of each dp.  The oracle walks the
-    cutoff ladder itself, each mode on its own (``oracle.discrete_berry_loops``);
-    a cell reports the field and detector cutoffs it passed at, or the
-    oracle's last refusal."""
+    each dp of ``dps``: the list of cells of each dp.  The oracle sizes each
+    pair's truncation on the cutoff ladder itself, each mode on its own
+    (``oracle.discrete_berry_loops``); a cell reports the field and detector
+    cutoffs it passed at, or the oracle's refusal."""
     phase_fn = (geomphase._eigen_phase_unshared_denominator
                 if negative_control else eigen_berry_phase)
     pairs = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
@@ -494,10 +494,8 @@ def certification_report(negative_control: bool = False) -> dict:
     interior = np.linalg.norm(rows, axis=(0, 1)).max() / pp_ref.Omega_a
     add("eigenstate_interior_residual", interior <= 1e-12, interior, 1e-12)
 
-    # constrained-parameter identities
+    # constrained-parameter identities; |g4| is gated inside derive_params
     d_ref = derive_params(dp_ref)
-    g4_rel = abs(d_ref.g4) / max(abs(d_ref.g3), 1e-300)
-    add("g4_cancellation", g4_rel < 1e-12, g4_rel, 1e-12)
     g36 = abs(d_ref.g3 - d_ref.g6) / abs(d_ref.g3)
     add("coupling_coefficients_equal", g36 < 1e-12, g36, 1e-12)
 
@@ -527,11 +525,18 @@ def certification_report(negative_control: bool = False) -> dict:
     grid_dps = [dp for dp in grid.values() if isinstance(dp, DiagParams)]
 
     # inverse/forward round trips: a weak-coupling grid (lam/Omega_a 0.002 to
-    # 0.08) and the loop grid's sets (lam/Omega_a 0.39 to 1.38)
+    # 0.08) and the loop grid's sets (lam/Omega_a 0.39 to 1.38); a refused
+    # triple counts with its residual (NaN, which fails, if it is unbound)
     triples = [forward_map(DiagParams(2e9 * math.exp(2 * (u_seed + v)), 2e9, v))
                for u_seed in (1e-3, 0.05, 0.3) for v in (1e-3, 5e-3)]
     triples += [forward_map(dp) for dp in grid_dps]
-    worst = max(invert_physical(pp).residual for pp in triples)
+    residuals = []
+    for pp in triples:
+        try:
+            residuals.append(invert_physical(pp).residual)
+        except InverseMapError as exc:
+            residuals.append(exc.residual)
+    worst = float(np.max(residuals))
     add("map_round_trip", worst < 1e-10, worst, 1e-10)
 
     # loop oracle vs closed form over the full grid

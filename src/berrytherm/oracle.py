@@ -5,25 +5,24 @@ brute-force solves of the truncated Hamiltonian, loop phases from
 gauge-invariant products of successive overlaps, mixed-state phases from
 explicit weighted partial sums, and adiabaticity from the exact propagator
 of the detector, whose generator is time-independent in its co-rotating
-frame.  Closed forms are only allowed in as selection targets (which
-eigenvector to track), never as values.
+frame.  Closed forms are only allowed in to select the eigenvector to track
+and to size its truncation, never as values: every gate runs on the
+numerical eigenvector.
 Loop eigenpairs come from Rayleigh-quotient iteration in the parity sector of
 H(0) that each pair names, block tridiagonal in n_f (Parlett, The Symmetric
-Eigenvalue Problem, 4.6).  H(0) is real, so targets, starts and eigenvectors
-are real amplitude arrays, each pair a column of one (n_field, n_det, k) stack,
-as ``fockspace`` builds them.  A loop grid walks a ladder of growing cutoffs,
-each mode on its own gate: its selection targets are built once, at the first
-rung; the pending pairs of each truncation are zero-padded to it and solved,
-both parities together, as one stacked iteration; and a refused pair continues
-at a larger truncation from its last eigenvector.  Every
-field-state quadrature of the adiabaticity check is the Gauss rule of
-x_f = a + a' on a window of field levels: the eigenvalues of its Jacobi matrix
-and their eigenvector components (Golub and Welsch, Math. Comp. 23, 221,
-1969).  That matrix has a zero diagonal, so it is the Golub-Kahan form of a
-bidiagonal of half its size, and one SVD of the bidiagonal gives the rule
+Eigenvalue Problem, 4.6).  H(0) is real, so targets and eigenvectors are real
+amplitude arrays, each pair a column of one (n_field, n_det, k) stack, as
+``fockspace`` builds them.  A loop grid sizes each pair's truncation from the
+exact tails of its target, each mode on its own cutoff ladder, and solves the
+pairs of each truncation once, both parities together, as one stacked
+iteration.  Every field-state quadrature of the adiabaticity check is the Gauss
+rule of x_f = a + a' on a window of field levels: the eigenvalues of its
+Jacobi matrix and their eigenvector components (Golub and Welsch, Math. Comp.
+23, 221, 1969).  That matrix has a zero diagonal, so it is the Golub-Kahan form
+of a bidiagonal of half its size, and one SVD of the bidiagonal gives the rule
 (``_field_rule``, through ``_golub_kahan_svd``); no field window is
-diagonalized densely.  The thermal mixture's rule takes the
-singular values alone (``_hermite_pairs``).  The module needs only numpy.
+diagonalized densely.  The thermal mixture's rule takes the singular values
+alone (``_hermite_pairs``).  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -207,32 +206,19 @@ def _selected(v: np.ndarray, sigma: float, target: np.ndarray) -> EigenPair | Or
     return EigenPair(value=sigma, vector=vec, overlap=overlap)
 
 
-def _unit_columns(stack, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """The stack ``stack`` with each column scaled to unit norm; ValueError unless
-    it is real and finite, of ``shape``, and has no zero column."""
-    stack = np.asarray(stack)
-    norm = np.linalg.norm(stack, axis=(0, 1)) if stack.shape == shape else None
-    if (norm is None or np.iscomplexobj(stack) or not np.isfinite(stack).all()
-            or not norm.all()):
-        raise ValueError(f"need a real, finite {shape} {name} stack with no zero column, "
-                         f"got {stack.dtype} {stack.shape}")
-    return stack / norm
-
-
 def numeric_eigenpairs(
     pps: list[PhysicalParams],
     targets: np.ndarray,
     parities,
-    starts: np.ndarray | None = None,
 ) -> list[EigenPair | OracleError]:
     """Eigenpair of the truncated H(0) of each pp of ``pps`` that the column at
     the same position of the real (n_field, n_det, k) stack ``targets`` selects,
     in the sector (-1)^(n_f + n_d) = (-1)^p of the stack's truncation, p the
     entry of ``parities`` (one 0 or 1 per column) at that position: the
     EigenPair, or the OracleError that refused it.  Each column of ``targets``
-    and of ``starts`` (same shape; default the targets) is normalized; a stack
-    of another shape, with a complex or non-finite entry or with a zero
-    column, or parities that are not one 0 or 1 per column, raise ValueError.
+    is normalized; a stack of another shape, with a complex or non-finite
+    entry or with a zero column, or parities that are not one 0 or 1 per
+    column, raise ValueError.
 
     In field-major order a sector is block tridiagonal in n_f: block f is
     Omega_a f + Omega_b d over its detector levels d, block (f+1, f) is
@@ -241,21 +227,26 @@ def numeric_eigenpairs(
     ceil(n_det / 2) levels, the smaller sector of an odd n_det padded with one
     level that nothing couples to, on which the shifted block is 1 and the
     right-hand side 0, so both sectors take one code path.
-    Rayleigh-quotient iteration starts from each pair's column of ``starts``
-    (of ``targets`` without one), sigma its Rayleigh quotient; each step solves
+    Rayleigh-quotient iteration starts from each pair's target, sigma its
+    Rayleigh quotient; each step solves
     (H - sigma) w = v for every unconverged pair, of either parity, in one
     stacked block-Thomas sweep (``_shifted_solve``) and moves each sigma to the
     Rayleigh quotient of its w, H v from ``hamiltonian_action``.  A pair leaves
     the stack once |H v - sigma v| <= RQI_TOL max |diag H| of its own H.
-    Refuses a pair after RQI_MAX_STEPS solves, a target or start with weight
-    outside its sector, and an overlap with the target below
+    Refuses a pair after RQI_MAX_STEPS solves, a target with weight outside
+    its sector, and an overlap with the target below
     AMBIGUITY_OVERLAP (a neighbour: truncation too small or wrong
     parameters).  Repeated calls return identical bits; each vector's largest
     component is positive.
     """
     shape = np.shape(targets)[:2] + (len(pps),)
-    targets = _unit_columns(targets, shape, "target")
-    starts = targets if starts is None else _unit_columns(starts, shape, "start")
+    targets = np.asarray(targets)
+    norm = np.linalg.norm(targets, axis=(0, 1)) if targets.shape == shape else None
+    if (norm is None or np.iscomplexobj(targets) or not np.isfinite(targets).all()
+            or not norm.all()):
+        raise ValueError(f"need a real, finite {shape} target stack with no zero column, "
+                         f"got {targets.dtype} {targets.shape}")
+    targets = targets / norm
     parity = np.asarray(parities)
     if (parity.shape != shape[2:] or parity.dtype.kind not in "iu"
             or not np.isin(parity, (0, 1)).all()):
@@ -263,10 +254,9 @@ def numeric_eigenpairs(
     n_field, n_det, _ = shape
     n_f, n_d = np.ogrid[:n_field, :n_det]
     other = ((n_f + n_d)[:, :, None] + parity) % 2 == 1  # each column's other sector
-    outside = (np.where(other, targets, 0.0).any(axis=(0, 1))
-               | np.where(other, starts, 0.0).any(axis=(0, 1)))
+    outside = np.where(other, targets, 0.0).any(axis=(0, 1))
     results: list[EigenPair | OracleError | None] = [
-        OracleError("target or start has weight outside the sector") if out else None
+        OracleError("target has weight outside the sector") if out else None
         for out in outside]
     at = np.flatnonzero(~outside)  # iterating
     if not len(at):
@@ -277,7 +267,7 @@ def numeric_eigenpairs(
     omega_a, omega_b, lam = np.array([(pp.Omega_a, pp.Omega_b, pp.lam) for pp in pps]).T
     energy = omega_a[:, None] * np.arange(n_field)[:, None, None] + omega_b[:, None] * levels
     tol = RQI_TOL * (omega_a * (n_field - 1) + omega_b * (n_det - 1))
-    v = starts[:, :, at]
+    v = targets[:, :, at]
     for step in range(RQI_MAX_STEPS + 1):
         hv = hamiltonian_action([pps[i] for i in at], v)  # zero outside each sector
         sigma = np.einsum("ijk,ijk->k", v, hv)
@@ -351,29 +341,6 @@ def _transported_loop(chi: np.ndarray, spec: LoopSpec) -> BerryLoopResult | Orac
     )
 
 
-def _padded(columns: list[np.ndarray], dims: FockDims) -> np.ndarray:
-    """The (n_field, n_det) arrays ``columns``, each on a truncation no larger
-    than ``dims``, as the columns of one stack on ``dims``, zero on the levels
-    it adds."""
-    out = np.zeros((dims.n_field, dims.n_det, len(columns)))
-    for i, col in enumerate(columns):
-        out[:col.shape[0], :col.shape[1], i] = col
-    return out
-
-
-def _modes_up(chi: np.ndarray) -> np.ndarray:
-    """Which modes, (field, detector), a refused loop of the eigenvector ``chi``
-    moves up the cutoff ladder: on the truncation gate, each mode whose own
-    top-two-level tail exceeds TRUNCATION_GATE / sqrt(2), which the larger one
-    does, as the squares of the two tails sum to that of the gated tail
-    (``truncation_tail``); on any other gate, both."""
-    tails = mode_tails(chi ** 2)
-    if math.sqrt(tails[0] + tails[1]) <= TRUNCATION_GATE:
-        return np.ones(2, dtype=bool)
-    # the larger tail is named as well, so that rounding at the gate still moves a mode
-    return (tails > TRUNCATION_GATE ** 2 / 2) | (tails == tails.max())
-
-
 def discrete_berry_loops(
     dps: list[DiagParams],
     occupations,
@@ -382,61 +349,65 @@ def discrete_berry_loops(
 ) -> list[BerryLoopResult | OracleError]:
     """Gauge-invariant discrete loop phase of the eigenstate of each pair of a
     dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
-    its BerryLoopResult, at the first truncation that passes every gate, or
-    the OracleError that refused it at the last one.
+    its BerryLoopResult, or the OracleError that refused it, at the one
+    truncation its selection target sizes.
 
-    Each mode climbs the distinct cutoffs that ``ladder`` (a sequence of
-    growing FockDims) gives it on its own: a pair is solved at (its field
-    cutoff, its detector cutoff), both starting at ``ladder[0]``.  A pair
-    refused by the truncation gate moves up only the mode or modes whose own
-    tail refuses it (``_modes_up``); any other refusal moves both.  A pair
-    that would move a mode past its top cutoff keeps its last refusal.  Each step groups
-    the pending pairs by truncation and solves each group as one stack, both
-    parity sectors of (-1)^(n_f + n_d), which H conserves, together
-    (``numeric_eigenpairs``).  The closed-form selection targets are built
-    once, in one batch at ``ladder[0]``, and zero-padded to each later
-    truncation.  A refused pair continues from its last eigenvector,
-    zero-padded, if that passed the overlap gate, and from its padded target
-    otherwise.  The eigenvector is transported around the loop with the exact
-    rotation covariance.  The phase is Richardson-extrapolated from the N and
-    2N grids and the reported error estimate is |gamma(2N) - gamma(N)|.
+    Each mode takes the distinct cutoffs that ``ladder`` (a sequence of
+    growing FockDims) gives it on its own.  The rungs are walked in order,
+    and each builds the exact targets (``eigenstates``) of the pairs not yet
+    sized, in one batch.  A mode's cutoff is then its least cutoff, up to the
+    rung, whose top two levels of the build's squared amplitudes, over the
+    build's whole width in the other mode (``mode_tails``), hold at most
+    TRUNCATION_GATE^2 / 2: the two modes' strips of any crop then sum to at
+    most the gate's square.  A mode with no such cutoff takes its top cutoff
+    once the rung reaches it; a pair is sized once both modes are.  The pairs
+    of each truncation are solved once, from their targets cropped from the
+    build that sized them, as one stack, both parity sectors of
+    (-1)^(n_f + n_d), which H conserves, together (``numeric_eigenpairs``).
+    Every gate runs on the numerical eigenvector, so a wrong target can make a
+    pair refuse but never pass.  The eigenvector is transported around the
+    loop with the exact rotation covariance.  The phase is
+    Richardson-extrapolated from the N and 2N grids and the reported error
+    estimate is |gamma(2N) - gamma(N)|.
 
-    Refuses an occupation at a truncation when its eigenvector carries more
-    than TRUNCATION_GATE amplitude in the top two levels of either mode, or
+    Refuses an occupation when its eigenvector carries more than
+    TRUNCATION_GATE amplitude in the top two levels of either mode, or
     when consecutive overlaps drop below 0.99 (level crossing).
     """
     ladder = list(ladder)
     if not ladder or any(b.n_field < a.n_field or b.n_det < a.n_det
                          for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"need a non-empty ladder of growing truncations, got {ladder}")
-    pps = {dp: forward_map(dp) for dp in dps}
-    parities = [(n_f + n_d) % 2 for n_f, n_d in occupations]
-    targets = list(np.moveaxis(eigenstates(dps, occupations, ladder[0]), 2, 0))
-    results: list[BerryLoopResult | OracleError] = [None] * len(targets)
-    starts = list(targets)
     cutoffs = [sorted({d.n_field for d in ladder}), sorted({d.n_det for d in ladder})]
-    top = np.array([len(c) - 1 for c in cutoffs])
-    rungs = np.zeros((len(targets), 2), dtype=int)  # each pair's place in each mode's cutoffs
-    pending = list(range(len(targets)))
-    while pending:
-        groups: dict[FockDims, list[int]] = {}
-        for i in pending:
-            dims = FockDims(cutoffs[0][rungs[i, 0]], cutoffs[1][rungs[i, 1]])
-            groups.setdefault(dims, []).append(i)
-        pending = []
-        for dims, batch in groups.items():
-            pairs = numeric_eigenpairs(
-                [pps[dps[i]] for i in batch], _padded([targets[i] for i in batch], dims),
-                [parities[i] for i in batch], _padded([starts[i] for i in batch], dims))
-            for i, pair in zip(batch, pairs):
-                if isinstance(pair, OracleError):
-                    results[i], starts[i], up = pair, targets[i], np.ones(2, dtype=bool)
-                else:
-                    results[i], starts[i] = _transported_loop(pair.vector, spec), pair.vector
-                    up = _modes_up(pair.vector)
-                if isinstance(results[i], OracleError) and (rungs[i, up] < top[up]).all():
-                    rungs[i] += up
-                    pending.append(i)
+    groups: dict[FockDims, list[tuple[int, np.ndarray]]] = {}  # the pairs and targets of each
+    unsized = list(range(len(dps)))
+    for rung in ladder:
+        if not unsized:
+            break
+        build = eigenstates([dps[i] for i in unsized], [occupations[i] for i in unsized], rung)
+        weights = build ** 2
+        size = np.zeros((2, len(unsized)), dtype=int)  # 0 where a mode is not sized yet
+        for mode, reach in enumerate((rung.n_field, rung.n_det)):
+            for c in reversed([c for c in cutoffs[mode] if c <= reach]):  # the least wins
+                strip = mode_tails(weights[:c] if mode == 0 else weights[:, :c])[mode]
+                size[mode] = np.where(strip <= TRUNCATION_GATE ** 2 / 2, c, size[mode])
+            if reach == cutoffs[mode][-1]:
+                size[mode, size[mode] == 0] = reach
+        for j, i in enumerate(unsized):
+            if size[:, j].all():
+                n_field, n_det = size[:, j].tolist()
+                groups.setdefault(FockDims(n_field, n_det), []).append(
+                    (i, build[:n_field, :n_det, j].copy()))  # a copy: the build is freed
+        unsized = [i for j, i in enumerate(unsized) if not size[:, j].all()]
+    results: list[BerryLoopResult | OracleError] = [None] * len(dps)
+    for members in groups.values():
+        batch = [i for i, _ in members]
+        pairs = numeric_eigenpairs([forward_map(dps[i]) for i in batch],
+                                   np.stack([t for _, t in members], axis=2),
+                                   [sum(occupations[i]) % 2 for i in batch])
+        for i, pair in zip(batch, pairs):
+            results[i] = pair if isinstance(pair, OracleError) else _transported_loop(
+                pair.vector, spec)
     return results
 
 

@@ -12,8 +12,8 @@ from berrytherm.fockspace import TruncationWarning
 def certify_reports():
     """The positive certification report and its negative control, built once;
     building them must emit no TruncationWarning, and each report's loop grid
-    must build its selection targets once (one ``eigenstates`` call), at the
-    first rung of the ladder."""
+    must build its selection targets once per rung that has pairs left to size
+    (one ``eigenstates`` call at each of the 4 rungs)."""
     eigenstates = oracle.eigenstates
     loop_check_cells = cli._loop_check_cells
     target_calls = [0]
@@ -40,5 +40,5 @@ def certify_reports():
         passes.append(grid_passes[0] - passes[0])
     truncated = [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
     assert truncated == []
-    assert passes == [1, 1], passes
+    assert passes == [4, 4], passes
     return pos, neg

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import berrytherm
-from berrytherm import cli, fockspace, oracle
+from berrytherm import cli, diagonalization, fockspace, oracle
 from berrytherm.cli import (
     CERT_GRID_RATIO,
     CERT_GRID_V,
     DIAG_TAIL_GATE,
+    EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -610,6 +611,25 @@ def test_certify_fails_on_eigenstates_built_at_a_wrong_squeeze(monkeypatch):
     assert report["passed"] is False
 
 
+def test_certify_fails_on_a_refused_round_trip(monkeypatch, tmp_path):
+    # a planted fault: normal_modes' u off by 1e-9 relative.  invert_physical
+    # refuses every triple it moves past its 1e-10 gate, and map_round_trip
+    # records the refusal's residual as a failed check: exit 4, not 3
+    exact = diagonalization.normal_modes
+
+    def off(pp):
+        u, *rest = exact(pp)
+        return (u * (1 + 1e-9), *rest)
+
+    monkeypatch.setattr(diagonalization, "normal_modes", off)
+    report = certification_report()
+    check = next(c for c in report["checks"] if c["name"] == "map_round_trip")
+    assert not check["passed"]
+    assert check["residual"] > 1e-9
+    assert report["passed"] is False
+    assert main(["certify", "--out", str(tmp_path / "r.json")]) == EXIT_CERTIFICATION
+
+
 def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
     """argparse rejects ``--key value`` (exit 2), and a config file line
     ``key = value`` is an unknown-key config error."""
@@ -659,13 +679,14 @@ def test_flags_and_config_keys_agree(tmp_path):
 
 
 # cells that certify above the first rung of the cutoff ladder, keyed by
-# (v, ln ratio, occupation); the other 20 grid cells certify at cutoff 30
+# (v, ln ratio, occupation); the other 18 grid cells certify at cutoff 30
 CERT_ESCALATED = {
-    (0.3, 2, (0, 1)): 44, (0.3, 2, (1, 1)): 44, (0.3, 3, (0, 1)): 44, (0.3, 3, (1, 1)): 44,
+    (0.3, 2, (0, 1)): 44, (0.3, 2, (1, 1)): 44, (0.3, 3, (0, 0)): 44, (0.3, 3, (1, 0)): 44,
+    (0.3, 3, (0, 1)): 44, (0.3, 3, (1, 1)): 44,
     (0.6, 2, (0, 0)): 60, (0.6, 2, (1, 0)): 60, (0.6, 2, (0, 1)): 60, (0.6, 2, (1, 1)): 60,
     (0.6, 3, (0, 0)): 60, (0.6, 3, (1, 0)): 60, (0.6, 3, (0, 1)): 78, (0.6, 3, (1, 1)): 78,
 }
-# each mode climbs the ladder on its own gate: only these cells raise the detector
+# each mode is sized on its own cutoffs: only these cells raise the detector
 CERT_DETECTOR_ESCALATED = {
     (0.6, 2, (0, 0)): 44, (0.6, 2, (1, 0)): 44, (0.6, 2, (0, 1)): 44, (0.6, 2, (1, 1)): 44,
 }
@@ -680,7 +701,7 @@ def test_certify_cutoff_escalation_pinned(certify_reports):
         assert len(got) == 32
         assert got == {key: CERT_ESCALATED.get(key, 30) for key in got}
         counts = [sum(1 for c in got.values() if c == cutoff) for cutoff in (30, 44, 60, 78)]
-        assert counts == [20, 4, 6, 2]
+        assert counts == [18, 6, 6, 2]
         detector = {(c["v"], round(math.log(c["ratio"])), tuple(c["occupation"])):
                     c["detector_cutoff"] for c in cells}
         assert detector == {key: CERT_DETECTOR_ESCALATED.get(key, 30) for key in got}
@@ -848,7 +869,8 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
 # ``squeeze_action``, ``beam_splitter_action`` and ``tridiagonal_exp_action``,
 # a second representation of U beside its map on the ladder operators
 RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal", "unitary_action",
-                 "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action")
+                 "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action",
+                 "_modes_up", "_padded")
 
 
 def test_package_builds_no_kronecker_product():

@@ -375,84 +375,87 @@ def test_odd_detector_cutoff_pairs_match_full_space():
         _assert_matches(got[i], targets[:, :, i], vals, vecs, sector)
 
 
-def test_certification_report_solves_each_truncation_once(monkeypatch):
-    # the loop grid solves every pair pending at one truncation, of both
-    # parities, as one stack: one numeric_eigenpairs call per truncation visited
-    solve = oracle.numeric_eigenpairs
+def _solved(monkeypatch):
+    """The truncation and pair count of each ``numeric_eigenpairs`` call from now on."""
     calls = []
+    solve = oracle.numeric_eigenpairs
 
-    def counted(pps, targets, parities, starts=None):
-        calls.append(targets.shape[:2])
-        return solve(pps, targets, parities, starts)
+    def counted(pps, targets, parities):
+        calls.append((FockDims(*targets.shape[:2]), len(pps)))
+        return solve(pps, targets, parities)
 
     monkeypatch.setattr(oracle, "numeric_eigenpairs", counted)
+    return calls
+
+
+def test_certification_report_solves_each_truncation_once(monkeypatch):
+    # the loop grid sizes every pair from its exact target and solves the pairs
+    # of each truncation, of both parities, as one stack: each pair once
+    calls = _solved(monkeypatch)
     assert cli.certification_report()["passed"]
-    assert len(calls) == len(set(calls)) == 6
-    assert calls == [(30, 30), (44, 30), (44, 44), (60, 30), (60, 44), (78, 30)]
-
-
-def _walked(monkeypatch, dps, occupations, ladder, refuse=lambda dims: False):
-    """The loops of a ladder walk and the truncations each step solved; ``refuse``
-    plants a refusal of every pair at the truncations it names."""
-    visited = []
-
-    def watched(pps, targets, parities, starts=None):
-        dims = FockDims(*targets.shape[:2])
-        visited.append(dims)
-        if refuse(dims):
-            return [OracleError(f"planted at {dims}") for _ in pps]
-        return numeric_eigenpairs(pps, targets, parities, starts)
-
-    monkeypatch.setattr(oracle, "numeric_eigenpairs", watched)
-    return discrete_berry_loops(dps, occupations, LoopSpec(), ladder), visited
+    assert calls == [(FockDims(30, 30), 18), (FockDims(44, 30), 6), (FockDims(60, 44), 4),
+                     (FockDims(60, 30), 2), (FockDims(78, 30), 2)]
 
 
 CERTIFY_LADDER = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
 
 
 def test_ladder_field_tail_moves_only_the_field(monkeypatch):
-    # (v, ratio) = (0.3, e^2), |0_f 1_d>: only the field's tail fails at 30,
-    # so the pair passes at (44, 30), its detector never raised
-    got, visited = _walked(monkeypatch, [DiagParams(E2, 1.0, 0.3)], [(0, 1)], CERTIFY_LADDER)
-    assert visited == [FockDims(30, 30), FockDims(44, 30)]
+    # (v, ratio) = (0.3, e^2), |0_f 1_d>: only the field's strip of the target
+    # exceeds the gate at 30, so the pair is sized to (44, 30) and solved there once
+    calls = _solved(monkeypatch)
+    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 1)], LoopSpec(), CERTIFY_LADDER)
+    assert calls == [(FockDims(44, 30), 1)]
     assert got[0].dims == FockDims(44, 30)
-
-
-def test_ladder_detector_tail_moves_only_the_detector(monkeypatch):
-    # 10 detector levels: the detector's tail (6.5e-5) refuses and the field's
-    # (3.0e-9) passes, so the field stays at 30 when the detector moves to 30
-    ladder = [FockDims(30, 10), FockDims(44, 30)]
-    got, visited = _walked(monkeypatch, [DiagParams(E2, 1.0, 0.3)], [(0, 0)], ladder)
-    assert visited == [FockDims(30, 10), FockDims(30, 30)]
-    assert got[0].dims == FockDims(30, 30)
-
-
-def test_ladder_other_refusals_move_both_modes(monkeypatch):
-    # a refused eigensolve, and a level-crossing refusal of a converged
-    # eigenvector, move both modes up, where the truncation gate would move none
-    dp = DiagParams(E2, 1.0, 0.1)
-    got, visited = _walked(monkeypatch, [dp], [(0, 0)], CERTIFY_LADDER,
-                           lambda dims: dims == CERTIFY_LADDER[0])
-    assert visited == CERTIFY_LADDER[:2] and got[0].dims == CERTIFY_LADDER[1]
+    # a refusal by another gate of the eigenvector (here level crossing) is
+    # final: the pair is not solved again at a larger truncation
     monkeypatch.setattr(oracle, "LEVEL_CROSSING_OVERLAP", 1.0)
-    got, visited = _walked(monkeypatch, [dp], [(0, 0)], CERTIFY_LADDER)
-    assert visited == CERTIFY_LADDER
+    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 1)], LoopSpec(), CERTIFY_LADDER)
+    assert calls[1:] == [(FockDims(44, 30), 1)]
     assert isinstance(got[0], OracleError) and "consecutive overlap" in str(got[0])
 
 
-def test_ladder_refused_at_the_top_rung_keeps_its_last_refusal(monkeypatch):
-    # refused everywhere: the walk ends at the top rung with the refusal of that rung
-    got, visited = _walked(monkeypatch, [DiagParams(E2, 1.0, 0.1)], [(0, 0)], CERTIFY_LADDER,
-                           lambda dims: True)
-    assert visited == CERTIFY_LADDER
-    assert str(got[0]) == f"planted at {CERTIFY_LADDER[-1]}"
-    # each mode climbs only the cutoffs the ladder gives it: both tails refuse
-    # at 12 x 12 (5.2e-4 and 5.6e-5, 5.205e-4 together) and the field has no
-    # larger cutoff, so the walk ends there, with the detector's 40 and 60 untried
+def test_ladder_detector_tail_moves_only_the_detector(monkeypatch):
+    # 10 detector levels: the detector's strip refuses and the field's passes, so
+    # the field stays at 30 when the detector is sized to 30
+    calls = _solved(monkeypatch)
+    ladder = [FockDims(30, 10), FockDims(44, 30)]
+    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 0)], LoopSpec(), ladder)
+    assert calls == [(FockDims(30, 30), 1)]
+    assert got[0].dims == FockDims(30, 30)
+
+
+def test_sizing_solves_an_unfit_pair_at_each_mode_top_cutoff(monkeypatch):
+    # the field's strip exceeds the gate at 12, its only cutoff, so the field takes
+    # 12; the detector fits at 40 of the 12 x 40 build, so 60 is never built, and
+    # the numerical eigenvector's truncation gate refuses the pair on the field's
+    # tail, as a one-rung call at (12, 40) does
+    calls = _solved(monkeypatch)
     ladder = [FockDims(12, 12), FockDims(12, 40), FockDims(12, 60)]
-    got, visited = _walked(monkeypatch, [CANONICAL], [(1, 0)], ladder)
-    assert visited == ladder[:1]
-    assert isinstance(got[0], OracleError) and "truncation tail 5.205e-04" in str(got[0])
+    got = discrete_berry_loops([CANONICAL], [(1, 0)], LoopSpec(), ladder)
+    assert calls == [(FockDims(12, 40), 1)]
+    assert isinstance(got[0], OracleError) and "truncation tail 5.175e-04" in str(got[0])
+
+
+def test_under_sized_targets_are_refused_by_the_numerical_gate(monkeypatch):
+    # a planted sizing fault: targets with every amplitude at or above level 28
+    # of either mode zeroed fit every pair at (30, 30); the 12 cells that need
+    # more come back refused by the eigenvectors' own truncation gate
+    exact = oracle.eigenstates
+
+    def cut(dps, occupations, dims):
+        g = exact(dps, occupations, dims)
+        g[28:], g[:, 28:] = 0.0, 0.0
+        return g
+
+    monkeypatch.setattr(oracle, "eigenstates", cut)
+    calls = _solved(monkeypatch)
+    report = cli.certification_report()
+    assert calls == [(FockDims(30, 30), 32)]
+    refused = [c for c in report["loop_cells"] if "refused" in c]
+    assert len(refused) == 12
+    assert all("truncation tail" in c["refused"] for c in refused)
+    assert report["passed"] is False
 
 
 def test_stacked_eigenpairs_return_refusals_as_values():
@@ -500,23 +503,20 @@ def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
     _assert_same_pairs([got[0], got[2]], numeric_eigenpairs([pp, pp], good, [0, 0]))
 
 
-def test_ladder_walk_matches_fresh_single_rung_loops():
-    # the 12 certify cells that pass above cutoff 30 start each later rung from
-    # their last eigenvector and a padded cutoff-30 target; a fresh one-rung
-    # call builds its target at that rung and starts from it
+def test_sized_cells_match_fresh_single_rung_loops():
+    # each certify cell is solved in a stack of the pairs sized with it, from a
+    # target cropped from the build that sized it; a fresh one-rung call at its
+    # truncation solves it alone, from a target built there
     pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS]
-    ladder = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
-    walked = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
-                                         LoopSpec(), ladder)
-    escalated = [(dp, occ, got) for (dp, occ), got in zip(pairs, walked)
-                 if got.dims != ladder[0]]
-    assert len(escalated) == 12
-    for dp, (n_f, n_d), got in escalated:
+    sized = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
+                                        LoopSpec(), CERTIFY_LADDER)
+    assert sum(got.dims != CERTIFY_LADDER[0] for got in sized) == 14
+    for (dp, (n_f, n_d)), got in zip(pairs, sized):
         fresh = _loop(dp, n_f, n_d, LoopSpec(), got.dims)
         assert abs(got.phase.raw - fresh.phase.raw) <= 1e-12
         assert abs(got.truncation_tail - fresh.truncation_tail) <= 1e-15
     with pytest.raises(ValueError, match="growing"):
-        oracle.discrete_berry_loops([CANONICAL], [(0, 0)], LoopSpec(), ladder[::-1])
+        oracle.discrete_berry_loops([CANONICAL], [(0, 0)], LoopSpec(), CERTIFY_LADDER[::-1])
 
 
 @pytest.mark.parametrize("v, ratio", [(0.1, math.e ** 3), (0.3, math.e ** 2),
@@ -543,28 +543,23 @@ def test_sector_solve_refuses_target_outside_sector():
 
 
 def test_numeric_eigenpairs_checks_and_normalizes_stacks():
-    # a malformed target or start stack is a caller's error, not a refusal: a zero
-    # column, a non-finite or complex entry, a start of another shape than the
-    # targets', or parities that are not one 0 or 1 per column; a well-formed
-    # stack is normalized column by column
+    # a malformed target stack is a caller's error, not a refusal: a zero column,
+    # a non-finite or complex entry, a column count other than the pairs', or
+    # parities that are not one 0 or 1 per column; a well-formed stack is
+    # normalized column by column
     dims = FockDims(6, 6)
     pps = [PhysicalParams(3.0, 2.0, 0.0)] * 2
     good = np.stack([_ket(dims, (0, 0)), _ket(dims, (1, 1))], axis=2)
     zero, nan = good.copy(), good.copy()
     zero[:, :, 1] = 0.0
     nan[3, 3, 0] = np.nan
-    for bad in (zero, nan, 1j * good):
-        for targets, starts in ((bad, None), (good, bad)):
-            with pytest.raises(ValueError, match="need a real, finite"):
-                numeric_eigenpairs(pps, targets, [0, 0], starts)
-    for targets, starts in ((good, good[:5]), (good, good[:, :, :1]), (good[:, :, 0], None),
-                            (good[:, :, :1], None)):
+    for targets in (zero, nan, 1j * good, good[:, :, 0], good[:, :, :1]):
         with pytest.raises(ValueError, match="need a real, finite"):
-            numeric_eigenpairs(pps, targets, [0, 0], starts)
+            numeric_eigenpairs(pps, targets, [0, 0])
     for parities in (0, [0], [0, 0, 0], [0, 2], [0.5, 0], [0.0, 0.0], [False, False]):
         with pytest.raises(ValueError, match="one parity"):
             numeric_eigenpairs(pps, good, parities)
-    _assert_same_pairs(numeric_eigenpairs(pps, 3.0 * good, [0, 0], 0.5 * good),
+    _assert_same_pairs(numeric_eigenpairs(pps, 3.0 * good, [0, 0]),
                        numeric_eigenpairs(pps, good, [0, 0]))
 
 
