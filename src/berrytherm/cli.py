@@ -247,22 +247,25 @@ def _diag_eigenstates(dp: DiagParams, occupations, cutoff: int | None):
     DIAG_CUTOFF .. DIAG_CUTOFF_CAP at which each keeps a ``truncation_tail`` of at
     most DIAG_TAIL_GATE.  A build's amplitudes are the untruncated states', so
     its strip sums (``mode_tails``) give the tails at every smaller cutoff: the
-    default doubles its builds until one fits."""
+    default doubles its builds until one fits, each build scanning only the
+    cutoffs above those a previous build scanned."""
     def build(n: int):
         return fockspace.eigenstates([dp] * len(occupations), occupations,
                                      fockspace.FockDims(n, n))
 
     if cutoff is not None:
         return build(cutoff)
+    least = DIAG_CUTOFF
     for size in (min(DIAG_CUTOFF << k, DIAG_CUTOFF_CAP) for k in range(5)):  # 24 .. 192, cap
         try:
             psis = build(size)
         except ValueError:  # a column lost half its norm: far too few levels
             continue
         weights = psis ** 2
-        for n in range(DIAG_CUTOFF, size + 1):
+        for n in range(least, size + 1):
             if (fockspace.mode_tails(weights[:n, :n]).sum(axis=0) <= DIAG_TAIL_GATE ** 2).all():
                 return psis if n == size else build(n)
+        least = size + 1
     raise ConfigError(f"need --cutoff: an eigenstate keeps more than {DIAG_TAIL_GATE:g} "
                       f"in the top two of {DIAG_CUTOFF_CAP} levels per mode")
 

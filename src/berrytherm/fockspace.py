@@ -15,7 +15,6 @@ other form is used.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,16 +84,6 @@ def _position(n: int) -> np.ndarray:
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-@functools.lru_cache(maxsize=64)
-def _coupling_path(shape: tuple[int, ...]) -> list:
-    """The contraction order of ``hamiltonian_action``'s X_f amp X_d^T for an
-    amplitude array of ``shape``, planned once per shape: the order depends
-    on the shapes alone, so the planned path gives the bits of optimize=True."""
-    n_field, n_det = shape[:2]
-    return np.einsum_path("ij,kl,jl...->ik...", np.empty((n_field, n_field)),
-                          np.empty((n_det, n_det)), np.empty(shape), optimize=True)[0]
-
-
 def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
                        amp: np.ndarray, varphi: float = 0.0) -> np.ndarray:
     """H(varphi) amp for the (n_field, n_det) or (n_field, n_det, k) amplitude
@@ -114,8 +103,10 @@ def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
     tail = (1,) * (amp.ndim - 2)
     n_f = np.arange(n_field).reshape((-1, 1) + tail)
     n_d = np.arange(n_det).reshape((1, -1) + tail)
-    coupled = np.einsum("ij,kl,jl...->ik...", x_f, _position(n_det), amp,
-                        optimize=_coupling_path(amp.shape))
+    # X_f on the field axis, then X_d (symmetric) on the detector axis of each field row
+    moved = (x_f @ amp.reshape(n_field, -1)).reshape(amp.shape)
+    x_d = _position(n_det)
+    coupled = x_d @ moved if amp.ndim == 3 else moved @ x_d
     return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled
 
 
@@ -127,8 +118,8 @@ def _heisenberg_map(dp: DiagParams) -> np.ndarray:
     d = derive_params(dp)
 
     def squeeze(t_a: float, t_b: float) -> np.ndarray:  # S_a(t_a) S_b(t_b)
-        ch, sh = np.diag(np.cosh([t_a, t_b])), np.diag(np.sinh([t_a, t_b]))
-        return np.block([[ch, -sh], [-sh, ch]])
+        ca, sa, cb, sb = math.cosh(t_a), math.sinh(t_a), math.cosh(t_b), math.sinh(t_b)
+        return np.array([[ca, 0, -sa, 0], [0, cb, 0, -sb], [-sa, 0, ca, 0], [0, -sb, 0, cb]])
 
     c, s = math.cos(d.s), math.sin(d.s)
     beam = np.array([[c, s, 0, 0], [-s, c, 0, 0], [0, 0, c, s], [0, 0, -s, c]])  # D(-s)
@@ -165,11 +156,15 @@ def eigenstates(dps: list[DiagParams], occupations, dims: FockDims) -> np.ndarra
     a = -np.linalg.solve(f[:, :2, :2], f[:, :2, 2:])
     g[0, 0] = np.linalg.det(f[:, :2, :2]) ** -0.5
     root = np.sqrt(np.arange(max(g.shape[:2]), dtype=float))
-    for j in range(1, g.shape[1] - 1):  # row 0 by the detector step
-        g[0, j + 1] = a[:, 1, 1] * root[j] * g[0, j - 1] / root[j + 1]
+    # row 0 by the detector step: its odd levels stay 0, its even ones are one product
+    odd = root[1:g.shape[1] - 1:2]
+    g[0, 2::2] = g[0, 0] * np.cumprod((odd / root[2:g.shape[1]:2])[:, None] * a[:, 1, 1], axis=0)
+    step, back = a[:, 0, 1] * root[1:g.shape[1], None], a[:, 0, 0] * root[:, None]
     for j in range(g.shape[0] - 1):  # the field step; root[0] = 0 drops g[-1]
-        g[j + 1, 1:] = a[:, 0, 1] * (root[1:g.shape[1], None] * g[j, :-1])
-        g[j + 1] = (g[j + 1] + a[:, 0, 0] * root[j] * g[j - 1]) / root[j + 1]
+        row = g[j + 1]
+        np.multiply(step, g[j, :-1], out=row[1:])
+        row += back[j] * g[j - 1]
+        row /= root[j + 1]
     r_f, r_d = root[1:g.shape[0], None, None], root[1:g.shape[1], None]
     for count, c in ((n_d, f[:, 3].T), (n_f, f[:, 2].T)):
         for j in range(count.max(initial=0)):  # c_0 a + c_1 b + c_2 a' + c_3 b'

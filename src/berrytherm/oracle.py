@@ -125,40 +125,36 @@ def _sweep(shifted: np.ndarray, couple: np.ndarray, parity: np.ndarray, lam: np.
     """(H - sigma)^{-1} rhs for a stack of k symmetric block-tridiagonal H - sigma,
     every block m x m: block f of pair i is diag(shifted[f, i]) and
     (H - sigma)[f, f+1] = lam[i] couple[f, parity[i]], ``couple`` holding X_f^T of
-    both parities.  Block-Thomas elimination S_{f+1} = diag(shifted[f+1])
-    - lam^2 X_f S_f^{-1} X_f^T, one stacked dense solve per block, then
-    back-substitution from the last block; ``rhs`` and the result are
-    (n_blocks, k, m)."""
+    both parities.  Block-Thomas elimination: with T_f = S_f^{-1} [lam X_f^T | y_f],
+    one stacked dense solve per block, the product lam X_f T_f gives both
+    S_{f+1} = diag(shifted[f+1]) - lam^2 X_f S_f^{-1} X_f^T and
+    y_{f+1} = rhs[f+1] - lam X_f S_f^{-1} y_f; then back-substitution from the
+    last block.  ``rhs`` and the result are (n_blocks, k, m)."""
     n_blocks, k, m = shifted.shape
-    lam = lam[:, None]
-    # S_f^{-1} [X_f^T | y_f] of every block, kept for the back-substitution in
-    # one array: one allocation, where a list of blocks fragments the heap.
-    # Block f first holds [X_f^T | y_f], the right-hand side of its solve; the
-    # couplings go in block by block, as a copy of all of them at once would be
-    # a second temporary the size of the store
+    diagonal = np.arange(m) * (m + 1)  # of each flattened m x m block
+    # T_f of every block, kept for the back-substitution in one array: one
+    # allocation, where a list of blocks fragments the heap.  Block f first
+    # holds [lam X_f^T | y_f], the right-hand side of its solve, gathered block
+    # by block, as a copy of all the couplings at once would be a second
+    # temporary the size of the store
     store = np.empty((n_blocks - 1, k, m, m + 1), dtype=rhs.dtype)
-    schur = _add_diagonal(np.zeros((k, m, m)), shifted[0])
+    schur = np.zeros((k, m, m))
+    schur.reshape(k, -1)[:, diagonal] = shifted[0]
     y = rhs[0]
     for f in range(n_blocks - 1):
-        xt = couple[f, parity]
-        store[f, :, :, :m], store[f, :, :, m] = xt, y
+        np.multiply(couple[f, parity], lam[:, None, None], out=store[f, :, :, :m])
+        store[f, :, :, m] = y
         sol = np.linalg.solve(schur, store[f])
-        x = xt.swapaxes(1, 2)
-        schur = _add_diagonal(-(lam ** 2)[:, :, None] * (x @ sol[:, :, :m]), shifted[f + 1])
-        y = rhs[f + 1] - lam * (x @ sol[:, :, m:])[:, :, 0]
+        update = store[f, :, :, :m].swapaxes(1, 2) @ sol
         store[f] = sol
+        schur = np.negative(update[:, :, :m])
+        schur.reshape(k, -1)[:, diagonal] += shifted[f + 1]
+        y = rhs[f + 1] - update[:, :, m]
     out = np.empty_like(rhs)
     out[-1] = np.linalg.solve(schur, y[:, :, None])[:, :, 0]
     for f in range(n_blocks - 2, -1, -1):
-        out[f] = store[f, :, :, m] - lam * (store[f, :, :, :m] @ out[f + 1][:, :, None])[:, :, 0]
+        out[f] = store[f, :, :, m] - (store[f, :, :, :m] @ out[f + 1][:, :, None])[:, :, 0]
     return out
-
-
-def _add_diagonal(blocks: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Add diag(d[i]) to each block i of the (k, m, m) stack ``blocks``, in place."""
-    i = np.arange(d.shape[1])
-    blocks[:, i, i] += d
-    return blocks
 
 
 def _shifted_solve(shifted: np.ndarray, couple: np.ndarray, parity: np.ndarray,
@@ -317,7 +313,7 @@ def _loop_raw_phase(weights: np.ndarray, n_points: int) -> tuple[float, float]:
     the (n_field, n_det) array |chi|^2.  Returns (N * Arg z, |z|).
     """
     h = 2.0 * math.pi / n_points
-    z = np.sum(weights * np.exp(1j * h * np.arange(weights.shape[0]))[:, None])
+    z = weights.sum(axis=1) @ np.exp(1j * h * np.arange(weights.shape[0]))
     return n_points * float(np.angle(z)), float(abs(z))
 
 

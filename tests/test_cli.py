@@ -481,22 +481,37 @@ def test_diagonalize_sizes_its_default_cutoff(tmp_path):
     assert json.loads(text)["cutoff"] == 30
 
 
-@pytest.mark.parametrize("pp", [
-    *(pytest.param(forward_map(DiagParams(ratio, 1.0, v)), id=f"v{v}-ratio{ratio:.4g}")
-      for v in CERT_GRID_V for ratio in CERT_GRID_RATIO if ratio > math.exp(2 * v)),
-    *(pytest.param(PhysicalParams(1.0, 1.0, lam), id=f"resonant-lam{lam}")
-      for lam in (0.3, 0.4, 0.45, 0.49, 0.495, 0.498))])
-def test_diagonalize_sized_default_keeps_the_residuals_small(tmp_path, pp):
-    # the certify loop grid and the resonant approach to the bound; 62 levels,
-    # too few at (v 0.6, ratio e^2), read a residual of 8.3e-9 there
+@pytest.mark.parametrize("pp, size", [
+    *(pytest.param(forward_map(DiagParams(ratio, 1.0, v)), size, id=f"v{v}-ratio{ratio:.4g}")
+      for (v, ratio), size in zip([(v, ratio) for v in CERT_GRID_V for ratio in CERT_GRID_RATIO
+                                   if ratio > math.exp(2 * v)], (29, 31, 32, 40, 54, 56, 91, 107))),
+    *(pytest.param(PhysicalParams(1.0, 1.0, lam), size, id=f"resonant-lam{lam}")
+      for lam, size in zip((0.3, 0.4, 0.45, 0.49, 0.495, 0.498), (30, 44, 62, 130, 179, 276)))])
+def test_diagonalize_sized_default_keeps_the_residuals_small(tmp_path, pp, size):
+    # the certify loop grid and the resonant approach to the bound, each at its
+    # pinned sized cutoff; 62 levels, too few at (v 0.6, ratio e^2), read a
+    # residual of 8.3e-9 there
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         code, text = run(["diagonalize", "--omega-a", repr(pp.Omega_a), "--omega-b",
                           repr(pp.Omega_b), "--coupling", repr(pp.lam)], tmp_path, "d.json")
     assert code == EXIT_OK
     rep = json.loads(text)
+    assert rep["cutoff"] == size
     assert max(rep["eigenstate_residuals_over_Omega_a"].values()) <= 2e-12
     assert max(rep["eigenstate_truncation_tails"].values()) <= DIAG_TAIL_GATE
+
+
+def test_diagonalize_sizing_scans_each_cutoff_once(monkeypatch):
+    # a doubling build scans only the cutoffs above the last build's size: at
+    # lam/Omega_a = 0.498 that is 253 strip sums for 276 levels, where a rescan
+    # from 24 at every build would make 521
+    scans = []
+    tails = fockspace.mode_tails
+    monkeypatch.setattr(fockspace, "mode_tails", lambda w: scans.append(1) or tails(w))
+    dp = diagonalization.invert_physical(PhysicalParams(1.0, 1.0, 0.498)).params
+    assert len(cli._diag_eigenstates(dp, ((0, 0), (1, 0), (0, 1)), None)) == 276
+    assert len(scans) == 253
 
 
 def test_diagonalize_keeps_every_preset_at_one_build_of_24_levels(monkeypatch):
@@ -870,7 +885,7 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
 # a second representation of U beside its map on the ladder operators
 RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal", "unitary_action",
                  "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action",
-                 "_modes_up", "_padded")
+                 "_modes_up", "_padded", "_coupling_path", "_add_diagonal")
 
 
 def test_package_builds_no_kronecker_product():
@@ -888,7 +903,6 @@ def test_package_builds_no_kronecker_product():
 # on the parameters, a squeeze or a cycle count would serve one stale answer
 # wherever the same inputs recur, and grow with every sweep point
 ALLOWED_CACHES = {
-    "fockspace._coupling_path": "an einsum contraction order, keyed on an array shape",
     "oracle._hermite_pairs": "a Gauss-Hermite rule, keyed on its node count",
 }
 PHYSICS_INPUTS = {"pp", "pps", "dp", "dps", "r", "r_thermal", "cycles", "accel", "temperature"}

@@ -503,6 +503,45 @@ def test_singular_pair_leaves_stack_neighbours_unchanged(monkeypatch):
     _assert_same_pairs([got[0], got[2]], numeric_eigenpairs([pp, pp], good, [0, 0]))
 
 
+def test_shifted_solve_matches_dense_sector_solve():
+    # one stack through the block-Thomas sweep: both parities, mixed lam and an
+    # odd n_det, so the smaller sector's blocks carry the padding level; pairs 0
+    # and 1 are shifted 1e-9 from an eigenvalue of their sector, pairs 2 and 3 to
+    # the midpoint of two, and each normalized solution must match a dense solve
+    dims = FockDims(9, 7)
+    pps = [PhysicalParams(3.0, 2.0, 0.4), PhysicalParams(3.0, 2.0, 0.9),
+           PhysicalParams(2.5, 1.0, 0.3), PhysicalParams(2.5, 1.0, 0.7)]
+    parity = np.array([0, 1, 0, 1])
+    n_f, n_d = np.ogrid[:dims.n_field, :dims.n_det]
+    rng = np.random.default_rng(7)
+    v = np.zeros((dims.n_field, dims.n_det + 1, len(pps)))  # + the padding level
+    sigma, want = [], []
+    for i, (pp, p) in enumerate(zip(pps, parity)):
+        sector = np.flatnonzero(((n_f + n_d) % 2 == p).ravel())
+        h = sparse_hamiltonian(pp, dims).toarray().real[np.ix_(sector, sector)]
+        e = np.linalg.eigvalsh(h)
+        sigma.append(e[3] + 1e-9 if i < 2 else (e[3] + e[4]) / 2)
+        rhs = rng.standard_normal(len(sector))
+        v[:, :dims.n_det, i] = np.bincount(sector, rhs, dims.total).reshape(dims.n_field, -1)
+        w = np.linalg.solve(h - sigma[-1] * np.eye(len(sector)), rhs)
+        want.append((sector, w / np.linalg.norm(w)))
+    levels, couple = oracle._sector_layout(dims.n_field, dims.n_det)
+    levels = levels[:, parity]
+    omega_a, omega_b, lam = np.array([(pp.Omega_a, pp.Omega_b, pp.lam) for pp in pps]).T
+    energy = omega_a[:, None] * np.arange(dims.n_field)[:, None, None] + omega_b[:, None] * levels
+    shifted = np.where(levels == dims.n_det, 1.0, energy - np.array(sigma)[:, None])
+    index = levels.transpose(0, 2, 1)
+    rhs = np.take_along_axis(v, index, axis=1).transpose(0, 2, 1)
+    got = oracle._shifted_solve(shifted, couple, parity, lam, rhs, np.full(4, 1e-13))
+    assert (levels == dims.n_det).any(axis=(0, 2)).all()  # every pair, in alternate blocks
+    out = np.zeros_like(v)
+    np.put_along_axis(out, index, got.transpose(0, 2, 1), axis=1)
+    assert not out[:, dims.n_det].any()  # nothing reaches the padding level
+    for i, (sector, w) in enumerate(want):
+        sol = out[:, :dims.n_det, i].reshape(-1)
+        assert np.abs(sol[sector] / np.linalg.norm(sol) - w).max() <= 4e-15, i
+
+
 def test_sized_cells_match_fresh_single_rung_loops():
     # each certify cell is solved in a stack of the pairs sized with it, from a
     # target cropped from the build that sized it; a fresh one-rung call at its
