@@ -66,7 +66,7 @@ oracle = _lazy("oracle")
 
 _LAZY = {
     **dict.fromkeys(("FockDims", "eigenstates"), fockspace),
-    **dict.fromkeys(("EvolutionSpec", "LoopSpec", "discrete_berry_loops"), oracle),
+    **dict.fromkeys(("EvolutionSpec", "discrete_berry_loops"), oracle),
 }
 
 __all__ = [

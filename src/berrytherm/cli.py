@@ -15,9 +15,10 @@ is loaded by the commands that reach the array layers ``fockspace`` and
 ``oracle`` (diagonalize, adiabaticity, certify), which this module uses
 only as module attributes.
 
-``certify``'s loop-grid verdict is calibrated at 2048 loop points, the
-cutoff ladder 30 -> 78 and the 1e-8 truncation gate, and none of the three
-is settable.
+``certify``'s loop-grid verdict is calibrated at the cutoff ladder 30 -> 78
+and the 1e-8 truncation gate, and neither is settable.  The loop oracle's
+phase is exact for its eigenvector, so the 1e-11 rad loop tolerance bounds
+the error of the truncated eigensolve alone.
 """
 
 from __future__ import annotations
@@ -423,7 +424,7 @@ def cmd_adiabaticity(config: dict) -> tuple[list[tuple], tuple[str, ...]]:
 CERT_GRID_V = (0.1, 0.3, 0.6)
 CERT_GRID_RATIO = (math.e, math.e ** 2, math.e ** 3)
 CERT_OCCUPATIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
-CERT_LOOP_TOL = 1e-8
+CERT_LOOP_TOL = 1e-11
 CUTOFF_LADDER = (30, 44, 60, 78)
 
 
@@ -438,7 +439,6 @@ def _loop_check_cells(dps: list[DiagParams],
                 if negative_control else eigen_berry_phase)
     pairs = [(dp, occ) for dp in dps for occ in CERT_OCCUPATIONS]
     results = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
-                                          oracle.LoopSpec(),
                                           [fockspace.FockDims(c, c) for c in CUTOFF_LADDER])
     cells: dict[DiagParams, list[dict]] = {dp: [] for dp in dps}
     for (dp, occ), result in zip(pairs, results):
@@ -458,7 +458,6 @@ def _loop_check_cells(dps: list[DiagParams],
             "cutoff": result.dims.n_field,
             "detector_cutoff": result.dims.n_det,
             "difference_rad": diff,
-            "loop_error_estimate": result.error_estimate,
             "truncation_tail": result.truncation_tail,
             "passed": bool(diff < CERT_LOOP_TOL),
         })
@@ -476,8 +475,6 @@ def certification_report(negative_control: bool = False) -> dict:
             "name": name, "passed": bool(passed), "residual": float(residual),
             "tolerance": float(tolerance), "detail": detail,
         })
-
-    rng = np.random.default_rng(20260810)
 
     # ladder algebra: [a, a'] = 1 on 12 levels, away from the truncation boundary
     a = np.triu(fockspace._position(12))
@@ -612,16 +609,6 @@ def certification_report(negative_control: bool = False) -> dict:
     mean_n = float(np.sum(w * np.arange(n_max + 1)))
     planck = abs(mean_n - math.sinh(r_t) ** 2)
     add("planck_occupation", planck < 1e-10, planck, 1e-10)
-
-    # gauge invariance of the loop product under random rephasing
-    vecs = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(40)]
-    vecs = [v / np.linalg.norm(v) for v in vecs]
-    base_phase, _ = oracle.pancharatnam_product(vecs)
-    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=40))
-    rot = [p * v for p, v in zip(phases, vecs)]
-    rot_phase, _ = oracle.pancharatnam_product(rot)
-    gauge = phase_distance(base_phase, rot_phase)
-    add("pancharatnam_gauge_invariance", gauge < 1e-12, gauge, 1e-12)
 
     passed = all(c["passed"] for c in checks)
     return {

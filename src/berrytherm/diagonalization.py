@@ -57,7 +57,7 @@ class InverseMapError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """Certification refused or failed (truncation, ambiguity, level crossing).
+    """Certification refused or failed (truncation, ambiguity, convergence).
     Defined here, not in ``oracle``, so that the CLI can catch it without
     loading numpy."""
 

@@ -1,13 +1,12 @@
 """Independent numerical verification of the closed-form phases.
 
 Nothing here consumes the closed-form phase formulas: eigenvectors come from
-brute-force solves of the truncated Hamiltonian, loop phases from
-gauge-invariant products of successive overlaps, mixed-state phases from
-explicit weighted partial sums, and adiabaticity from the exact propagator
-of the detector, whose generator is time-independent in its co-rotating
-frame.  Closed forms are only allowed in to select the eigenvector to track
-and to size its truncation, never as values: every gate runs on the
-numerical eigenvector.
+brute-force solves of the truncated Hamiltonian, loop phases from the field
+occupation of those eigenvectors, mixed-state phases from explicit weighted
+partial sums, and adiabaticity from the exact propagator of the detector,
+whose generator is time-independent in its co-rotating frame.  Closed forms
+are only allowed in to select the eigenvector to track and to size its
+truncation, never as values: every gate runs on the numerical eigenvector.
 Loop eigenpairs come from Rayleigh-quotient iteration in the parity sector of
 H(0) that each pair names, block tridiagonal in n_f (Parlett, The Symmetric
 Eigenvalue Problem, 4.6).  H(0) is real, so targets and eigenvectors are real
@@ -15,7 +14,11 @@ amplitude arrays, each pair a column of one (n_field, n_det, k) stack, as
 ``fockspace`` builds them.  A loop grid sizes each pair's truncation from the
 exact tails of its target, each mode on its own cutoff ladder, and solves the
 pairs of each truncation once, both parities together, as one stacked
-iteration.  Every field-state quadrature of the adiabaticity check is the Gauss
+iteration.  H(varphi) = R(-varphi) H(0) R(-varphi)^dag, so the eigenvector
+along the loop is e^{i varphi n_f} chi, and its Berry phase over
+varphi -> varphi + 2 pi is 2 pi <n_f>_chi exactly: the limit of the discrete
+Pancharatnam loop over that family (Samuel and Bhandari, PRL 60, 2339, 1988).
+Every field-state quadrature of the adiabaticity check is the Gauss
 rule of x_f = a + a' on a window of field levels: the eigenvalues of its
 Jacobi matrix and their eigenvector components (Golub and Welsch, Math. Comp.
 23, 221, 1969).  That matrix has a zero diagonal, so it is the Golub-Kahan form
@@ -45,13 +48,11 @@ from .fockspace import (
 from .geomphase import PhaseResult, wrap_angle
 
 __all__ = [
-    "LoopSpec",
     "EvolutionSpec",
     "OracleError",
     "EigenPair",
     "BerryLoopResult",
     "numeric_eigenpairs",
-    "pancharatnam_product",
     "thermal_weights",
     "required_levels",
     "discrete_berry_loops",
@@ -62,7 +63,6 @@ __all__ = [
 ]
 
 TRUNCATION_GATE = 1e-8       # top-two-level amplitude above this refuses certification
-LEVEL_CROSSING_OVERLAP = 0.99
 AMBIGUITY_OVERLAP = 0.9
 NORM_DRIFT_LIMIT = 1e-12     # unitarity check of the detector propagator, on every node
 RQI_MAX_STEPS = 8            # shifted solves before the iteration refuses
@@ -75,17 +75,6 @@ NODE_TOL = 1e-9              # converged once a doubling moves P by at most this
 POPULATION_FLOOR = np.finfo(float).eps ** 2  # or by at most this, where P is rounding noise
 DETECTOR_LEVELS = 4          # detector levels the adiabaticity propagator keeps
 TAIL_TARGET = 1e-12          # geometric tail a truncated thermal state leaves out
-
-
-@dataclass(frozen=True)
-class LoopSpec:
-    """Discretization of the closed varphi loop (Richardson-refined over N and 2N)."""
-
-    n_points: int = 2048
-
-    def __post_init__(self):
-        if self.n_points < 16:
-            raise ValueError(f"need at least 16 loop points, got {self.n_points}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,6 @@ class EigenPair:
 @dataclass(frozen=True)
 class BerryLoopResult:
     phase: PhaseResult
-    error_estimate: float
     truncation_tail: float
     dims: FockDims  # the truncation the eigenvector passed the gates at
 
@@ -292,58 +280,24 @@ def numeric_eigenpairs(
     return results
 
 
-def pancharatnam_product(states) -> tuple[float, float]:
-    """Accumulated phase of the closed overlap chain of ``states``.
-
-    Returns (sum of per-step overlap angles including the closing step, and
-    the smallest |overlap| seen).  Gauge invariant modulo 2 pi under
-    per-state rephasing.
-    """
-    z = [np.vdot(a, b) for a, b in zip(states, [*states[1:], *states[:1]])]
-    return sum(float(np.angle(x)) for x in z), min([1.0, *map(abs, z)])
-
-
-def _loop_raw_phase(weights: np.ndarray, n_points: int) -> tuple[float, float]:
-    """Raw loop phase for the rotation-propagated eigenvector family.
-
-    The eigenvector at angle phi_k is exp(+i phi_k n_f) chi (an exact
-    consequence of the rotation covariance of H, which is verified
-    separately as a matrix identity), so every consecutive overlap equals
-    z(h) = sum_{n_f, n_d} |chi|^2 e^{i h n_f} with h = 2 pi / N, ``weights``
-    the (n_field, n_det) array |chi|^2.  Returns (N * Arg z, |z|).
-    """
-    h = 2.0 * math.pi / n_points
-    z = weights.sum(axis=1) @ np.exp(1j * h * np.arange(weights.shape[0]))
-    return n_points * float(np.angle(z)), float(abs(z))
-
-
-def _transported_loop(chi: np.ndarray, spec: LoopSpec) -> BerryLoopResult | OracleError:
-    """Loop phase of the (n_field, n_det) eigenvector ``chi`` of H(0), or the
-    refusal of its gates."""
+def _transported_loop(chi: np.ndarray) -> BerryLoopResult | OracleError:
+    """Loop phase 2 pi <n_f> of the (n_field, n_det) unit eigenvector ``chi`` of
+    H(0), or the refusal of its truncation gate."""
     tail = truncation_tail(chi)
     if tail > TRUNCATION_GATE:
         return OracleError(f"truncation tail {tail:.3e} exceeds certification gate "
                            f"{TRUNCATION_GATE:.1e}; raise the cutoff")
-    w = chi ** 2
-    raw1, ov1 = _loop_raw_phase(w, spec.n_points)
-    if ov1 < LEVEL_CROSSING_OVERLAP:
-        return OracleError(f"consecutive overlap {ov1:.4f} < {LEVEL_CROSSING_OVERLAP}")
-    raw2, _ = _loop_raw_phase(w, 2 * spec.n_points)
-    raw2 = raw1 + wrap_angle(raw2 - raw1)  # same 2-pi branch before extrapolating
-    raw = (4.0 * raw2 - raw1) / 3.0
-    return BerryLoopResult(
-        PhaseResult(value=wrap_angle(raw), raw=raw),
-        error_estimate=abs(raw2 - raw1), truncation_tail=tail, dims=FockDims(*chi.shape),
-    )
+    raw = 2.0 * math.pi * float(np.arange(chi.shape[0]) @ (chi ** 2).sum(axis=1))
+    return BerryLoopResult(PhaseResult(value=wrap_angle(raw), raw=raw),
+                           truncation_tail=tail, dims=FockDims(*chi.shape))
 
 
 def discrete_berry_loops(
     dps: list[DiagParams],
     occupations,
-    spec: LoopSpec,
     ladder: list[FockDims],
 ) -> list[BerryLoopResult | OracleError]:
-    """Gauge-invariant discrete loop phase of the eigenstate of each pair of a
+    """Loop phase of the numerical eigenstate of each pair of a
     dp of ``dps`` and the (n_f, n_d) at the same position of ``occupations``:
     its BerryLoopResult, or the OracleError that refused it, at the one
     truncation its selection target sizes.
@@ -361,14 +315,13 @@ def discrete_berry_loops(
     build that sized them, as one stack, both parity sectors of
     (-1)^(n_f + n_d), which H conserves, together (``numeric_eigenpairs``).
     Every gate runs on the numerical eigenvector, so a wrong target can make a
-    pair refuse but never pass.  The eigenvector is transported around the
-    loop with the exact rotation covariance.  The phase is
-    Richardson-extrapolated from the N and 2N grids and the reported error
-    estimate is |gamma(2N) - gamma(N)|.
+    pair refuse but never pass.  The eigenvector chi is transported around the
+    loop with the exact rotation covariance, e^{i varphi n_f} chi, so its phase
+    is 2 pi <n_f>_chi (see the module docstring).
 
     Refuses an occupation when its eigenvector carries more than
-    TRUNCATION_GATE amplitude in the top two levels of either mode, or
-    when consecutive overlaps drop below 0.99 (level crossing).
+    TRUNCATION_GATE amplitude in the top two levels of either mode, and
+    passes on the refusals of ``numeric_eigenpairs``.
     """
     ladder = list(ladder)
     if not ladder or any(b.n_field < a.n_field or b.n_det < a.n_det
@@ -403,7 +356,7 @@ def discrete_berry_loops(
                                    [sum(occupations[i]) % 2 for i in batch])
         for i, pair in zip(batch, pairs):
             results[i] = pair if isinstance(pair, OracleError) else _transported_loop(
-                pair.vector, spec)
+                pair.vector)
     return results
 
 

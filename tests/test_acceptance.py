@@ -39,7 +39,7 @@ from berrytherm.geomphase import (
     thermometer_delta_from_eps,
     unruh_squeeze,
 )
-from berrytherm.oracle import EvolutionSpec, LoopSpec, OracleError, discrete_berry_loops
+from berrytherm.oracle import EvolutionSpec, OracleError, discrete_berry_loops
 from berrytherm.oracle import partial_sum_from_eps
 from berrytherm.oracle import excitation_probability_per_cycle, required_levels
 from berrytherm.oracle import thermal_excitation_per_cycle
@@ -62,9 +62,8 @@ def _report(line: str) -> None:
 
 
 def test_criterion_1_oracle_equivalence_grid():
-    """Closed-form eigenstate phases match the discrete loop to 1e-5 on the
+    """Closed-form eigenstate phases match the loop oracle to 1e-5 on the
     parameter/occupation grid, within 60 s, cutoff ladder starting at 30."""
-    spec = LoopSpec(n_points=2048)
     t0 = time.perf_counter()
     worst = 0.0
     evaluated = 0
@@ -80,8 +79,7 @@ def test_criterion_1_oracle_equivalence_grid():
             for occ in OCCUPATIONS:
                 result = None
                 for cutoff in CUTOFF_LADDER:
-                    result = discrete_berry_loops([dp], [occ], spec,
-                                                  [FockDims(cutoff, cutoff)])[0]
+                    result = discrete_berry_loops([dp], [occ], [FockDims(cutoff, cutoff)])[0]
                     if not isinstance(result, OracleError):
                         break
                     result = None

@@ -645,6 +645,26 @@ def test_certify_fails_on_a_refused_round_trip(monkeypatch, tmp_path):
     assert main(["certify", "--out", str(tmp_path / "r.json")]) == EXIT_CERTIFICATION
 
 
+def test_certify_fails_on_closed_forms_shifted_by_1e_10(monkeypatch):
+    # a planted fault: every closed-form eigenstate phase moved by 1e-10 rad,
+    # 10x the loop tolerance.  The loop oracle's phase is exact for
+    # its eigenvector, so each of the 32 cells reads ~1e-10 and fails 1e-11; the
+    # spacing check, a difference of two shifted phases, is blind to the shift
+    exact = cli.eigen_berry_phase
+
+    def shifted(dp, n_f, n_d):
+        phase = exact(dp, n_f, n_d)
+        return phase._replace(value=phase.value + 1e-10, raw=phase.raw + 1e-10)
+
+    monkeypatch.setattr(cli, "eigen_berry_phase", shifted)
+    report = certification_report()
+    cells = [c for c in report["loop_cells"] if "occupation" in c]
+    assert len(cells) == 32
+    assert not any(c["passed"] for c in cells)
+    assert min(c["difference_rad"] for c in cells) > 5e-11
+    assert report["passed"] is False
+
+
 def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
     """argparse rejects ``--key value`` (exit 2), and a config file line
     ``key = value`` is an unknown-key config error."""
@@ -660,8 +680,9 @@ def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
 
 @pytest.mark.parametrize("key, value", [("loop_points", "256"), ("cutoff", "100")])
 def test_certify_calibration_is_not_settable(tmp_path, capsys, key, value):
-    # the loop-grid verdict holds only at its calibrated loop points, cutoff
-    # ladder and truncation gate: neither a flag nor a config key may move them
+    # the loop-grid verdict holds only at its calibrated cutoff ladder and
+    # truncation gate, and the loop oracle takes no loop points: neither a flag
+    # nor a config key may set any of them
     _rejected_as_flag_and_config_key(tmp_path, capsys, ["certify"], key, value)
 
 
@@ -885,7 +906,9 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
 # a second representation of U beside its map on the ladder operators
 RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal", "unitary_action",
                  "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action",
-                 "_modes_up", "_padded", "_coupling_path", "_add_diagonal")
+                 "_modes_up", "_padded", "_coupling_path", "_add_diagonal",
+                 "LoopSpec", "_loop_raw_phase", "LEVEL_CROSSING_OVERLAP", "pancharatnam_product",
+                 "error_estimate")
 
 
 def test_package_builds_no_kronecker_product():

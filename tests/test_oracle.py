@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import expm
-from sparse_ops import sparse_hamiltonian
+from sparse_ops import pancharatnam_product, sparse_hamiltonian
 
 from berrytherm import cli, oracle
 from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map, invert_physical
@@ -19,12 +19,10 @@ from berrytherm.geomphase import (
 )
 from berrytherm.oracle import (
     EvolutionSpec,
-    LoopSpec,
     OracleError,
     discrete_berry_loops,
     excitation_probability_per_cycle,
     numeric_eigenpairs,
-    pancharatnam_product,
     partial_sum_from_eps,
     required_levels,
     rotation_covariance_residual,
@@ -43,9 +41,9 @@ def _pair(pp, target, parity):
     return numeric_eigenpairs([pp], target[:, :, None], [parity])[0]
 
 
-def _loop(dp, n_f, n_d, spec, dims):
+def _loop(dp, n_f, n_d, dims):
     """The one loop phase, or refusal, of a batch of one on the one-rung ladder [dims]."""
-    return discrete_berry_loops([dp], [(n_f, n_d)], spec, [dims])[0]
+    return discrete_berry_loops([dp], [(n_f, n_d)], [dims])[0]
 
 
 def _target(dp, n_f, n_d, dims):
@@ -59,11 +57,6 @@ def _ket(dims, *occupations):
     for n_f, n_d in occupations:
         amp[n_f, n_d] += 1.0
     return amp
-
-
-def test_loopspec_validation():
-    with pytest.raises(ValueError):
-        LoopSpec(n_points=8)
 
 
 def test_numeric_eigenpair_decoupled():
@@ -160,30 +153,39 @@ def test_pancharatnam_gauge_invariance():
 
 def test_loop_zero_coupling_gives_zero_phase():
     dp = DiagParams(E2, 1.0, 1e-7)  # essentially decoupled
-    res = _loop(dp, 1, 0, LoopSpec(256), FockDims(16, 16))
+    res = _loop(dp, 1, 0, FockDims(16, 16))
     assert phase_distance(res.phase.raw, 0.0) < 1e-6
 
 
 def test_loop_matches_closed_form_canonical():
-    spec = LoopSpec(n_points=2048)
-    res = _loop(CANONICAL, 1, 0, spec, FockDims(40, 40))
+    res = _loop(CANONICAL, 1, 0, FockDims(40, 40))
     closed = eigen_berry_phase(CANONICAL, 1, 0)
     assert phase_distance(res.phase.raw, closed.raw) < 1e-6
-    # raw values agree as well (loop winding reconstructs the unreduced phase)
+    # raw values agree as well (the occupation phase is the unreduced phase)
     assert abs(res.phase.raw - closed.raw) < 1e-6
 
 
-def test_loop_doubling_convergence():
-    spec1 = LoopSpec(n_points=2048)
-    spec2 = LoopSpec(n_points=4096)
-    dims = FockDims(36, 36)
-    r1 = _loop(CANONICAL, 0, 1, spec1, dims)
-    r2 = _loop(CANONICAL, 0, 1, spec2, dims)
-    assert abs(r1.phase.raw - r2.phase.raw) < 1e-8
-    assert r1.error_estimate < 1e-4
+def _richardson(loop_at, n_points):
+    """(4 gamma(2N) - gamma(N)) / 3 and the smallest overlap of the loops
+    ``loop_at`` returns at N and 2N points, as (raw phase, smallest overlap);
+    gamma(2N) is moved onto gamma(N)'s 2-pi branch first, as per-point gauges
+    wind the raw sums of a re-diagonalized loop arbitrarily."""
+    raw1, ov1 = loop_at(n_points)
+    raw2, ov2 = loop_at(2 * n_points)
+    base = wrap_angle(raw1)
+    return (4.0 * (base + wrap_angle(raw2 - raw1)) - base) / 3.0, min(ov1, ov2)
 
 
-def _every_point_loop(dp, n_f, n_d, spec, dims):
+def _transported_loop(chi, n_points):
+    """Raw Pancharatnam phase and smallest overlap of the closed N-point loop of
+    the family e^{i phi_k n_f} chi, phi_k = 2 pi k / N, the eigenvectors of
+    H(phi_k) by rotation covariance when chi is one of H(0)."""
+    n_f = np.arange(chi.shape[0])[:, None]
+    return pancharatnam_product([np.exp(1j * phi * n_f) * chi
+                                 for phi in TAU * np.arange(n_points) / n_points])
+
+
+def _every_point_loop(dp, n_f, n_d, n_points, dims):
     """Reference loop: re-diagonalize H(phi) densely at every grid point,
     follow the eigenvector by maximal overlap and apply the raw Pancharatnam
     product, Richardson-refined over the N and 2N grids; small cutoffs only.
@@ -195,7 +197,7 @@ def _every_point_loop(dp, n_f, n_d, spec, dims):
         states = []
         prev = chi.reshape(-1)
         min_ov = 1.0
-        for phi in 2.0 * math.pi * np.arange(n_points) / n_points:
+        for phi in TAU * np.arange(n_points) / n_points:
             _, vecs = np.linalg.eigh(sparse_hamiltonian(pp, dims, phi).toarray())
             ovl = np.abs(vecs.conj().T @ prev)
             best = int(np.argmax(ovl))
@@ -205,32 +207,47 @@ def _every_point_loop(dp, n_f, n_d, spec, dims):
         raw, min_abs = pancharatnam_product(states)
         return raw, min(min_ov, min_abs)
 
-    raw1, ov1 = loop_at(spec.n_points)
-    raw2, ov2 = loop_at(2 * spec.n_points)
-    # per-point gauges wind the raw sums arbitrarily; only the branch-aligned
-    # combination is meaningful for re-diagonalized loops
-    base = wrap_angle(raw1)
-    raw2 = base + wrap_angle(raw2 - raw1)
-    return (4.0 * raw2 - base) / 3.0, min(ov1, ov2)
+    return _richardson(loop_at, n_points)
 
 
-def test_loop_every_point_matches_propagated(monkeypatch):
-    # full re-diagonalization at every grid point agrees with the
-    # rotation-propagated loop at small cutoff
+def test_loop_every_point_matches_propagated():
+    # full re-diagonalization at every grid point agrees with the loop of the
+    # rotation-propagated eigenvector that the oracle's phase rests on, both
+    # Richardson-refined over 64 and 128 points at small cutoff
     dp = DiagParams(math.exp(2 * 0.45), 1.0, 0.15)
     dims = FockDims(10, 10)
-    spec = LoopSpec(n_points=64)
-    raw, min_overlap = _every_point_loop(dp, 1, 0, spec, dims)
-    # method-equivalence check: loosen the absolute truncation gate, both
-    # routes share the same truncated eigenvector
-    monkeypatch.setattr(oracle, "TRUNCATION_GATE", 1e-3)
-    b = _loop(dp, 1, 0, spec, dims)
-    assert phase_distance(raw, b.phase.raw) < 1e-9
+    raw, min_overlap = _every_point_loop(dp, 1, 0, 64, dims)
+    chi = _pair(forward_map(dp), _target(dp, 1, 0, dims), 1).vector
+    propagated, _ = _richardson(lambda n: _transported_loop(chi, n), 64)
+    assert phase_distance(raw, propagated) < 1e-9
     assert min_overlap > 0.99
 
 
+@pytest.mark.parametrize("v, ratio, occupation, dims", [
+    (0.6, math.e ** 3, (0, 1), FockDims(78, 30)),
+    (0.3, math.e ** 2, (1, 1), FockDims(44, 30)),
+    (0.1, math.e, (1, 0), FockDims(30, 30)),
+], ids=["v0.6-e3-01", "v0.3-e2-11", "v0.1-e1-10"])
+def test_transported_loop_converges_to_occupation_phase(v, ratio, occupation, dims):
+    # the N-point Pancharatnam loop of e^{i phi n_f} chi converges to the
+    # oracle's 2 pi <n_f>_chi at O(1/N^2): its error falls 4x per doubling, and
+    # Richardson over 2048 and 4096 points leaves at most 1e-9.  Each overlap
+    # depends on chi only through its field weights, so the family is taken on
+    # sqrt(sum_d chi^2), which keeps 4096 states small
+    dp = DiagParams(ratio, 1.0, v)
+    got = discrete_berry_loops([dp], [occupation], CERTIFY_LADDER)[0]
+    assert got.dims == dims  # the cell's certify truncation
+    chi = _pair(forward_map(dp), _target(dp, *occupation, dims), sum(occupation) % 2).vector
+    field = np.sqrt((chi ** 2).sum(axis=1))[:, None]
+    raws = {n: _transported_loop(field, n)[0] for n in (512, 1024, 2048, 4096)}
+    errors = [raws[n] - got.phase.raw for n in sorted(raws)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.01)
+    assert abs((4.0 * raws[4096] - raws[2048]) / 3.0 - got.phase.raw) <= 1e-9
+
+
 def test_loop_truncation_gate_refuses():
-    refusal = _loop(CANONICAL, 1, 0, LoopSpec(256), FockDims(12, 12))
+    refusal = _loop(CANONICAL, 1, 0, FockDims(12, 12))
     assert isinstance(refusal, OracleError) and "truncation" in str(refusal)
 
 
@@ -296,9 +313,8 @@ def test_mixed_dp_loops_match_per_dp_calls():
     assert len(dps) == 8
     pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in dps]
     mixed = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
-                                        LoopSpec(256), [dims])
-    single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, LoopSpec(256),
-                                              [dims])
+                                        [dims])
+    single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, [dims])
               for dp in dps}
     refused = 0
     for (dp, occ), got in zip(pairs, mixed):
@@ -404,15 +420,16 @@ def test_ladder_field_tail_moves_only_the_field(monkeypatch):
     # (v, ratio) = (0.3, e^2), |0_f 1_d>: only the field's strip of the target
     # exceeds the gate at 30, so the pair is sized to (44, 30) and solved there once
     calls = _solved(monkeypatch)
-    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 1)], LoopSpec(), CERTIFY_LADDER)
+    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 1)], CERTIFY_LADDER)
     assert calls == [(FockDims(44, 30), 1)]
     assert got[0].dims == FockDims(44, 30)
-    # a refusal by another gate of the eigenvector (here level crossing) is
-    # final: the pair is not solved again at a larger truncation
-    monkeypatch.setattr(oracle, "LEVEL_CROSSING_OVERLAP", 1.0)
-    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 1)], LoopSpec(), CERTIFY_LADDER)
+    # a refusal by another gate of the eigenvector (here ambiguity, planted by a
+    # threshold above any overlap of unit vectors: this pair's overlap rounds to
+    # 1.0 exactly) is final: the pair is not solved again at a larger truncation
+    monkeypatch.setattr(oracle, "AMBIGUITY_OVERLAP", 2.0)
+    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 1)], CERTIFY_LADDER)
     assert calls[1:] == [(FockDims(44, 30), 1)]
-    assert isinstance(got[0], OracleError) and "consecutive overlap" in str(got[0])
+    assert isinstance(got[0], OracleError) and "ambiguous" in str(got[0])
 
 
 def test_ladder_detector_tail_moves_only_the_detector(monkeypatch):
@@ -420,7 +437,7 @@ def test_ladder_detector_tail_moves_only_the_detector(monkeypatch):
     # the field stays at 30 when the detector is sized to 30
     calls = _solved(monkeypatch)
     ladder = [FockDims(30, 10), FockDims(44, 30)]
-    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 0)], LoopSpec(), ladder)
+    got = discrete_berry_loops([DiagParams(E2, 1.0, 0.3)], [(0, 0)], ladder)
     assert calls == [(FockDims(30, 30), 1)]
     assert got[0].dims == FockDims(30, 30)
 
@@ -432,7 +449,7 @@ def test_sizing_solves_an_unfit_pair_at_each_mode_top_cutoff(monkeypatch):
     # tail, as a one-rung call at (12, 40) does
     calls = _solved(monkeypatch)
     ladder = [FockDims(12, 12), FockDims(12, 40), FockDims(12, 60)]
-    got = discrete_berry_loops([CANONICAL], [(1, 0)], LoopSpec(), ladder)
+    got = discrete_berry_loops([CANONICAL], [(1, 0)], ladder)
     assert calls == [(FockDims(12, 40), 1)]
     assert isinstance(got[0], OracleError) and "truncation tail 5.175e-04" in str(got[0])
 
@@ -548,14 +565,14 @@ def test_sized_cells_match_fresh_single_rung_loops():
     # truncation solves it alone, from a target built there
     pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS]
     sized = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
-                                        LoopSpec(), CERTIFY_LADDER)
+                                        CERTIFY_LADDER)
     assert sum(got.dims != CERTIFY_LADDER[0] for got in sized) == 14
     for (dp, (n_f, n_d)), got in zip(pairs, sized):
-        fresh = _loop(dp, n_f, n_d, LoopSpec(), got.dims)
+        fresh = _loop(dp, n_f, n_d, got.dims)
         assert abs(got.phase.raw - fresh.phase.raw) <= 1e-12
         assert abs(got.truncation_tail - fresh.truncation_tail) <= 1e-15
     with pytest.raises(ValueError, match="growing"):
-        oracle.discrete_berry_loops([CANONICAL], [(0, 0)], LoopSpec(), CERTIFY_LADDER[::-1])
+        oracle.discrete_berry_loops([CANONICAL], [(0, 0)], CERTIFY_LADDER[::-1])
 
 
 @pytest.mark.parametrize("v, ratio", [(0.1, math.e ** 3), (0.3, math.e ** 2),
@@ -567,7 +584,7 @@ def test_field_ladder_loops_match_closed_form(v, ratio):
     dp = DiagParams(ratio, 1.0, v)
     occupations = [(n, 0) for n in range(12)]
     ladder = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
-    got = discrete_berry_loops([dp] * 12, occupations, LoopSpec(), ladder)
+    got = discrete_berry_loops([dp] * 12, occupations, ladder)
     for (n_f, n_d), loop in zip(occupations, got):
         assert not isinstance(loop, OracleError), (n_f, loop)
         diff = phase_distance(loop.phase.raw, eigen_berry_phase(dp, n_f, n_d).raw)
