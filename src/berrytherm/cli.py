@@ -476,12 +476,6 @@ def certification_report(negative_control: bool = False) -> dict:
             "tolerance": float(tolerance), "detail": detail,
         })
 
-    # ladder algebra: [a, a'] = 1 on 12 levels, away from the truncation boundary
-    a = np.triu(fockspace._position(12))
-    comm = a @ a.T - a.T @ a
-    rows_ok = np.abs(np.diag(comm)[:10] - 1.0).max()
-    add("ladder_commutator_rows", rows_ok < 1e-12, rows_ok, 1e-12)
-
     # the closed-form eigenstates U'|n_f n_d> and eigenvalues at the default cutoff
     # solve H(0) psi = E psi on every row below the top level of both modes, the
     # rows on which the truncated H acts as the untruncated one
@@ -505,11 +499,6 @@ def certification_report(negative_control: bool = False) -> dict:
     spacing = eigen_berry_phase(dp_ref, 3, 1).raw - eigen_berry_phase(dp_ref, 2, 1).raw
     sp_res = abs(spacing - (math.pi + TWO_PI * eps_ref))
     add("phase_spacing_2piG", sp_res < 1e-12, sp_res, 1e-12)
-
-    # rotation covariance of H
-    rc = oracle.rotation_covariance_residual(pp_ref, 0.9, fockspace.FockDims(16, 16))
-    add("hamiltonian_rotation_covariance", rc < 1e-12 * pp_ref.Omega_a,
-        rc, 1e-12 * pp_ref.Omega_a)
 
     # the loop grid's (v, ratio) cells: a valid parameter set, or the reason
     # it breaks ratio > e^{2v}

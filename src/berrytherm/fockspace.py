@@ -2,15 +2,15 @@
 
 The truncation (``FockDims``), the weight a state keeps in the top two levels of
 each mode (``mode_tails``), and the model's operators on the truncated space,
-each an action that builds no matrix of the product space: H at any varphi
-(``hamiltonian_action``).  U has one representation, its
-real 4x4 linear map on the ladder operators (``_heisenberg_map``): U' is
-Gaussian, so that map gives each eigenstate U' |n_f n_d> (``eigenstates``)
-exactly by recurrence, with no padded space (Miatto and Quesada, Quantum 4,
-366, 2020).  The module needs only numpy; the package loads it lazily, with
-``oracle``.  A state is a real (n_field, n_det) amplitude array, and a batch
-the (n_field, n_det, k) stack of them, amp[n_f, n_d, i] = <n_f n_d|psi_i>; no
-other form is used.
+each an action that builds no matrix of the product space: H(0)
+(``hamiltonian_action``), the only Hamiltonian the package applies.  U has one
+representation, its real 4x4 linear map on the ladder operators
+(``_heisenberg_map``): U' is Gaussian, so that map gives each eigenstate
+U' |n_f n_d> (``eigenstates``) exactly by recurrence, with no padded space
+(Miatto and Quesada, Quantum 4, 366, 2020).  The module needs only numpy; the
+package loads it lazily, with ``oracle``.  A state is a real (n_field, n_det)
+amplitude array, and a batch the (n_field, n_det, k) stack of them,
+amp[n_f, n_d, i] = <n_f n_d|psi_i>; no other form is used.
 """
 
 from __future__ import annotations
@@ -85,26 +85,23 @@ def _position(n: int) -> np.ndarray:
 
 
 def hamiltonian_action(pp: PhysicalParams | list[PhysicalParams],
-                       amp: np.ndarray, varphi: float = 0.0) -> np.ndarray:
-    """H(varphi) amp for the (n_field, n_det) or (n_field, n_det, k) amplitude
-    array ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T, with
-    X_d = b + b' and X_f = e^{i varphi} a' + e^{-i varphi} a, and no operator
-    matrix of the product space.  X_f is complex only at varphi != 0, so the
-    action at varphi = 0 stays real on a real ``amp``.  ``pp`` is one parameter
-    set, or a list of them, one per column k."""
+                       amp: np.ndarray) -> np.ndarray:
+    """H(0) amp for the (n_field, n_det) or (n_field, n_det, k) amplitude array
+    ``amp``: Omega_a n_f amp + Omega_b n_d amp + lam X_f amp X_d^T, with
+    X_f = a + a' and X_d = b + b', and no operator matrix of the product space;
+    real on a real ``amp``.  ``pp`` is one parameter set, or a list of them, one
+    per column k.  H at varphi is R(-varphi) H(0) R(-varphi)^dag, with
+    R(-varphi) = e^{i varphi n_f}."""
     if isinstance(pp, PhysicalParams):
         omega_a, omega_b, lam = pp.Omega_a, pp.Omega_b, pp.lam
     else:
         omega_a, omega_b, lam = np.array([(p.Omega_a, p.Omega_b, p.lam) for p in pp]).T
     n_field, n_det = amp.shape[:2]
-    x_f = _position(n_field)
-    if varphi != 0.0:  # a' below the diagonal, a above it
-        x_f = np.exp(1j * varphi) * np.tril(x_f) + np.exp(-1j * varphi) * np.triu(x_f)
     tail = (1,) * (amp.ndim - 2)
     n_f = np.arange(n_field).reshape((-1, 1) + tail)
     n_d = np.arange(n_det).reshape((1, -1) + tail)
     # X_f on the field axis, then X_d (symmetric) on the detector axis of each field row
-    moved = (x_f @ amp.reshape(n_field, -1)).reshape(amp.shape)
+    moved = (_position(n_field) @ amp.reshape(n_field, -1)).reshape(amp.shape)
     x_d = _position(n_det)
     coupled = x_d @ moved if amp.ndim == 3 else moved @ x_d
     return (omega_a * n_f + omega_b * n_d) * amp + lam * coupled

@@ -59,7 +59,6 @@ __all__ = [
     "partial_sum_from_eps",
     "excitation_probability_per_cycle",
     "thermal_excitation_per_cycle",
-    "rotation_covariance_residual",
 ]
 
 TRUNCATION_GATE = 1e-8       # top-two-level amplitude above this refuses certification
@@ -400,17 +399,6 @@ def partial_sum_from_eps(eps: float, gamma0: float, r: float, n_max: int) -> Pha
     z = np.sum(w * sign * np.exp(1j * (gamma0 + 2.0 * math.pi * eps * n)))
     val = float(np.angle(z))
     return PhaseResult(value=val, raw=val)
-
-
-def rotation_covariance_residual(pp: PhysicalParams, varphi: float, dims: FockDims) -> float:
-    """max |H(varphi) - R(-varphi) H(0) R(-varphi)^dag|, each H ``hamiltonian_action``
-    on the identity batch, one field level's columns at a time so that the complex
-    temporaries stay a fraction of the batch; exact identity, ~1e-13."""
-    eye = np.eye(dims.total).reshape(dims.n_field, dims.n_det, dims.total)
-    r = np.exp(1j * varphi * np.arange(dims.n_field))[:, None, None]  # R(-varphi)
-    return max(float(np.abs(r * hamiltonian_action(pp, cols) * r[f].conj()
-                            - hamiltonian_action(pp, cols, varphi)).max())
-               for f, cols in enumerate(np.split(eye, dims.n_field, axis=2)))  # columns |f, n_d>
 
 
 # --------------------------------------------------------------------------

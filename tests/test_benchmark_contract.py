@@ -1,7 +1,10 @@
-"""The benchmark harness in perfbench/ drives the adiabaticity oracle by
-name: it imports ``EvolutionSpec``, calls the two adiabaticity functions
-positionally and, traced, binds their parameters ``pp``, ``cycles`` and
-``spec`` by name.  A rename must fail here, not in a benchmark run."""
+"""The benchmark harness in perfbench/ drives the program by name.  It
+imports ``EvolutionSpec``, calls the two adiabaticity functions positionally
+and, traced, binds their parameters ``pp``, ``cycles`` and ``spec`` by name.
+It reaches the certify report through ``cli.certification_report``, its
+``negative_control`` keyword, ``checks[*].passed`` and
+``loop_cells[*].difference_rad``.  A rename must fail here, not in a
+benchmark run."""
 
 import os
 import subprocess
@@ -34,6 +37,16 @@ def test_adiabaticity_workload_runs_clean(monkeypatch, traced):
     if traced:
         assert {"oracle.excitation_probability_per_cycle",
                 "oracle.thermal_excitation_per_cycle"} <= {span[2] for span in tracer.spans}
+
+
+def test_certify_workload_runs_clean(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    out = workloads.run_certify(seconds=0.0, sizes=workloads.Sizes())
+    assert out.problems == []
+    assert [op.kind for op in out.ops if op.failed] == []
+    assert {op.kind for op in out.ops} == {"certify", "certify_negative"}
 
 
 TRACER_PROBE = """

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import berrytherm
-from berrytherm import cli, diagonalization, fockspace, oracle
+from berrytherm import cli, diagonalization, fockspace, geomphase, oracle, thermo
 from berrytherm.cli import (
     CERT_GRID_RATIO,
     CERT_GRID_V,
@@ -612,57 +612,111 @@ def test_certify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
-def test_certify_fails_on_eigenstates_built_at_a_wrong_squeeze(monkeypatch):
-    # a planted fault: every eigenstate built from U' at v(1 + 1e-6).  Certify's
-    # dp_ref carries no u_hint, so the changed v passes validation and only the
-    # eigenstates move; the loop grid uses them as selection targets alone
-    exact = fockspace._heisenberg_map
-    monkeypatch.setattr(fockspace, "_heisenberg_map",
-                        lambda dp: exact(dp._replace(v=dp.v * (1 + 1e-6))))
-    report = certification_report()
-    check = next(c for c in report["checks"] if c["name"] == "eigenstate_interior_residual")
-    assert not check["passed"]
-    assert check["residual"] > 1e-7
+def _shifted_phase(exact, dp, n_f, n_d):
+    phase = exact(dp, n_f, n_d)
+    return phase._replace(value=phase.value + 1e-10, raw=phase.raw + 1e-10)
+
+
+def _u_off(exact, pp):
+    u, *rest = exact(pp)
+    return (u * (1 + 1e-9), *rest)
+
+
+def _weights_scaled(exact, r, n_max):
+    w, tail = exact(r, n_max)
+    return w * (1 + 1e-9), tail
+
+
+# One planted fault for each certify check, in the report's order: the row
+# (module, name, fault, also) replaces module.name by fault(exact, *args), and
+# ``also`` names the checks besides its own that the fault fails.  Each comment
+# gives the residual the check reads under the fault.
+PLANTED_FAULTS = {
+    # U' built at v(1 + 1e-6): 1.9e-6.  dp_ref carries no u_hint, so the changed
+    # v passes validation and only the eigenstates move; the loop grid uses them
+    # as selection targets alone
+    "eigenstate_interior_residual": (
+        fockspace, "_heisenberg_map", lambda exact, dp: exact(dp._replace(v=dp.v * (1 + 1e-6))),
+        ()),
+    # g6 off by 1e-9 relative: 1.0e-9
+    "coupling_coefficients_equal": (
+        cli, "derive_params", lambda exact, dp: exact(dp)._replace(g6=exact(dp).g6 * (1 + 1e-9)),
+        ()),
+    # the normal-mode epsilon off by 1e-9 relative: 2.6e-9
+    "phase_spacing_2piG": (cli, "epsilon", lambda exact, pp: exact(pp) * (1 + 1e-9), ()),
+    # normal_modes' u off by 1e-9 relative: 2.8e-9.  invert_physical refuses each
+    # triple it moves past its 1e-10 gate, and the check records the refusal's
+    # residual
+    "map_round_trip": (diagonalization, "normal_modes", _u_off, ()),
+    # every closed-form eigenstate phase moved by 1e-10 rad, 10x the loop
+    # tolerance: 1.0e-10.  The spacing check, a difference of two shifted
+    # phases, is blind to the shift
+    "loop_vs_closed_form_grid": (cli, "eigen_berry_phase", _shifted_phase, ()),
+    # the mixed-phase offset moved by 1e-9 rad: 1.0e-9.  The fig5 per-cycle
+    # differences, -offset, are below 1e-43 and tie once shifted
+    "mixed_phase_partial_sum": (
+        geomphase, "mixed_phase_offset", lambda exact, *args: exact(*args) + 1e-9,
+        ("delta_monotone_in_acceleration",)),
+    # the thermometer reading moved by 1e-10 rad: 1.0e-10
+    "thermometer_equals_mixed_difference": (
+        cli, "thermometer_delta_from_eps", lambda exact, *args: exact(*args) + 1e-10, ()),
+    # arctanh(e^-y) off by 1e-9 relative: 2.9e-9, and 2.1e-10 on the
+    # thermometer identity, whose two sides take r through different paths
+    "unruh_thermal_squeeze_identity": (
+        thermo, "arctanh_exp", lambda exact, y: exact(y) * (1 + 1e-9),
+        ("thermometer_equals_mixed_difference",)),
+    # the per-cycle difference with its sign flipped rises with the acceleration
+    "delta_monotone_in_acceleration": (
+        geomphase, "delta_per_cycle_from_eps", lambda exact, *args: -exact(*args), ()),
+    # the thermal weights scaled by 1 + 1e-9: 1.1e-9.  The partial-sum check
+    # cannot see this fault, because Arg ignores a common scale
+    "planck_occupation": (oracle, "thermal_weights", _weights_scaled, ()),
+}
+
+
+def _certify_with_fault(monkeypatch, name: str) -> dict:
+    """The certification report with the planted fault of the check ``name``."""
+    module, attr, fault, _ = PLANTED_FAULTS[name]
+    exact = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: fault(exact, *args))
+    return certification_report()
+
+
+def test_planted_faults_cover_every_check(certify_reports):
+    assert list(PLANTED_FAULTS) == [c["name"] for c in certify_reports[0]["checks"]]
+
+
+@pytest.mark.parametrize("name", PLANTED_FAULTS)
+def test_certify_check_fails_on_its_planted_fault(monkeypatch, name):
+    *_, also = PLANTED_FAULTS[name]
+    report = _certify_with_fault(monkeypatch, name)
+    failing = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failing == {name, *also}
     assert report["passed"] is False
+
+
+def test_certify_fails_on_eigenstates_built_at_a_wrong_squeeze(monkeypatch):
+    report = _certify_with_fault(monkeypatch, "eigenstate_interior_residual")
+    check = next(c for c in report["checks"] if c["name"] == "eigenstate_interior_residual")
+    assert check["residual"] > 1e-7
 
 
 def test_certify_fails_on_a_refused_round_trip(monkeypatch, tmp_path):
-    # a planted fault: normal_modes' u off by 1e-9 relative.  invert_physical
-    # refuses every triple it moves past its 1e-10 gate, and map_round_trip
-    # records the refusal's residual as a failed check: exit 4, not 3
-    exact = diagonalization.normal_modes
-
-    def off(pp):
-        u, *rest = exact(pp)
-        return (u * (1 + 1e-9), *rest)
-
-    monkeypatch.setattr(diagonalization, "normal_modes", off)
-    report = certification_report()
+    # a refusal inside the report is a failed check: exit 4, not 3
+    report = _certify_with_fault(monkeypatch, "map_round_trip")
     check = next(c for c in report["checks"] if c["name"] == "map_round_trip")
-    assert not check["passed"]
     assert check["residual"] > 1e-9
-    assert report["passed"] is False
     assert main(["certify", "--out", str(tmp_path / "r.json")]) == EXIT_CERTIFICATION
 
 
 def test_certify_fails_on_closed_forms_shifted_by_1e_10(monkeypatch):
-    # a planted fault: every closed-form eigenstate phase moved by 1e-10 rad,
-    # 10x the loop tolerance.  The loop oracle's phase is exact for
-    # its eigenvector, so each of the 32 cells reads ~1e-10 and fails 1e-11; the
-    # spacing check, a difference of two shifted phases, is blind to the shift
-    exact = cli.eigen_berry_phase
-
-    def shifted(dp, n_f, n_d):
-        phase = exact(dp, n_f, n_d)
-        return phase._replace(value=phase.value + 1e-10, raw=phase.raw + 1e-10)
-
-    monkeypatch.setattr(cli, "eigen_berry_phase", shifted)
-    report = certification_report()
+    # the loop oracle's phase is exact for its eigenvector, so each of the 32
+    # cells reads ~1e-10 and fails 1e-11
+    report = _certify_with_fault(monkeypatch, "loop_vs_closed_form_grid")
     cells = [c for c in report["loop_cells"] if "occupation" in c]
     assert len(cells) == 32
     assert not any(c["passed"] for c in cells)
     assert min(c["difference_rad"] for c in cells) > 5e-11
-    assert report["passed"] is False
 
 
 def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
@@ -903,12 +957,14 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
 # complex vectors beside the real (n_field, n_det, k) amplitude stacks;
 # ``unitary_action`` applied U as a chain of truncated factors, through
 # ``squeeze_action``, ``beam_splitter_action`` and ``tridiagonal_exp_action``,
-# a second representation of U beside its map on the ladder operators
+# a second representation of U beside its map on the ladder operators;
+# ``rotation_covariance_residual`` checked H(varphi) at varphi != 0, which the
+# package no longer applies
 RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal", "unitary_action",
                  "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action",
                  "_modes_up", "_padded", "_coupling_path", "_add_diagonal",
                  "LoopSpec", "_loop_raw_phase", "LEVEL_CROSSING_OVERLAP", "pancharatnam_product",
-                 "error_estimate")
+                 "error_estimate", "rotation_covariance_residual")
 
 
 def test_package_builds_no_kronecker_product():

@@ -216,28 +216,34 @@ def test_map_identities_on_grid():
                 assert abs(back.lam / pp.lam - 1) < 1e-13
 
 
-def _action_matrix(pp, dims, varphi=0.0):
-    """The matrix of ``hamiltonian_action`` at ``varphi``: its action on the
-    identity batch, column j the image of basis index j."""
+def _action_matrix(pp, dims):
+    """The matrix of ``hamiltonian_action``: its action on the identity batch,
+    column j the image of basis index j."""
     eye = np.eye(dims.total).reshape(dims.n_field, dims.n_det, dims.total)
-    return hamiltonian_action(pp, eye, varphi).reshape(dims.total, dims.total)
+    return hamiltonian_action(pp, eye).reshape(dims.total, dims.total)
 
+
+# The package applies H(0) alone; H(phi) at phi != 0 is the Kronecker reference
+# ``sparse_hamiltonian``, so these tests hold the identity H(phi) = R(-phi) H(0)
+# R(-phi)^dag that the loop oracle rests on against the package's H(0)
 
 def test_hamiltonian_diagonal_at_zero_coupling():
     dims = FockDims(5, 4)
     pp = PhysicalParams(3.0, 2.0, 0.0)
     expect = np.diag([3.0 * nf + 2.0 * nd for nf in range(5) for nd in range(4)])
-    for phi in (0.0, 0.4):
-        np.testing.assert_allclose(_action_matrix(pp, dims, phi), expect, atol=1e-14)
+    np.testing.assert_allclose(_action_matrix(pp, dims), expect, atol=1e-14)
+    np.testing.assert_allclose(sparse_hamiltonian(pp, dims, 0.4).toarray(), expect, atol=1e-14)
 
 
 def test_hamiltonian_hermitian_any_phase():
     dims = FockDims(8, 8)
     pp = PhysicalParams(1.9, 1.1, 0.4)
-    for phi in (0.0, 0.3, 2.8, -1.2):
-        h = _action_matrix(pp, dims, phi)
+    h0 = _action_matrix(pp, dims)
+    assert h0.dtype == float  # real at phi = 0
+    assert np.abs(h0 - h0.T).max() < 1e-14
+    for phi in (0.3, 2.8, -1.2):
+        h = sparse_hamiltonian(pp, dims, phi).toarray()
         assert np.abs(h - h.conj().T).max() < 1e-14
-    assert _action_matrix(pp, dims).dtype == float  # real at phi = 0
 
 
 def test_hamiltonian_rotation_covariance():
@@ -248,24 +254,24 @@ def test_hamiltonian_rotation_covariance():
     for phi in (0.3, 1.0, -2.2):
         r = np.exp(1j * phi * _field_occupation(dims))  # diagonal of R(-phi)
         conj = r[:, None] * h0 * r.conj()
-        assert np.abs(_action_matrix(pp, dims, phi) - conj).max() < 1e-12 * pp.Omega_a
+        h = sparse_hamiltonian(pp, dims, phi).toarray()
+        assert np.abs(h - conj).max() < 1e-12 * pp.Omega_a
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 5), (24, 24)])
 def test_hamiltonian_action_matches_sparse_hamiltonian(shape):
-    # the vector action of H(phi) equals the Kronecker-built reference on
-    # complex batches, with and without the trailing column axis
+    # the vector action of H(0) equals the Kronecker-built reference on complex
+    # batches, with and without the trailing column axis
     dims = FockDims(*shape)
     pp = forward_map(CANONICAL)
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     amp = rng.normal(size=shape + (5,)) + 1j * rng.normal(size=shape + (5,))
-    for phi in (0.0, 0.3, -2.2):
-        expect = sparse_hamiltonian(pp, dims, phi).toarray() @ amp.reshape(dims.total, 5)
-        got = hamiltonian_action(pp, amp, phi).reshape(dims.total, 5)
-        rel = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
-        assert rel.max() <= 1e-12, phi
-        one = hamiltonian_action(pp, amp[:, :, 0], phi).reshape(-1)
-        assert np.linalg.norm(one - expect[:, 0]) <= 1e-12 * np.linalg.norm(expect[:, 0])
+    expect = sparse_hamiltonian(pp, dims).toarray() @ amp.reshape(dims.total, 5)
+    got = hamiltonian_action(pp, amp).reshape(dims.total, 5)
+    rel = np.linalg.norm(got - expect, axis=0) / np.linalg.norm(expect, axis=0)
+    assert rel.max() <= 1e-12
+    one = hamiltonian_action(pp, amp[:, :, 0]).reshape(-1)
+    assert np.linalg.norm(one - expect[:, 0]) <= 1e-12 * np.linalg.norm(expect[:, 0])
 
 
 def test_diagonalization_chain_reproduces_hamiltonian():

@@ -25,7 +25,6 @@ from berrytherm.oracle import (
     numeric_eigenpairs,
     partial_sum_from_eps,
     required_levels,
-    rotation_covariance_residual,
     thermal_excitation_per_cycle,
     thermal_weights,
 )
@@ -663,12 +662,6 @@ def test_mixed_phase_dp_route():
     closed = gamma0 - mixed_phase_offset(eps, r)
     summed = partial_sum_from_eps(eps, gamma0, r, required_levels(r) + 2)
     assert phase_distance(closed, summed.value) < 1e-10
-
-
-def test_rotation_covariance():
-    pp = forward_map(CANONICAL)
-    for phi in (0.3, 1.7):
-        assert rotation_covariance_residual(pp, phi, FockDims(12, 12)) < 1e-12 * pp.Omega_a
 
 
 def test_evolution_zero_coupling():
