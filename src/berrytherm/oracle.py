@@ -18,19 +18,18 @@ iteration.  H(varphi) = R(-varphi) H(0) R(-varphi)^dag, so the eigenvector
 along the loop is e^{i varphi n_f} chi, and its Berry phase over
 varphi -> varphi + 2 pi is 2 pi <n_f>_chi exactly: the limit of the discrete
 Pancharatnam loop over that family (Samuel and Bhandari, PRL 60, 2339, 1988).
-Every field-state quadrature of the adiabaticity check is the Gauss
-rule of x_f = a + a' on a window of field levels: the eigenvalues of its
-Jacobi matrix and their eigenvector components (Golub and Welsch, Math. Comp.
-23, 221, 1969).  That matrix has a zero diagonal, so it is the Golub-Kahan form
-of a bidiagonal of half its size, and one SVD of the bidiagonal gives the rule
-(``_field_rule``, through ``_golub_kahan_svd``); no field window is
-diagonalized densely.  The thermal mixture's rule takes the singular values
-alone (``_hermite_pairs``).  The module needs only numpy.
+Adiabaticity comes from the exact covariance propagator of the Gaussian field
+and detector (``_gaussian_excitation``), which truncates and samples nothing.
+The Fock-state window path (``excitation_probability_per_cycle``) is its
+independent reference: a field state's quadrature is the Gauss rule of
+x_f = a + a' on a window of field levels (Golub and Welsch, Math. Comp. 23,
+221, 1969), each node driving a detector of DETECTOR_LEVELS levels.  x_f has a
+zero diagonal, so one SVD of a bidiagonal of half its size gives the rule
+(``_field_rule``, ``_golub_kahan_svd``).  The module needs only numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -68,11 +67,10 @@ RQI_MAX_STEPS = 8            # shifted solves before the iteration refuses
 RQI_TOL = 1e-13              # converged once |H v - sigma v| <= this times max |diag H|
 MAX_WINDOW = 2048            # field-window half-width cap: 4097-level rule ~4 s, ~300 MB (2 vCPUs)
 CYCLE_BLOCK = 1 << 15        # detector amplitudes per block of cycles: 0.5 MB per temporary
-THERMAL_NODES = 80           # first Gauss-Hermite node count of the thermal mixture
-MAX_NODES = 320              # node-doubling cap on cost: one detector drive per node
-NODE_TOL = 1e-9              # converged once a doubling moves P by at most this times max P,
-POPULATION_FLOOR = np.finfo(float).eps ** 2  # or by at most this, where P is rounding noise
-DETECTOR_LEVELS = 4          # detector levels the adiabaticity propagator keeps
+DETECTOR_LEVELS = 4          # detector levels the Fock-state window propagator keeps
+TAYLOR_NORM = 0.5            # largest 1-norm the exponential's argument is scaled to
+# 1/k! for k = 0 .. 15 as the coefficients of I, X, X^2, X^3 in each power of X^4
+TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 TAIL_TARGET = 1e-12          # geometric tail a truncated thermal state leaves out
 
 
@@ -445,29 +443,25 @@ def _detector_cycles(pp: PhysicalParams, kappa: np.ndarray, start: np.ndarray,
     return excited, psi
 
 
-def _golub_kahan_bidiagonal(beta: np.ndarray) -> np.ndarray:
-    """B^T, square upper bidiagonal, for the bidiagonal B in the Golub-Kahan form
-    of the zero-diagonal tridiagonal with off-diagonal ``beta``: for the
-    antisymmetric J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]] on
-    the (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1],
-    and a zero row pads B^T for odd n.  LAPACK's Householder bidiagonalization
-    leaves B^T unchanged, so no rounding enters its SVD before the bidiagonal
-    SVD itself.  The symmetric tridiagonal with the same ``beta`` has the
-    bidiagonal D_e B D_o, D_e = diag((-1)^i) and D_o = diag(-(-1)^i): the same
-    singular values, and singular vectors that differ only in signs."""
+def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U^T, sigma, V) with B = U diag(sigma) V^T, U^T square over the even rows,
+    sigma descending, V with one row per odd row, for the bidiagonal B in the
+    Golub-Kahan form of the zero-diagonal tridiagonal with off-diagonal ``beta``:
+    for the antisymmetric J[k+1, k] = beta[k] = -J[k, k+1], J = [[0, B], [-B^T, 0]]
+    on the (even, odd) row split, so B[i, i] = -beta[2i] and B[i, i-1] = beta[2i-1],
+    and a zero row pads B^T for odd n.  For odd n the last sigma is the structural
+    zero and the last row of U^T its null vector.  LAPACK's Householder
+    bidiagonalization leaves B^T (square upper bidiagonal) unchanged, so no
+    rounding enters before the bidiagonal SVD itself.  The symmetric tridiagonal
+    with the same ``beta`` has the bidiagonal D_e B D_o, D_e = diag((-1)^i) and
+    D_o = diag(-(-1)^i): the same singular values, and singular vectors that
+    differ only in signs."""
     n_even, n_odd = (len(beta) + 2) // 2, (len(beta) + 1) // 2
     bt = np.zeros((n_even, n_even))
     bt[np.arange(n_odd), np.arange(n_odd)] = -beta[0::2]
     bt[np.arange(n_even - 1), np.arange(1, n_even)] = beta[1::2]
-    return bt
-
-
-def _golub_kahan_svd(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U^T, sigma, V) with B = U diag(sigma) V^T (``_golub_kahan_bidiagonal``): U^T square
-    over the even rows, sigma descending, V with one row per odd row.  For odd n the
-    last sigma is the structural zero and the last row of U^T its null vector."""
-    v, sigma, ut = np.linalg.svd(_golub_kahan_bidiagonal(beta))
-    return ut, sigma, v[:(len(beta) + 1) // 2]
+    v, sigma, ut = np.linalg.svd(bt)
+    return ut, sigma, v[:n_odd]
 
 
 def _field_rule(n: int, first: int, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -542,46 +536,78 @@ def excitation_probability_per_cycle(
 
 @dataclass(frozen=True)
 class ThermalExcitation:
-    """Thermal-mixture P(detector excited) per cycle, its largest change under the last
-    node doubling (``tail_bound``), and the x_f values of the Gauss-Hermite nodes (``grid``)."""
+    """Thermal-field P(detector excited) per cycle; ``tail_bound`` and ``grid`` are
+    0 and empty: the covariance propagator truncates and samples nothing."""
 
     per_cycle: np.ndarray
     tail_bound: float
     grid: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _hermite_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Hermite rule of a unit-variance Gaussian, n even, from the
-    singular values of x_f's bidiagonal alone (``_golub_kahan_bidiagonal``): the
-    positive nodes s_j, descending, and each pair's weight 2 / p_n'(s_j)^2, p_n the
-    orthonormal Hermite polynomial, p_n'(s_j) = 2 s_j prod_{i!=j} (s_j^2 - s_i^2) / sqrt(n!).
-    The product is taken in split exponents (frexp mantissas multiplied, exponents
-    added, n! = prod_i (2i + 1)(2i + 2)), so no factor overflows up to MAX_NODES.
-    The rule depends on n alone, so it is built once per process and its arrays
-    are read-only: the mixture uses at most three (80, 160, 320 nodes, < 6 KB)."""
-    s = np.linalg.svd(_golub_kahan_bidiagonal(np.sqrt(np.arange(1.0, n))), compute_uv=False)
-    diff = (s[:, None] - s) * (s[:, None] + s)
-    np.fill_diagonal(diff, 2.0 * s)  # the factor 2 s_j in place of the zero difference
-    m_d, e_d = np.frexp(diff)
-    k = np.arange(1.0, n, 2)
-    m_f, e_f = np.frexp(k * (k + 1.0))
-    weight = np.ldexp(2.0 * m_f.prod() / m_d.prod(axis=1) ** 2, e_f.sum() - 2 * e_d.sum(axis=1))
-    s.flags.writeable = weight.flags.writeable = False
-    return s, weight
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the stack ``x``: the degree-15 Taylor polynomial, as
+    sum_j X^4j B_j with B_j = sum_i X^i / (4j + i)! (Paterson-Stockmeyer, six
+    products), of x scaled to a largest 1-norm of TAYLOR_NORM, squared back
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005); it drops TAYLOR_NORM^16/16!."""
+    norm = float(np.abs(x).sum(axis=-2).max())
+    s = max(0, math.ceil(math.log2(norm / TAYLOR_NORM))) if norm > 0.0 else 0
+    x = x * 0.5 ** s
+    powers = np.empty((4,) + x.shape)  # I, X, X^2, X^3
+    powers[0], powers[1] = np.eye(x.shape[-1]), x
+    np.matmul(x, x, out=powers[2])
+    np.matmul(powers[2], x, out=powers[3])
+    b = (TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape(powers.shape)
+    x4 = powers[2] @ powers[2]
+    e = b[3]
+    for j in (2, 1, 0):
+        e = x4 @ e + b[j]
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
-def _mixtures(pp: PhysicalParams, g: float, sigma: float, cycles: int,
-              counts: list[int]) -> list[np.ndarray]:
-    """P per cycle under the Gauss-Hermite rule of each node count of ``counts``,
-    x = sigma s_j, every rule's positive nodes driven in one ``_detector_cycles``
-    call and its table split into the rules' weighted sums.  The table dies on
-    return, so no caller holds it during its next drive."""
-    rules = [_hermite_pairs(n) for n in counts]
-    x = sigma * np.concatenate([s for s, _ in rules])
-    excited, _ = _detector_cycles(pp, g * x, np.ones(len(x)), cycles)
-    cuts = np.cumsum([len(s) for s, _ in rules[:-1]])
-    return [part @ weight for part, (_, weight) in zip(np.split(excited, cuts, axis=1), rules)]
+def _gaussian_excitation(g: float, rho: float, r: float, times) -> np.ndarray:
+    """P(detector excited) at each time of ``times`` (in cycles, >= 0) from the
+    field's thermal state of squeeze r and the detector's vacuum.
+
+    The generator g x_f (b + b') + rho b'b of ``_detector_cycles`` is quadratic.
+    The quadratures q = (X_f, P_f, X_d, P_d), [X, P] = i, x_f = sqrt(2) X_f, obey
+    q' = A q in scaled time Omega_a t, A = [[0, 0, 0, 0], [0, 0, -2g, 0],
+    [0, 0, 0, rho], [-2g, 0, -rho, 0]], and D = V - I/2, the covariance's
+    deviation from the vacuum's, obeys D' = A D + D A^T + Q, Q = (A + A^T)/2,
+    from D(0) = sinh^2 r diag(1, 1, 0, 0).  With exp(t Z) = [[., G], [0, F]],
+    Z = 2 pi [[-A, Q], [0, A^T]] per cycle, D = F^T D(0) F + F^T G exactly (Van
+    Loan, IEEE Trans. Autom. Control 23, 395, 1978); the last two columns of F
+    and G give the detector block M.  t = n + f takes exp(f Z) (``_expm``, none
+    at a boundary) times exp(n Z), whose columns for every n up to the largest
+    come from O(log n) doubling products.  P = 1 - det(V_d + I/2)^(-1/2)
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621, 2012) = 1 - (1 + x)^(-1/2),
+    x = tr M + det M, through log1p and expm1, so a P near 1e-10 keeps its
+    digits.  x is clipped at 0: each x_f drives the detector into a coherent
+    state, so its state is a mixture of coherent states, V_d >= I/2 and x >= 0;
+    a negative x is rounding."""
+    times = np.asarray(times, dtype=float)
+    a = np.array([[0, 0, 0, 0], [0, 0, -2 * g, 0], [0, 0, 0, rho], [-2 * g, 0, -rho, 0]], float)
+    z = np.zeros((8, 8))
+    z[:4, :4], z[:4, 4:], z[4:, 4:] = -2 * math.pi * a, math.pi * (a + a.T), 2 * math.pi * a.T
+    frac, whole = np.modf(times.reshape(-1))
+    n, inside = whole.astype(np.int64), np.flatnonzero(frac)
+    exps = _expm(np.append(1.0, frac[inside])[:, None, None] * z)
+    # rows c < top: the last two columns of exp(c Z) as rows, doubled by one product
+    # with exp(done Z) per step; then exp(f Z) exp(n Z) of each time inside a cycle
+    top = n.max(initial=0) + 1
+    cols = np.empty((top + len(inside), 2, 8))
+    cols[0], done, step = np.eye(8)[6:], 1, exps[0]
+    while done < top:
+        k = min(done, top - done)
+        np.matmul(cols[:k].reshape(-1, 8), step.T, out=cols[done:done + k].reshape(-1, 8))
+        done, step = done + k, step @ step
+    cols[top:] = cols[n[inside]] @ exps[1:].swapaxes(1, 2)
+    n[inside] = top + np.arange(len(inside))
+    f, f_top = cols[:, :, 4:], cols[:, :, 4:6]  # M = F^T D(0) F + F^T G, per row
+    m = f @ cols[:, :, :4].swapaxes(1, 2) + math.sinh(r) ** 2 * (f_top @ f_top.swapaxes(1, 2))
+    x = m[:, 0, 0] + m[:, 1, 1] + (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+    return -np.expm1(-0.5 * np.log1p(np.maximum(x[n], 0.0))).reshape(times.shape)
 
 
 def thermal_excitation_per_cycle(
@@ -590,39 +616,9 @@ def thermal_excitation_per_cycle(
     spec: EvolutionSpec,
     r_thermal: float,
 ) -> ThermalExcitation:
-    """Thermal-field excitation probability as one Gaussian expectation.
-
-    x_f commutes with the generator (see ``_evolve``) and is Gaussian with
-    variance sigma^2 = cosh 2r in the thermal state of squeeze r, so
-    P = sum_i w_i f(g x_i), f from ``_detector_cycles``, over the N-node
-    Gauss-Hermite rule of x_f on the levels 0 .. N - 1: x_i = sigma xi_i.  N is
-    even, so the nodes are pairs +-s_j, and f is even in the drive (the parity
-    (-1)^{b'b} maps kappa to -kappa and fixes |0_d> and the excited population):
-    each pair is driven once, at +s_j, with its weight from the singular values
-    alone (``_hermite_pairs``), within 1.4e-12 relative of a 40-digit rule up to
-    320 nodes.  So P carries up to ~3e-14 relative rounding beyond ``tail_bound``
-    (2e-14 relative itself at fig6-mhz, 1 mK, 3 cycles).  ``_field_rule`` keeps
-    the full SVD: the window evolver needs signed amplitude rows at a level
-    n0 > 0, which no formula in the values gives.  N doubles from THERMAL_NODES
-    until converged (NODE_TOL, POPULATION_FLOOR); past MAX_NODES it refuses,
-    naming the squeeze.  Each rule is built once per process (``_hermite_pairs``
-    is cached, read-only).  The first test compares THERMAL_NODES with twice as
-    many, so both rules are driven in one ``_detector_cycles`` call
-    (``_mixtures``); from 4 THERMAL_NODES on, one rule per call.  ``spec`` is
-    ignored.
-    """
-    if pp.lam == 0.0:
-        return ThermalExcitation(np.zeros(cycles), 0.0, np.zeros(0))
-    g, sigma = pp.lam / pp.Omega_a, math.sqrt(math.cosh(2.0 * r_thermal))
-    nodes = 2 * THERMAL_NODES  # the first test compares THERMAL_NODES with twice as many
-    previous, per_cycle = _mixtures(pp, g, sigma, cycles, [THERMAL_NODES, nodes])
-    while (change := float(np.abs(per_cycle - previous).max())) > max(
-            NODE_TOL * per_cycle.max(), POPULATION_FLOOR):
-        nodes *= 2
-        if nodes > MAX_NODES:
-            raise OracleError(f"thermal mixture unconverged at {MAX_NODES} nodes "
-                              f"(change {change:.2e}, squeeze r {r_thermal:.4g}, "
-                              f"mean occupation {math.sinh(r_thermal)**2:.4g})")
-        previous, (per_cycle,) = per_cycle, _mixtures(pp, g, sigma, cycles, [nodes])
-    x = sigma * _hermite_pairs(nodes)[0]  # the positive nodes, descending
-    return ThermalExcitation(per_cycle, change, np.concatenate([-x, x[::-1]]))
+    """P(detector excited) at the cycle boundaries 1 .. ``cycles`` from the thermal
+    field of squeeze ``r_thermal`` (0: the vacuum) and the detector's vacuum, by the
+    exact covariance propagator ``_gaussian_excitation``.  ``spec`` is ignored."""
+    per_cycle = _gaussian_excitation(pp.lam / pp.Omega_a, pp.Omega_b / pp.Omega_a, r_thermal,
+                                     np.arange(1, cycles + 1))
+    return ThermalExcitation(per_cycle, 0.0, np.zeros(0))

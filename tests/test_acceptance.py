@@ -41,7 +41,7 @@ from berrytherm.geomphase import (
 )
 from berrytherm.oracle import EvolutionSpec, OracleError, discrete_berry_loops
 from berrytherm.oracle import partial_sum_from_eps
-from berrytherm.oracle import excitation_probability_per_cycle, required_levels
+from berrytherm.oracle import required_levels
 from berrytherm.oracle import thermal_excitation_per_cycle
 from berrytherm.thermo import squeeze_from_temperature, unruh_temperature
 
@@ -214,8 +214,8 @@ def test_criterion_7_adiabaticity():
     """Excitation probability at cycle boundaries: < 1e-9 for the GHz vacuum
     preset, < 1e-3 for the MHz / 1 mK thermal preset; runtime < 5 min."""
     t0 = time.perf_counter()
-    ghz = excitation_probability_per_cycle(
-        PhysicalParams(1e9, 1e9, TAU * 1200.0), 8, EvolutionSpec())
+    ghz = thermal_excitation_per_cycle(
+        PhysicalParams(1e9, 1e9, TAU * 1200.0), 8, EvolutionSpec(), 0.0).per_cycle
     r_mhz = squeeze_from_temperature(1e6, 1e-3).r
     mhz = thermal_excitation_per_cycle(
         PhysicalParams(1e6, 1e6, TAU * 1200.0), 6,
@@ -226,7 +226,7 @@ def test_criterion_7_adiabaticity():
     ok = ghz_max < 1e-9 and mhz_max < 1e-3 and elapsed < 300
     _report(
         f"criterion 7: {'PASS' if ok else 'FAIL'} -- GHz vacuum max P = {ghz_max:.2e} "
-        f"(tol 1e-9); MHz/1mK thermal max P = {mhz_max:.2e} incl. node-doubling change "
+        f"(tol 1e-9); MHz/1mK thermal max P = {mhz_max:.2e} incl. truncation tail "
         f"{mhz.tail_bound:.1e} (tol 1e-3); runtime {elapsed:.1f} s (< 300 s)"
     )
     assert ghz_max < 1e-9

@@ -17,18 +17,18 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_adiabaticity_workload_runs_clean(monkeypatch, traced):
+def _adiabaticity_pass(monkeypatch, traced, sizes_of):
+    """One pass of the adiabaticity workload at the Sizes ``sizes_of`` builds,
+    traced or not: it records no problem and no failed op."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
     import workloads
 
-    sizes = workloads.Sizes(vacuum_reps=2, vacuum_cycles=1, thermal_cycles=1, thermal_T=2e-4)
     tracer = tracing.Tracer()
     if traced:
         tracer.install()
     try:
-        out = workloads.run_adiabaticity(seed=7, seconds=0.0, sizes=sizes)
+        out = workloads.run_adiabaticity(seed=7, seconds=0.0, sizes=sizes_of(workloads))
     finally:
         tracer.uninstall()  # a no-op when nothing was installed
     assert out.problems == []
@@ -37,6 +37,18 @@ def test_adiabaticity_workload_runs_clean(monkeypatch, traced):
     if traced:
         assert {"oracle.excitation_probability_per_cycle",
                 "oracle.thermal_excitation_per_cycle"} <= {span[2] for span in tracer.spans}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_adiabaticity_workload_runs_clean(monkeypatch, traced):
+    _adiabaticity_pass(monkeypatch, traced, lambda workloads: workloads.Sizes(
+        vacuum_reps=2, vacuum_cycles=1, thermal_cycles=1, thermal_T=2e-4))
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_adiabaticity_workload_runs_clean_at_the_benchmark_sizes(monkeypatch, traced):
+    # the benchmark's own sizes: 1 mK, 3 thermal cycles and the n0 = 1808 hot point
+    _adiabaticity_pass(monkeypatch, traced, lambda workloads: workloads.Sizes())
 
 
 def test_certify_workload_runs_clean(monkeypatch):

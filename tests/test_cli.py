@@ -120,13 +120,25 @@ def test_overflow_is_a_numerical_failure_naming_the_inputs(capsys, argv, inputs)
     assert capsys.readouterr().err == f"numerical failure: overflow at {inputs}\n"
 
 
-def test_thermal_refusal_names_the_mean_occupation(capsys):
-    # at 1 K the 1 MHz field holds ~1.3e5 quanta, beyond what 320 nodes resolve
-    assert main(["adiabaticity", "--preset", "fig6-mhz", "--temperature", "1"]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: thermal mixture unconverged at 320 nodes")
-    assert "squeeze r 6.584, mean occupation 1.309e+05)" in err
-    assert "Traceback" not in err
+def _boundary_bound(preset: str, temperature: float) -> float:
+    """1e-14 of the in-cycle peak 1 - (1 + 8 g^2 cosh 2r)^(-1/2) of a resonant
+    preset: the most that rounding may leave at a cycle boundary, where the
+    excitation is 0."""
+    p = PRESETS[preset]
+    r = thermo.squeeze_from_temperature(p["gap"], temperature).r if temperature else 0.0
+    g = p["coupling"] / p["gap"]
+    return 1e-14 * -math.expm1(-0.5 * math.log1p(8.0 * g * g * math.cosh(2.0 * r)))
+
+
+def test_adiabaticity_mhz_preset_at_1_kelvin(tmp_path):
+    # at 1 K the 1 MHz field holds ~1.3e5 quanta; the covariance propagator
+    # takes them like any other squeeze
+    code, text = run(["adiabaticity", "--preset", "fig6-mhz", "--temperature", "1"], tmp_path)
+    assert code == EXIT_OK
+    ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
+    assert len(ps) == 8
+    assert all(0.0 <= p <= 1.0 for p in ps)
+    assert max(ps) <= _boundary_bound("fig6-mhz", 1.0)
 
 
 RESONANT_GHZ = ["--omega-a", "1e9", "--omega-b", "1e9", "--coupling", "7539.8"]
@@ -380,9 +392,10 @@ def test_adiabaticity_zero_coupling_all_zero(tmp_path):
 
 
 def test_adiabaticity_zero_coupling_thermal_all_zero(tmp_path, monkeypatch):
-    # the thermal mixture short-circuits like the vacuum path: no node is evaluated
+    # the covariance propagator never reaches the Fock window's detector, and at
+    # zero coupling nothing drives the detector's covariance: every P is exactly 0
     def never(*args):
-        raise AssertionError("zero coupling evaluated the detector")
+        raise AssertionError("the thermal path evaluated the Fock window's detector")
 
     monkeypatch.setattr(oracle, "_detector_cycles", never)
     code, text = run(["adiabaticity", "--gap", "1e6", "--coupling", "0",
@@ -393,8 +406,7 @@ def test_adiabaticity_zero_coupling_thermal_all_zero(tmp_path, monkeypatch):
 
 
 def test_adiabaticity_ghz_preset_long_run(tmp_path):
-    # 10 000 cycles: each cycle's phase is evaluated afresh, so every node keeps
-    # its norm to the 1e-12 unitarity check and no row comes near 1e-9
+    # 10 000 cycles, from doubling powers of the one-cycle block: no row comes near 1e-9
     code, text = run(["adiabaticity", "--preset", "fig6-ghz", "--cycles", "10000"], tmp_path)
     assert code == EXIT_OK
     ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
@@ -402,22 +414,25 @@ def test_adiabaticity_ghz_preset_long_run(tmp_path):
     assert max(ps) < 1e-9
 
 
-def test_adiabaticity_mhz_preset_default_cycles(tmp_path, monkeypatch):
-    # 8 cycles by default: the node doubling converges and no node refuses on norm drift
-    mixtures = []
-    thermal = oracle.thermal_excitation_per_cycle
-
-    def recording(*args):
-        mixtures.append(thermal(*args))
-        return mixtures[-1]
-
-    monkeypatch.setattr(oracle, "thermal_excitation_per_cycle", recording)
+def test_adiabaticity_mhz_preset_default_cycles(tmp_path):
+    # 8 cycles by default.  On resonance the excitation is 0 at every cycle
+    # boundary, so each row is rounding: at least 0 and at most 1e-14 of the
+    # in-cycle peak, 5.47e-2
     code, text = run(["adiabaticity", "--preset", "fig6-mhz"], tmp_path)
     assert code == EXIT_OK
     ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
     assert len(ps) == 8
-    tail = mixtures[0].tail_bound
-    assert all(0.0 < p and p + tail < 1e-3 for p in ps)
+    assert all(0.0 <= p <= _boundary_bound("fig6-mhz", 1e-3) for p in ps)
+
+
+def test_adiabaticity_mhz_preset_thousand_cycles(tmp_path):
+    # the Gauss-Hermite mixture refused this run, unconverged at 320 nodes; the
+    # covariance propagator keeps every boundary at its rounding bound
+    code, text = run(["adiabaticity", "--preset", "fig6-mhz", "--cycles", "1000"], tmp_path)
+    assert code == EXIT_OK
+    ps = [float(ln.split(",")[1]) for ln in text.strip().split("\n")[1:]]
+    assert len(ps) == 1000
+    assert all(0.0 <= p <= _boundary_bound("fig6-mhz", 1e-3) for p in ps)
 
 
 def test_diagonalize_json_report(tmp_path):
@@ -529,6 +544,23 @@ def test_diagonalize_keeps_every_preset_at_one_build_of_24_levels(monkeypatch):
                                    "coupling": p["coupling"]})
         assert rep["cutoff"] == 24
         assert sorted(calls) == ["eigenstates", "hamiltonian_action"]
+
+
+def test_diagonalize_sizing_crops_the_build_that_fits(monkeypatch):
+    # lam/Omega_a = 0.498 fits first at the 320-level build and is sized to 276
+    # levels: the 320-level build is cropped and renormalized, not rebuilt, and
+    # the crop is the 276-level build's columns to rounding
+    sizes = []
+    build = fockspace.eigenstates
+    monkeypatch.setattr(fockspace, "eigenstates",
+                        lambda dps, occ, dims: sizes.append(dims.n_field) or build(dps, occ, dims))
+    dp = diagonalization.invert_physical(PhysicalParams(1.0, 1.0, 0.498)).params
+    occupations = ((0, 0), (1, 0), (0, 1))
+    psis = cli._diag_eigenstates(dp, occupations, None)
+    assert sizes == [24, 48, 96, 192, 320]
+    assert psis.shape == (276, 276, 3)
+    np.testing.assert_allclose(psis, build([dp] * 3, occupations, fockspace.FockDims(276, 276)),
+                               rtol=0, atol=1e-15)
 
 
 def test_diagonalize_refuses_a_default_cutoff_past_its_cap(capsys):
@@ -717,6 +749,24 @@ def test_certify_fails_on_closed_forms_shifted_by_1e_10(monkeypatch):
     assert len(cells) == 32
     assert not any(c["passed"] for c in cells)
     assert min(c["difference_rad"] for c in cells) > 5e-11
+
+
+def test_certify_loop_residual_is_infinite_when_every_cell_refuses(monkeypatch, tmp_path):
+    # x_d and x_f scaled by 1 + 1e-9 in H: no eigenpair of the grid converges,
+    # so all 32 cells refuse.  With no difference measured, the residual must not
+    # read below the tolerance: it is infinite, written as null in JSON
+    position = fockspace._position
+    monkeypatch.setattr(fockspace, "_position", lambda n: position(n) * (1 + 1e-9))
+    report = certification_report()
+    cells = [c for c in report["loop_cells"] if "occupation" in c]
+    assert len(cells) == 32 and all("refused" in c for c in cells)
+    check = next(c for c in report["checks"] if c["name"] == "loop_vs_closed_form_grid")
+    assert check["passed"] is False
+    assert not check["residual"] < check["tolerance"]
+    assert main(["certify", "--out", str(tmp_path / "r.json")]) == EXIT_CERTIFICATION
+    written = json.loads((tmp_path / "r.json").read_text())
+    assert next(c for c in written["checks"]
+                if c["name"] == "loop_vs_closed_form_grid")["residual"] is None
 
 
 def _rejected_as_flag_and_config_key(tmp_path, capsys, argv, key, value):
@@ -959,12 +1009,16 @@ def test_closed_form_layers_import_no_dataclasses_and_cli_json_only_to_write_it(
 # ``squeeze_action``, ``beam_splitter_action`` and ``tridiagonal_exp_action``,
 # a second representation of U beside its map on the ladder operators;
 # ``rotation_covariance_residual`` checked H(varphi) at varphi != 0, which the
-# package no longer applies
+# package no longer applies; ``_hermite_pairs``, ``_mixtures`` and their node
+# constants sampled the thermal field on a truncated detector, where the
+# covariance propagator is exact
 RETIRED_NAMES = ("kron", "StateVector", "basis_state", "number_diagonal", "unitary_action",
                  "squeeze_action", "beam_splitter_action", "tridiagonal_exp_action",
                  "_modes_up", "_padded", "_coupling_path", "_add_diagonal",
                  "LoopSpec", "_loop_raw_phase", "LEVEL_CROSSING_OVERLAP", "pancharatnam_product",
-                 "error_estimate", "rotation_covariance_residual")
+                 "error_estimate", "rotation_covariance_residual",
+                 "_hermite_pairs", "_mixtures", "THERMAL_NODES", "MAX_NODES", "NODE_TOL",
+                 "POPULATION_FLOOR")
 
 
 def test_package_builds_no_kronecker_product():
@@ -978,12 +1032,10 @@ def test_package_builds_no_kronecker_product():
     assert offenders == []
 
 
-# Every cached src function, with why its key is not a physics input: a cache keyed
+# Every cached src function (none today), with why its key is not a physics input: a cache keyed
 # on the parameters, a squeeze or a cycle count would serve one stale answer
 # wherever the same inputs recur, and grow with every sweep point
-ALLOWED_CACHES = {
-    "oracle._hermite_pairs": "a Gauss-Hermite rule, keyed on its node count",
-}
+ALLOWED_CACHES: dict[str, str] = {}
 PHYSICS_INPUTS = {"pp", "pps", "dp", "dps", "r", "r_thermal", "cycles", "accel", "temperature"}
 
 

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -762,9 +761,6 @@ SEED_ROWS_600 = {
     865: [0.0025018705116642836, 0.007802815638190075, 0.014385187091215057],
     1808: [0.04396038495112964, 0.07809333503940119, 0.0728250615649505],
 }
-# The PCHIP occupation-grid mixture the Gauss-Hermite one replaced; 5.6e-4 apart at cycle 3
-SEED_MIXTURE_1MK_600 = [2.7700379737287204e-05, 7.93297116557639e-05, 0.00014490710730438624]
-MIXTURE_1MK = [2.7723506888466532e-05, 7.932735711755037e-05, 0.00014482629958497816]
 
 
 def test_evolver_pinned_to_stepwise_values():
@@ -776,173 +772,56 @@ def test_evolver_pinned_to_stepwise_values():
     assert 5e-11 < moved < 2e-10
 
 
-def test_thermal_mixture_pinned_at_1mk():
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, EvolutionSpec(), R_1MK)
-    assert len(mix.grid) == 160
-    assert mix.tail_bound < 1e-15
-    np.testing.assert_allclose(mix.per_cycle, MIXTURE_1MK, rtol=0, atol=1e-12 + mix.tail_bound)
-    moved = np.abs(np.array(SEED_MIXTURE_1MK_600) / mix.per_cycle - 1.0)
-    assert 5e-4 < moved.max() < 1e-3
+DETUNED = [PhysicalParams(1.0, 0.77, 0.02), PhysicalParams(1.0, 1.3, 0.02)]
 
 
-def _recording_detector(monkeypatch):
-    """Record (drives, excited, final amplitudes) of every ``_detector_cycles``
-    call, and fail on any window-evolver call."""
-    calls = []
-    detector = oracle._detector_cycles
-
-    def recording(pp, kappa, start, cycles):
-        excited, psi = detector(pp, kappa, start, cycles)
-        calls.append((kappa, excited, psi))
-        return excited, psi
-
-    def never(*args):
-        raise AssertionError("the thermal mixture ran the window evolver")
-
-    monkeypatch.setattr(oracle, "_detector_cycles", recording)
-    monkeypatch.setattr(oracle, "_evolve", never)
-    return calls
-
-
-def test_thermal_mixture_sizes_steps_once_and_doubles_nodes(monkeypatch):
-    # 8 cycles, the CLI default: 80 nodes are not enough (80 -> 160 moves P by
-    # ~3e-4 relative), so the mixture runs 80, 160 and 320 nodes, each +- pair
-    # driven once at its positive node with the pair's weight.  The first test
-    # always compares 80 with 160 nodes, so their 40 + 80 drives share one call
-    calls = _recording_detector(monkeypatch)
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
-    assert [len(kappa) for kappa, *_ in calls] == [120, 160]
-    assert all(np.all(kappa > 0.0) for kappa, *_ in calls)
-    g, sigma = FIG6_MHZ.lam / FIG6_MHZ.Omega_a, math.sqrt(math.cosh(2.0 * R_1MK))
-    for part, n in ((calls[0][0][:40], 80), (calls[0][0][40:], 160), (calls[1][0], 320)):
-        np.testing.assert_array_equal(part, g * (sigma * oracle._hermite_pairs(n)[0]))
-    assert len(mix.grid) > 80
-    p80, p160 = (excited @ (2.0 * oracle._field_rule(n, 0, [0])[1][0, n // 2:][::-1] ** 2)
-                 for excited, n in zip(np.split(calls[0][1], [40], axis=1), (80, 160)))
-    assert np.abs(p160 / p80 - 1.0).max() > 1e-4
-    assert mix.tail_bound <= oracle.NODE_TOL * mix.per_cycle.max()
-    # every node of every doubling keeps its norm to the 1e-12 unitarity check
-    for _, _, psi in calls:
-        assert np.abs(np.linalg.norm(psi, axis=1) - 1.0).max() <= 1e-12
-
-
-def test_thermal_mixture_matches_occupation_sum():
-    # n-bar ~ 10: the exact sum over Fock rows to a 1e-20 weight tail (483 rows)
-    r = squeeze_from_temperature(1e6, 8e-5).r
-    assert math.sinh(r) ** 2 == pytest.approx(10.0, rel=0.01)
-    spec = EvolutionSpec()
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, 3, spec, r)
-    n_max = required_levels(r, 1e-20)
-    assert n_max == 482
-    w, _ = thermal_weights(r, n_max)
-    exact = w @ [excitation_probability_per_cycle(FIG6_MHZ, 3, spec, n) for n in range(n_max + 1)]
-    np.testing.assert_allclose(mix.per_cycle, exact, rtol=1e-10, atol=0)
-
-
-def test_thermal_mixture_refuses_past_node_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_NODES", 160)
-    with pytest.raises(OracleError, match="unconverged at 160 nodes"):
-        thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
-
-
-def test_thermal_mixture_forms_no_singular_vectors(monkeypatch):
-    # one values-only SVD per rule, 80, 160 and 320 nodes at 8 cycles, on a cold
-    # call; a second call finds every rule cached and takes no SVD
-    calls = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        calls.append({**dict(zip(("full_matrices", "compute_uv"), args)), **kwargs})
-        return svd(a, *args, **kwargs)
-
-    oracle._hermite_pairs.cache_clear()
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
-    assert len(mix.grid) == 320
-    assert [call.get("compute_uv", True) for call in calls] == [False] * 3
-    again = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
-    assert len(calls) == 3
-    assert again.per_cycle.tobytes() == mix.per_cycle.tobytes()
-
-
-def test_cached_hermite_rule_is_read_only():
-    # the cached rule is shared by every later mixture, so no caller may write to it
-    s, weight = oracle._hermite_pairs(80)
-    assert oracle._hermite_pairs(80)[0] is s
-    for array in (s, weight):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
-
-
-def test_vacuum_path_equals_thermal_path_at_zero_squeeze():
-    # r = 0 is the vacuum: the 14-node window rule from |0_f> and the cached
-    # Gauss-Hermite rule give the same P.  At fig6-ghz both are rounding noise
-    # near 1e-41, so they agree only to the population floor
-    spec = EvolutionSpec()
-    for cycles in (3, 8):
-        vacuum = excitation_probability_per_cycle(FIG6_MHZ, cycles, spec, 0)
-        thermal = thermal_excitation_per_cycle(FIG6_MHZ, cycles, spec, 0.0)
-        assert len(thermal.grid) == 160
-        np.testing.assert_allclose(thermal.per_cycle, vacuum, rtol=1e-10, atol=0)
-    ghz = PhysicalParams(1e9, 1e9, TAU * 1200.0)
-    vacuum = excitation_probability_per_cycle(ghz, 3, spec, 0)
-    thermal = thermal_excitation_per_cycle(ghz, 3, spec, 0.0)
-    np.testing.assert_allclose(thermal.per_cycle, vacuum, rtol=0, atol=oracle.POPULATION_FLOOR)
-
-
-@pytest.mark.parametrize("nodes", [80, 160, 320])
-def test_hermite_pairs_match_hermgauss(nodes):
-    # the positive half of numpy's rule, descending, each pair's two weights summed
-    s, weight = oracle._hermite_pairs(nodes)
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    np.testing.assert_allclose(s, math.sqrt(2.0) * t[:nodes // 2 - 1:-1], rtol=1e-13, atol=0)
-    np.testing.assert_allclose(weight, 2.0 * w[:nodes // 2 - 1:-1] / math.sqrt(math.pi),
-                               rtol=1e-11, atol=0)
-    assert weight.sum() == pytest.approx(1.0, abs=1e-13)
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_rule_40_digits(nodes):
-    """(s, weight) of the pairs of the nodes-point rule at 40 digits: each double node
-    of ``_hermite_pairs`` refined by one Newton step on He_n, and the pair weight
-    2 n! / He_n'(x)^2, He_n' = n He_{n-1} moved to the refined node to first order."""
+def _law_40_digits(pp, r, t):
+    """P(t) = 1 - (1 + 8 g^2 cosh 2r sin^2(pi rho t) / rho^2)^(-1/2) at 40 digits:
+    the Gaussian average over x_f of the coherent drive of each x_f."""
     mp = pytest.importorskip("mpmath")
-    out = []
     with mp.workdps(40):
-        for x in map(mp.mpf, oracle._hermite_pairs(nodes)[0].tolist()):
-            he = [mp.mpf(1), x]
-            for k in range(1, nodes):
-                he.append(x * he[k] - k * he[k - 1])
-            dx = -he[nodes] / (nodes * he[nodes - 1])
-            d_he = nodes * (he[nodes - 1] + dx * (nodes - 1) * he[nodes - 2])
-            out.append((x + dx, 2 * mp.factorial(nodes) / d_he ** 2))
-    return out
+        g, rho = mp.mpf(pp.lam) / pp.Omega_a, mp.mpf(pp.Omega_b) / pp.Omega_a
+        y = 8 * g ** 2 * mp.cosh(2 * mp.mpf(r)) * mp.sin(mp.pi * rho * mp.mpf(t)) ** 2 / rho ** 2
+        return 1 - 1 / mp.sqrt(1 + y)
 
 
-@pytest.mark.parametrize("nodes", [80, 160, 320])
-def test_hermite_pairs_match_40_digit_rule(nodes):
-    # nodes to 16 ulps; every weight above 1e-290 to 2e-12 relative, the deep tail
-    # too, where the full SVD's U[0, j]^2 is accurate only to ~4e-16 absolute
-    s, weight = oracle._hermite_pairs(nodes)
-    ref = _pair_rule_40_digits(nodes)
-    node_err = max(abs(float((x - r) / r)) for x, (r, _) in zip(s.tolist(), ref))
-    assert node_err <= 16 * np.finfo(float).eps
-    weight_err = [abs(float((w - r) / r)) for w, (_, r) in zip(weight.tolist(), ref) if r > 1e-290]
-    assert len(weight_err) == nodes // 2
-    assert max(weight_err) <= 2e-12
+def test_thermal_mixture_matches_occupation_sum(monkeypatch):
+    # n-bar = 1 off resonance, where P at the cycle boundaries is not 0: the
+    # covariance propagator against the Fock rows of the window evolver, on a
+    # detector of 40 levels, summed with the thermal weights to a 1e-18 tail
+    # (60 rows)
+    monkeypatch.setattr(oracle, "DETECTOR_LEVELS", 40)
+    r = math.asinh(1.0)
+    spec = EvolutionSpec()
+    n_max = required_levels(r, 1e-18)
+    w, _ = thermal_weights(r, n_max)
+    for pp in DETUNED:
+        exact = w @ [excitation_probability_per_cycle(pp, 3, spec, n) for n in range(n_max + 1)]
+        assert exact.min() > 1e-5
+        mix = thermal_excitation_per_cycle(pp, 3, spec, r)
+        np.testing.assert_allclose(mix.per_cycle, exact, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("cycles", [3, 8])
 def test_thermal_mixture_matches_40_digit_rule(cycles):
-    # P against sum_j w_j f(sigma s_j) with the 40-digit pairs, at the node count
-    # the mixture converged at: the weight rounding stays near 1e-14 relative
-    mix = thermal_excitation_per_cycle(FIG6_MHZ, cycles, EvolutionSpec(), R_1MK)
-    ref = _pair_rule_40_digits(len(mix.grid))
-    x = math.sqrt(math.cosh(2.0 * R_1MK)) * np.array([float(r) for r, _ in ref])
-    excited, _ = oracle._detector_cycles(FIG6_MHZ, FIG6_MHZ.lam / FIG6_MHZ.Omega_a * x,
-                                         np.ones(len(x)), cycles)
-    expect = excited @ np.array([float(w) for _, w in ref])
-    np.testing.assert_allclose(mix.per_cycle, expect, rtol=1e-13, atol=0)
+    # every cycle boundary off resonance, where P is not 0, against the
+    # 40-digit law (the Gaussian average over x_f of each x_f's coherent drive)
+    for pp in DETUNED:
+        mix = thermal_excitation_per_cycle(pp, cycles, EvolutionSpec(), R_1MK)
+        law = [float(_law_40_digits(pp, R_1MK, t)) for t in range(1, cycles + 1)]
+        np.testing.assert_allclose(mix.per_cycle, law, rtol=1e-13, atol=0)
+
+
+def test_vacuum_path_equals_thermal_path_at_zero_squeeze(monkeypatch):
+    # r = 0 is the vacuum: the window evolver from |0_f> on a detector of 40
+    # levels and the covariance propagator give the same P off resonance
+    monkeypatch.setattr(oracle, "DETECTOR_LEVELS", 40)
+    spec = EvolutionSpec()
+    for pp in DETUNED:
+        vacuum = excitation_probability_per_cycle(pp, 8, spec, 0)
+        thermal = thermal_excitation_per_cycle(pp, 8, spec, 0.0)
+        assert (thermal.tail_bound, len(thermal.grid)) == (0.0, 0)
+        np.testing.assert_allclose(thermal.per_cycle, vacuum, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("nodes", [80, 81, 160, 161, 320])
@@ -1061,12 +940,91 @@ def test_evolution_window_doubling_stops_at_cap(monkeypatch):
     assert windows == [1500]
 
 
+# --------------------------------------------------------------------------
+# The covariance propagator of the thermal (and vacuum) field
+# --------------------------------------------------------------------------
+
+FIG6_GHZ = PhysicalParams(1e9, 1e9, TAU * 1200.0)
+LAW_CASES = {
+    "fig6-ghz-vacuum": (FIG6_GHZ, 0.0),
+    "fig6-mhz-1mK": (FIG6_MHZ, R_1MK),
+    "fig6-mhz-1K": (FIG6_MHZ, squeeze_from_temperature(1e6, 1.0).r),
+}
+
+
+def _core(pp, r, times):
+    return oracle._gaussian_excitation(pp.lam / pp.Omega_a, pp.Omega_b / pp.Omega_a, r, times)
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_gaussian_excitation_matches_40_digit_law(case):
+    # inside a cycle to 1e-13 relative; at the boundaries, where the law is 0,
+    # to 1e-14 of the in-cycle peak (the excitation at half a cycle)
+    pp, r = LAW_CASES[case]
+    inside, boundaries = [0.25, 2.5], [1.0, 3.0, 8.0]
+    p = _core(pp, r, inside + boundaries)
+    for t, value in zip(inside, p):
+        law = _law_40_digits(pp, r, t)
+        assert law > 0 and abs(float((value - law) / law)) <= 1e-13, (t, value)
+    peak = float(_law_40_digits(pp, r, 0.5))
+    assert np.all(np.abs(p[2:]) <= 1e-14 * peak)
+    per_cycle = thermal_excitation_per_cycle(pp, 8, EvolutionSpec(), r).per_cycle
+    assert np.all((per_cycle >= 0.0) & (per_cycle <= 1e-14 * peak))
+
+
 def test_thermal_mixture_tiny_values_kept_and_nonnegative():
-    # fig6-ghz at 0.2 K: every node's excitation is rounding noise near 1e-35;
-    # the mixture converges to the population floor, positive and not rounded to zero
-    pp = PhysicalParams(1e9, 1e9, TAU * 1200.0)
-    spec = EvolutionSpec()
-    mix = thermal_excitation_per_cycle(pp, 2, spec, squeeze_from_temperature(1e9, 0.2).r)
-    assert mix.tail_bound <= oracle.POPULATION_FLOOR
-    assert np.all(mix.per_cycle > 0.0)
-    assert mix.per_cycle.max() < 1e-9
+    # fig6-ghz: the in-cycle P of ~2.3e-10 keeps its digits through log1p and
+    # expm1, and the boundary values, rounding around 0, are clipped at 0
+    p = _core(FIG6_GHZ, 0.0, [0.5, 1.0, 1.5, 2.0])
+    for t, value in zip([0.5, 1.5], p[::2]):
+        assert value == pytest.approx(float(_law_40_digits(FIG6_GHZ, 0.0, t)), rel=1e-13)
+    assert 0.0 <= p[1::2].min() and p[1::2].max() <= 1e-14 * p[0]
+    mix = thermal_excitation_per_cycle(FIG6_GHZ, 2, EvolutionSpec(),
+                                       squeeze_from_temperature(1e9, 0.2).r)
+    assert np.all(mix.per_cycle >= 0.0)
+    assert mix.per_cycle.max() < 1e-20
+
+
+def test_gaussian_excitation_does_not_depend_on_batching():
+    # a time's P does not depend on which times share its call, nor on their order
+    times = [0.25, 3.0, 2.5, 1.0, 1000.75, 8.0]
+    alone = [float(_core(DETUNED[0], 0.7, [t])[0]) for t in times]
+    together = _core(DETUNED[0], 0.7, times)
+    np.testing.assert_allclose(together, alone, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(_core(DETUNED[0], 0.7, times[::-1]), together[::-1])
+
+
+def test_cycle_powers_match_the_law_over_200_cycles():
+    # every boundary of a long run from the doubling powers of the one-cycle
+    # block.  rho = 1.3 closes the detector's loop every 10 cycles, where the law
+    # is 0.  The phase rounding of c cycles grows like c eps: 2.3e-13 of the
+    # peak at cycle 198
+    pp, r = DETUNED[1], 0.9
+    got = thermal_excitation_per_cycle(pp, 200, EvolutionSpec(), r).per_cycle
+    law = np.array([float(_law_40_digits(pp, r, t)) for t in range(1, 201)])
+    assert (law < 1e-20).sum() == 20
+    assert np.abs(got - law).max() <= 1e-12 * law.max()
+    np.testing.assert_allclose(got[:8], law[:8], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
+def test_expm_matches_scipy(scale):
+    # the scaled Taylor step on a stack of general 8 x 8 matrices, from no
+    # squaring (the zero matrix) to seven
+    x = scale * np.random.default_rng(5).standard_normal((3, 8, 8)) / 8.0
+    got = oracle._expm(x)
+    expect = np.array([expm(m) for m in x])
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * max(1.0, np.abs(expect).max()))
+
+
+def test_thermal_mixture_forms_no_singular_vectors(monkeypatch):
+    # the covariance propagator is matrix products alone: no SVD and no
+    # eigensolver, so it forms no singular vector; repeated calls give the same bits
+    def never(*args, **kwargs):
+        raise AssertionError("the thermal oracle called a dense decomposition")
+
+    for name in ("svd", "eigh", "eig", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, never)
+    mix = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
+    again = thermal_excitation_per_cycle(FIG6_MHZ, 8, EvolutionSpec(), R_1MK)
+    assert again.per_cycle.tobytes() == mix.per_cycle.tobytes()
