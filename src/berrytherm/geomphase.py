@@ -19,7 +19,7 @@ are ``typing.NamedTuple``s.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import thermo
 from .diagonalization import DiagParams, PhysicalParams, derive_params, normal_modes
@@ -33,10 +33,12 @@ __all__ = [
     "eigen_berry_phase",
     "epsilon",
     "mixed_phase_offset",
+    "thermal_terms",
     "thermometer_delta_from_eps",
     "thermometer_slope_from_eps",
     "unruh_squeeze",
     "delta_per_cycle_from_eps",
+    "unruh_phases",
     "accumulate_cycles",
 ]
 
@@ -128,37 +130,50 @@ def epsilon(pp: PhysicalParams) -> float:
     return 0.5 * cos_2theta + one_plus_cos * math.sinh(u) ** 2
 
 
+def _mixed_phase(s: float, c: float, r: float) -> float:
+    """``mixed_phase_offset`` at s = sin 2 pi eps, c = cos 2 pi eps."""
+    sh2 = math.sinh(r) ** 2
+    return math.atan2(sh2 * s, math.cosh(r) ** 2 + sh2 * c)
+
+
 def mixed_phase_offset(eps: float, r: float) -> float:
     """Arg(cosh^2 r - e^{2 pi i G} sinh^2 r) = Arg(cosh^2 r + e^{2 pi i eps} sinh^2 r),
     on (-pi, pi]: the thermal mixed-state phase is gamma_0 minus this offset."""
-    sh2 = math.sinh(r) ** 2
-    return math.atan2(sh2 * math.sin(TAU * eps), math.cosh(r) ** 2 + sh2 * math.cos(TAU * eps))
+    return _mixed_phase(math.sin(TAU * eps), math.cos(TAU * eps), r)
+
+
+def thermal_terms(eps: float, omega: float,
+                  temps: Iterable[float]) -> Iterator[tuple[float, float]]:
+    """At each temperature T > 0, Arg(1 + x e^{-2 pi i eps}), x = e^{-y}, y = hbar w / k T,
+    and its derivative -(x y / T) sin 2 pi eps / (1 + 2 x cos 2 pi eps + x^2) in T.
+    A T whose k_B T underflows to 0 is refused by ``boltzmann_exponent``."""
+    s, c = math.sin(TAU * eps), math.cos(TAU * eps)
+    hw, k_B, exp, atan2 = CONSTANTS.hbar * omega, CONSTANTS.k_B, math.exp, math.atan2
+    for t in temps:
+        k_t = k_B * t
+        y = hw / k_t if k_t else boltzmann_exponent(omega, t)  # k_B T is 0: refused by name
+        x = exp(-y)
+        yield atan2(-x * s, 1.0 + x * c), -(x * y / t) * s / (1.0 + 2.0 * x * c + x * x)
 
 
 def thermometer_delta_from_eps(eps: float, omega: float, t_cold: float, t_hot: float) -> float:
     """Arg(1 - e^{-hbar w/kT1 - 2 pi i G}) - Arg(1 - e^{-hbar w/kT2 - 2 pi i G}).
 
-    Each term is Arg(1 + x e^{-2 pi i eps}), x = e^{-hbar w/kT}.  Identically
-    equal to the difference of the two mixed-state thermal phases;
+    Each term is Arg(1 + x e^{-2 pi i eps}), x = e^{-hbar w/kT} (``thermal_terms``).
+    Identically equal to the difference of the two mixed-state thermal phases;
     antisymmetric under swapping the temperatures.
     """
-    s, c = math.sin(TAU * eps), math.cos(TAU * eps)
-
-    def term(temp: float) -> float:
-        x = math.exp(-boltzmann_exponent(omega, temp))
-        return math.atan2(-x * s, 1.0 + x * c)
-
-    return term(t_cold) - term(t_hot)
+    boltzmann_exponent(omega, t_cold), boltzmann_exponent(omega, t_hot)  # the input checks
+    (cold, _), (hot, _) = thermal_terms(eps, omega, (t_cold, t_hot))
+    return cold - hot
 
 
 def thermometer_slope_from_eps(eps: float, omega: float, t_cold: float) -> float:
     """d delta / d T_cold = -(x y / T_c) sin 2 pi eps / (1 + 2 x cos 2 pi eps + x^2),
     y = hbar w / k T_c, x = e^{-y}: the derivative of the cold term of
     ``thermometer_delta_from_eps``."""
-    y = boltzmann_exponent(omega, t_cold)
-    x = math.exp(-y)
-    c = math.cos(TAU * eps)
-    return -(x * y / t_cold) * math.sin(TAU * eps) / (1.0 + 2.0 * x * c + x * x)
+    boltzmann_exponent(omega, t_cold)  # the input checks
+    return next(thermal_terms(eps, omega, (t_cold,)))[1]
 
 
 def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
@@ -174,11 +189,7 @@ def unruh_squeeze(Omega_a: float, accel: float) -> ThermalSqueeze:
         raise ValueError(f"acceleration must be positive, got {accel}")
     if Omega_a <= 0.0:
         raise ValueError(f"field frequency must be positive, got {Omega_a}")
-    r = thermo.arctanh_exp(math.pi * Omega_a * CONSTANTS.c / accel)
-    if not math.tanh(r) < 1.0:
-        raise ValueError(f"acceleration {accel:.6g} m/s^2 too large at field frequency "
-                         f"{Omega_a:.6g} rad/s: tanh r rounds to 1 (r = {r:.6g})")
-    return ThermalSqueeze(r=r)
+    return ThermalSqueeze(r=next(unruh_phases(0.0, Omega_a, (accel,)))[0])
 
 
 def delta_per_cycle_from_eps(eps: float, q: float) -> float:
@@ -190,6 +201,28 @@ def delta_per_cycle_from_eps(eps: float, q: float) -> float:
     as the acceleration (and q) grows.
     """
     return -mixed_phase_offset(eps, q)
+
+
+def _cycles_to_pi(delta: float) -> float:
+    """ceil(pi / delta) for delta >= 0, or inf where pi / delta is not finite."""
+    n_pi = math.pi / delta if delta else math.inf
+    return float(math.ceil(n_pi)) if n_pi < math.inf else math.inf
+
+
+def unruh_phases(eps: float, Omega_a: float,
+                 accels: Iterable[float]) -> Iterator[tuple[float, float, float]]:
+    """At each acceleration a > 0, the squeeze q of ``unruh_squeeze`` (refused where
+    tanh q rounds to 1), ``delta_per_cycle_from_eps`` at q, and the cycles to reach
+    pi of ``accumulate_cycles``, inf where unbounded."""
+    s, c = math.sin(TAU * eps), math.cos(TAU * eps)
+    y_accel, arctanh_exp = math.pi * Omega_a * CONSTANTS.c, thermo.arctanh_exp
+    for a in accels:
+        q = arctanh_exp(y_accel / a)
+        if not math.tanh(q) < 1.0:
+            raise ValueError(f"acceleration {a:.6g} m/s^2 too large at field frequency "
+                             f"{Omega_a:.6g} rad/s: tanh r rounds to 1 (r = {q:.6g})")
+        delta = -_mixed_phase(s, c, q)
+        yield q, delta, _cycles_to_pi(abs(delta))
 
 
 def accumulate_cycles(delta_per_cycle: float, n_cycles: int) -> CycleAccumulation:
@@ -204,11 +237,11 @@ def accumulate_cycles(delta_per_cycle: float, n_cycles: int) -> CycleAccumulatio
     if n_cycles < 0:
         raise ValueError(f"cycle count must be >= 0, got {n_cycles}")
     total = delta_per_cycle * n_cycles
-    n_pi = math.pi / delta_per_cycle if delta_per_cycle else math.inf
+    n_pi = _cycles_to_pi(delta_per_cycle)
     return CycleAccumulation(
         total=total,
         capped_at_pi=total >= math.pi,
-        cycles_to_pi=int(math.ceil(n_pi)) if math.isfinite(n_pi) else None,
+        cycles_to_pi=int(n_pi) if n_pi < math.inf else None,
     )
 
 

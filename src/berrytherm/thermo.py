@@ -55,12 +55,16 @@ def unruh_temperature(accel: float) -> float:
 
 
 def boltzmann_exponent(omega: float, temperature: float) -> float:
-    """hbar*omega / (k_B T)."""
+    """hbar*omega / (k_B T); refused by name below about 1.8e-301 K, where k_B T is 0."""
     if omega <= 0.0:
         raise ValueError(f"mode frequency must be positive, got {omega}")
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return CONSTANTS.hbar * omega / (CONSTANTS.k_B * temperature)
+    k_t = CONSTANTS.k_B * temperature
+    if k_t == 0.0:
+        raise ValueError(f"temperature {temperature:.6g} K too low at mode frequency "
+                         f"{omega:.6g} rad/s: k_B T underflows to 0")
+    return CONSTANTS.hbar * omega / k_t
 
 
 def arctanh_exp(y: float) -> float:

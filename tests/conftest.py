@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from berrytherm import cli, oracle
+from berrytherm import oracle, reports
 from berrytherm.cli import certification_report
 from berrytherm.fockspace import TruncationWarning
 
@@ -15,7 +15,7 @@ def certify_reports():
     must build its selection targets once per rung that has pairs left to size
     (one ``eigenstates`` call at each of the 4 rungs)."""
     eigenstates = oracle.eigenstates
-    loop_check_cells = cli._loop_check_cells
+    loop_check_cells = reports._loop_check_cells
     target_calls = [0]
     grid_passes = [0]
 
@@ -32,7 +32,7 @@ def certify_reports():
     passes = []
     with warnings.catch_warnings(record=True) as caught, \
             mock.patch.object(oracle, "eigenstates", counted_targets), \
-            mock.patch.object(cli, "_loop_check_cells", counted_grid):
+            mock.patch.object(reports, "_loop_check_cells", counted_grid):
         warnings.simplefilter("always")
         pos = certification_report()
         passes.append(grid_passes[0])

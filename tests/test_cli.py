@@ -16,11 +16,8 @@ import numpy as np
 import pytest
 
 import berrytherm
-from berrytherm import cli, diagonalization, fockspace, geomphase, oracle, thermo
+from berrytherm import cli, diagonalization, fockspace, geomphase, oracle, reports, thermo
 from berrytherm.cli import (
-    CERT_GRID_RATIO,
-    CERT_GRID_V,
-    DIAG_TAIL_GATE,
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -36,6 +33,7 @@ from berrytherm.cli import (
 )
 from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map
 from berrytherm.fockspace import TruncationWarning
+from berrytherm.reports import CERT_GRID_RATIO, CERT_GRID_V, DIAG_TAIL_GATE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,17 +91,45 @@ def test_numerical_failure_exit_code(capsys):
     assert "unbound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["thermometer", "--preset", "fig3-ghz", "--t-cold-min", "1e-305", "--t-cold-max", "1e-300",
-     "--points", "3"],
-    ["sensitivity", "--preset", "fig3-ghz", "--t-cold", "1e-305"],
-    ["adiabaticity", "--preset", "fig6-mhz", "--temperature", "1e-305", "--cycles", "1"],
-    ["diagonalize", "--omega-a", "1e-300", "--omega-b", "1e-300", "--coupling", "1e-301"],
-], ids=["thermometer", "sensitivity", "adiabaticity", "diagonalize"])
-def test_division_by_an_underflowed_value_is_a_numerical_failure(capsys, argv):
-    # a float division whose divisor underflowed to zero exits 3, not with a traceback
+def _too_cold(temperature: str, omega: str) -> str:
+    return (f"numerical failure: temperature {temperature} K too low at mode frequency "
+            f"{omega} rad/s: k_B T underflows to 0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thermometer", "--preset", "fig3-ghz", "--t-cold-min", "1e-305", "--t-cold-max", "1e-300",
+      "--points", "3"], _too_cold("1e-305", "1e+09")),
+    (["sensitivity", "--preset", "fig3-ghz", "--t-cold", "1e-305"], _too_cold("1e-305", "1e+09")),
+    (["adiabaticity", "--preset", "fig6-mhz", "--temperature", "1e-305", "--cycles", "1"],
+     _too_cold("1e-305", "1e+06")),
+    (["diagonalize", "--omega-a", "1e-300", "--omega-b", "1e-300", "--coupling", "1e-301"],
+     "numerical failure: float division by zero\n"),
+    (["thermometer", "--preset", "fig3-ghz", "--t-cold-min", "1e-323", "--t-cold-max", "1e-322",
+      "--points", "3"], _too_cold("9.88131e-324", "1e+09")),
+    (["thermometer", "--preset", "fig3-ghz", "--t-hot", "1e-302", "--t-cold-min", "1e-303",
+      "--points", "3"], _too_cold("1e-302", "1e+09")),
+    (["sensitivity", "--preset", "fig3-ghz", "--t-cold", "1e-323"],
+     _too_cold("9.88131e-324", "1e+09")),
+    (["sensitivity", "--preset", "fig3-ghz", "--t-hot", "1e-302", "--t-cold", "1e-3"],
+     _too_cold("1e-302", "1e+09")),
+], ids=["thermometer", "sensitivity", "adiabaticity", "diagonalize", "thermometer-1e-323",
+        "thermometer-hot", "sensitivity-1e-323", "sensitivity-hot"])
+def test_division_by_an_underflowed_value_is_a_numerical_failure(capsys, argv, message):
+    # a float division whose divisor underflowed to zero exits 3, not with a traceback, and
+    # prints no row.  Where the divisor is k_B T (below about 1.8e-301 K), the refusal names
+    # the first such temperature the command meets and the mode frequency
     assert main(argv) == EXIT_NUMERICAL
-    assert "numerical failure: float division by zero" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", message)
+
+
+def test_unruh_acceleration_whose_tanh_rounds_to_1_is_refused_by_name(capsys):
+    # the second grid point, 1e35 m/s^2, puts tanh q at 1: refused, and no row is printed
+    argv = ["unruh", "--preset", "fig5-1", "--accel-min", "1e34", "--accel-max", "1e36",
+            "--points", "3"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", "numerical failure: acceleration 1e+35 m/s^2 too large at "
+                                   "field frequency 2e+09 rad/s: tanh r rounds to 1 "
+                                   "(r = 19.6019)\n")
 
 
 @pytest.mark.parametrize("argv, inputs", [
@@ -219,14 +245,22 @@ def test_thermometer_golden_file(tmp_path):
     assert text == (GOLDEN / "thermometer_fig3_100mhz_12pt.csv").read_text()
 
 
+# every preset of each sweep at 25 points: 4 thermometer, 4 sensitivity and 3 unruh
+PRESET_SWEEPS = [(command, preset) for command in ("thermometer", "sensitivity", "unruh")
+                 for preset in PRESETS if preset.startswith(COMMANDS[command].family)]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["sensitivity", "--preset", "fig3-100mhz"], "sensitivity_fig3_100mhz.csv"),
     (["unruh", "--preset", "fig5-3", "--points", "12"], "unruh_fig5_3_12pt.csv"),
-], ids=["sensitivity", "unruh"])
+    *(([command, "--preset", preset, "--points", "25"],
+       f"{command}_{preset.replace('-', '_')}_25pt.csv") for command, preset in PRESET_SWEEPS),
+], ids=["sensitivity", "unruh", *(f"{command}-{preset}" for command, preset in PRESET_SWEEPS)])
 def test_sweep_golden_files(tmp_path, argv, name):
-    code, text = run(argv, tmp_path)
-    assert code == EXIT_OK
-    assert text == (GOLDEN / name).read_text()
+    # byte for byte
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -525,7 +559,7 @@ def test_diagonalize_sizing_scans_each_cutoff_once(monkeypatch):
     tails = fockspace.mode_tails
     monkeypatch.setattr(fockspace, "mode_tails", lambda w: scans.append(1) or tails(w))
     dp = diagonalization.invert_physical(PhysicalParams(1.0, 1.0, 0.498)).params
-    assert len(cli._diag_eigenstates(dp, ((0, 0), (1, 0), (0, 1)), None)) == 276
+    assert len(reports._diag_eigenstates(dp, ((0, 0), (1, 0), (0, 1)), None)) == 276
     assert len(scans) == 253
 
 
@@ -556,7 +590,7 @@ def test_diagonalize_sizing_crops_the_build_that_fits(monkeypatch):
                         lambda dps, occ, dims: sizes.append(dims.n_field) or build(dps, occ, dims))
     dp = diagonalization.invert_physical(PhysicalParams(1.0, 1.0, 0.498)).params
     occupations = ((0, 0), (1, 0), (0, 1))
-    psis = cli._diag_eigenstates(dp, occupations, None)
+    psis = reports._diag_eigenstates(dp, occupations, None)
     assert sizes == [24, 48, 96, 192, 320]
     assert psis.shape == (276, 276, 3)
     np.testing.assert_allclose(psis, build([dp] * 3, occupations, fockspace.FockDims(276, 276)),
@@ -601,6 +635,25 @@ def test_unruh_deterministic_bytes_and_rows_in_order(tmp_path):
         assert r[3] == delta_per_cycle_from_eps(eps, q)
 
 
+@pytest.mark.parametrize("preset", ["fig3-mhz", "fig3-ghz"])
+def test_thermometer_and_sensitivity_rows_are_the_checked_functions_bit_for_bit(preset):
+    # the row kernel takes sin, cos 2 pi eps and hbar w once per sweep, but each row is
+    # what the single-value functions that certify checks return
+    from berrytherm.geomphase import (epsilon, thermometer_delta_from_eps,
+                                      thermometer_slope_from_eps)
+
+    p = PRESETS[preset]
+    eps = epsilon(PhysicalParams(p["gap"], p["gap"], p["coupling"]))
+    rows, _ = cli.cmd_thermometer({**p, "points": 50})
+    assert rows == [(tc, thermometer_delta_from_eps(eps, p["gap"], tc, p["t_hot"]),
+                     abs(thermometer_slope_from_eps(eps, p["gap"], tc))) for tc, *_ in rows]
+    t_cold = p["t_hot"] / 1000.0
+    ref = thermometer_delta_from_eps(eps, p["gap"], t_cold, p["t_hot"])
+    rows, _ = cli.cmd_sensitivity({**p, "points": 51})
+    assert rows == [(e, (thermometer_delta_from_eps(eps, p["gap"], t_cold, p["t_hot"] * (1.0 + e))
+                         - ref) / ref) for e, _ in rows]
+
+
 def test_sweeps_never_call_the_inverse_map(tmp_path, monkeypatch):
     # the sweep formulas take epsilon straight from the laboratory triple
     from berrytherm import cli, diagonalization
@@ -609,7 +662,7 @@ def test_sweeps_never_call_the_inverse_map(tmp_path, monkeypatch):
         raise AssertionError("a sweep called the inverse map")
 
     monkeypatch.setattr(diagonalization, "invert_physical", refuse)
-    monkeypatch.setattr(cli, "invert_physical", refuse)
+    assert not hasattr(cli, "invert_physical")  # only the report commands bind it
     for argv in (["thermometer", "--preset", "fig3-ghz", "--points", "5"],
                  ["sensitivity", "--preset", "fig3-mhz", "--points", "5"],
                  ["unruh", "--preset", "fig5-1", "--points", "5"]):
@@ -672,10 +725,11 @@ PLANTED_FAULTS = {
         ()),
     # g6 off by 1e-9 relative: 1.0e-9
     "coupling_coefficients_equal": (
-        cli, "derive_params", lambda exact, dp: exact(dp)._replace(g6=exact(dp).g6 * (1 + 1e-9)),
+        reports, "derive_params",
+        lambda exact, dp: exact(dp)._replace(g6=exact(dp).g6 * (1 + 1e-9)),
         ()),
     # the normal-mode epsilon off by 1e-9 relative: 2.6e-9
-    "phase_spacing_2piG": (cli, "epsilon", lambda exact, pp: exact(pp) * (1 + 1e-9), ()),
+    "phase_spacing_2piG": (reports, "epsilon", lambda exact, pp: exact(pp) * (1 + 1e-9), ()),
     # normal_modes' u off by 1e-9 relative: 2.8e-9.  invert_physical refuses each
     # triple it moves past its 1e-10 gate, and the check records the refusal's
     # residual
@@ -683,7 +737,7 @@ PLANTED_FAULTS = {
     # every closed-form eigenstate phase moved by 1e-10 rad, 10x the loop
     # tolerance: 1.0e-10.  The spacing check, a difference of two shifted
     # phases, is blind to the shift
-    "loop_vs_closed_form_grid": (cli, "eigen_berry_phase", _shifted_phase, ()),
+    "loop_vs_closed_form_grid": (reports, "eigen_berry_phase", _shifted_phase, ()),
     # the mixed-phase offset moved by 1e-9 rad: 1.0e-9.  The fig5 per-cycle
     # differences, -offset, are below 1e-43 and tie once shifted
     "mixed_phase_partial_sum": (
@@ -691,7 +745,7 @@ PLANTED_FAULTS = {
         ("delta_monotone_in_acceleration",)),
     # the thermometer reading moved by 1e-10 rad: 1.0e-10
     "thermometer_equals_mixed_difference": (
-        cli, "thermometer_delta_from_eps", lambda exact, *args: exact(*args) + 1e-10, ()),
+        reports, "thermometer_delta_from_eps", lambda exact, *args: exact(*args) + 1e-10, ()),
     # arctanh(e^-y) off by 1e-9 relative: 2.9e-9, and 2.1e-10 on the
     # thermometer identity, whose two sides take r through different paths
     "unruh_thermal_squeeze_identity": (
@@ -731,6 +785,15 @@ def test_certify_fails_on_eigenstates_built_at_a_wrong_squeeze(monkeypatch):
     report = _certify_with_fault(monkeypatch, "eigenstate_interior_residual")
     check = next(c for c in report["checks"] if c["name"] == "eigenstate_interior_residual")
     assert check["residual"] > 1e-7
+
+
+def test_certify_arctanh_fault_reaches_the_accelerated_squeeze(monkeypatch):
+    # the unruh row kernel reads thermo.arctanh_exp at each call, so the fault moves both
+    # squeezes and the tanh inversion reads 2.9e-9; a kernel that bound the name at
+    # import would keep the accelerated squeeze exact, and the check would read 1.5e-9
+    report = _certify_with_fault(monkeypatch, "unruh_thermal_squeeze_identity")
+    check = next(c for c in report["checks"] if c["name"] == "unruh_thermal_squeeze_identity")
+    assert check["residual"] > 2e-9
 
 
 def test_certify_fails_on_a_refused_round_trip(monkeypatch, tmp_path):
@@ -922,20 +985,24 @@ def loaded():
 def stdlib():
     return sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules)
 
+def reports():
+    return "berrytherm.reports" in sys.modules
+
 layers = sorted(m for m in sys.modules if m.startswith("berrytherm."))
-after_import = loaded()
+after_import, reports_after_import = loaded(), reports()
 for argv in (["thermometer", "--preset", "fig3-ghz"], ["sensitivity", "--preset", "fig3-mhz"],
              ["unruh", "--preset", "fig5-1"]):
     assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
-closed_form, closed_form_stdlib = loaded(), stdlib()
+closed_form, closed_form_stdlib, closed_form_reports = loaded(), stdlib(), reports()
 p = cli.PRESETS["fig3-ghz"]
 assert cli.main(["diagonalize", "--omega-a", repr(p["gap"]), "--omega-b", repr(p["gap"]),
                  "--coupling", repr(p["coupling"]), "--out", sys.argv[1]]) == 0
-diagonalize, diagonalize_stdlib = loaded(), stdlib()
+diagonalize, diagonalize_stdlib, diagonalize_reports = loaded(), stdlib(), reports()
 import json
 print(json.dumps({"layers": layers, "after_import": after_import, "closed_form": closed_form,
                   "closed_form_stdlib": closed_form_stdlib, "diagonalize": diagonalize,
-                  "diagonalize_stdlib": diagonalize_stdlib}))
+                  "diagonalize_stdlib": diagonalize_stdlib,
+                  "reports": [reports_after_import, closed_form_reports, diagonalize_reports]}))
 """
 
 
@@ -952,6 +1019,19 @@ def test_closed_form_commands_import_no_numpy(tmp_path):
     # positive control: diagonalize loads numpy, and the same probe sees it
     assert "numpy" in loaded["diagonalize"]
     assert "json" in loaded["diagonalize_stdlib"]
+    # the report commands' code is not even compiled for a sweep: absent after the
+    # import and after the three sweeps, present once diagonalize has run
+    assert loaded["reports"] == [False, False, True]
+
+
+def test_report_commands_run_as_a_module_import_no_second_cli(tmp_path):
+    # under ``python -m berrytherm.cli`` the report module imports the running cli,
+    # so a config error it raises is the one main catches: exit 2, not 3
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "berrytherm.cli", "diagonalize", *RESONANT_GHZ,
+                           "--cutoff", "3"], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, "config error: need cutoff >= 4\n")
 
 
 def _scipy_imports(source: str) -> list[int]:

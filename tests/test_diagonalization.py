@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 from sparse_ops import sparse_hamiltonian, sparse_ladder
 
-from berrytherm import cli
+from berrytherm import cli, reports
 from berrytherm.diagonalization import (
     ConstraintError,
     DiagParams,
@@ -374,21 +374,21 @@ def test_eigenstate_matches_reference_chain_nonzero_phase(varphi):
     # the reference converges at 8 times the cutoff (96 levels a mode), where
     # 6 times still leaves it 2e-13 off at 16 x 16
     dims = FockDims(12, 12)
-    fast = _at_phase(eigenstates([CANONICAL] * 4, cli.CERT_OCCUPATIONS, dims), varphi)
-    for occ, state in zip(cli.CERT_OCCUPATIONS, fast.T):
+    fast = _at_phase(eigenstates([CANONICAL] * 4, reports.CERT_OCCUPATIONS, dims), varphi)
+    for occ, state in zip(reports.CERT_OCCUPATIONS, fast.T):
         ref = reference_eigenstate(CANONICAL, occ[0], occ[1], varphi, dims, 8)
         assert np.abs(state - ref).max() <= 1e-13
 
 
-CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
-                 for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+CERT_GRID_DPS = [DiagParams(ratio, 1.0, v) for v in reports.CERT_GRID_V
+                 for ratio in reports.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
 RECTANGULAR_DP = DiagParams(math.e ** 3, 1.0, 0.45)
 RECTANGULAR_OCCUPATIONS = [(0, 0), (2, 1), (1, 3), (4, 5)]
 
 
 @pytest.mark.parametrize("dims, dps, occupations", [
-    (FockDims(30, 30), [dp for _ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS],
-     [occ for occ in cli.CERT_OCCUPATIONS for _ in CERT_GRID_DPS]),
+    (FockDims(30, 30), [dp for _ in reports.CERT_OCCUPATIONS for dp in CERT_GRID_DPS],
+     [occ for occ in reports.CERT_OCCUPATIONS for _ in CERT_GRID_DPS]),
     # total-number blocks of H are cut unevenly by the two cutoffs
     (FockDims(20, 12), [RECTANGULAR_DP] * 4, RECTANGULAR_OCCUPATIONS),
     (FockDims(12, 20), [RECTANGULAR_DP] * 4, RECTANGULAR_OCCUPATIONS),
@@ -413,9 +413,9 @@ def test_eigenstate_interior_residual_vanishes(dims, dps, occupations):
 ], ids=["30x30-grid", "78x78", "20x12"])
 def test_eigenstates_batch_equals_batch_of_one(dims, dps):
     for dp in dps:
-        batch = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims)
-        assert batch.shape[2] == len(cli.CERT_OCCUPATIONS)
-        for i, occ in enumerate(cli.CERT_OCCUPATIONS):
+        batch = eigenstates([dp] * 4, reports.CERT_OCCUPATIONS, dims)
+        assert batch.shape[2] == len(reports.CERT_OCCUPATIONS)
+        for i, occ in enumerate(reports.CERT_OCCUPATIONS):
             one = eigenstates([dp], [occ], dims)
             assert np.abs(batch[:, :, i] - one[:, :, 0]).max() <= 1e-15
 
@@ -424,7 +424,7 @@ def test_eigenstates_mixed_dps_equal_per_dp_eigenstate():
     # the whole certify grid in one batch, parameter sets interleaved, as the
     # cutoff-major loop grid calls it
     dims = FockDims(30, 30)
-    pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
+    pairs = [(dp, occ) for occ in reports.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
     batch = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
     assert batch.shape[2] == len(pairs) == 32
     for i, (dp, occ) in enumerate(pairs):
@@ -435,7 +435,7 @@ def test_eigenstates_mixed_dps_equal_per_dp_eigenstate():
 def test_eigenstates_are_real_unit_columns():
     # the one state form: a real (n_field, n_det, k) stack, each column of unit norm
     dims = FockDims(30, 30)
-    pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
+    pairs = [(dp, occ) for occ in reports.CERT_OCCUPATIONS for dp in CERT_GRID_DPS]
     amps = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
     assert amps.dtype == np.float64 and amps.shape == (30, 30, 32)
     assert np.abs(np.linalg.norm(amps, axis=(0, 1)) - 1.0).max() <= 1e-14

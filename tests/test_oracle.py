@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 from sparse_ops import pancharatnam_product, sparse_hamiltonian
 
-from berrytherm import cli, oracle
+from berrytherm import cli, oracle, reports
 from berrytherm.diagonalization import DiagParams, PhysicalParams, forward_map, invert_physical
 from berrytherm.fockspace import FockDims, eigenstates
 from berrytherm.geomphase import (
@@ -267,8 +267,8 @@ def test_sector_eigenpair_matches_full_space_on_certify_grid():
     # every certify pair at cutoff 30 against a dense eigh of its sector of
     # the full-space H; H has no entry between the two sectors
     dims = FockDims(30, 30)
-    for v in cli.CERT_GRID_V:
-        for ratio in cli.CERT_GRID_RATIO:
+    for v in reports.CERT_GRID_V:
+        for ratio in reports.CERT_GRID_RATIO:
             if ratio <= math.exp(2 * v):
                 continue
             dp = DiagParams(ratio, 1.0, v)
@@ -279,8 +279,8 @@ def test_sector_eigenpair_matches_full_space_on_certify_grid():
                 sector = _parity_sector(dims, parity)
                 assert not h[np.ix_(sector, _parity_sector(dims, 1 - parity))].any()
                 ref[parity] = (sector, *np.linalg.eigh(h[np.ix_(sector, sector)]))
-            targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims)
-            for i, (n_f, n_d) in enumerate(cli.CERT_OCCUPATIONS):
+            targets = eigenstates([dp] * 4, reports.CERT_OCCUPATIONS, dims)
+            for i, (n_f, n_d) in enumerate(reports.CERT_OCCUPATIONS):
                 target = targets[:, :, i]
                 sector, vals, vecs = ref[(n_f + n_d) % 2]
                 _assert_matches(_pair(pp, target, (n_f + n_d) % 2),
@@ -306,17 +306,17 @@ def test_mixed_dp_loops_match_per_dp_calls():
     # the cutoff-30 rung of the certify grid in one call, parameter sets
     # interleaved: 12 of the 32 pairs refuse on the truncation gate there
     dims = FockDims(30, 30)
-    dps = [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
-           for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+    dps = [DiagParams(ratio, 1.0, v) for v in reports.CERT_GRID_V
+           for ratio in reports.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
     assert len(dps) == 8
-    pairs = [(dp, occ) for occ in cli.CERT_OCCUPATIONS for dp in dps]
+    pairs = [(dp, occ) for occ in reports.CERT_OCCUPATIONS for dp in dps]
     mixed = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
                                         [dims])
-    single = {dp: oracle.discrete_berry_loops([dp] * 4, cli.CERT_OCCUPATIONS, [dims])
+    single = {dp: oracle.discrete_berry_loops([dp] * 4, reports.CERT_OCCUPATIONS, [dims])
               for dp in dps}
     refused = 0
     for (dp, occ), got in zip(pairs, mixed):
-        want = single[dp][cli.CERT_OCCUPATIONS.index(occ)]
+        want = single[dp][reports.CERT_OCCUPATIONS.index(occ)]
         if isinstance(want, OracleError):
             refused += 1
             assert isinstance(got, OracleError) and str(got) == str(want)
@@ -330,8 +330,8 @@ def test_mixed_dp_loops_match_per_dp_calls():
 
 
 def _certify_dps():
-    return [DiagParams(ratio, 1.0, v) for v in cli.CERT_GRID_V
-            for ratio in cli.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
+    return [DiagParams(ratio, 1.0, v) for v in reports.CERT_GRID_V
+            for ratio in reports.CERT_GRID_RATIO if ratio > math.exp(2 * v)]
 
 
 def _assert_same_pairs(got, want):
@@ -348,7 +348,7 @@ def test_stacked_eigenpairs_match_one_at_a_time_on_certify_rung():
     # every certify pair at cutoff 30, each parity solved as one stack
     dims = FockDims(30, 30)
     for parity in (0, 1):
-        pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS
+        pairs = [(dp, occ) for dp in _certify_dps() for occ in reports.CERT_OCCUPATIONS
                  if sum(occ) % 2 == parity]
         assert len(pairs) == 16
         pps = [forward_map(dp) for dp, _ in pairs]
@@ -362,7 +362,7 @@ def test_mixed_parity_stack_matches_per_parity_stacks(dims):
     # every certify pair in one stack, both parities interleaved, against one
     # stack per parity; at an odd n_det the two sectors' blocks differ by one
     # level, which the smaller sector pads (one pair refuses at 13 x 11)
-    pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS]
+    pairs = [(dp, occ) for dp in _certify_dps() for occ in reports.CERT_OCCUPATIONS]
     pps = [forward_map(dp) for dp, _ in pairs]
     targets = eigenstates([dp for dp, _ in pairs], [occ for _, occ in pairs], dims)
     parities = [sum(occ) % 2 for _, occ in pairs]
@@ -380,8 +380,8 @@ def test_odd_detector_cutoff_pairs_match_full_space():
     dp = DiagParams(math.e, 1.0, 0.1)
     pp = forward_map(dp)
     h = sparse_hamiltonian(pp, dims).toarray()
-    targets = eigenstates([dp] * 4, cli.CERT_OCCUPATIONS, dims)
-    parities = [sum(occ) % 2 for occ in cli.CERT_OCCUPATIONS]
+    targets = eigenstates([dp] * 4, reports.CERT_OCCUPATIONS, dims)
+    parities = [sum(occ) % 2 for occ in reports.CERT_OCCUPATIONS]
     got = numeric_eigenpairs([pp] * 4, targets, parities)
     for i, parity in enumerate(parities):
         sector = _parity_sector(dims, parity)
@@ -411,7 +411,7 @@ def test_certification_report_solves_each_truncation_once(monkeypatch):
                      (FockDims(60, 30), 2), (FockDims(78, 30), 2)]
 
 
-CERTIFY_LADDER = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
+CERTIFY_LADDER = [FockDims(c, c) for c in reports.CUTOFF_LADDER]
 
 
 def test_ladder_field_tail_moves_only_the_field(monkeypatch):
@@ -561,7 +561,7 @@ def test_sized_cells_match_fresh_single_rung_loops():
     # each certify cell is solved in a stack of the pairs sized with it, from a
     # target cropped from the build that sized it; a fresh one-rung call at its
     # truncation solves it alone, from a target built there
-    pairs = [(dp, occ) for dp in _certify_dps() for occ in cli.CERT_OCCUPATIONS]
+    pairs = [(dp, occ) for dp in _certify_dps() for occ in reports.CERT_OCCUPATIONS]
     sized = oracle.discrete_berry_loops([dp for dp, _ in pairs], [occ for _, occ in pairs],
                                         CERTIFY_LADDER)
     assert sum(got.dims != CERTIFY_LADDER[0] for got in sized) == 14
@@ -581,12 +581,12 @@ def test_field_ladder_loops_match_closed_form(v, ratio):
     # n = 8 and 10 and of (0.6, e^3) at n = 10 and 11
     dp = DiagParams(ratio, 1.0, v)
     occupations = [(n, 0) for n in range(12)]
-    ladder = [FockDims(c, c) for c in cli.CUTOFF_LADDER]
+    ladder = [FockDims(c, c) for c in reports.CUTOFF_LADDER]
     got = discrete_berry_loops([dp] * 12, occupations, ladder)
     for (n_f, n_d), loop in zip(occupations, got):
         assert not isinstance(loop, OracleError), (n_f, loop)
         diff = phase_distance(loop.phase.raw, eigen_berry_phase(dp, n_f, n_d).raw)
-        assert diff < cli.CERT_LOOP_TOL, (n_f, diff)
+        assert diff < reports.CERT_LOOP_TOL, (n_f, diff)
 
 
 def test_sector_solve_refuses_target_outside_sector():
